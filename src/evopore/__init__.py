@@ -17,7 +17,7 @@ from .macro import MacroGrid, MacroSolver, MacroState, mass_balance
 from .micro import (MicroMesh, MicroSimulator, MicroState, UnfoldingError,
                     build_micro_mesh, cell_pore_means, unfold_compare)
 from .registry import build_field, build_source, register_field, register_source
-from .sparse import SolveReport, SparseMatrix, TripletBuffer, finalize, solve_cg
+from .sparse import SolveReport, solve_cg
 from .transform import (CellIndexing, TransformEval, TransformParams, cell_decompose,
                         eval_psi, eval_psi_batch, eval_psi_eps, eval_psi_eps_batch,
                         eval_psi_inverse, profile, profile_raw)

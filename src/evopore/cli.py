@@ -23,6 +23,7 @@ import scipy
 from . import __version__
 from .config import DEFAULT_CONFIG, ExperimentConfig, load_config, parse_config
 from .errors import CheckFailure, ConfigError, MeshQualityError, NumericalError
+from .fem import csv_table
 from .kinetics import validate_structure
 from .macro import MacroGrid, MacroSolver, ledger_csv, mass_balance, snapshot_csv
 from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv,
@@ -162,7 +163,7 @@ def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
     outputs = []
     _write(outdir, "micro_snapshot_000000.csv", micro_snapshot_csv(mesh, state), outputs)
     _write(outdir, "cells_000000.csv", cell_series_csv(mesh, state), outputs)
-    ledger_rows = ["t,fluid_mass,solid_mass,flux_step,source_step,defect"]
+    ledger = []
     max_defect = 0.0
     max_rate = 0.0
     for step in range(1, cfg.n_steps + 1):
@@ -172,13 +173,14 @@ def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
             raise NumericalError(f"micro step {step} (1/eps={inv}): {exc}") from exc
         max_defect = max(max_defect, state.defect)
         max_rate = max(max_rate, float(np.abs(state.radii_rate).max()))
-        ledger_rows.append(",".join(f"{v:.17g}" for v in
-                                    (state.t, state.fluid_mass, state.solid_mass,
-                                     state.flux_step, state.source_step, state.defect)))
+        ledger.append((state.t, state.fluid_mass, state.solid_mass,
+                       state.flux_step, state.source_step, state.defect))
         if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
             _write(outdir, f"micro_snapshot_{step:06d}.csv", micro_snapshot_csv(mesh, state), outputs)
             _write(outdir, f"cells_{step:06d}.csv", cell_series_csv(mesh, state), outputs)
-    _write(outdir, "micro_ledger.csv", "\n".join(ledger_rows) + "\n", outputs)
+    _write(outdir, "micro_ledger.csv",
+           csv_table("t,fluid_mass,solid_mass,flux_step,source_step,defect",
+                     "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", *zip(*ledger)), outputs)
 
     checks = [
         {"check": "transformed_mass_ledger_1e-9", "passed": max_defect <= 1e-9,
@@ -238,13 +240,14 @@ def cmd_convergence(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[di
         raise ConfigError("convergence study needs at least 3 epsilon values")
     report = run_convergence_study(cfg, quiet)
     outputs = []
-    lines = ["epsilon,u_l2_error,r_l2_error"]
-    timing = ["epsilon,runtime_seconds"]
-    for row in report.rows:
-        lines.append(f"{row.epsilon:.17g},{row.u_l2_error:.17g},{row.r_l2_error:.17g}")
-        timing.append(f"{row.epsilon:.17g},{row.runtime:.3f}")
-    _write(outdir, "convergence.csv", "\n".join(lines) + "\n", outputs)
-    (outdir / "timings.csv").write_text("\n".join(timing) + "\n")
+    eps = [row.epsilon for row in report.rows]
+    _write(outdir, "convergence.csv",
+           csv_table("epsilon,u_l2_error,r_l2_error", "%.17g,%.17g,%.17g", eps,
+                     [row.u_l2_error for row in report.rows],
+                     [row.r_l2_error for row in report.rows]), outputs)
+    (outdir / "timings.csv").write_text(
+        csv_table("epsilon,runtime_seconds", "%.17g,%.3f", eps,
+                  [row.runtime for row in report.rows]))
 
     checks = [
         {"check": "u_error_strictly_decreasing", "passed": report.u_decreasing,

@@ -128,6 +128,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
     base = configparser.ConfigParser()
     base.read_string(DEFAULT_CONFIG)
+    if cp.has_section("initial"):
+        # a field the config chooses takes only the parameters the config gives it
+        for name in ("u", "r"):
+            if f"{name}_field" in cp["initial"]:
+                for key in [k for k in base["initial"] if k.startswith(f"{name}_param.")]:
+                    base.remove_option("initial", key)
     for sec in cp.sections():
         if sec not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{sec}]")

@@ -57,15 +57,8 @@ def _gated_affine_envelope(spec: KineticsSpec) -> float:
     return spec.rate_slope * (1.0 + 2.0 / spec.gate_width) * spec.f_cap
 
 
-def _ungated_affine(spec: KineticsSpec, u, r):
-    """Sign conditions deliberately violated; registered for validator tests."""
-    u = np.asarray(u, dtype=float)
-    return np.clip(spec.rate_slope * (u - spec.u_eq), -spec.f_cap, spec.f_cap) * np.ones_like(np.asarray(r, float))
-
-
 KINETICS_FAMILIES: dict[str, tuple] = {
     "gated_affine": (_gated_affine, _gated_affine_envelope),
-    "ungated_affine": (_ungated_affine, _gated_affine_envelope),
 }
 
 

@@ -15,13 +15,13 @@ exact up to the linear-solver residual at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import NumericalError
-from .fem import element_means, triangle_geometry
+from .fem import backward_euler_step, csv_table, element_means, lumped_mass, triangle_geometry
 from .kinetics import KineticsSpec, eval_f, step_radius
-from .sparse import TripletBuffer, finalize, solve_cg
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
 
 
@@ -135,15 +135,9 @@ class MacroSolver:
             raise ValueError("initial radii outside [r_min, r_max]")
         theta = porosity(r)
         state = MacroState(0.0, u, r, theta, 0.0, 0.0)
-        state.fluid_mass = float(self._lumped_theta(theta) @ u)
+        state.fluid_mass = float(lumped_mass(g.elements, g.areas, theta, g.n_nodes) @ u)
         state.solid_mass = self._solid_mass(r)
         return state
-
-    def _lumped_theta(self, theta: np.ndarray) -> np.ndarray:
-        g = self.grid
-        m = np.zeros(g.n_nodes)
-        np.add.at(m, g.elements, (theta * g.areas / 3.0)[:, None] * np.ones((1, 3)))
-        return m
 
     def _solid_mass(self, r: np.ndarray) -> float:
         return float(self.spec.c_s * np.sum(self.grid.areas * ball_volume(r)))
@@ -167,17 +161,8 @@ class MacroSolver:
 
         # (2) implicit porosity-weighted diffusion with tensor lookup
         A_el, _, _, _ = self.table.lookup_many(r_new)
-        k_el = np.einsum("tia,tab,tjb->tij", g.grads, A_el, g.grads)
-        k_el *= (self.diffusion * g.areas)[:, None, None]
-        buf = TripletBuffer()
-        dofs = g.elements
-        buf.add_block(np.repeat(dofs, 3, axis=1), np.tile(dofs, (1, 3)), k_el)
-        m_new = self._lumped_theta(theta_new)
-        idx = np.arange(g.n_nodes)
-        buf.add_block(idx, idx, m_new / dt)
-        system = finalize(buf, g.n_nodes, g.n_nodes)
-
-        m_old = self._lumped_theta(state.theta)
+        m_new = lumped_mass(g.elements, g.areas, theta_new, g.n_nodes)
+        m_old = lumped_mass(g.elements, g.areas, state.theta, g.n_nodes)
         b = m_old * state.u / dt
 
         source_step = 0.0
@@ -192,27 +177,15 @@ class MacroSolver:
         dv = self.spec.c_s * (ball_volume(r_new) - ball_volume(state.r)) / dt
         np.add.at(b, g.elements, -(dv * g.areas / 3.0)[:, None] * np.ones((1, 3)))
 
-        u_new, report = solve_cg(system, b, tol=self.cg_tol, x0=state.u, check_symmetry=False)
-        if not report.converged:
-            raise NumericalError(
-                f"macro CG stalled at t={t_new}: residual {report.final_residual:.2e}")
-        if not np.all(np.isfinite(u_new)):
-            raise NumericalError(f"non-finite concentration at t={t_new}")
+        u_new, iterations = backward_euler_step(
+            g.elements, g.areas, g.grads, self.diffusion * A_el, m_new, dt, b, state.u,
+            self.cg_tol, "macro", t_new)
 
         fluid = float(m_new @ u_new)
         solid = self._solid_mass(r_new)
         defect = abs((fluid + solid) - (state.fluid_mass + state.solid_mass) - source_step)
         return MacroState(t_new, u_new, r_new, theta_new, fluid, solid,
-                          source_step, defect, report.iterations)
-
-    def run(self, state: MacroState, dt: float, n_steps: int, keep_every: int = 1):
-        """Advance n_steps, returning the kept states (always includes both ends)."""
-        states = [state]
-        for k in range(n_steps):
-            state = self.step(state, dt)
-            if (k + 1) % keep_every == 0 or k + 1 == n_steps:
-                states.append(state)
-        return states
+                          source_step, defect, iterations)
 
 
 @dataclass
@@ -252,19 +225,14 @@ def snapshot_csv(grid: MacroGrid, state: MacroState) -> str:
     """One row per element midpoint: x1, x2, u, r, theta."""
     mids = grid.midpoints()
     u_el = element_means(grid.elements, state.u)
-    lines = ["x1,x2,u,r,theta"]
-    for k in range(grid.n_elements):
-        lines.append(",".join(f"{v:.17g}" for v in
-                              (mids[k, 0], mids[k, 1], u_el[k], state.r[k], state.theta[k])))
-    return "\n".join(lines) + "\n"
+    return csv_table("x1,x2,u,r,theta", "%.17g,%.17g,%.17g,%.17g,%.17g",
+                     mids[:, 0], mids[:, 1], u_el, state.r, state.theta)
 
 
 def ledger_csv(states: list[MacroState]) -> str:
-    lines = ["t,total_mass,solid_mass,fluid_mass,source_integral,defect"]
-    acc = 0.0
-    for s in states:
-        acc += s.source_step
-        total = s.fluid_mass + s.solid_mass
-        lines.append(",".join(f"{v:.17g}" for v in
-                              (s.t, total, s.solid_mass, s.fluid_mass, acc, s.defect)))
-    return "\n".join(lines) + "\n"
+    source_integral = list(accumulate((s.source_step for s in states), initial=0.0))[1:]
+    return csv_table("t,total_mass,solid_mass,fluid_mass,source_integral,defect",
+                     "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
+                     [s.t for s in states], [s.fluid_mass + s.solid_mass for s in states],
+                     [s.solid_mass for s in states], [s.fluid_mass for s in states],
+                     source_integral, [s.defect for s in states])

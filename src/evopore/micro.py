@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .fem import element_means, triangle_geometry
+from .fem import backward_euler_step, csv_table, element_means, lumped_mass, triangle_geometry
 from .kinetics import KineticsSpec, eval_f, step_radius
-from .sparse import TripletBuffer, finalize, solve_cg
 from .transform import TransformParams, eval_psi_batch, pullback_coefficients
 from .unitcell import PeriodicMesh, ball_volume
 
@@ -162,7 +161,7 @@ class MicroSimulator:
             raise ValueError("initial radii outside [r_min, r_max]")
         jac = self._jacobians(radii)
         state = MicroState(0.0, u, radii, np.zeros_like(radii), jac, 0.0, 0.0)
-        state.fluid_mass = float(self._lumped(jac) @ u)
+        state.fluid_mass = float(lumped_mass(m.triangles, m.areas, jac, m.n_nodes) @ u)
         state.solid_mass = self._solid_mass(radii)
         return state
 
@@ -176,12 +175,6 @@ class MicroSimulator:
         J, _, _ = pullback_coefficients(self.params, r_el, self.mesh.micro_midpoints,
                                         self.diffusion)
         return J
-
-    def _lumped(self, weight_el: np.ndarray) -> np.ndarray:
-        m = self.mesh
-        out = np.zeros(m.n_nodes)
-        np.add.at(out, m.triangles, (weight_el * m.areas / 3.0)[:, None] * np.ones((1, 3)))
-        return out
 
     def _solid_mass(self, radii: np.ndarray) -> float:
         eps = self.mesh.epsilon
@@ -198,15 +191,18 @@ class MicroSimulator:
         r_cell = radii_cell[:, None]     # (nc, 1)
         sc = np.ones(m.n_cells) if scale is None else scale
         integral = np.zeros(m.n_cells)
-        loads = np.zeros(m.n_nodes)
+        weights = []
         for q in _EDGE_GAUSS:
             uq = (1.0 - q) * u0 + q * u1
             fq = eval_f(self.spec, uq, np.broadcast_to(r_cell, uq.shape))
             contrib = 0.5 * self._edge_len * fq
             integral += contrib.sum(axis=1)
             scaled = contrib * sc[:, None]
-            np.add.at(loads, edges[..., 0], scaled * (1.0 - q))
-            np.add.at(loads, edges[..., 1], scaled * q)
+            weights += [scaled * (1.0 - q), scaled * q]
+        # one scatter, in the order of the weights: q0e0, q0e1, q1e0, q1e1
+        nodes = np.concatenate([edges[..., 0].ravel(), edges[..., 1].ravel()] * len(_EDGE_GAUSS))
+        loads = np.bincount(nodes, np.concatenate([w.ravel() for w in weights]),
+                            minlength=m.n_nodes)
         return integral, loads
 
     # -- time stepping ---------------------------------------------------------
@@ -247,15 +243,8 @@ class MicroSimulator:
             b_vec = jac_new[:, None] * np.einsum("tab,tb->ta", psi_inv, dt_psi)
 
         # (3) backward-Euler bulk solve
-        buf = TripletBuffer()
-        k_el = np.einsum("tia,tab,tjb->tij", m.grads, coeff, m.grads) * m.areas[:, None, None]
-        buf.add_block(np.repeat(m.triangles, 3, axis=1), np.tile(m.triangles, (1, 3)), k_el)
-        mass_new = self._lumped(jac_new)
-        idx = np.arange(m.n_nodes)
-        buf.add_block(idx, idx, mass_new / dt)
-        system = finalize(buf, m.n_nodes, m.n_nodes)
-
-        b = self._lumped(state.jac_det) * state.u_hat / dt
+        mass_new = lumped_mass(m.triangles, m.areas, jac_new, m.n_nodes)
+        b = lumped_mass(m.triangles, m.areas, state.jac_det, m.n_nodes) * state.u_hat / dt
 
         source_step = 0.0
         if self.source is not None:
@@ -282,13 +271,9 @@ class MicroSimulator:
             flux_total = float((scale * f_int_new).sum())
             b -= loads
 
-        u_new, report = solve_cg(system, b, tol=self.cg_tol, x0=state.u_hat,
-                                 check_symmetry=False)
-        if not report.converged:
-            raise NumericalError(
-                f"micro CG stalled at t={t_new}: residual {report.final_residual:.2e}")
-        if not np.all(np.isfinite(u_new)):
-            raise NumericalError(f"non-finite concentration at t={t_new}")
+        u_new, iterations = backward_euler_step(
+            m.triangles, m.areas, m.grads, coeff, mass_new, dt, b, state.u_hat, self.cg_tol,
+            "micro", t_new)
 
         fluid = float(mass_new @ u_new)
         solid = self._solid_mass(radii_new)
@@ -296,16 +281,7 @@ class MicroSimulator:
         defect = abs(fluid - state.fluid_mass + flux_step - source_step)
         radius_flux_gap = abs((solid - state.solid_mass) - flux_step)
         return MicroState(t_new, u_new, radii_new, rate, jac_new, fluid, solid,
-                          flux_step, source_step, defect, radius_flux_gap,
-                          report.iterations)
-
-    def run(self, state: MicroState, dt: float, n_steps: int, keep_every: int = 1):
-        states = [state]
-        for k in range(n_steps):
-            state = self.step(state, dt)
-            if (k + 1) % keep_every == 0 or k + 1 == n_steps:
-                states.append(state)
-        return states
+                          flux_step, source_step, defect, radius_flux_gap, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +291,8 @@ class MicroSimulator:
 def cell_pore_means(mesh: MicroMesh, u: np.ndarray) -> np.ndarray:
     """Pore-area-weighted mean of a nodal field over every cell."""
     el_mean = element_means(mesh.triangles, u)
-    sums = np.zeros(mesh.n_cells)
-    areas = np.zeros(mesh.n_cells)
-    np.add.at(sums, mesh.cell_of_element, mesh.areas * el_mean)
-    np.add.at(areas, mesh.cell_of_element, mesh.areas)
+    sums = np.bincount(mesh.cell_of_element, mesh.areas * el_mean, minlength=mesh.n_cells)
+    areas = np.bincount(mesh.cell_of_element, mesh.areas, minlength=mesh.n_cells)
     return sums / areas
 
 
@@ -343,16 +317,11 @@ def unfold_compare(mesh: MicroMesh, state: MicroState, macro_grid, macro_state) 
 # ---------------------------------------------------------------------------
 
 def micro_snapshot_csv(mesh: MicroMesh, state: MicroState) -> str:
-    lines = ["x1,x2,u_hat"]
-    for (x, y), u in zip(mesh.vertices, state.u_hat):
-        lines.append(f"{x:.17g},{y:.17g},{u:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_table("x1,x2,u_hat", "%.17g,%.17g,%.17g",
+                     mesh.vertices[:, 0], mesh.vertices[:, 1], state.u_hat)
 
 
 def cell_series_csv(mesh: MicroMesh, state: MicroState) -> str:
-    lines = ["k1,k2,r,r_rate"]
-    r = state.radii
-    rr = state.radii_rate
-    for (i, j) in mesh.cell_index:
-        lines.append(f"{i},{j},{r[i, j]:.17g},{rr[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
+    i, j = mesh.cell_index.T
+    return csv_table("k1,k2,r,r_rate", "%d,%d,%.17g,%.17g",
+                     i, j, state.radii[i, j], state.radii_rate[i, j])

@@ -1,10 +1,8 @@
-"""Minimal sparse linear algebra: CSR matrices assembled from triplets and a
-Jacobi-preconditioned conjugate-gradient solver with an optional zero-mean
-constraint for singular pure-Neumann systems.
+"""Jacobi-preconditioned conjugate gradients on scipy.sparse matrices, with
+an optional zero-mean constraint for singular pure-Neumann systems.
 
-CSR storage and the matrix-vector product are delegated to scipy.sparse;
-the solver loop is implemented here because the zero-mean projection has to
-happen inside the iteration.
+The solver loop is implemented here rather than taken from scipy because the
+zero-mean projection has to happen inside the iteration.
 """
 
 from __future__ import annotations
@@ -17,88 +15,6 @@ import scipy.sparse as sp
 from .errors import NumericalError
 
 
-class SparseMatrix:
-    """Immutable CSR matrix.
-
-    Rows are sorted, duplicate entries have been summed, and all values are
-    finite.  Use :class:`TripletBuffer` / :func:`finalize` to build one.
-    """
-
-    def __init__(self, csr: sp.csr_matrix):
-        csr.sum_duplicates()
-        csr.sort_indices()
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError("sparse matrix contains non-finite values")
-        self._csr = csr
-
-    @property
-    def n_rows(self) -> int:
-        return self._csr.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self._csr.shape[1]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self._csr.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._csr.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._csr.data
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ x
-
-    __matmul__ = matvec
-
-    def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-
-class TripletBuffer:
-    """Accumulates (row, col, value) entries; duplicates sum on finalize."""
-
-    def __init__(self):
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, row: int, col: int, value: float) -> None:
-        self._rows.append(row)
-        self._cols.append(col)
-        self._vals.append(value)
-
-    def add_block(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
-        """Bulk insert of equally shaped index/value arrays."""
-        self._rows.append(np.asarray(rows).ravel())
-        self._cols.append(np.asarray(cols).ravel())
-        self._vals.append(np.asarray(values, dtype=float).ravel())
-
-    def arrays(self):
-        rows = np.concatenate([np.atleast_1d(r) for r in self._rows]) if self._rows else np.empty(0, int)
-        cols = np.concatenate([np.atleast_1d(c) for c in self._cols]) if self._cols else np.empty(0, int)
-        vals = np.concatenate([np.atleast_1d(v) for v in self._vals]) if self._vals else np.empty(0, float)
-        return rows.astype(np.int64), cols.astype(np.int64), vals
-
-
-def finalize(buffer: TripletBuffer, n_rows: int, n_cols: int) -> SparseMatrix:
-    """Build a SparseMatrix whose action is the sum of all buffered triplets."""
-    rows, cols, vals = buffer.arrays()
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
-            raise ValueError("triplet index out of range")
-    csr = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
-    return SparseMatrix(csr)
-
-
 @dataclass
 class SolveReport:
     iterations: int
@@ -106,25 +22,13 @@ class SolveReport:
     converged: bool
 
 
-def _check_symmetry(A: SparseMatrix, rng: np.random.Generator, rtol: float = 1e-8) -> None:
-    n = A.n_rows
-    x = rng.standard_normal(n)
-    y = rng.standard_normal(n)
-    lhs = x @ (A @ y)
-    rhs = y @ (A @ x)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if abs(lhs - rhs) > rtol * scale:
-        raise ValueError("solve_cg requires a symmetric matrix (sampled check failed)")
-
-
 def solve_cg(
-    A: SparseMatrix,
+    A: sp.spmatrix,
     b: np.ndarray,
     tol: float = 1e-10,
     max_iter: int | None = None,
     zero_mean_constraint: bool = False,
     x0: np.ndarray | None = None,
-    check_symmetry: bool = True,
 ) -> tuple[np.ndarray, SolveReport]:
     """Jacobi-preconditioned CG for symmetric positive (semi)definite systems.
 
@@ -134,12 +38,10 @@ def solve_cg(
     Returns the solution and a :class:`SolveReport`; ``converged`` means the
     relative residual reached ``tol``.
     """
-    if A.n_rows != A.n_cols:
+    n, n_cols = A.shape
+    if n != n_cols:
         raise ValueError("solve_cg needs a square matrix")
-    n = A.n_rows
     b = np.asarray(b, dtype=float)
-    if check_symmetry:
-        _check_symmetry(A, np.random.default_rng(12345))
     if max_iter is None:
         max_iter = 10 * n + 100
 

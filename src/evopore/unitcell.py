@@ -14,14 +14,14 @@ The two discretize the same tensor and serve as mutual oracles.
 
 from __future__ import annotations
 
-import io
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MeshQualityError
-from .fem import assemble_stiffness, centroids, element_means, scatter_element_loads, triangle_geometry
+from .fem import (assemble_stiffness, centroids, csv_table, scatter_element_loads,
+                  triangle_geometry)
 from .sparse import solve_cg
 from .transform import TransformParams, pullback_coefficients
 
@@ -30,24 +30,14 @@ logger = logging.getLogger(__name__)
 _PAIR_DECIMALS = 12
 
 
-def ball_volume(r, n_dim: int = 2):
-    """Volume of the n-ball; the package meshes only n_dim = 2."""
-    r = np.asarray(r, dtype=float)
-    if n_dim == 2:
-        return np.pi * r**2
-    if n_dim == 3:
-        return 4.0 / 3.0 * np.pi * r**3
-    raise ValueError("only n_dim in (2, 3) supported")
+def ball_volume(r):
+    """Area pi r^2 of the disc of radius r (the package meshes only 2-D)."""
+    return np.pi * np.asarray(r, dtype=float)**2
 
 
-def sphere_surface(r, n_dim: int = 2):
-    """Surface measure of the (n-1)-sphere bounding the n-ball."""
-    r = np.asarray(r, dtype=float)
-    if n_dim == 2:
-        return 2.0 * np.pi * r
-    if n_dim == 3:
-        return 4.0 * np.pi * r**2
-    raise ValueError("only n_dim in (2, 3) supported")
+def sphere_surface(r):
+    """Perimeter 2 pi r of the circle of radius r."""
+    return 2.0 * np.pi * np.asarray(r, dtype=float)
 
 
 def porosity(r):
@@ -277,7 +267,7 @@ def solve_cell_problem(mesh: PeriodicMesh, radius: float, mode: str = "transform
     ce = coeff[:, :, direction]
     loads = -np.einsum("tia,ta->ti", grads, ce) * areas[:, None]
     b = scatter_element_loads(mesh.triangles, loads, dof, n_dof)
-    w_dof, report = solve_cg(K, b, tol=tol, zero_mean_constraint=True, check_symmetry=False)
+    w_dof, report = solve_cg(K, b, tol=tol, zero_mean_constraint=True)
     w = w_dof[dof]
     w -= w.mean()
     return CellSolution(direction, w, report.final_residual, report.iterations)
@@ -360,13 +350,9 @@ class EffectiveTensorTable:
         return A, porosity(rc), -sphere_surface(rc), bool(np.any(clamped))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("r,A11,A12,A22,theta\n")
-        for k in range(len(self.radii)):
-            row = (self.radii[k], self.tensors[k, 0, 0], self.tensors[k, 0, 1],
-                   self.tensors[k, 1, 1], self.theta[k])
-            buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return buf.getvalue()
+        return csv_table("r,A11,A12,A22,theta", "%.17g,%.17g,%.17g,%.17g,%.17g", self.radii,
+                         self.tensors[:, 0, 0], self.tensors[:, 0, 1], self.tensors[:, 1, 1],
+                         self.theta)
 
     @classmethod
     def from_csv(cls, text: str) -> "EffectiveTensorTable":

@@ -25,3 +25,15 @@ def reference_mesh():
 def tensor_table(params):
     grid = np.linspace(params.r_min, params.r_max, 11)
     return tabulate(params, grid, n_boundary=64, target_h=0.05)
+
+
+@pytest.fixture(scope="session")
+def run_steps():
+    """``run_steps(solver, state, dt, n)``: every state of ``n`` steps, the
+    initial one first."""
+    def run(solver, state, dt, n_steps):
+        states = [state]
+        for _ in range(n_steps):
+            states.append(solver.step(states[-1], dt))
+        return states
+    return run

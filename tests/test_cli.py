@@ -117,6 +117,19 @@ def test_macro_run_can_load_table(tmp_path):
     assert main(["macro-run", "--config", str(cfg2), "--out", str(out), "--quiet"]) == 0
 
 
+def test_config_selects_nonconstant_initial_field(tmp_path):
+    initial = ("[initial]\nu_field = cosine_product\nu_param.offset = 0.7\n"
+               "u_param.amplitude = 0.1\n")
+    cfg = parse_config(FAST_COMMON + initial)
+    assert cfg.u_params == {"offset": 0.7, "amplitude": 0.1}
+    assert cfg.r_params == {"value": 0.2}   # r_field not chosen: default kept
+    out = tmp_path / "cos"
+    assert main(["macro-run", "--config", cfg_file(tmp_path, initial), "--out", str(out),
+                 "--quiet"]) == 0
+    u = np.loadtxt(out / "snapshot_000000.csv", delimiter=",", skiprows=1)[:, 2]
+    assert 0.6 < u.min() < u.max() < 0.8
+
+
 def test_micro_run_steady_state(tmp_path):
     cfg = cfg_file(tmp_path, "[initial]\nu_param.value = 0.5\nr_param.value = 0.25\n")
     out = tmp_path / "micro"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from evopore.errors import CheckFailure
 from evopore.kinetics import (
+    KINETICS_FAMILIES,
     KineticsSpec,
     eval_f,
     lipschitz_envelope,
@@ -48,7 +49,16 @@ def test_validator_passes_builtin(spec):
     require_valid(report)
 
 
-def test_validator_flags_broken_family():
+def _ungated_affine(spec, u, r):
+    """The gated rate law without its gates: the sign conditions fail."""
+    u = np.asarray(u, dtype=float)
+    s = np.clip(spec.rate_slope * (u - spec.u_eq), -spec.f_cap, spec.f_cap)
+    return s * np.ones_like(np.asarray(r, float))
+
+
+def test_validator_flags_broken_family(monkeypatch):
+    envelope = lambda spec: spec.rate_slope * (1.0 + 2.0 / spec.gate_width) * spec.f_cap
+    monkeypatch.setitem(KINETICS_FAMILIES, "ungated_affine", (_ungated_affine, envelope))
     broken = KineticsSpec(family="ungated_affine")
     report = validate_structure(broken, sample_count=5_000, seed=2)
     assert not report.passed

@@ -67,11 +67,11 @@ def test_steady_state_is_exact(grid, spec, tensor_table):
     assert np.max(np.abs(state.r - 0.25)) == 0.0
 
 
-def test_frozen_radii_mass_conservation(grid, spec, tensor_table):
+def test_frozen_radii_mass_conservation(grid, spec, tensor_table, run_steps):
     solver = MacroSolver(grid, tensor_table, spec, freeze_radii=True, cg_tol=1e-13)
     u0 = lambda x: np.cos(np.pi * np.atleast_2d(x)[:, 0])
     state = solver.init(u0, constant_field(0.25))
-    states = solver.run(state, 1e-3, 25)
+    states = run_steps(solver, state, 1e-3, 25)
     report = mass_balance(states)
     assert report.max_defect < 1e-12
     assert report.final_total == pytest.approx(report.initial_total, abs=1e-11)
@@ -88,10 +88,10 @@ def test_mass_ledger_with_source(grid, spec, tensor_table):
     assert state2.defect < 1e-12
 
 
-def test_growth_scenario_mass_exchange(grid, spec, tensor_table):
+def test_growth_scenario_mass_exchange(grid, spec, tensor_table, run_steps):
     solver = MacroSolver(grid, tensor_table, spec, cg_tol=1e-12)
     state = solver.init(constant_field(0.9), constant_field(0.2))
-    states = solver.run(state, 0.005, 60)
+    states = run_steps(solver, state, 0.005, 60)
     report = mass_balance(states)
     assert report.max_defect < 1e-9
     assert states[-1].fluid_mass < states[0].fluid_mass

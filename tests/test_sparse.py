@@ -1,93 +1,124 @@
+"""The sparse systems the solvers build and solve: P1 stiffness assembly
+(``fem.assemble_stiffness``) against a per-element dense loop, and the
+projected Jacobi-CG ``solve_cg`` on scipy CSR matrices."""
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
-from evopore.sparse import SolveReport, SparseMatrix, TripletBuffer, finalize, solve_cg
+from evopore.fem import assemble_stiffness
+from evopore.sparse import SolveReport, solve_cg
 
 
-def dense_from_triplets(trips, n_rows, n_cols):
-    """Independent accumulation oracle."""
-    d = np.zeros((n_rows, n_cols))
-    for i, j, v in trips:
-        d[i, j] += v
+def random_elements(rng, n_nodes, n_el):
+    """Element data with arbitrary (possibly repeated) node indices and
+    symmetric positive definite coefficients."""
+    triangles = rng.integers(0, n_nodes, (n_el, 3))
+    areas = rng.uniform(0.1, 1.0, n_el)
+    grads = rng.standard_normal((n_el, 3, 2))
+    m = rng.standard_normal((n_el, 2, 2))
+    coeff = m @ m.transpose(0, 2, 1) + np.eye(2)
+    return triangles, areas, grads, coeff
+
+
+def dense_stiffness(triangles, areas, grads, coeff, n_dof, dof_of_node=None, diagonal=None):
+    """Independent accumulation oracle: one element entry at a time."""
+    dof = np.arange(n_dof) if dof_of_node is None else dof_of_node
+    d = np.zeros((n_dof, n_dof))
+    for t, tri in enumerate(triangles):
+        for i in range(3):
+            for j in range(3):
+                d[dof[tri[i]], dof[tri[j]]] += areas[t] * grads[t, i] @ coeff[t] @ grads[t, j]
+    if diagonal is not None:
+        d += np.diag(diagonal)
     return d
 
 
 def test_duplicate_accumulation():
-    buf = TripletBuffer()
-    buf.add(0, 0, 1.0)
-    buf.add(0, 0, 2.0)
-    A = finalize(buf, 1, 1)
-    assert np.allclose(A.to_dense(), [[3.0]])
+    rng = np.random.default_rng(1)
+    _, areas, grads, coeff = random_elements(rng, 3, 1)
+    tri = np.array([[0, 1, 2]])
+    single = assemble_stiffness(tri, areas, grads, coeff, None, 3).toarray()
+    twice = assemble_stiffness(np.repeat(tri, 2, axis=0), np.repeat(areas, 2),
+                               np.repeat(grads, 2, axis=0), np.repeat(coeff, 2, axis=0), None, 3)
+    assert np.array_equal(twice.toarray(), 2.0 * single)
+    merged = assemble_stiffness(tri, areas, grads, coeff, np.array([0, 0, 1]), 2)
+    assert merged[0, 0] == pytest.approx(single[:2, :2].sum(), abs=1e-14)
+    with_diag = assemble_stiffness(tri, areas, grads, coeff, None, 3,
+                                   diagonal=np.array([1.0, 2.0, 3.0]))
+    assert with_diag.toarray() == pytest.approx(single + np.diag([1.0, 2.0, 3.0]), abs=1e-14)
 
 
-def test_empty_buffer_is_zero_operator():
-    A = finalize(TripletBuffer(), 3, 3)
+def test_empty_mesh_is_zero_operator():
+    A = assemble_stiffness(np.empty((0, 3), int), np.empty(0), np.empty((0, 3, 2)),
+                           np.empty((0, 2, 2)), None, 3)
     x = np.array([1.0, -2.0, 5.0])
     assert np.all(A @ x == 0.0)
 
 
 def test_random_triplets_match_dense_oracle():
     rng = np.random.default_rng(7)
-    trips = [(int(rng.integers(5)), int(rng.integers(5)), float(rng.standard_normal()))
-             for _ in range(40)]
-    buf = TripletBuffer()
-    for i, j, v in trips:
-        buf.add(i, j, v)
-    A = finalize(buf, 5, 5)
-    dense = dense_from_triplets(trips, 5, 5)
+    elements = random_elements(rng, 5, 40)
+    diagonal = rng.uniform(0.0, 1.0, 5)
+    A = assemble_stiffness(*elements, None, 5, diagonal=diagonal)
+    dense = dense_stiffness(*elements, 5, diagonal=diagonal)
     x = rng.standard_normal(5)
-    assert A @ x == pytest.approx(dense @ x, abs=1e-14)
-    assert A.to_dense() == pytest.approx(dense)
+    assert A @ x == pytest.approx(dense @ x, abs=1e-12)
+    assert A.toarray() == pytest.approx(dense)
 
 
 def test_index_out_of_range_rejected():
-    buf = TripletBuffer()
-    buf.add(0, 3, 1.0)
+    _, areas, grads, coeff = random_elements(np.random.default_rng(2), 3, 1)
     with pytest.raises(ValueError):
-        finalize(buf, 3, 3)
+        assemble_stiffness(np.array([[0, 1, 2]]), areas, grads, coeff, np.array([0, 1, 3]), 3)
+
+
+def test_nonfinite_entries_rejected():
+    tri, areas, grads, coeff = random_elements(np.random.default_rng(4), 3, 2)
+    coeff[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble_stiffness(tri, areas, grads, coeff, None, 3)
 
 
 def test_csr_invariants():
     rng = np.random.default_rng(3)
-    buf = TripletBuffer()
-    buf.add_block(rng.integers(0, 8, 60), rng.integers(0, 8, 60), rng.standard_normal(60))
-    A = finalize(buf, 8, 8)
-    assert len(A.row_offsets) == 9
-    assert np.all(np.diff(A.row_offsets) >= 0)
+    A = assemble_stiffness(*random_elements(rng, 8, 20), None, 8, diagonal=np.ones(8))
+    assert isinstance(A, sp.csr_matrix)
+    assert len(A.indptr) == 9
+    assert np.all(np.diff(A.indptr) >= 0)
     for r in range(8):
-        cols = A.col_indices[A.row_offsets[r]:A.row_offsets[r + 1]]
+        cols = A.indices[A.indptr[r]:A.indptr[r + 1]]
         assert np.all(np.diff(cols) > 0)
-    assert np.all(np.isfinite(A.values))
+    assert np.all(np.isfinite(A.data))
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=10**6))
 def test_matvec_matches_dense_oracle_property(n, seed):
     rng = np.random.default_rng(seed)
-    nnz = int(rng.integers(1, 4 * n))
-    rows = rng.integers(0, n, nnz)
-    cols = rng.integers(0, n, nnz)
-    vals = rng.standard_normal(nnz)
-    buf = TripletBuffer()
-    buf.add_block(rows, cols, vals)
-    A = finalize(buf, n, n)
-    dense = dense_from_triplets(zip(rows, cols, vals), n, n)
+    n_nodes = n + int(rng.integers(0, 3))
+    elements = random_elements(rng, n_nodes, int(rng.integers(1, 2 * n)))
+    dof_of_node = rng.integers(0, n, n_nodes)
+    A = assemble_stiffness(*elements, dof_of_node, n)
+    dense = dense_stiffness(*elements, n, dof_of_node=dof_of_node)
     x = rng.standard_normal(n)
-    assert np.allclose(A @ x, dense @ x, atol=1e-12)
+    assert np.allclose(A @ x, dense @ x, atol=1e-10)
 
 
-def _matrix_from_dense(d):
-    buf = TripletBuffer()
-    i, j = np.nonzero(d)
-    buf.add_block(i, j, d[i, j])
-    return finalize(buf, *d.shape)
+def test_symmetry_identity_in_samples():
+    rng = np.random.default_rng(5)
+    for size in (5, 17, 50):
+        A = assemble_stiffness(*random_elements(rng, size, 3 * size), None, size)
+        x = rng.standard_normal(size)
+        y = rng.standard_normal(size)
+        assert abs(x @ (A @ y) - y @ (A @ x)) < 1e-12 * max(1.0, abs(x @ (A @ y)))
 
 
 def test_identity_converges_in_one_iteration():
-    A = _matrix_from_dense(np.eye(4))
+    A = sp.csr_matrix(np.eye(4))
     b = np.array([1.0, 2.0, 3.0, 4.0])
     x, rep = solve_cg(A, b, tol=1e-12)
     assert rep.converged and rep.iterations == 1
@@ -97,7 +128,7 @@ def test_identity_converges_in_one_iteration():
 def test_dirichlet_laplacian_matches_direct_solve():
     n = 8
     d = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    A = _matrix_from_dense(d)
+    A = sp.csr_matrix(d)
     b = np.ones(n)
     x, rep = solve_cg(A, b, tol=1e-12)
     assert rep.converged
@@ -110,7 +141,7 @@ def test_pure_neumann_zero_mean():
     d = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     d[0, -1] -= 1.0
     d[-1, 0] -= 1.0
-    A = _matrix_from_dense(d)
+    A = sp.csr_matrix(d)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(n)
     b -= b.mean()
@@ -120,31 +151,13 @@ def test_pure_neumann_zero_mean():
     assert np.linalg.norm(d @ x - b) <= 1e-10 * np.linalg.norm(b) * 10
 
 
-def test_symmetry_identity_in_samples():
-    rng = np.random.default_rng(5)
-    for size in (5, 17, 50):
-        m = rng.standard_normal((size, size))
-        sym = m + m.T
-        A = _matrix_from_dense(sym)
-        x = rng.standard_normal(size)
-        y = rng.standard_normal(size)
-        assert abs(x @ (A @ y) - y @ (A @ x)) < 1e-12 * max(1.0, abs(x @ (A @ y)))
-
-
-def test_nonsymmetric_rejected():
-    d = np.array([[1.0, 2.0], [0.0, 1.0]])
-    A = _matrix_from_dense(d)
-    with pytest.raises(ValueError):
-        solve_cg(A, np.ones(2))
-
-
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=5, max_value=200), st.integers(min_value=0, max_value=10**6))
 def test_spd_converges_within_3n(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) / np.sqrt(n)
     spd = m @ m.T + np.eye(n)
-    A = _matrix_from_dense(spd)
+    A = sp.csr_matrix(spd)
     b = rng.standard_normal(n)
     x, rep = solve_cg(A, b, tol=1e-10, max_iter=3 * n)
     assert rep.converged
@@ -155,13 +168,13 @@ def test_spd_converges_within_3n(n, seed):
 def test_nonfinite_breakdown():
     d = np.array([[1.0, 0.0], [0.0, 1e308]])
     d[0, 1] = d[1, 0] = 1e308
-    A = _matrix_from_dense(d)
+    A = sp.csr_matrix(d)
     with pytest.raises((NumericalError, ValueError)):
         solve_cg(A, np.array([1.0, 1.0]))
 
 
 def test_report_contract():
-    A = _matrix_from_dense(np.eye(3))
+    A = sp.csr_matrix(np.eye(3))
     _, rep = solve_cg(A, np.zeros(3))
     assert isinstance(rep, SolveReport)
     assert rep.converged and rep.final_residual == 0.0
