@@ -171,12 +171,22 @@ def parse_config(text: str) -> ExperimentConfig:
     for inv in inverses:
         if inv not in _ALLOWED_INV_EPS:
             raise ConfigError(f"1/epsilon must be one of {_ALLOWED_INV_EPS}, got {inv}")
-    n_boundary = int(d["n_boundary"])
-    target_h = float(d["target_h"])
+    try:
+        n_boundary = int(d["n_boundary"])
+        target_h = float(d["target_h"])
+    except ValueError as exc:
+        raise ConfigError(f"bad reference mesh setting: {exc}") from exc
+    if n_boundary < 16 or n_boundary % 8 != 0:
+        raise ConfigError(f"n_boundary must be >= 16 and divisible by 8, got {n_boundary}")
+    if not (0.0 < target_h < 0.25):
+        raise ConfigError(f"target_h must lie in (0, 0.25), got {target_h}")
     dt = float(d["dt"])
     t_end = float(d["t_end"])
     if dt <= 0 or t_end <= 0:
         raise ConfigError("dt and t_end must be positive")
+    steps = t_end / dt
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"dt = {dt} does not divide t_end = {t_end} into whole steps")
     travel = dt * spec.f_cap / spec.c_s
     if travel >= (params.r_max - params.r_min) / 4.0:
         raise ConfigError(

@@ -1,8 +1,12 @@
 """Shared P1 finite-element pieces for triangle meshes.
 
 All solvers in the package use linear triangles with one-point (centroid)
-quadrature for variable coefficients and row-sum lumped mass matrices.  The
-macro and micro steppers share one implicit step, :func:`backward_euler_step`;
+quadrature for variable coefficients and row-sum lumped mass matrices.  A
+mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
+it is built once per mesh, and every assembly forms the element matrices by
+batched ``matmul`` and sums them into the CSR data by one ``np.bincount``.
+The macro and micro steppers and the periodic cell problems each hold one
+pattern.  The steppers share one implicit step, :func:`backward_euler_step`;
 they differ only in the mass weight (porosity or Jacobian) and the tensor
 (homogenized or pulled back).  :func:`csv_table` formats every CSV output of
 the package.
@@ -43,30 +47,72 @@ def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return (vertices[triangles[:, 0]] + vertices[triangles[:, 1]] + vertices[triangles[:, 2]]) / 3.0
 
 
+class StiffnessPattern:
+    """CSR sparsity of P1 stiffness matrices on fixed element dofs.
+
+    ``dofs`` (nt, 3) holds the degree of freedom of every element vertex;
+    the pattern also holds every diagonal entry.  Every element entry
+    (t, i, j) and every diagonal entry has one data slot, so an assembly is
+    the element matrices summed into ``data`` by one ``np.bincount``.  The
+    slots are built on the first assembly and reused by every later one.
+    """
+
+    def __init__(self, dofs: np.ndarray, n_dof: int):
+        dofs = np.asarray(dofs)
+        if dofs.size and (dofs.min() < 0 or dofs.max() >= n_dof):
+            raise ValueError(f"element dof outside [0, {n_dof})")
+        self.dofs = dofs
+        self.n_dof = n_dof
+        self._slots = None
+
+    def _build(self):
+        """CSR ``indptr``/``indices`` of the element and diagonal entries, and
+        the int32 data slot of every element entry (t, i, j) and of every
+        diagonal entry."""
+        n = self.n_dof
+        dofs = self.dofs.astype(np.int32)
+        diag = np.arange(n, dtype=np.int32)
+        rows = np.concatenate([np.repeat(dofs, 3, axis=1).ravel(), diag])
+        cols = np.concatenate([np.tile(dofs, (1, 3)).ravel(), diag])
+        csr = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+        # the matrix whose every stored entry is its own slot number, sampled
+        csr.data = np.arange(csr.nnz, dtype=float)
+        slots = np.asarray(csr[rows, cols]).ravel().astype(np.int32)
+        for a in (csr.indptr, csr.indices):
+            a.setflags(write=False)  # shared by every assembled matrix
+        self._slots = csr.indptr, csr.indices, slots[:dofs.size * 3], slots[dofs.size * 3:]
+
+    def assemble(self, areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray,
+                 diagonal: np.ndarray | None = None) -> sp.csr_matrix:
+        """Stiffness matrix for coefficient ``coeff`` (nt, 2, 2) at centroids,
+        plus ``diagonal`` (n_dof,) on the main diagonal.
+
+        Entries sharing a slot are summed in input order: element by element,
+        row by row within an element, the diagonal last.
+        """
+        if self._slots is None:
+            self._build()
+        indptr, indices, element_slots, diagonal_slots = self._slots
+        k_el = grads @ (coeff @ grads.transpose(0, 2, 1))
+        k_el *= areas[:, None, None]
+        data = np.bincount(element_slots, k_el.ravel(), minlength=len(indices))
+        if diagonal is not None:
+            data[diagonal_slots] += diagonal
+        if not np.all(np.isfinite(data)):
+            raise ValueError("sparse matrix contains non-finite values")
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n_dof, self.n_dof))
+
+
 def assemble_stiffness(triangles: np.ndarray, areas: np.ndarray, grads: np.ndarray,
                        coeff: np.ndarray, dof_of_node: np.ndarray | None, n_dof: int,
                        diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-    """Stiffness matrix for coefficient ``coeff`` (nt, 2, 2) at centroids.
+    """One-off :meth:`StiffnessPattern.assemble`.
 
     ``dof_of_node`` merges nodes into shared degrees of freedom (periodic
-    pairing); with ``None`` every node is its own dof.  ``diagonal`` (n_dof,)
-    is added to the main diagonal.  Duplicate entries are summed in input
-    order.
+    pairing); with ``None`` every node is its own dof.
     """
-    k_el = np.einsum("tia,tab,tjb->tij", grads, coeff, grads) * areas[:, None, None]
     dofs = triangles if dof_of_node is None else dof_of_node[triangles]
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    vals = k_el.ravel()
-    if diagonal is not None:
-        idx = np.arange(n_dof)
-        rows = np.concatenate([rows, idx])
-        cols = np.concatenate([cols, idx])
-        vals = np.concatenate([vals, diagonal])
-    csr = sp.coo_matrix((vals, (rows, cols)), shape=(n_dof, n_dof)).tocsr()
-    if not np.all(np.isfinite(csr.data)):
-        raise ValueError("sparse matrix contains non-finite values")
-    return csr
+    return StiffnessPattern(dofs, n_dof).assemble(areas, grads, coeff, diagonal)
 
 
 def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
@@ -75,16 +121,16 @@ def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
     return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)
 
 
-def backward_euler_step(triangles: np.ndarray, areas: np.ndarray, grads: np.ndarray,
+def backward_euler_step(pattern: StiffnessPattern, areas: np.ndarray, grads: np.ndarray,
                         coeff: np.ndarray, mass_new: np.ndarray, dt: float, b: np.ndarray,
                         x0: np.ndarray, tol: float, label: str, t_new: float):
-    """Solve ``(K(coeff) + diag(mass_new / dt)) u = b`` by CG from ``x0``.
+    """Solve ``(K(coeff) + diag(mass_new / dt)) u = b`` by CG from ``x0``,
+    with ``K`` assembled on ``pattern``.
 
     Returns the new nodal field and the CG iteration count; a stalled solve
     or a non-finite result raises :class:`NumericalError` naming ``label``.
     """
-    system = assemble_stiffness(triangles, areas, grads, coeff, None, len(mass_new),
-                                diagonal=mass_new / dt)
+    system = pattern.assemble(areas, grads, coeff, diagonal=mass_new / dt)
     u_new, report = solve_cg(system, b, tol=tol, x0=x0)
     if not report.converged:
         raise NumericalError(

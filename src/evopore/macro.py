@@ -20,7 +20,8 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NumericalError
-from .fem import backward_euler_step, csv_table, element_means, lumped_mass, triangle_geometry
+from .fem import (StiffnessPattern, backward_euler_step, csv_table, element_means, lumped_mass,
+                  triangle_geometry)
 from .kinetics import KineticsSpec, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
 
@@ -121,6 +122,7 @@ class MacroSolver:
         self.diffusion = diffusion
         self.freeze_radii = freeze_radii
         self.cg_tol = cg_tol
+        self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
 
     # -- state construction -------------------------------------------------
 
@@ -170,15 +172,14 @@ class MacroSolver:
             fp = np.asarray(self.source(t_new, g.midpoints()), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            loads = (theta_new * fp * g.areas / 3.0)[:, None] * np.ones((1, 3))
-            np.add.at(b, g.elements, loads)
+            b += lumped_mass(g.elements, g.areas, theta_new * fp, g.n_nodes)
             source_step = float(dt * np.sum(theta_new * fp * g.areas))
 
         dv = self.spec.c_s * (ball_volume(r_new) - ball_volume(state.r)) / dt
-        np.add.at(b, g.elements, -(dv * g.areas / 3.0)[:, None] * np.ones((1, 3)))
+        b -= lumped_mass(g.elements, g.areas, dv, g.n_nodes)
 
         u_new, iterations = backward_euler_step(
-            g.elements, g.areas, g.grads, self.diffusion * A_el, m_new, dt, b, state.u,
+            self._pattern, g.areas, g.grads, self.diffusion * A_el, m_new, dt, b, state.u,
             self.cg_tol, "macro", t_new)
 
         fluid = float(m_new @ u_new)

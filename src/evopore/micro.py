@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .fem import backward_euler_step, csv_table, element_means, lumped_mass, triangle_geometry
+from .fem import (StiffnessPattern, backward_euler_step, csv_table, element_means, lumped_mass,
+                  triangle_geometry)
 from .kinetics import KineticsSpec, eval_f, step_radius
-from .transform import TransformParams, eval_psi_batch, pullback_coefficients
+from .transform import RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
 
 _ALLOWED_INV_EPS = (1, 2, 4, 8, 16)
@@ -144,6 +145,11 @@ class MicroSimulator:
         self._cell_r_of_el = m.cell_of_element
         self._edge_len = m.gamma_edge_lengths()
         self._cell_offsets = m.epsilon * m.cell_index.astype(float)
+        self._pattern = StiffnessPattern(m.triangles, m.n_nodes)
+        # every cell carries the reference triangles, so one frame on the
+        # reference midpoints serves all cells; pinned radii never map
+        self._frame = None if pinned_radii else \
+            RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
 
     # -- construction --------------------------------------------------------
 
@@ -165,16 +171,15 @@ class MicroSimulator:
         state.solid_mass = self._solid_mass(radii)
         return state
 
-    def _radii_per_element(self, radii: np.ndarray) -> np.ndarray:
-        return radii.reshape(-1)[self._cell_r_of_el]
+    def _cell_map(self, radii: np.ndarray):
+        """The cell map and pulled-back coefficients on every element, at one
+        radius per cell."""
+        return self._frame.evaluate(radii.reshape(-1, 1), self.diffusion)
 
     def _jacobians(self, radii: np.ndarray) -> np.ndarray:
         if self.pinned_radii:
             return np.ones(len(self.mesh.triangles))
-        r_el = self._radii_per_element(radii)
-        J, _, _ = pullback_coefficients(self.params, r_el, self.mesh.micro_midpoints,
-                                        self.diffusion)
-        return J
+        return self._cell_map(radii).det
 
     def _solid_mass(self, radii: np.ndarray) -> float:
         eps = self.mesh.epsilon
@@ -234,13 +239,11 @@ class MicroSimulator:
             b_vec = None
             mapped_ref = m.micro_midpoints
         else:
-            r_el = self._radii_per_element(radii_new)
-            jac_new, coeff, psi_inv = pullback_coefficients(
-                self.params, r_el, m.micro_midpoints, self.diffusion)
-            mapped_ref, _, _, dpsi_drg = eval_psi_batch(self.params, r_el, m.micro_midpoints)
+            ev = self._cell_map(radii_new)
+            jac_new, coeff, mapped_ref = ev.det, ev.coeff, ev.mapped
             rate_el = rate.reshape(-1)[self._cell_r_of_el]
-            dt_psi = eps * dpsi_drg * rate_el[:, None]
-            b_vec = jac_new[:, None] * np.einsum("tab,tb->ta", psi_inv, dt_psi)
+            dt_psi = eps * ev.dpsi_drg * rate_el[:, None]
+            b_vec = jac_new[:, None] * np.einsum("tab,tb->ta", ev.psi_inv, dt_psi)
 
         # (3) backward-Euler bulk solve
         mass_new = lumped_mass(m.triangles, m.areas, jac_new, m.n_nodes)
@@ -253,14 +256,14 @@ class MicroSimulator:
             fp = np.asarray(self.source(t_new, pts), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            np.add.at(b, m.triangles, (jac_new * fp * m.areas / 3.0)[:, None] * np.ones((1, 3)))
+            b += lumped_mass(m.triangles, m.areas, jac_new * fp, m.n_nodes)
             source_step = float(dt * np.sum(jac_new * fp * m.areas))
 
         # explicit transformation-drift term (B u, grad phi) moved to the rhs
         if b_vec is not None:
             u_mid = element_means(m.triangles, state.u_hat)
             drift = np.einsum("ta,tia->ti", b_vec, m.grads) * (m.areas * u_mid)[:, None]
-            np.add.at(b, m.triangles, -drift)
+            b -= np.bincount(m.triangles.ravel(), drift.ravel(), minlength=m.n_nodes)
 
         # explicit surface reaction at (old u, new radii), scaled by the
         # surface Jacobian of the radial map and the epsilon of the weak form
@@ -272,7 +275,7 @@ class MicroSimulator:
             b -= loads
 
         u_new, iterations = backward_euler_step(
-            m.triangles, m.areas, m.grads, coeff, mass_new, dt, b, state.u_hat, self.cg_tol,
+            self._pattern, m.areas, m.grads, coeff, mass_new, dt, b, state.u_hat, self.cg_tol,
             "micro", t_new)
 
         fluid = float(mass_new @ u_new)

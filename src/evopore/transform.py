@@ -201,6 +201,32 @@ def profile_raw(params: TransformParams, r_gamma: float, s) -> np.ndarray:
     return s + disp
 
 
+def _hinge_kernels(params: TransformParams, r: np.ndarray):
+    """Kernel values g(z_k) and Phi(z_k) at the four hinges, z_k = (r - b_k)/delta_tilde.
+
+    Returns two arrays of shape (4,) + r.shape; they do not depend on r_gamma.
+    """
+    z = [(r - bk) / params.delta_tilde for bk in params.breakpoints]
+    return np.stack([_kernel_g(zk) for zk in z]), np.stack([_kernel_cdf(zk) for zk in z])
+
+
+def _profile_from_kernels(params: TransformParams, r_gamma: np.ndarray, r: np.ndarray,
+                          g: np.ndarray, phi: np.ndarray):
+    """``profile`` from the hinge kernel values of :func:`_hinge_kernels` at ``r``."""
+    dt = params.delta_tilde
+    k1, k3, dk1, dk3 = _hinge_slopes(params, r_gamma)
+    shape = np.broadcast_shapes(np.shape(r_gamma), np.shape(r))
+    val = np.zeros(shape)
+    der = np.zeros(shape)
+    drg = np.zeros(shape)
+    for kap, dkap, gz, cz, sgn in zip((k1, k1, k3, k3), (dk1, dk1, dk3, dk3), g, phi,
+                                      (1.0, -1.0, 1.0, -1.0)):
+        val += sgn * kap * dt * gz
+        der += sgn * kap * cz
+        drg += sgn * dkap * dt * gz
+    return r + val, 1.0 + der, drg
+
+
 def profile(params: TransformParams, r_gamma, r):
     """Smoothed radial profile R and its derivatives.
 
@@ -214,27 +240,101 @@ def profile(params: TransformParams, r_gamma, r):
     r_gamma = np.asarray(r_gamma, dtype=float)
     r = np.asarray(r, dtype=float)
     shape = np.broadcast_shapes(r_gamma.shape, r.shape)
-    r_gamma = np.broadcast_to(r_gamma, shape)
     r = np.broadcast_to(r, shape)
-    dt = params.delta_tilde
-    b1, b2, b3, b4 = params.breakpoints
-    k1, k3, dk1, dk3 = _hinge_slopes(params, r_gamma)
+    return _profile_from_kernels(params, np.broadcast_to(r_gamma, shape), r,
+                                 *_hinge_kernels(params, r))
 
-    val = np.zeros(shape)
-    der = np.zeros(shape)
-    drg = np.zeros(shape)
-    for kap, dkap, bk, sgn in (
-        (k1, dk1, b1, 1.0),
-        (k1, dk1, b2, -1.0),
-        (k3, dk3, b3, 1.0),
-        (k3, dk3, b4, -1.0),
-    ):
-        z = (r - bk) / dt
-        gz = _kernel_g(z)
-        val += sgn * kap * dt * gz
-        der += sgn * kap * _kernel_cdf(z)
-        drg += sgn * dkap * dt * gz
-    return r + val, 1.0 + der, drg
+
+# ---------------------------------------------------------------------------
+# The cell map at fixed reference points
+# ---------------------------------------------------------------------------
+
+@dataclass
+class MapEval:
+    """The map and the pulled-back diffusion data at n points.
+
+    ``mapped`` (n, 2) image, ``det`` (n,) Jacobian determinant J, ``coeff``
+    (n, 2, 2) the weak-form coefficient A = J Psi^{-1} D Psi^{-T},
+    ``psi_inv`` (n, 2, 2) the inverse Jacobian and ``dpsi_drg`` (n, 2) the
+    radius sensitivity of the image.
+    """
+
+    mapped: np.ndarray
+    det: np.ndarray
+    coeff: np.ndarray
+    psi_inv: np.ndarray
+    dpsi_drg: np.ndarray
+
+
+class RadialFrame:
+    """The radius-independent part of the map at fixed points ``y`` (m, 2).
+
+    For the points outside the identity core ``|y - x_M| <= r_min - delta``
+    the frame holds the distance to the center, the unit direction u, the
+    radial projector P = u u^T and its complement I - P, and the kernel
+    values g and Phi at the four hinges.  :meth:`evaluate` and
+    :meth:`jacobian` combine them with the radii.  ``r_gamma`` is a scalar,
+    one radius per point (m,), or one radius per cell (c, 1); the last gives
+    c*m points, cell by cell.  Core points take an explicit identity branch,
+    so the center needs no division.
+    """
+
+    def __init__(self, params: TransformParams, y: np.ndarray):
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        d = y - X_CENTER
+        rho = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+        active = rho > params.r_min - params.delta
+        self.params = params
+        self.points = y
+        # a plain slice when no point is in the core: views instead of copies
+        self._active = slice(None) if active.all() else active
+        self.rho = rho[active]
+        self.unit = d[active] / self.rho[:, None]
+        self.proj = self.unit[:, :, None] * self.unit[:, None, :]
+        self.perp = np.eye(2)[None, :, :] - self.proj
+        self.g, self.phi = _hinge_kernels(params, self.rho)
+
+    def _profile(self, r_gamma):
+        """Result shape, then R, dR/dr and dR/dr_gamma at the active points."""
+        self.params.check_radius(r_gamma)
+        r_gamma = np.asarray(r_gamma, dtype=float)
+        shape = np.broadcast_shapes(r_gamma.shape, (len(self.points),))
+        r_act = np.broadcast_to(r_gamma, shape)[..., self._active]
+        return shape, _profile_from_kernels(self.params, r_act, self.rho, self.g, self.phi)
+
+    def _embed(self, shape, values: np.ndarray, core) -> np.ndarray:
+        """``values`` at the active points, ``core`` at the core points."""
+        if isinstance(self._active, slice):
+            return values
+        out = np.broadcast_to(core, shape + values.shape[len(shape):]).copy()
+        out[(Ellipsis, self._active) + (slice(None),) * (values.ndim - len(shape))] = values
+        return out
+
+    def evaluate(self, r_gamma, diffusion: float = 1.0) -> MapEval:
+        """The map at obstacle radius ``r_gamma``, with diffusion coefficient
+        ``diffusion`` in the pulled-back tensor."""
+        shape, (R, dR, dRg) = self._profile(r_gamma)
+        eye = np.eye(2)
+        J = dR * (R / self.rho)
+        Pinv = (1.0 / dR)[..., None, None] * self.proj + (self.rho / R)[..., None, None] * self.perp
+        # Pinv Pinv^T by columns: the sum order of a 2x2 matmul, at any batch shape
+        c0 = Pinv[..., :, 0]
+        c1 = Pinv[..., :, 1]
+        A = diffusion * J[..., None, None] * (c0[..., :, None] * c0[..., None, :]
+                                              + c1[..., :, None] * c1[..., None, :])
+        n = int(np.prod(shape))
+        return MapEval(
+            self._embed(shape, X_CENTER + R[..., None] * self.unit, self.points).reshape(n, 2),
+            self._embed(shape, J, 1.0).reshape(n),
+            self._embed(shape, A, diffusion * eye).reshape(n, 2, 2),
+            self._embed(shape, Pinv, eye).reshape(n, 2, 2),
+            self._embed(shape, dRg[..., None] * self.unit, 0.0).reshape(n, 2))
+
+    def jacobian(self, r_gamma) -> np.ndarray:
+        """Jacobian (n, 2, 2) of the map at obstacle radius ``r_gamma``."""
+        shape, (R, dR, _) = self._profile(r_gamma)
+        jac = dR[..., None, None] * self.proj + (R / self.rho)[..., None, None] * self.perp
+        return self._embed(shape, jac, np.eye(2)).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +345,11 @@ def eval_psi_batch(params: TransformParams, r_gamma, y: np.ndarray):
     """Vectorized map evaluation at points ``y`` with shape (m, 2).
 
     Returns ``(mapped, jac, det, dpsi_drg)`` with shapes (m,2), (m,2,2), (m,),
-    (m,2).  ``r_gamma`` is scalar or shape (m,).  Points inside the identity
-    core ``|y - x_M| <= r_min - delta`` take an explicit identity branch, so
-    the center needs no division.
+    (m,2).  ``r_gamma`` is scalar or shape (m,).  See :class:`RadialFrame`.
     """
-    params.check_radius(r_gamma)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    m = y.shape[0]
-    r_gamma = np.broadcast_to(np.asarray(r_gamma, dtype=float), (m,))
-    d = y - X_CENTER
-    rho = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
-
-    mapped = y.copy()
-    jac = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
-    det = np.ones(m)
-    dpsi = np.zeros((m, 2))
-
-    act = rho > params.r_min - params.delta
-    if np.any(act):
-        rho_a = rho[act]
-        R, dR, dRg = profile(params, r_gamma[act], rho_a)
-        u = d[act] / rho_a[:, None]
-        mapped[act] = X_CENTER + R[:, None] * u
-        P = u[:, :, None] * u[:, None, :]
-        eye = np.eye(2)[None, :, :]
-        ratio = R / rho_a
-        jac[act] = dR[:, None, None] * P + ratio[:, None, None] * (eye - P)
-        det[act] = dR * ratio
-        dpsi[act] = dRg[:, None] * u
-    return mapped, jac, det, dpsi
+    frame = RadialFrame(params, y)
+    ev = frame.evaluate(r_gamma)
+    return ev.mapped, frame.jacobian(r_gamma), ev.det, ev.dpsi_drg
 
 
 def eval_psi(params: TransformParams, r_gamma: float, y) -> TransformEval:
@@ -392,27 +468,5 @@ def pullback_coefficients(params: TransformParams, r_gamma, y: np.ndarray,
     form; for the radial map the inverse Jacobian is available in closed form
     from the same projector decomposition as the Jacobian itself.
     """
-    params.check_radius(r_gamma)
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    m = y.shape[0]
-    r_gamma = np.broadcast_to(np.asarray(r_gamma, dtype=float), (m,))
-    d = y - X_CENTER
-    rho = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
-
-    J = np.ones(m)
-    A = np.broadcast_to(diffusion * np.eye(2), (m, 2, 2)).copy()
-    Psi_inv = np.broadcast_to(np.eye(2), (m, 2, 2)).copy()
-
-    act = rho > params.r_min - params.delta
-    if np.any(act):
-        rho_a = rho[act]
-        R, dR, _ = profile(params, r_gamma[act], rho_a)
-        u = d[act] / rho_a[:, None]
-        P = u[:, :, None] * u[:, None, :]
-        eye = np.eye(2)[None, :, :]
-        ratio = R / rho_a
-        J[act] = dR * ratio
-        Pinv = (1.0 / dR)[:, None, None] * P + (rho_a / R)[:, None, None] * (eye - P)
-        Psi_inv[act] = Pinv
-        A[act] = diffusion * J[act][:, None, None] * np.einsum("mab,mcb->mac", Pinv, Pinv)
-    return J, A, Psi_inv
+    ev = RadialFrame(params, y).evaluate(r_gamma, diffusion)
+    return ev.det, ev.coeff, ev.psi_inv

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MeshQualityError
-from .fem import (assemble_stiffness, centroids, csv_table, scatter_element_loads,
+from .fem import (StiffnessPattern, centroids, csv_table, scatter_element_loads,
                   triangle_geometry)
 from .sparse import solve_cg
 from .transform import TransformParams, pullback_coefficients
@@ -137,6 +138,13 @@ class PeriodicMesh:
             master = master[master]
         unique, dof = np.unique(master, return_inverse=True)
         return dof, len(unique)
+
+    @cached_property
+    def stiffness_pattern(self) -> StiffnessPattern:
+        """Sparsity of the periodic stiffness matrices, shared by every cell
+        problem on this mesh."""
+        dof, n_dof = self.dof_map()
+        return StiffnessPattern(dof[self.triangles], n_dof)
 
     def polygon_area(self) -> float:
         """Area of the inscribed hole polygon."""
@@ -263,7 +271,7 @@ def solve_cell_problem(mesh: PeriodicMesh, radius: float, mode: str = "transform
     areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
     coeff = _coefficient(mesh, params, radius, mode, diffusion)
     dof, n_dof = mesh.dof_map()
-    K = assemble_stiffness(mesh.triangles, areas, grads, coeff, dof, n_dof)
+    K = mesh.stiffness_pattern.assemble(areas, grads, coeff)
     ce = coeff[:, :, direction]
     loads = -np.einsum("tia,ta->ti", grads, ce) * areas[:, None]
     b = scatter_element_loads(mesh.triangles, loads, dof, n_dof)
@@ -373,7 +381,8 @@ def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
 
     A single discretization shared across radii makes the tabulated tensors a
     smooth, monotone function of the radius: the geometric error of the
-    polygonal hole cancels in radius comparisons.
+    polygonal hole cancels in radius comparisons.  Every cell problem
+    assembles on the mesh's one :attr:`PeriodicMesh.stiffness_pattern`.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 5:

@@ -66,6 +66,23 @@ def test_config_rejections(tmp_path):
         parse_config("[geometry]\nwrong_key = 1\n")
 
 
+@pytest.mark.parametrize("body, names", [
+    ("[discretization]\nn_boundary = 60\n", ["n_boundary", "60"]),
+    ("[discretization]\nn_boundary = 8\n", ["n_boundary", "8"]),
+    ("[discretization]\ntarget_h = 0.3\n", ["target_h", "0.3"]),
+    ("[discretization]\ntarget_h = 0\n", ["target_h"]),
+    ("[discretization]\ndt = 0.003\nt_end = 0.5\n", ["0.003", "0.5"]),
+])
+def test_config_rejections_one_line(tmp_path, capsys, body, names):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(body)
+    assert main(["micro-run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    for name in names:
+        assert name in err
+
+
 def test_cell_table_runs_and_is_deterministic(tmp_path):
     cfg = cfg_file(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 """The sparse systems the solvers build and solve: P1 stiffness assembly
-(``fem.assemble_stiffness``) against a per-element dense loop, and the
-projected Jacobi-CG ``solve_cg`` on scipy CSR matrices."""
+(``fem.StiffnessPattern`` and ``fem.assemble_stiffness``) against a
+per-element dense loop and an input-order sum, and the projected Jacobi-CG
+``solve_cg`` on scipy CSR matrices."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
-from evopore.fem import assemble_stiffness
+from evopore.fem import StiffnessPattern, assemble_stiffness, lumped_mass
+from evopore.micro import build_micro_mesh
+from evopore.transform import pullback_coefficients
 from evopore.sparse import SolveReport, solve_cg
 
 
@@ -50,6 +53,51 @@ def test_duplicate_accumulation():
     with_diag = assemble_stiffness(tri, areas, grads, coeff, None, 3,
                                    diagonal=np.array([1.0, 2.0, 3.0]))
     assert with_diag.toarray() == pytest.approx(single + np.diag([1.0, 2.0, 3.0]), abs=1e-14)
+
+
+def test_duplicates_summed_in_input_order(reference_mesh, params):
+    """Every CSR entry is the sum of its element entries in input order
+    (element by element, row by row), then the diagonal, bit for bit."""
+    m = build_micro_mesh(reference_mesh, 0.5)
+    rng = np.random.default_rng(8)
+    r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[m.cell_of_element]
+    _, coeff, _ = pullback_coefficients(params, r_el, m.micro_midpoints)
+    diagonal = lumped_mass(m.triangles, m.areas, np.ones(len(m.triangles)), m.n_nodes) / 0.01
+    A = StiffnessPattern(m.triangles, m.n_nodes).assemble(m.areas, m.grads, coeff, diagonal)
+
+    k_el = m.grads @ (coeff @ m.grads.transpose(0, 2, 1))
+    k_el *= m.areas[:, None, None]
+    sums = {}
+    for tri, k in zip(m.triangles.tolist(), k_el.tolist()):
+        for i in range(3):
+            for j in range(3):
+                key = (tri[i], tri[j])
+                sums[key] = sums.get(key, 0.0) + k[i][j]
+    for d, v in enumerate(diagonal.tolist()):
+        sums[(d, d)] = sums.get((d, d), 0.0) + v
+    coo = A.tocoo()
+    assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == sums
+
+
+def test_pattern_reuse_matches_fresh_assembly():
+    rng = np.random.default_rng(9)
+    tri, areas, grads, coeff = random_elements(rng, 12, 30)
+    coeff2 = random_elements(rng, 12, 30)[3]
+    diagonal = rng.uniform(0.0, 1.0, 12)
+    pattern = StiffnessPattern(tri, 12)
+    first = pattern.assemble(areas, grads, coeff)
+    second = pattern.assemble(areas, grads, coeff2, diagonal)
+    for A, fresh in ((first, StiffnessPattern(tri, 12).assemble(areas, grads, coeff)),
+                     (second, StiffnessPattern(tri, 12).assemble(areas, grads, coeff2, diagonal))):
+        assert np.array_equal(A.indptr, fresh.indptr)
+        assert np.array_equal(A.indices, fresh.indices)
+        assert np.array_equal(A.data, fresh.data)
+
+
+def test_pattern_rejects_out_of_range_dof():
+    for dofs in ([[0, 1, 3]], [[0, -1, 2]]):
+        with pytest.raises(ValueError):
+            StiffnessPattern(np.array(dofs), 3)
 
 
 def test_empty_mesh_is_zero_operator():

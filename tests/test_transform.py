@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evopore.micro import build_micro_mesh
 from evopore.transform import (
+    X_CENTER,
+    RadialFrame,
     cell_decompose,
     eval_psi,
     eval_psi_batch,
@@ -12,6 +15,7 @@ from evopore.transform import (
     eval_psi_inverse,
     profile,
     profile_raw,
+    pullback_coefficients,
 )
 
 
@@ -331,3 +335,31 @@ def test_psi_eps_time_derivative_chain_rule(params):
     out2 = eval_psi_eps(params, eps, radii + dt * rates, rates, x)
     fd = (out2.mapped_point - out.mapped_point) / dt
     assert fd == pytest.approx(out.dt_psi, abs=1e-8)
+
+
+def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
+    """One frame on the reference midpoints, evaluated at one radius per cell,
+    gives the pointwise maps on every element of the micro mesh bit for bit."""
+    m = build_micro_mesh(reference_mesh, 0.5)
+    rng = np.random.default_rng(12)
+    radii = rng.uniform(params.r_min, params.r_max, m.n_cells)
+    r_el = radii[m.cell_of_element]
+    y = m.micro_midpoints
+    frame = RadialFrame(params, y[:len(reference_mesh.triangles)])
+    ev = frame.evaluate(radii[:, None], 1.7)
+
+    mapped, jac, det, dpsi = eval_psi_batch(params, r_el, y)
+    J, A, psi_inv = pullback_coefficients(params, r_el, y, 1.7)
+    for got, want in ((ev.mapped, mapped), (frame.jacobian(radii[:, None]), jac), (ev.det, det),
+                      (ev.dpsi_drg, dpsi), (ev.det, J), (ev.coeff, A), (ev.psi_inv, psi_inv)):
+        assert np.array_equal(got, want)
+
+    # the image and J straight from the radial profile
+    d = y - X_CENTER
+    rho = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
+    act = rho > params.r_min - params.delta
+    R, dR, _ = profile(params, r_el[act], rho[act])
+    assert np.array_equal(ev.mapped[act], X_CENTER + R[:, None] * (d[act] / rho[act, None]))
+    assert np.array_equal(ev.det[act], dR * (R / rho[act]))
+    assert np.array_equal(ev.mapped[~act], y[~act])
+    assert np.all(ev.det[~act] == 1.0)
