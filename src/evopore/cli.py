@@ -26,7 +26,7 @@ from .errors import CheckFailure, ConfigError, MeshQualityError, NumericalError
 from .fem import csv_table
 from .kinetics import validate_structure
 from .macro import MacroGrid, MacroSolver, ledger_csv, mass_balance, snapshot_csv
-from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv,
+from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv, cells_per_side,
                     micro_snapshot_csv, unfold_compare)
 from .registry import build_field, build_source
 from .unitcell import EffectiveTensorTable, build_reference_mesh, table_checks, tabulate
@@ -90,10 +90,24 @@ def _source_of(cfg: ExperimentConfig):
     return build_source(cfg.source_name, cfg.source_params)
 
 
+def _initial_state(solver, cfg: ExperimentConfig):
+    """The solver's state at t = 0 from the configured initial fields; fields
+    outside the admissible state are a config error."""
+    try:
+        return solver.init(build_field(cfg.u_field, cfg.u_params),
+                           build_field(cfg.r_field, cfg.r_params))
+    except ValueError as exc:
+        raise ConfigError(f"[initial] u_field = {cfg.u_field}, r_field = {cfg.r_field}: "
+                          f"{exc}") from exc
+
+
 def _table_of(cfg: ExperimentConfig, quiet: bool) -> EffectiveTensorTable:
     if cfg.table_path:
         _say(quiet, f"loading tensor table from {cfg.table_path}")
-        return EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
+        try:
+            return EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
+        except (OSError, ValueError, IndexError) as exc:
+            raise ConfigError(f"[table] path = {cfg.table_path}: cannot load: {exc}") from exc
     _say(quiet, f"tabulating effective tensors on {cfg.table_radii.size} radii")
     return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h,
                     cfg.diffusion, cfg.cg_tol)
@@ -121,8 +135,7 @@ def cmd_macro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict
     grid = MacroGrid.create(cfg.macro_n)
     solver = MacroSolver(grid, table, cfg.spec, _source_of(cfg), cfg.diffusion,
                          cg_tol=cfg.cg_tol)
-    state = solver.init(build_field(cfg.u_field, cfg.u_params),
-                        build_field(cfg.r_field, cfg.r_params))
+    state = _initial_state(solver, cfg)
     outputs = []
     states = [state]
     _write(outdir, "snapshot_000000.csv", snapshot_csv(grid, state), outputs)
@@ -158,8 +171,7 @@ def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
                          pinned_radii=cfg.micro_pinned_radii,
                          source_at_reference=cfg.micro_source_at_reference,
                          cg_tol=cfg.cg_tol)
-    state = sim.init(build_field(cfg.u_field, cfg.u_params),
-                     build_field(cfg.r_field, cfg.r_params))
+    state = _initial_state(sim, cfg)
     outputs = []
     _write(outdir, "micro_snapshot_000000.csv", micro_snapshot_csv(mesh, state), outputs)
     _write(outdir, "cells_000000.csv", cell_series_csv(mesh, state), outputs)
@@ -200,8 +212,7 @@ def run_convergence_study(cfg: ExperimentConfig, quiet: bool = True) -> Converge
     grid = MacroGrid.create(cfg.macro_n)
     solver = MacroSolver(grid, table, cfg.spec, _source_of(cfg), cfg.diffusion,
                          cg_tol=cfg.cg_tol)
-    macro_state = solver.init(build_field(cfg.u_field, cfg.u_params),
-                              build_field(cfg.r_field, cfg.r_params))
+    macro_state = _initial_state(solver, cfg)
     for _ in range(cfg.n_steps):
         macro_state = solver.step(macro_state, cfg.dt)
 
@@ -212,8 +223,7 @@ def run_convergence_study(cfg: ExperimentConfig, quiet: bool = True) -> Converge
         mesh = build_micro_mesh(reference, 1.0 / inv)
         sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
                              cg_tol=cfg.cg_tol)
-        st = sim.init(build_field(cfg.u_field, cfg.u_params),
-                      build_field(cfg.r_field, cfg.r_params))
+        st = _initial_state(sim, cfg)
         for _ in range(cfg.n_steps):
             st = sim.step(st, cfg.dt)
         err = unfold_compare(mesh, st, grid, macro_state)
@@ -279,10 +289,15 @@ def cmd_validate(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]
 # ---------------------------------------------------------------------------
 
 def _parse_epsilon(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/")
-        return float(num) / float(den)
-    return float(text)
+    """``--epsilon`` as ``0.125`` or ``1/8``; 1/epsilon must be a cell count
+    the micro mesh allows."""
+    try:
+        num, den = text.split("/") if "/" in text else (text, "1")
+        eps = float(num) / float(den)
+        cells_per_side(eps)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"--epsilon {text}: {exc}") from None
+    return eps
 
 
 def main(argv=None) -> int:

@@ -7,15 +7,15 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .kinetics import KineticsSpec
+from .micro import ALLOWED_INV_EPS
 from .transform import TransformParams
-
-_ALLOWED_INV_EPS = (1, 2, 4, 8, 16)
 
 _KNOWN_KEYS = {
     "geometry": {"r_min", "r_max", "r0", "delta"},
@@ -111,12 +111,34 @@ class ExperimentConfig:
         return int(round(self.t_end / self.dt))
 
 
+def _number(section, key: str, kind=float):
+    """``section[key]`` as a finite ``kind``, or a ConfigError naming it."""
+    text = section[key]
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if kind is int:
+        ok = value is not None and abs(value) < 2**63
+    else:
+        ok = value is not None and math.isfinite(value)
+    if not ok:
+        raise ConfigError(f"[{section.name}] {key} = {text!r} is not "
+                          f"{'a 64-bit integer' if kind is int else 'a finite number'}")
+    return value
+
+
+def _flag(section, key: str) -> bool:
+    try:
+        return section.getboolean(key)
+    except ValueError:
+        raise ConfigError(f"[{section.name}] {key} = {section[key]!r} is not true or false") \
+            from None
+
+
 def _params_from(section, prefix: str) -> dict:
-    out = {}
-    for key, val in section.items():
-        if key.startswith(prefix):
-            out[key[len(prefix):]] = float(val)
-    return out
+    return {key[len(prefix):]: _number(section, key)
+            for key in section if key.startswith(prefix)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -147,8 +169,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     g = base["geometry"]
     try:
-        params = TransformParams(float(g["r_min"]), float(g["r_max"]),
-                                 float(g["r0"]), float(g["delta"]))
+        params = TransformParams(*(_number(g, key) for key in ("r_min", "r_max", "r0", "delta")))
     except ValueError as exc:
         raise ConfigError(f"invalid geometry: {exc}") from exc
 
@@ -156,32 +177,29 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         spec = KineticsSpec(
             r_min=params.r_min, r_max=params.r_max,
-            gate_width=float(k["gate_width"]), rate_slope=float(k["rate_slope"]),
-            u_eq=float(k["u_eq"]), f_cap=float(k["f_cap"]), c_s=float(k["c_s"]),
+            gate_width=_number(k, "gate_width"), rate_slope=_number(k, "rate_slope"),
+            u_eq=_number(k, "u_eq"), f_cap=_number(k, "f_cap"), c_s=_number(k, "c_s"),
             family=k["family"])
     except ValueError as exc:
         raise ConfigError(f"invalid kinetics: {exc}") from exc
 
     d = base["discretization"]
-    macro_n = int(d["macro_n"])
+    macro_n = _number(d, "macro_n", int)
     try:
         inverses = tuple(int(tok) for tok in d["epsilon_inverses"].split(","))
     except ValueError as exc:
         raise ConfigError(f"bad epsilon_inverses: {exc}") from exc
     for inv in inverses:
-        if inv not in _ALLOWED_INV_EPS:
-            raise ConfigError(f"1/epsilon must be one of {_ALLOWED_INV_EPS}, got {inv}")
-    try:
-        n_boundary = int(d["n_boundary"])
-        target_h = float(d["target_h"])
-    except ValueError as exc:
-        raise ConfigError(f"bad reference mesh setting: {exc}") from exc
+        if inv not in ALLOWED_INV_EPS:
+            raise ConfigError(f"1/epsilon must be one of {ALLOWED_INV_EPS}, got {inv}")
+    n_boundary = _number(d, "n_boundary", int)
+    target_h = _number(d, "target_h")
     if n_boundary < 16 or n_boundary % 8 != 0:
         raise ConfigError(f"n_boundary must be >= 16 and divisible by 8, got {n_boundary}")
     if not (0.0 < target_h < 0.25):
         raise ConfigError(f"target_h must lie in (0, 0.25), got {target_h}")
-    dt = float(d["dt"])
-    t_end = float(d["t_end"])
+    dt = _number(d, "dt")
+    t_end = _number(d, "t_end")
     if dt <= 0 or t_end <= 0:
         raise ConfigError("dt and t_end must be positive")
     steps = t_end / dt
@@ -195,15 +213,19 @@ def parse_config(text: str) -> ExperimentConfig:
 
     t = base["table"]
     if "radii" in t:
-        radii = np.array([float(tok) for tok in t["radii"].split(",")])
+        try:
+            radii = np.array([float(tok) for tok in t["radii"].split(",")])
+        except ValueError:
+            raise ConfigError(f"[table] radii = {t['radii']!r} is not a list of numbers") \
+                from None
     else:
-        count = int(t["radius_count"])
+        count = _number(t, "radius_count", int)
         if count < 5:
             raise ConfigError("table needs at least 5 radii")
         radii = np.linspace(params.r_min, params.r_max, count)
     if radii.size < 5:
         raise ConfigError("table needs at least 5 radii")
-    if np.any(radii < params.r_min) or np.any(radii > params.r_max):
+    if not np.all((radii >= params.r_min) & (radii <= params.r_max)):
         raise ConfigError("table radii outside [r_min, r_max]")
     if np.any(np.diff(radii) <= 0):
         raise ConfigError("table radii must be strictly increasing")
@@ -222,17 +244,21 @@ def parse_config(text: str) -> ExperimentConfig:
         macro_n=macro_n, epsilon_inverses=inverses, n_boundary=n_boundary,
         target_h=target_h, dt=dt, t_end=t_end,
         table_radii=radii, table_path=t.get("path"),
-        micro_pinned_radii=micro.getboolean("pinned_radii"),
-        micro_source_at_reference=micro.getboolean("source_at_reference"),
-        out_dir=o["directory"], snapshot_every=int(o["snapshot_every"]),
-        seed=int(run["seed"]), diffusion=float(run["diffusion"]),
-        cg_tol=float(run["cg_tol"]),
+        micro_pinned_radii=_flag(micro, "pinned_radii"),
+        micro_source_at_reference=_flag(micro, "source_at_reference"),
+        out_dir=o["directory"], snapshot_every=_number(o, "snapshot_every", int),
+        seed=_number(run, "seed", int), diffusion=_number(run, "diffusion"),
+        cg_tol=_number(run, "cg_tol"),
         sha256=hashlib.sha256(text.encode()).hexdigest(),
     )
     if cfg.macro_n < 2:
         raise ConfigError("macro_n must be at least 2")
     if cfg.snapshot_every < 1:
         raise ConfigError("snapshot_every must be at least 1")
+    if cfg.diffusion <= 0:
+        raise ConfigError(f"diffusion must be positive, got {cfg.diffusion}")
+    if not (0.0 < cfg.cg_tol < 1.0):
+        raise ConfigError(f"cg_tol must lie in (0, 1), got {cfg.cg_tol}")
     return cfg
 
 

@@ -3,13 +3,14 @@
 All solvers in the package use linear triangles with one-point (centroid)
 quadrature for variable coefficients and row-sum lumped mass matrices.  A
 mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
-it is built once per mesh, and every assembly forms the element matrices by
-batched ``matmul`` and sums them into the CSR data by one ``np.bincount``.
-The macro and micro steppers and the periodic cell problems each hold one
-pattern.  The steppers share one implicit step, :func:`backward_euler_step`;
-they differ only in the mass weight (porosity or Jacobian) and the tensor
-(homogenized or pulled back).  :func:`csv_table` formats every CSV output of
-the package.
+it is built once per mesh, and every assembly sums the element matrices into
+the CSR data by one ``np.bincount``.  The macro stepper and the periodic cell
+problems form their element matrices from a tensor per element by batched
+``matmul`` (:func:`element_stiffness`); the micro stepper combines
+reference-cell bases instead (:mod:`evopore.micro`).  The steppers share one
+implicit step, :func:`backward_euler_step`; they differ only in the mass
+weight (porosity or Jacobian) and the element matrices (homogenized or pulled
+back).  :func:`csv_table` formats every CSV output of the package.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ def triangle_geometry(vertices: np.ndarray, triangles: np.ndarray):
     grads[:, 2, 1] = e1[:, 0] / det
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
     return areas, grads
+
+
+def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Areas (nt,) of positively oriented triangles, as :func:`triangle_geometry`
+    gives them."""
+    p0 = vertices[triangles[:, 0]]
+    e1 = vertices[triangles[:, 1]] - p0
+    e2 = vertices[triangles[:, 2]] - p0
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -82,10 +92,9 @@ class StiffnessPattern:
             a.setflags(write=False)  # shared by every assembled matrix
         self._slots = csr.indptr, csr.indices, slots[:dofs.size * 3], slots[dofs.size * 3:]
 
-    def assemble(self, areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray,
-                 diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-        """Stiffness matrix for coefficient ``coeff`` (nt, 2, 2) at centroids,
-        plus ``diagonal`` (n_dof,) on the main diagonal.
+    def assemble(self, k_el: np.ndarray, diagonal: np.ndarray | None = None) -> sp.csr_matrix:
+        """Stiffness matrix of the element matrices ``k_el`` (nt, 3, 3), plus
+        ``diagonal`` (n_dof,) on the main diagonal.
 
         Entries sharing a slot are summed in input order: element by element,
         row by row within an element, the diagonal last.
@@ -93,8 +102,6 @@ class StiffnessPattern:
         if self._slots is None:
             self._build()
         indptr, indices, element_slots, diagonal_slots = self._slots
-        k_el = grads @ (coeff @ grads.transpose(0, 2, 1))
-        k_el *= areas[:, None, None]
         data = np.bincount(element_slots, k_el.ravel(), minlength=len(indices))
         if diagonal is not None:
             data[diagonal_slots] += diagonal
@@ -103,16 +110,24 @@ class StiffnessPattern:
         return sp.csr_matrix((data, indices, indptr), shape=(self.n_dof, self.n_dof))
 
 
+def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """Element matrices ``|T| G C G^T`` (nt, 3, 3) of the coefficient ``coeff``
+    (nt, 2, 2) at centroids."""
+    k_el = grads @ (coeff @ grads.transpose(0, 2, 1))
+    k_el *= areas[:, None, None]
+    return k_el
+
+
 def assemble_stiffness(triangles: np.ndarray, areas: np.ndarray, grads: np.ndarray,
                        coeff: np.ndarray, dof_of_node: np.ndarray | None, n_dof: int,
                        diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-    """One-off :meth:`StiffnessPattern.assemble`.
+    """One-off :meth:`StiffnessPattern.assemble` of :func:`element_stiffness`.
 
     ``dof_of_node`` merges nodes into shared degrees of freedom (periodic
     pairing); with ``None`` every node is its own dof.
     """
     dofs = triangles if dof_of_node is None else dof_of_node[triangles]
-    return StiffnessPattern(dofs, n_dof).assemble(areas, grads, coeff, diagonal)
+    return StiffnessPattern(dofs, n_dof).assemble(element_stiffness(areas, grads, coeff), diagonal)
 
 
 def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
@@ -121,16 +136,16 @@ def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
     return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)
 
 
-def backward_euler_step(pattern: StiffnessPattern, areas: np.ndarray, grads: np.ndarray,
-                        coeff: np.ndarray, mass_new: np.ndarray, dt: float, b: np.ndarray,
-                        x0: np.ndarray, tol: float, label: str, t_new: float):
-    """Solve ``(K(coeff) + diag(mass_new / dt)) u = b`` by CG from ``x0``,
-    with ``K`` assembled on ``pattern``.
+def backward_euler_step(pattern: StiffnessPattern, k_el: np.ndarray, mass_new: np.ndarray,
+                        dt: float, b: np.ndarray, x0: np.ndarray, tol: float, label: str,
+                        t_new: float):
+    """Solve ``(K + diag(mass_new / dt)) u = b`` by CG from ``x0``, with ``K``
+    the element matrices ``k_el`` assembled on ``pattern``.
 
     Returns the new nodal field and the CG iteration count; a stalled solve
     or a non-finite result raises :class:`NumericalError` naming ``label``.
     """
-    system = pattern.assemble(areas, grads, coeff, diagonal=mass_new / dt)
+    system = pattern.assemble(k_el, diagonal=mass_new / dt)
     u_new, report = solve_cg(system, b, tol=tol, x0=x0)
     if not report.converged:
         raise NumericalError(

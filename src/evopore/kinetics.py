@@ -90,6 +90,18 @@ def step_radius(spec: KineticsSpec, r, f_value, dt: float):
     return np.clip(r + dt * np.asarray(f_value, dtype=float) / spec.c_s, spec.r_min, spec.r_max)
 
 
+def check_initial_state(spec: KineticsSpec, u, r) -> None:
+    """Raise ``ValueError`` unless the concentration ``u`` is finite and every
+    radius of ``r`` lies in [r_min, r_max] (to 1e-12)."""
+    if not np.all(np.isfinite(u)):
+        raise ValueError("initial concentration has non-finite values")
+    r = np.asarray(r, dtype=float).ravel()
+    inside = (r >= spec.r_min - 1e-12) & (r <= spec.r_max + 1e-12)
+    if not np.all(inside):
+        raise ValueError(f"initial radii outside [r_min, r_max] = [{spec.r_min:g}, "
+                         f"{spec.r_max:g}]: {r[~inside][0]:g}")
+
+
 @dataclass
 class KineticsReport:
     passed: bool

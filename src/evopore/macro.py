@@ -20,9 +20,9 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NumericalError
-from .fem import (StiffnessPattern, backward_euler_step, csv_table, element_means, lumped_mass,
-                  triangle_geometry)
-from .kinetics import KineticsSpec, eval_f, step_radius
+from .fem import (StiffnessPattern, backward_euler_step, csv_table, element_means,
+                  element_stiffness, lumped_mass, triangle_geometry)
+from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
 
 
@@ -133,8 +133,7 @@ class MacroSolver:
         r = np.asarray(r0_field(g.midpoints()), dtype=float)
         if u.shape != (g.n_nodes,) or r.shape != (g.n_elements,):
             raise ValueError("initial fields have wrong shape")
-        if np.any(r < self.spec.r_min - 1e-12) or np.any(r > self.spec.r_max + 1e-12):
-            raise ValueError("initial radii outside [r_min, r_max]")
+        check_initial_state(self.spec, u, r)
         theta = porosity(r)
         state = MacroState(0.0, u, r, theta, 0.0, 0.0)
         state.fluid_mass = float(lumped_mass(g.elements, g.areas, theta, g.n_nodes) @ u)
@@ -178,9 +177,9 @@ class MacroSolver:
         dv = self.spec.c_s * (ball_volume(r_new) - ball_volume(state.r)) / dt
         b -= lumped_mass(g.elements, g.areas, dv, g.n_nodes)
 
+        k_el = element_stiffness(g.areas, g.grads, self.diffusion * A_el)
         u_new, iterations = backward_euler_step(
-            self._pattern, g.areas, g.grads, self.diffusion * A_el, m_new, dt, b, state.u,
-            self.cg_tol, "macro", t_new)
+            self._pattern, k_el, m_new, dt, b, state.u, self.cg_tol, "macro", t_new)
 
         fluid = float(m_new @ u_new)
         solid = self._solid_mass(r_new)

@@ -8,6 +8,11 @@ macro solver (lumped Jacobian-weighted mass, backward Euler diffusion); the
 transformation's advective term and the surface reaction are explicit, which
 both carry a factor epsilon and keep the system symmetric.
 
+Every cell repeats the reference cell's triangles, and the radial map enters
+the weak form through four scalars per element (:class:`MapScalars`), so a
+step builds its element matrices and drift loads from a few reference-cell
+arrays (:class:`CellBases`) scaled per element: no per-element tensor algebra.
+
 The unfolding comparator turns a micro state into per-cell pore averages and
 measures their distance to a macro solution at the cell centers.
 """
@@ -20,12 +25,12 @@ import numpy as np
 
 from .errors import NumericalError
 from .fem import (StiffnessPattern, backward_euler_step, csv_table, element_means, lumped_mass,
-                  triangle_geometry)
-from .kinetics import KineticsSpec, eval_f, step_radius
-from .transform import RadialFrame, TransformParams
+                  triangle_areas, triangle_geometry)
+from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
+from .transform import MapScalars, RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
 
-_ALLOWED_INV_EPS = (1, 2, 4, 8, 16)
+ALLOWED_INV_EPS = (1, 2, 4, 8, 16)
 _EDGE_GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
@@ -42,7 +47,6 @@ class MicroMesh:
     gamma_edges: np.ndarray         # (n_cells, n_boundary, 2) global node ids
     micro_midpoints: np.ndarray     # per-element in-cell centroid coordinates
     areas: np.ndarray = field(repr=False)
-    grads: np.ndarray = field(repr=False)
     reference: PeriodicMesh = field(repr=False, default=None)
 
     @property
@@ -61,6 +65,14 @@ class MicroMesh:
         return np.hypot(e[..., 0], e[..., 1])
 
 
+def cells_per_side(epsilon: float) -> int:
+    """1/epsilon, which must be one of :data:`ALLOWED_INV_EPS`."""
+    inv = round(1.0 / epsilon)
+    if inv not in ALLOWED_INV_EPS or abs(inv * epsilon - 1.0) > 1e-12:
+        raise ValueError(f"1/epsilon must be one of {ALLOWED_INV_EPS}")
+    return inv
+
+
 def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     """Tile the reference cell; shared-face nodes merge by coordinate keys.
 
@@ -69,10 +81,7 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     coincident nodes carry identical coordinates; the 1e-12 rounding in the
     key is pure safety.
     """
-    inv = round(1.0 / epsilon)
-    if inv not in _ALLOWED_INV_EPS or abs(inv * epsilon - 1.0) > 1e-12:
-        raise ValueError(f"1/epsilon must be one of {_ALLOWED_INV_EPS}")
-    n = inv
+    n = cells_per_side(epsilon)
     ref_v = reference.vertices
     ref_t = reference.triangles
     n_ref = len(ref_v)
@@ -98,9 +107,56 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
 
     mids_ref = (ref_v[ref_t[:, 0]] + ref_v[ref_t[:, 1]] + ref_v[ref_t[:, 2]]) / 3.0
     micro_mids = np.tile(mids_ref, (len(cells), 1))
-    areas, grads = triangle_geometry(vertices, triangles)
     return MicroMesh(epsilon, n, vertices, triangles, cell_of_element, cells,
-                     gamma, micro_mids, areas, grads, reference)
+                     gamma, micro_mids, triangle_areas(vertices, triangles), reference)
+
+
+@dataclass
+class CellBases:
+    """Element data of the reference cell, which every micro cell repeats.
+
+    A micro cell is the reference cell scaled by epsilon and translated, with
+    the same triangle order, and in 2-D ``|T| G G^T`` does not change under
+    scaling.  With ``w = G u`` the basis gradients along the unit direction u
+    of the cell map (zero in its identity core), the pulled-back tensor
+    ``D (b I + (a - b) u u^T)`` has the element matrices
+    ``D (b L + (a - b) Q)`` and the drift ``J eps rate s u`` the element loads
+    ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.
+    """
+
+    stiffness: np.ndarray            # L = |T| G G^T, (m, 3, 3)
+    radial: np.ndarray | None        # Q = |T| w w^T, (m, 3, 3)
+    drift: np.ndarray | None         # |T| w, (m, 3)
+
+    @classmethod
+    def of(cls, reference: PeriodicMesh, directions: np.ndarray | None) -> "CellBases":
+        """Bases on the reference mesh for the unit directions (m, 2) at its
+        element midpoints; ``None`` gives the stiffness alone."""
+        areas, grads = triangle_geometry(reference.vertices, reference.triangles)
+        stiffness = grads @ grads.transpose(0, 2, 1)
+        stiffness *= areas[:, None, None]
+        if directions is None:
+            return cls(stiffness, None, None)
+        w = (grads @ directions[:, :, None])[:, :, 0]
+        drift = areas[:, None] * w
+        return cls(stiffness, drift[:, :, None] * w[:, None, :], drift)
+
+    def element_matrices(self, sc: MapScalars, diffusion: float) -> np.ndarray:
+        """Element matrices (c*m, 3, 3) of the map ``sc`` at c*m elements,
+        cell by cell."""
+        m = len(self.stiffness)
+        k_el = (diffusion * sc.b).reshape(-1, m, 1, 1) * self.stiffness
+        k_el += (diffusion * (sc.a - sc.b)).reshape(-1, m, 1, 1) * self.radial
+        return k_el.reshape(-1, 3, 3)
+
+    def drift_loads(self, sc: MapScalars, rate: np.ndarray, u_mean: np.ndarray,
+                    epsilon: float) -> np.ndarray:
+        """Element loads (c*m, 3) of the drift ``(J Psi^{-1} dPsi/dt u_hat,
+        grad phi)`` for radius rates ``rate`` (c,) and element-mean
+        concentrations ``u_mean`` (c*m,)."""
+        m = len(self.drift)
+        weight = (epsilon**2 * sc.det * sc.s * u_mean).reshape(-1, m) * rate[:, None]
+        return (weight[:, :, None] * self.drift).reshape(-1, 3)
 
 
 @dataclass
@@ -109,7 +165,7 @@ class MicroState:
     u_hat: np.ndarray
     radii: np.ndarray          # (n, n)
     radii_rate: np.ndarray
-    jac_det: np.ndarray        # per element, for the time-difference mass term
+    mass: np.ndarray           # nodal lumped Jacobian-weighted mass
     fluid_mass: float
     solid_mass: float
     flux_step: float = 0.0
@@ -150,6 +206,7 @@ class MicroSimulator:
         # reference midpoints serves all cells; pinned radii never map
         self._frame = None if pinned_radii else \
             RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
+        self._bases = None
 
     # -- construction --------------------------------------------------------
 
@@ -163,23 +220,25 @@ class MicroSimulator:
         else:
             r_cells = np.asarray(r0_field(m.cell_centers()), dtype=float)
         radii = r_cells.reshape(m.n_cells_side, m.n_cells_side)
-        if np.any(radii < self.spec.r_min - 1e-12) or np.any(radii > self.spec.r_max + 1e-12):
-            raise ValueError("initial radii outside [r_min, r_max]")
-        jac = self._jacobians(radii)
-        state = MicroState(0.0, u, radii, np.zeros_like(radii), jac, 0.0, 0.0)
-        state.fluid_mass = float(lumped_mass(m.triangles, m.areas, jac, m.n_nodes) @ u)
+        check_initial_state(self.spec, u, radii)
+        jac = np.ones(len(m.triangles)) if self.pinned_radii else self._cell_map(radii).det
+        mass = lumped_mass(m.triangles, m.areas, jac, m.n_nodes)
+        state = MicroState(0.0, u, radii, np.zeros_like(radii), mass, 0.0, 0.0)
+        state.fluid_mass = float(mass @ u)
         state.solid_mass = self._solid_mass(radii)
         return state
 
-    def _cell_map(self, radii: np.ndarray):
-        """The cell map and pulled-back coefficients on every element, at one
-        radius per cell."""
-        return self._frame.evaluate(radii.reshape(-1, 1), self.diffusion)
+    def _cell_map(self, radii: np.ndarray) -> MapScalars:
+        """The cell map on every element, at one radius per cell."""
+        return self._frame.scalars(radii.reshape(-1, 1))
 
-    def _jacobians(self, radii: np.ndarray) -> np.ndarray:
-        if self.pinned_radii:
-            return np.ones(len(self.mesh.triangles))
-        return self._cell_map(radii).det
+    def _cell_bases(self) -> CellBases:
+        """The reference-cell bases, built on the first step (as the CSR
+        pattern is) to keep set-up cheap."""
+        if self._bases is None:
+            directions = None if self.pinned_radii else self._frame.directions()
+            self._bases = CellBases.of(self.mesh.reference, directions)
+        return self._bases
 
     def _solid_mass(self, radii: np.ndarray) -> float:
         eps = self.mesh.epsilon
@@ -231,28 +290,29 @@ class MicroSimulator:
             radii_new = step_radius(spec, state.radii, f_avg.reshape(state.radii.shape), dt)
             rate = (radii_new - state.radii) / dt
 
-        # (2) pulled-back coefficients at the new radii
+        # (2) the cell map at the new radii: J, the lumped mass and the
+        # element matrices of the pulled-back tensor
+        bases = self._cell_bases()
         if self.pinned_radii:
-            n_el = len(m.triangles)
-            jac_new = np.ones(n_el)
-            coeff = np.broadcast_to(self.diffusion * np.eye(2), (n_el, 2, 2)).copy()
-            b_vec = None
-            mapped_ref = m.micro_midpoints
+            sc = None
+            jac_new = np.ones(len(m.triangles))
+            mass_new = state.mass
+            k_el = np.broadcast_to(self.diffusion * bases.stiffness,
+                                   (m.n_cells,) + bases.stiffness.shape)
         else:
-            ev = self._cell_map(radii_new)
-            jac_new, coeff, mapped_ref = ev.det, ev.coeff, ev.mapped
-            rate_el = rate.reshape(-1)[self._cell_r_of_el]
-            dt_psi = eps * ev.dpsi_drg * rate_el[:, None]
-            b_vec = jac_new[:, None] * np.einsum("tab,tb->ta", ev.psi_inv, dt_psi)
+            sc = self._cell_map(radii_new)
+            jac_new = sc.det
+            mass_new = lumped_mass(m.triangles, m.areas, jac_new, m.n_nodes)
+            k_el = bases.element_matrices(sc, self.diffusion)
 
         # (3) backward-Euler bulk solve
-        mass_new = lumped_mass(m.triangles, m.areas, jac_new, m.n_nodes)
-        b = lumped_mass(m.triangles, m.areas, state.jac_det, m.n_nodes) * state.u_hat / dt
+        b = state.mass * state.u_hat / dt
 
         source_step = 0.0
         if self.source is not None:
+            mapped = m.micro_midpoints if sc is None else self._frame.image(sc.radius)
             pts = m.micro_midpoints if self.source_at_reference else \
-                self._cell_offsets[self._cell_r_of_el] + eps * mapped_ref
+                self._cell_offsets[self._cell_r_of_el] + eps * mapped
             fp = np.asarray(self.source(t_new, pts), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
@@ -260,9 +320,9 @@ class MicroSimulator:
             source_step = float(dt * np.sum(jac_new * fp * m.areas))
 
         # explicit transformation-drift term (B u, grad phi) moved to the rhs
-        if b_vec is not None:
+        if sc is not None:
             u_mid = element_means(m.triangles, state.u_hat)
-            drift = np.einsum("ta,tia->ti", b_vec, m.grads) * (m.areas * u_mid)[:, None]
+            drift = bases.drift_loads(sc, rate.reshape(-1), u_mid, eps)
             b -= np.bincount(m.triangles.ravel(), drift.ravel(), minlength=m.n_nodes)
 
         # explicit surface reaction at (old u, new radii), scaled by the
@@ -275,15 +335,14 @@ class MicroSimulator:
             b -= loads
 
         u_new, iterations = backward_euler_step(
-            self._pattern, m.areas, m.grads, coeff, mass_new, dt, b, state.u_hat, self.cg_tol,
-            "micro", t_new)
+            self._pattern, k_el, mass_new, dt, b, state.u_hat, self.cg_tol, "micro", t_new)
 
         fluid = float(mass_new @ u_new)
         solid = self._solid_mass(radii_new)
         flux_step = dt * flux_total
         defect = abs(fluid - state.fluid_mass + flux_step - source_step)
         radius_flux_gap = abs((solid - state.solid_mass) - flux_step)
-        return MicroState(t_new, u_new, radii_new, rate, jac_new, fluid, solid,
+        return MicroState(t_new, u_new, radii_new, rate, mass_new, fluid, solid,
                           flux_step, source_step, defect, radius_flux_gap, iterations)
 
 

@@ -266,17 +266,38 @@ class MapEval:
     dpsi_drg: np.ndarray
 
 
+@dataclass
+class MapScalars:
+    """The radial map at n points through five scalars per point.
+
+    With R the smoothed profile at the distance rho to the center, R' its
+    rho-derivative and u the unit direction, Psi^{-1} = P/R' + (rho/R)(I - P)
+    for P = u u^T, so the pulled-back tensor is
+    A = J D Psi^{-1} Psi^{-T} = D (b I + (a - b) P) and, the radius
+    sensitivity being radial, J Psi^{-1} dPsi/dr_gamma = J s u.  ``det`` is
+    J = R' R / rho, ``a`` = R / (rho R'), ``b`` = rho R' / R,
+    ``s`` = (dR/dr_gamma) / R' and ``radius`` = R.  In the identity core
+    J = a = b = 1, s = 0 and R = rho.
+    """
+
+    det: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+    radius: np.ndarray
+
+
 class RadialFrame:
     """The radius-independent part of the map at fixed points ``y`` (m, 2).
 
     For the points outside the identity core ``|y - x_M| <= r_min - delta``
     the frame holds the distance to the center, the unit direction u, the
     radial projector P = u u^T and its complement I - P, and the kernel
-    values g and Phi at the four hinges.  :meth:`evaluate` and
-    :meth:`jacobian` combine them with the radii.  ``r_gamma`` is a scalar,
-    one radius per point (m,), or one radius per cell (c, 1); the last gives
-    c*m points, cell by cell.  Core points take an explicit identity branch,
-    so the center needs no division.
+    values g and Phi at the four hinges.  :meth:`evaluate`, :meth:`scalars`
+    and :meth:`jacobian` combine them with the radii.  ``r_gamma`` is a
+    scalar, one radius per point (m,), or one radius per cell (c, 1); the
+    last gives c*m points, cell by cell.  Core points take an explicit
+    identity branch, so the center needs no division.
     """
 
     def __init__(self, params: TransformParams, y: np.ndarray):
@@ -286,6 +307,7 @@ class RadialFrame:
         active = rho > params.r_min - params.delta
         self.params = params
         self.points = y
+        self.distance = rho
         # a plain slice when no point is in the core: views instead of copies
         self._active = slice(None) if active.all() else active
         self.rho = rho[active]
@@ -329,6 +351,29 @@ class RadialFrame:
             self._embed(shape, A, diffusion * eye).reshape(n, 2, 2),
             self._embed(shape, Pinv, eye).reshape(n, 2, 2),
             self._embed(shape, dRg[..., None] * self.unit, 0.0).reshape(n, 2))
+
+    def scalars(self, r_gamma) -> MapScalars:
+        """The map at obstacle radius ``r_gamma`` as :class:`MapScalars`."""
+        shape, (R, dR, dRg) = self._profile(r_gamma)
+        q = R / self.rho
+        n = int(np.prod(shape))
+        return MapScalars(self._embed(shape, dR * q, 1.0).reshape(n),
+                          self._embed(shape, q / dR, 1.0).reshape(n),
+                          self._embed(shape, dR / q, 1.0).reshape(n),
+                          self._embed(shape, dRg / dR, 0.0).reshape(n),
+                          self._embed(shape, R, self.distance).reshape(n))
+
+    def image(self, radius: np.ndarray) -> np.ndarray:
+        """Image (n, 2) of the points whose distances map to ``radius`` (n,),
+        the :attr:`MapScalars.radius` of the same frame."""
+        R = radius.reshape(-1, len(self.points))
+        mapped = X_CENTER + R[:, self._active, None] * self.unit
+        return self._embed(R.shape, mapped, self.points).reshape(-1, 2)
+
+    def directions(self) -> np.ndarray:
+        """Unit direction u (m, 2) of every point from the center; zero in the
+        identity core, where the map has no radial part."""
+        return self._embed((len(self.points),), self.unit, 0.0)
 
     def jacobian(self, r_gamma) -> np.ndarray:
         """Jacobian (n, 2, 2) of the map at obstacle radius ``r_gamma``."""

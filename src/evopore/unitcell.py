@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MeshQualityError
-from .fem import (StiffnessPattern, centroids, csv_table, scatter_element_loads,
-                  triangle_geometry)
+from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness,
+                  scatter_element_loads, triangle_geometry)
 from .sparse import solve_cg
 from .transform import TransformParams, pullback_coefficients
 
@@ -271,7 +271,7 @@ def solve_cell_problem(mesh: PeriodicMesh, radius: float, mode: str = "transform
     areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
     coeff = _coefficient(mesh, params, radius, mode, diffusion)
     dof, n_dof = mesh.dof_map()
-    K = mesh.stiffness_pattern.assemble(areas, grads, coeff)
+    K = mesh.stiffness_pattern.assemble(element_stiffness(areas, grads, coeff))
     ce = coeff[:, :, direction]
     loads = -np.einsum("tia,ta->ti", grads, ce) * areas[:, None]
     b = scatter_element_loads(mesh.triangles, loads, dof, n_dof)

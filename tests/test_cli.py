@@ -72,11 +72,56 @@ def test_config_rejections(tmp_path):
     ("[discretization]\ntarget_h = 0.3\n", ["target_h", "0.3"]),
     ("[discretization]\ntarget_h = 0\n", ["target_h"]),
     ("[discretization]\ndt = 0.003\nt_end = 0.5\n", ["0.003", "0.5"]),
+    ("[discretization]\nmacro_n = many\n", ["macro_n", "many"]),
+    ("[discretization]\nmacro_n = 100000000000000000000\n",
+     ["macro_n", "100000000000000000000"]),
+    ("[run]\ncg_tol = tight\n", ["cg_tol", "tight"]),
+    ("[output]\nsnapshot_every = often\n", ["snapshot_every", "often"]),
+    ("[run]\nseed = 1.5\n", ["seed", "1.5"]),
+    ("[run]\ndiffusion = fast\n", ["diffusion", "fast"]),
+    ("[table]\nradii = 0.2,0.25,x,0.3,0.35\n", ["radii", "x"]),
+    ("[micro]\npinned_radii = maybe\n", ["pinned_radii", "maybe"]),
+    ("[run]\ncg_tol = 0\n", ["cg_tol", "0"]),
+    ("[run]\ncg_tol = 1.5\n", ["cg_tol", "1.5"]),
+    ("[run]\ndiffusion = 0\n", ["diffusion", "0"]),
+    ("[run]\ndiffusion = -1\n", ["diffusion", "-1"]),
 ])
 def test_config_rejections_one_line(tmp_path, capsys, body, names):
     bad = tmp_path / "bad.cfg"
     bad.write_text(body)
     assert main(["micro-run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    for name in names:
+        assert name in err
+
+
+def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
+    # a non-positive diffusion used to reach the cell problems and fail there
+    # as a CG breakdown (exit 3)
+    bad = cfg_file(tmp_path, "[run]\ndiffusion = 0\n")
+    assert main(["cell-table", "--config", bad, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "diffusion" in err
+
+
+@pytest.mark.parametrize("args, extra, names", [
+    (["micro-run", "--epsilon", "abc"], "", ["--epsilon", "abc"]),
+    (["micro-run", "--epsilon", "1/3"], "", ["--epsilon", "1/3"]),
+    (["macro-run"], "[table]\npath = {tmp}/missing.csv\n", ["path", "missing.csv"]),
+    (["micro-run", "--epsilon", "1/2"], "[initial]\nr_param.value = 0.5\n",
+     ["r_field", "0.5"]),
+    (["macro-run"], "[table]\nradius_count = 5\n[initial]\nr_param.value = 0.5\n",
+     ["r_field", "0.5"]),
+    (["micro-run", "--epsilon", "1/2"], "[initial]\nu_param.value = nan\n",
+     ["u_param.value", "nan"]),
+], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
+        "macro-radius-outside-box", "initial-u-nan"])
+def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_COMMON.replace("[table]\nradius_count = 5\n", "")
+                   + extra.format(tmp=tmp_path))
+    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     for name in names:

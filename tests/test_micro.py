@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from evopore.fem import triangle_geometry
+from evopore.fem import element_means, element_stiffness, triangle_geometry
 from evopore.kinetics import eval_f, step_radius
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import (
+    CellBases,
     MicroSimulator,
     build_micro_mesh,
     cell_pore_means,
@@ -13,7 +14,9 @@ from evopore.micro import (
     micro_snapshot_csv,
     unfold_compare,
 )
+from evopore.registry import build_source
 from evopore.sparse import solve_cg
+from evopore.transform import RadialFrame, eval_psi_batch, pullback_coefficients
 from evopore.unitcell import porosity
 
 
@@ -83,13 +86,17 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, spec):
     state = sim.init(lambda x: u0, constant_field(params.r0))
     out = sim.step(state, 0.01)
 
-    # reference: plain perforated-domain heat step, element matrices by
-    # batched matmul, every entry summed in input order (element by element,
-    # row by row, the lumped mass on the diagonal last)
+    # reference: plain perforated-domain heat step, element matrices of the
+    # reference cell's own geometry by batched matmul, tiled per cell (every
+    # cell is a scaled translate of it), every entry summed in input order
+    # (element by element, row by row, the lumped mass on the diagonal last)
     dt = 0.01
-    eye = np.broadcast_to(np.eye(2), (len(m.triangles), 2, 2)).copy()
-    k_el = m.grads @ (eye @ m.grads.transpose(0, 2, 1))
-    k_el *= m.areas[:, None, None]
+    ref = m.reference
+    ref_areas, ref_grads = triangle_geometry(ref.vertices, ref.triangles)
+    eye = np.broadcast_to(np.eye(2), (len(ref.triangles), 2, 2)).copy()
+    k_ref = ref_grads @ (eye @ ref_grads.transpose(0, 2, 1))
+    k_ref *= ref_areas[:, None, None]
+    k_el = np.tile(k_ref, (m.n_cells, 1, 1))
     lum = np.zeros(m.n_nodes)
     np.add.at(lum, m.triangles, (np.ones(len(m.triangles)) * m.areas / 3.0)[:, None] * np.ones((1, 3)))
     idx = np.arange(m.n_nodes)
@@ -104,6 +111,65 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, spec):
     u_ref, _ = solve_cg(system, lum * u0 / dt, tol=1e-12, x0=u0)
     assert np.array_equal(out.u_hat, u_ref)
     assert np.array_equal(out.radii, state.radii)
+
+
+def test_pinned_source_at_physical_points(micro_mesh_half, params, spec):
+    """With ``source_at_reference = false`` a pinned run evaluates the source
+    at the physical element centroids, cell by cell, not at the in-cell
+    reference coordinates every cell shares."""
+    m = micro_mesh_half
+    f = build_source("decaying_cosine", {"amplitude": 2.0, "rate": 0.5})
+    rng = np.random.default_rng(3)
+    u0 = rng.uniform(0.2, 0.8, m.n_nodes)
+    centroids = m.vertices[m.triangles].mean(axis=1)
+    dt = 0.01
+
+    def run(source, at_reference):
+        sim = MicroSimulator(m, params, spec, source, pinned_radii=True,
+                             source_at_reference=at_reference, cg_tol=1e-12)
+        return sim.step(sim.init(lambda x: u0, constant_field(params.r0)), dt)
+
+    out = run(f, False)
+    want = run(lambda t, x: f(t, centroids), True)
+    assert np.allclose(out.u_hat, want.u_hat, rtol=1e-12, atol=1e-14)
+    assert abs(out.source_step - want.source_step) <= 1e-15
+    # the reference-point source differs visibly, so the check above has teeth
+    assert np.abs(run(f, True).u_hat - out.u_hat).max() > 1e-3
+
+
+def test_reference_bases_match_pulled_back_assembly(micro_mesh_half, params):
+    """Element matrices and drift loads from the reference-cell bases equal
+    the per-element tensor assembly on the micro mesh's own geometry."""
+    m = micro_mesh_half
+    rng = np.random.default_rng(14)
+    radii = rng.uniform(params.r_min, params.r_max, m.n_cells)
+    rate = rng.uniform(-0.5, 0.5, m.n_cells)
+    u = rng.uniform(0.2, 0.9, m.n_nodes)
+    frame = RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
+    bases = CellBases.of(m.reference, frame.directions())
+    sc = frame.scalars(radii[:, None])
+    u_mid = element_means(m.triangles, u)
+
+    r_el = radii[m.cell_of_element]
+    areas, grads = triangle_geometry(m.vertices, m.triangles)
+    J, coeff, psi_inv = pullback_coefficients(params, r_el, m.micro_midpoints, 1.7)
+    want_k = element_stiffness(areas, grads, coeff)
+    dt_psi = m.epsilon * eval_psi_batch(params, r_el, m.micro_midpoints)[3] \
+        * rate[m.cell_of_element][:, None]
+    b_vec = J[:, None] * np.einsum("tab,tb->ta", psi_inv, dt_psi)
+    want_drift = np.einsum("ta,tia->ti", b_vec, grads) * (areas * u_mid)[:, None]
+
+    for got, want in ((bases.element_matrices(sc, 1.7), want_k),
+                      (bases.drift_loads(sc, rate, u_mid, m.epsilon), want_drift)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    # pinned radii: the stiffness alone is the unit-tensor assembly
+    pinned = CellBases.of(m.reference, None)
+    unit = np.broadcast_to(np.eye(2), (len(m.triangles), 2, 2))
+    assert pinned.radial is None and pinned.drift is None
+    assert np.allclose(np.tile(pinned.stiffness, (m.n_cells, 1, 1)),
+                       element_stiffness(areas, grads, unit), rtol=1e-12, atol=1e-12)
 
 
 def test_pinned_constant_initial_stays_constant(micro_mesh_half, params, spec):
@@ -148,6 +214,7 @@ def test_epsilon_uniform_norm_bounds(reference_mesh, params, spec):
         mesh = build_micro_mesh(reference_mesh, 1.0 / inv)
         sim = MicroSimulator(mesh, params, spec, cg_tol=1e-11)
         state = sim.init(u0, constant_field(0.2))
+        grads = triangle_geometry(mesh.vertices, mesh.triangles)[1]
         lum = np.zeros(mesh.n_nodes)
         np.add.at(lum, mesh.triangles, (mesh.areas / 3.0)[:, None] * np.ones((1, 3)))
         max_l2 = 0.0
@@ -155,7 +222,7 @@ def test_epsilon_uniform_norm_bounds(reference_mesh, params, spec):
         for _ in range(15):
             state = sim.step(state, dt)
             max_l2 = max(max_l2, float(np.sqrt(lum @ state.u_hat**2)))
-            g = np.einsum("ti,tia->ta", state.u_hat[mesh.triangles], mesh.grads)
+            g = np.einsum("ti,tia->ta", state.u_hat[mesh.triangles], grads)
             grad_sq += dt * float(np.sum(mesh.areas * np.sum(g * g, axis=1)))
         l2s.append(max_l2)
         grads_norm.append(np.sqrt(grad_sq))
@@ -238,7 +305,8 @@ def test_constant_macro_error_bounded_by_poincare(reference_mesh, params, spec):
     np.add.at(pore_area, mesh.cell_of_element, mesh.areas)
     global_mean = float(np.sum(means * pore_area) / pore_area.sum())
     err = np.sqrt(np.sum(mesh.epsilon**2 * (means - global_mean) ** 2))
-    g = np.einsum("ti,tia->ta", state.u_hat[mesh.triangles], mesh.grads)
+    grads = triangle_geometry(mesh.vertices, mesh.triangles)[1]
+    g = np.einsum("ti,tia->ta", state.u_hat[mesh.triangles], grads)
     grad_norm = np.sqrt(np.sum(mesh.areas * np.sum(g * g, axis=1)))
     theta_min = porosity(spec.r_max)
     bound = grad_norm / (np.pi * np.sqrt(theta_min))

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
-from evopore.fem import StiffnessPattern, assemble_stiffness, lumped_mass
+from evopore.fem import (StiffnessPattern, assemble_stiffness, element_stiffness, lumped_mass,
+                         triangle_geometry)
 from evopore.micro import build_micro_mesh
 from evopore.transform import pullback_coefficients
 from evopore.sparse import SolveReport, solve_cg
@@ -63,10 +64,9 @@ def test_duplicates_summed_in_input_order(reference_mesh, params):
     r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[m.cell_of_element]
     _, coeff, _ = pullback_coefficients(params, r_el, m.micro_midpoints)
     diagonal = lumped_mass(m.triangles, m.areas, np.ones(len(m.triangles)), m.n_nodes) / 0.01
-    A = StiffnessPattern(m.triangles, m.n_nodes).assemble(m.areas, m.grads, coeff, diagonal)
+    k_el = element_stiffness(*triangle_geometry(m.vertices, m.triangles), coeff)
+    A = StiffnessPattern(m.triangles, m.n_nodes).assemble(k_el, diagonal)
 
-    k_el = m.grads @ (coeff @ m.grads.transpose(0, 2, 1))
-    k_el *= m.areas[:, None, None]
     sums = {}
     for tri, k in zip(m.triangles.tolist(), k_el.tolist()):
         for i in range(3):
@@ -84,11 +84,13 @@ def test_pattern_reuse_matches_fresh_assembly():
     tri, areas, grads, coeff = random_elements(rng, 12, 30)
     coeff2 = random_elements(rng, 12, 30)[3]
     diagonal = rng.uniform(0.0, 1.0, 12)
+    k_el = element_stiffness(areas, grads, coeff)
+    k_el2 = element_stiffness(areas, grads, coeff2)
     pattern = StiffnessPattern(tri, 12)
-    first = pattern.assemble(areas, grads, coeff)
-    second = pattern.assemble(areas, grads, coeff2, diagonal)
-    for A, fresh in ((first, StiffnessPattern(tri, 12).assemble(areas, grads, coeff)),
-                     (second, StiffnessPattern(tri, 12).assemble(areas, grads, coeff2, diagonal))):
+    first = pattern.assemble(k_el)
+    second = pattern.assemble(k_el2, diagonal)
+    for A, fresh in ((first, StiffnessPattern(tri, 12).assemble(k_el)),
+                     (second, StiffnessPattern(tri, 12).assemble(k_el2, diagonal))):
         assert np.array_equal(A.indptr, fresh.indptr)
         assert np.array_equal(A.indices, fresh.indices)
         assert np.array_equal(A.data, fresh.data)

@@ -363,3 +363,37 @@ def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
     assert np.array_equal(ev.det[act], dR * (R / rho[act]))
     assert np.array_equal(ev.mapped[~act], y[~act])
     assert np.all(ev.det[~act] == 1.0)
+
+
+def test_frame_scalars_reproduce_evaluate(reference_mesh, params):
+    """J, a, b, s and R give evaluate's det, coefficient D (b I + (a - b) P)
+    and drift J Psi^{-1} dPsi/dr_gamma = J s u on every micro element, and
+    the identity in the core."""
+    m = build_micro_mesh(reference_mesh, 0.5)
+    rng = np.random.default_rng(13)
+    radii = rng.uniform(params.r_min, params.r_max, (m.n_cells, 1))
+    frame = RadialFrame(params, m.micro_midpoints[:len(reference_mesh.triangles)])
+    ev = frame.evaluate(radii, 1.7)
+    sc = frame.scalars(radii)
+    u = np.tile(frame.directions(), (m.n_cells, 1))
+    proj = u[:, :, None] * u[:, None, :]
+    coeff = 1.7 * (sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * proj)
+    drift = np.einsum("tab,tb->ta", ev.psi_inv, ev.dpsi_drg) * ev.det[:, None]
+    assert np.array_equal(sc.det, ev.det)
+    assert np.array_equal(frame.image(sc.radius), ev.mapped)
+    assert np.allclose(coeff, ev.coeff, rtol=1e-13, atol=1e-13 * np.abs(ev.coeff).max())
+    assert np.allclose((sc.det * sc.s)[:, None] * u, drift, rtol=1e-13,
+                       atol=1e-13 * np.abs(drift).max())
+    assert np.abs(drift).max() > 0.1
+
+    # the identity core, the center included
+    y = np.array([X_CENTER, X_CENTER + 0.01, X_CENTER + [0.0, 0.3], [0.9, 0.2]])
+    core = RadialFrame(params, y)
+    sc = core.scalars(radii[:3])
+    ev = core.evaluate(radii[:3])
+    inner = np.tile([True, True, False, False], 3)
+    assert np.all(sc.a[inner] == 1.0) and np.all(sc.b[inner] == 1.0)
+    assert np.all(sc.det[inner] == 1.0) and np.all(sc.s[inner] == 0.0)
+    assert np.all(core.directions()[:2] == 0.0)
+    assert np.array_equal(sc.det, ev.det)
+    assert np.array_equal(core.image(sc.radius), ev.mapped)
