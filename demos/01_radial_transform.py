@@ -9,7 +9,7 @@ numbers.
 
 import numpy as np
 
-from evopore import TransformParams, eval_psi, eval_psi_batch, eval_psi_inverse, profile
+from evopore import RadialFrame, TransformParams, eval_psi_inverse, profile
 
 params = TransformParams()
 print("geometry:", params)
@@ -28,21 +28,23 @@ print("identity outside the annulus, max |R - r| =", np.abs(vals - r_outside).ma
 print()
 
 # --- the map, its Jacobian, and the inverse --------------------------------
+# A frame holds the radius-free part of the map on fixed points; evaluating
+# it at radii (one, or one per point) gives the image, J and the coefficient.
 rng = np.random.default_rng(0)
 y = rng.uniform(0, 1, (20000, 2))
 rg = rng.uniform(params.r_min, params.r_max, 20000)
-_, _, det, _ = eval_psi_batch(params, rg, y)
+det = RadialFrame(params, y).evaluate(rg).det
 print(f"Jacobian determinant over {len(y)} samples: "
       f"min {det.min():.4f}, max {det.max():.4f}  (positive, away from zero)")
 
 point = np.array([0.62, 0.55])
-out = eval_psi(params, 0.32, point)
-back = eval_psi_inverse(params, 0.32, out.mapped_point)
+mapped = RadialFrame(params, point).evaluate(0.32).mapped[0]
+back = eval_psi_inverse(params, 0.32, mapped)
 print("forward then inverse roundtrip error:", np.abs(back - point).max())
 
 # circles through the reference radius land exactly on the requested radius
 angles = np.linspace(0, 2 * np.pi, 9)
 circle = 0.5 + params.r0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-mapped, _, _, _ = eval_psi_batch(params, 0.32, circle)
+mapped = RadialFrame(params, circle).evaluate(0.32).mapped
 radii = np.hypot(mapped[:, 0] - 0.5, mapped[:, 1] - 0.5)
 print("obstacle boundary maps to radius 0.32:", radii.min(), "-", radii.max())

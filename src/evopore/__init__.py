@@ -18,9 +18,8 @@ from .micro import (MicroMesh, MicroSimulator, MicroState, UnfoldingError,
                     build_micro_mesh, cell_pore_means, unfold_compare)
 from .registry import build_field, build_source, register_field, register_source
 from .sparse import SolveReport, solve_cg
-from .transform import (CellIndexing, TransformEval, TransformParams, cell_decompose,
-                        eval_psi, eval_psi_batch, eval_psi_eps, eval_psi_eps_batch,
-                        eval_psi_inverse, profile, profile_raw)
+from .transform import (MapEval, MapScalars, RadialFrame, TransformParams, eval_psi_inverse,
+                        profile, profile_raw)
 from .unitcell import (CellSolution, EffectiveTensorTable, PeriodicMesh, ball_volume,
                        build_reference_mesh, compute_A_hom, effective_tensor, porosity,
                        solve_cell_problem, sphere_surface, tabulate)

@@ -61,6 +61,9 @@ def _say(quiet: bool, msg: str) -> None:
 
 
 def _write(outdir: Path, name: str, text: str, outputs: list) -> None:
+    # the directory appears with the first output, after every input check,
+    # so a run rejected with exit 2 leaves none behind
+    outdir.mkdir(parents=True, exist_ok=True)
     (outdir / name).write_text(text)
     outputs.append(name)
 
@@ -102,12 +105,22 @@ def _initial_state(solver, cfg: ExperimentConfig):
 
 
 def _table_of(cfg: ExperimentConfig, quiet: bool) -> EffectiveTensorTable:
+    """The loaded ``[table] path`` or a fresh tabulation.  A loaded table
+    must hold finite values and cover the radius box, so that no lookup
+    clamps."""
     if cfg.table_path:
         _say(quiet, f"loading tensor table from {cfg.table_path}")
         try:
-            return EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
+            table = EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
         except (OSError, ValueError, IndexError) as exc:
             raise ConfigError(f"[table] path = {cfg.table_path}: cannot load: {exc}") from exc
+        lo, hi = table.radii[0], table.radii[-1]
+        if not all(np.all(np.isfinite(a)) for a in (table.radii, table.tensors, table.theta)):
+            raise ConfigError(f"[table] path = {cfg.table_path}: non-finite values")
+        if lo > cfg.spec.r_min or hi < cfg.spec.r_max:
+            raise ConfigError(f"[table] path = {cfg.table_path}: radii [{lo:g}, {hi:g}] do not "
+                              f"cover [r_min, r_max] = [{cfg.spec.r_min:g}, {cfg.spec.r_max:g}]")
+        return table
     _say(quiet, f"tabulating effective tensors on {cfg.table_radii.size} radii")
     return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h,
                     cfg.diffusion, cfg.cg_tol)
@@ -324,7 +337,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else parse_config(DEFAULT_CONFIG)
         outdir = Path(args.out or cfg.out_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "cell-table":
             checks = cmd_cell_table(cfg, outdir, args.quiet)
         elif args.command == "macro-run":

@@ -112,19 +112,6 @@ class KineticsReport:
     sample_count: int
     failures: list = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "empirical_lipschitz": self.empirical_lipschitz,
-            "envelope": self.envelope,
-            "max_abs_rate": self.max_abs_rate,
-            "rate_cap": self.rate_cap,
-            "sample_count": self.sample_count,
-            "failures": [
-                {"condition": cond, "witness": list(map(float, wit))} for cond, wit in self.failures
-            ],
-        }
-
 
 def validate_structure(spec: KineticsSpec, sample_count: int = 10_000,
                        seed: int = 0) -> KineticsReport:

@@ -113,14 +113,12 @@ class MacroSolver:
     """Time stepper for the coupled concentration/radius system."""
 
     def __init__(self, grid: MacroGrid, table: EffectiveTensorTable, spec: KineticsSpec,
-                 source=None, diffusion: float = 1.0, freeze_radii: bool = False,
-                 cg_tol: float = 1e-10):
+                 source=None, diffusion: float = 1.0, cg_tol: float = 1e-10):
         self.grid = grid
         self.table = table
         self.spec = spec
         self.source = source
         self.diffusion = diffusion
-        self.freeze_radii = freeze_radii
         self.cg_tol = cg_tol
         self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
 
@@ -152,12 +150,9 @@ class MacroSolver:
         t_new = state.t + dt
 
         # (1) explicit radius update from the element-mean concentration
-        if self.freeze_radii:
-            r_new = state.r
-        else:
-            u_bar = element_means(g.elements, state.u)
-            rates = eval_f(self.spec, u_bar, state.r)
-            r_new = step_radius(self.spec, state.r, rates, dt)
+        u_bar = element_means(g.elements, state.u)
+        rates = eval_f(self.spec, u_bar, state.r)
+        r_new = step_radius(self.spec, state.r, rates, dt)
         theta_new = porosity(r_new)
 
         # (2) implicit porosity-weighted diffusion with tensor lookup
@@ -194,14 +189,6 @@ class MassBalanceReport:
     max_defect: float
     initial_total: float
     final_total: float
-
-    def as_dict(self) -> dict:
-        return {
-            "max_defect": self.max_defect,
-            "initial_total": self.initial_total,
-            "final_total": self.final_total,
-            "steps": len(self.per_step_defect),
-        }
 
 
 def mass_balance(states: list[MacroState]) -> MassBalanceReport:

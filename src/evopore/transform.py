@@ -15,6 +15,15 @@ on a fine grid and evaluated through a single cubic Hermite spline, which
 makes value and derivative polynomially consistent, keeps the structural
 identities (identity map at r0, identity outside the annulus) exact to
 machine precision, and costs O(1) per point.
+
+:class:`RadialFrame` is the one evaluator of the map.  A caller builds it
+once on its fixed points (the radius-free part: distances, directions and
+hinge kernel values) and evaluates it at its radii.  The epsilon-scaled map
+of the paper, psi_eps(t, x) = eps k + eps psi(r_k(t), x/eps - k), is a frame
+on in-cell points evaluated at one radius per cell ``(c, 1)``, its image
+scaled by eps and shifted by eps k; its time derivative is
+eps (dpsi/dr_gamma) dr_k/dt.  :func:`profile_raw` is the unsmoothed profile,
+kept as the reference of the mollification.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ def _kernel_cdf(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Parameters and evaluation records
+# Parameters
 # ---------------------------------------------------------------------------
 
 X_CENTER = np.array([0.5, 0.5])
@@ -117,7 +126,6 @@ class TransformParams:
     r_max: float = 0.35
     r0: float = 0.25
     delta: float = 0.12
-    quadrature_points: int = 32
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r0 < self.r_max < 0.5):
@@ -140,29 +148,6 @@ class TransformParams:
         r_gamma = np.asarray(r_gamma, dtype=float)
         if np.any(r_gamma < self.r_min - 1e-14) or np.any(r_gamma > self.r_max + 1e-14):
             raise ValueError(f"obstacle radius outside [{self.r_min}, {self.r_max}]")
-
-
-@dataclass
-class TransformEval:
-    """Pointwise evaluation of the map: image, Jacobian, det, radius sensitivity.
-
-    ``dt_psi`` is filled only by the epsilon-scaled evaluation, where the time
-    derivative enters through the chain rule with the per-cell radius rate.
-    """
-
-    mapped_point: np.ndarray
-    jacobian: np.ndarray
-    det: float
-    dr_derivative: np.ndarray
-    dt_psi: np.ndarray | None = None
-
-
-@dataclass
-class CellIndexing:
-    epsilon: float
-    cell_index: np.ndarray
-    macro_part: np.ndarray
-    micro_part: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -383,25 +368,8 @@ class RadialFrame:
 
 
 # ---------------------------------------------------------------------------
-# The cell map and its epsilon-scaled assembly
+# The inverse map
 # ---------------------------------------------------------------------------
-
-def eval_psi_batch(params: TransformParams, r_gamma, y: np.ndarray):
-    """Vectorized map evaluation at points ``y`` with shape (m, 2).
-
-    Returns ``(mapped, jac, det, dpsi_drg)`` with shapes (m,2), (m,2,2), (m,),
-    (m,2).  ``r_gamma`` is scalar or shape (m,).  See :class:`RadialFrame`.
-    """
-    frame = RadialFrame(params, y)
-    ev = frame.evaluate(r_gamma)
-    return ev.mapped, frame.jacobian(r_gamma), ev.det, ev.dpsi_drg
-
-
-def eval_psi(params: TransformParams, r_gamma: float, y) -> TransformEval:
-    """Map a single point of the closed cell; see :func:`eval_psi_batch`."""
-    mapped, jac, det, dpsi = eval_psi_batch(params, r_gamma, np.asarray(y, dtype=float)[None, :])
-    return TransformEval(mapped[0], jac[0], float(det[0]), dpsi[0])
-
 
 def psi_inverse_radius(params: TransformParams, r_gamma: float, target, tol: float = 1e-12,
                        max_iter: int = 200):
@@ -443,75 +411,3 @@ def eval_psi_inverse(params: TransformParams, r_gamma: float, z) -> np.ndarray:
         return z.copy()
     rho = psi_inverse_radius(params, r_gamma, dist)
     return X_CENTER + (rho / dist) * d
-
-
-def cell_decompose(epsilon: float, x) -> CellIndexing:
-    """Split x into its cell corner and the rescaled in-cell position."""
-    x = np.asarray(x, dtype=float)
-    k = np.floor(x / epsilon).astype(int)
-    macro = epsilon * k
-    micro = (x - macro) / epsilon
-    return CellIndexing(epsilon, k, macro, micro)
-
-
-def _micro_coordinates(epsilon: float, x: np.ndarray):
-    """Cell indices and in-cell coordinates for points of Omega = [0,1]^2.
-
-    Points on the upper faces are attributed to the last cell so that micro
-    coordinates stay in the closed unit cell.
-    """
-    n = int(round(1.0 / epsilon))
-    if abs(n * epsilon - 1.0) > 1e-12:
-        raise ValueError("1/epsilon must be an integer")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise ValueError("point outside the unit square")
-    k = np.minimum(np.floor(x / epsilon).astype(int), n - 1)
-    micro = x / epsilon - k
-    return n, k, micro
-
-
-def eval_psi_eps_batch(params: TransformParams, epsilon: float, radii: np.ndarray,
-                       radii_rate: np.ndarray, x: np.ndarray):
-    """Vectorized epsilon-scaled transformation over points of the unit square.
-
-    ``radii`` and ``radii_rate`` are (n, n) arrays (one value per cell with
-    n = 1/epsilon).  Returns ``(mapped, jac, det, dt_psi)``: the Jacobian is
-    the cell-level one (the epsilon scaling cancels), while the time
-    derivative carries the factor epsilon via the chain rule through the
-    per-cell radius rate.
-    """
-    n, k, micro = _micro_coordinates(epsilon, x)
-    radii = np.asarray(radii, dtype=float)
-    radii_rate = np.asarray(radii_rate, dtype=float)
-    if radii.shape != (n, n):
-        raise ValueError(f"expected radii of shape {(n, n)}")
-    rg = radii[k[:, 0], k[:, 1]]
-    rate = radii_rate[k[:, 0], k[:, 1]]
-    mapped_ref, jac, det, dpsi = eval_psi_batch(params, rg, micro)
-    mapped = epsilon * k + epsilon * mapped_ref
-    dt_psi = epsilon * dpsi * rate[:, None]
-    return mapped, jac, det, dt_psi
-
-
-def eval_psi_eps(params: TransformParams, epsilon: float, radii: np.ndarray,
-                 radii_rate: np.ndarray, x) -> TransformEval:
-    """Single-point epsilon-scaled transformation; see the batch variant."""
-    x = np.asarray(x, dtype=float)
-    mapped, jac, det, dt_psi = eval_psi_eps_batch(params, epsilon, radii, radii_rate, x[None, :])
-    n, k, micro = _micro_coordinates(epsilon, x[None, :])
-    rg = np.asarray(radii, dtype=float)[k[0, 0], k[0, 1]]
-    dr = eval_psi_batch(params, rg, micro)[3]
-    return TransformEval(mapped[0], jac[0], float(det[0]), dr[0], dt_psi[0])
-
-
-def pullback_coefficients(params: TransformParams, r_gamma, y: np.ndarray,
-                          diffusion: float = 1.0):
-    """Transformed diffusion data at reference points: (J, A, Psi_inv).
-
-    A = J * Psi^{-1} D Psi^{-T} is the coefficient of the fixed-domain weak
-    form; for the radial map the inverse Jacobian is available in closed form
-    from the same projector decomposition as the Jacobian itself.
-    """
-    ev = RadialFrame(params, y).evaluate(r_gamma, diffusion)
-    return ev.det, ev.coeff, ev.psi_inv

@@ -24,7 +24,7 @@ from .errors import MeshQualityError
 from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness,
                   scatter_element_loads, triangle_geometry)
 from .sparse import solve_cg
-from .transform import TransformParams, pullback_coefficients
+from .transform import RadialFrame, TransformParams
 
 logger = logging.getLogger(__name__)
 
@@ -146,13 +146,6 @@ class PeriodicMesh:
         dof, n_dof = self.dof_map()
         return StiffnessPattern(dof[self.triangles], n_dof)
 
-    def polygon_area(self) -> float:
-        """Area of the inscribed hole polygon."""
-        ids = self.hole_boundary_facets
-        a = self.vertices[ids[:, 0]] - 0.5
-        b = self.vertices[ids[:, 1]] - 0.5
-        return float(0.5 * np.abs(np.sum(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])))
-
     def polygon_perimeter(self) -> float:
         ids = self.hole_boundary_facets
         e = self.vertices[ids[:, 1]] - self.vertices[ids[:, 0]]
@@ -245,31 +238,23 @@ class CellSolution:
     iterations: int
 
 
-def _coefficient(mesh: PeriodicMesh, params: TransformParams | None, radius: float,
-                 mode: str, diffusion: float) -> np.ndarray:
-    mids = centroids(mesh.vertices, mesh.triangles)
+def _cell_data(mesh: PeriodicMesh, params: TransformParams | None, radius: float,
+               mode: str, diffusion: float):
+    """Element areas, gradients and coefficient of the cell problems at
+    ``radius``: the data both correctors and the energy form share."""
+    areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
     if mode == "direct":
-        return np.broadcast_to(diffusion * np.eye(2), (len(mids), 2, 2)).copy()
+        return areas, grads, np.broadcast_to(diffusion * np.eye(2), (len(areas), 2, 2)).copy()
     if mode == "transformed":
         if params is None:
             raise ValueError("transformed mode needs TransformParams")
-        _, A, _ = pullback_coefficients(params, radius, mids, diffusion)
-        return A
+        mids = centroids(mesh.vertices, mesh.triangles)
+        return areas, grads, RadialFrame(params, mids).evaluate(radius, diffusion).coeff
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def solve_cell_problem(mesh: PeriodicMesh, radius: float, mode: str = "transformed",
-                       direction: int = 0, params: TransformParams | None = None,
-                       diffusion: float = 1.0, tol: float = 1e-10) -> CellSolution:
-    """Periodic corrector problem in the given axis direction.
-
-    ``direct`` mode expects ``mesh`` built at ``radius`` with unit coefficient;
-    ``transformed`` mode expects the reference mesh (hole at r0) and assembles
-    the pulled-back coefficient.  The singular periodic system is solved by CG
-    on the mean-free subspace.
-    """
-    areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
-    coeff = _coefficient(mesh, params, radius, mode, diffusion)
+def _corrector(mesh: PeriodicMesh, data, direction: int, tol: float) -> CellSolution:
+    areas, grads, coeff = data
     dof, n_dof = mesh.dof_map()
     K = mesh.stiffness_pattern.assemble(element_stiffness(areas, grads, coeff))
     ce = coeff[:, :, direction]
@@ -281,17 +266,8 @@ def solve_cell_problem(mesh: PeriodicMesh, radius: float, mode: str = "transform
     return CellSolution(direction, w, report.final_residual, report.iterations)
 
 
-def compute_A_hom(mesh: PeriodicMesh, radius: float, solutions: list[CellSolution],
-                  mode: str = "transformed", params: TransformParams | None = None,
-                  diffusion: float = 1.0) -> np.ndarray:
-    """Effective tensor in the symmetric energy form.
-
-    Computes integral of (grad w_i + e_i) . C (grad w_j + e_j) over the cell,
-    which coincides with the divergence form of the tensor by the corrector
-    equation and is symmetric by construction.
-    """
-    areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
-    coeff = _coefficient(mesh, params, radius, mode, diffusion)
+def _energy_tensor(mesh: PeriodicMesh, data, solutions: list[CellSolution]) -> np.ndarray:
+    areas, grads, coeff = data
     fields = []
     for sol in sorted(solutions, key=lambda s: s.direction):
         g = np.einsum("ti,tia->ta", sol.w[mesh.triangles], grads)
@@ -304,11 +280,38 @@ def compute_A_hom(mesh: PeriodicMesh, radius: float, solutions: list[CellSolutio
     return 0.5 * (a_hom + a_hom.T)
 
 
+def solve_cell_problem(mesh: PeriodicMesh, radius: float, mode: str = "transformed",
+                       direction: int = 0, params: TransformParams | None = None,
+                       diffusion: float = 1.0, tol: float = 1e-10) -> CellSolution:
+    """Periodic corrector problem in the given axis direction.
+
+    ``direct`` mode expects ``mesh`` built at ``radius`` with unit coefficient;
+    ``transformed`` mode expects the reference mesh (hole at r0) and assembles
+    the pulled-back coefficient.  The singular periodic system is solved by CG
+    on the mean-free subspace.
+    """
+    return _corrector(mesh, _cell_data(mesh, params, radius, mode, diffusion), direction, tol)
+
+
+def compute_A_hom(mesh: PeriodicMesh, radius: float, solutions: list[CellSolution],
+                  mode: str = "transformed", params: TransformParams | None = None,
+                  diffusion: float = 1.0) -> np.ndarray:
+    """Effective tensor in the symmetric energy form.
+
+    Computes integral of (grad w_i + e_i) . C (grad w_j + e_j) over the cell,
+    which coincides with the divergence form of the tensor by the corrector
+    equation and is symmetric by construction.
+    """
+    return _energy_tensor(mesh, _cell_data(mesh, params, radius, mode, diffusion), solutions)
+
+
 def effective_tensor(mesh: PeriodicMesh, radius: float, mode: str = "transformed",
                      params: TransformParams | None = None, diffusion: float = 1.0,
                      tol: float = 1e-10) -> np.ndarray:
-    sols = [solve_cell_problem(mesh, radius, mode, j, params, diffusion, tol) for j in range(2)]
-    return compute_A_hom(mesh, radius, sols, mode, params, diffusion)
+    """:func:`compute_A_hom` of both correctors, on one geometry and one
+    coefficient evaluation."""
+    data = _cell_data(mesh, params, radius, mode, diffusion)
+    return _energy_tensor(mesh, data, [_corrector(mesh, data, j, tol) for j in range(2)])
 
 
 # ---------------------------------------------------------------------------

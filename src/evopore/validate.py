@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kinetics import KineticsSpec, validate_structure
-from .transform import TransformParams, eval_psi_batch, eval_psi_eps_batch, profile
+from .transform import RadialFrame, TransformParams, profile
 
 
 def _check(name: str, passed: bool, value: float, witness=None) -> dict:
@@ -36,7 +36,7 @@ def transform_identity_checks(params: TransformParams, seed: int = 0) -> list[di
     out = []
 
     y = rng.uniform(0.0, 1.0, (400, 2))
-    mapped, _, _, _ = eval_psi_batch(params, params.r0, y)
+    mapped = RadialFrame(params, y).evaluate(params.r0).mapped
     dev = np.hypot(*(mapped - y).T)
     k = int(np.argmax(dev))
     out.append(_check("map_is_identity_at_r0", dev.max() <= 1e-12, dev.max(),
@@ -65,14 +65,16 @@ def jacobian_checks(params: TransformParams, seed: int = 0, n_samples: int = 500
     rng = np.random.default_rng(seed)
     rg = rng.uniform(params.r_min, params.r_max, n_samples)
     y = rng.uniform(2 * h, 1.0 - 2 * h, (n_samples, 2))
-    _, jac, det, _ = eval_psi_batch(params, rg, y)
+    frame = RadialFrame(params, y)
+    jac = frame.jacobian(rg)
+    det = frame.evaluate(rg).det
 
     fd = np.empty_like(jac)
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd[:, :, j] = (eval_psi_batch(params, rg, y + e)[0]
-                       - eval_psi_batch(params, rg, y - e)[0]) / (2 * h)
+        fd[:, :, j] = (RadialFrame(params, y + e).evaluate(rg).mapped
+                       - RadialFrame(params, y - e).evaluate(rg).mapped) / (2 * h)
     gap = np.abs(fd - jac).max(axis=(1, 2))
     k = int(np.argmax(gap))
     out = [_check("jacobian_matches_finite_differences", gap.max() <= 1e-7, gap.max(),
@@ -90,26 +92,31 @@ def epsilon_uniformity_checks(params: TransformParams, inverses=(2, 4, 8),
 
     Samples the same in-cell lattice in every cell with a fixed radius
     pattern, plus a one-cell radius perturbation for the Lipschitz ratio.
+    One frame on the lattice serves every epsilon: cell k maps its lattice
+    to eps (k + psi(r_k, y)).
     """
     offs = np.linspace(0.06, 0.94, 9)
     micro = np.stack(np.meshgrid(offs, offs), axis=-1).reshape(-1, 2)
+    frame = RadialFrame(params, micro)
     delta_r = 1e-3
 
     disp, psin, jmax, jmin, lips = [], [], [], [], []
     for inv in inverses:
         eps = 1.0 / inv
-        radii = patterned_radii(params, inv)
-        rates = np.zeros_like(radii)
         cells = np.array([(i, j) for i in range(inv) for j in range(inv)])
-        pts = (cells[:, None, :] + micro[None, :, :]).reshape(-1, 2) * eps
-        mapped, jac, det, _ = eval_psi_eps_batch(params, eps, radii, rates, pts)
+        radii = patterned_radii(params, inv)[cells[:, 0], cells[:, 1], None]
+        ev = frame.evaluate(radii)
+        jac = frame.jacobian(radii)
+        k = np.repeat(cells, len(micro), axis=0)
+        pts = (k + np.tile(micro, (len(cells), 1))) * eps
+        mapped = (k + ev.mapped) * eps
         disp.append(np.hypot(*(mapped - pts).T).max() / eps)
         psin.append(np.abs(jac).max())
-        jmax.append(det.max())
-        jmin.append(det.min())
+        jmax.append(ev.det.max())
+        jmin.append(ev.det.min())
         radii2 = radii.copy()
-        radii2[0, 0] = radii2[0, 0] + delta_r if radii2[0, 0] < params.r_max else radii2[0, 0] - delta_r
-        _, jac2, _, _ = eval_psi_eps_batch(params, eps, radii2, rates, pts)
+        radii2[0, 0] += delta_r if radii2[0, 0] < params.r_max else -delta_r
+        jac2 = frame.jacobian(radii2)
         lips.append(np.abs(jac2 - jac).max() / delta_r)
 
     out = []

@@ -1,9 +1,12 @@
 """Manufactured-solution helpers shared by the macro and acceptance tests.
 
-With frozen radii and a constant isotropic tensor a*I the scheme solves
-theta u_t - a laplace(u) = theta f_p; choosing u* = cos(pi x) cos(pi y) e^{-t}
-(zero-flux compatible) fixes f_p = (2 pi^2 a / theta - 1) u*.
+With frozen radii (a zero rate slope) and a constant isotropic tensor a*I
+the scheme solves theta u_t - a laplace(u) = theta f_p; choosing
+u* = cos(pi x) cos(pi y) e^{-t} (zero-flux compatible) fixes
+f_p = (2 pi^2 a / theta - 1) u*.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -31,8 +34,8 @@ def _solver(n, spec, a11):
         return (2 * np.pi**2 * a11 / theta - 1.0) * exact_solution(t, x)
 
     grid = MacroGrid.create(n)
-    return grid, MacroSolver(grid, constant_table(a11), spec, source=source,
-                             freeze_radii=True, cg_tol=1e-13)
+    return grid, MacroSolver(grid, constant_table(a11), dataclasses.replace(spec, rate_slope=0.0),
+                             source=source, cg_tol=1e-13)
 
 
 def _run(grid, solver, dt, t_end):

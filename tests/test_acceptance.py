@@ -13,7 +13,7 @@ from evopore.config import DEFAULT_CONFIG, parse_config
 from evopore.kinetics import eval_f, lipschitz_envelope, step_radius, validate_structure
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
-from evopore.transform import eval_psi_batch, profile
+from evopore.transform import RadialFrame, profile
 from evopore.unitcell import build_reference_mesh, effective_tensor, porosity, table_checks
 from evopore.validate import epsilon_uniformity_checks
 
@@ -34,7 +34,7 @@ def test_criterion_01_transform_identity_suite(params):
     rng = np.random.default_rng(101)
 
     y = rng.uniform(0.0, 1.0, (500, 2))
-    mapped, _, _, _ = eval_psi_batch(params, params.r0, y)
+    mapped = RadialFrame(params, y).evaluate(params.r0).mapped
     id_dev = float(np.abs(mapped - y).max())
 
     rgs = np.linspace(params.r_min, params.r_max, 20)
@@ -57,13 +57,15 @@ def test_criterion_02_jacobian_consistency(params):
     h = 1e-5
     rg = rng.uniform(params.r_min, params.r_max, 500)
     y = rng.uniform(2 * h, 1.0 - 2 * h, (500, 2))
-    _, jac, det, _ = eval_psi_batch(params, rg, y)
+    frame = RadialFrame(params, y)
+    jac = frame.jacobian(rg)
+    det = frame.evaluate(rg).det
     fd = np.empty_like(jac)
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd[:, :, j] = (eval_psi_batch(params, rg, y + e)[0]
-                       - eval_psi_batch(params, rg, y - e)[0]) / (2 * h)
+        fd[:, :, j] = (RadialFrame(params, y + e).evaluate(rg).mapped
+                       - RadialFrame(params, y - e).evaluate(rg).mapped) / (2 * h)
     gap = float(np.abs(fd - jac).max())
     c_j = float(det.min())
     c_sup = float(det.max())

@@ -9,6 +9,7 @@ import evopore.transform
 from evopore.cli import ConvergenceReport, ConvergenceRow, main
 from evopore.config import DEFAULT_CONFIG, parse_config
 from evopore.errors import ConfigError
+from evopore.unitcell import EffectiveTensorTable, porosity
 
 FAST_COMMON = """\
 [discretization]
@@ -94,6 +95,7 @@ def test_config_rejections_one_line(tmp_path, capsys, body, names):
     assert err.startswith("config error: ") and err.count("\n") == 1
     for name in names:
         assert name in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
@@ -115,9 +117,19 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
      ["r_field", "0.5"]),
     (["micro-run", "--epsilon", "1/2"], "[initial]\nu_param.value = nan\n",
      ["u_param.value", "nan"]),
+    (["macro-run"], "[table]\npath = {tmp}/narrow.csv\n[initial]\nr_param.value = 0.16\n",
+     ["narrow.csv", "[0.2, 0.3]"]),
+    (["macro-run"], "[table]\npath = {tmp}/nan.csv\n", ["nan.csv", "non-finite"]),
 ], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
-        "macro-radius-outside-box", "initial-u-nan"])
+        "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
+    # the tables of the table cases: radii [0.2, 0.3] inside the radius box
+    # [0.15, 0.35], and the full box with one NaN entry
+    for name, lo, hi, a11 in (("narrow.csv", 0.2, 0.3, [0.5] * 5),
+                              ("nan.csv", 0.15, 0.35, [0.6, 0.5, np.nan, 0.4, 0.3])):
+        radii = np.linspace(lo, hi, 5)
+        table = EffectiveTensorTable(radii, np.multiply.outer(a11, np.eye(2)), porosity(radii))
+        (tmp_path / name).write_text(table.to_csv())
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_COMMON.replace("[table]\nradius_count = 5\n", "")
                    + extra.format(tmp=tmp_path))
@@ -126,6 +138,7 @@ def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     assert err.startswith("config error: ") and err.count("\n") == 1
     for name in names:
         assert name in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cell_table_runs_and_is_deterministic(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ def constant_table(a11, r_lo=0.15, r_hi=0.35):
     radii = np.linspace(r_lo, r_hi, 5)
     tensors = np.tile(a11 * np.eye(2), (5, 1, 1))
     return EffectiveTensorTable(radii, tensors, porosity(radii))
+
+
+def frozen(spec):
+    """The kinetics with a zero rate slope: every radius keeps its value."""
+    return dataclasses.replace(spec, rate_slope=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +75,7 @@ def test_steady_state_is_exact(grid, spec, tensor_table):
 
 
 def test_frozen_radii_mass_conservation(grid, spec, tensor_table, run_steps):
-    solver = MacroSolver(grid, tensor_table, spec, freeze_radii=True, cg_tol=1e-13)
+    solver = MacroSolver(grid, tensor_table, frozen(spec), cg_tol=1e-13)
     u0 = lambda x: np.cos(np.pi * np.atleast_2d(x)[:, 0])
     state = solver.init(u0, constant_field(0.25))
     states = run_steps(solver, state, 1e-3, 25)
@@ -128,8 +135,7 @@ def manufactured_error(n, dt, t_end, spec, a11=0.6):
     def source(t, x):
         return (2 * np.pi**2 * a11 / theta - 1.0) * exact(t, x)
 
-    solver = MacroSolver(grid, constant_table(a11), spec, source=source,
-                         freeze_radii=True, cg_tol=1e-13)
+    solver = MacroSolver(grid, constant_table(a11), frozen(spec), source=source, cg_tol=1e-13)
     state = solver.init(lambda x: exact(0.0, x), constant_field(0.25))
     steps = int(round(t_end / dt))
     for _ in range(steps):
@@ -170,8 +176,8 @@ def _temporal_gap(n, dt, t_end, spec, a11=0.6):
         return (2 * np.pi**2 * a11 / theta - 1.0) * exact(t, x)
 
     def final_u(dt_run):
-        solver = MacroSolver(grid, constant_table(a11), spec, source=source,
-                             freeze_radii=True, cg_tol=1e-13)
+        solver = MacroSolver(grid, constant_table(a11), frozen(spec), source=source,
+                             cg_tol=1e-13)
         state = solver.init(lambda x: exact(0.0, x), lambda x: np.full(len(np.atleast_2d(x)), 0.25))
         for _ in range(int(round(t_end / dt_run))):
             state = solver.step(state, dt_run)

@@ -16,7 +16,7 @@ from evopore.micro import (
 )
 from evopore.registry import build_source
 from evopore.sparse import solve_cg
-from evopore.transform import RadialFrame, eval_psi_batch, pullback_coefficients
+from evopore.transform import RadialFrame
 from evopore.unitcell import porosity
 
 
@@ -152,11 +152,10 @@ def test_reference_bases_match_pulled_back_assembly(micro_mesh_half, params):
 
     r_el = radii[m.cell_of_element]
     areas, grads = triangle_geometry(m.vertices, m.triangles)
-    J, coeff, psi_inv = pullback_coefficients(params, r_el, m.micro_midpoints, 1.7)
-    want_k = element_stiffness(areas, grads, coeff)
-    dt_psi = m.epsilon * eval_psi_batch(params, r_el, m.micro_midpoints)[3] \
-        * rate[m.cell_of_element][:, None]
-    b_vec = J[:, None] * np.einsum("tab,tb->ta", psi_inv, dt_psi)
+    pointwise = RadialFrame(params, m.micro_midpoints).evaluate(r_el, 1.7)
+    want_k = element_stiffness(areas, grads, pointwise.coeff)
+    dt_psi = m.epsilon * pointwise.dpsi_drg * rate[m.cell_of_element][:, None]
+    b_vec = pointwise.det[:, None] * np.einsum("tab,tb->ta", pointwise.psi_inv, dt_psi)
     want_drift = np.einsum("ta,tia->ti", b_vec, grads) * (areas * u_mid)[:, None]
 
     for got, want in ((bases.element_matrices(sc, 1.7), want_k),

@@ -13,7 +13,7 @@ from evopore.errors import NumericalError
 from evopore.fem import (StiffnessPattern, assemble_stiffness, element_stiffness, lumped_mass,
                          triangle_geometry)
 from evopore.micro import build_micro_mesh
-from evopore.transform import pullback_coefficients
+from evopore.transform import RadialFrame
 from evopore.sparse import SolveReport, solve_cg
 
 
@@ -62,7 +62,7 @@ def test_duplicates_summed_in_input_order(reference_mesh, params):
     m = build_micro_mesh(reference_mesh, 0.5)
     rng = np.random.default_rng(8)
     r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[m.cell_of_element]
-    _, coeff, _ = pullback_coefficients(params, r_el, m.micro_midpoints)
+    coeff = RadialFrame(params, m.micro_midpoints).evaluate(r_el).coeff
     diagonal = lumped_mass(m.triangles, m.areas, np.ones(len(m.triangles)), m.n_nodes) / 0.01
     k_el = element_stiffness(*triangle_geometry(m.vertices, m.triangles), coeff)
     A = StiffnessPattern(m.triangles, m.n_nodes).assemble(k_el, diagonal)

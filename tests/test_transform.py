@@ -1,22 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evopore.micro import build_micro_mesh
-from evopore.transform import (
-    X_CENTER,
-    RadialFrame,
-    cell_decompose,
-    eval_psi,
-    eval_psi_batch,
-    eval_psi_eps,
-    eval_psi_eps_batch,
-    eval_psi_inverse,
-    profile,
-    profile_raw,
-    pullback_coefficients,
-)
+from evopore.transform import X_CENTER, RadialFrame, eval_psi_inverse, profile, profile_raw
 
 
 def sample_radii_pattern(params, n):
@@ -25,6 +11,16 @@ def sample_radii_pattern(params, n):
                         0.5 * (params.r_min + params.r_max)])
     k1, k2 = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return palette[(k1 + k2) % 4]
+
+
+def psi_eps(params, eps, radii, x):
+    """The epsilon-scaled map eps k + eps psi(r_k, x/eps - k) at points x of
+    the unit square, points on the upper faces in the last cell.  Returns the
+    image, the frame on the in-cell points and each point's radius."""
+    k = np.minimum(np.floor(x / eps).astype(int), len(radii) - 1)
+    frame = RadialFrame(params, x / eps - k)
+    r = radii[k[:, 0], k[:, 1]]
+    return eps * k + eps * frame.evaluate(r).mapped, frame, r
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +139,19 @@ def test_profile_derivative_fd_consistency(params):
 def test_psi_identity_at_r0(params):
     rng = np.random.default_rng(3)
     y = rng.uniform(0.0, 1.0, (500, 2))
-    mapped, jac, det, dpsi = eval_psi_batch(params, params.r0, y)
-    assert np.max(np.abs(mapped - y)) < 1e-15
-    assert np.max(np.abs(jac - np.eye(2))) < 1e-14
-    assert np.max(np.abs(det - 1.0)) < 1e-14
+    frame = RadialFrame(params, y)
+    ev = frame.evaluate(params.r0)
+    assert np.max(np.abs(ev.mapped - y)) < 1e-15
+    assert np.max(np.abs(frame.jacobian(params.r0) - np.eye(2))) < 1e-14
+    assert np.max(np.abs(ev.det - 1.0)) < 1e-14
 
 
 def test_psi_maps_reference_circle_to_radius(params):
     angles = np.linspace(0, 2 * np.pi, 37)
     y = 0.5 + params.r0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    frame = RadialFrame(params, y)
     for rg in (params.r_min, 0.2, params.r_max):
-        mapped, _, _, _ = eval_psi_batch(params, rg, y)
+        mapped = frame.evaluate(rg).mapped
         dist = np.hypot(mapped[:, 0] - 0.5, mapped[:, 1] - 0.5)
         assert np.max(np.abs(dist - rg)) < 1e-12
 
@@ -162,15 +160,15 @@ def test_psi_det_positive_bound_recorded(params):
     rng = np.random.default_rng(4)
     rg = rng.uniform(params.r_min, params.r_max, 200)
     y = rng.uniform(0.0, 1.0, (200, 2))
-    _, _, det, _ = eval_psi_batch(params, rg, y)
+    det = RadialFrame(params, y).evaluate(rg).det
     assert det.min() > 0.1  # measured c_J for the default geometry is ~0.16
     assert det.max() < 3.0
 
 
 def test_psi_center_identity_branch(params):
-    out = eval_psi(params, params.r_min, np.array([0.5, 0.5]))
-    assert np.all(out.mapped_point == np.array([0.5, 0.5]))
-    assert out.det == 1.0
+    out = RadialFrame(params, np.array([0.5, 0.5])).evaluate(params.r_min)
+    assert np.all(out.mapped[0] == np.array([0.5, 0.5]))
+    assert out.det[0] == 1.0
 
 
 def test_psi_jacobian_fd(params):
@@ -180,14 +178,13 @@ def test_psi_jacobian_fd(params):
     for _ in range(200):
         rg = rng.uniform(params.r_min, params.r_max)
         y = rng.uniform(2 * h, 1.0 - 2 * h, 2)
-        out = eval_psi(params, rg, y)
         fd = np.empty((2, 2))
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd[:, j] = (eval_psi(params, rg, y + e).mapped_point
-                        - eval_psi(params, rg, y - e).mapped_point) / (2 * h)
-        worst = max(worst, np.max(np.abs(fd - out.jacobian)))
+            fd[:, j] = (RadialFrame(params, y + e).evaluate(rg).mapped[0]
+                        - RadialFrame(params, y - e).evaluate(rg).mapped[0]) / (2 * h)
+        worst = max(worst, np.max(np.abs(fd - RadialFrame(params, y).jacobian(rg)[0])))
     assert worst < 1e-7
 
 
@@ -197,11 +194,9 @@ def test_psi_radius_derivative_fd(params):
     worst = 0.0
     for _ in range(200):
         rg = rng.uniform(params.r_min + 2 * h, params.r_max - 2 * h)
-        y = rng.uniform(0.0, 1.0, 2)
-        out = eval_psi(params, rg, y)
-        fd = (eval_psi(params, rg + h, y).mapped_point
-              - eval_psi(params, rg - h, y).mapped_point) / (2 * h)
-        worst = max(worst, np.max(np.abs(fd - out.dr_derivative)))
+        frame = RadialFrame(params, rng.uniform(0.0, 1.0, 2))
+        fd = (frame.evaluate(rg + h).mapped[0] - frame.evaluate(rg - h).mapped[0]) / (2 * h)
+        worst = max(worst, np.max(np.abs(fd - frame.evaluate(rg).dpsi_drg[0])))
     assert worst < 1e-7
 
 
@@ -210,7 +205,7 @@ def test_psi_inverse_roundtrip(params):
     for _ in range(100):
         rg = rng.uniform(params.r_min, params.r_max)
         y = rng.uniform(0.0, 1.0, 2)
-        z = eval_psi(params, rg, y).mapped_point
+        z = RadialFrame(params, y).evaluate(rg).mapped[0]
         back = eval_psi_inverse(params, rg, z)
         assert np.max(np.abs(back - y)) < 1e-10
 
@@ -233,28 +228,6 @@ def test_psi_inverse_circle(params):
 # epsilon scaling
 # ---------------------------------------------------------------------------
 
-def test_cell_decompose_example():
-    out = cell_decompose(0.25, np.array([0.3, 0.9]))
-    assert np.array_equal(out.cell_index, [1, 3])
-    assert out.micro_part == pytest.approx([0.2, 0.6], abs=1e-14)
-
-
-def test_cell_decompose_corner():
-    out = cell_decompose(0.25, np.array([0.5, 0.75]))
-    assert out.micro_part == pytest.approx([0.0, 0.0], abs=0.0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(min_value=0.0, max_value=0.999999), st.floats(min_value=0.0, max_value=0.999999),
-       st.sampled_from([1, 2, 4, 8, 16]))
-def test_cell_decompose_reassembly(x1, x2, inv_eps):
-    eps = 1.0 / inv_eps
-    x = np.array([x1, x2])
-    out = cell_decompose(eps, x)
-    assert np.max(np.abs(out.macro_part + eps * out.micro_part - x)) < 1e-15
-    assert np.all(out.micro_part >= 0.0) and np.all(out.micro_part < 1.0 + 1e-15)
-
-
 def test_psi_eps_identity_at_r0(params):
     eps = 0.25
     n = 4
@@ -262,9 +235,11 @@ def test_psi_eps_identity_at_r0(params):
     rates = np.zeros((n, n))
     rng = np.random.default_rng(9)
     x = rng.uniform(0.0, 1.0, (300, 2))
-    mapped, jac, det, dt_psi = eval_psi_eps_batch(params, eps, radii, rates, x)
+    mapped, frame, r = psi_eps(params, eps, radii, x)
+    ev = frame.evaluate(r)
+    dt_psi = eps * ev.dpsi_drg * rates[0, 0]
     assert np.max(np.abs(mapped - x)) < 1e-15
-    assert np.max(np.abs(det - 1.0)) < 1e-14
+    assert np.max(np.abs(ev.det - 1.0)) < 1e-14
     assert np.max(np.abs(dt_psi)) == 0.0
 
 
@@ -275,9 +250,8 @@ def test_psi_eps_displacement_bound(params):
     for inv_eps in (2, 4, 8):
         eps = 1.0 / inv_eps
         radii = sample_radii_pattern(params, inv_eps)
-        rates = np.zeros_like(radii)
         x = rng.uniform(0.0, 1.0, (2000, 2))
-        mapped, _, _, _ = eval_psi_eps_batch(params, eps, radii, rates, x)
+        mapped = psi_eps(params, eps, radii, x)[0]
         disp = np.max(np.hypot(*(mapped - x).T))
         assert disp <= eps * cell_bound
 
@@ -292,14 +266,13 @@ def test_psi_eps_jacobian_lipschitz_in_radii_eps_independent(params):
         radii = np.full((inv_eps, inv_eps), 0.25)
         radii2 = radii.copy()
         radii2[0, 0] += delta_r
-        rates = np.zeros_like(radii)
         # probe points inside cell (0,0) on a fixed micro lattice
         micro = (np.stack(np.meshgrid(np.linspace(0.05, 0.95, 12),
                                       np.linspace(0.05, 0.95, 12)), axis=-1).reshape(-1, 2))
         x = micro * eps
-        _, jac1, _, _ = eval_psi_eps_batch(params, eps, radii, rates, x)
-        _, jac2, _, _ = eval_psi_eps_batch(params, eps, radii2, rates, x)
-        ratios.append(np.max(np.abs(jac2 - jac1)) / delta_r)
+        _, frame, r1 = psi_eps(params, eps, radii, x)
+        r2 = psi_eps(params, eps, radii2, x)[2]
+        ratios.append(np.max(np.abs(frame.jacobian(r2) - frame.jacobian(r1))) / delta_r)
     ratios = np.array(ratios)
     assert np.all(ratios > 0)
     assert ratios.max() - ratios.min() <= 1e-9  # identical cell-level quantity
@@ -309,32 +282,26 @@ def test_psi_eps_glues_continuously_across_faces(params):
     eps = 0.25
     n = 4
     radii = sample_radii_pattern(params, n)
-    rates = np.zeros_like(radii)
     ys = np.linspace(0.0, 1.0, 23)
     for face_x in (0.25, 0.5, 0.75):
         pts = np.stack([np.full_like(ys, face_x), ys], axis=1)
-        left = eval_psi_eps_batch(params, eps, radii, rates, pts - [1e-13, 0.0])[0]
-        right = eval_psi_eps_batch(params, eps, radii, rates, pts + [1e-13, 0.0])[0]
+        left = psi_eps(params, eps, radii, pts - [1e-13, 0.0])[0]
+        right = psi_eps(params, eps, radii, pts + [1e-13, 0.0])[0]
         assert np.max(np.abs(left - right)) < 1e-11
-
-
-def test_psi_eps_rejects_outside_domain(params):
-    radii = np.full((2, 2), 0.25)
-    with pytest.raises(ValueError):
-        eval_psi_eps(params, 0.5, radii, np.zeros((2, 2)), np.array([1.2, 0.1]))
 
 
 def test_psi_eps_time_derivative_chain_rule(params):
     eps = 0.5
     radii = np.full((2, 2), 0.3)
     rates = np.full((2, 2), 0.125)
-    x = np.array([0.3, 0.2])
-    out = eval_psi_eps(params, eps, radii, rates, x)
+    x = np.array([[0.3, 0.2]])
+    mapped, frame, r = psi_eps(params, eps, radii, x)
+    dt_psi = eps * frame.evaluate(r).dpsi_drg[0] * rates[0, 0]
     # finite difference in time through the radius field
     dt = 1e-6
-    out2 = eval_psi_eps(params, eps, radii + dt * rates, rates, x)
-    fd = (out2.mapped_point - out.mapped_point) / dt
-    assert fd == pytest.approx(out.dt_psi, abs=1e-8)
+    mapped2 = psi_eps(params, eps, radii + dt * rates, x)[0]
+    fd = (mapped2[0] - mapped[0]) / dt
+    assert fd == pytest.approx(dt_psi, abs=1e-8)
 
 
 def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
@@ -348,11 +315,13 @@ def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
     frame = RadialFrame(params, y[:len(reference_mesh.triangles)])
     ev = frame.evaluate(radii[:, None], 1.7)
 
-    mapped, jac, det, dpsi = eval_psi_batch(params, r_el, y)
-    J, A, psi_inv = pullback_coefficients(params, r_el, y, 1.7)
-    for got, want in ((ev.mapped, mapped), (frame.jacobian(radii[:, None]), jac), (ev.det, det),
-                      (ev.dpsi_drg, dpsi), (ev.det, J), (ev.coeff, A), (ev.psi_inv, psi_inv)):
-        assert np.array_equal(got, want)
+    # the same map from a frame on every micro midpoint, one radius per point
+    pointwise = RadialFrame(params, y)
+    want = pointwise.evaluate(r_el, 1.7)
+    for got, wanted in ((ev.mapped, want.mapped), (ev.det, want.det), (ev.coeff, want.coeff),
+                        (ev.psi_inv, want.psi_inv), (ev.dpsi_drg, want.dpsi_drg),
+                        (frame.jacobian(radii[:, None]), pointwise.jacobian(r_el))):
+        assert np.array_equal(got, wanted)
 
     # the image and J straight from the radial profile
     d = y - X_CENTER
@@ -397,3 +366,14 @@ def test_frame_scalars_reproduce_evaluate(reference_mesh, params):
     assert np.all(core.directions()[:2] == 0.0)
     assert np.array_equal(sc.det, ev.det)
     assert np.array_equal(core.image(sc.radius), ev.mapped)
+
+
+def test_package_exports_resolve():
+    import evopore
+    import evopore.transform
+
+    for name in evopore.__all__:
+        getattr(evopore, name)
+    for name in ("RadialFrame", "MapEval", "MapScalars"):
+        assert name in evopore.__all__
+        assert getattr(evopore, name) is getattr(evopore.transform, name)

@@ -106,13 +106,13 @@ def test_cell_problem_dihedral_swap_symmetry(reference_mesh, params):
 
 def test_cell_problem_residual_orthogonality(reference_mesh, params):
     from evopore.fem import assemble_stiffness, centroids, scatter_element_loads
-    from evopore.transform import pullback_coefficients
+    from evopore.transform import RadialFrame
 
     r = 0.32
     sol = solve_cell_problem(reference_mesh, r, "transformed", 0, params, tol=1e-11)
     areas, grads = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)
     mids = centroids(reference_mesh.vertices, reference_mesh.triangles)
-    _, coeff, _ = pullback_coefficients(params, r, mids)
+    coeff = RadialFrame(params, mids).evaluate(r).coeff
     dof, n_dof = reference_mesh.dof_map()
     K = assemble_stiffness(reference_mesh.triangles, areas, grads, coeff, dof, n_dof)
     loads = -np.einsum("tia,ta->ti", grads, coeff[:, :, 0]) * areas[:, None]
