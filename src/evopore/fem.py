@@ -10,13 +10,18 @@ problems form their element matrices from a tensor per element by batched
 reference-cell bases instead (:mod:`evopore.micro`).  The steppers share one
 implicit step, :func:`backward_euler_step`; they differ only in the mass
 weight (porosity or Jacobian) and the element matrices (homogenized or pulled
-back).  :func:`csv_table` formats every CSV output of the package.
+back).  The macro stepper's CG is preconditioned by a sparse LU factor of an
+earlier step's system (:class:`FrozenFactor`); the micro stepper keeps the
+Jacobi diagonal, because at its sizes a factor's fill costs tens of MB and
+its CG is no faster.  :func:`csv_table` formats every CSV output of the
+package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import NumericalError
 from .sparse import solve_cg
@@ -136,22 +141,74 @@ def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
     return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)
 
 
-def backward_euler_step(pattern: StiffnessPattern, k_el: np.ndarray, mass_new: np.ndarray,
-                        dt: float, b: np.ndarray, x0: np.ndarray, tol: float, label: str,
-                        t_new: float):
-    """Solve ``(K + diag(mass_new / dt)) u = b`` by CG from ``x0``, with ``K``
-    the element matrices ``k_el`` assembled on ``pattern``.
+# A solve preconditioned by a frozen factor that takes more CG iterations
+# than this refactors before the next solve.  Measured on the macro-fine
+# benchmark's system (n = 128): a fresh factor solves in 2 iterations, the
+# factor of step 1 still in 4 at step 30 and in 5 at step 100, and in 9-13
+# after dt is halved, doubled or scaled by 4 or 1/4.  A factorization costs
+# about 30 preconditioned iterations, so a factor is kept until a solve
+# takes 4 or more iterations beyond a fresh one.
+REFACTOR_ITERATIONS = 6
 
-    Returns the new nodal field and the CG iteration count; a stalled solve
-    or a non-finite result raises :class:`NumericalError` naming ``label``.
+
+class FrozenFactor:
+    """Sparse LU factor of an earlier step's implicit system, kept as the CG
+    preconditioner of later steps.
+
+    Between steps the system ``K(r) + diag(mass / dt)`` moves only by O(dr),
+    so the factor of one step preconditions the next ones to a few
+    iterations.  The first solve factors its own system; a solve that takes
+    more than :data:`REFACTOR_ITERATIONS` iterations makes the next solve
+    refactor.  The factor is single precision: it only preconditions, and CG
+    still stops on the float64 residual.
     """
-    system = pattern.assemble(k_el, diagonal=mass_new / dt)
-    u_new, report = solve_cg(system, b, tol=tol, x0=x0)
+
+    def __init__(self):
+        self._solve = None
+        self.factorizations = 0
+
+    def preconditioner(self, system: sp.csr_matrix):
+        """The solve ``r -> z`` of the held factor, refactored on ``system``
+        when there is none or the last solve went stale.  A singular system
+        raises ``RuntimeError`` from ``splu``."""
+        if self._solve is None:
+            # the CSR arrays of the symmetric system read as CSC: no conversion
+            csc = sp.csc_matrix((system.data.astype(np.float32), system.indices, system.indptr),
+                                shape=system.shape)
+            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+            self._solve = lambda r: lu.solve(r.astype(np.float32)).astype(np.float64)
+            self.factorizations += 1
+        return self._solve
+
+    def record(self, iterations: int) -> None:
+        """Drop the factor after a solve that took too many iterations."""
+        if iterations > REFACTOR_ITERATIONS:
+            self._solve = None
+
+
+def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, tol: float,
+                        label: str, t_new: float, factor: FrozenFactor | None = None):
+    """Solve the implicit system ``(K + diag(mass_new / dt)) u = b`` by CG from
+    ``x0``: Jacobi-preconditioned, or preconditioned by ``factor``.
+
+    ``system`` is the stiffness assembled with the mass on its diagonal.
+    Returns the new nodal field and the CG iteration count; a failed
+    factorization, a stalled solve or a non-finite result raises
+    :class:`NumericalError` naming ``label``.
+    """
+    try:
+        precondition = None if factor is None else factor.preconditioner(system)
+    except RuntimeError as exc:
+        raise NumericalError(f"{label} factorization failed at t={t_new}: {exc}") from None
+    u_new, report = solve_cg(system, b, tol=tol, x0=x0, precondition=precondition)
     if not report.converged:
         raise NumericalError(
             f"{label} CG stalled at t={t_new}: residual {report.final_residual:.2e}")
     if not np.all(np.isfinite(u_new)):
         raise NumericalError(f"non-finite concentration at t={t_new}")
+    if factor is not None:
+        factor.record(report.iterations)
     return u_new, report.iterations
 
 

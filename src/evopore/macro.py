@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError
-from .fem import (StiffnessPattern, backward_euler_step, csv_table, element_means,
-                  element_stiffness, lumped_mass, triangle_geometry)
+from .fem import (FrozenFactor, StiffnessPattern, backward_euler_step, csv_table,
+                  element_means, element_stiffness, lumped_mass, triangle_geometry)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
 
@@ -108,6 +109,21 @@ class MacroState:
     defect: float = 0.0
     cg_iterations: int = 0
 
+    def mass_record(self) -> "MassRecord":
+        return MassRecord(self.t, self.fluid_mass, self.solid_mass, self.source_step,
+                          self.defect)
+
+
+class MassRecord(NamedTuple):
+    """The scalars of a :class:`MacroState` that :func:`mass_balance` and
+    :func:`ledger_csv` read, without its fields."""
+
+    t: float
+    fluid_mass: float
+    solid_mass: float
+    source_step: float
+    defect: float
+
 
 class MacroSolver:
     """Time stepper for the coupled concentration/radius system."""
@@ -121,6 +137,7 @@ class MacroSolver:
         self.diffusion = diffusion
         self.cg_tol = cg_tol
         self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
+        self._factor = FrozenFactor()
 
     # -- state construction -------------------------------------------------
 
@@ -173,8 +190,9 @@ class MacroSolver:
         b -= lumped_mass(g.elements, g.areas, dv, g.n_nodes)
 
         k_el = element_stiffness(g.areas, g.grads, self.diffusion * A_el)
-        u_new, iterations = backward_euler_step(
-            self._pattern, k_el, m_new, dt, b, state.u, self.cg_tol, "macro", t_new)
+        system = self._pattern.assemble(k_el, diagonal=m_new / dt)
+        u_new, iterations = backward_euler_step(system, b, state.u, self.cg_tol, "macro", t_new,
+                                                self._factor)
 
         fluid = float(m_new @ u_new)
         solid = self._solid_mass(r_new)
@@ -191,7 +209,7 @@ class MassBalanceReport:
     final_total: float
 
 
-def mass_balance(states: list[MacroState]) -> MassBalanceReport:
+def mass_balance(states: list[MacroState | MassRecord]) -> MassBalanceReport:
     """Defect of the discrete conservation identity along a state sequence.
 
     Uses the per-step records, so it is exact regardless of snapshot cadence
@@ -216,7 +234,7 @@ def snapshot_csv(grid: MacroGrid, state: MacroState) -> str:
                      mids[:, 0], mids[:, 1], u_el, state.r, state.theta)
 
 
-def ledger_csv(states: list[MacroState]) -> str:
+def ledger_csv(states: list[MacroState | MassRecord]) -> str:
     source_integral = list(accumulate((s.source_step for s in states), initial=0.0))[1:]
     return csv_table("t,total_mass,solid_mass,fluid_mass,source_integral,defect",
                      "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",

@@ -207,6 +207,7 @@ class MicroSimulator:
         self._frame = None if pinned_radii else \
             RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
         self._bases = None
+        self._pinned = None
 
     # -- construction --------------------------------------------------------
 
@@ -239,6 +240,17 @@ class MicroSimulator:
             directions = None if self.pinned_radii else self._frame.directions()
             self._bases = CellBases.of(self.mesh.reference, directions)
         return self._bases
+
+    def _pinned_system(self, mass: np.ndarray, dt: float):
+        """The implicit system of pinned radii.  Neither the element matrices
+        nor the mass change, so it is assembled once and reused while the
+        mass array and ``dt`` stay the same."""
+        if self._pinned is None or self._pinned[0] is not mass or self._pinned[1] != dt:
+            stiffness = self._cell_bases().stiffness
+            k_el = np.broadcast_to(self.diffusion * stiffness,
+                                   (self.mesh.n_cells,) + stiffness.shape)
+            self._pinned = mass, dt, self._pattern.assemble(k_el, diagonal=mass / dt)
+        return self._pinned[2]
 
     def _solid_mass(self, radii: np.ndarray) -> float:
         eps = self.mesh.epsilon
@@ -297,13 +309,13 @@ class MicroSimulator:
             sc = None
             jac_new = np.ones(len(m.triangles))
             mass_new = state.mass
-            k_el = np.broadcast_to(self.diffusion * bases.stiffness,
-                                   (m.n_cells,) + bases.stiffness.shape)
+            system = self._pinned_system(mass_new, dt)
         else:
             sc = self._cell_map(radii_new)
             jac_new = sc.det
             mass_new = lumped_mass(m.triangles, m.areas, jac_new, m.n_nodes)
-            k_el = bases.element_matrices(sc, self.diffusion)
+            system = self._pattern.assemble(bases.element_matrices(sc, self.diffusion),
+                                            diagonal=mass_new / dt)
 
         # (3) backward-Euler bulk solve
         b = state.mass * state.u_hat / dt
@@ -335,7 +347,7 @@ class MicroSimulator:
             b -= loads
 
         u_new, iterations = backward_euler_step(
-            self._pattern, k_el, mass_new, dt, b, state.u_hat, self.cg_tol, "micro", t_new)
+            system, b, state.u_hat, self.cg_tol, "micro", t_new)
 
         fluid = float(mass_new @ u_new)
         solid = self._solid_mass(radii_new)

@@ -1,13 +1,17 @@
-"""Jacobi-preconditioned conjugate gradients on scipy.sparse matrices, with
-an optional zero-mean constraint for singular pure-Neumann systems.
+"""Preconditioned conjugate gradients on scipy.sparse matrices, with an
+optional zero-mean constraint for singular pure-Neumann systems.
 
-The solver loop is implemented here rather than taken from scipy because the
-zero-mean projection has to happen inside the iteration.
+The preconditioner is the Jacobi diagonal unless the caller passes its own;
+the macro stepper passes the solve of a frozen sparse LU factor
+(:class:`evopore.fem.FrozenFactor`).  The solver loop is implemented here
+rather than taken from scipy because the zero-mean projection has to happen
+inside the iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,8 +33,14 @@ def solve_cg(
     max_iter: int | None = None,
     zero_mean_constraint: bool = False,
     x0: np.ndarray | None = None,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Jacobi-preconditioned CG for symmetric positive (semi)definite systems.
+    """Preconditioned CG for symmetric positive (semi)definite systems.
+
+    ``precondition`` maps a residual r to z ~ A^{-1} r and must act as a
+    symmetric positive definite operator; ``None`` divides by the diagonal
+    of ``A`` (Jacobi).  Whatever the preconditioner, the iteration stops when
+    the float64 relative residual ``|b - A x| / |b|`` reaches ``tol``.
 
     With ``zero_mean_constraint`` the right-hand side and every iterate are
     projected onto the mean-free subspace, which resolves the constant
@@ -51,14 +61,18 @@ def solve_cg(
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
 
-    diag = A.diagonal().copy()
-    diag[diag == 0.0] = 1.0
+    if precondition is None:
+        diag = A.diagonal().copy()
+        diag[diag == 0.0] = 1.0
+
+        def precondition(r):
+            return r / diag
 
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if zero_mean_constraint:
         x -= x.mean()
     r = b - (A @ x)
-    z = r / diag
+    z = precondition(r)
     if zero_mean_constraint:
         z -= z.mean()
     p = z.copy()
@@ -76,7 +90,7 @@ def solve_cg(
         r -= alpha * Ap
         if zero_mean_constraint:
             x -= x.mean()
-        z = r / diag
+        z = precondition(r)
         if zero_mean_constraint:
             z -= z.mean()
         rz_new = float(r @ z)

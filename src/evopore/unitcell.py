@@ -335,6 +335,8 @@ class EffectiveTensorTable:
         self.radii = np.asarray(self.radii, dtype=float)
         self.tensors = np.asarray(self.tensors, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
+        if not np.all(np.isfinite(self.radii)):
+            raise ValueError("table radii must be finite")
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("table radii must be strictly increasing")
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,8 +295,12 @@ def test_validate_exit_codes_and_tamper(tmp_path, monkeypatch):
 
 
 def test_console_entry_point():
+    # the child imports the package this test imports, installed or not
+    src = str(Path(evopore.transform.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "evopore", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for cmd in ("cell-table", "macro-run", "micro-run", "convergence", "validate"):
         assert cmd in proc.stdout

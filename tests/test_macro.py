@@ -200,3 +200,16 @@ def test_csv_outputs(grid, spec, tensor_table):
     led = ledger_csv([state, state2])
     assert led.splitlines()[0] == "t,total_mass,solid_mass,fluid_mass,source_integral,defect"
     assert len(led.strip().splitlines()) == 3
+
+
+def test_ledger_from_mass_records_matches_states(grid, spec, tensor_table, run_steps):
+    source = lambda t, x: np.ones(len(np.atleast_2d(x)))
+    solver = MacroSolver(grid, tensor_table, spec, source=source)
+    state = solver.init(lambda x: 0.6 + 0.3 * np.atleast_2d(x)[:, 0], constant_field(0.2))
+    states = run_steps(solver, state, 0.005, 5)
+    records = [s.mass_record() for s in states]
+    assert ledger_csv(records) == ledger_csv(states)
+    from_records, from_states = mass_balance(records), mass_balance(states)
+    assert np.array_equal(from_records.per_step_defect, from_states.per_step_defect)
+    assert (from_records.initial_total, from_records.final_total) == \
+        (from_states.initial_total, from_states.final_total)

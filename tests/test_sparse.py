@@ -1,7 +1,8 @@
 """The sparse systems the solvers build and solve: P1 stiffness assembly
 (``fem.StiffnessPattern`` and ``fem.assemble_stiffness``) against a
-per-element dense loop and an input-order sum, and the projected Jacobi-CG
-``solve_cg`` on scipy CSR matrices."""
+per-element dense loop and an input-order sum, the projected Jacobi-CG
+``solve_cg`` on scipy CSR matrices, and the macro step's frozen-factor
+preconditioner (``fem.FrozenFactor``)."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
-from evopore.fem import (StiffnessPattern, assemble_stiffness, element_stiffness, lumped_mass,
-                         triangle_geometry)
+from evopore.fem import (REFACTOR_ITERATIONS, FrozenFactor, StiffnessPattern, assemble_stiffness,
+                         backward_euler_step, element_stiffness, lumped_mass, triangle_geometry)
+from evopore.macro import MacroGrid
 from evopore.micro import build_micro_mesh
 from evopore.transform import RadialFrame
 from evopore.sparse import SolveReport, solve_cg
+from evopore.unitcell import porosity
 
 
 def random_elements(rng, n_nodes, n_el):
@@ -228,3 +231,80 @@ def test_report_contract():
     _, rep = solve_cg(A, np.zeros(3))
     assert isinstance(rep, SolveReport)
     assert rep.converged and rep.final_residual == 0.0
+
+
+# -- the frozen-factor preconditioner of the macro step ----------------------
+
+def macro_system(grid, r, dt):
+    """The macro step's implicit system at element radii ``r``, with the
+    isotropic tensor (1 - 2 r) I standing in for the tabulated one."""
+    coeff = (1.0 - 2.0 * r)[:, None, None] * np.eye(2)
+    k_el = element_stiffness(grid.areas, grid.grads, coeff)
+    mass = lumped_mass(grid.elements, grid.areas, porosity(r), grid.n_nodes)
+    return StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass / dt)
+
+
+@pytest.fixture(scope="module")
+def macro_grid():
+    return MacroGrid.create(24)
+
+
+def test_exact_factor_converges_in_two_iterations(macro_grid):
+    rng = np.random.default_rng(11)
+    A = macro_system(macro_grid, rng.uniform(0.15, 0.35, macro_grid.n_elements), 0.005)
+    b = rng.standard_normal(macro_grid.n_nodes)
+    x, rep = solve_cg(A, b, tol=1e-10, precondition=FrozenFactor().preconditioner(A))
+    assert rep.converged and rep.iterations <= 2
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dt_factor", [1.0, 0.25, 4.0])
+def test_stale_factor_matches_jacobi_solution(macro_grid, dt_factor):
+    rng = np.random.default_rng(12)
+    stale = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005)
+    A = macro_system(macro_grid, rng.uniform(0.15, 0.35, macro_grid.n_elements),
+                     0.005 * dt_factor)
+    b = rng.standard_normal(macro_grid.n_nodes)
+    x_jacobi, rep_jacobi = solve_cg(A, b, tol=1e-12)
+    x, rep = solve_cg(A, b, tol=1e-12, precondition=FrozenFactor().preconditioner(stale))
+    assert rep.converged and rep_jacobi.converged
+    assert rep.final_residual <= 1e-12
+    assert rep.iterations < rep_jacobi.iterations
+    assert np.linalg.norm(x - x_jacobi) <= 1e-9 * np.linalg.norm(x_jacobi)
+
+
+def test_refactor_after_a_jump_in_radii_or_dt(macro_grid):
+    rng = np.random.default_rng(13)
+    n_el = macro_grid.n_elements
+    r_smooth = np.full(n_el, 0.2)
+    r_rough = rng.uniform(0.15, 0.35, n_el)
+    b = rng.standard_normal(macro_grid.n_nodes)
+    x0 = np.zeros(macro_grid.n_nodes)
+    factor = FrozenFactor()
+
+    def solve(r, dt):
+        _, iterations = backward_euler_step(macro_system(macro_grid, r, dt), b, x0, 1e-10,
+                                            "test", 0.0, factor)
+        return iterations
+
+    assert solve(r_smooth, 0.005) <= 2 and factor.factorizations == 1
+    assert solve(r_smooth, 0.005) <= 2 and factor.factorizations == 1
+    # the jump is solved with the stale factor and marks it stale ...
+    assert solve(r_rough, 0.005) > REFACTOR_ITERATIONS and factor.factorizations == 1
+    # ... so the next solve refactors
+    assert solve(r_rough, 0.005) <= 2 and factor.factorizations == 2
+    assert solve(r_rough, 0.005 / 8) > REFACTOR_ITERATIONS and factor.factorizations == 2
+    assert solve(r_rough, 0.005 / 8) <= 2 and factor.factorizations == 3
+
+
+def test_singular_system_factorization_is_numerical_error():
+    # the fourth dof belongs to no element and has no mass: a zero row
+    grid = MacroGrid.create(2)
+    k_el = element_stiffness(grid.areas, grid.grads, np.tile(np.eye(2), (grid.n_elements, 1, 1)))
+    mass = np.ones(grid.n_nodes)
+    mass[3] = 0.0
+    system = StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass)
+    system.data[system.indptr[3]:system.indptr[4]] = 0.0
+    with pytest.raises(NumericalError, match="factorization failed"):
+        backward_euler_step(system, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), 1e-10,
+                            "macro", 0.5, FrozenFactor())

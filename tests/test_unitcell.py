@@ -213,3 +213,10 @@ def test_table_csv_roundtrip(tensor_table):
     assert np.array_equal(back.tensors, tensor_table.tensors)
     assert np.array_equal(back.theta, tensor_table.theta)
     assert back.to_csv() == text
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_table_rejects_non_finite_radii(bad):
+    radii = np.array([0.15, bad, 0.25, 0.3, 0.35])
+    with pytest.raises(ValueError, match="finite"):
+        EffectiveTensorTable(radii, np.multiply.outer(np.ones(5), np.eye(2)), np.ones(5))
