@@ -36,9 +36,9 @@ for k, r in enumerate(table.radii):
     a = table.tensors[k, 0, 0]
     print(f"{r:.3f}  {a:.6f}  {table.theta[k]:.6f}  {a / table.theta[k]:.4f}")
 
-A, theta, dtheta = table.lookup(0.3)
-print(f"\ninterpolated at r=0.30: A11 = {A[0, 0]:.6f}, theta = {theta:.6f}, "
-      f"dtheta/dr = {dtheta:.6f} (analytic -2 pi r = {-2 * np.pi * 0.3:.6f})")
+A = table.lookup(0.3)
+print(f"\ninterpolated at r=0.30: A11 = {A[0, 0]:.6f}, theta = {porosity(0.3):.6f}, "
+      f"dtheta/dr = -2 pi r = {-2 * np.pi * 0.3:.6f}")
 
 csv_text = table.to_csv()
 print("\nCSV export starts with:")

@@ -10,7 +10,7 @@ verify the scale limit empirically.
 
 __version__ = "0.1.0"
 
-from .errors import CheckFailure, ConfigError, MeshQualityError, NumericalError
+from .errors import ConfigError, MeshQualityError, NumericalError
 from .kinetics import (KineticsSpec, eval_f, lipschitz_envelope, register_family,
                        step_radius, validate_structure)
 from .macro import MacroGrid, MacroSolver, MacroState, mass_balance
@@ -21,7 +21,6 @@ from .sparse import SolveReport, solve_cg
 from .transform import (MapEval, MapScalars, RadialFrame, TransformParams, eval_psi_inverse,
                         profile, profile_raw)
 from .unitcell import (CellSolution, EffectiveTensorTable, PeriodicMesh, ball_volume,
-                       build_reference_mesh, compute_A_hom, effective_tensor, porosity,
-                       solve_cell_problem, sphere_surface, tabulate)
+                       build_reference_mesh, effective_tensor, porosity, tabulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,10 +2,11 @@
 solvers, execute the scale-convergence study, and validate the transform and
 kinetics properties.
 
-Exit codes: 0 all checks pass, 1 a named check failed, 2 configuration error,
-3 numerical failure.  Every command writes a manifest (config hash, versions,
-check results) next to its outputs; outputs are byte-deterministic for a
-fixed config and seed except the separate timing file.
+Exit codes: 0 all checks pass, 1 a named check in the command's report
+failed (nothing else exits with 1), 2 configuration error, 3 numerical
+failure.  Every command writes a manifest (config hash, versions, check
+results) next to its outputs; outputs are byte-deterministic for a fixed
+config and seed except the separate timing file.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy
 
 from . import __version__
 from .config import DEFAULT_CONFIG, ExperimentConfig, load_config, parse_config
-from .errors import CheckFailure, ConfigError, MeshQualityError, NumericalError
+from .errors import ConfigError, NumericalError
 from .fem import csv_table
 from .kinetics import validate_structure
 from .macro import MacroGrid, MacroSolver, ledger_csv, mass_balance, snapshot_csv
@@ -104,23 +105,31 @@ def _initial_state(solver, cfg: ExperimentConfig):
                           f"{exc}") from exc
 
 
+def _require_cover(grid: str, radii: np.ndarray, cfg: ExperimentConfig) -> None:
+    """A table grid that does not cover the radius box is a config error, so
+    that no lookup leaves the table."""
+    lo, hi = radii[0], radii[-1]
+    if lo > cfg.spec.r_min or hi < cfg.spec.r_max:
+        raise ConfigError(f"{grid} [{lo:g}, {hi:g}] do not cover "
+                          f"[r_min, r_max] = [{cfg.spec.r_min:g}, {cfg.spec.r_max:g}]")
+
+
 def _table_of(cfg: ExperimentConfig, quiet: bool) -> EffectiveTensorTable:
     """The loaded ``[table] path`` or a fresh tabulation.  A loaded table
-    must hold finite values and cover the radius box, so that no lookup
-    clamps."""
+    must hold finite values; either grid must cover the radius box, and the
+    explicit grid is checked before its cost is paid."""
     if cfg.table_path:
         _say(quiet, f"loading tensor table from {cfg.table_path}")
+        source = f"[table] path = {cfg.table_path}"
         try:
             table = EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
         except (OSError, ValueError, IndexError) as exc:
-            raise ConfigError(f"[table] path = {cfg.table_path}: cannot load: {exc}") from exc
-        lo, hi = table.radii[0], table.radii[-1]
+            raise ConfigError(f"{source}: cannot load: {exc}") from exc
         if not all(np.all(np.isfinite(a)) for a in (table.radii, table.tensors, table.theta)):
-            raise ConfigError(f"[table] path = {cfg.table_path}: non-finite values")
-        if lo > cfg.spec.r_min or hi < cfg.spec.r_max:
-            raise ConfigError(f"[table] path = {cfg.table_path}: radii [{lo:g}, {hi:g}] do not "
-                              f"cover [r_min, r_max] = [{cfg.spec.r_min:g}, {cfg.spec.r_max:g}]")
+            raise ConfigError(f"{source}: non-finite values")
+        _require_cover(f"{source}: radii", table.radii, cfg)
         return table
+    _require_cover("[table] radii", cfg.table_radii, cfg)
     _say(quiet, f"tabulating effective tensors on {cfg.table_radii.size} radii")
     return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h,
                     cfg.diffusion, cfg.cg_tol)
@@ -357,10 +366,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CheckFailure as exc:
-        print(f"check failure: {exc}", file=sys.stderr)
-        return 1
-    except (NumericalError, MeshQualityError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

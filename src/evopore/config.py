@@ -17,6 +17,13 @@ from .kinetics import KineticsSpec
 from .micro import ALLOWED_INV_EPS
 from .transform import TransformParams
 
+# No float64 solve can promise a relative residual below about 100 ulp, so a
+# tighter tolerance only runs CG to its iteration limit.
+CG_TOL_FLOOR = 1e-14
+# A shorter step only costs time (1e12 steps per unit time); far below it the
+# mass term M / dt overflows float64 in the linear solver.
+DT_FLOOR = 1e-12
+
 _KNOWN_KEYS = {
     "geometry": {"r_min", "r_max", "r0", "delta"},
     "kinetics": {"family", "rate_slope", "u_eq", "f_cap", "c_s", "gate_width"},
@@ -202,8 +209,11 @@ def parse_config(text: str) -> ExperimentConfig:
     t_end = _number(d, "t_end")
     if dt <= 0 or t_end <= 0:
         raise ConfigError("dt and t_end must be positive")
+    if dt < DT_FLOOR:
+        raise ConfigError(f"dt = {dt} is below {DT_FLOOR:g}")
     steps = t_end / dt
-    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+    if not math.isfinite(steps) or round(steps) < 1 \
+            or abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"dt = {dt} does not divide t_end = {t_end} into whole steps")
     travel = dt * spec.f_cap / spec.c_s
     if travel >= (params.r_max - params.r_min) / 4.0:
@@ -257,8 +267,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("snapshot_every must be at least 1")
     if cfg.diffusion <= 0:
         raise ConfigError(f"diffusion must be positive, got {cfg.diffusion}")
-    if not (0.0 < cfg.cg_tol < 1.0):
-        raise ConfigError(f"cg_tol must lie in (0, 1), got {cfg.cg_tol}")
+    if not (CG_TOL_FLOOR <= cfg.cg_tol < 1.0):
+        raise ConfigError(f"cg_tol must lie in [{CG_TOL_FLOOR:g}, 1), got {cfg.cg_tol}")
     return cfg
 
 

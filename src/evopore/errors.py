@@ -5,26 +5,13 @@ class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
 
 
-class MeshQualityError(Exception):
-    """Mesh construction produced degenerate or badly shaped elements."""
+class MeshQualityError(ConfigError):
+    """Mesh construction produced degenerate or badly shaped elements.
+
+    The mesh is fixed by configured values (reference radius, hole polygon,
+    ring spacing), so this is a configuration error."""
 
 
 class NumericalError(Exception):
     """Numerical breakdown: non-finite values, solver divergence, and similar."""
 
-
-class CheckFailure(Exception):
-    """A named invariant or validation check failed.
-
-    Carries the check name and, when available, a witness point.
-    """
-
-    def __init__(self, check: str, message: str = "", witness=None):
-        self.check = check
-        self.witness = witness
-        text = f"check '{check}' failed"
-        if message:
-            text += f": {message}"
-        if witness is not None:
-            text += f" (witness: {witness})"
-        super().__init__(text)

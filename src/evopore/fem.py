@@ -4,17 +4,17 @@ All solvers in the package use linear triangles with one-point (centroid)
 quadrature for variable coefficients and row-sum lumped mass matrices.  A
 mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
 it is built once per mesh, and every assembly sums the element matrices into
-the CSR data by one ``np.bincount``.  The macro stepper and the periodic cell
-problems form their element matrices from a tensor per element by batched
-``matmul`` (:func:`element_stiffness`); the micro stepper combines
-reference-cell bases instead (:mod:`evopore.micro`).  The steppers share one
-implicit step, :func:`backward_euler_step`; they differ only in the mass
-weight (porosity or Jacobian) and the element matrices (homogenized or pulled
-back).  The macro stepper's CG is preconditioned by a sparse LU factor of an
-earlier step's system (:class:`FrozenFactor`); the micro stepper keeps the
-Jacobi diagonal, because at its sizes a factor's fill costs tens of MB and
-its CG is no faster.  :func:`csv_table` formats every CSV output of the
-package.
+the CSR data by one ``np.bincount``; there is no one-off assembly beside it.
+The macro stepper and the periodic cell problems form their element matrices
+from a tensor per element by batched ``matmul`` (:func:`element_stiffness`);
+the micro stepper combines reference-cell bases instead
+(:mod:`evopore.micro`).  The steppers share one implicit step,
+:func:`backward_euler_step`; they differ only in the mass weight (porosity or
+Jacobian) and the element matrices (homogenized or pulled back).  The macro
+stepper's CG is preconditioned by a sparse LU factor of an earlier step's
+system (:class:`FrozenFactor`); the micro stepper keeps the Jacobi diagonal,
+because at its sizes a factor's fill costs tens of MB and its CG is no
+faster.  :func:`csv_table` formats every CSV output of the package.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Centroids (nt, 2) of the triangles: the quadrature point of every
+    element coefficient and the macro and micro element midpoints."""
     return (vertices[triangles[:, 0]] + vertices[triangles[:, 1]] + vertices[triangles[:, 2]]) / 3.0
 
 
@@ -121,18 +123,6 @@ def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -
     k_el = grads @ (coeff @ grads.transpose(0, 2, 1))
     k_el *= areas[:, None, None]
     return k_el
-
-
-def assemble_stiffness(triangles: np.ndarray, areas: np.ndarray, grads: np.ndarray,
-                       coeff: np.ndarray, dof_of_node: np.ndarray | None, n_dof: int,
-                       diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-    """One-off :meth:`StiffnessPattern.assemble` of :func:`element_stiffness`.
-
-    ``dof_of_node`` merges nodes into shared degrees of freedom (periodic
-    pairing); with ``None`` every node is its own dof.
-    """
-    dofs = triangles if dof_of_node is None else dof_of_node[triangles]
-    return StiffnessPattern(dofs, n_dof).assemble(element_stiffness(areas, grads, coeff), diagonal)
 
 
 def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckFailure
-
 
 @dataclass(frozen=True)
 class KineticsSpec:
@@ -30,8 +28,8 @@ class KineticsSpec:
     family: str = "gated_affine"
 
     def __post_init__(self):
-        if self.gate_width >= (self.r_max - self.r_min) / 2:
-            raise ValueError("gate_width must be below (r_max - r_min)/2")
+        if not 0.0 < self.gate_width < (self.r_max - self.r_min) / 2:
+            raise ValueError("gate_width must lie in (0, (r_max - r_min)/2)")
         if self.f_cap <= 0 or self.c_s <= 0:
             raise ValueError("f_cap and c_s must be positive")
         if self.family not in KINETICS_FAMILIES:
@@ -164,8 +162,3 @@ def validate_structure(spec: KineticsSpec, sample_count: int = 10_000,
         failures=failures,
     )
 
-
-def require_valid(report: KineticsReport) -> None:
-    if not report.passed:
-        cond, wit = report.failures[0]
-        raise CheckFailure(cond, witness=wit)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .fem import (FrozenFactor, StiffnessPattern, backward_euler_step, csv_table,
+from .fem import (FrozenFactor, StiffnessPattern, backward_euler_step, centroids, csv_table,
                   element_means, element_stiffness, lumped_mass, triangle_geometry)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
@@ -70,8 +70,7 @@ class MacroGrid:
         return len(self.elements)
 
     def midpoints(self) -> np.ndarray:
-        return (self.nodes[self.elements[:, 0]] + self.nodes[self.elements[:, 1]]
-                + self.nodes[self.elements[:, 2]]) / 3.0
+        return centroids(self.nodes, self.elements)
 
     def element_of_point(self, pts: np.ndarray) -> np.ndarray:
         """Element index containing each point (points on the diagonal and on
@@ -173,7 +172,7 @@ class MacroSolver:
         theta_new = porosity(r_new)
 
         # (2) implicit porosity-weighted diffusion with tensor lookup
-        A_el, _, _, _ = self.table.lookup_many(r_new)
+        A_el = self.table.lookup(r_new)
         m_new = lumped_mass(g.elements, g.areas, theta_new, g.n_nodes)
         m_old = lumped_mass(g.elements, g.areas, state.theta, g.n_nodes)
         b = m_old * state.u / dt

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .fem import (StiffnessPattern, backward_euler_step, csv_table, element_means, lumped_mass,
-                  triangle_areas, triangle_geometry)
+from .fem import (StiffnessPattern, backward_euler_step, centroids, csv_table, element_means,
+                  lumped_mass, triangle_areas, triangle_geometry)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .transform import MapScalars, RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
@@ -105,8 +105,7 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     cell_of_element = np.repeat(np.arange(len(cells)), len(ref_t))
     gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
 
-    mids_ref = (ref_v[ref_t[:, 0]] + ref_v[ref_t[:, 1]] + ref_v[ref_t[:, 2]]) / 3.0
-    micro_mids = np.tile(mids_ref, (len(cells), 1))
+    micro_mids = np.tile(centroids(ref_v, ref_t), (len(cells), 1))
     return MicroMesh(epsilon, n, vertices, triangles, cell_of_element, cells,
                      gamma, micro_mids, triangle_areas(vertices, triangles), reference)
 

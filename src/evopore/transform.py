@@ -111,6 +111,13 @@ def _kernel_cdf(z: np.ndarray) -> np.ndarray:
 
 X_CENTER = np.array([0.5, 0.5])
 
+# Least slope delta_tilde / (gap + delta_tilde) of the profile's ramps, gap
+# the larger of r0 - r_min and r_max - r0.  Below it the mollified transition
+# is too thin for the reference meshes: at n_boundary = 32 and target_h = 0.1
+# the tensor at r_max breaks the table checks from a slope of 0.0066 on, and
+# at about 1e-16 the ramp is flat in float64 and the Jacobian vanishes.
+MIN_RAMP_SLOPE = 0.01
+
 
 @dataclass(frozen=True)
 class TransformParams:
@@ -130,6 +137,13 @@ class TransformParams:
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r0 < self.r_max < 0.5):
             raise ValueError("need 0 < r_min < r0 < r_max < 0.5")
+        if self.delta <= 0.0:
+            raise ValueError("need delta > 0")
+        slope = self.delta_tilde / (max(self.r0 - self.r_min, self.r_max - self.r0)
+                                    + self.delta_tilde)
+        if slope < MIN_RAMP_SLOPE:
+            raise ValueError(f"delta too small: the map's ramps have slope {slope:.3g}, "
+                             f"below {MIN_RAMP_SLOPE}")
         if self.r_min - self.delta <= 0.0:
             raise ValueError("need r_min - delta > 0")
         if self.r_max + self.delta >= 0.5:

@@ -14,19 +14,16 @@ The two discretize the same tensor and serve as mutual oracles.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import MeshQualityError
+from .errors import MeshQualityError, NumericalError
 from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness,
                   scatter_element_loads, triangle_geometry)
 from .sparse import solve_cg
 from .transform import RadialFrame, TransformParams
-
-logger = logging.getLogger(__name__)
 
 _PAIR_DECIMALS = 12
 
@@ -34,11 +31,6 @@ _PAIR_DECIMALS = 12
 def ball_volume(r):
     """Area pi r^2 of the disc of radius r (the package meshes only 2-D)."""
     return np.pi * np.asarray(r, dtype=float)**2
-
-
-def sphere_surface(r):
-    """Perimeter 2 pi r of the circle of radius r."""
-    return 2.0 * np.pi * np.asarray(r, dtype=float)
 
 
 def porosity(r):
@@ -261,57 +253,43 @@ def _corrector(mesh: PeriodicMesh, data, direction: int, tol: float) -> CellSolu
     loads = -np.einsum("tia,ta->ti", grads, ce) * areas[:, None]
     b = scatter_element_loads(mesh.triangles, loads, dof, n_dof)
     w_dof, report = solve_cg(K, b, tol=tol, zero_mean_constraint=True)
+    if not report.converged:
+        raise NumericalError(f"cell problem in direction {direction}: CG stalled after "
+                             f"{report.iterations} iterations, residual "
+                             f"{report.final_residual:.2e}")
     w = w_dof[dof]
     w -= w.mean()
     return CellSolution(direction, w, report.final_residual, report.iterations)
 
 
-def _energy_tensor(mesh: PeriodicMesh, data, solutions: list[CellSolution]) -> np.ndarray:
+def effective_tensor(mesh: PeriodicMesh, radius: float, mode: str = "transformed",
+                     params: TransformParams | None = None, diffusion: float = 1.0,
+                     tol: float = 1e-10) -> np.ndarray:
+    """Effective tensor at ``radius`` from the periodic correctors of both
+    axis directions, on one geometry and one coefficient evaluation.
+
+    ``direct`` mode expects ``mesh`` built at ``radius`` with unit
+    coefficient; ``transformed`` mode expects the reference mesh (hole at r0)
+    and assembles the pulled-back coefficient.  Each singular periodic system
+    is solved by CG on the mean-free subspace; a solve that does not reach
+    ``tol`` raises :class:`NumericalError`.  The tensor is the energy form,
+    the integral of (grad w_i + e_i) . C (grad w_j + e_j) over the cell: it
+    coincides with the divergence form by the corrector equation and is
+    symmetric by construction.
+    """
+    data = _cell_data(mesh, params, radius, mode, diffusion)
     areas, grads, coeff = data
     fields = []
-    for sol in sorted(solutions, key=lambda s: s.direction):
-        g = np.einsum("ti,tia->ta", sol.w[mesh.triangles], grads)
-        g[:, sol.direction] += 1.0
+    for direction in range(2):
+        w = _corrector(mesh, data, direction, tol).w
+        g = np.einsum("ti,tia->ta", w[mesh.triangles], grads)
+        g[:, direction] += 1.0
         fields.append(g)
     a_hom = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
             a_hom[i, j] = np.sum(areas * np.einsum("ta,tab,tb->t", fields[i], coeff, fields[j]))
     return 0.5 * (a_hom + a_hom.T)
-
-
-def solve_cell_problem(mesh: PeriodicMesh, radius: float, mode: str = "transformed",
-                       direction: int = 0, params: TransformParams | None = None,
-                       diffusion: float = 1.0, tol: float = 1e-10) -> CellSolution:
-    """Periodic corrector problem in the given axis direction.
-
-    ``direct`` mode expects ``mesh`` built at ``radius`` with unit coefficient;
-    ``transformed`` mode expects the reference mesh (hole at r0) and assembles
-    the pulled-back coefficient.  The singular periodic system is solved by CG
-    on the mean-free subspace.
-    """
-    return _corrector(mesh, _cell_data(mesh, params, radius, mode, diffusion), direction, tol)
-
-
-def compute_A_hom(mesh: PeriodicMesh, radius: float, solutions: list[CellSolution],
-                  mode: str = "transformed", params: TransformParams | None = None,
-                  diffusion: float = 1.0) -> np.ndarray:
-    """Effective tensor in the symmetric energy form.
-
-    Computes integral of (grad w_i + e_i) . C (grad w_j + e_j) over the cell,
-    which coincides with the divergence form of the tensor by the corrector
-    equation and is symmetric by construction.
-    """
-    return _energy_tensor(mesh, _cell_data(mesh, params, radius, mode, diffusion), solutions)
-
-
-def effective_tensor(mesh: PeriodicMesh, radius: float, mode: str = "transformed",
-                     params: TransformParams | None = None, diffusion: float = 1.0,
-                     tol: float = 1e-10) -> np.ndarray:
-    """:func:`compute_A_hom` of both correctors, on one geometry and one
-    coefficient evaluation."""
-    data = _cell_data(mesh, params, radius, mode, diffusion)
-    return _energy_tensor(mesh, data, [_corrector(mesh, data, j, tol) for j in range(2)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +301,7 @@ class EffectiveTensorTable:
     """Sorted radius grid with per-radius effective tensors and porosity.
 
     Tensor lookup interpolates entrywise piecewise-linearly, which preserves
-    the monotonicity and bound properties of the tabulated values.  The
-    porosity and its radius derivative are analytic.
+    the monotonicity and bound properties of the tabulated values.
     """
 
     radii: np.ndarray
@@ -340,27 +317,21 @@ class EffectiveTensorTable:
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("table radii must be strictly increasing")
 
-    def lookup(self, r):
-        """Interpolated tensor plus analytic porosity and its derivative.
+    def lookup(self, r) -> np.ndarray:
+        """Tensors (``r.shape + (2, 2)``) at the radii ``r``, interpolated
+        entrywise by ``np.interp``.
 
-        Radii outside the grid are clamped (and the caller warned through the
-        returned clamp flag in :meth:`lookup_many`).
+        Beyond the grid ``np.interp`` holds the end tensors, so a finite
+        radius outside it reads the tensor of the nearest grid end, the same
+        bits as clamping the radius first.  The CLI rejects a grid that does
+        not cover the radius box, so a run never reads there.
         """
-        A, theta, dtheta, _ = self.lookup_many(np.asarray(r, dtype=float)[None])
-        return A[0], float(theta[0]), float(dtheta[0])
-
-    def lookup_many(self, r: np.ndarray):
         r = np.asarray(r, dtype=float)
-        clamped = (r < self.radii[0]) | (r > self.radii[-1])
-        if np.any(clamped):
-            logger.warning("tensor lookup clamped %d radii into [%g, %g]",
-                           int(np.count_nonzero(clamped)), self.radii[0], self.radii[-1])
-        rc = np.clip(r, self.radii[0], self.radii[-1])
         A = np.empty(r.shape + (2, 2))
         for i in range(2):
             for j in range(2):
-                A[..., i, j] = np.interp(rc, self.radii, self.tensors[:, i, j])
-        return A, porosity(rc), -sphere_surface(rc), bool(np.any(clamped))
+                A[..., i, j] = np.interp(r, self.radii, self.tensors[:, i, j])
+        return A
 
     def to_csv(self) -> str:
         return csv_table("r,A11,A12,A22,theta", "%.17g,%.17g,%.17g,%.17g,%.17g", self.radii,

@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import evopore.transform
-from evopore.cli import ConvergenceReport, ConvergenceRow, main
+from evopore.cli import (ConvergenceReport, ConvergenceRow, _initial_state, _source_of, _table_of,
+                         main)
 from evopore.config import DEFAULT_CONFIG, parse_config
 from evopore.errors import ConfigError
+from evopore.macro import MacroGrid, MacroSolver
 from evopore.unitcell import EffectiveTensorTable, porosity
 
 FAST_COMMON = """\
@@ -88,6 +92,12 @@ def test_config_rejections(tmp_path):
     ("[run]\ncg_tol = 1.5\n", ["cg_tol", "1.5"]),
     ("[run]\ndiffusion = 0\n", ["diffusion", "0"]),
     ("[run]\ndiffusion = -1\n", ["diffusion", "-1"]),
+    ("[run]\ncg_tol = 1e-15\n", ["cg_tol", "1e-15"]),
+    ("[geometry]\ndelta = 0\n", ["delta > 0"]),
+    ("[geometry]\ndelta = 0.001\n", ["delta too small"]),
+    ("[kinetics]\ngate_width = 0\n", ["gate_width"]),
+    ("[discretization]\ndt = 1e-13\nt_end = 1e-12\n", ["dt", "1e-13"]),
+    ("[discretization]\nn_boundary = 24\n", ["minimum angle", "n_boundary=24"]),
 ])
 def test_config_rejections_one_line(tmp_path, capsys, body, names):
     bad = tmp_path / "bad.cfg"
@@ -122,8 +132,11 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
     (["macro-run"], "[table]\npath = {tmp}/narrow.csv\n[initial]\nr_param.value = 0.16\n",
      ["narrow.csv", "[0.2, 0.3]"]),
     (["macro-run"], "[table]\npath = {tmp}/nan.csv\n", ["nan.csv", "non-finite"]),
+    (["macro-run"], "[table]\nradii = 0.2,0.22,0.24,0.26,0.28,0.3\n[initial]\n"
+     "r_param.value = 0.16\n", ["[table] radii", "[0.2, 0.3]"]),
 ], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
-        "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan"])
+        "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan",
+        "table-radii-narrow"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
     # [0.15, 0.35], and the full box with one NaN entry
@@ -192,6 +205,88 @@ def test_macro_run_can_load_table(tmp_path):
         "[table]\nradius_count = 5", f"[table]\npath = {tdir / 'table.csv'}"))
     out = tmp_path / "m"
     assert main(["macro-run", "--config", str(cfg2), "--out", str(out), "--quiet"]) == 0
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+# Every numeric key of the sections a macro run reads, drawn over ranges that
+# straddle its valid region.  The sizes are bounded so that an example stays
+# cheap: macro_n <= 16, n_boundary <= 64 and target_h >= 0.03 (a finer
+# reference mesh only costs time).
+_NUMERIC_KEYS = {
+    "geometry": {"r_min": _floats(0.1, 0.2), "r_max": _floats(0.3, 0.4),
+                 "r0": _floats(0.15, 0.4), "delta": _floats(-0.01, 0.15)},
+    "kinetics": {"rate_slope": _floats(-1.0, 3.0), "u_eq": _floats(-0.5, 1.5),
+                 "f_cap": _floats(-0.1, 2.0), "c_s": _floats(-0.1, 4.0),
+                 "gate_width": _floats(-0.01, 0.1)},
+    "discretization": {"macro_n": st.integers(0, 16).map(str),
+                       "n_boundary": st.integers(1, 8).map(lambda k: str(8 * k)) | st.just("60"),
+                       "target_h": _floats(0.03, 0.3) | st.just("0"),
+                       "dt": _floats(-0.005, 0.05)},
+    "table": {"radius_count": st.integers(3, 12).map(str)},
+    "run": {"diffusion": _floats(-0.2, 3.0),
+            "cg_tol": st.sampled_from(["0", "1e-15", "1e-14", "1e-12", "1e-10", "1e-6", "0.5",
+                                       "1.5"])},
+    "initial": {"u_param.value": _floats(-1.0, 2.0), "r_param.value": _floats(0.1, 0.4)},
+}
+_DEFAULTS = parse_config(DEFAULT_CONFIG)
+
+
+@st.composite
+def _config_texts(draw):
+    """A config text that sets a few keys of :data:`_NUMERIC_KEYS` and leaves
+    the rest at their defaults; t_end is mostly a whole number of steps; the
+    table grid is sometimes explicit, over the radius box or a narrower one;
+    and now and then one key holds a token that is not a finite number."""
+    chosen = draw(st.sets(st.sampled_from([(section, key) for section, keys
+                                           in _NUMERIC_KEYS.items() for key in keys]),
+                          max_size=6))
+    values = {key: draw(_NUMERIC_KEYS[section][key]) for section, key in sorted(chosen)}
+    lines = []
+    for section, keys in _NUMERIC_KEYS.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {values[key]}" for key in keys if key in values]
+        if section == "discretization":
+            dt = float(values.get("dt", _DEFAULTS.dt))
+            if draw(st.integers(0, 3)):
+                t_end = repr(draw(st.integers(1, 20)) * dt)
+            else:
+                t_end = draw(_floats(0.001, 1.0))
+            lines.append(f"t_end = {t_end}")
+        if section == "table" and draw(st.booleans()):
+            lo = float(values.get("r_min", _DEFAULTS.params.r_min))
+            hi = float(values.get("r_max", _DEFAULTS.params.r_max))
+            inset = draw(st.sampled_from([0.0, 0.1, 0.3])) * (hi - lo)
+            radii = np.linspace(lo + inset, hi - inset, draw(st.integers(4, 8)))
+            lines.append("radii = " + ",".join(map(repr, radii.tolist())))
+    if not draw(st.integers(0, 3)):
+        index = draw(st.sampled_from([i for i, ln in enumerate(lines) if "=" in ln]))
+        bad = draw(st.sampled_from(["nan", "inf", "-inf", "many", ""]))
+        lines[index] = lines[index].split("=")[0] + "= " + bad
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_config_texts())
+def test_every_accepted_config_runs(text):
+    """A config either is a config error before the first step, or builds
+    the macro solver as ``macro-run`` does and runs two steps."""
+    try:
+        cfg = parse_config(text)
+        table = _table_of(cfg, quiet=True)
+        solver = MacroSolver(MacroGrid.create(cfg.macro_n), table, cfg.spec, _source_of(cfg),
+                             cfg.diffusion, cg_tol=cfg.cg_tol)
+        state = _initial_state(solver, cfg)
+    except ConfigError:
+        event("config error")
+        return
+    event("ran")
+    for _ in range(2):
+        state = solver.step(state, cfg.dt)
+    assert np.all(np.isfinite(state.u))
+    assert np.all((state.r >= cfg.spec.r_min) & (state.r <= cfg.spec.r_max))
 
 
 def test_config_selects_nonconstant_initial_field(tmp_path):

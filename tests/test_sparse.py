@@ -1,5 +1,5 @@
 """The sparse systems the solvers build and solve: P1 stiffness assembly
-(``fem.StiffnessPattern`` and ``fem.assemble_stiffness``) against a
+(``fem.StiffnessPattern`` of ``fem.element_stiffness``) against a
 per-element dense loop and an input-order sum, the projected Jacobi-CG
 ``solve_cg`` on scipy CSR matrices, and the macro step's frozen-factor
 preconditioner (``fem.FrozenFactor``)."""
@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
-from evopore.fem import (REFACTOR_ITERATIONS, FrozenFactor, StiffnessPattern, assemble_stiffness,
-                         backward_euler_step, element_stiffness, lumped_mass, triangle_geometry)
+from evopore.fem import (REFACTOR_ITERATIONS, FrozenFactor, StiffnessPattern, backward_euler_step,
+                         element_stiffness, lumped_mass, triangle_geometry)
 from evopore.macro import MacroGrid
 from evopore.micro import build_micro_mesh
 from evopore.transform import RadialFrame
@@ -29,6 +29,11 @@ def random_elements(rng, n_nodes, n_el):
     m = rng.standard_normal((n_el, 2, 2))
     coeff = m @ m.transpose(0, 2, 1) + np.eye(2)
     return triangles, areas, grads, coeff
+
+
+def assemble(dofs, n_dof, areas, grads, coeff, diagonal=None):
+    """One-off assembly on a fresh pattern of the element dofs ``dofs``."""
+    return StiffnessPattern(dofs, n_dof).assemble(element_stiffness(areas, grads, coeff), diagonal)
 
 
 def dense_stiffness(triangles, areas, grads, coeff, n_dof, dof_of_node=None, diagonal=None):
@@ -48,14 +53,13 @@ def test_duplicate_accumulation():
     rng = np.random.default_rng(1)
     _, areas, grads, coeff = random_elements(rng, 3, 1)
     tri = np.array([[0, 1, 2]])
-    single = assemble_stiffness(tri, areas, grads, coeff, None, 3).toarray()
-    twice = assemble_stiffness(np.repeat(tri, 2, axis=0), np.repeat(areas, 2),
-                               np.repeat(grads, 2, axis=0), np.repeat(coeff, 2, axis=0), None, 3)
+    single = assemble(tri, 3, areas, grads, coeff).toarray()
+    twice = assemble(np.repeat(tri, 2, axis=0), 3, np.repeat(areas, 2),
+                     np.repeat(grads, 2, axis=0), np.repeat(coeff, 2, axis=0))
     assert np.array_equal(twice.toarray(), 2.0 * single)
-    merged = assemble_stiffness(tri, areas, grads, coeff, np.array([0, 0, 1]), 2)
+    merged = assemble(np.array([0, 0, 1])[tri], 2, areas, grads, coeff)
     assert merged[0, 0] == pytest.approx(single[:2, :2].sum(), abs=1e-14)
-    with_diag = assemble_stiffness(tri, areas, grads, coeff, None, 3,
-                                   diagonal=np.array([1.0, 2.0, 3.0]))
+    with_diag = assemble(tri, 3, areas, grads, coeff, diagonal=np.array([1.0, 2.0, 3.0]))
     assert with_diag.toarray() == pytest.approx(single + np.diag([1.0, 2.0, 3.0]), abs=1e-14)
 
 
@@ -106,8 +110,8 @@ def test_pattern_rejects_out_of_range_dof():
 
 
 def test_empty_mesh_is_zero_operator():
-    A = assemble_stiffness(np.empty((0, 3), int), np.empty(0), np.empty((0, 3, 2)),
-                           np.empty((0, 2, 2)), None, 3)
+    A = assemble(np.empty((0, 3), int), 3, np.empty(0), np.empty((0, 3, 2)),
+                 np.empty((0, 2, 2)))
     x = np.array([1.0, -2.0, 5.0])
     assert np.all(A @ x == 0.0)
 
@@ -116,7 +120,7 @@ def test_random_triplets_match_dense_oracle():
     rng = np.random.default_rng(7)
     elements = random_elements(rng, 5, 40)
     diagonal = rng.uniform(0.0, 1.0, 5)
-    A = assemble_stiffness(*elements, None, 5, diagonal=diagonal)
+    A = assemble(elements[0], 5, *elements[1:], diagonal=diagonal)
     dense = dense_stiffness(*elements, 5, diagonal=diagonal)
     x = rng.standard_normal(5)
     assert A @ x == pytest.approx(dense @ x, abs=1e-12)
@@ -126,19 +130,20 @@ def test_random_triplets_match_dense_oracle():
 def test_index_out_of_range_rejected():
     _, areas, grads, coeff = random_elements(np.random.default_rng(2), 3, 1)
     with pytest.raises(ValueError):
-        assemble_stiffness(np.array([[0, 1, 2]]), areas, grads, coeff, np.array([0, 1, 3]), 3)
+        assemble(np.array([0, 1, 3])[np.array([[0, 1, 2]])], 3, areas, grads, coeff)
 
 
 def test_nonfinite_entries_rejected():
     tri, areas, grads, coeff = random_elements(np.random.default_rng(4), 3, 2)
     coeff[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        assemble_stiffness(tri, areas, grads, coeff, None, 3)
+        assemble(tri, 3, areas, grads, coeff)
 
 
 def test_csr_invariants():
     rng = np.random.default_rng(3)
-    A = assemble_stiffness(*random_elements(rng, 8, 20), None, 8, diagonal=np.ones(8))
+    tri, areas, grads, coeff = random_elements(rng, 8, 20)
+    A = assemble(tri, 8, areas, grads, coeff, diagonal=np.ones(8))
     assert isinstance(A, sp.csr_matrix)
     assert len(A.indptr) == 9
     assert np.all(np.diff(A.indptr) >= 0)
@@ -155,7 +160,7 @@ def test_matvec_matches_dense_oracle_property(n, seed):
     n_nodes = n + int(rng.integers(0, 3))
     elements = random_elements(rng, n_nodes, int(rng.integers(1, 2 * n)))
     dof_of_node = rng.integers(0, n, n_nodes)
-    A = assemble_stiffness(*elements, dof_of_node, n)
+    A = assemble(dof_of_node[elements[0]], n, *elements[1:])
     dense = dense_stiffness(*elements, n, dof_of_node=dof_of_node)
     x = rng.standard_normal(n)
     assert np.allclose(A @ x, dense @ x, atol=1e-10)
@@ -164,7 +169,8 @@ def test_matvec_matches_dense_oracle_property(n, seed):
 def test_symmetry_identity_in_samples():
     rng = np.random.default_rng(5)
     for size in (5, 17, 50):
-        A = assemble_stiffness(*random_elements(rng, size, 3 * size), None, size)
+        tri, areas, grads, coeff = random_elements(rng, size, 3 * size)
+        A = assemble(tri, size, areas, grads, coeff)
         x = rng.standard_normal(size)
         y = rng.standard_normal(size)
         assert abs(x @ (A @ y) - y @ (A @ x)) < 1e-12 * max(1.0, abs(x @ (A @ y)))

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from evopore.errors import MeshQualityError
-from evopore.fem import triangle_geometry
+from evopore.errors import MeshQualityError, NumericalError
+from evopore.fem import StiffnessPattern, element_stiffness, triangle_geometry
 from evopore.unitcell import (
     EffectiveTensorTable,
+    _cell_data,
+    _corrector,
     ball_volume,
     build_reference_mesh,
     effective_tensor,
     porosity,
-    solve_cell_problem,
-    sphere_surface,
     tabulate,
     table_checks,
 )
@@ -81,7 +81,8 @@ def test_mesh_quality_error_for_degenerate_combo():
 
 
 def test_cell_solution_mean_zero_and_periodic(reference_mesh, params):
-    sol = solve_cell_problem(reference_mesh, 0.3, "transformed", 0, params)
+    sol = _corrector(reference_mesh, _cell_data(reference_mesh, params, 0.3, "transformed", 1.0),
+                     0, 1e-10)
     assert abs(sol.w.mean()) < 1e-12
     partner = reference_mesh.periodic_partner
     slaves = np.where(partner != np.arange(len(partner)))[0]
@@ -90,14 +91,14 @@ def test_cell_solution_mean_zero_and_periodic(reference_mesh, params):
 
 
 def test_cell_problem_transformed_at_r0_equals_direct(reference_mesh, params):
-    a = solve_cell_problem(reference_mesh, params.r0, "transformed", 0, params)
-    b = solve_cell_problem(reference_mesh, params.r0, "direct", 0, params)
+    a, b = (_corrector(reference_mesh, _cell_data(reference_mesh, params, params.r0, mode, 1.0),
+                       0, 1e-10) for mode in ("transformed", "direct"))
     assert np.max(np.abs(a.w - b.w)) < 1e-9
 
 
 def test_cell_problem_dihedral_swap_symmetry(reference_mesh, params):
-    w1 = solve_cell_problem(reference_mesh, 0.3, "transformed", 0, params).w
-    w2 = solve_cell_problem(reference_mesh, 0.3, "transformed", 1, params).w
+    data = _cell_data(reference_mesh, params, 0.3, "transformed", 1.0)
+    w1, w2 = (_corrector(reference_mesh, data, j, 1e-10).w for j in (0, 1))
     v = reference_mesh.vertices
     lookup = {(x, y): i for i, (x, y) in enumerate(map(tuple, v))}
     swap = np.array([lookup[(y, x)] for (x, y) in map(tuple, v)])
@@ -105,16 +106,18 @@ def test_cell_problem_dihedral_swap_symmetry(reference_mesh, params):
 
 
 def test_cell_problem_residual_orthogonality(reference_mesh, params):
-    from evopore.fem import assemble_stiffness, centroids, scatter_element_loads
+    from evopore.fem import centroids, scatter_element_loads
     from evopore.transform import RadialFrame
 
     r = 0.32
-    sol = solve_cell_problem(reference_mesh, r, "transformed", 0, params, tol=1e-11)
+    sol = _corrector(reference_mesh, _cell_data(reference_mesh, params, r, "transformed", 1.0),
+                     0, 1e-11)
     areas, grads = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)
     mids = centroids(reference_mesh.vertices, reference_mesh.triangles)
     coeff = RadialFrame(params, mids).evaluate(r).coeff
     dof, n_dof = reference_mesh.dof_map()
-    K = assemble_stiffness(reference_mesh.triangles, areas, grads, coeff, dof, n_dof)
+    K = StiffnessPattern(dof[reference_mesh.triangles], n_dof).assemble(
+        element_stiffness(areas, grads, coeff))
     loads = -np.einsum("tia,ta->ti", grads, coeff[:, :, 0]) * areas[:, None]
     b = scatter_element_loads(reference_mesh.triangles, loads, dof, n_dof)
     firsts = np.unique(dof, return_index=True)[1]
@@ -124,6 +127,16 @@ def test_cell_problem_residual_orthogonality(reference_mesh, params):
         phi = rng.standard_normal(n_dof)
         phi /= np.linalg.norm(phi)
         assert abs(phi @ residual) < 1e-9
+
+
+def test_unconverged_cell_problem_is_numerical_error(params):
+    # a tolerance no float64 solve reaches: CG runs to its iteration limit
+    mesh = build_reference_mesh(params.r0, 16, 0.1)
+    data = _cell_data(mesh, params, 0.3, "transformed", 1.0)
+    with pytest.raises(NumericalError, match="direction 1: CG stalled"):
+        _corrector(mesh, data, 1, 1e-300)
+    with pytest.raises(NumericalError, match=r"r=0\.15: cell problem in direction 0"):
+        tabulate(params, np.linspace(params.r_min, params.r_max, 5), 16, 0.1, tol=1e-300)
 
 
 def test_effective_tensor_symmetry_and_isotropy(reference_mesh, params):
@@ -178,32 +191,33 @@ def test_tabulate_requires_enough_points(params):
 
 def test_closed_form_geometry_quantities():
     assert porosity(0.25) == pytest.approx(1.0 - np.pi / 16.0, abs=1e-15)
-    assert sphere_surface(0.25) == pytest.approx(np.pi / 2.0, abs=1e-15)
     assert ball_volume(0.25) == pytest.approx(np.pi / 16.0, abs=1e-15)
 
 
 def test_lookup_at_nodes_and_midpoints(tensor_table):
     k = 3
     r = tensor_table.radii[k]
-    A, theta, dtheta = tensor_table.lookup(r)
+    A = tensor_table.lookup(r)
     assert np.array_equal(A, tensor_table.tensors[k])
-    assert theta == pytest.approx(porosity(r), abs=1e-15)
+    assert tensor_table.theta[k] == pytest.approx(porosity(r), abs=1e-15)
     mid = 0.5 * (tensor_table.radii[k] + tensor_table.radii[k + 1])
-    Amid, _, _ = tensor_table.lookup(mid)
+    Amid = tensor_table.lookup(mid)
     expect = 0.5 * (tensor_table.tensors[k] + tensor_table.tensors[k + 1])
     assert Amid == pytest.approx(expect, abs=1e-12)
-
-
-def test_lookup_porosity_derivative(tensor_table):
-    _, _, dtheta = tensor_table.lookup(0.25)
-    assert dtheta == pytest.approx(-np.pi / 2.0, abs=1e-14)
+    # an array of radii reads one tensor per radius, in the array's shape
+    rs = np.array([[r, mid], [mid, r]])
+    many = tensor_table.lookup(rs)
+    assert many.shape == (2, 2, 2, 2)
+    assert np.array_equal(many[0, 0], A) and np.array_equal(many[1, 0], Amid)
 
 
 def test_lookup_clamps_out_of_range(tensor_table):
-    A, theta, _ = tensor_table.lookup(tensor_table.radii[-1] + 0.05)
-    assert np.array_equal(A, tensor_table.tensors[-1])
-    _, _, _, clamped = tensor_table.lookup_many(np.array([tensor_table.radii[-1] + 0.05]))
-    assert clamped
+    # np.interp holds the end tensors: the same bits as clamping the radius
+    lo, hi = tensor_table.radii[0], tensor_table.radii[-1]
+    A = tensor_table.lookup(np.array([lo - 0.05, hi + 0.05]))
+    assert np.array_equal(A[0], tensor_table.tensors[0])
+    assert np.array_equal(A[1], tensor_table.tensors[-1])
+    assert np.array_equal(A, tensor_table.lookup(np.clip([lo - 0.05, hi + 0.05], lo, hi)))
 
 
 def test_table_csv_roundtrip(tensor_table):
