@@ -20,7 +20,7 @@ from .registry import build_field, build_source, register_field, register_source
 from .sparse import SolveReport, solve_cg
 from .transform import (MapEval, MapScalars, RadialFrame, TransformParams, eval_psi_inverse,
                         profile, profile_raw)
-from .unitcell import (CellSolution, EffectiveTensorTable, PeriodicMesh, ball_volume,
+from .unitcell import (CellProblem, EffectiveTensorTable, PeriodicMesh, ball_volume,
                        build_reference_mesh, effective_tensor, porosity, tabulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,6 @@ from . import __version__
 from .config import DEFAULT_CONFIG, ExperimentConfig, load_config, parse_config
 from .errors import ConfigError, NumericalError
 from .fem import csv_table
-from .kinetics import validate_structure
 from .macro import MacroGrid, MacroSolver, ledger_csv, mass_balance, snapshot_csv
 from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv, cells_per_side,
                     micro_snapshot_csv, unfold_compare)
@@ -131,8 +130,29 @@ def _table_of(cfg: ExperimentConfig, quiet: bool) -> EffectiveTensorTable:
         return table
     _require_cover("[table] radii", cfg.table_radii, cfg)
     _say(quiet, f"tabulating effective tensors on {cfg.table_radii.size} radii")
-    return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h,
-                    cfg.diffusion, cfg.cg_tol)
+    return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h, cfg.cg_tol)
+
+
+def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid, quiet: bool) -> MacroSolver:
+    """The macro solver of ``cfg`` on ``grid``, with the :func:`_table_of` table."""
+    return MacroSolver(grid, _table_of(cfg, quiet), cfg.spec, _source_of(cfg), cfg.diffusion,
+                       cg_tol=cfg.cg_tol)
+
+
+def _run_steps(solver, state, cfg: ExperimentConfig, label: str, record=None, snapshot=None):
+    """``state`` stepped to t_end, calling ``record(state)`` after every step
+    and ``snapshot(step, state)`` after the snapshot steps; a numerical
+    failure names the step by ``label.format(step)``."""
+    for step in range(1, cfg.n_steps + 1):
+        try:
+            state = solver.step(state, cfg.dt)
+        except NumericalError as exc:
+            raise NumericalError(f"{label.format(step)}: {exc}") from exc
+        if record:
+            record(state)
+        if snapshot and (step % cfg.snapshot_every == 0 or step == cfg.n_steps):
+            snapshot(step, state)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +160,7 @@ def _table_of(cfg: ExperimentConfig, quiet: bool) -> EffectiveTensorTable:
 # ---------------------------------------------------------------------------
 
 def cmd_cell_table(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]:
-    table = tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h,
-                     cfg.diffusion, cfg.cg_tol)
+    table = tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h, cfg.cg_tol)
     outputs = []
     _write(outdir, "table.csv", table.to_csv(), outputs)
     checks = [{"check": name, "passed": ok, "value": None}
@@ -153,22 +172,18 @@ def cmd_cell_table(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dic
 
 
 def cmd_macro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]:
-    table = _table_of(cfg, quiet)
     grid = MacroGrid.create(cfg.macro_n)
-    solver = MacroSolver(grid, table, cfg.spec, _source_of(cfg), cfg.diffusion,
-                         cg_tol=cfg.cg_tol)
+    solver = _macro_solver(cfg, grid, quiet)
     state = _initial_state(solver, cfg)
     outputs = []
     records = [state.mass_record()]
-    _write(outdir, "snapshot_000000.csv", snapshot_csv(grid, state), outputs)
-    for step in range(1, cfg.n_steps + 1):
-        try:
-            state = solver.step(state, cfg.dt)
-        except NumericalError as exc:
-            raise NumericalError(f"macro step {step}: {exc}") from exc
-        records.append(state.mass_record())
-        if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
-            _write(outdir, f"snapshot_{step:06d}.csv", snapshot_csv(grid, state), outputs)
+
+    def snapshot(step, state):
+        _write(outdir, f"snapshot_{step:06d}.csv", snapshot_csv(grid, state), outputs)
+
+    snapshot(0, state)
+    state = _run_steps(solver, state, cfg, "macro step {}",
+                       lambda state: records.append(state.mass_record()), snapshot)
     _write(outdir, "ledger.csv", ledger_csv(records), outputs)
 
     balance = mass_balance(records)
@@ -195,23 +210,21 @@ def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
                          cg_tol=cfg.cg_tol)
     state = _initial_state(sim, cfg)
     outputs = []
-    _write(outdir, "micro_snapshot_000000.csv", micro_snapshot_csv(mesh, state), outputs)
-    _write(outdir, "cells_000000.csv", cell_series_csv(mesh, state), outputs)
-    ledger = []
-    max_defect = 0.0
-    max_rate = 0.0
-    for step in range(1, cfg.n_steps + 1):
-        try:
-            state = sim.step(state, cfg.dt)
-        except NumericalError as exc:
-            raise NumericalError(f"micro step {step} (1/eps={inv}): {exc}") from exc
-        max_defect = max(max_defect, state.defect)
-        max_rate = max(max_rate, float(np.abs(state.radii_rate).max()))
+    ledger, rates = [], []
+
+    def record(state):
         ledger.append((state.t, state.fluid_mass, state.solid_mass,
                        state.flux_step, state.source_step, state.defect))
-        if step % cfg.snapshot_every == 0 or step == cfg.n_steps:
-            _write(outdir, f"micro_snapshot_{step:06d}.csv", micro_snapshot_csv(mesh, state), outputs)
-            _write(outdir, f"cells_{step:06d}.csv", cell_series_csv(mesh, state), outputs)
+        rates.append(float(np.abs(state.radii_rate).max()))
+
+    def snapshot(step, state):
+        _write(outdir, f"micro_snapshot_{step:06d}.csv", micro_snapshot_csv(mesh, state), outputs)
+        _write(outdir, f"cells_{step:06d}.csv", cell_series_csv(mesh, state), outputs)
+
+    snapshot(0, state)
+    _run_steps(sim, state, cfg, f"micro step {{}} (1/eps={inv})", record, snapshot)
+    max_defect = max([0.0] + [row[-1] for row in ledger])
+    max_rate = max([0.0] + rates)
     _write(outdir, "micro_ledger.csv",
            csv_table("t,fluid_mass,solid_mass,flux_step,source_step,defect",
                      "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", *zip(*ledger)), outputs)
@@ -231,12 +244,8 @@ def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
 def _final_macro_state(cfg: ExperimentConfig, grid: MacroGrid, quiet: bool):
     """The macro state at t_end.  The solver, with its factor, is released
     on return, before the micro runs build theirs."""
-    solver = MacroSolver(grid, _table_of(cfg, quiet), cfg.spec, _source_of(cfg), cfg.diffusion,
-                         cg_tol=cfg.cg_tol)
-    state = _initial_state(solver, cfg)
-    for _ in range(cfg.n_steps):
-        state = solver.step(state, cfg.dt)
-    return state
+    solver = _macro_solver(cfg, grid, quiet)
+    return _run_steps(solver, _initial_state(solver, cfg), cfg, "macro step {}")
 
 
 def run_convergence_study(cfg: ExperimentConfig, quiet: bool = True) -> ConvergenceReport:
@@ -251,9 +260,7 @@ def run_convergence_study(cfg: ExperimentConfig, quiet: bool = True) -> Converge
         mesh = build_micro_mesh(reference, 1.0 / inv)
         sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
                              cg_tol=cfg.cg_tol)
-        st = _initial_state(sim, cfg)
-        for _ in range(cfg.n_steps):
-            st = sim.step(st, cfg.dt)
+        st = _run_steps(sim, _initial_state(sim, cfg), cfg, f"micro step {{}} (1/eps={inv})")
         err = unfold_compare(mesh, st, grid, macro_state)
         rows.append(ConvergenceRow(1.0 / inv, err.u_l2_error, err.r_l2_error,
                                    time.perf_counter() - t0))

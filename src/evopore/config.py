@@ -23,6 +23,9 @@ CG_TOL_FLOOR = 1e-14
 # A shorter step only costs time (1e12 steps per unit time); far below it the
 # mass term M / dt overflows float64 in the linear solver.
 DT_FLOOR = 1e-12
+# A table radius costs two cell solves (9 ms at the default mesh), so more
+# radii are a typo; np.linspace of 1e12 of them raises MemoryError.
+MAX_RADIUS_COUNT = 10_000
 
 _KNOWN_KEYS = {
     "geometry": {"r_min", "r_max", "r0", "delta"},
@@ -230,8 +233,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 from None
     else:
         count = _number(t, "radius_count", int)
-        if count < 5:
-            raise ConfigError("table needs at least 5 radii")
+        if not 5 <= count <= MAX_RADIUS_COUNT:
+            raise ConfigError(f"[table] radius_count = {count} is outside [5, {MAX_RADIUS_COUNT}]")
         radii = np.linspace(params.r_min, params.r_max, count)
     if radii.size < 5:
         raise ConfigError("table needs at least 5 radii")

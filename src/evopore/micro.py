@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fem import (StiffnessPattern, backward_euler_step, centroids, csv_table, element_means,
-                  lumped_mass, triangle_areas, triangle_geometry)
+                  lumped_mass, triangle_areas)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .transform import MapScalars, RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
@@ -131,7 +131,7 @@ class CellBases:
     def of(cls, reference: PeriodicMesh, directions: np.ndarray | None) -> "CellBases":
         """Bases on the reference mesh for the unit directions (m, 2) at its
         element midpoints; ``None`` gives the stiffness alone."""
-        areas, grads = triangle_geometry(reference.vertices, reference.triangles)
+        areas, grads = reference.geometry
         stiffness = grads @ grads.transpose(0, 2, 1)
         stiffness *= areas[:, None, None]
         if directions is None:

@@ -253,9 +253,9 @@ class MapEval:
     """The map and the pulled-back diffusion data at n points.
 
     ``mapped`` (n, 2) image, ``det`` (n,) Jacobian determinant J, ``coeff``
-    (n, 2, 2) the weak-form coefficient A = J Psi^{-1} D Psi^{-T},
-    ``psi_inv`` (n, 2, 2) the inverse Jacobian and ``dpsi_drg`` (n, 2) the
-    radius sensitivity of the image.
+    (n, 2, 2) the weak-form coefficient A = J Psi^{-1} Psi^{-T} of unit
+    diffusion, ``psi_inv`` (n, 2, 2) the inverse Jacobian and ``dpsi_drg``
+    (n, 2) the radius sensitivity of the image.
     """
 
     mapped: np.ndarray
@@ -271,7 +271,7 @@ class MapScalars:
 
     With R the smoothed profile at the distance rho to the center, R' its
     rho-derivative and u the unit direction, Psi^{-1} = P/R' + (rho/R)(I - P)
-    for P = u u^T, so the pulled-back tensor is
+    for P = u u^T, so the pulled-back tensor of diffusion D is
     A = J D Psi^{-1} Psi^{-T} = D (b I + (a - b) P) and, the radius
     sensitivity being radial, J Psi^{-1} dPsi/dr_gamma = J s u.  ``det`` is
     J = R' R / rho, ``a`` = R / (rho R'), ``b`` = rho R' / R,
@@ -331,9 +331,8 @@ class RadialFrame:
         out[(Ellipsis, self._active) + (slice(None),) * (values.ndim - len(shape))] = values
         return out
 
-    def evaluate(self, r_gamma, diffusion: float = 1.0) -> MapEval:
-        """The map at obstacle radius ``r_gamma``, with diffusion coefficient
-        ``diffusion`` in the pulled-back tensor."""
+    def evaluate(self, r_gamma) -> MapEval:
+        """The map at obstacle radius ``r_gamma``."""
         shape, (R, dR, dRg) = self._profile(r_gamma)
         eye = np.eye(2)
         J = dR * (R / self.rho)
@@ -341,13 +340,13 @@ class RadialFrame:
         # Pinv Pinv^T by columns: the sum order of a 2x2 matmul, at any batch shape
         c0 = Pinv[..., :, 0]
         c1 = Pinv[..., :, 1]
-        A = diffusion * J[..., None, None] * (c0[..., :, None] * c0[..., None, :]
-                                              + c1[..., :, None] * c1[..., None, :])
+        A = J[..., None, None] * (c0[..., :, None] * c0[..., None, :]
+                                  + c1[..., :, None] * c1[..., None, :])
         n = int(np.prod(shape))
         return MapEval(
             self._embed(shape, X_CENTER + R[..., None] * self.unit, self.points).reshape(n, 2),
             self._embed(shape, J, 1.0).reshape(n),
-            self._embed(shape, A, diffusion * eye).reshape(n, 2, 2),
+            self._embed(shape, A, eye).reshape(n, 2, 2),
             self._embed(shape, Pinv, eye).reshape(n, 2, 2),
             self._embed(shape, dRg[..., None] * self.unit, 0.0).reshape(n, 2))
 

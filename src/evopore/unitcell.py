@@ -6,10 +6,11 @@ nodes are generated octant-symmetrically, so the mesh is bitwise invariant
 under the dihedral symmetries of the square and opposite boundary faces carry
 identical node traces; periodic pairing and conforming tiling are then exact.
 
-Two routes to the effective diffusion tensor are provided: ``direct`` mode
-re-meshes the cell at the requested radius, ``transformed`` mode keeps the
-reference mesh and pulls the radius dependence into a variable coefficient.
-The two discretize the same tensor and serve as mutual oracles.
+A cell problem takes its element coefficient: the unit tensor on a cell
+meshed at the requested radius, or the pulled-back tensor on the reference
+mesh.  The two routes discretize the same tensor and serve as mutual oracles.
+A scalar diffusion D multiplies the whole problem, so the tensors here are of
+unit diffusion and the steppers apply D.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import MeshQualityError, NumericalError
 from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness,
                   scatter_element_loads, triangle_geometry)
-from .sparse import solve_cg
+from .sparse import SolveReport, solve_cg
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
@@ -119,8 +120,9 @@ class PeriodicMesh:
     def n_nodes(self) -> int:
         return len(self.vertices)
 
+    @cached_property
     def dof_map(self) -> tuple[np.ndarray, int]:
-        """Merge periodically paired nodes into shared degrees of freedom.
+        """Dof of every node and dof count, periodic pairs merged.
 
         Slave nodes (on the x=1 / y=1 faces) point at their master on the
         opposite face; the top-right corner chains to the origin corner.
@@ -132,10 +134,16 @@ class PeriodicMesh:
         return dof, len(unique)
 
     @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Element areas and basis gradients (:func:`triangle_geometry`),
+        shared by every cell problem on this mesh."""
+        return triangle_geometry(self.vertices, self.triangles)
+
+    @cached_property
     def stiffness_pattern(self) -> StiffnessPattern:
         """Sparsity of the periodic stiffness matrices, shared by every cell
         problem on this mesh."""
-        dof, n_dof = self.dof_map()
+        dof, n_dof = self.dof_map
         return StiffnessPattern(dof[self.triangles], n_dof)
 
     def polygon_perimeter(self) -> float:
@@ -222,73 +230,55 @@ def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
 # Cell problems and the effective tensor
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CellSolution:
-    direction: int
-    w: np.ndarray          # nodal values, periodic pairs equal, zero mean
-    residual: float
-    iterations: int
+class CellProblem:
+    """The periodic cell problems of the element coefficient ``coeff``
+    (nt, 2, 2), by default the unit tensor, on ``mesh``: one stiffness matrix
+    serves both directions."""
+
+    def __init__(self, mesh: PeriodicMesh, coeff: np.ndarray | None = None):
+        areas, grads = mesh.geometry
+        self.mesh = mesh
+        self.coeff = np.tile(np.eye(2), (len(areas), 1, 1)) if coeff is None else coeff
+        k_el = element_stiffness(areas, grads, self.coeff)
+        self.stiffness = mesh.stiffness_pattern.assemble(k_el)
+
+    def corrector(self, direction: int, tol: float) -> tuple[np.ndarray, SolveReport]:
+        """Nodal corrector of ``direction`` (periodic pairs equal, zero mean)
+        and the report of its CG solve on the mean-free subspace; a solve
+        that does not reach ``tol`` raises :class:`NumericalError`."""
+        areas, grads = self.mesh.geometry
+        dof, n_dof = self.mesh.dof_map
+        loads = -np.einsum("tia,ta->ti", grads, self.coeff[:, :, direction]) * areas[:, None]
+        b = scatter_element_loads(self.mesh.triangles, loads, dof, n_dof)
+        w_dof, report = solve_cg(self.stiffness, b, tol=tol, zero_mean_constraint=True)
+        if not report.converged:
+            raise NumericalError(f"cell problem in direction {direction}: CG stalled after "
+                                 f"{report.iterations} iterations, residual "
+                                 f"{report.final_residual:.2e}")
+        w = w_dof[dof]
+        w -= w.mean()
+        return w, report
 
 
-def _cell_data(mesh: PeriodicMesh, params: TransformParams | None, radius: float,
-               mode: str, diffusion: float):
-    """Element areas, gradients and coefficient of the cell problems at
-    ``radius``: the data both correctors and the energy form share."""
-    areas, grads = triangle_geometry(mesh.vertices, mesh.triangles)
-    if mode == "direct":
-        return areas, grads, np.broadcast_to(diffusion * np.eye(2), (len(areas), 2, 2)).copy()
-    if mode == "transformed":
-        if params is None:
-            raise ValueError("transformed mode needs TransformParams")
-        mids = centroids(mesh.vertices, mesh.triangles)
-        return areas, grads, RadialFrame(params, mids).evaluate(radius, diffusion).coeff
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _corrector(mesh: PeriodicMesh, data, direction: int, tol: float) -> CellSolution:
-    areas, grads, coeff = data
-    dof, n_dof = mesh.dof_map()
-    K = mesh.stiffness_pattern.assemble(element_stiffness(areas, grads, coeff))
-    ce = coeff[:, :, direction]
-    loads = -np.einsum("tia,ta->ti", grads, ce) * areas[:, None]
-    b = scatter_element_loads(mesh.triangles, loads, dof, n_dof)
-    w_dof, report = solve_cg(K, b, tol=tol, zero_mean_constraint=True)
-    if not report.converged:
-        raise NumericalError(f"cell problem in direction {direction}: CG stalled after "
-                             f"{report.iterations} iterations, residual "
-                             f"{report.final_residual:.2e}")
-    w = w_dof[dof]
-    w -= w.mean()
-    return CellSolution(direction, w, report.final_residual, report.iterations)
-
-
-def effective_tensor(mesh: PeriodicMesh, radius: float, mode: str = "transformed",
-                     params: TransformParams | None = None, diffusion: float = 1.0,
+def effective_tensor(mesh: PeriodicMesh, coeff: np.ndarray | None = None,
                      tol: float = 1e-10) -> np.ndarray:
-    """Effective tensor at ``radius`` from the periodic correctors of both
-    axis directions, on one geometry and one coefficient evaluation.
-
-    ``direct`` mode expects ``mesh`` built at ``radius`` with unit
-    coefficient; ``transformed`` mode expects the reference mesh (hole at r0)
-    and assembles the pulled-back coefficient.  Each singular periodic system
-    is solved by CG on the mean-free subspace; a solve that does not reach
-    ``tol`` raises :class:`NumericalError`.  The tensor is the energy form,
-    the integral of (grad w_i + e_i) . C (grad w_j + e_j) over the cell: it
-    coincides with the divergence form by the corrector equation and is
-    symmetric by construction.
-    """
-    data = _cell_data(mesh, params, radius, mode, diffusion)
-    areas, grads, coeff = data
+    """Effective tensor of the :class:`CellProblem` of ``coeff`` on ``mesh``:
+    the energy form, the integral of (grad w_i + e_i) . C (grad w_j + e_j)
+    over the cell, which coincides with the divergence form by the corrector
+    equation and is symmetric by construction."""
+    problem = CellProblem(mesh, coeff)
+    areas, grads = mesh.geometry
     fields = []
     for direction in range(2):
-        w = _corrector(mesh, data, direction, tol).w
+        w = problem.corrector(direction, tol)[0]
         g = np.einsum("ti,tia->ta", w[mesh.triangles], grads)
         g[:, direction] += 1.0
         fields.append(g)
     a_hom = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
-            a_hom[i, j] = np.sum(areas * np.einsum("ta,tab,tb->t", fields[i], coeff, fields[j]))
+            a_hom[i, j] = np.sum(areas * np.einsum("ta,tab,tb->t", fields[i], problem.coeff,
+                                                   fields[j]))
     return 0.5 * (a_hom + a_hom.T)
 
 
@@ -351,14 +341,13 @@ class EffectiveTensorTable:
 
 
 def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
-             target_h: float = 0.05, diffusion: float = 1.0,
-             tol: float = 1e-10) -> EffectiveTensorTable:
-    """Tensor table over ``r_grid`` via transformed mode on one reference mesh.
+             target_h: float = 0.05, tol: float = 1e-10) -> EffectiveTensorTable:
+    """Unit-diffusion tensor table over ``r_grid`` on one reference mesh,
+    with the coefficient pulled back by one :class:`RadialFrame`.
 
     A single discretization shared across radii makes the tabulated tensors a
     smooth, monotone function of the radius: the geometric error of the
-    polygonal hole cancels in radius comparisons.  Every cell problem
-    assembles on the mesh's one :attr:`PeriodicMesh.stiffness_pattern`.
+    polygonal hole cancels in radius comparisons.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 5:
@@ -366,10 +355,11 @@ def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
     if np.any(r_grid < params.r_min) or np.any(r_grid > params.r_max):
         raise ValueError("table radii must lie in [r_min, r_max]")
     mesh = build_reference_mesh(params.r0, n_boundary, target_h)
+    frame = RadialFrame(params, centroids(mesh.vertices, mesh.triangles))
     tensors = np.empty((r_grid.size, 2, 2))
     for k, r in enumerate(r_grid):
         try:
-            tensors[k] = effective_tensor(mesh, float(r), "transformed", params, diffusion, tol)
+            tensors[k] = effective_tensor(mesh, frame.evaluate(float(r)).coeff, tol)
         except Exception as exc:
             raise type(exc)(f"tensor tabulation failed at r={r}: {exc}") from exc
     return EffectiveTensorTable(r_grid, tensors, porosity(r_grid))

@@ -10,6 +10,7 @@ from _manufactured import manufactured_error, temporal_gap
 
 from evopore.cli import run_convergence_study
 from evopore.config import DEFAULT_CONFIG, parse_config
+from evopore.fem import centroids
 from evopore.kinetics import eval_f, lipschitz_envelope, step_radius, validate_structure
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
@@ -93,16 +94,17 @@ def test_criterion_04_effective_tensor(params, tensor_table):
     offd = float(np.abs(tensor_table.tensors[:, 0, 1]).max())
     voigt_ok = bool(np.all(tensor_table.tensors[:, 0, 0] <= porosity(tensor_table.radii)))
     ref = build_reference_mesh(params.r0, 64, 0.03)
+    frame = RadialFrame(params, centroids(ref.vertices, ref.triangles))
     rels = []
     for r in (0.15, 0.25, 0.35):
-        direct = effective_tensor(build_reference_mesh(r, 64, 0.03), r, "direct")
-        transformed = effective_tensor(ref, r, "transformed", params)
+        direct = effective_tensor(build_reference_mesh(r, 64, 0.03))
+        transformed = effective_tensor(ref, frame.evaluate(r).coeff)
         rels.append(float(np.linalg.norm(direct - transformed) / np.linalg.norm(direct)))
     elapsed = time.perf_counter() - t0
     ok = (sym <= 1e-12 and checks["positive_definite"] and offd <= 1e-6 and voigt_ok
           and checks["A11_strictly_decreasing"] and max(rels) <= 0.005)
     _emit(4, ok, f"sym {sym:.1e}, offdiag {offd:.1e}, SPD and Voigt hold, "
-                 f"A11 strictly decreasing, dual-mode gap {max(rels):.2%} (<= 0.5%)",
+                 f"A11 strictly decreasing, meshed/pulled-back gap {max(rels):.2%} (<= 0.5%)",
           elapsed, 120.0)
 
 

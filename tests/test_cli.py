@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import evopore.transform
-from evopore.cli import (ConvergenceReport, ConvergenceRow, _initial_state, _source_of, _table_of,
-                         main)
+from evopore.cli import (ConvergenceReport, ConvergenceRow, _initial_state, _macro_solver,
+                         main, run_convergence_study)
 from evopore.config import DEFAULT_CONFIG, parse_config
-from evopore.errors import ConfigError
-from evopore.macro import MacroGrid, MacroSolver
+from evopore.errors import ConfigError, NumericalError
+from evopore.macro import MacroGrid
+from evopore.micro import MicroSimulator
 from evopore.unitcell import EffectiveTensorTable, porosity
 
 FAST_COMMON = """\
@@ -98,6 +99,15 @@ def test_config_rejections(tmp_path):
     ("[kinetics]\ngate_width = 0\n", ["gate_width"]),
     ("[discretization]\ndt = 1e-13\nt_end = 1e-12\n", ["dt", "1e-13"]),
     ("[discretization]\nn_boundary = 24\n", ["minimum angle", "n_boundary=24"]),
+    ("[table]\nradius_count = 1000000000000\n", ["radius_count", "1000000000000"]),
+    ("[table]\nradius_count = 4\n", ["radius_count", "4"]),
+    ("[kinetics]\nf_cap = 0\n", ["f_cap"]),
+    ("[kinetics]\nc_s = 0\n", ["c_s"]),
+    ("[kinetics]\nfamily = nope\n", ["family", "nope"]),
+    ("[geometry]\nr0 = 0.1\n", ["r_min < r0"]),
+    ("[output]\nsnapshot_every = 0\n", ["snapshot_every"]),
+    ("[discretization]\nt_end = -1\n", ["t_end"]),
+    ("[discretization]\ndt = 0.1\n", ["dt too large"]),
 ])
 def test_config_rejections_one_line(tmp_path, capsys, body, names):
     bad = tmp_path / "bad.cfg"
@@ -275,9 +285,7 @@ def test_every_accepted_config_runs(text):
     the macro solver as ``macro-run`` does and runs two steps."""
     try:
         cfg = parse_config(text)
-        table = _table_of(cfg, quiet=True)
-        solver = MacroSolver(MacroGrid.create(cfg.macro_n), table, cfg.spec, _source_of(cfg),
-                             cfg.diffusion, cg_tol=cfg.cg_tol)
+        solver = _macro_solver(cfg, MacroGrid.create(cfg.macro_n), quiet=True)
         state = _initial_state(solver, cfg)
     except ConfigError:
         event("config error")
@@ -368,6 +376,41 @@ def test_convergence_report_failure_logic():
     rows = [ConvergenceRow(0.5, 1e-3, 1e-3, 0.0), ConvergenceRow(0.25, 2e-3, 5e-4, 0.0)]
     rep = ConvergenceReport(rows, 1.0, 1.0, False, True, False)
     assert not rep.passed
+
+
+def test_convergence_failure_names_its_step(tmp_path, capsys, monkeypatch):
+    def stall(self, state, dt):
+        raise NumericalError("CG stalled")
+
+    monkeypatch.setattr(MicroSimulator, "step", stall)
+    assert main(["convergence", "--config", cfg_file(tmp_path), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: micro step 1 (1/eps=1): CG stalled\n"
+
+
+def test_cell_table_is_unit_diffusion(tmp_path):
+    """D multiplies the whole cell problem, so the table is the same at any
+    D, and the steppers apply D."""
+    tables = []
+    for d in ("1", "2"):
+        out = tmp_path / d
+        assert main(["cell-table", "--config", cfg_file(tmp_path, f"[run]\ndiffusion = {d}\n"),
+                     "--out", str(out), "--quiet"]) == 0
+        tables.append((out / "table.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_two_scale_errors_fall_at_diffusion_two():
+    """On a gradient scenario at D = 2 the macro and micro solvers diffuse
+    alike: the u error falls from 1/eps = 2 to 4 (about 1.3e-3 to 3.5e-4).
+    With D^2 in the macro tensor it grows (3.7e-3 to 4.7e-3)."""
+    cfg = parse_config("[initial]\nu_field = cosine_product\nu_param.offset = 0.6\n"
+                       "u_param.amplitude = 0.3\n[discretization]\nt_end = 0.1\n"
+                       "macro_n = 64\nepsilon_inverses = 2,4\n[run]\ndiffusion = 2\n")
+    rows = run_convergence_study(cfg).rows
+    assert [round(1.0 / row.epsilon) for row in rows] == [2, 4]
+    assert rows[1].u_l2_error < rows[0].u_l2_error
 
 
 def test_validate_exit_codes_and_tamper(tmp_path, monkeypatch):

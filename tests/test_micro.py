@@ -152,8 +152,8 @@ def test_reference_bases_match_pulled_back_assembly(micro_mesh_half, params):
 
     r_el = radii[m.cell_of_element]
     areas, grads = triangle_geometry(m.vertices, m.triangles)
-    pointwise = RadialFrame(params, m.micro_midpoints).evaluate(r_el, 1.7)
-    want_k = element_stiffness(areas, grads, pointwise.coeff)
+    pointwise = RadialFrame(params, m.micro_midpoints).evaluate(r_el)
+    want_k = element_stiffness(areas, grads, 1.7 * pointwise.coeff)
     dt_psi = m.epsilon * pointwise.dpsi_drg * rate[m.cell_of_element][:, None]
     b_vec = pointwise.det[:, None] * np.einsum("tab,tb->ta", pointwise.psi_inv, dt_psi)
     want_drift = np.einsum("ta,tia->ti", b_vec, grads) * (areas * u_mid)[:, None]

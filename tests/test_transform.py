@@ -313,12 +313,13 @@ def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
     r_el = radii[m.cell_of_element]
     y = m.micro_midpoints
     frame = RadialFrame(params, y[:len(reference_mesh.triangles)])
-    ev = frame.evaluate(radii[:, None], 1.7)
+    ev = frame.evaluate(radii[:, None])
 
     # the same map from a frame on every micro midpoint, one radius per point
     pointwise = RadialFrame(params, y)
-    want = pointwise.evaluate(r_el, 1.7)
-    for got, wanted in ((ev.mapped, want.mapped), (ev.det, want.det), (ev.coeff, want.coeff),
+    want = pointwise.evaluate(r_el)
+    for got, wanted in ((ev.mapped, want.mapped), (ev.det, want.det),
+                        (1.7 * ev.coeff, 1.7 * want.coeff),
                         (ev.psi_inv, want.psi_inv), (ev.dpsi_drg, want.dpsi_drg),
                         (frame.jacobian(radii[:, None]), pointwise.jacobian(r_el))):
         assert np.array_equal(got, wanted)
@@ -342,7 +343,7 @@ def test_frame_scalars_reproduce_evaluate(reference_mesh, params):
     rng = np.random.default_rng(13)
     radii = rng.uniform(params.r_min, params.r_max, (m.n_cells, 1))
     frame = RadialFrame(params, m.micro_midpoints[:len(reference_mesh.triangles)])
-    ev = frame.evaluate(radii, 1.7)
+    ev = frame.evaluate(radii)
     sc = frame.scalars(radii)
     u = np.tile(frame.directions(), (m.n_cells, 1))
     proj = u[:, :, None] * u[:, None, :]
@@ -350,7 +351,8 @@ def test_frame_scalars_reproduce_evaluate(reference_mesh, params):
     drift = np.einsum("tab,tb->ta", ev.psi_inv, ev.dpsi_drg) * ev.det[:, None]
     assert np.array_equal(sc.det, ev.det)
     assert np.array_equal(frame.image(sc.radius), ev.mapped)
-    assert np.allclose(coeff, ev.coeff, rtol=1e-13, atol=1e-13 * np.abs(ev.coeff).max())
+    scaled = 1.7 * ev.coeff
+    assert np.allclose(coeff, scaled, rtol=1e-13, atol=1e-13 * np.abs(scaled).max())
     assert np.allclose((sc.det * sc.s)[:, None] * u, drift, rtol=1e-13,
                        atol=1e-13 * np.abs(drift).max())
     assert np.abs(drift).max() > 0.1

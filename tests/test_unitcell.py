@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from evopore.errors import MeshQualityError, NumericalError
-from evopore.fem import StiffnessPattern, element_stiffness, triangle_geometry
+from evopore.fem import StiffnessPattern, centroids, element_stiffness, triangle_geometry
+from evopore.transform import RadialFrame
 from evopore.unitcell import (
+    CellProblem,
     EffectiveTensorTable,
-    _cell_data,
-    _corrector,
     ball_volume,
     build_reference_mesh,
     effective_tensor,
@@ -15,8 +15,13 @@ from evopore.unitcell import (
     table_checks,
 )
 
-# frozen oracle: direct mode, n_boundary=256, target_h=0.01
+# frozen oracle: unit coefficient on a mesh at the radius, n_boundary=256, target_h=0.01
 A11_FINE_ORACLE = 0.6717112762
+
+
+def pulled_back(mesh, params, r):
+    """The pulled-back coefficient of radius ``r`` on the reference ``mesh``."""
+    return RadialFrame(params, centroids(mesh.vertices, mesh.triangles)).evaluate(r).coeff
 
 
 def test_mesh_quality_and_orientation(reference_mesh):
@@ -81,24 +86,24 @@ def test_mesh_quality_error_for_degenerate_combo():
 
 
 def test_cell_solution_mean_zero_and_periodic(reference_mesh, params):
-    sol = _corrector(reference_mesh, _cell_data(reference_mesh, params, 0.3, "transformed", 1.0),
-                     0, 1e-10)
-    assert abs(sol.w.mean()) < 1e-12
+    problem = CellProblem(reference_mesh, pulled_back(reference_mesh, params, 0.3))
+    w, report = problem.corrector(0, 1e-10)
+    assert abs(w.mean()) < 1e-12
     partner = reference_mesh.periodic_partner
     slaves = np.where(partner != np.arange(len(partner)))[0]
-    assert np.max(np.abs(sol.w[slaves] - sol.w[partner[slaves]])) == 0.0
-    assert sol.residual <= 1e-10
+    assert np.max(np.abs(w[slaves] - w[partner[slaves]])) == 0.0
+    assert report.final_residual <= 1e-10
 
 
 def test_cell_problem_transformed_at_r0_equals_direct(reference_mesh, params):
-    a, b = (_corrector(reference_mesh, _cell_data(reference_mesh, params, params.r0, mode, 1.0),
-                       0, 1e-10) for mode in ("transformed", "direct"))
-    assert np.max(np.abs(a.w - b.w)) < 1e-9
+    a, b = (CellProblem(reference_mesh, coeff).corrector(0, 1e-10)[0]
+            for coeff in (pulled_back(reference_mesh, params, params.r0), None))
+    assert np.max(np.abs(a - b)) < 1e-9
 
 
 def test_cell_problem_dihedral_swap_symmetry(reference_mesh, params):
-    data = _cell_data(reference_mesh, params, 0.3, "transformed", 1.0)
-    w1, w2 = (_corrector(reference_mesh, data, j, 1e-10).w for j in (0, 1))
+    problem = CellProblem(reference_mesh, pulled_back(reference_mesh, params, 0.3))
+    w1, w2 = (problem.corrector(j, 1e-10)[0] for j in (0, 1))
     v = reference_mesh.vertices
     lookup = {(x, y): i for i, (x, y) in enumerate(map(tuple, v))}
     swap = np.array([lookup[(y, x)] for (x, y) in map(tuple, v)])
@@ -106,22 +111,20 @@ def test_cell_problem_dihedral_swap_symmetry(reference_mesh, params):
 
 
 def test_cell_problem_residual_orthogonality(reference_mesh, params):
-    from evopore.fem import centroids, scatter_element_loads
-    from evopore.transform import RadialFrame
+    from evopore.fem import scatter_element_loads
 
     r = 0.32
-    sol = _corrector(reference_mesh, _cell_data(reference_mesh, params, r, "transformed", 1.0),
-                     0, 1e-11)
+    w = CellProblem(reference_mesh, pulled_back(reference_mesh, params, r)).corrector(0, 1e-11)[0]
     areas, grads = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)
     mids = centroids(reference_mesh.vertices, reference_mesh.triangles)
     coeff = RadialFrame(params, mids).evaluate(r).coeff
-    dof, n_dof = reference_mesh.dof_map()
+    dof, n_dof = reference_mesh.dof_map
     K = StiffnessPattern(dof[reference_mesh.triangles], n_dof).assemble(
         element_stiffness(areas, grads, coeff))
     loads = -np.einsum("tia,ta->ti", grads, coeff[:, :, 0]) * areas[:, None]
     b = scatter_element_loads(reference_mesh.triangles, loads, dof, n_dof)
     firsts = np.unique(dof, return_index=True)[1]
-    residual = K @ sol.w[firsts] - b
+    residual = K @ w[firsts] - b
     rng = np.random.default_rng(11)
     for _ in range(20):
         phi = rng.standard_normal(n_dof)
@@ -132,15 +135,15 @@ def test_cell_problem_residual_orthogonality(reference_mesh, params):
 def test_unconverged_cell_problem_is_numerical_error(params):
     # a tolerance no float64 solve reaches: CG runs to its iteration limit
     mesh = build_reference_mesh(params.r0, 16, 0.1)
-    data = _cell_data(mesh, params, 0.3, "transformed", 1.0)
+    problem = CellProblem(mesh, pulled_back(mesh, params, 0.3))
     with pytest.raises(NumericalError, match="direction 1: CG stalled"):
-        _corrector(mesh, data, 1, 1e-300)
+        problem.corrector(1, 1e-300)
     with pytest.raises(NumericalError, match=r"r=0\.15: cell problem in direction 0"):
         tabulate(params, np.linspace(params.r_min, params.r_max, 5), 16, 0.1, tol=1e-300)
 
 
 def test_effective_tensor_symmetry_and_isotropy(reference_mesh, params):
-    A = effective_tensor(reference_mesh, 0.3, "transformed", params)
+    A = effective_tensor(reference_mesh, pulled_back(reference_mesh, params, 0.3))
     assert abs(A[0, 1] - A[1, 0]) < 1e-12
     assert abs(A[0, 1]) < 1e-6
     assert abs(A[0, 0] - A[1, 1]) < 1e-8
@@ -152,9 +155,9 @@ def test_effective_tensor_voigt_bound(tensor_table):
 
 def test_effective_tensor_fine_oracle(params):
     mesh = build_reference_mesh(0.25, 64, 0.03)
-    A = effective_tensor(mesh, 0.25, "direct")
+    A = effective_tensor(mesh)
     assert abs(A[0, 0] - A11_FINE_ORACLE) / A11_FINE_ORACLE < 0.01
-    At = effective_tensor(mesh, 0.25, "transformed", params)
+    At = effective_tensor(mesh, pulled_back(mesh, params, 0.25))
     assert abs(At[0, 0] - A[0, 0]) / A[0, 0] < 0.005
 
 
@@ -162,8 +165,8 @@ def test_direct_vs_transformed_agreement(params):
     ref = build_reference_mesh(params.r0, 64, 0.03)
     for r in (0.15, 0.25, 0.35):
         direct_mesh = build_reference_mesh(r, 64, 0.03)
-        Ad = effective_tensor(direct_mesh, r, "direct")
-        At = effective_tensor(ref, r, "transformed", params)
+        Ad = effective_tensor(direct_mesh)
+        At = effective_tensor(ref, pulled_back(ref, params, r))
         rel = np.linalg.norm(Ad - At) / np.linalg.norm(Ad)
         assert rel <= 0.005
 
@@ -172,7 +175,7 @@ def test_mesh_refinement_order(params):
     vals = []
     for n, h in ((32, 0.08), (64, 0.04), (128, 0.02)):
         mesh = build_reference_mesh(0.25, n, h)
-        vals.append(effective_tensor(mesh, 0.25, "direct")[0, 0])
+        vals.append(effective_tensor(mesh)[0, 0])
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
     assert d2 < d1
