@@ -2,17 +2,20 @@
 solvers, execute the scale-convergence study, and validate the transform and
 kinetics properties.
 
-Exit codes: 0 all checks pass, 1 a named check in the command's report
-failed (nothing else exits with 1), 2 configuration error, 3 numerical
-failure.  Every command writes a manifest (config hash, versions, check
-results) next to its outputs; outputs are byte-deterministic for a fixed
-config and seed except the separate timing file.
+Each command of :data:`COMMANDS` writes its outputs and returns its checks;
+:func:`main` adds the report and a manifest (config hash, versions, check
+results).  Outputs are byte-deterministic for a fixed config and seed except
+the separate timing file.  Progress lines are INFO records of the
+``evopore`` logger, printed to stdout unless ``--quiet``.  Exit codes: 0 all
+checks pass, 1 a named check in the report failed (nothing else exits with
+1), 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from dataclasses import dataclass
@@ -31,6 +34,8 @@ from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv, cells_per
 from .registry import build_field, build_source
 from .unitcell import EffectiveTensorTable, build_reference_mesh, table_checks, tabulate
 from .validate import full_validation
+
+log = logging.getLogger("evopore")
 
 
 @dataclass
@@ -55,11 +60,6 @@ class ConvergenceReport:
         return self.u_decreasing and self.r_decreasing
 
 
-def _say(quiet: bool, msg: str) -> None:
-    if not quiet:
-        print(msg)
-
-
 def _write(outdir: Path, name: str, text: str, outputs: list) -> None:
     # the directory appears with the first output, after every input check,
     # so a run rejected with exit 2 leaves none behind
@@ -75,11 +75,11 @@ def _write_report(outdir: Path, checks: list[dict], outputs: list) -> None:
     _write(outdir, "report.jsonl", "\n".join(lines) + "\n", outputs)
 
 
-def _write_manifest(outdir: Path, command: str, cfg: ExperimentConfig | None,
+def _write_manifest(outdir: Path, command: str, cfg: ExperimentConfig,
                     checks: list[dict], outputs: list) -> None:
     manifest = {
         "command": command,
-        "config_sha256": cfg.sha256 if cfg else None,
+        "config_sha256": cfg.sha256,
         "versions": {"evopore": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "checks": {c["check"]: c["passed"] for c in checks},
         "outputs": sorted(outputs),
@@ -113,12 +113,12 @@ def _require_cover(grid: str, radii: np.ndarray, cfg: ExperimentConfig) -> None:
                           f"[r_min, r_max] = [{cfg.spec.r_min:g}, {cfg.spec.r_max:g}]")
 
 
-def _table_of(cfg: ExperimentConfig, quiet: bool) -> EffectiveTensorTable:
+def _table_of(cfg: ExperimentConfig) -> EffectiveTensorTable:
     """The loaded ``[table] path`` or a fresh tabulation.  A loaded table
     must hold finite values; either grid must cover the radius box, and the
     explicit grid is checked before its cost is paid."""
     if cfg.table_path:
-        _say(quiet, f"loading tensor table from {cfg.table_path}")
+        log.info(f"loading tensor table from {cfg.table_path}")
         source = f"[table] path = {cfg.table_path}"
         try:
             table = EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
@@ -129,13 +129,13 @@ def _table_of(cfg: ExperimentConfig, quiet: bool) -> EffectiveTensorTable:
         _require_cover(f"{source}: radii", table.radii, cfg)
         return table
     _require_cover("[table] radii", cfg.table_radii, cfg)
-    _say(quiet, f"tabulating effective tensors on {cfg.table_radii.size} radii")
+    log.info(f"tabulating effective tensors on {cfg.table_radii.size} radii")
     return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h, cfg.cg_tol)
 
 
-def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid, quiet: bool) -> MacroSolver:
+def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid) -> MacroSolver:
     """The macro solver of ``cfg`` on ``grid``, with the :func:`_table_of` table."""
-    return MacroSolver(grid, _table_of(cfg, quiet), cfg.spec, _source_of(cfg), cfg.diffusion,
+    return MacroSolver(grid, _table_of(cfg), cfg.spec, _source_of(cfg), cfg.diffusion,
                        cg_tol=cfg.cg_tol)
 
 
@@ -159,23 +159,20 @@ def _run_steps(solver, state, cfg: ExperimentConfig, label: str, record=None, sn
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_cell_table(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]:
+def cmd_cell_table(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
+                   outputs: list) -> list[dict]:
     table = tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h, cfg.cg_tol)
-    outputs = []
     _write(outdir, "table.csv", table.to_csv(), outputs)
-    checks = [{"check": name, "passed": ok, "value": None}
-              for name, ok in table_checks(table).items()]
-    _write_report(outdir, checks, outputs)
-    _write_manifest(outdir, "cell-table", cfg, checks, outputs)
-    _say(quiet, f"wrote {outdir / 'table.csv'} ({cfg.table_radii.size} radii)")
-    return checks
+    log.info(f"wrote {outdir / 'table.csv'} ({cfg.table_radii.size} radii)")
+    return [{"check": name, "passed": ok, "value": None}
+            for name, ok in table_checks(table).items()]
 
 
-def cmd_macro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]:
+def cmd_macro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
+                  outputs: list) -> list[dict]:
     grid = MacroGrid.create(cfg.macro_n)
-    solver = _macro_solver(cfg, grid, quiet)
+    solver = _macro_solver(cfg, grid)
     state = _initial_state(solver, cfg)
-    outputs = []
     records = [state.mass_record()]
 
     def snapshot(step, state):
@@ -188,20 +185,25 @@ def cmd_macro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict
 
     balance = mass_balance(records)
     in_box = bool(np.all((state.r >= cfg.spec.r_min) & (state.r <= cfg.spec.r_max)))
-    checks = [
+    log.info(f"macro run: {cfg.n_steps} steps, max ledger defect {balance.max_defect:.3e}")
+    return [
         {"check": "mass_ledger_defect_1e-9", "passed": balance.max_defect <= 1e-9,
          "value": balance.max_defect},
         {"check": "radii_in_box", "passed": in_box, "value": None},
     ]
-    _write_report(outdir, checks, outputs)
-    _write_manifest(outdir, "macro-run", cfg, checks, outputs)
-    _say(quiet, f"macro run: {cfg.n_steps} steps, max ledger defect {balance.max_defect:.3e}")
-    return checks
 
 
-def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
-                  epsilon: float | None = None) -> list[dict]:
-    inv = round(1.0 / epsilon) if epsilon else cfg.epsilon_inverses[0]
+def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
+                  outputs: list) -> list[dict]:
+    # --epsilon as 0.125 or 1/8; 1/epsilon must be a cell count the micro
+    # mesh allows
+    inv = cfg.epsilon_inverses[0]
+    if args.epsilon:
+        try:
+            num, den = args.epsilon.split("/") if "/" in args.epsilon else (args.epsilon, "1")
+            inv = cells_per_side(float(num) / float(den))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ConfigError(f"--epsilon {args.epsilon}: {exc}") from None
     reference = build_reference_mesh(cfg.params.r0, cfg.n_boundary, cfg.target_h)
     mesh = build_micro_mesh(reference, 1.0 / inv)
     sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
@@ -209,7 +211,6 @@ def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
                          source_at_reference=cfg.micro_source_at_reference,
                          cg_tol=cfg.cg_tol)
     state = _initial_state(sim, cfg)
-    outputs = []
     ledger, rates = [], []
 
     def record(state):
@@ -228,30 +229,26 @@ def cmd_micro_run(cfg: ExperimentConfig, outdir: Path, quiet: bool,
     _write(outdir, "micro_ledger.csv",
            csv_table("t,fluid_mass,solid_mass,flux_step,source_step,defect",
                      "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", *zip(*ledger)), outputs)
-
-    checks = [
+    log.info(f"micro run 1/eps={inv}: {cfg.n_steps} steps, max ledger defect {max_defect:.3e}")
+    return [
         {"check": "transformed_mass_ledger_1e-9", "passed": max_defect <= 1e-9,
          "value": max_defect},
         {"check": "radius_rate_bound", "passed": max_rate <= cfg.spec.f_cap / cfg.spec.c_s + 1e-12,
          "value": max_rate},
     ]
-    _write_report(outdir, checks, outputs)
-    _write_manifest(outdir, "micro-run", cfg, checks, outputs)
-    _say(quiet, f"micro run 1/eps={inv}: {cfg.n_steps} steps, max ledger defect {max_defect:.3e}")
-    return checks
 
 
-def _final_macro_state(cfg: ExperimentConfig, grid: MacroGrid, quiet: bool):
+def _final_macro_state(cfg: ExperimentConfig, grid: MacroGrid):
     """The macro state at t_end.  The solver, with its factor, is released
     on return, before the micro runs build theirs."""
-    solver = _macro_solver(cfg, grid, quiet)
+    solver = _macro_solver(cfg, grid)
     return _run_steps(solver, _initial_state(solver, cfg), cfg, "macro step {}")
 
 
-def run_convergence_study(cfg: ExperimentConfig, quiet: bool = True) -> ConvergenceReport:
+def run_convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     """Macro once, micro per epsilon, unfolded errors at the final time."""
     grid = MacroGrid.create(cfg.macro_n)
-    macro_state = _final_macro_state(cfg, grid, quiet)
+    macro_state = _final_macro_state(cfg, grid)
 
     reference = build_reference_mesh(cfg.params.r0, cfg.n_boundary, cfg.target_h)
     rows = []
@@ -264,7 +261,7 @@ def run_convergence_study(cfg: ExperimentConfig, quiet: bool = True) -> Converge
         err = unfold_compare(mesh, st, grid, macro_state)
         rows.append(ConvergenceRow(1.0 / inv, err.u_l2_error, err.r_l2_error,
                                    time.perf_counter() - t0))
-        _say(quiet, f"  1/eps={inv}: u_err={err.u_l2_error:.4e} r_err={err.r_l2_error:.4e}")
+        log.info(f"  1/eps={inv}: u_err={err.u_l2_error:.4e} r_err={err.r_l2_error:.4e}")
 
     rows.sort(key=lambda r: -r.epsilon)
     u_errs = np.array([r.u_l2_error for r in rows])
@@ -280,11 +277,11 @@ def run_convergence_study(cfg: ExperimentConfig, quiet: bool = True) -> Converge
                              bool(np.all(np.diff(r_errs) < 0)), False)
 
 
-def cmd_convergence(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]:
+def cmd_convergence(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
+                    outputs: list) -> list[dict]:
     if len(cfg.epsilon_inverses) < 3:
         raise ConfigError("convergence study needs at least 3 epsilon values")
-    report = run_convergence_study(cfg, quiet)
-    outputs = []
+    report = run_convergence_study(cfg)
     eps = [row.epsilon for row in report.rows]
     _write(outdir, "convergence.csv",
            csv_table("epsilon,u_l2_error,r_l2_error", "%.17g,%.17g,%.17g", eps,
@@ -293,6 +290,7 @@ def cmd_convergence(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[di
     (outdir / "timings.csv").write_text(
         csv_table("epsilon,runtime_seconds", "%.17g,%.3f", eps,
                   [row.runtime for row in report.rows]))
+    log.info(f"convergence: u_slope={report.u_slope} r_slope={report.r_slope}")
 
     checks = [
         {"check": "u_error_strictly_decreasing", "passed": report.u_decreasing,
@@ -303,19 +301,14 @@ def cmd_convergence(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[di
     if report.slopes_skipped:
         checks.append({"check": "slope_fit_skipped_all_errors_tiny", "passed": True,
                        "value": None})
-    _write_report(outdir, checks, outputs)
-    _write_manifest(outdir, "convergence", cfg, checks, outputs)
-    _say(quiet, f"convergence: u_slope={report.u_slope} r_slope={report.r_slope}")
     return checks
 
 
-def cmd_validate(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]:
+def cmd_validate(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
+                 outputs: list) -> list[dict]:
     checks = full_validation(cfg.params, cfg.spec, cfg.seed)
-    outputs = []
-    _write_report(outdir, checks, outputs)
-    _write_manifest(outdir, "validate", cfg, checks, outputs)
     for c in checks:
-        _say(quiet, f"  {'PASS' if c['passed'] else 'FAIL'} {c['check']} ({c['value']:.3e})")
+        log.info(f"  {'PASS' if c['passed'] else 'FAIL'} {c['check']} ({c['value']:.3e})")
     return checks
 
 
@@ -323,16 +316,13 @@ def cmd_validate(cfg: ExperimentConfig, outdir: Path, quiet: bool) -> list[dict]
 # entry point
 # ---------------------------------------------------------------------------
 
-def _parse_epsilon(text: str) -> float:
-    """``--epsilon`` as ``0.125`` or ``1/8``; 1/epsilon must be a cell count
-    the micro mesh allows."""
-    try:
-        num, den = text.split("/") if "/" in text else (text, "1")
-        eps = float(num) / float(den)
-        cells_per_side(eps)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigError(f"--epsilon {text}: {exc}") from None
-    return eps
+COMMANDS = {
+    "cell-table": (cmd_cell_table, "tabulate the radius-dependent effective diffusion tensor"),
+    "macro-run": (cmd_macro_run, "run the homogenized PDE-ODE solver"),
+    "micro-run": (cmd_micro_run, "run the resolved micro-scale solver at one epsilon"),
+    "convergence": (cmd_convergence, "run the scale-convergence study"),
+    "validate": (cmd_validate, "run the transform and kinetics property suites"),
+}
 
 
 def main(argv=None) -> int:
@@ -340,14 +330,7 @@ def main(argv=None) -> int:
         prog="evopore",
         description="Reaction-diffusion with concentration-driven pore evolution")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "cell-table": "tabulate the radius-dependent effective diffusion tensor",
-        "macro-run": "run the homogenized PDE-ODE solver",
-        "micro-run": "run the resolved micro-scale solver at one epsilon",
-        "convergence": "run the scale-convergence study",
-        "validate": "run the transform and kinetics property suites",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config file (defaults used if omitted)")
         p.add_argument("--out", help="output directory (overrides the config)")
@@ -356,26 +339,29 @@ def main(argv=None) -> int:
             p.add_argument("--epsilon", help="cell size, e.g. 0.125 or 1/8")
     args = parser.parse_args(argv)
 
+    # this call's progress lines go to the current stdout: the logger passes
+    # INFO records while the call lasts, and the handler's level decides
+    handler = logging.StreamHandler(sys.stdout)
+    handler.setLevel(logging.WARNING if args.quiet else logging.INFO)
+    level = log.level
+    log.setLevel(logging.INFO)
+    log.addHandler(handler)
     try:
         cfg = load_config(args.config) if args.config else parse_config(DEFAULT_CONFIG)
         outdir = Path(args.out or cfg.out_dir)
-        if args.command == "cell-table":
-            checks = cmd_cell_table(cfg, outdir, args.quiet)
-        elif args.command == "macro-run":
-            checks = cmd_macro_run(cfg, outdir, args.quiet)
-        elif args.command == "micro-run":
-            eps = _parse_epsilon(args.epsilon) if args.epsilon else None
-            checks = cmd_micro_run(cfg, outdir, args.quiet, eps)
-        elif args.command == "convergence":
-            checks = cmd_convergence(cfg, outdir, args.quiet)
-        else:
-            checks = cmd_validate(cfg, outdir, args.quiet)
+        outputs = []
+        checks = COMMANDS[args.command][0](cfg, args, outdir, outputs)
+        _write_report(outdir, checks, outputs)
+        _write_manifest(outdir, args.command, cfg, checks, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
     if all(c["passed"] for c in checks):
         return 0

@@ -26,6 +26,15 @@ DT_FLOOR = 1e-12
 # A table radius costs two cell solves (9 ms at the default mesh), so more
 # radii are a typo; np.linspace of 1e12 of them raises MemoryError.
 MAX_RADIUS_COUNT = 10_000
+# The 10 degree angle check needs rings about as fine as the hole polygon's
+# segments, so a cell's triangles grow as n_boundary**2: 256 times at 1024.
+MAX_N_BOUNDARY = 1024
+# A macro grid has (macro_n + 1)**2 nodes, whose system the step factors by
+# sparse LU; 1024 is 1.05M nodes, 64 times the finest grid in use (128).
+MAX_MACRO_N = 1024
+# Every step is at least one linear solve (about 1 ms on the default macro
+# grid), so a million is a quarter-hour run; t_end = 1e300 asked for 2e302.
+MAX_STEPS = 1_000_000
 
 _KNOWN_KEYS = {
     "geometry": {"r_min", "r_max", "r0", "delta"},
@@ -121,8 +130,9 @@ class ExperimentConfig:
         return int(round(self.t_end / self.dt))
 
 
-def _number(section, key: str, kind=float):
-    """``section[key]`` as a finite ``kind``, or a ConfigError naming it."""
+def _number(section, key: str, kind=float, lo=-math.inf, hi=math.inf):
+    """``section[key]`` as a finite ``kind`` in [lo, hi], or a ConfigError
+    naming it."""
     text = section[key]
     try:
         value = kind(text)
@@ -135,6 +145,8 @@ def _number(section, key: str, kind=float):
     if not ok:
         raise ConfigError(f"[{section.name}] {key} = {text!r} is not "
                           f"{'a 64-bit integer' if kind is int else 'a finite number'}")
+    if not lo <= value <= hi:
+        raise ConfigError(f"[{section.name}] {key} = {value} is outside [{lo}, {hi}]")
     return value
 
 
@@ -194,7 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"invalid kinetics: {exc}") from exc
 
     d = base["discretization"]
-    macro_n = _number(d, "macro_n", int)
+    macro_n = _number(d, "macro_n", int, 2, MAX_MACRO_N)
     try:
         inverses = tuple(int(tok) for tok in d["epsilon_inverses"].split(","))
     except ValueError as exc:
@@ -202,10 +214,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for inv in inverses:
         if inv not in ALLOWED_INV_EPS:
             raise ConfigError(f"1/epsilon must be one of {ALLOWED_INV_EPS}, got {inv}")
-    n_boundary = _number(d, "n_boundary", int)
+    n_boundary = _number(d, "n_boundary", int, 16, MAX_N_BOUNDARY)
     target_h = _number(d, "target_h")
-    if n_boundary < 16 or n_boundary % 8 != 0:
-        raise ConfigError(f"n_boundary must be >= 16 and divisible by 8, got {n_boundary}")
+    if n_boundary % 8 != 0:
+        raise ConfigError(f"n_boundary must be divisible by 8, got {n_boundary}")
     if not (0.0 < target_h < 0.25):
         raise ConfigError(f"target_h must lie in (0, 0.25), got {target_h}")
     dt = _number(d, "dt")
@@ -215,8 +227,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if dt < DT_FLOOR:
         raise ConfigError(f"dt = {dt} is below {DT_FLOOR:g}")
     steps = t_end / dt
-    if not math.isfinite(steps) or round(steps) < 1 \
-            or abs(steps - round(steps)) > 1e-9 * steps:
+    if steps > MAX_STEPS:
+        raise ConfigError(f"t_end = {t_end} is more than {MAX_STEPS} steps of dt = {dt}")
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"dt = {dt} does not divide t_end = {t_end} into whole steps")
     travel = dt * spec.f_cap / spec.c_s
     if travel >= (params.r_max - params.r_min) / 4.0:
@@ -232,10 +245,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"[table] radii = {t['radii']!r} is not a list of numbers") \
                 from None
     else:
-        count = _number(t, "radius_count", int)
-        if not 5 <= count <= MAX_RADIUS_COUNT:
-            raise ConfigError(f"[table] radius_count = {count} is outside [5, {MAX_RADIUS_COUNT}]")
-        radii = np.linspace(params.r_min, params.r_max, count)
+        radii = np.linspace(params.r_min, params.r_max,
+                            _number(t, "radius_count", int, 5, MAX_RADIUS_COUNT))
     if radii.size < 5:
         raise ConfigError("table needs at least 5 radii")
     if not np.all((radii >= params.r_min) & (radii <= params.r_max)):
@@ -259,15 +270,11 @@ def parse_config(text: str) -> ExperimentConfig:
         table_radii=radii, table_path=t.get("path"),
         micro_pinned_radii=_flag(micro, "pinned_radii"),
         micro_source_at_reference=_flag(micro, "source_at_reference"),
-        out_dir=o["directory"], snapshot_every=_number(o, "snapshot_every", int),
-        seed=_number(run, "seed", int), diffusion=_number(run, "diffusion"),
+        out_dir=o["directory"], snapshot_every=_number(o, "snapshot_every", int, 1),
+        seed=_number(run, "seed", int, 0), diffusion=_number(run, "diffusion"),
         cg_tol=_number(run, "cg_tol"),
         sha256=hashlib.sha256(text.encode()).hexdigest(),
     )
-    if cfg.macro_n < 2:
-        raise ConfigError("macro_n must be at least 2")
-    if cfg.snapshot_every < 1:
-        raise ConfigError("snapshot_every must be at least 1")
     if cfg.diffusion <= 0:
         raise ConfigError(f"diffusion must be positive, got {cfg.diffusion}")
     if not (CG_TOL_FLOOR <= cfg.cg_tol < 1.0):

@@ -181,7 +181,7 @@ def test_criterion_08_steady_state_fixed_point(params, spec, tensor_table, refer
 def test_criterion_09_two_scale_convergence():
     t0 = time.perf_counter()
     cfg = parse_config(DEFAULT_CONFIG)
-    report = run_convergence_study(cfg, quiet=True)
+    report = run_convergence_study(cfg)
     elapsed = time.perf_counter() - t0
     u_errs = [row.u_l2_error for row in report.rows]
     r_errs = [row.r_l2_error for row in report.rows]

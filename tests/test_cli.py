@@ -1,5 +1,8 @@
+import configparser
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +13,9 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import evopore.transform
-from evopore.cli import (ConvergenceReport, ConvergenceRow, _initial_state, _macro_solver,
-                         main, run_convergence_study)
-from evopore.config import DEFAULT_CONFIG, parse_config
+from evopore.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _initial_state,
+                         _macro_solver, main, run_convergence_study)
+from evopore.config import _KNOWN_KEYS, DEFAULT_CONFIG, parse_config
 from evopore.errors import ConfigError, NumericalError
 from evopore.macro import MacroGrid
 from evopore.micro import MicroSimulator
@@ -108,6 +111,10 @@ def test_config_rejections(tmp_path):
     ("[output]\nsnapshot_every = 0\n", ["snapshot_every"]),
     ("[discretization]\nt_end = -1\n", ["t_end"]),
     ("[discretization]\ndt = 0.1\n", ["dt too large"]),
+    ("[run]\nseed = -5\n", ["seed", "-5"]),
+    ("[discretization]\nn_boundary = 1099511627776\n", ["n_boundary", "1099511627776"]),
+    ("[discretization]\nmacro_n = 4294967296\n", ["macro_n", "4294967296"]),
+    ("[discretization]\nt_end = 1e300\n", ["t_end", "1e+300"]),
 ])
 def test_config_rejections_one_line(tmp_path, capsys, body, names):
     bad = tmp_path / "bad.cfg"
@@ -285,7 +292,7 @@ def test_every_accepted_config_runs(text):
     the macro solver as ``macro-run`` does and runs two steps."""
     try:
         cfg = parse_config(text)
-        solver = _macro_solver(cfg, MacroGrid.create(cfg.macro_n), quiet=True)
+        solver = _macro_solver(cfg, MacroGrid.create(cfg.macro_n))
         state = _initial_state(solver, cfg)
     except ConfigError:
         event("config error")
@@ -442,3 +449,59 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for cmd in ("cell-table", "macro-run", "micro-run", "convergence", "validate"):
         assert cmd in proc.stdout
+
+
+def test_progress_lines_go_through_the_evopore_logger(tmp_path, capsys):
+    """``main`` prints the progress lines to stdout for one call unless
+    --quiet, and leaves no handler on the ``evopore`` logger; a library call
+    prints nothing."""
+    logger = logging.getLogger("evopore")
+    handlers = list(logger.handlers)
+    cfg = cfg_file(tmp_path)
+    assert main(["macro-run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "tabulating effective tensors on 5 radii"
+    assert re.fullmatch(r"macro run: 10 steps, max ledger defect \S+", lines[1])
+    assert len(lines) == 2
+    assert logger.handlers == handlers
+
+    assert main(["macro-run", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert logger.handlers == handlers
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[run]\ndiffusion = 0\n")
+    assert main(["macro-run", "--config", str(bad), "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().out == ""
+    assert logger.handlers == handlers
+
+    run_convergence_study(parse_config(FAST_COMMON))
+    assert capsys.readouterr().out == ""
+
+
+def _doc_block(heading: str, language: str) -> str:
+    """The first fenced block of ``language`` under ``heading`` in the
+    config schema."""
+    text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_config_schema_doc_matches_the_code():
+    block = _doc_block("## Config files", "ini")
+    doc = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    doc.read_string(block)
+    default = configparser.ConfigParser()
+    default.read_string(DEFAULT_CONFIG)
+    assert {s: dict(doc[s]) for s in doc.sections()} == \
+        {s: dict(default[s]) for s in default.sections()}
+    # every known key is documented in its section, commented or not
+    chunks = dict(re.findall(r"^\[(\w+)\][^\n]*\n(.*?)(?=^\[|\Z)", block, re.M | re.S))
+    assert set(chunks) == set(_KNOWN_KEYS)
+    for section, keys in _KNOWN_KEYS.items():
+        for key in keys:
+            assert re.search(rf"^(# )?{key} = ", chunks[section], re.M), (section, key)
+
+    usage = [line.split() for line in _doc_block("## CLI", "").strip().splitlines()]
+    assert [words[1] for words in usage] == list(COMMANDS)
+    assert [words[1] for words in usage if "[--epsilon" in words] == ["micro-run"]
