@@ -14,6 +14,7 @@ checks pass, 1 a named check in the report failed (nothing else exits with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -60,11 +61,25 @@ class ConvergenceReport:
         return self.u_decreasing and self.r_decreasing
 
 
+def _check_outdir(outdir: Path) -> None:
+    """An output directory that is, or lies under, an existing file is a
+    config error, found before the command does its work."""
+    try:
+        existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    except OSError as exc:
+        raise ConfigError(f"output directory {outdir}: {exc.strerror or exc}") from None
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {outdir}: {existing} is not a directory")
+
+
 def _write(outdir: Path, name: str, text: str, outputs: list) -> None:
     # the directory appears with the first output, after every input check,
     # so a run rejected with exit 2 leaves none behind
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / name).write_text(text)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / name).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {outdir / name}: {exc.strerror or exc}") from None
     outputs.append(name)
 
 
@@ -84,7 +99,7 @@ def _write_manifest(outdir: Path, command: str, cfg: ExperimentConfig,
         "checks": {c["check"]: c["passed"] for c in checks},
         "outputs": sorted(outputs),
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    _write(outdir, "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n", [])
 
 
 def _source_of(cfg: ExperimentConfig):
@@ -204,11 +219,15 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
             inv = cells_per_side(float(num) / float(den))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"--epsilon {args.epsilon}: {exc}") from None
+    if cfg.micro_pinned_radii:
+        # radii frozen at r0 are inputs: no reaction (rate_slope 0 makes
+        # gated_affine, the one family a config can name, exactly 0) and
+        # every radius at r0
+        cfg = dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, rate_slope=0.0),
+                                  r_field="constant", r_params={"value": cfg.params.r0})
     reference = build_reference_mesh(cfg.params.r0, cfg.n_boundary, cfg.target_h)
     mesh = build_micro_mesh(reference, 1.0 / inv)
     sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
-                         pinned_radii=cfg.micro_pinned_radii,
-                         source_at_reference=cfg.micro_source_at_reference,
                          cg_tol=cfg.cg_tol)
     state = _initial_state(sim, cfg)
     ledger, rates = [], []
@@ -287,9 +306,8 @@ def cmd_convergence(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Pat
            csv_table("epsilon,u_l2_error,r_l2_error", "%.17g,%.17g,%.17g", eps,
                      [row.u_l2_error for row in report.rows],
                      [row.r_l2_error for row in report.rows]), outputs)
-    (outdir / "timings.csv").write_text(
-        csv_table("epsilon,runtime_seconds", "%.17g,%.3f", eps,
-                  [row.runtime for row in report.rows]))
+    _write(outdir, "timings.csv", csv_table("epsilon,runtime_seconds", "%.17g,%.3f", eps,
+                                            [row.runtime for row in report.rows]), [])
     log.info(f"convergence: u_slope={report.u_slope} r_slope={report.r_slope}")
 
     checks = [
@@ -349,6 +367,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else parse_config(DEFAULT_CONFIG)
         outdir = Path(args.out or cfg.out_dir)
+        _check_outdir(outdir)
         outputs = []
         checks = COMMANDS[args.command][0](cfg, args, outdir, outputs)
         _write_report(outdir, checks, outputs)

@@ -29,6 +29,10 @@ MAX_RADIUS_COUNT = 10_000
 # The 10 degree angle check needs rings about as fine as the hole polygon's
 # segments, so a cell's triangles grow as n_boundary**2: 256 times at 1024.
 MAX_N_BOUNDARY = 1024
+# Rings thinner than about half the square boundary's segments (4 / n_boundary)
+# fail the 10 degree angle check, so below 0.5 / MAX_N_BOUNDARY no reference
+# mesh passes; target_h = 1e-12 sized 4.6e11 rings before the check.
+TARGET_H_FLOOR = 5e-4
 # A macro grid has (macro_n + 1)**2 nodes, whose system the step factors by
 # sparse LU; 1024 is 1.05M nodes, 64 times the finest grid in use (128).
 MAX_MACRO_N = 1024
@@ -43,7 +47,7 @@ _KNOWN_KEYS = {
     "initial": {"u_field", "r_field"},  # plus u_param.* / r_param.*
     "discretization": {"macro_n", "epsilon_inverses", "n_boundary", "target_h", "dt", "t_end"},
     "table": {"radius_count", "radii", "path"},
-    "micro": {"pinned_radii", "source_at_reference"},
+    "micro": {"pinned_radii"},
     "output": {"directory", "snapshot_every"},
     "run": {"seed", "diffusion", "cg_tol"},
 }
@@ -85,7 +89,6 @@ radius_count = 11
 
 [micro]
 pinned_radii = false
-source_at_reference = false
 
 [output]
 directory = out
@@ -117,7 +120,6 @@ class ExperimentConfig:
     table_radii: np.ndarray
     table_path: str | None
     micro_pinned_radii: bool
-    micro_source_at_reference: bool
     out_dir: str
     snapshot_every: int
     seed: int
@@ -214,12 +216,17 @@ def parse_config(text: str) -> ExperimentConfig:
     for inv in inverses:
         if inv not in ALLOWED_INV_EPS:
             raise ConfigError(f"1/epsilon must be one of {ALLOWED_INV_EPS}, got {inv}")
+    if len(set(inverses)) < len(inverses):
+        raise ConfigError(f"[discretization] epsilon_inverses = {d['epsilon_inverses']} "
+                          f"repeats a value")
     n_boundary = _number(d, "n_boundary", int, 16, MAX_N_BOUNDARY)
     target_h = _number(d, "target_h")
     if n_boundary % 8 != 0:
         raise ConfigError(f"n_boundary must be divisible by 8, got {n_boundary}")
     if not (0.0 < target_h < 0.25):
         raise ConfigError(f"target_h must lie in (0, 0.25), got {target_h}")
+    if target_h < TARGET_H_FLOOR:
+        raise ConfigError(f"[discretization] target_h = {target_h} is below {TARGET_H_FLOOR:g}")
     dt = _number(d, "dt")
     t_end = _number(d, "t_end")
     if dt <= 0 or t_end <= 0:
@@ -269,7 +276,6 @@ def parse_config(text: str) -> ExperimentConfig:
         target_h=target_h, dt=dt, t_end=t_end,
         table_radii=radii, table_path=t.get("path"),
         micro_pinned_radii=_flag(micro, "pinned_radii"),
-        micro_source_at_reference=_flag(micro, "source_at_reference"),
         out_dir=o["directory"], snapshot_every=_number(o, "snapshot_every", int, 1),
         seed=_number(run, "seed", int, 0), diffusion=_number(run, "diffusion"),
         cg_tol=_number(run, "cg_tol"),

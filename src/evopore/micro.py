@@ -13,6 +13,10 @@ the weak form through four scalars per element (:class:`MapScalars`), so a
 step builds its element matrices and drift loads from a few reference-cell
 arrays (:class:`CellBases`) scaled per element: no per-element tensor algebra.
 
+A step whose radii did not move keeps its cell map and system for the next
+step at the same radii and dt.  So radii frozen at r0, which are inputs (a
+zero rate law, every radius at r0), not a stepper mode, assemble once per dt.
+
 The unfolding comparator turns a micro state into per-cell pore averages and
 measures their distance to a macro solution at the cell centers.
 """
@@ -124,18 +128,16 @@ class CellBases:
     """
 
     stiffness: np.ndarray            # L = |T| G G^T, (m, 3, 3)
-    radial: np.ndarray | None        # Q = |T| w w^T, (m, 3, 3)
-    drift: np.ndarray | None         # |T| w, (m, 3)
+    radial: np.ndarray               # Q = |T| w w^T, (m, 3, 3)
+    drift: np.ndarray                # |T| w, (m, 3)
 
     @classmethod
-    def of(cls, reference: PeriodicMesh, directions: np.ndarray | None) -> "CellBases":
+    def of(cls, reference: PeriodicMesh, directions: np.ndarray) -> "CellBases":
         """Bases on the reference mesh for the unit directions (m, 2) at its
-        element midpoints; ``None`` gives the stiffness alone."""
+        element midpoints."""
         areas, grads = reference.geometry
         stiffness = grads @ grads.transpose(0, 2, 1)
         stiffness *= areas[:, None, None]
-        if directions is None:
-            return cls(stiffness, None, None)
         w = (grads @ directions[:, :, None])[:, :, 0]
         drift = areas[:, None] * w
         return cls(stiffness, drift[:, :, None] * w[:, None, :], drift)
@@ -186,15 +188,12 @@ class MicroSimulator:
     """Stepper for the transformed substitute problem."""
 
     def __init__(self, mesh: MicroMesh, params: TransformParams, spec: KineticsSpec,
-                 source=None, diffusion: float = 1.0, pinned_radii: bool = False,
-                 source_at_reference: bool = False, cg_tol: float = 1e-10):
+                 source=None, diffusion: float = 1.0, cg_tol: float = 1e-10):
         self.mesh = mesh
         self.params = params
         self.spec = spec
         self.source = source
         self.diffusion = diffusion
-        self.pinned_radii = pinned_radii
-        self.source_at_reference = source_at_reference
         self.cg_tol = cg_tol
         m = mesh
         self._cell_r_of_el = m.cell_of_element
@@ -202,27 +201,21 @@ class MicroSimulator:
         self._cell_offsets = m.epsilon * m.cell_index.astype(float)
         self._pattern = StiffnessPattern(m.triangles, m.n_nodes)
         # every cell carries the reference triangles, so one frame on the
-        # reference midpoints serves all cells; pinned radii never map
-        self._frame = None if pinned_radii else \
-            RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
+        # reference midpoints serves all cells
+        self._frame = RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
         self._bases = None
-        self._pinned = None
+        self._kept = None   # (radii, dt, map, system) of a step whose radii did not move
 
     # -- construction --------------------------------------------------------
 
     def init(self, u0_field, r0_field) -> MicroState:
-        """State at t = 0; pinned mode forces every radius to the reference
-        radius so the run is exactly a perforated-domain heat problem."""
+        """State at t = 0: u0 at the nodes, r0 at the cell centers."""
         m = self.mesh
         u = np.asarray(u0_field(m.vertices), dtype=float)
-        if self.pinned_radii:
-            r_cells = np.full(m.n_cells, self.params.r0)
-        else:
-            r_cells = np.asarray(r0_field(m.cell_centers()), dtype=float)
-        radii = r_cells.reshape(m.n_cells_side, m.n_cells_side)
+        radii = np.asarray(r0_field(m.cell_centers()), dtype=float).reshape(
+            m.n_cells_side, m.n_cells_side)
         check_initial_state(self.spec, u, radii)
-        jac = np.ones(len(m.triangles)) if self.pinned_radii else self._cell_map(radii).det
-        mass = lumped_mass(m.triangles, m.areas, jac, m.n_nodes)
+        mass = lumped_mass(m.triangles, m.areas, self._cell_map(radii).det, m.n_nodes)
         state = MicroState(0.0, u, radii, np.zeros_like(radii), mass, 0.0, 0.0)
         state.fluid_mass = float(mass @ u)
         state.solid_mass = self._solid_mass(radii)
@@ -236,35 +229,24 @@ class MicroSimulator:
         """The reference-cell bases, built on the first step (as the CSR
         pattern is) to keep set-up cheap."""
         if self._bases is None:
-            directions = None if self.pinned_radii else self._frame.directions()
-            self._bases = CellBases.of(self.mesh.reference, directions)
+            self._bases = CellBases.of(self.mesh.reference, self._frame.directions())
         return self._bases
-
-    def _pinned_system(self, mass: np.ndarray, dt: float):
-        """The implicit system of pinned radii.  Neither the element matrices
-        nor the mass change, so it is assembled once and reused while the
-        mass array and ``dt`` stay the same."""
-        if self._pinned is None or self._pinned[0] is not mass or self._pinned[1] != dt:
-            stiffness = self._cell_bases().stiffness
-            k_el = np.broadcast_to(self.diffusion * stiffness,
-                                   (self.mesh.n_cells,) + stiffness.shape)
-            self._pinned = mass, dt, self._pattern.assemble(k_el, diagonal=mass / dt)
-        return self._pinned[2]
 
     def _solid_mass(self, radii: np.ndarray) -> float:
         eps = self.mesh.epsilon
         return float(self.spec.c_s * eps**2 * np.sum(ball_volume(radii)))
 
-    def _surface_integrals(self, u: np.ndarray, radii_cell: np.ndarray,
-                           scale: np.ndarray | None = None):
-        """Per-cell boundary integral of f(u, r) and the nodal loads of
-        (scale * f, phi_i), by two-point Gauss on every hole-boundary edge."""
+    def _surface_integrals(self, u: np.ndarray, radii: np.ndarray):
+        """Per-cell boundary integral of f(u, r), the nodal loads of
+        (scale * f, phi_i) and their total, by two-point Gauss on every
+        hole-boundary edge; ``scale`` is the surface Jacobian of the radial
+        map times the epsilon of the weak form."""
         m = self.mesh
         edges = m.gamma_edges            # (nc, nb, 2)
         u0 = u[edges[..., 0]]
         u1 = u[edges[..., 1]]
-        r_cell = radii_cell[:, None]     # (nc, 1)
-        sc = np.ones(m.n_cells) if scale is None else scale
+        r_cell = radii.reshape(-1, 1)    # (nc, 1)
+        scale = m.epsilon * radii.reshape(-1) / self.params.r0
         integral = np.zeros(m.n_cells)
         weights = []
         for q in _EDGE_GAUSS:
@@ -272,13 +254,13 @@ class MicroSimulator:
             fq = eval_f(self.spec, uq, np.broadcast_to(r_cell, uq.shape))
             contrib = 0.5 * self._edge_len * fq
             integral += contrib.sum(axis=1)
-            scaled = contrib * sc[:, None]
+            scaled = contrib * scale[:, None]
             weights += [scaled * (1.0 - q), scaled * q]
         # one scatter, in the order of the weights: q0e0, q0e1, q1e0, q1e1
         nodes = np.concatenate([edges[..., 0].ravel(), edges[..., 1].ravel()] * len(_EDGE_GAUSS))
         loads = np.bincount(nodes, np.concatenate([w.ravel() for w in weights]),
                             minlength=m.n_nodes)
-        return integral, loads
+        return integral, loads, float((scale * integral).sum())
 
     # -- time stepping ---------------------------------------------------------
 
@@ -286,64 +268,54 @@ class MicroSimulator:
         if dt <= 0:
             raise ValueError("dt must be positive")
         m = self.mesh
-        spec = self.spec
         eps = m.epsilon
         t_new = state.t + dt
 
         # (1) explicit radius update from the surface-averaged rate at the
         # old concentration and old radii
-        if self.pinned_radii:
-            radii_new = state.radii
-            rate = np.zeros_like(state.radii)
-        else:
-            f_int, _ = self._surface_integrals(state.u_hat, state.radii.reshape(-1))
-            f_avg = f_int / self._edge_len.sum(axis=1)
-            radii_new = step_radius(spec, state.radii, f_avg.reshape(state.radii.shape), dt)
-            rate = (radii_new - state.radii) / dt
+        f_int, loads, flux_total = self._surface_integrals(state.u_hat, state.radii)
+        f_avg = f_int / self._edge_len.sum(axis=1)
+        radii_new = step_radius(self.spec, state.radii, f_avg.reshape(state.radii.shape), dt)
+        rate = (radii_new - state.radii) / dt
+        still = np.array_equal(radii_new, state.radii)
 
         # (2) the cell map at the new radii: J, the lumped mass and the
-        # element matrices of the pulled-back tensor
-        bases = self._cell_bases()
-        if self.pinned_radii:
-            sc = None
-            jac_new = np.ones(len(m.triangles))
-            mass_new = state.mass
-            system = self._pinned_system(mass_new, dt)
+        # element matrices of the pulled-back tensor.  Radii that did not
+        # move keep J and so the mass, and a map and system kept at the same
+        # radii (and dt) serve again
+        kept = self._kept
+        if not (still and kept and np.array_equal(kept[0], radii_new)):
+            kept = None
+        sc = kept[2] if kept else self._cell_map(radii_new)
+        mass_new = state.mass if still else lumped_mass(m.triangles, m.areas, sc.det, m.n_nodes)
+        if kept and kept[1] == dt:
+            system = kept[3]
         else:
-            sc = self._cell_map(radii_new)
-            jac_new = sc.det
-            mass_new = lumped_mass(m.triangles, m.areas, jac_new, m.n_nodes)
-            system = self._pattern.assemble(bases.element_matrices(sc, self.diffusion),
-                                            diagonal=mass_new / dt)
+            system = self._pattern.assemble(
+                self._cell_bases().element_matrices(sc, self.diffusion), diagonal=mass_new / dt)
+        self._kept = (radii_new, dt, sc, system) if still else None
 
         # (3) backward-Euler bulk solve
         b = state.mass * state.u_hat / dt
 
         source_step = 0.0
         if self.source is not None:
-            mapped = m.micro_midpoints if sc is None else self._frame.image(sc.radius)
-            pts = m.micro_midpoints if self.source_at_reference else \
-                self._cell_offsets[self._cell_r_of_el] + eps * mapped
+            pts = self._cell_offsets[self._cell_r_of_el] + eps * self._frame.image(sc.radius)
             fp = np.asarray(self.source(t_new, pts), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            b += lumped_mass(m.triangles, m.areas, jac_new * fp, m.n_nodes)
-            source_step = float(dt * np.sum(jac_new * fp * m.areas))
+            b += lumped_mass(m.triangles, m.areas, sc.det * fp, m.n_nodes)
+            source_step = float(dt * np.sum(sc.det * fp * m.areas))
 
-        # explicit transformation-drift term (B u, grad phi) moved to the rhs
-        if sc is not None:
+        # the explicit transformation drift (B u, grad phi), which vanishes
+        # with the radius rate, and the explicit surface reaction at (old u,
+        # new radii) move to the rhs; radii that did not move keep step (1)'s
+        if not still:
             u_mid = element_means(m.triangles, state.u_hat)
-            drift = bases.drift_loads(sc, rate.reshape(-1), u_mid, eps)
+            drift = self._cell_bases().drift_loads(sc, rate.reshape(-1), u_mid, eps)
             b -= np.bincount(m.triangles.ravel(), drift.ravel(), minlength=m.n_nodes)
-
-        # explicit surface reaction at (old u, new radii), scaled by the
-        # surface Jacobian of the radial map and the epsilon of the weak form
-        flux_total = 0.0
-        if not self.pinned_radii:
-            scale = eps * radii_new.reshape(-1) / self.params.r0
-            f_int_new, loads = self._surface_integrals(state.u_hat, radii_new.reshape(-1), scale)
-            flux_total = float((scale * f_int_new).sum())
-            b -= loads
+            _, loads, flux_total = self._surface_integrals(state.u_hat, radii_new)
+        b -= loads
 
         u_new, iterations = backward_euler_step(
             system, b, state.u_hat, self.cg_tol, "micro", t_new)

@@ -115,6 +115,8 @@ def test_config_rejections(tmp_path):
     ("[discretization]\nn_boundary = 1099511627776\n", ["n_boundary", "1099511627776"]),
     ("[discretization]\nmacro_n = 4294967296\n", ["macro_n", "4294967296"]),
     ("[discretization]\nt_end = 1e300\n", ["t_end", "1e+300"]),
+    ("[discretization]\nepsilon_inverses = 1,1,2\n", ["epsilon_inverses", "1,1,2"]),
+    ("[discretization]\ntarget_h = 1e-12\n", ["target_h", "1e-12"]),
 ])
 def test_config_rejections_one_line(tmp_path, capsys, body, names):
     bad = tmp_path / "bad.cfg"
@@ -151,9 +153,10 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
     (["macro-run"], "[table]\npath = {tmp}/nan.csv\n", ["nan.csv", "non-finite"]),
     (["macro-run"], "[table]\nradii = 0.2,0.22,0.24,0.26,0.28,0.3\n[initial]\n"
      "r_param.value = 0.16\n", ["[table] radii", "[0.2, 0.3]"]),
+    (["validate", "--out", "{tmp}/narrow.csv"], "", ["narrow.csv", "not a directory"]),
 ], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
         "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan",
-        "table-radii-narrow"])
+        "table-radii-narrow", "out-is-a-file"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
     # [0.15, 0.35], and the full box with one NaN entry
@@ -165,12 +168,27 @@ def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_COMMON.replace("[table]\nradius_count = 5\n", "")
                    + extra.format(tmp=tmp_path))
-    assert main(args + ["--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    # options of the case come last, so that its own --out wins
+    assert main(args[:1] + ["--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+                + [arg.format(tmp=tmp_path) for arg in args[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     for name in names:
         assert name in err
     assert not (tmp_path / "o").exists()
+
+
+def test_unwritable_output_is_one_line(tmp_path, capsys):
+    # a directory that holds the name of an output file
+    (tmp_path / "o" / "report.jsonl").mkdir(parents=True)
+    assert main(["validate", "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write ") and err.count("\n") == 1
+    assert str(tmp_path / "o" / "report.jsonl") in err
+    # a directory name too long to look up
+    assert main(["validate", "--out", str(tmp_path / ("x" * 300) / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output directory ") and err.count("\n") == 1
 
 
 def test_cell_table_runs_and_is_deterministic(tmp_path):

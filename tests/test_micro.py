@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -27,6 +29,27 @@ def constant_field(value):
 @pytest.fixture(scope="module")
 def micro_mesh_half(reference_mesh):
     return build_micro_mesh(reference_mesh, 0.5)
+
+
+@pytest.fixture(scope="module")
+def no_reaction(spec):
+    """The rate law that is zero everywhere: radii at r0 then never move, and
+    the run is a plain perforated-domain heat problem."""
+    return replace(spec, rate_slope=0.0)
+
+
+def assert_same_state(got, want):
+    for name in ("t", "u_hat", "radii", "radii_rate", "mass", "fluid_mass", "solid_mass",
+                 "flux_step", "source_step", "defect", "radius_flux_gap", "cg_iterations"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def count_assemblies(sim):
+    """The number of system assemblies ``sim`` has made, as a callable."""
+    calls = []
+    assemble = sim._pattern.assemble
+    sim._pattern.assemble = lambda *a, **k: calls.append(1) or assemble(*a, **k)
+    return lambda: len(calls)
 
 
 def test_mesh_counts(reference_mesh, micro_mesh_half):
@@ -78,9 +101,9 @@ def test_gamma_perimeter_scales(reference_mesh, micro_mesh_half):
         assert micro_mesh_half.gamma_edge_lengths()[c].sum() == pytest.approx(0.5 * ref_per, rel=1e-12)
 
 
-def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, spec):
+def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_reaction):
     m = micro_mesh_half
-    sim = MicroSimulator(m, params, spec, pinned_radii=True, cg_tol=1e-12)
+    sim = MicroSimulator(m, params, no_reaction, cg_tol=1e-12)
     rng = np.random.default_rng(0)
     u0 = rng.uniform(0.2, 0.8, m.n_nodes)
     state = sim.init(lambda x: u0, constant_field(params.r0))
@@ -113,10 +136,10 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, spec):
     assert np.array_equal(out.radii, state.radii)
 
 
-def test_pinned_source_at_physical_points(micro_mesh_half, params, spec):
-    """With ``source_at_reference = false`` a pinned run evaluates the source
-    at the physical element centroids, cell by cell, not at the in-cell
-    reference coordinates every cell shares."""
+def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
+    """A run at r0 without reaction evaluates the source at the physical
+    element centroids, cell by cell, not at the in-cell reference
+    coordinates every cell shares."""
     m = micro_mesh_half
     f = build_source("decaying_cosine", {"amplitude": 2.0, "rate": 0.5})
     rng = np.random.default_rng(3)
@@ -124,17 +147,17 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, spec):
     centroids = m.vertices[m.triangles].mean(axis=1)
     dt = 0.01
 
-    def run(source, at_reference):
-        sim = MicroSimulator(m, params, spec, source, pinned_radii=True,
-                             source_at_reference=at_reference, cg_tol=1e-12)
+    def run(source):
+        sim = MicroSimulator(m, params, no_reaction, source, cg_tol=1e-12)
         return sim.step(sim.init(lambda x: u0, constant_field(params.r0)), dt)
 
-    out = run(f, False)
-    want = run(lambda t, x: f(t, centroids), True)
+    out = run(f)
+    want = run(lambda t, x: f(t, centroids))
     assert np.allclose(out.u_hat, want.u_hat, rtol=1e-12, atol=1e-14)
     assert abs(out.source_step - want.source_step) <= 1e-15
     # the reference-point source differs visibly, so the check above has teeth
-    assert np.abs(run(f, True).u_hat - out.u_hat).max() > 1e-3
+    at_reference = run(lambda t, x: f(t, m.micro_midpoints))
+    assert np.abs(at_reference.u_hat - out.u_hat).max() > 1e-3
 
 
 def test_reference_bases_match_pulled_back_assembly(micro_mesh_half, params):
@@ -164,38 +187,68 @@ def test_reference_bases_match_pulled_back_assembly(micro_mesh_half, params):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    # pinned radii: the stiffness alone is the unit-tensor assembly
-    pinned = CellBases.of(m.reference, None)
+    # the stiffness alone is the unit-tensor assembly
     unit = np.broadcast_to(np.eye(2), (len(m.triangles), 2, 2))
-    assert pinned.radial is None and pinned.drift is None
-    assert np.allclose(np.tile(pinned.stiffness, (m.n_cells, 1, 1)),
+    assert np.allclose(np.tile(bases.stiffness, (m.n_cells, 1, 1)),
                        element_stiffness(areas, grads, unit), rtol=1e-12, atol=1e-12)
 
 
-def test_pinned_constant_initial_stays_constant(micro_mesh_half, params, spec):
-    sim = MicroSimulator(micro_mesh_half, params, spec, pinned_radii=True)
+def test_pinned_constant_initial_stays_constant(micro_mesh_half, params, no_reaction):
+    sim = MicroSimulator(micro_mesh_half, params, no_reaction)
     state = sim.init(constant_field(0.7), constant_field(params.r0))
     for _ in range(5):
         state = sim.step(state, 0.02)
     assert np.max(np.abs(state.u_hat - 0.7)) < 1e-12
 
 
-def test_pinned_system_reused_per_dt(micro_mesh_half, params, spec):
-    """A pinned run assembles its system once per dt: every step, also after
-    a change of dt, equals the step of a fresh simulator bit for bit."""
+def test_system_reused_while_radii_and_dt_unchanged(micro_mesh_half, params, no_reaction):
+    """Radii at r0 without reaction never move, so the run assembles its
+    system once per dt: every step, also after a change of dt, equals the
+    step of a fresh simulator bit for bit."""
     rng = np.random.default_rng(4)
     u0 = rng.uniform(0.2, 0.8, micro_mesh_half.n_nodes)
 
     def fresh():
-        sim = MicroSimulator(micro_mesh_half, params, spec, pinned_radii=True)
+        sim = MicroSimulator(micro_mesh_half, params, no_reaction)
         return sim, sim.init(lambda x: u0, constant_field(params.r0))
 
     sim, state = fresh()
+    assemblies = count_assemblies(sim)
     for dt in (0.01, 0.01, 0.005, 0.01):
         stepped = sim.step(state, dt)
         other, _ = fresh()
-        assert np.array_equal(stepped.u_hat, other.step(state, dt).u_hat)
+        assert_same_state(stepped, other.step(state, dt))
         state = stepped
+    assert assemblies() == 3
+
+
+def test_reacting_run_at_rest_reuses_its_system(micro_mesh_half, params, spec):
+    """With u above u_eq every radius at r_max is held by the growth gate,
+    which makes f exactly 0 there: the radii do not move, each step reuses
+    the system and equals a fresh simulator's step bit for bit.  A step
+    whose radii move keeps no system."""
+    rng = np.random.default_rng(5)
+    u0 = rng.uniform(0.6, 0.9, micro_mesh_half.n_nodes)
+    f = build_source("decaying_cosine", {"amplitude": 0.5, "rate": 1.0})
+
+    def fresh(radius):
+        sim = MicroSimulator(micro_mesh_half, params, spec, f)
+        return sim, sim.init(lambda x: u0, constant_field(radius))
+
+    sim, state = fresh(spec.r_max)
+    assemblies = count_assemblies(sim)
+    for _ in range(4):
+        stepped = sim.step(state, 0.01)
+        other, _ = fresh(spec.r_max)
+        assert_same_state(stepped, other.step(state, 0.01))
+        assert np.all(stepped.radii == spec.r_max) and np.all(stepped.radii_rate == 0.0)
+        assert stepped.flux_step == 0.0
+        state = stepped
+    assert assemblies() == 1
+
+    growing, state = fresh(0.2)
+    assert not np.array_equal(growing.step(state, 0.01).radii, state.radii)
+    assert growing._kept is None
 
 
 def test_steady_state_exact(micro_mesh_half, params, spec):
