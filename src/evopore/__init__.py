@@ -11,12 +11,11 @@ verify the scale limit empirically.
 __version__ = "0.1.0"
 
 from .errors import ConfigError, MeshQualityError, NumericalError
-from .kinetics import (KineticsSpec, eval_f, lipschitz_envelope, register_family,
-                       step_radius, validate_structure)
+from .kinetics import KineticsSpec, eval_f, lipschitz_envelope, step_radius, validate_structure
 from .macro import MacroGrid, MacroSolver, MacroState, mass_balance
 from .micro import (MicroMesh, MicroSimulator, MicroState, UnfoldingError,
                     build_micro_mesh, cell_pore_means, unfold_compare)
-from .registry import build_field, build_source, register_field, register_source
+from .registry import build_field, build_source, register_field
 from .sparse import SolveReport, solve_cg
 from .transform import (MapEval, MapScalars, RadialFrame, TransformParams, eval_psi_inverse,
                         profile, profile_raw)

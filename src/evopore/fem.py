@@ -3,18 +3,21 @@
 All solvers in the package use linear triangles with one-point (centroid)
 quadrature for variable coefficients and row-sum lumped mass matrices.  A
 mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
-it is built once per mesh, and every assembly sums the element matrices into
-the CSR data by one ``np.bincount``; there is no one-off assembly beside it.
-The macro stepper and the periodic cell problems form their element matrices
-from a tensor per element by batched ``matmul`` (:func:`element_stiffness`);
-the micro stepper combines reference-cell bases instead
-(:mod:`evopore.micro`).  The steppers share one implicit step,
-:func:`backward_euler_step`; they differ only in the mass weight (porosity or
-Jacobian) and the element matrices (homogenized or pulled back).  The macro
-stepper's CG is preconditioned by a sparse LU factor of an earlier step's
-system (:class:`FrozenFactor`); the micro stepper keeps the Jacobi diagonal,
-because at its sizes a factor's fill costs tens of MB and its CG is no
-faster.  :func:`csv_table` formats every CSV output of the package.
+it is built once per mesh from blocks of dofs and their local sparsity, and
+every assembly sums the block data into the CSR data by one ``np.bincount``;
+there is no one-off assembly beside it.  The macro stepper and the periodic
+cell problems pass their triangles as the blocks and form the element
+matrices from a tensor per element by batched ``matmul``
+(:func:`element_stiffness`); the micro stepper passes its cells, each with
+the reference cell's sparsity, and forms every cell's entries from
+reference-cell operators (:mod:`evopore.micro`).  The steppers share one
+implicit step, :func:`backward_euler_step`; they differ only in the mass
+weight (porosity or Jacobian) and the stiffness (homogenized or pulled
+back).  The macro stepper's CG is preconditioned by a sparse LU factor of an
+earlier step's system (:class:`FrozenFactor`); the micro stepper keeps the
+Jacobi diagonal, because at its sizes a factor's fill costs tens of MB and
+its CG is no faster.  :func:`csv_table` formats every CSV output of the
+package.
 """
 
 from __future__ import annotations
@@ -65,51 +68,66 @@ def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 
 class StiffnessPattern:
-    """CSR sparsity of P1 stiffness matrices on fixed element dofs.
+    """CSR sparsity of stiffness matrices assembled from blocks of dofs.
 
-    ``dofs`` (nt, 3) holds the degree of freedom of every element vertex;
-    the pattern also holds every diagonal entry.  Every element entry
-    (t, i, j) and every diagonal entry has one data slot, so an assembly is
-    the element matrices summed into ``data`` by one ``np.bincount``.  The
-    slots are built on the first assembly and reused by every later one.
+    ``dofs`` (n_blocks, k) holds the degrees of freedom of every block, and
+    ``local`` the block's own sparsity: the (rows, cols) index pairs into a
+    block's k dofs that its data fills.  By default a block is a P1 element
+    and fills all 3 x 3 entries, row by row; the micro mesh passes its cells
+    with the reference cell's sparsity.  The pattern also holds every
+    diagonal entry.  Every block entry and every diagonal entry has one data
+    slot, so an assembly is the block data summed into ``data`` by one
+    ``np.bincount``.  The slots are built on first use and reused by every
+    later assembly.
     """
 
-    def __init__(self, dofs: np.ndarray, n_dof: int):
+    def __init__(self, dofs: np.ndarray, n_dof: int,
+                 local: tuple[np.ndarray, np.ndarray] | None = None):
         dofs = np.asarray(dofs)
         if dofs.size and (dofs.min() < 0 or dofs.max() >= n_dof):
             raise ValueError(f"element dof outside [0, {n_dof})")
+        if local is None:
+            k = dofs.shape[1]
+            local = (np.repeat(np.arange(k), k), np.tile(np.arange(k), k))
         self.dofs = dofs
         self.n_dof = n_dof
+        self.local = local
         self._slots = None
 
-    def _build(self):
-        """CSR ``indptr``/``indices`` of the element and diagonal entries, and
-        the int32 data slot of every element entry (t, i, j) and of every
-        diagonal entry."""
-        n = self.n_dof
-        dofs = self.dofs.astype(np.int32)
-        diag = np.arange(n, dtype=np.int32)
-        rows = np.concatenate([np.repeat(dofs, 3, axis=1).ravel(), diag])
-        cols = np.concatenate([np.tile(dofs, (1, 3)).ravel(), diag])
-        csr = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-        # the matrix whose every stored entry is its own slot number, sampled
-        csr.data = np.arange(csr.nnz, dtype=float)
-        slots = np.asarray(csr[rows, cols]).ravel().astype(np.int32)
-        for a in (csr.indptr, csr.indices):
-            a.setflags(write=False)  # shared by every assembled matrix
-        self._slots = csr.indptr, csr.indices, slots[:dofs.size * 3], slots[dofs.size * 3:]
-
-    def assemble(self, k_el: np.ndarray, diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-        """Stiffness matrix of the element matrices ``k_el`` (nt, 3, 3), plus
-        ``diagonal`` (n_dof,) on the main diagonal.
-
-        Entries sharing a slot are summed in input order: element by element,
-        row by row within an element, the diagonal last.
-        """
+    def slots(self):
+        """CSR ``indptr`` and ``indices`` of the block and diagonal entries,
+        the int32 data slot (n_blocks, s) of every block entry and that of
+        every diagonal entry (n_dof,)."""
         if self._slots is None:
-            self._build()
-        indptr, indices, element_slots, diagonal_slots = self._slots
-        data = np.bincount(element_slots, k_el.ravel(), minlength=len(indices))
+            n = self.n_dof
+            rows, cols = self.local
+            dofs = self.dofs.astype(np.int32)
+            diag = np.arange(n, dtype=np.int32)
+            entry_rows = np.concatenate([dofs[:, rows].ravel(), diag])
+            entry_cols = np.concatenate([dofs[:, cols].ravel(), diag])
+            csr = sp.coo_matrix((np.ones(len(entry_rows)), (entry_rows, entry_cols)),
+                                shape=(n, n)).tocsr()
+            # the matrix whose every stored entry is its own slot number, sampled
+            csr.data = np.arange(csr.nnz, dtype=float)
+            slots = np.asarray(csr[entry_rows, entry_cols]).ravel().astype(np.int32)
+            for a in (csr.indptr, csr.indices):
+                a.setflags(write=False)  # shared by every assembled matrix
+            n_block = slots.size - n
+            self._slots = (csr.indptr, csr.indices,
+                           slots[:n_block].reshape(len(dofs), len(rows)), slots[n_block:])
+        return self._slots
+
+    def assemble(self, block_data: np.ndarray,
+                 diagonal: np.ndarray | None = None) -> sp.csr_matrix:
+        """Stiffness matrix of the block data ``block_data`` (n_blocks, s),
+        for P1 elements the element matrices (nt, 3, 3), plus ``diagonal``
+        (n_dof,) on the main diagonal.
+
+        Entries sharing a slot are summed in input order: block by block,
+        in the order of ``local`` within a block, the diagonal last.
+        """
+        indptr, indices, block_slots, diagonal_slots = self.slots()
+        data = np.bincount(block_slots.ravel(), np.ravel(block_data), minlength=len(indices))
         if diagonal is not None:
             data[diagonal_slots] += diagonal
         if not np.all(np.isfinite(data)):

@@ -5,8 +5,9 @@ below the minimum radius and nonpositive at and above the maximum radius;
 those four structural conditions make the radius box invariant.  The builtin
 ``gated_affine`` family satisfies them by construction: a clamped affine
 response in the concentration, with smooth gates that switch growth off near
-r_max and dissolution off near r_min.  Custom laws register by name together
-with an analytic Lipschitz envelope; there is no expression parsing.
+r_max and dissolution off near r_min.  A family is a rate law together with
+an analytic Lipschitz envelope, named in :data:`KINETICS_FAMILIES`; there is
+no expression parsing.
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ def _gated_affine_envelope(spec: KineticsSpec) -> float:
 KINETICS_FAMILIES: dict[str, tuple] = {
     "gated_affine": (_gated_affine, _gated_affine_envelope),
 }
-
-
-def register_family(name: str, f, envelope) -> None:
-    """Register a custom rate law with its analytic Lipschitz envelope."""
-    KINETICS_FAMILIES[name] = (f, envelope)
 
 
 def eval_f(spec: KineticsSpec, u, r):

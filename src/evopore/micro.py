@@ -8,10 +8,15 @@ macro solver (lumped Jacobian-weighted mass, backward Euler diffusion); the
 transformation's advective term and the surface reaction are explicit, which
 both carry a factor epsilon and keep the system symmetric.
 
-Every cell repeats the reference cell's triangles, and the radial map enters
-the weak form through four scalars per element (:class:`MapScalars`), so a
-step builds its element matrices and drift loads from a few reference-cell
-arrays (:class:`CellBases`) scaled per element: no per-element tensor algebra.
+Every cell repeats the reference cell's nodes and triangles, and the radial
+map enters the weak form through four scalars per element
+(:class:`MapScalars`).  So a step holds those scalars as (reference element x
+cell) arrays and applies a few sparse reference-cell operators
+(:class:`CellBases`) to them, one product per quantity: the system entries,
+the lumped mass, the element means and the drift loads of every cell at once.
+Each result reaches the global arrays by one scatter through the cell node
+map, and the system's CSR pattern is the reference cell's pattern repeated
+through that map.  No per-element tensor algebra and no per-element scatter.
 
 A step whose radii did not move keeps its cell map and system for the next
 step at the same radii and dt.  So radii frozen at r0, which are inputs (a
@@ -26,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (StiffnessPattern, backward_euler_step, centroids, csv_table, element_means,
-                  lumped_mass, triangle_areas)
+                  triangle_areas)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .transform import MapScalars, RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
@@ -49,7 +55,7 @@ class MicroMesh:
     cell_of_element: np.ndarray
     cell_index: np.ndarray          # (n_cells, 2) lattice coordinates
     gamma_edges: np.ndarray         # (n_cells, n_boundary, 2) global node ids
-    micro_midpoints: np.ndarray     # per-element in-cell centroid coordinates
+    node_map: np.ndarray            # (n_cells, n_ref) global node of every reference node
     areas: np.ndarray = field(repr=False)
     reference: PeriodicMesh = field(repr=False, default=None)
 
@@ -67,6 +73,11 @@ class MicroMesh:
     def gamma_edge_lengths(self) -> np.ndarray:
         e = self.vertices[self.gamma_edges[..., 1]] - self.vertices[self.gamma_edges[..., 0]]
         return np.hypot(e[..., 0], e[..., 1])
+
+    def scatter(self, per_cell: np.ndarray) -> np.ndarray:
+        """Sum of per-cell nodal values (n_ref, n_cells) at the global nodes:
+        cell by cell, in cell index order."""
+        return np.bincount(self.node_map.ravel(), per_cell.T.ravel(), minlength=self.n_nodes)
 
 
 def cells_per_side(epsilon: float) -> int:
@@ -109,55 +120,69 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     cell_of_element = np.repeat(np.arange(len(cells)), len(ref_t))
     gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
 
-    micro_mids = np.tile(centroids(ref_v, ref_t), (len(cells), 1))
     return MicroMesh(epsilon, n, vertices, triangles, cell_of_element, cells,
-                     gamma, micro_mids, triangle_areas(vertices, triangles), reference)
+                     gamma, node_map, triangle_areas(vertices, triangles), reference)
 
 
 @dataclass
 class CellBases:
-    """Element data of the reference cell, which every micro cell repeats.
+    """Sparse operators of the reference cell, which every micro cell repeats.
 
     A micro cell is the reference cell scaled by epsilon and translated, with
-    the same triangle order, and in 2-D ``|T| G G^T`` does not change under
-    scaling.  With ``w = G u`` the basis gradients along the unit direction u
-    of the cell map (zero in its identity core), the pulled-back tensor
-    ``D (b I + (a - b) u u^T)`` has the element matrices
-    ``D (b L + (a - b) Q)`` and the drift ``J eps rate s u`` the element loads
+    the same node and triangle order, and in 2-D ``|T| G G^T`` does not change
+    under scaling.  With ``w = G u`` the basis gradients along the unit
+    direction u of the cell map (zero in its identity core), the pulled-back
+    tensor ``D (b I + (a - b) u u^T)`` has the element matrices
+    ``D (b L + (a - b) Q)`` for ``L = |T| G G^T`` and ``Q = |T| w w^T``, and
+    the drift ``J eps rate s u`` the element loads
     ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.
+
+    Each operator acts on per-element scalars of the m reference elements or
+    on nodal values of the n_ref reference nodes, held as (m, c) or
+    (n_ref, c) arrays with one column per cell, so one product serves every
+    cell:
+
+    - ``system`` (s, 2m) is ``[L Q]`` on the s entries of the reference
+      cell's CSR sparsity ``local`` (rows, cols); applied to
+      ``[D b; D (a - b)]`` it gives every cell's system entries;
+    - ``mass`` (n_ref, m) lumps an element weight onto the nodes, ``|T| / 3``
+      at each vertex;
+    - ``drift`` (n_ref, m) holds ``|T| w``, the loads of a unit drift weight;
+    - ``means`` (m, n_ref) takes nodal values to element means.
+
+    A product sums each entry over the reference elements in their order.
     """
 
-    stiffness: np.ndarray            # L = |T| G G^T, (m, 3, 3)
-    radial: np.ndarray               # Q = |T| w w^T, (m, 3, 3)
-    drift: np.ndarray                # |T| w, (m, 3)
+    local: tuple[np.ndarray, np.ndarray]
+    system: sp.csr_matrix
+    mass: sp.csr_matrix
+    drift: sp.csr_matrix
+    means: sp.csr_matrix
 
     @classmethod
     def of(cls, reference: PeriodicMesh, directions: np.ndarray) -> "CellBases":
-        """Bases on the reference mesh for the unit directions (m, 2) at its
-        element midpoints."""
+        """Operators on the reference mesh for the unit directions (m, 2) at
+        its element midpoints."""
         areas, grads = reference.geometry
+        tri = reference.triangles
+        m, n_ref = len(tri), reference.n_nodes
         stiffness = grads @ grads.transpose(0, 2, 1)
         stiffness *= areas[:, None, None]
         w = (grads @ directions[:, :, None])[:, :, 0]
         drift = areas[:, None] * w
-        return cls(stiffness, drift[:, :, None] * w[:, None, :], drift)
+        radial = drift[:, :, None] * w[:, None, :]
 
-    def element_matrices(self, sc: MapScalars, diffusion: float) -> np.ndarray:
-        """Element matrices (c*m, 3, 3) of the map ``sc`` at c*m elements,
-        cell by cell."""
-        m = len(self.stiffness)
-        k_el = (diffusion * sc.b).reshape(-1, m, 1, 1) * self.stiffness
-        k_el += (diffusion * (sc.a - sc.b)).reshape(-1, m, 1, 1) * self.radial
-        return k_el.reshape(-1, 3, 3)
-
-    def drift_loads(self, sc: MapScalars, rate: np.ndarray, u_mean: np.ndarray,
-                    epsilon: float) -> np.ndarray:
-        """Element loads (c*m, 3) of the drift ``(J Psi^{-1} dPsi/dt u_hat,
-        grad phi)`` for radius rates ``rate`` (c,) and element-mean
-        concentrations ``u_mean`` (c*m,)."""
-        m = len(self.drift)
-        weight = (epsilon**2 * sc.det * sc.s * u_mean).reshape(-1, m) * rate[:, None]
-        return (weight[:, :, None] * self.drift).reshape(-1, 3)
+        indptr, indices, slots, _ = StiffnessPattern(tri, n_ref).slots()
+        local = (np.repeat(np.arange(n_ref), np.diff(indptr)), np.asarray(indices))
+        element = np.repeat(np.arange(m), 9)
+        system = sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
+                                (np.tile(slots.ravel(), 2), np.concatenate([element, element + m]))),
+                               shape=(len(indices), 2 * m))
+        vertex = (tri.ravel(), np.repeat(np.arange(m), 3))   # (node, element) of each vertex
+        return cls(local, system,
+                   sp.csr_matrix((np.repeat(areas / 3.0, 3), vertex), shape=(n_ref, m)),
+                   sp.csr_matrix((drift.ravel(), vertex), shape=(n_ref, m)),
+                   sp.csr_matrix((np.full(3 * m, 1.0 / 3.0), vertex[::-1]), shape=(m, n_ref)))
 
 
 @dataclass
@@ -196,14 +221,14 @@ class MicroSimulator:
         self.diffusion = diffusion
         self.cg_tol = cg_tol
         m = mesh
-        self._cell_r_of_el = m.cell_of_element
+        ref = m.reference
         self._edge_len = m.gamma_edge_lengths()
         self._cell_offsets = m.epsilon * m.cell_index.astype(float)
-        self._pattern = StiffnessPattern(m.triangles, m.n_nodes)
         # every cell carries the reference triangles, so one frame on the
         # reference midpoints serves all cells
-        self._frame = RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
-        self._bases = None
+        self._frame = RadialFrame(params, centroids(ref.vertices, ref.triangles))
+        self._bases = CellBases.of(ref, self._frame.directions())
+        self._pattern = StiffnessPattern(m.node_map, m.n_nodes, self._bases.local)
         self._kept = None   # (radii, dt, map, system) of a step whose radii did not move
 
     # -- construction --------------------------------------------------------
@@ -215,7 +240,7 @@ class MicroSimulator:
         radii = np.asarray(r0_field(m.cell_centers()), dtype=float).reshape(
             m.n_cells_side, m.n_cells_side)
         check_initial_state(self.spec, u, radii)
-        mass = lumped_mass(m.triangles, m.areas, self._cell_map(radii).det, m.n_nodes)
+        mass = self._lumped(self._cell_map(radii).det)
         state = MicroState(0.0, u, radii, np.zeros_like(radii), mass, 0.0, 0.0)
         state.fluid_mass = float(mass @ u)
         state.solid_mass = self._solid_mass(radii)
@@ -225,12 +250,28 @@ class MicroSimulator:
         """The cell map on every element, at one radius per cell."""
         return self._frame.scalars(radii.reshape(-1, 1))
 
-    def _cell_bases(self) -> CellBases:
-        """The reference-cell bases, built on the first step (as the CSR
-        pattern is) to keep set-up cheap."""
-        if self._bases is None:
-            self._bases = CellBases.of(self.mesh.reference, self._frame.directions())
-        return self._bases
+    def _per_cell(self, values: np.ndarray) -> np.ndarray:
+        """Element values (c*m,), cell by cell, as an (m, c) array."""
+        return values.reshape(self.mesh.n_cells, -1).T
+
+    def _lumped(self, weight: np.ndarray) -> np.ndarray:
+        """Row-sum lumped mass (n,) of the element weight ``weight`` (c*m,)."""
+        return self.mesh.epsilon**2 * self.mesh.scatter(self._bases.mass @ self._per_cell(weight))
+
+    def _system(self, sc: MapScalars, diagonal: np.ndarray):
+        """The implicit system: the pulled-back stiffness of ``sc`` plus
+        ``diagonal``."""
+        x = np.vstack([self._per_cell(self.diffusion * sc.b),
+                       self._per_cell(self.diffusion * (sc.a - sc.b))])
+        return self._pattern.assemble((self._bases.system @ x).T, diagonal)
+
+    def _drift(self, sc: MapScalars, rate: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Nodal loads of the drift ``(J Psi^{-1} dPsi/dt u_hat, grad phi)``
+        for radius rates ``rate`` (c,), with u_hat at its element means."""
+        u_mean = self._bases.means @ u[self.mesh.node_map.T]
+        weight = self._per_cell(self.mesh.epsilon**2 * sc.det * sc.s) * u_mean
+        weight *= rate
+        return self.mesh.scatter(self._bases.drift @ weight)
 
     def _solid_mass(self, radii: np.ndarray) -> float:
         eps = self.mesh.epsilon
@@ -280,19 +321,15 @@ class MicroSimulator:
         still = np.array_equal(radii_new, state.radii)
 
         # (2) the cell map at the new radii: J, the lumped mass and the
-        # element matrices of the pulled-back tensor.  Radii that did not
+        # system of the pulled-back tensor.  Radii that did not
         # move keep J and so the mass, and a map and system kept at the same
         # radii (and dt) serve again
         kept = self._kept
         if not (still and kept and np.array_equal(kept[0], radii_new)):
             kept = None
         sc = kept[2] if kept else self._cell_map(radii_new)
-        mass_new = state.mass if still else lumped_mass(m.triangles, m.areas, sc.det, m.n_nodes)
-        if kept and kept[1] == dt:
-            system = kept[3]
-        else:
-            system = self._pattern.assemble(
-                self._cell_bases().element_matrices(sc, self.diffusion), diagonal=mass_new / dt)
+        mass_new = state.mass if still else self._lumped(sc.det)
+        system = kept[3] if kept and kept[1] == dt else self._system(sc, mass_new / dt)
         self._kept = (radii_new, dt, sc, system) if still else None
 
         # (3) backward-Euler bulk solve
@@ -300,20 +337,18 @@ class MicroSimulator:
 
         source_step = 0.0
         if self.source is not None:
-            pts = self._cell_offsets[self._cell_r_of_el] + eps * self._frame.image(sc.radius)
+            pts = self._cell_offsets[m.cell_of_element] + eps * self._frame.image(sc.radius)
             fp = np.asarray(self.source(t_new, pts), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            b += lumped_mass(m.triangles, m.areas, sc.det * fp, m.n_nodes)
+            b += self._lumped(sc.det * fp)
             source_step = float(dt * np.sum(sc.det * fp * m.areas))
 
         # the explicit transformation drift (B u, grad phi), which vanishes
         # with the radius rate, and the explicit surface reaction at (old u,
         # new radii) move to the rhs; radii that did not move keep step (1)'s
         if not still:
-            u_mid = element_means(m.triangles, state.u_hat)
-            drift = self._cell_bases().drift_loads(sc, rate.reshape(-1), u_mid, eps)
-            b -= np.bincount(m.triangles.ravel(), drift.ravel(), minlength=m.n_nodes)
+            b -= self._drift(sc, rate.reshape(-1), state.u_hat)
             _, loads, flux_total = self._surface_integrals(state.u_hat, radii_new)
         b -= loads
 

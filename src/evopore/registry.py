@@ -66,10 +66,6 @@ def register_field(name: str, factory) -> None:
     FIELDS[name] = factory
 
 
-def register_source(name: str, factory) -> None:
-    SOURCES[name] = factory
-
-
 def build_field(name: str, params: dict | None = None):
     if name not in FIELDS:
         raise ConfigError(f"unknown field {name!r}; registered: {sorted(FIELDS)}")

@@ -64,10 +64,13 @@ def solve_cg(
     if precondition is None:
         diag = A.diagonal().copy()
         diag[diag == 0.0] = 1.0
+        z_jacobi = np.empty(n)
 
         def precondition(r):
-            return r / diag
+            return np.divide(r, diag, out=z_jacobi)
 
+    # the work vectors are updated in place: x, r and p, the step alpha p or
+    # alpha Ap, and z when the preconditioner is Jacobi's
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
     if zero_mean_constraint:
         x -= x.mean()
@@ -76,8 +79,9 @@ def solve_cg(
     if zero_mean_constraint:
         z -= z.mean()
     p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
-    res = float(np.linalg.norm(r))
+    res = float(np.sqrt(r @ r))
 
     it = 0
     while res > tol * bnorm and it < max_iter:
@@ -86,8 +90,8 @@ def solve_cg(
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise NumericalError(f"CG breakdown at iteration {it}: p.Ap = {pAp}")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(Ap, alpha, out=step)
         if zero_mean_constraint:
             x -= x.mean()
         z = precondition(r)
@@ -96,9 +100,10 @@ def solve_cg(
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             raise NumericalError(f"CG breakdown at iteration {it}: non-finite inner product")
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
-        res = float(np.linalg.norm(r))
+        res = float(np.sqrt(r @ r))
         it += 1
 
     return x, SolveReport(it, res / bnorm, res <= tol * bnorm)

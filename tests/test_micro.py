@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from evopore.fem import element_means, element_stiffness, triangle_geometry
+from evopore.fem import centroids, element_means, element_stiffness, triangle_geometry
 from evopore.kinetics import eval_f, step_radius
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import (
@@ -47,8 +47,8 @@ def assert_same_state(got, want):
 def count_assemblies(sim):
     """The number of system assemblies ``sim`` has made, as a callable."""
     calls = []
-    assemble = sim._pattern.assemble
-    sim._pattern.assemble = lambda *a, **k: calls.append(1) or assemble(*a, **k)
+    assemble = sim._system
+    sim._system = lambda *a, **k: calls.append(1) or assemble(*a, **k)
     return lambda: len(calls)
 
 
@@ -109,28 +109,38 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     state = sim.init(lambda x: u0, constant_field(params.r0))
     out = sim.step(state, 0.01)
 
-    # reference: plain perforated-domain heat step, element matrices of the
-    # reference cell's own geometry by batched matmul, tiled per cell (every
-    # cell is a scaled translate of it), every entry summed in input order
-    # (element by element, row by row, the lumped mass on the diagonal last)
+    # reference: plain perforated-domain heat step.  Every cell is a scaled
+    # translate of the reference cell, so its element matrices are the
+    # reference cell's own, by batched matmul, and its lumped mass is eps^2
+    # times the reference cell's.  Every entry is summed in the micro
+    # assembly's order: within a cell element by element, row by row, then
+    # cell by cell, the lumped mass on the diagonal last
     dt = 0.01
     ref = m.reference
+    n_ref, n = ref.n_nodes, m.n_nodes
     ref_areas, ref_grads = triangle_geometry(ref.vertices, ref.triangles)
     eye = np.broadcast_to(np.eye(2), (len(ref.triangles), 2, 2)).copy()
     k_ref = ref_grads @ (eye @ ref_grads.transpose(0, 2, 1))
     k_ref *= ref_areas[:, None, None]
-    k_el = np.tile(k_ref, (m.n_cells, 1, 1))
-    lum = np.zeros(m.n_nodes)
-    np.add.at(lum, m.triangles, (np.ones(len(m.triangles)) * m.areas / 3.0)[:, None] * np.ones((1, 3)))
-    idx = np.arange(m.n_nodes)
-    rows = np.concatenate([np.repeat(m.triangles, 3, axis=1).ravel(), idx])
-    cols = np.concatenate([np.tile(m.triangles, (1, 3)).ravel(), idx])
-    vals = np.concatenate([k_el.ravel(), lum / dt])
-    keys, entry = np.unique(rows * m.n_nodes + cols, return_inverse=True)
+    idx = np.arange(n_ref)
+    rows = np.concatenate([np.repeat(ref.triangles, 3, axis=1).ravel(), idx])
+    cols = np.concatenate([np.tile(ref.triangles, (1, 3)).ravel(), idx])
+    local, entry = np.unique(rows * n_ref + cols, return_inverse=True)
+    cell = np.zeros(len(local))
+    np.add.at(cell, entry[:k_ref.size], k_ref.ravel())
+    cell_lum = np.zeros(n_ref)
+    np.add.at(cell_lum, ref.triangles, (ref_areas / 3.0)[:, None] * np.ones((1, 3)))
+
+    nodes = m.node_map
+    keys, slot = np.unique(nodes[:, local // n_ref] * n + nodes[:, local % n_ref],
+                           return_inverse=True)
     data = np.zeros(len(keys))
-    np.add.at(data, entry, vals)
-    system = sp.csr_matrix((data, (keys // m.n_nodes, keys % m.n_nodes)),
-                           shape=(m.n_nodes, m.n_nodes))
+    np.add.at(data, slot.ravel(), np.tile(cell, m.n_cells))
+    lum = np.zeros(n)
+    np.add.at(lum, nodes.ravel(), np.tile(cell_lum, m.n_cells))
+    lum *= m.epsilon**2
+    data[np.searchsorted(keys, np.arange(n) * (n + 1))] += lum / dt
+    system = sp.csr_matrix((data, (keys // n, keys % n)), shape=(n, n))
     u_ref, _ = solve_cg(system, lum * u0 / dt, tol=1e-12, x0=u0)
     assert np.array_equal(out.u_hat, u_ref)
     assert np.array_equal(out.radii, state.radii)
@@ -144,7 +154,7 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
     f = build_source("decaying_cosine", {"amplitude": 2.0, "rate": 0.5})
     rng = np.random.default_rng(3)
     u0 = rng.uniform(0.2, 0.8, m.n_nodes)
-    centroids = m.vertices[m.triangles].mean(axis=1)
+    physical = m.vertices[m.triangles].mean(axis=1)
     dt = 0.01
 
     def run(source):
@@ -152,45 +162,68 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
         return sim.step(sim.init(lambda x: u0, constant_field(params.r0)), dt)
 
     out = run(f)
-    want = run(lambda t, x: f(t, centroids))
+    want = run(lambda t, x: f(t, physical))
     assert np.allclose(out.u_hat, want.u_hat, rtol=1e-12, atol=1e-14)
     assert abs(out.source_step - want.source_step) <= 1e-15
     # the reference-point source differs visibly, so the check above has teeth
-    at_reference = run(lambda t, x: f(t, m.micro_midpoints))
+    in_cell = np.tile(centroids(m.reference.vertices, m.reference.triangles), (m.n_cells, 1))
+    at_reference = run(lambda t, x: f(t, in_cell))
     assert np.abs(at_reference.u_hat - out.u_hat).max() > 1e-3
 
 
-def test_reference_bases_match_pulled_back_assembly(micro_mesh_half, params):
-    """Element matrices and drift loads from the reference-cell bases equal
-    the per-element tensor assembly on the micro mesh's own geometry."""
-    m = micro_mesh_half
-    rng = np.random.default_rng(14)
+def test_reference_bases_match_pulled_back_assembly(reference_mesh, params, spec):
+    """The system, lumped mass, element means and drift loads of the
+    cell-batched reference operators equal a per-element assembly on the
+    micro mesh's own geometry at 1/eps = 2 and 4: the pulled-back tensor of
+    ``evaluate`` by ``element_stiffness``, summed by ``np.add.at`` in element
+    order."""
+    for inv in (2, 4):
+        check_cell_batched_step(build_micro_mesh(reference_mesh, 1.0 / inv), params, spec,
+                                np.random.default_rng(14 + inv))
+
+
+def check_cell_batched_step(m, params, spec, rng):
     radii = rng.uniform(params.r_min, params.r_max, m.n_cells)
     rate = rng.uniform(-0.5, 0.5, m.n_cells)
     u = rng.uniform(0.2, 0.9, m.n_nodes)
-    frame = RadialFrame(params, m.micro_midpoints[:len(m.reference.triangles)])
-    bases = CellBases.of(m.reference, frame.directions())
-    sc = frame.scalars(radii[:, None])
-    u_mid = element_means(m.triangles, u)
-    assert np.array_equal(u_mid, u[m.triangles].mean(axis=1))   # the same bits
+    diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
+    sim = MicroSimulator(m, params, spec, diffusion=1.7)
+    sc = sim._cell_map(radii)
 
-    r_el = radii[m.cell_of_element]
+    el = m.cell_of_element
+    in_cell = np.tile(centroids(m.reference.vertices, m.reference.triangles), (m.n_cells, 1))
+    pointwise = RadialFrame(params, in_cell).evaluate(radii[el])
     areas, grads = triangle_geometry(m.vertices, m.triangles)
-    pointwise = RadialFrame(params, m.micro_midpoints).evaluate(r_el)
-    want_k = element_stiffness(areas, grads, 1.7 * pointwise.coeff)
-    dt_psi = m.epsilon * pointwise.dpsi_drg * rate[m.cell_of_element][:, None]
+    k_el = element_stiffness(areas, grads, 1.7 * pointwise.coeff)
+    u_mid = u[m.triangles].mean(axis=1)
+    assert np.array_equal(element_means(m.triangles, u), u_mid)   # the same bits
+    dt_psi = m.epsilon * pointwise.dpsi_drg * rate[el][:, None]
     b_vec = pointwise.det[:, None] * np.einsum("tab,tb->ta", pointwise.psi_inv, dt_psi)
-    want_drift = np.einsum("ta,tia->ti", b_vec, grads) * (areas * u_mid)[:, None]
+    drift_el = np.einsum("ta,tia->ti", b_vec, grads) * (areas * u_mid)[:, None]
 
-    for got, want in ((bases.element_matrices(sc, 1.7), want_k),
-                      (bases.drift_loads(sc, rate, u_mid, m.epsilon), want_drift)):
+    n = m.n_nodes
+    keys = (np.repeat(m.triangles, 3, axis=1) * n + np.tile(m.triangles, (1, 3))).ravel()
+    keys = np.concatenate([keys, np.arange(n) * (n + 1)])
+    entries, slot = np.unique(keys, return_inverse=True)
+    want_k = np.zeros(len(entries))
+    np.add.at(want_k, slot, np.concatenate([k_el.ravel(), diagonal]))
+    want_mass = np.zeros(n)
+    np.add.at(want_mass, m.triangles, (pointwise.det * areas / 3.0)[:, None] * np.ones((1, 3)))
+    want_drift = np.zeros(n)
+    np.add.at(want_drift, m.triangles, drift_el)
+
+    system = sim._system(sc, diagonal)
+    got_keys = np.repeat(np.arange(n), np.diff(system.indptr)) * n + system.indices
+    assert np.array_equal(got_keys, entries)
+    got_means = sim._bases.means @ u[m.node_map.T]
+    for got, want in ((system.data, want_k), (sim._lumped(sc.det), want_mass),
+                      (got_means.T.ravel(), u_mid), (sim._drift(sc, rate, u), want_drift)):
         assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
-    # the stiffness alone is the unit-tensor assembly
-    unit = np.broadcast_to(np.eye(2), (len(m.triangles), 2, 2))
-    assert np.allclose(np.tile(bases.stiffness, (m.n_cells, 1, 1)),
-                       element_stiffness(areas, grads, unit), rtol=1e-12, atol=1e-12)
+    # the face nodes that several cells share are compared too
+    shared = np.bincount(m.node_map.ravel(), minlength=n) > 1
+    assert shared.sum() > 0 and np.abs(want_drift[shared]).max() > 0.0
 
 
 def test_pinned_constant_initial_stays_constant(micro_mesh_half, params, no_reaction):

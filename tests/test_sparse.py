@@ -4,6 +4,8 @@ per-element dense loop and an input-order sum, the projected Jacobi-CG
 ``solve_cg`` on scipy CSR matrices, and the macro step's frozen-factor
 preconditioner (``fem.FrozenFactor``)."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,12 +14,12 @@ from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
 from evopore.fem import (REFACTOR_ITERATIONS, FrozenFactor, StiffnessPattern, backward_euler_step,
-                         element_stiffness, lumped_mass, triangle_geometry)
-from evopore.macro import MacroGrid
-from evopore.micro import build_micro_mesh
+                         centroids, element_stiffness, lumped_mass, triangle_geometry)
+from evopore.macro import MacroGrid, MacroSolver
+from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.transform import RadialFrame
 from evopore.sparse import SolveReport, solve_cg
-from evopore.unitcell import porosity
+from evopore.unitcell import CellProblem, porosity
 
 
 def random_elements(rng, n_nodes, n_el):
@@ -69,7 +71,8 @@ def test_duplicates_summed_in_input_order(reference_mesh, params):
     m = build_micro_mesh(reference_mesh, 0.5)
     rng = np.random.default_rng(8)
     r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[m.cell_of_element]
-    coeff = RadialFrame(params, m.micro_midpoints).evaluate(r_el).coeff
+    in_cell = np.tile(centroids(reference_mesh.vertices, reference_mesh.triangles), (m.n_cells, 1))
+    coeff = RadialFrame(params, in_cell).evaluate(r_el).coeff
     diagonal = lumped_mass(m.triangles, m.areas, np.ones(len(m.triangles)), m.n_nodes) / 0.01
     k_el = element_stiffness(*triangle_geometry(m.vertices, m.triangles), coeff)
     A = StiffnessPattern(m.triangles, m.n_nodes).assemble(k_el, diagonal)
@@ -237,6 +240,114 @@ def test_report_contract():
     _, rep = solve_cg(A, np.zeros(3))
     assert isinstance(rep, SolveReport)
     assert rep.converged and rep.final_residual == 0.0
+
+
+def frozen_solve_cg(A, b, tol=1e-10, max_iter=None, zero_mean_constraint=False, x0=None,
+                    precondition=None):
+    """``solve_cg`` as it was before its work vectors were updated in place:
+    the oracle of its bits."""
+    n = A.shape[0]
+    b = np.asarray(b, dtype=float)
+    if max_iter is None:
+        max_iter = 10 * n + 100
+    if zero_mean_constraint:
+        b = b - b.mean()
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(n), SolveReport(0, 0.0, True)
+    if precondition is None:
+        diag = A.diagonal().copy()
+        diag[diag == 0.0] = 1.0
+
+        def precondition(r):
+            return r / diag
+
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if zero_mean_constraint:
+        x -= x.mean()
+    r = b - (A @ x)
+    z = precondition(r)
+    if zero_mean_constraint:
+        z -= z.mean()
+    p = z.copy()
+    rz = float(r @ z)
+    res = float(np.linalg.norm(r))
+    it = 0
+    while res > tol * bnorm and it < max_iter:
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        if zero_mean_constraint:
+            x -= x.mean()
+        z = precondition(r)
+        if zero_mean_constraint:
+            z -= z.mean()
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        res = float(np.linalg.norm(r))
+        it += 1
+    return x, SolveReport(it, res / bnorm, res <= tol * bnorm)
+
+
+def test_in_place_cg_matches_the_allocating_loop(reference_mesh, params, spec):
+    """The in-place loop gives the allocating loop's iterate and report bit
+    for bit: Jacobi on a micro system from a start vector, a frozen factor on
+    a macro system, and the zero-mean cell problem."""
+    rng = np.random.default_rng(21)
+    sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec)
+    radii = rng.uniform(params.r_min, params.r_max, sim.mesh.n_cells)
+    sc = sim._cell_map(radii)
+    micro = sim._system(sc, sim._lumped(sc.det) / 0.01)
+    grid = MacroGrid.create(24)
+    macro = macro_system(grid, rng.uniform(0.15, 0.35, grid.n_elements), 0.005)
+    stale = macro_system(grid, np.full(grid.n_elements, 0.2), 0.005)
+    cell = CellProblem(reference_mesh)
+    dof, n_dof = reference_mesh.dof_map
+    cases = [
+        (micro, rng.standard_normal(micro.shape[0]),
+         dict(tol=1e-12, x0=rng.uniform(0.2, 0.8, micro.shape[0]))),
+        (macro, rng.standard_normal(grid.n_nodes),
+         dict(tol=1e-12, precondition=FrozenFactor().preconditioner(stale))),
+        (cell.stiffness, rng.standard_normal(n_dof), dict(tol=1e-11, zero_mean_constraint=True)),
+    ]
+    for A, b, kwargs in cases:
+        x, report = solve_cg(A, b, **kwargs)
+        x_ref, report_ref = frozen_solve_cg(A, b, **kwargs)
+        assert report.iterations > 2
+        assert np.array_equal(x, x_ref)
+        assert report == report_ref
+
+
+def test_every_step_solves_through_the_module_solver(reference_mesh, params, spec, tensor_table,
+                                                     monkeypatch):
+    """The benchmark counts CG solves by replacing ``evopore.sparse.solve_cg``
+    in every loaded evopore module; each micro and macro step must reach the
+    solver through one of those names."""
+    calls = []
+    original = solve_cg
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in [m for name, m in sys.modules.items()
+                   if m is not None and (name == "evopore" or name.startswith("evopore."))]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counted)
+
+    def steps(solver, n_steps):
+        state = solver.init(lambda x: np.full(len(x), 0.9), lambda x: np.full(len(x), 0.2))
+        for k in range(n_steps):
+            calls.clear()
+            state = solver.step(state, 0.01)
+            assert len(calls) >= 1, (type(solver).__name__, k)
+
+    steps(MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec), 2)
+    steps(MacroSolver(MacroGrid.create(8), tensor_table, spec), 2)
 
 
 # -- the frozen-factor preconditioner of the macro step ----------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evopore.fem import centroids
 from evopore.micro import build_micro_mesh
 from evopore.transform import X_CENTER, RadialFrame, eval_psi_inverse, profile, profile_raw
 
@@ -311,7 +312,7 @@ def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
     rng = np.random.default_rng(12)
     radii = rng.uniform(params.r_min, params.r_max, m.n_cells)
     r_el = radii[m.cell_of_element]
-    y = m.micro_midpoints
+    y = np.tile(centroids(reference_mesh.vertices, reference_mesh.triangles), (m.n_cells, 1))
     frame = RadialFrame(params, y[:len(reference_mesh.triangles)])
     ev = frame.evaluate(radii[:, None])
 
@@ -342,7 +343,7 @@ def test_frame_scalars_reproduce_evaluate(reference_mesh, params):
     m = build_micro_mesh(reference_mesh, 0.5)
     rng = np.random.default_rng(13)
     radii = rng.uniform(params.r_min, params.r_max, (m.n_cells, 1))
-    frame = RadialFrame(params, m.micro_midpoints[:len(reference_mesh.triangles)])
+    frame = RadialFrame(params, centroids(reference_mesh.vertices, reference_mesh.triangles))
     ev = frame.evaluate(radii)
     sc = frame.scalars(radii)
     u = np.tile(frame.directions(), (m.n_cells, 1))
