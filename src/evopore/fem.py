@@ -6,18 +6,21 @@ mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
 it is built once per mesh from blocks of dofs and their local sparsity, and
 every assembly sums the block data into the CSR data by one ``np.bincount``;
 there is no one-off assembly beside it.  The macro stepper and the periodic
-cell problems pass their triangles as the blocks and form the element
-matrices from a tensor per element by batched ``matmul``
-(:func:`element_stiffness`); the micro stepper passes its cells, each with
-the reference cell's sparsity, and forms every cell's entries from
-reference-cell operators (:mod:`evopore.micro`).  The steppers share one
-implicit step, :func:`backward_euler_step`; they differ only in the mass
-weight (porosity or Jacobian) and the stiffness (homogenized or pulled
-back).  The macro stepper's CG is preconditioned by a sparse LU factor of an
-earlier step's system (:class:`FrozenFactor`); the micro stepper keeps the
-Jacobi diagonal, because at its sizes a factor's fill costs tens of MB and
-its CG is no faster.  :func:`csv_table` formats every CSV output of the
-package.
+cell problems pass their triangles as the blocks.  The cell problems form
+the element matrices from a tensor per element by batched ``matmul``
+(:func:`element_stiffness`).  The macro grid has two element shapes, so the
+macro stepper forms them as the per-element tensor components (A11, A12,
+A22) times the operators of the two shapes
+(:meth:`evopore.macro.MacroGrid.element_matrices`).  The micro stepper
+passes its cells, each with the reference cell's sparsity, and forms every
+cell's entries from reference-cell operators (:mod:`evopore.micro`).  The
+steppers share one implicit step, :func:`backward_euler_step`; they differ
+only in the mass weight (porosity or Jacobian) and the stiffness
+(homogenized or pulled back).  The macro stepper's CG is preconditioned by
+a sparse LU factor of an earlier step's system (:class:`FrozenFactor`); the
+micro stepper keeps the Jacobi diagonal, because at its sizes a factor's
+fill costs tens of MB and its CG is no faster.  :func:`csv_table` formats
+every CSV output of the package.
 """
 
 from __future__ import annotations

@@ -9,7 +9,14 @@ lumped, which makes the discrete mass identity
 
     (theta u, 1) + c_s (V(r), 1)  changes by  dt (theta f_p, 1)
 
-exact up to the linear-solver residual at every step.
+exact up to the linear-solver residual at every step.  A state carries the
+lumped mass of its porosity, which the next step reads as its old mass.
+
+The grid's squares are split along one diagonal, so its elements have two
+shapes.  The tabulated tensor is symmetric, so an element matrix is A11,
+A12 and A22 times three fixed matrices of its shape; :class:`MacroGrid`
+builds those once, with the element midpoints, and a step's element
+matrices are one batched product of the looked-up components with them.
 """
 
 from __future__ import annotations
@@ -27,16 +34,32 @@ from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
 
 
+# The symmetric tensors whose coefficients are A11, A12 and A22.
+_UNIT_TENSORS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+                          [[0.0, 0.0], [0.0, 1.0]]])
+
+
 @dataclass(frozen=True)
 class MacroGrid:
     """Uniform triangulation of [0,1]^2: n x n squares, each split along the
-    main diagonal (the split direction is invariant under the x/y swap)."""
+    main diagonal (the split direction is invariant under the x/y swap).
+
+    Element 2 k is the lower and element 2 k + 1 the upper triangle of square
+    k, so the grid has two element shapes.  ``operator`` (2 shapes, 3, 9)
+    holds each shape's stiffness operator: row c is the flattened element
+    matrix ``|T| G E_c G^T`` of the symmetric tensor E_c whose coefficient is
+    component c of (A11, A12, A22), taken from the first triangle of the
+    shape.  ``centers`` holds the element centroids, which :meth:`midpoints`
+    returns.
+    """
 
     n: int
     nodes: np.ndarray
     elements: np.ndarray
     areas: np.ndarray = field(repr=False)
     grads: np.ndarray = field(repr=False)
+    centers: np.ndarray = field(repr=False)
+    operator: np.ndarray = field(repr=False)
 
     @classmethod
     def create(cls, n: int) -> "MacroGrid":
@@ -59,7 +82,13 @@ class MacroGrid:
                 elems[k + 1] = (a, c, d)  # upper triangle
                 k += 2
         areas, grads = triangle_geometry(nodes, elems)
-        return cls(n, nodes, elems, areas, grads)
+        shapes = [element_stiffness(areas[:2], grads[:2], np.broadcast_to(e, (2, 2, 2)))
+                  for e in _UNIT_TENSORS]
+        operator = np.stack(shapes, axis=1).reshape(2, 3, 9)
+        centers = centroids(nodes, elems)
+        for array in (centers, operator):
+            array.setflags(write=False)
+        return cls(n, nodes, elems, areas, grads, centers, operator)
 
     @property
     def n_nodes(self) -> int:
@@ -70,7 +99,19 @@ class MacroGrid:
         return len(self.elements)
 
     def midpoints(self) -> np.ndarray:
-        return centroids(self.nodes, self.elements)
+        """Element centroids (nt, 2), read-only."""
+        return self.centers
+
+    def element_matrices(self, components: np.ndarray) -> np.ndarray:
+        """Element stiffness matrices (nt, 9), flattened row by row, of the
+        symmetric tensors with per-element components ``components`` (nt, 3)
+        = (A11, A12, A22): one batched product with :attr:`operator`."""
+        n2 = self.n * self.n
+        k_el = np.empty((n2, 2, 9))
+        # (shape, square, component) @ (shape, component, entry), written in element order
+        np.matmul(components.reshape(n2, 2, 3).transpose(1, 0, 2), self.operator,
+                  out=k_el.transpose(1, 0, 2))
+        return k_el.reshape(2 * n2, 9)
 
     def element_of_point(self, pts: np.ndarray) -> np.ndarray:
         """Element index containing each point (points on the diagonal and on
@@ -102,6 +143,7 @@ class MacroState:
     u: np.ndarray
     r: np.ndarray
     theta: np.ndarray
+    mass: np.ndarray           # nodal lumped porosity-weighted mass at theta
     fluid_mass: float
     solid_mass: float
     source_step: float = 0.0
@@ -149,10 +191,8 @@ class MacroSolver:
             raise ValueError("initial fields have wrong shape")
         check_initial_state(self.spec, u, r)
         theta = porosity(r)
-        state = MacroState(0.0, u, r, theta, 0.0, 0.0)
-        state.fluid_mass = float(lumped_mass(g.elements, g.areas, theta, g.n_nodes) @ u)
-        state.solid_mass = self._solid_mass(r)
-        return state
+        mass = lumped_mass(g.elements, g.areas, theta, g.n_nodes)
+        return MacroState(0.0, u, r, theta, mass, float(mass @ u), self._solid_mass(r))
 
     def _solid_mass(self, r: np.ndarray) -> float:
         return float(self.spec.c_s * np.sum(self.grid.areas * ball_volume(r)))
@@ -172,10 +212,8 @@ class MacroSolver:
         theta_new = porosity(r_new)
 
         # (2) implicit porosity-weighted diffusion with tensor lookup
-        A_el = self.table.lookup(r_new)
         m_new = lumped_mass(g.elements, g.areas, theta_new, g.n_nodes)
-        m_old = lumped_mass(g.elements, g.areas, state.theta, g.n_nodes)
-        b = m_old * state.u / dt
+        b = state.mass * state.u / dt
 
         source_step = 0.0
         if self.source is not None:
@@ -188,7 +226,9 @@ class MacroSolver:
         dv = self.spec.c_s * (ball_volume(r_new) - ball_volume(state.r)) / dt
         b -= lumped_mass(g.elements, g.areas, dv, g.n_nodes)
 
-        k_el = element_stiffness(g.areas, g.grads, self.diffusion * A_el)
+        components = self.table.components(r_new)
+        components *= self.diffusion
+        k_el = g.element_matrices(components)
         system = self._pattern.assemble(k_el, diagonal=m_new / dt)
         u_new, iterations = backward_euler_step(system, b, state.u, self.cg_tol, "macro", t_new,
                                                 self._factor)
@@ -196,7 +236,7 @@ class MacroSolver:
         fluid = float(m_new @ u_new)
         solid = self._solid_mass(r_new)
         defect = abs((fluid + solid) - (state.fluid_mass + state.solid_mass) - source_step)
-        return MacroState(t_new, u_new, r_new, theta_new, fluid, solid,
+        return MacroState(t_new, u_new, r_new, theta_new, m_new, fluid, solid,
                           source_step, defect, iterations)
 
 

@@ -146,11 +146,6 @@ class PeriodicMesh:
         dof, n_dof = self.dof_map
         return StiffnessPattern(dof[self.triangles], n_dof)
 
-    def polygon_perimeter(self) -> float:
-        ids = self.hole_boundary_facets
-        e = self.vertices[ids[:, 1]] - self.vertices[ids[:, 0]]
-        return float(np.sum(np.hypot(e[:, 0], e[:, 1])))
-
 
 def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
                          target_h: float = 0.05) -> PeriodicMesh:
@@ -291,7 +286,8 @@ class EffectiveTensorTable:
     """Sorted radius grid with per-radius effective tensors and porosity.
 
     Tensor lookup interpolates entrywise piecewise-linearly, which preserves
-    the monotonicity and bound properties of the tabulated values.
+    the monotonicity and bound properties of the tabulated values.  The
+    tensors must be exactly symmetric, so A11, A12 and A22 determine them.
     """
 
     radii: np.ndarray
@@ -306,22 +302,29 @@ class EffectiveTensorTable:
             raise ValueError("table radii must be finite")
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("table radii must be strictly increasing")
+        if not np.array_equal(self.tensors[:, 0, 1], self.tensors[:, 1, 0], equal_nan=True):
+            raise ValueError("table tensors must be symmetric")
 
-    def lookup(self, r) -> np.ndarray:
-        """Tensors (``r.shape + (2, 2)``) at the radii ``r``, interpolated
-        entrywise by ``np.interp``.
+    def components(self, r) -> np.ndarray:
+        """(A11, A12, A22) (``r.shape + (3,)``) at the radii ``r``, each
+        interpolated piecewise-linearly by ``np.interp``.
 
-        Beyond the grid ``np.interp`` holds the end tensors, so a finite
+        Beyond the grid ``np.interp`` holds the end values, so a finite
         radius outside it reads the tensor of the nearest grid end, the same
         bits as clamping the radius first.  The CLI rejects a grid that does
         not cover the radius box, so a run never reads there.
         """
         r = np.asarray(r, dtype=float)
-        A = np.empty(r.shape + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                A[..., i, j] = np.interp(r, self.radii, self.tensors[:, i, j])
-        return A
+        out = np.empty(r.shape + (3,))
+        for c, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+            out[..., c] = np.interp(r, self.radii, self.tensors[:, i, j])
+        return out
+
+    def lookup(self, r) -> np.ndarray:
+        """Tensors (``r.shape + (2, 2)``) at the radii ``r``: the
+        :meth:`components` with A12 mirrored into A21."""
+        a = self.components(r)
+        return a[..., [0, 1, 1, 2]].reshape(a.shape[:-1] + (2, 2))
 
     def to_csv(self) -> str:
         return csv_table("r,A11,A12,A22,theta", "%.17g,%.17g,%.17g,%.17g,%.17g", self.radii,

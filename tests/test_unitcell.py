@@ -223,6 +223,25 @@ def test_lookup_clamps_out_of_range(tensor_table):
     assert np.array_equal(A, tensor_table.lookup(np.clip([lo - 0.05, hi + 0.05], lo, hi)))
 
 
+def test_lookup_mirrors_the_interpolated_a12(tensor_table):
+    """Three interpolations, A12 mirrored into A21: the bits of interpolating
+    all four entries, since the table is exactly symmetric."""
+    r = np.random.default_rng(3).uniform(tensor_table.radii[0], tensor_table.radii[-1], (50, 4))
+    four = np.empty(r.shape + (2, 2))
+    for i in range(2):
+        for j in range(2):
+            four[..., i, j] = np.interp(r, tensor_table.radii, tensor_table.tensors[:, i, j])
+    assert np.array_equal(tensor_table.lookup(r), four)
+    assert np.array_equal(tensor_table.components(r), four[..., [0, 0, 1], [0, 1, 1]])
+
+
+def test_table_rejects_non_symmetric_tensors(tensor_table):
+    tensors = tensor_table.tensors.copy()
+    tensors[2, 1, 0] = np.nextafter(tensors[2, 0, 1], 1.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        EffectiveTensorTable(tensor_table.radii, tensors, tensor_table.theta)
+
+
 def test_table_csv_roundtrip(tensor_table):
     text = tensor_table.to_csv()
     back = EffectiveTensorTable.from_csv(text)
