@@ -20,7 +20,10 @@ only in the mass weight (porosity or Jacobian) and the stiffness
 a sparse LU factor of an earlier step's system (:class:`FrozenFactor`); the
 micro stepper keeps the Jacobi diagonal, because at its sizes a factor's
 fill costs tens of MB and its CG is no faster.  :func:`csv_table` formats
-every CSV output of the package.
+every CSV output of the package.  Both problems live on a fixed domain, so
+a snapshot's coordinates are the same at every step: the micro mesh and the
+macro grid each format them once (:func:`xy_text`), on their first
+snapshot, and a snapshot formats only its fields.
 """
 
 from __future__ import annotations
@@ -237,6 +240,17 @@ def element_means(triangles: np.ndarray, nodal: np.ndarray) -> np.ndarray:
 
 def csv_table(header: str, row_format: str, *columns) -> str:
     """CSV text: ``header``, then one ``row_format % row`` line per row of the
-    equally long ``columns``."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    return "\n".join([header] + [row_format % row for row in rows]) + "\n"
+    equally long ``columns``.
+
+    A column is an array or a Python list; a list passes through as it is,
+    so a column of text formatted once (:func:`xy_text`) is reused
+    by every table that starts with it.
+    """
+    rows = zip(*(c if isinstance(c, list) else np.asarray(c).tolist() for c in columns))
+    return "\n".join([header, *map(row_format.__mod__, rows)]) + "\n"
+
+
+def xy_text(points: np.ndarray) -> list[str]:
+    """``"x1,x2,"`` of every point (n, 2), each coordinate by ``%.17g``: the
+    first two columns of a snapshot row."""
+    return list(map("%.17g,%.17g,".__mod__, zip(*points.T.tolist())))

@@ -22,6 +22,7 @@ matrices are one batched product of the looked-up components with them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .fem import (FrozenFactor, StiffnessPattern, backward_euler_step, centroids, csv_table,
-                  element_means, element_stiffness, lumped_mass, triangle_geometry)
+                  element_means, element_stiffness, lumped_mass, triangle_geometry, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
 
@@ -50,7 +51,7 @@ class MacroGrid:
     matrix ``|T| G E_c G^T`` of the symmetric tensor E_c whose coefficient is
     component c of (A11, A12, A22), taken from the first triangle of the
     shape.  ``centers`` holds the element centroids, which :meth:`midpoints`
-    returns.
+    returns and every snapshot writes as its ``x1,x2``.
     """
 
     n: int
@@ -69,18 +70,13 @@ class MacroGrid:
         gx, gy = np.meshgrid(xs, xs, indexing="ij")
         nodes = np.stack([gx.ravel(), gy.ravel()], axis=1)
 
-        def nid(ix, iy):
-            return ix * (n + 1) + iy
-
-        elems = np.empty((2 * n * n, 3), dtype=int)
-        k = 0
-        for ix in range(n):
-            for iy in range(n):
-                a, b = nid(ix, iy), nid(ix + 1, iy)
-                c, d = nid(ix + 1, iy + 1), nid(ix, iy + 1)
-                elems[k] = (a, b, c)      # lower triangle (below the diagonal)
-                elems[k + 1] = (a, c, d)  # upper triangle
-                k += 2
+        # square k = ix n + iy has the corners a = (ix, iy), b = (ix + 1, iy),
+        # c = (ix + 1, iy + 1) and d = (ix, iy + 1); node (ix, iy) is ix (n + 1) + iy
+        ix, iy = np.divmod(np.arange(n * n), n)
+        a = ix * (n + 1) + iy
+        b = a + (n + 1)
+        # the lower triangle (below the diagonal), then the upper one
+        elems = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(2 * n * n, 3)
         areas, grads = triangle_geometry(nodes, elems)
         shapes = [element_stiffness(areas[:2], grads[:2], np.broadcast_to(e, (2, 2, 2)))
                   for e in _UNIT_TENSORS]
@@ -97,6 +93,13 @@ class MacroGrid:
     @property
     def n_elements(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def coordinate_text(self) -> list[str]:
+        """The ``x1,x2,`` text of every element centroid, formatted on first
+        use: the first snapshot of a run builds it, and every later one
+        reuses it."""
+        return xy_text(self.centers)
 
     def midpoints(self) -> np.ndarray:
         """Element centroids (nt, 2), read-only."""
@@ -266,11 +269,11 @@ def mass_balance(states: list[MacroState | MassRecord]) -> MassBalanceReport:
 # ---------------------------------------------------------------------------
 
 def snapshot_csv(grid: MacroGrid, state: MacroState) -> str:
-    """One row per element midpoint: x1, x2, u, r, theta."""
-    mids = grid.midpoints()
+    """One row per element: its centroid x1, x2 (the same in every snapshot
+    of a run), then u, r and theta there."""
     u_el = element_means(grid.elements, state.u)
-    return csv_table("x1,x2,u,r,theta", "%.17g,%.17g,%.17g,%.17g,%.17g",
-                     mids[:, 0], mids[:, 1], u_el, state.r, state.theta)
+    return csv_table("x1,x2,u,r,theta", "%s%.17g,%.17g,%.17g", grid.coordinate_text,
+                     u_el, state.r, state.theta)
 
 
 def ledger_csv(states: list[MacroState | MassRecord]) -> str:

@@ -29,13 +29,14 @@ measures their distance to a macro solution at the cell centers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (StiffnessPattern, backward_euler_step, centroids, csv_table, element_means,
-                  triangle_areas)
+                  triangle_areas, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .transform import MapScalars, RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
@@ -46,7 +47,11 @@ _EDGE_GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 @dataclass
 class MicroMesh:
-    """Conforming tiling of scaled reference cells over the unit square."""
+    """Conforming tiling of scaled reference cells over the unit square.
+
+    ``vertices`` is read-only: the nodes of the fixed reference perforation,
+    which every step and snapshot of a run shares.
+    """
 
     epsilon: float
     n_cells_side: int
@@ -73,6 +78,12 @@ class MicroMesh:
     def gamma_edge_lengths(self) -> np.ndarray:
         e = self.vertices[self.gamma_edges[..., 1]] - self.vertices[self.gamma_edges[..., 0]]
         return np.hypot(e[..., 0], e[..., 1])
+
+    @cached_property
+    def coordinate_text(self) -> list[str]:
+        """The ``x1,x2,`` text of every node, formatted on first use: the
+        first snapshot of a run builds it, and every later one reuses it."""
+        return xy_text(self.vertices)
 
     def scatter(self, per_cell: np.ndarray) -> np.ndarray:
         """Sum of per-cell nodal values (n_ref, n_cells) at the global nodes:
@@ -111,6 +122,7 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     rep = np.zeros(len(uniq), dtype=int)
     rep[inverse] = np.arange(len(coords))
     vertices = coords[rep]
+    vertices.setflags(write=False)
     spread = np.max(np.abs(coords - vertices[inverse]))
     if spread > 1e-12:
         raise NumericalError(f"micro mesh merge mismatch: coordinate spread {spread:.2e}")
@@ -397,8 +409,9 @@ def unfold_compare(mesh: MicroMesh, state: MicroState, macro_grid, macro_state) 
 # ---------------------------------------------------------------------------
 
 def micro_snapshot_csv(mesh: MicroMesh, state: MicroState) -> str:
-    return csv_table("x1,x2,u_hat", "%.17g,%.17g,%.17g",
-                     mesh.vertices[:, 0], mesh.vertices[:, 1], state.u_hat)
+    """One row per node of the fixed reference perforation: x1, x2 (the same
+    in every snapshot of a run), u_hat."""
+    return csv_table("x1,x2,u_hat", "%s%.17g", mesh.coordinate_text, state.u_hat)
 
 
 def cell_series_csv(mesh: MicroMesh, state: MicroState) -> str:

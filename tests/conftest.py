@@ -37,3 +37,21 @@ def run_steps():
             states.append(solver.step(states[-1], dt))
         return states
     return run
+
+
+@pytest.fixture(scope="session")
+def check_snapshot():
+    """``check_snapshot(text, header, columns)``: ``text`` is the CSV that
+    formats every value of every column by ``%.17g``, row by row, and every
+    field parses back to the exact float it came from."""
+    def check(text, header, columns):
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        expect = "\n".join([header] + [",".join("%.17g" % v for v in row) for row in rows]) + "\n"
+        # name the first differing line: a diff of the whole texts takes minutes
+        same = text == expect
+        assert same, next((k, a, b) for k, (a, b) in enumerate(
+            zip(text.splitlines() + [None], expect.splitlines() + [None])) if a != b)
+        lines = text.splitlines()
+        parsed = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(parsed, np.column_stack(columns))
+    return check

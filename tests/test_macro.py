@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from evopore import fem
-from evopore.fem import centroids, element_stiffness, lumped_mass
+from evopore.fem import centroids, element_means, element_stiffness, lumped_mass
 from evopore.macro import MacroGrid, MacroSolver, ledger_csv, mass_balance, snapshot_csv
 from evopore.unitcell import EffectiveTensorTable, porosity
 
@@ -36,6 +36,27 @@ def test_grid_structure():
     assert g.n_elements == 32
     assert g.areas == pytest.approx(np.full(32, 0.5 / 16))
     assert np.sum(g.areas) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 128])
+def test_grid_elements_in_the_loop_order(n):
+    """The lower triangle of square k = ix n + iy is element 2 k and the upper
+    one 2 k + 1, as the element loop of earlier versions built them."""
+    def nid(ix, iy):
+        return ix * (n + 1) + iy
+
+    expect = np.empty((2 * n * n, 3), dtype=int)
+    k = 0
+    for ix in range(n):
+        for iy in range(n):
+            a, b = nid(ix, iy), nid(ix + 1, iy)
+            c, d = nid(ix + 1, iy + 1), nid(ix, iy + 1)
+            expect[k] = (a, b, c)
+            expect[k + 1] = (a, c, d)
+            k += 2
+    elements = MacroGrid.create(n).elements
+    assert elements.dtype == expect.dtype
+    assert np.array_equal(elements, expect)
 
 
 def test_grid_interpolation_reproduces_linear_fields():
@@ -280,6 +301,33 @@ def test_csv_outputs(grid, spec, tensor_table):
     led = ledger_csv([state, state2])
     assert led.splitlines()[0] == "t,total_mass,solid_mass,fluid_mass,source_integral,defect"
     assert len(led.strip().splitlines()) == 3
+
+
+def test_snapshot_formats_every_value_by_percent_17g(spec, tensor_table, check_snapshot):
+    """After init and after 3 steps with a source, a snapshot is every column
+    formatted by ``%.17g``; the centroid text is built once per grid."""
+    grid = MacroGrid.create(8)
+    solver = MacroSolver(grid, tensor_table, spec, source=lambda t, x: np.cos(t + 3 * x[:, 0]))
+    state = solver.init(lambda x: 0.7 + 0.2 * np.sin(np.pi * np.atleast_2d(x)[:, 1]),
+                        lambda x: 0.2 + 0.04 * np.atleast_2d(x)[:, 0])
+    for k in range(4):
+        if k:
+            state = solver.step(state, 0.01)
+        mids = centroids(grid.nodes, grid.elements)
+        u_el = element_means(grid.elements, state.u)
+        check_snapshot(snapshot_csv(grid, state), "x1,x2,u,r,theta",
+                       [mids[:, 0], mids[:, 1], u_el, state.r, state.theta])
+        if k == 0:
+            text = grid.coordinate_text
+    assert grid.coordinate_text is text
+    # a second grid formats its own centroids
+    other = MacroGrid.create(5)
+    state = MacroSolver(other, tensor_table, spec).init(constant_field(0.9), constant_field(0.2))
+    mids = centroids(other.nodes, other.elements)
+    check_snapshot(snapshot_csv(other, state), "x1,x2,u,r,theta",
+                   [mids[:, 0], mids[:, 1], element_means(other.elements, state.u), state.r,
+                    state.theta])
+    assert other.coordinate_text is not text
 
 
 def test_ledger_from_mass_records_matches_states(grid, spec, tensor_table, run_steps):

@@ -1,12 +1,14 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from evopore.fem import centroids, element_means, element_stiffness, triangle_geometry
+from evopore import fem
+from evopore.fem import centroids, element_means, element_stiffness, triangle_geometry, xy_text
 from evopore.kinetics import eval_f, step_radius
-from evopore.macro import MacroGrid, MacroSolver
+from evopore.macro import MacroGrid, MacroSolver, snapshot_csv
 from evopore.micro import (
     CellBases,
     MicroSimulator,
@@ -425,6 +427,72 @@ def test_pore_means_of_linear_field(micro_mesh_half):
     # by symmetry of the pore space the mean sits at the cell center abscissa
     centers = micro_mesh_half.cell_centers()
     assert means == pytest.approx(1.0 + centers[:, 0], abs=1e-12)
+
+
+def test_snapshot_formats_every_value_by_percent_17g(reference_mesh, params, spec,
+                                                    check_snapshot):
+    """After init and after 3 steps with moving radii, a snapshot is every
+    column formatted by ``%.17g``; the node text is built once per mesh."""
+    mesh = build_micro_mesh(reference_mesh, 0.5)
+    sim = MicroSimulator(mesh, params, spec)
+    state = sim.init(lambda x: 0.6 + 0.3 * np.cos(np.pi * np.atleast_2d(x)[:, 0]),
+                     constant_field(0.2))
+    for k in range(4):
+        if k:
+            state = sim.step(state, 0.01)
+        check_snapshot(micro_snapshot_csv(mesh, state), "x1,x2,u_hat",
+                       [mesh.vertices[:, 0], mesh.vertices[:, 1], state.u_hat])
+        if k == 0:
+            text = mesh.coordinate_text
+    assert np.all(state.radii != 0.2)  # every radius moved
+    assert mesh.coordinate_text is text
+    # a second mesh formats its own nodes
+    other = build_micro_mesh(reference_mesh, 0.25)
+    state = MicroSimulator(other, params, spec).init(constant_field(0.9), constant_field(0.2))
+    check_snapshot(micro_snapshot_csv(other, state), "x1,x2,u_hat",
+                   [other.vertices[:, 0], other.vertices[:, 1], state.u_hat])
+    assert other.coordinate_text is not text
+
+
+def test_only_the_first_snapshot_formats_the_coordinates(reference_mesh, params, spec,
+                                                         tensor_table, monkeypatch):
+    """Building the micro mesh or the macro grid, and initializing and
+    stepping their solvers, formats no coordinate text: the first snapshot
+    does, through any name an evopore module holds, and later ones reuse it."""
+    calls = []
+
+    def recorded(points):
+        calls.append(len(points))
+        return xy_text(points)
+
+    for module in [m for name, m in sys.modules.items()
+                   if m is not None and (name == "evopore" or name.startswith("evopore."))]:
+        for key, value in list(vars(module).items()):
+            if value is xy_text:
+                monkeypatch.setattr(module, key, recorded)
+    mesh = build_micro_mesh(reference_mesh, 0.5)
+    grid = MacroGrid.create(8)
+    sim = MicroSimulator(mesh, params, spec)
+    solver = MacroSolver(grid, tensor_table, spec)
+    micro_state = sim.init(constant_field(0.9), constant_field(0.2))
+    macro_state = solver.init(constant_field(0.9), constant_field(0.2))
+    for _ in range(2):
+        micro_state = sim.step(micro_state, 0.01)
+        macro_state = solver.step(macro_state, 0.01)
+    assert calls == []
+    assert "coordinate_text" not in vars(mesh) and "coordinate_text" not in vars(grid)
+    for _ in range(2):
+        micro_snapshot_csv(mesh, micro_state)
+        snapshot_csv(grid, macro_state)
+    assert calls == [mesh.n_nodes, grid.n_elements]
+    # the name was replaced: a call through the module is seen
+    fem.xy_text(grid.nodes)
+    assert calls[-1] == grid.n_nodes
+
+
+def test_mesh_vertices_are_read_only(micro_mesh_half):
+    with pytest.raises(ValueError):
+        micro_mesh_half.vertices[0, 0] = 0.5
 
 
 def test_csv_outputs(micro_mesh_half, params, spec):
