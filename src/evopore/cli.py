@@ -45,6 +45,7 @@ class ConvergenceRow:
     u_l2_error: float
     r_l2_error: float
     runtime: float
+    cg_iterations: int   # micro CG iterations, summed over the steps
 
 
 @dataclass
@@ -276,10 +277,12 @@ def run_convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
         mesh = build_micro_mesh(reference, 1.0 / inv)
         sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
                              cg_tol=cfg.cg_tol)
-        st = _run_steps(sim, _initial_state(sim, cfg), cfg, f"micro step {{}} (1/eps={inv})")
+        iterations = []
+        st = _run_steps(sim, _initial_state(sim, cfg), cfg, f"micro step {{}} (1/eps={inv})",
+                        lambda state: iterations.append(state.cg_iterations))
         err = unfold_compare(mesh, st, grid, macro_state)
         rows.append(ConvergenceRow(1.0 / inv, err.u_l2_error, err.r_l2_error,
-                                   time.perf_counter() - t0))
+                                   time.perf_counter() - t0, sum(iterations)))
         log.info(f"  1/eps={inv}: u_err={err.u_l2_error:.4e} r_err={err.r_l2_error:.4e}")
 
     rows.sort(key=lambda r: -r.epsilon)
@@ -306,8 +309,10 @@ def cmd_convergence(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Pat
            csv_table("epsilon,u_l2_error,r_l2_error", "%.17g,%.17g,%.17g", eps,
                      [row.u_l2_error for row in report.rows],
                      [row.r_l2_error for row in report.rows]), outputs)
-    _write(outdir, "timings.csv", csv_table("epsilon,runtime_seconds", "%.17g,%.3f", eps,
-                                            [row.runtime for row in report.rows]), [])
+    _write(outdir, "timings.csv",
+           csv_table("epsilon,runtime_seconds,cg_iterations", "%.17g,%.3f,%d", eps,
+                     [row.runtime for row in report.rows],
+                     [row.cg_iterations for row in report.rows]), [])
     log.info(f"convergence: u_slope={report.u_slope} r_slope={report.r_slope}")
 
     checks = [

@@ -19,8 +19,10 @@ only in the mass weight (porosity or Jacobian) and the stiffness
 (homogenized or pulled back).  The macro stepper's CG is preconditioned by
 a sparse LU factor of an earlier step's system (:class:`FrozenFactor`); the
 micro stepper keeps the Jacobi diagonal, because at its sizes a factor's
-fill costs tens of MB and its CG is no faster.  :func:`csv_table` formats
-every CSV output of the package.  Both problems live on a fixed domain, so
+fill costs tens of MB and its CG is no faster.  Each state holds a reference
+to its field one step earlier, so the step starts CG from the linear
+extrapolation ``2 u_n - u_(n-1)``, and from ``u_n`` on a first step.
+:func:`csv_table` formats every CSV output of the package.  Both problems live on a fixed domain, so
 a snapshot's coordinates are the same at every step: the micro mesh and the
 macro grid each format them once (:func:`xy_text`), on their first
 snapshot, and a snapshot formats only its fields.
@@ -157,11 +159,14 @@ def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
 
 # A solve preconditioned by a frozen factor that takes more CG iterations
 # than this refactors before the next solve.  Measured on the macro-fine
-# benchmark's system (n = 128): a fresh factor solves in 2 iterations, the
-# factor of step 1 still in 4 at step 30 and in 5 at step 100, and in 9-13
-# after dt is halved, doubled or scaled by 4 or 1/4.  A factorization costs
-# about 30 preconditioned iterations, so a factor is kept until a solve
-# takes 4 or more iterations beyond a fresh one.
+# benchmark's system (seed 0, n = 128) with the step's extrapolated start: a
+# fresh factor solves in 2 iterations, the factor of step 1 still in 3 at
+# step 30 and in 4 at step 100, and in 7-11 after dt is halved, doubled or
+# scaled by 4 or 1/4 at step 30 (started from u_n instead: 4 at step 30, 5
+# at step 100, 7-11 after the change of dt).  A factorization costs about 30
+# preconditioned iterations, so a factor is kept until a solve takes 4 or
+# more iterations beyond a fresh one; the extrapolated start leaves that
+# bound where it was.
 REFACTOR_ITERATIONS = 6
 
 
@@ -201,12 +206,16 @@ class FrozenFactor:
             self._solve = None
 
 
-def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, tol: float,
-                        label: str, t_new: float, factor: FrozenFactor | None = None):
-    """Solve the implicit system ``(K + diag(mass_new / dt)) u = b`` by CG from
-    ``x0``: Jacobi-preconditioned, or preconditioned by ``factor``.
+def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
+                        previous: np.ndarray | None, tol: float, label: str, t_new: float,
+                        factor: FrozenFactor | None = None):
+    """Solve the implicit system ``(K + diag(mass_new / dt)) u_new = b`` by CG,
+    Jacobi-preconditioned or preconditioned by ``factor``.
 
-    ``system`` is the stiffness assembled with the mass on its diagonal.
+    ``system`` is the stiffness assembled with the mass on its diagonal, and
+    ``u`` the field of the step's state.  The solve starts from the linear
+    extrapolation ``2 u - previous`` of the field one step earlier,
+    ``previous``, or from ``u`` on a first step (``previous`` None).
     Returns the new nodal field and the CG iteration count; a failed
     factorization, a stalled solve or a non-finite result raises
     :class:`NumericalError` naming ``label``.
@@ -215,6 +224,7 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, to
         precondition = None if factor is None else factor.preconditioner(system)
     except RuntimeError as exc:
         raise NumericalError(f"{label} factorization failed at t={t_new}: {exc}") from None
+    x0 = u if previous is None else 2.0 * u - previous
     u_new, report = solve_cg(system, b, tol=tol, x0=x0, precondition=precondition)
     if not report.converged:
         raise NumericalError(

@@ -10,7 +10,9 @@ lumped, which makes the discrete mass identity
     (theta u, 1) + c_s (V(r), 1)  changes by  dt (theta f_p, 1)
 
 exact up to the linear-solver residual at every step.  A state carries the
-lumped mass of its porosity, which the next step reads as its old mass.
+lumped mass of its porosity, which the next step reads as its old mass, and
+the u array of the state before it, from which the next step extrapolates
+its CG start.
 
 The grid's squares are split along one diagonal, so its elements have two
 shapes.  The tabulated tensor is symmetric, so an element matrix is A11,
@@ -152,6 +154,7 @@ class MacroState:
     source_step: float = 0.0
     defect: float = 0.0
     cg_iterations: int = 0
+    previous: np.ndarray | None = None   # the u array of the state one step earlier
 
     def mass_record(self) -> "MassRecord":
         return MassRecord(self.t, self.fluid_mass, self.solid_mass, self.source_step,
@@ -233,14 +236,14 @@ class MacroSolver:
         components *= self.diffusion
         k_el = g.element_matrices(components)
         system = self._pattern.assemble(k_el, diagonal=m_new / dt)
-        u_new, iterations = backward_euler_step(system, b, state.u, self.cg_tol, "macro", t_new,
-                                                self._factor)
+        u_new, iterations = backward_euler_step(system, b, state.u, state.previous, self.cg_tol,
+                                                "macro", t_new, self._factor)
 
         fluid = float(m_new @ u_new)
         solid = self._solid_mass(r_new)
         defect = abs((fluid + solid) - (state.fluid_mass + state.solid_mass) - source_step)
         return MacroState(t_new, u_new, r_new, theta_new, m_new, fluid, solid,
-                          source_step, defect, iterations)
+                          source_step, defect, iterations, state.u)
 
 
 @dataclass

@@ -211,6 +211,7 @@ class MicroState:
     defect: float = 0.0
     radius_flux_gap: float = 0.0
     cg_iterations: int = 0
+    previous: np.ndarray | None = None   # the u_hat array of the state one step earlier
 
 
 @dataclass
@@ -365,7 +366,7 @@ class MicroSimulator:
         b -= loads
 
         u_new, iterations = backward_euler_step(
-            system, b, state.u_hat, self.cg_tol, "micro", t_new)
+            system, b, state.u_hat, state.previous, self.cg_tol, "micro", t_new)
 
         fluid = float(mass_new @ u_new)
         solid = self._solid_mass(radii_new)
@@ -373,7 +374,8 @@ class MicroSimulator:
         defect = abs(fluid - state.fluid_mass + flux_step - source_step)
         radius_flux_gap = abs((solid - state.solid_mass) - flux_step)
         return MicroState(t_new, u_new, radii_new, rate, mass_new, fluid, solid,
-                          flux_step, source_step, defect, radius_flux_gap, iterations)
+                          flux_step, source_step, defect, radius_flux_gap, iterations,
+                          state.u_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .errors import NumericalError
-
 
 # ---------------------------------------------------------------------------
 # Universal mollifier kernel: eta(z) ~ exp(-1/(1-z^2)) normalized to unit mass.
@@ -379,48 +377,3 @@ class RadialFrame:
         jac = dR[..., None, None] * self.proj + (R / self.rho)[..., None, None] * self.perp
         return self._embed(shape, jac, np.eye(2)).reshape(-1, 2, 2)
 
-
-# ---------------------------------------------------------------------------
-# The inverse map
-# ---------------------------------------------------------------------------
-
-def psi_inverse_radius(params: TransformParams, r_gamma: float, target, tol: float = 1e-12,
-                       max_iter: int = 200):
-    """Solve R(r_gamma, rho) = target for rho by safeguarded Newton.
-
-    R is strictly increasing in rho, so the root is unique; bisection steps
-    keep the bracket whenever Newton leaves it.
-    """
-    params.check_radius(r_gamma)
-    target = np.asarray(target, dtype=float)
-    scalar = target.ndim == 0
-    target = np.atleast_1d(target)
-    lo = np.zeros_like(target)
-    hi = np.maximum(target + params.delta, 1.0)
-    rho = target.copy()  # identity is the right guess outside the annulus
-    for _ in range(max_iter):
-        R, dR, _ = profile(params, r_gamma, rho)
-        err = R - target
-        if np.all(np.abs(err) <= tol):
-            break
-        hi = np.where(err > 0, np.minimum(hi, rho), hi)
-        lo = np.where(err < 0, np.maximum(lo, rho), lo)
-        step = err / dR
-        cand = rho - step
-        bad = (cand <= lo) | (cand >= hi)
-        cand[bad] = 0.5 * (lo[bad] + hi[bad])
-        rho = cand
-    else:
-        raise NumericalError(f"radial inverse did not converge at r_gamma={r_gamma}")
-    return float(rho[0]) if scalar else rho
-
-
-def eval_psi_inverse(params: TransformParams, r_gamma: float, z) -> np.ndarray:
-    """Inverse map of a single point: radial solve plus direction reuse."""
-    z = np.asarray(z, dtype=float)
-    d = z - X_CENTER
-    dist = float(np.hypot(d[0], d[1]))
-    if dist <= params.r_min - params.delta:
-        return z.copy()
-    rho = psi_inverse_radius(params, r_gamma, dist)
-    return X_CENTER + (rho / dist) * d

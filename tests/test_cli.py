@@ -394,11 +394,38 @@ def test_convergence_steady_state_skips_slopes(tmp_path):
     for row in rows:
         _, ue, re_ = row.split(",")
         assert float(ue) <= 1e-9 and float(re_) <= 1e-9
-    assert (out / "timings.csv").exists()
+    # at rest every step's system is solved by its start: no CG iteration
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "epsilon,runtime_seconds,cg_iterations"
+    assert [line.split(",")[0] for line in timings[1:]] == [row.split(",")[0] for row in rows]
+    assert [line.split(",")[2] for line in timings[1:]] == ["0", "0", "0"]
+
+
+def test_convergence_timings_count_the_micro_cg_iterations(tmp_path, monkeypatch):
+    """``timings.csv`` gives, per epsilon, the CG iterations of every micro
+    step summed; ``convergence.csv`` and ``report.jsonl`` carry no count."""
+    steps = {}
+    step = MicroSimulator.step
+
+    def counted(self, state, dt):
+        new = step(self, state, dt)
+        steps.setdefault(self.mesh.epsilon, []).append(new.cg_iterations)
+        return new
+
+    monkeypatch.setattr(MicroSimulator, "step", counted)
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", cfg_file(tmp_path), "--out", str(out), "--quiet"]) == 0
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "epsilon,runtime_seconds,cg_iterations"
+    counts = {float(e): int(n) for e, _, n in (line.split(",") for line in timings[1:])}
+    assert counts == {eps: sum(its) for eps, its in steps.items()}
+    assert all(len(its) == 10 and min(its) > 0 for its in steps.values())
+    assert "cg" not in (out / "convergence.csv").read_text()
+    assert "cg" not in (out / "report.jsonl").read_text()
 
 
 def test_convergence_report_failure_logic():
-    rows = [ConvergenceRow(0.5, 1e-3, 1e-3, 0.0), ConvergenceRow(0.25, 2e-3, 5e-4, 0.0)]
+    rows = [ConvergenceRow(0.5, 1e-3, 1e-3, 0.0, 0), ConvergenceRow(0.25, 2e-3, 5e-4, 0.0, 0)]
     rep = ConvergenceReport(rows, 1.0, 1.0, False, True, False)
     assert not rep.passed
 

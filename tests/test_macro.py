@@ -208,6 +208,17 @@ def test_growth_scenario_mass_exchange(grid, spec, tensor_table, run_steps):
     assert report.final_total == pytest.approx(report.initial_total, abs=1e-8)
 
 
+def test_step_starts_from_the_extrapolated_field(grid, spec, tensor_table,
+                                                 check_extrapolated_start):
+    rng = np.random.default_rng(7)
+    u0 = rng.uniform(0.6, 0.9, grid.n_nodes)
+    extrapolated, plain = check_extrapolated_start(
+        lambda: MacroSolver(grid, tensor_table, spec), lambda x: u0, constant_field(0.2), 0.005,
+        "u")
+    assert np.array_equal(extrapolated.r, plain.r)
+    assert not np.array_equal(extrapolated.r, constant_field(0.2)(grid.midpoints()))
+
+
 def test_reflection_symmetry_preserved(grid, spec, tensor_table):
     n = grid.n
     solver = MacroSolver(grid, tensor_table, spec, cg_tol=1e-12)

@@ -42,7 +42,8 @@ def no_reaction(spec):
 
 def assert_same_state(got, want):
     for name in ("t", "u_hat", "radii", "radii_rate", "mass", "fluid_mass", "solid_mass",
-                 "flux_step", "source_step", "defect", "radius_flux_gap", "cg_iterations"):
+                 "flux_step", "source_step", "defect", "radius_flux_gap", "cg_iterations",
+                 "previous"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -257,6 +258,17 @@ def test_system_reused_while_radii_and_dt_unchanged(micro_mesh_half, params, no_
         assert_same_state(stepped, other.step(state, dt))
         state = stepped
     assert assemblies() == 3
+
+
+def test_step_starts_from_the_extrapolated_field(micro_mesh_half, params, spec,
+                                                 check_extrapolated_start):
+    rng = np.random.default_rng(6)
+    u0 = rng.uniform(0.6, 0.9, micro_mesh_half.n_nodes)
+    extrapolated, plain = check_extrapolated_start(
+        lambda: MicroSimulator(micro_mesh_half, params, spec), lambda x: u0,
+        constant_field(0.2), 0.01, "u_hat")
+    assert np.array_equal(extrapolated.radii, plain.radii)
+    assert not np.all(extrapolated.radii_rate == 0.0)
 
 
 def test_reacting_run_at_rest_reuses_its_system(micro_mesh_half, params, spec):

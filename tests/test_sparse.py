@@ -242,10 +242,11 @@ def test_report_contract():
     assert rep.converged and rep.final_residual == 0.0
 
 
-def frozen_solve_cg(A, b, tol=1e-10, max_iter=None, zero_mean_constraint=False, x0=None,
-                    precondition=None):
-    """``solve_cg`` as it was before its work vectors were updated in place:
-    the oracle of its bits."""
+def allocating_solve_cg(A, b, tol=1e-10, max_iter=None, zero_mean_constraint=False, x0=None,
+                        precondition=None):
+    """Projected preconditioned CG written plainly: a new array for every
+    vector update and Jacobi as a division by the diagonal.  The reference
+    of ``solve_cg``'s iterates."""
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
     if max_iter is None:
@@ -268,7 +269,7 @@ def frozen_solve_cg(A, b, tol=1e-10, max_iter=None, zero_mean_constraint=False, 
     r = b - (A @ x)
     z = precondition(r)
     if zero_mean_constraint:
-        z -= z.mean()
+        z = z - z.mean()
     p = z.copy()
     rz = float(r @ z)
     res = float(np.linalg.norm(r))
@@ -277,13 +278,13 @@ def frozen_solve_cg(A, b, tol=1e-10, max_iter=None, zero_mean_constraint=False, 
         Ap = A @ p
         pAp = float(p @ Ap)
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x = x + alpha * p
+        r = r - alpha * Ap
         if zero_mean_constraint:
-            x -= x.mean()
+            x = x - x.mean()
         z = precondition(r)
         if zero_mean_constraint:
-            z -= z.mean()
+            z = z - z.mean()
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -292,10 +293,10 @@ def frozen_solve_cg(A, b, tol=1e-10, max_iter=None, zero_mean_constraint=False, 
     return x, SolveReport(it, res / bnorm, res <= tol * bnorm)
 
 
-def test_in_place_cg_matches_the_allocating_loop(reference_mesh, params, spec):
-    """The in-place loop gives the allocating loop's iterate and report bit
-    for bit: Jacobi on a micro system from a start vector, a frozen factor on
-    a macro system, and the zero-mean cell problem."""
+def cg_cases(reference_mesh, params, spec):
+    """(A, b, solve_cg keywords) of the three kinds of solve in the package:
+    Jacobi on a micro system from a start vector, a stale frozen factor on a
+    macro system, and the zero-mean cell problem."""
     rng = np.random.default_rng(21)
     sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec)
     radii = rng.uniform(params.r_min, params.r_max, sim.mesh.n_cells)
@@ -306,19 +307,62 @@ def test_in_place_cg_matches_the_allocating_loop(reference_mesh, params, spec):
     stale = macro_system(grid, np.full(grid.n_elements, 0.2), 0.005)
     cell = CellProblem(reference_mesh)
     dof, n_dof = reference_mesh.dof_map
-    cases = [
+    return [
         (micro, rng.standard_normal(micro.shape[0]),
          dict(tol=1e-12, x0=rng.uniform(0.2, 0.8, micro.shape[0]))),
         (macro, rng.standard_normal(grid.n_nodes),
          dict(tol=1e-12, precondition=FrozenFactor().preconditioner(stale))),
         (cell.stiffness, rng.standard_normal(n_dof), dict(tol=1e-11, zero_mean_constraint=True)),
     ]
-    for A, b, kwargs in cases:
+
+
+def test_in_place_cg_matches_the_allocating_loop(reference_mesh, params, spec):
+    """The in-place loop (BLAS axpy updates, Jacobi by a reciprocal
+    diagonal) rounds differently from the plain allocating loop but is the
+    same iteration: on the three kinds of solve it takes as many iterations,
+    and both iterates solve the system to ``tol``.  Each loop stops once
+    its residual is within tol |b|, so the two iterates differ by a vector
+    whose image under A is within 2 tol |b|: the bound asserted."""
+    for A, b, kwargs in cg_cases(reference_mesh, params, spec):
+        tol = kwargs["tol"]
         x, report = solve_cg(A, b, **kwargs)
-        x_ref, report_ref = frozen_solve_cg(A, b, **kwargs)
+        x_ref, report_ref = allocating_solve_cg(A, b, **kwargs)
+        assert report.converged and report_ref.converged
+        assert report.iterations == report_ref.iterations > 2
+        b_free = b - b.mean() if kwargs.get("zero_mean_constraint") else b
+        assert np.linalg.norm(A @ (x - x_ref)) <= 2.0 * tol * np.linalg.norm(b_free)
+
+
+def test_preconditioner_may_reuse_its_output_buffer(reference_mesh, params, spec):
+    """``solve_cg`` copies what ``precondition`` returns before the loop
+    writes into its own buffer: a preconditioner that returns one buffer it
+    overwrites on every call, or the residual itself, gives the iterate and
+    iteration count of one that returns fresh arrays, bit for bit."""
+    for A, b, kwargs in cg_cases(reference_mesh, params, spec):
+        kwargs = dict(kwargs)
+        fresh = kwargs.pop("precondition", None)
+        if fresh is None:
+            diag = A.diagonal()
+
+            def fresh(r):
+                return r / diag
+
+        buffer = np.empty(A.shape[0])
+
+        def reusing(r):
+            np.copyto(buffer, fresh(r))
+            return buffer
+
+        x, report = solve_cg(A, b, precondition=fresh, **kwargs)
+        x_reuse, report_reuse = solve_cg(A, b, precondition=reusing, **kwargs)
         assert report.iterations > 2
-        assert np.array_equal(x, x_ref)
-        assert report == report_ref
+        assert report_reuse == report
+        assert np.array_equal(x_reuse, x)
+
+        x_own, report_own = solve_cg(A, b, precondition=lambda r: r.copy(), **kwargs)
+        x_same, report_same = solve_cg(A, b, precondition=lambda r: r, **kwargs)
+        assert report_own.converged and report_same == report_own
+        assert np.array_equal(x_same, x_own)
 
 
 def test_every_step_solves_through_the_module_solver(reference_mesh, params, spec, tensor_table,
@@ -400,7 +444,7 @@ def test_refactor_after_a_jump_in_radii_or_dt(macro_grid):
     factor = FrozenFactor()
 
     def solve(r, dt):
-        _, iterations = backward_euler_step(macro_system(macro_grid, r, dt), b, x0, 1e-10,
+        _, iterations = backward_euler_step(macro_system(macro_grid, r, dt), b, x0, None, 1e-10,
                                             "test", 0.0, factor)
         return iterations
 
@@ -423,5 +467,5 @@ def test_singular_system_factorization_is_numerical_error():
     system = StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass)
     system.data[system.indptr[3]:system.indptr[4]] = 0.0
     with pytest.raises(NumericalError, match="factorization failed"):
-        backward_euler_step(system, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), 1e-10,
+        backward_euler_step(system, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), None, 1e-10,
                             "macro", 0.5, FrozenFactor())

@@ -3,7 +3,7 @@ import pytest
 
 from evopore.fem import centroids
 from evopore.micro import build_micro_mesh
-from evopore.transform import X_CENTER, RadialFrame, eval_psi_inverse, profile, profile_raw
+from evopore.transform import X_CENTER, RadialFrame, profile, profile_raw
 
 
 def sample_radii_pattern(params, n):
@@ -199,30 +199,6 @@ def test_psi_radius_derivative_fd(params):
         fd = (frame.evaluate(rg + h).mapped[0] - frame.evaluate(rg - h).mapped[0]) / (2 * h)
         worst = max(worst, np.max(np.abs(fd - frame.evaluate(rg).dpsi_drg[0])))
     assert worst < 1e-7
-
-
-def test_psi_inverse_roundtrip(params):
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        rg = rng.uniform(params.r_min, params.r_max)
-        y = rng.uniform(0.0, 1.0, 2)
-        z = RadialFrame(params, y).evaluate(rg).mapped[0]
-        back = eval_psi_inverse(params, rg, z)
-        assert np.max(np.abs(back - y)) < 1e-10
-
-
-def test_psi_inverse_identity_at_r0(params):
-    rng = np.random.default_rng(8)
-    z = rng.uniform(0.0, 1.0, (50, 2))
-    for row in z:
-        assert np.max(np.abs(eval_psi_inverse(params, params.r0, row) - row)) < 1e-12
-
-
-def test_psi_inverse_circle(params):
-    for rg in (params.r_min, params.r_max):
-        z = np.array([0.5 + rg, 0.5])
-        back = eval_psi_inverse(params, rg, z)
-        assert np.hypot(back[0] - 0.5, back[1] - 0.5) == pytest.approx(params.r0, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
