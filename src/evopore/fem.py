@@ -5,12 +5,15 @@ quadrature for variable coefficients and row-sum lumped mass matrices.  A
 mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
 it is built once per mesh from blocks of dofs and their local sparsity, and
 every assembly sums the block data into the CSR data by one ``np.bincount``;
-there is no one-off assembly beside it.  The macro stepper and the periodic
-cell problems pass their triangles as the blocks.  The cell problems form
-the element matrices from a tensor per element by batched ``matmul``
-(:func:`element_stiffness`).  The macro grid has two element shapes, so the
-macro stepper forms them as the per-element tensor components (A11, A12,
-A22) times the operators of the two shapes
+there is no one-off assembly beside it.  Its data slots are ``np.intp``,
+stored once in the memory order of the data their owner produces, so the
+bincount neither casts the slots nor copies the data: block-major for
+triangles, entry-major for the micro cells.  The macro stepper and the
+periodic cell problems pass their triangles as the blocks.  The cell
+problems form the element matrices from a tensor per element by batched
+``matmul`` (:func:`element_stiffness`).  The macro grid has two element
+shapes, so the macro stepper forms them as the per-element tensor
+components (A11, A12, A22) times the operators of the two shapes
 (:meth:`evopore.macro.MacroGrid.element_matrices`).  The micro stepper
 passes its cells, each with the reference cell's sparsity, and forms every
 cell's entries from reference-cell operators (:mod:`evopore.micro`).  The
@@ -85,12 +88,19 @@ class StiffnessPattern:
     with the reference cell's sparsity.  The pattern also holds every
     diagonal entry.  Every block entry and every diagonal entry has one data
     slot, so an assembly is the block data summed into ``data`` by one
-    ``np.bincount``.  The slots are built on first use and reused by every
-    later assembly.
+    ``np.bincount``.
+
+    The slots are built on first use, as ``np.intp`` in the memory order of
+    the data their owner produces, so that ``np.bincount`` neither casts nor
+    copies them and reads the data as it lies: block-major (n_blocks, s) by
+    default, as the macro grid and the cell problems form their element
+    matrices, and entry-major (s, n_blocks) with ``entry_major``, as the
+    micro cells' product of reference-cell operators gives their entries.
     """
 
     def __init__(self, dofs: np.ndarray, n_dof: int,
-                 local: tuple[np.ndarray, np.ndarray] | None = None):
+                 local: tuple[np.ndarray, np.ndarray] | None = None,
+                 entry_major: bool = False):
         dofs = np.asarray(dofs)
         if dofs.size and (dofs.min() < 0 or dofs.max() >= n_dof):
             raise ValueError(f"element dof outside [0, {n_dof})")
@@ -100,39 +110,51 @@ class StiffnessPattern:
         self.dofs = dofs
         self.n_dof = n_dof
         self.local = local
+        self.entry_major = entry_major
         self._slots = None
 
     def slots(self):
         """CSR ``indptr`` and ``indices`` of the block and diagonal entries,
-        the int32 data slot (n_blocks, s) of every block entry and that of
-        every diagonal entry (n_dof,)."""
+        the data slot of every block entry, (n_blocks, s) or entry-major
+        (s, n_blocks), and that of every diagonal entry (n_dof,); the slots
+        are C-contiguous ``np.intp``."""
         if self._slots is None:
             n = self.n_dof
             rows, cols = self.local
             dofs = self.dofs.astype(np.int32)
             diag = np.arange(n, dtype=np.int32)
-            entry_rows = np.concatenate([dofs[:, rows].ravel(), diag])
-            entry_cols = np.concatenate([dofs[:, cols].ravel(), diag])
+
+            def entries(local):
+                """Row or column of every block entry in the slots' layout,
+                then of every diagonal entry."""
+                block = dofs.T[local] if self.entry_major else dofs[:, local]
+                return np.concatenate([block.ravel(), diag])
+
+            entry_rows, entry_cols = entries(rows), entries(cols)
             csr = sp.coo_matrix((np.ones(len(entry_rows)), (entry_rows, entry_cols)),
                                 shape=(n, n)).tocsr()
             # the matrix whose every stored entry is its own slot number, sampled
-            csr.data = np.arange(csr.nnz, dtype=float)
-            slots = np.asarray(csr[entry_rows, entry_cols]).ravel().astype(np.int32)
+            csr.data = np.arange(csr.nnz, dtype=np.intp)
+            slots = np.asarray(csr[entry_rows, entry_cols]).reshape(-1)
             for a in (csr.indptr, csr.indices):
                 a.setflags(write=False)  # shared by every assembled matrix
             n_block = slots.size - n
-            self._slots = (csr.indptr, csr.indices,
-                           slots[:n_block].reshape(len(dofs), len(rows)), slots[n_block:])
+            shape = (len(rows), len(dofs)) if self.entry_major else (len(dofs), len(rows))
+            self._slots = (csr.indptr, csr.indices, slots[:n_block].reshape(shape),
+                           slots[n_block:])
         return self._slots
 
     def assemble(self, block_data: np.ndarray,
                  diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-        """Stiffness matrix of the block data ``block_data`` (n_blocks, s),
-        for P1 elements the element matrices (nt, 3, 3), plus ``diagonal``
-        (n_dof,) on the main diagonal.
+        """Stiffness matrix of the block data ``block_data``, laid out as the
+        slots are: (n_blocks, s), for P1 elements the element matrices
+        (nt, 3, 3), or entry-major (s, n_blocks); plus ``diagonal`` (n_dof,)
+        on the main diagonal.
 
-        Entries sharing a slot are summed in input order: block by block,
-        in the order of ``local`` within a block, the diagonal last.
+        Entries sharing a slot are summed in the data's memory order, the
+        diagonal last: block-major block by block and within a block in the
+        order of ``local``, entry-major entry by entry and within an entry
+        block by block.  C-contiguous data is read in place.
         """
         indptr, indices, block_slots, diagonal_slots = self.slots()
         data = np.bincount(block_slots.ravel(), np.ravel(block_data), minlength=len(indices))

@@ -17,6 +17,12 @@ the lumped mass, the element means and the drift loads of every cell at once.
 Each result reaches the global arrays by one scatter through the cell node
 map, and the system's CSR pattern is the reference cell's pattern repeated
 through that map.  No per-element tensor algebra and no per-element scatter.
+A product's result is C-contiguous with one column per cell, so the scatter
+index (:attr:`MicroMesh.cell_nodes`) and the system's data slots are stored
+once, as ``np.intp``, in that entry-major order: each scatter and assembly
+reads its data and index in place.  The cell map itself is one frame on the
+reference midpoints, built once; the profile is affine in the radius, so a
+step evaluates no kernel.
 
 A step whose radii did not move keeps its cell map and system for the next
 step at the same radii and dt.  So radii frozen at r0, which are inputs (a
@@ -80,15 +86,23 @@ class MicroMesh:
         return np.hypot(e[..., 0], e[..., 1])
 
     @cached_property
+    def cell_nodes(self) -> np.ndarray:
+        """``node_map`` transposed (n_ref, n_cells), C-contiguous ``np.intp``:
+        the index of the gathers and scatters of (n_ref, n_cells) arrays, laid
+        out as they are, so ``np.bincount`` neither casts nor copies it."""
+        return np.ascontiguousarray(self.node_map.T, dtype=np.intp)
+
+    @cached_property
     def coordinate_text(self) -> list[str]:
         """The ``x1,x2,`` text of every node, formatted on first use: the
         first snapshot of a run builds it, and every later one reuses it."""
         return xy_text(self.vertices)
 
     def scatter(self, per_cell: np.ndarray) -> np.ndarray:
-        """Sum of per-cell nodal values (n_ref, n_cells) at the global nodes:
-        cell by cell, in cell index order."""
-        return np.bincount(self.node_map.ravel(), per_cell.T.ravel(), minlength=self.n_nodes)
+        """Sum of per-cell nodal values (n_ref, n_cells) at the global nodes,
+        in their memory order: reference node by reference node, and within
+        one in cell index order.  C-contiguous values are read in place."""
+        return np.bincount(self.cell_nodes.ravel(), per_cell.ravel(), minlength=self.n_nodes)
 
 
 def cells_per_side(epsilon: float) -> int:
@@ -236,12 +250,19 @@ class MicroSimulator:
         m = mesh
         ref = m.reference
         self._edge_len = m.gamma_edge_lengths()
+        self._gamma_len = self._edge_len.sum(axis=1)
+        # the scatter index of the surface loads, in the order of their
+        # weights: q0e0, q0e1, q1e0, q1e1
+        edges = m.gamma_edges
+        self._gamma_nodes = np.concatenate([edges[..., 0].ravel(), edges[..., 1].ravel()]
+                                           * len(_EDGE_GAUSS))
         self._cell_offsets = m.epsilon * m.cell_index.astype(float)
         # every cell carries the reference triangles, so one frame on the
         # reference midpoints serves all cells
         self._frame = RadialFrame(params, centroids(ref.vertices, ref.triangles))
         self._bases = CellBases.of(ref, self._frame.directions())
-        self._pattern = StiffnessPattern(m.node_map, m.n_nodes, self._bases.local)
+        self._pattern = StiffnessPattern(m.node_map, m.n_nodes, self._bases.local,
+                                         entry_major=True)
         self._kept = None   # (radii, dt, map, system) of a step whose radii did not move
 
     # -- construction --------------------------------------------------------
@@ -276,12 +297,12 @@ class MicroSimulator:
         ``diagonal``."""
         x = np.vstack([self._per_cell(self.diffusion * sc.b),
                        self._per_cell(self.diffusion * (sc.a - sc.b))])
-        return self._pattern.assemble((self._bases.system @ x).T, diagonal)
+        return self._pattern.assemble(self._bases.system @ x, diagonal)
 
     def _drift(self, sc: MapScalars, rate: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Nodal loads of the drift ``(J Psi^{-1} dPsi/dt u_hat, grad phi)``
         for radius rates ``rate`` (c,), with u_hat at its element means."""
-        u_mean = self._bases.means @ u[self.mesh.node_map.T]
+        u_mean = self._bases.means @ u[self.mesh.cell_nodes]
         weight = self._per_cell(self.mesh.epsilon**2 * sc.det * sc.s) * u_mean
         weight *= rate
         return self.mesh.scatter(self._bases.drift @ weight)
@@ -310,9 +331,7 @@ class MicroSimulator:
             integral += contrib.sum(axis=1)
             scaled = contrib * scale[:, None]
             weights += [scaled * (1.0 - q), scaled * q]
-        # one scatter, in the order of the weights: q0e0, q0e1, q1e0, q1e1
-        nodes = np.concatenate([edges[..., 0].ravel(), edges[..., 1].ravel()] * len(_EDGE_GAUSS))
-        loads = np.bincount(nodes, np.concatenate([w.ravel() for w in weights]),
+        loads = np.bincount(self._gamma_nodes, np.concatenate([w.ravel() for w in weights]),
                             minlength=m.n_nodes)
         return integral, loads, float((scale * integral).sum())
 
@@ -328,7 +347,7 @@ class MicroSimulator:
         # (1) explicit radius update from the surface-averaged rate at the
         # old concentration and old radii
         f_int, loads, flux_total = self._surface_integrals(state.u_hat, state.radii)
-        f_avg = f_int / self._edge_len.sum(axis=1)
+        f_avg = f_int / self._gamma_len
         radii_new = step_radius(self.spec, state.radii, f_avg.reshape(state.radii.shape), dt)
         rate = (radii_new - state.radii) / dt
         still = np.array_equal(radii_new, state.radii)

@@ -22,6 +22,7 @@ from evopore.registry import build_source
 from evopore.sparse import solve_cg
 from evopore.transform import RadialFrame
 from evopore.unitcell import porosity
+from evopore.validate import patterned_radii
 
 
 def constant_field(value):
@@ -119,7 +120,9 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     # reference cell's own, by batched matmul, and its lumped mass is eps^2
     # times the reference cell's.  Every entry is summed in the micro
     # assembly's order: within a cell element by element, row by row, then
-    # cell by cell, the lumped mass on the diagonal last
+    # over the cells entry by entry of the cell's sparsity (node by node for
+    # the lumped mass), cells in order within one, the lumped mass on the
+    # diagonal last
     dt = 0.01
     ref = m.reference
     n_ref, n = ref.n_nodes, m.n_nodes
@@ -140,9 +143,9 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     keys, slot = np.unique(nodes[:, local // n_ref] * n + nodes[:, local % n_ref],
                            return_inverse=True)
     data = np.zeros(len(keys))
-    np.add.at(data, slot.ravel(), np.tile(cell, m.n_cells))
+    np.add.at(data, slot.T.ravel(), np.repeat(cell, m.n_cells))
     lum = np.zeros(n)
-    np.add.at(lum, nodes.ravel(), np.tile(cell_lum, m.n_cells))
+    np.add.at(lum, nodes.T.ravel(), np.repeat(cell_lum, m.n_cells))
     lum *= m.epsilon**2
     data[np.searchsorted(keys, np.arange(n) * (n + 1))] += lum / dt
     system = sp.csr_matrix((data, (keys // n, keys % n)), shape=(n, n))
@@ -229,6 +232,43 @@ def check_cell_batched_step(m, params, spec, rng):
     # the face nodes that several cells share are compared too
     shared = np.bincount(m.node_map.ravel(), minlength=n) > 1
     assert shared.sum() > 0 and np.abs(want_drift[shared]).max() > 0.0
+
+
+@pytest.mark.parametrize("inv", (2, 4))
+def test_micro_assembly_and_scatter_match_independent_oracles(reference_mesh, params, spec, inv):
+    """With patterned radii, the assembled system equals ``sp.coo_matrix`` of
+    every cell's entries at their global (row, col) plus the diagonal, and
+    ``MicroMesh.scatter`` equals ``np.add.at``.  The slots and the scatter
+    index are intp laid out like the data they index, so ``np.bincount``
+    reads both in place."""
+    m = build_micro_mesh(reference_mesh, 1.0 / inv)
+    sim = MicroSimulator(m, params, spec, diffusion=1.7)
+    sc = sim._cell_map(patterned_radii(params, inv))
+    rng = np.random.default_rng(30 + inv)
+    diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
+    x = np.vstack([sim._per_cell(1.7 * sc.b), sim._per_cell(1.7 * (sc.a - sc.b))])
+    entries = sim._bases.system @ x          # (s, n_cells): every cell's entries
+    rows, cols = sim._bases.local
+    n, diag = m.n_nodes, np.arange(m.n_nodes)
+    want = sp.coo_matrix((np.concatenate([entries.T.ravel(), diagonal]),
+                          (np.concatenate([m.node_map[:, rows].ravel(), diag]),
+                           np.concatenate([m.node_map[:, cols].ravel(), diag]))),
+                         shape=(n, n)).tocsr()
+    got = sim._system(sc, diagonal)
+    assert got.nnz == want.nnz
+    assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+    values = rng.uniform(-1.0, 1.0, (m.reference.n_nodes, m.n_cells))
+    want_nodal = np.zeros(n)
+    np.add.at(want_nodal, m.node_map.T, values)
+    assert np.abs(m.scatter(values) - want_nodal).max() <= 1e-15 * np.abs(want_nodal).max()
+
+    block_slots, diagonal_slots = sim._pattern.slots()[2:]
+    for index, data in ((block_slots, entries), (m.cell_nodes, values)):
+        assert index.dtype == np.intp and index.shape == data.shape
+        assert index.flags.c_contiguous and data.flags.c_contiguous
+    assert diagonal_slots.dtype == np.intp
+    assert np.array_equal(m.cell_nodes, m.node_map.T)
 
 
 def test_pinned_constant_initial_stays_constant(micro_mesh_half, params, no_reaction):

@@ -66,8 +66,10 @@ def test_duplicate_accumulation():
 
 
 def test_duplicates_summed_in_input_order(reference_mesh, params):
-    """Every CSR entry is the sum of its element entries in input order
-    (element by element, row by row), then the diagonal, bit for bit."""
+    """Every CSR entry is the sum of its element entries in the data's
+    memory order, then the diagonal, bit for bit: element by element and
+    row by row for block-major data, entry by entry and element by element
+    for entry-major data.  The slots are intp in the data's layout."""
     m = build_micro_mesh(reference_mesh, 0.5)
     rng = np.random.default_rng(8)
     r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[m.cell_of_element]
@@ -75,18 +77,28 @@ def test_duplicates_summed_in_input_order(reference_mesh, params):
     coeff = RadialFrame(params, in_cell).evaluate(r_el).coeff
     diagonal = lumped_mass(m.triangles, m.areas, np.ones(len(m.triangles)), m.n_nodes) / 0.01
     k_el = element_stiffness(*triangle_geometry(m.vertices, m.triangles), coeff)
-    A = StiffnessPattern(m.triangles, m.n_nodes).assemble(k_el, diagonal)
+    by_entry = np.ascontiguousarray(k_el.reshape(-1, 9).T)
+    triangles = m.triangles.tolist()
+    block_major = [(tri, i, j) for tri in range(len(triangles))
+                   for i in range(3) for j in range(3)]
+    entry_major = [(tri, i, j) for i in range(3) for j in range(3)
+                   for tri in range(len(triangles))]
+    for entry, data, order in ((False, k_el, block_major), (True, by_entry, entry_major)):
+        pattern = StiffnessPattern(m.triangles, m.n_nodes, entry_major=entry)
+        block_slots, diagonal_slots = pattern.slots()[2:]
+        assert block_slots.dtype == np.intp and diagonal_slots.dtype == np.intp
+        assert block_slots.flags.c_contiguous
+        assert block_slots.shape == ((9, len(k_el)) if entry else (len(k_el), 9))
+        A = pattern.assemble(data, diagonal)
 
-    sums = {}
-    for tri, k in zip(m.triangles.tolist(), k_el.tolist()):
-        for i in range(3):
-            for j in range(3):
-                key = (tri[i], tri[j])
-                sums[key] = sums.get(key, 0.0) + k[i][j]
-    for d, v in enumerate(diagonal.tolist()):
-        sums[(d, d)] = sums.get((d, d), 0.0) + v
-    coo = A.tocoo()
-    assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == sums
+        sums = {}
+        for tri, i, j in order:
+            key = (triangles[tri][i], triangles[tri][j])
+            sums[key] = sums.get(key, 0.0) + float(k_el[tri, i, j])
+        for d, v in enumerate(diagonal.tolist()):
+            sums[(d, d)] = sums.get((d, d), 0.0) + v
+        coo = A.tocoo()
+        assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == sums
 
 
 def test_pattern_reuse_matches_fresh_assembly():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evopore import transform
 from evopore.fem import centroids
 from evopore.micro import build_micro_mesh
 from evopore.transform import X_CENTER, RadialFrame, profile, profile_raw
@@ -99,6 +100,70 @@ def test_profile_matches_mollified_raw_profile(params):
         r = rng.uniform(0.02, 0.6)
         val, _, _ = profile(params, rg, r)
         assert float(val) == pytest.approx(reference(rg, r), abs=5e-9)
+
+
+def four_hinge_profile(params, r_gamma, r):
+    """The profile as the sum over its four hinges, term by term: the
+    kernel values g and Phi at each hinge z_k = (r - b_k)/delta_tilde,
+    weighted by the hinge slope and its r_gamma rate, accumulated hinge by
+    hinge.  The reference of the affine form R = r + (r_gamma - r0) G,
+    R' = 1 + (r_gamma - r0) F."""
+    dt = params.delta_tilde
+    den1 = params.r0 - params.r_min + dt
+    den2 = params.r_max - params.r0 + dt
+    k1 = (r_gamma - params.r0) / den1
+    k3 = (params.r0 - r_gamma) / den2
+    shape = np.broadcast_shapes(np.shape(r_gamma), np.shape(r))
+    val, der, drg = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    for bk, kap, dkap, sgn in zip(params.breakpoints, (k1, k1, k3, k3),
+                                  (1.0 / den1, 1.0 / den1, -1.0 / den2, -1.0 / den2),
+                                  (1.0, -1.0, 1.0, -1.0)):
+        z = (r - bk) / dt
+        gz, cz = transform._kernel_g(z), transform._kernel_cdf(z)
+        val += sgn * kap * dt * gz
+        der += sgn * kap * cz
+        drg += sgn * dkap * dt * gz
+    return r + val, 1.0 + der, drg
+
+
+def test_affine_profile_matches_the_four_hinge_sum(params):
+    rg = np.linspace(params.r_min, params.r_max, 41)[:, None]
+    r = np.linspace(0.0, 0.9, 1801)[None, :]
+    R, dR, dRg = profile(params, rg, r)
+    R_ref, dR_ref, dRg_ref = four_hinge_profile(params, rg, r)
+    assert np.abs((R - r) - (R_ref - r)).max() <= 1e-15
+    assert np.abs((dR - 1.0) - (dR_ref - 1.0)).max() <= 1e-15
+    assert np.array_equal(dRg, dRg_ref)   # G is summed hinge by hinge
+    assert np.abs(dRg).max() > 0.5   # the annulus is sampled
+
+    # r_gamma = r0 is the identity bit for bit, pointwise and from a frame
+    r = r.ravel()
+    R, dR, _ = profile(params, params.r0, r)
+    assert np.array_equal(R, r) and np.all(dR == 1.0)
+    y = X_CENTER + r[:, None] * np.array([0.6, 0.8])
+    frame = RadialFrame(params, y)
+    sc = frame.scalars(params.r0)
+    assert np.array_equal(sc.radius, frame.distance)
+    assert np.all(sc.det == 1.0) and np.all(sc.a == 1.0) and np.all(sc.b == 1.0)
+
+
+def test_frame_evaluates_no_kernel(params, monkeypatch):
+    """A frame evaluates the kernels once, when it is built; its scalars,
+    map and Jacobian at any radii need none."""
+    rng = np.random.default_rng(7)
+    frame = RadialFrame(params, rng.uniform(0.0, 1.0, (300, 2)))
+
+    def forbidden(z):
+        raise AssertionError("kernel evaluated after the frame was built")
+
+    monkeypatch.setattr(transform, "_kernel_g", forbidden)
+    monkeypatch.setattr(transform, "_kernel_cdf", forbidden)
+    radii = rng.uniform(params.r_min, params.r_max, (3, 1))
+    frame.scalars(radii)
+    frame.evaluate(radii)
+    frame.jacobian(radii)
+    frame.evaluate(radii[0, 0])
+    frame.jacobian(rng.uniform(params.r_min, params.r_max, 300))
 
 
 def test_profile_monotone_derivative_bound(params):
