@@ -17,7 +17,7 @@ from .micro import (MicroMesh, MicroSimulator, MicroState, UnfoldingError,
                     build_micro_mesh, cell_pore_means, unfold_compare)
 from .registry import build_field, build_source, register_field
 from .sparse import SolveReport, solve_cg
-from .transform import MapEval, MapScalars, RadialFrame, TransformParams, profile, profile_raw
+from .transform import MapEval, MapScalars, RadialFrame, TransformParams, profile
 from .unitcell import (CellProblem, EffectiveTensorTable, PeriodicMesh, ball_volume,
                        build_reference_mesh, effective_tensor, porosity, tabulate)
 

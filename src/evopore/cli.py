@@ -29,7 +29,7 @@ from . import __version__
 from .config import DEFAULT_CONFIG, ExperimentConfig, load_config, parse_config
 from .errors import ConfigError, NumericalError
 from .fem import csv_table
-from .macro import MacroGrid, MacroSolver, ledger_csv, mass_balance, snapshot_csv
+from .macro import MacroGrid, MacroSolver, MassRecord, ledger_csv, mass_balance, snapshot_csv
 from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv, cells_per_side,
                     micro_snapshot_csv, unfold_compare)
 from .registry import build_field, build_source
@@ -189,14 +189,14 @@ def cmd_macro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
     grid = MacroGrid.create(cfg.macro_n)
     solver = _macro_solver(cfg, grid)
     state = _initial_state(solver, cfg)
-    records = [state.mass_record()]
+    records = [MassRecord.of(state)]
 
     def snapshot(step, state):
         _write(outdir, f"snapshot_{step:06d}.csv", snapshot_csv(grid, state), outputs)
 
     snapshot(0, state)
     state = _run_steps(solver, state, cfg, "macro step {}",
-                       lambda state: records.append(state.mass_record()), snapshot)
+                       lambda state: records.append(MassRecord.of(state)), snapshot)
     _write(outdir, "ledger.csv", ledger_csv(records), outputs)
 
     balance = mass_balance(records)
@@ -231,11 +231,10 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
     sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
                          cg_tol=cfg.cg_tol)
     state = _initial_state(sim, cfg)
-    ledger, rates = [], []
+    records, rates = [MassRecord.of(state)], []
 
     def record(state):
-        ledger.append((state.t, state.fluid_mass, state.solid_mass,
-                       state.flux_step, state.source_step, state.defect))
+        records.append(MassRecord.of(state))
         rates.append(float(np.abs(state.radii_rate).max()))
 
     def snapshot(step, state):
@@ -244,11 +243,9 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
 
     snapshot(0, state)
     _run_steps(sim, state, cfg, f"micro step {{}} (1/eps={inv})", record, snapshot)
-    max_defect = max([0.0] + [row[-1] for row in ledger])
-    max_rate = max([0.0] + rates)
-    _write(outdir, "micro_ledger.csv",
-           csv_table("t,fluid_mass,solid_mass,flux_step,source_step,defect",
-                     "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", *zip(*ledger)), outputs)
+    _write(outdir, "micro_ledger.csv", ledger_csv(records), outputs)
+    max_defect = mass_balance(records).max_defect
+    max_rate = max(rates)
     log.info(f"micro run 1/eps={inv}: {cfg.n_steps} steps, max ledger defect {max_defect:.3e}")
     return [
         {"check": "transformed_mass_ledger_1e-9", "passed": max_defect <= 1e-9,

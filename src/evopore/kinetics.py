@@ -5,9 +5,10 @@ below the minimum radius and nonpositive at and above the maximum radius;
 those four structural conditions make the radius box invariant.  The builtin
 ``gated_affine`` family satisfies them by construction: a clamped affine
 response in the concentration, with smooth gates that switch growth off near
-r_max and dissolution off near r_min.  A family is a rate law together with
-an analytic Lipschitz envelope, named in :data:`KINETICS_FAMILIES`; there is
-no expression parsing.
+r_max and dissolution off near r_min.  It is the one family: :func:`eval_f`
+and :func:`lipschitz_envelope` call its rate law and its analytic Lipschitz
+envelope directly, and a :class:`KineticsSpec` naming any other family is
+rejected.  There is no expression parsing.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class KineticsSpec:
             raise ValueError("gate_width must lie in (0, (r_max - r_min)/2)")
         if self.f_cap <= 0 or self.c_s <= 0:
             raise ValueError("f_cap and c_s must be positive")
-        if self.family not in KINETICS_FAMILIES:
+        if self.family != "gated_affine":
             raise ValueError(f"unknown kinetics family {self.family!r}")
 
 
@@ -56,20 +57,13 @@ def _gated_affine_envelope(spec: KineticsSpec) -> float:
     return spec.rate_slope * (1.0 + 2.0 / spec.gate_width) * spec.f_cap
 
 
-KINETICS_FAMILIES: dict[str, tuple] = {
-    "gated_affine": (_gated_affine, _gated_affine_envelope),
-}
-
-
 def eval_f(spec: KineticsSpec, u, r):
     """Reaction rate; total in both arguments, vectorized."""
-    f, _ = KINETICS_FAMILIES[spec.family]
-    return f(spec, u, r)
+    return _gated_affine(spec, u, r)
 
 
 def lipschitz_envelope(spec: KineticsSpec) -> float:
-    _, env = KINETICS_FAMILIES[spec.family]
-    return env(spec)
+    return _gated_affine_envelope(spec)
 
 
 def step_radius(spec: KineticsSpec, r, f_value, dt: float):

@@ -52,8 +52,8 @@ class MacroGrid:
     holds each shape's stiffness operator: row c is the flattened element
     matrix ``|T| G E_c G^T`` of the symmetric tensor E_c whose coefficient is
     component c of (A11, A12, A22), taken from the first triangle of the
-    shape.  ``centers`` holds the element centroids, which :meth:`midpoints`
-    returns and every snapshot writes as its ``x1,x2``.
+    shape.  ``centers`` holds the element centroids, where the radius, the
+    source and every snapshot's ``x1,x2`` live.
     """
 
     n: int
@@ -102,10 +102,6 @@ class MacroGrid:
         use: the first snapshot of a run builds it, and every later one
         reuses it."""
         return xy_text(self.centers)
-
-    def midpoints(self) -> np.ndarray:
-        """Element centroids (nt, 2), read-only."""
-        return self.centers
 
     def element_matrices(self, components: np.ndarray) -> np.ndarray:
         """Element stiffness matrices (nt, 9), flattened row by row, of the
@@ -156,20 +152,24 @@ class MacroState:
     cg_iterations: int = 0
     previous: np.ndarray | None = None   # the u array of the state one step earlier
 
-    def mass_record(self) -> "MassRecord":
-        return MassRecord(self.t, self.fluid_mass, self.solid_mass, self.source_step,
-                          self.defect)
-
 
 class MassRecord(NamedTuple):
-    """The scalars of a :class:`MacroState` that :func:`mass_balance` and
-    :func:`ledger_csv` read, without its fields."""
+    """The scalars of a step's state that :func:`mass_balance` and
+    :func:`ledger_csv` read, without its fields.  Both steppers' states
+    carry them: ``defect`` is the step's gap in its own discrete mass
+    identity (the macro fluid + solid balance, the micro fluid balance
+    against its surface flux) and ``source_step`` its source integral."""
 
     t: float
     fluid_mass: float
     solid_mass: float
     source_step: float
     defect: float
+
+    @classmethod
+    def of(cls, state) -> "MassRecord":
+        """The record of a :class:`MacroState` or a ``MicroState``."""
+        return cls(state.t, state.fluid_mass, state.solid_mass, state.source_step, state.defect)
 
 
 class MacroSolver:
@@ -192,7 +192,7 @@ class MacroSolver:
         """State at t = 0 from nodal u0 and element-midpoint r0."""
         g = self.grid
         u = np.asarray(u0_field(g.nodes), dtype=float)
-        r = np.asarray(r0_field(g.midpoints()), dtype=float)
+        r = np.asarray(r0_field(g.centers), dtype=float)
         if u.shape != (g.n_nodes,) or r.shape != (g.n_elements,):
             raise ValueError("initial fields have wrong shape")
         check_initial_state(self.spec, u, r)
@@ -223,7 +223,7 @@ class MacroSolver:
 
         source_step = 0.0
         if self.source is not None:
-            fp = np.asarray(self.source(t_new, g.midpoints()), dtype=float)
+            fp = np.asarray(self.source(t_new, g.centers), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
             b += lumped_mass(g.elements, g.areas, theta_new * fp, g.n_nodes)
@@ -254,8 +254,9 @@ class MassBalanceReport:
     final_total: float
 
 
-def mass_balance(states: list[MacroState | MassRecord]) -> MassBalanceReport:
-    """Defect of the discrete conservation identity along a state sequence.
+def mass_balance(states: list[MassRecord]) -> MassBalanceReport:
+    """Defect of the discrete conservation identity along a sequence of
+    records, or of states, which carry the same fields.
 
     Uses the per-step records, so it is exact regardless of snapshot cadence
     as long as consecutive stored states are consecutive steps.
@@ -279,7 +280,10 @@ def snapshot_csv(grid: MacroGrid, state: MacroState) -> str:
                      u_el, state.r, state.theta)
 
 
-def ledger_csv(states: list[MacroState | MassRecord]) -> str:
+def ledger_csv(states: list[MassRecord]) -> str:
+    """The mass ledger of either stepper: one row per record (or state), the
+    initial one first, with the total, the source integral accumulated to
+    each row and the step's defect."""
     source_integral = list(accumulate((s.source_step for s in states), initial=0.0))[1:]
     return csv_table("t,total_mass,solid_mass,fluid_mass,source_integral,defect",
                      "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",

@@ -402,7 +402,9 @@ class MicroSimulator:
 # ---------------------------------------------------------------------------
 
 def cell_pore_means(mesh: MicroMesh, u: np.ndarray) -> np.ndarray:
-    """Pore-area-weighted mean of a nodal field over every cell."""
+    """Mean of a nodal field over every cell's *reference* perforation: the
+    element means weighted by their reference areas, not by J.  A physical
+    pore mean would weight by J; the two agree as epsilon -> 0."""
     el_mean = element_means(mesh.triangles, u)
     sums = np.bincount(mesh.cell_of_element, mesh.areas * el_mean, minlength=mesh.n_cells)
     areas = np.bincount(mesh.cell_of_element, mesh.areas, minlength=mesh.n_cells)

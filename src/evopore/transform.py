@@ -31,8 +31,8 @@ kernel evaluation.  The epsilon-scaled map of the paper,
 psi_eps(t, x) = eps k + eps psi(r_k(t), x/eps - k), is a frame on in-cell
 points evaluated at one radius per cell ``(c, 1)``, its image scaled by eps
 and shifted by eps k; its time derivative is eps (dpsi/dr_gamma) dr_k/dt.
-:func:`profile_raw` is the unsmoothed profile, kept as the reference of the
-mollification.
+The unsmoothed five-branch profile is not evaluated here: the tests hold it
+as the oracle that :func:`profile` matches the convolution.
 """
 
 from __future__ import annotations
@@ -174,27 +174,6 @@ class TransformParams:
 # ---------------------------------------------------------------------------
 # Radial profile
 # ---------------------------------------------------------------------------
-
-def profile_raw(params: TransformParams, r_gamma: float, s) -> np.ndarray:
-    """Piecewise-linear radial rescaling before smoothing.
-
-    Identity up to ``r_min - 2*delta_tilde``, linear ramp with slope c1 to the
-    plateau branch of slope one through (r0, r_gamma), ramp with slope c2 back
-    to the identity from ``r_max + 2*delta_tilde`` on.
-    """
-    params.check_radius(r_gamma)
-    s = np.asarray(s, dtype=float)
-    b1, b2, b3, b4 = params.breakpoints
-    # the displacement's slopes c1 - 1 and c2 - 1 on the two ramps
-    k1 = (r_gamma - params.r0) / (params.r0 - params.r_min + params.delta_tilde)
-    k3 = (params.r0 - r_gamma) / (params.r_max - params.r0 + params.delta_tilde)
-    disp = np.select(
-        [s <= b1, s <= b2, s <= b3, s <= b4],
-        [0.0, k1 * (s - b1), r_gamma - params.r0, k3 * (s - b4)],
-        default=0.0,
-    )
-    return s + disp
-
 
 def _radial_kernels(params: TransformParams, r: np.ndarray):
     """The radius-free functions G and F of the profile at distances ``r``.

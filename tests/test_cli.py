@@ -17,7 +17,7 @@ from evopore.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _initial_s
                          _macro_solver, main, run_convergence_study)
 from evopore.config import _KNOWN_KEYS, DEFAULT_CONFIG, parse_config
 from evopore.errors import ConfigError, NumericalError
-from evopore.macro import MacroGrid
+from evopore.macro import MacroGrid, ledger_csv
 from evopore.micro import MicroSimulator
 from evopore.unitcell import EffectiveTensorTable, porosity
 
@@ -365,6 +365,31 @@ def test_micro_run_growth_monotone_radii(tmp_path):
     assert series[-1].mean() > series[0].mean()
 
 
+def test_micro_run_ledger_is_the_macro_ledger_and_deterministic(tmp_path):
+    """Two runs write the same bytes; ``micro_ledger.csv`` is ``ledger_csv``'s
+    table with the initial row, its totals are fluid + solid, and the
+    report's ledger check reads its largest defect."""
+    cfg = cfg_file(tmp_path)
+    out1, out2 = tmp_path / "m1", tmp_path / "m2"
+    for out in (out1, out2):
+        assert main(["micro-run", "--config", cfg, "--out", str(out), "--quiet",
+                     "--epsilon", "1/2"]) == 0
+    assert sorted(f.name for f in out1.iterdir()) == sorted(f.name for f in out2.iterdir())
+    for f in out1.iterdir():
+        assert f.read_bytes() == (out2 / f.name).read_bytes(), f.name
+    lines = (out1 / "micro_ledger.csv").read_text().splitlines()
+    assert lines[0] == ledger_csv([]).splitlines()[0]
+    assert len(lines) == 1 + 1 + parse_config(FAST_COMMON).n_steps
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    t, total, solid, fluid, _, defect = rows.T
+    assert t[0] == 0.0 and defect[0] == 0.0
+    assert np.array_equal(total, fluid + solid)
+    assert defect.max() > 0.0
+    report = [json.loads(line) for line in (out1 / "report.jsonl").read_text().splitlines()]
+    ledger_check, = (c for c in report if c.get("check") == "transformed_mass_ledger_1e-9")
+    assert ledger_check["value"] == defect.max()
+
+
 def test_micro_run_pinned_mode_flag(tmp_path):
     cfg = cfg_file(tmp_path, "[micro]\npinned_radii = true\n")
     out = tmp_path / "pinned"
@@ -533,6 +558,7 @@ def _doc_block(heading: str, language: str) -> str:
 
 
 def test_config_schema_doc_matches_the_code():
+    text = (Path(__file__).parents[1] / "docs" / "config_schema.md").read_text()
     block = _doc_block("## Config files", "ini")
     doc = configparser.ConfigParser(inline_comment_prefixes=("#",))
     doc.read_string(block)
@@ -546,6 +572,12 @@ def test_config_schema_doc_matches_the_code():
     for section, keys in _KNOWN_KEYS.items():
         for key in keys:
             assert re.search(rf"^(# )?{key} = ", chunks[section], re.M), (section, key)
+
+    # the ledger rows of the output table list the columns ledger_csv writes
+    header = ledger_csv([]).splitlines()[0]
+    for name in ("ledger.csv", "micro_ledger.csv"):
+        row = re.search(rf"^\| `{re.escape(name)}` \| [^|]+ \| `([^`]*)`", text, re.M)
+        assert row and row[1] == header, name
 
     usage = [line.split() for line in _doc_block("## CLI", "").strip().splitlines()]
     assert [words[1] for words in usage] == list(COMMANDS)

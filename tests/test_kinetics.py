@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evopore import kinetics
 from evopore.kinetics import (
-    KINETICS_FAMILIES,
     KineticsSpec,
     eval_f,
     lipschitz_envelope,
@@ -54,10 +54,8 @@ def _ungated_affine(spec, u, r):
 
 
 def test_validator_flags_broken_family(monkeypatch):
-    envelope = lambda spec: spec.rate_slope * (1.0 + 2.0 / spec.gate_width) * spec.f_cap
-    monkeypatch.setitem(KINETICS_FAMILIES, "ungated_affine", (_ungated_affine, envelope))
-    broken = KineticsSpec(family="ungated_affine")
-    report = validate_structure(broken, sample_count=5_000, seed=2)
+    monkeypatch.setattr(kinetics, "_gated_affine", _ungated_affine)
+    report = validate_structure(KineticsSpec(), sample_count=5_000, seed=2)
     assert not report.passed
     conditions = {c for c, _ in report.failures}
     assert "dissolution_sign_at_r_max" in conditions or "growth_sign_at_r_min" in conditions

@@ -6,7 +6,7 @@ import pytest
 
 from evopore import fem
 from evopore.fem import centroids, element_means, element_stiffness, lumped_mass
-from evopore.macro import MacroGrid, MacroSolver, ledger_csv, mass_balance, snapshot_csv
+from evopore.macro import MacroGrid, MacroSolver, MassRecord, ledger_csv, mass_balance, snapshot_csv
 from evopore.unitcell import EffectiveTensorTable, porosity
 
 
@@ -98,7 +98,7 @@ def test_shape_operators_with_random_symmetric_tensors(n):
 @pytest.mark.parametrize("n", [2, 3, 16, 100])
 def test_midpoints_are_the_centroids(n):
     g = MacroGrid.create(n)
-    assert np.array_equal(g.midpoints(), centroids(g.nodes, g.elements))
+    assert np.array_equal(g.centers, centroids(g.nodes, g.elements))
 
 
 def test_state_carries_the_lumped_mass_of_its_porosity(grid, spec, tensor_table):
@@ -156,7 +156,7 @@ def test_init_nonconstant_radius_evaluated_at_midpoints(grid, spec, tensor_table
     solver = MacroSolver(grid, tensor_table, spec)
     r0 = lambda x: 0.2 + 0.1 * np.atleast_2d(x)[:, 0]
     state = solver.init(constant_field(0.5), r0)
-    mids = grid.midpoints()
+    mids = grid.centers
     assert state.r == pytest.approx(0.2 + 0.1 * mids[:, 0], abs=1e-15)
 
 
@@ -216,7 +216,7 @@ def test_step_starts_from_the_extrapolated_field(grid, spec, tensor_table,
         lambda: MacroSolver(grid, tensor_table, spec), lambda x: u0, constant_field(0.2), 0.005,
         "u")
     assert np.array_equal(extrapolated.r, plain.r)
-    assert not np.array_equal(extrapolated.r, constant_field(0.2)(grid.midpoints()))
+    assert not np.array_equal(extrapolated.r, constant_field(0.2)(grid.centers))
 
 
 def test_reflection_symmetry_preserved(grid, spec, tensor_table):
@@ -229,7 +229,7 @@ def test_reflection_symmetry_preserved(grid, spec, tensor_table):
     ids = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
     swap = ids.T.ravel()
     assert np.max(np.abs(state.u - state.u[swap])) < 1e-10
-    mids = grid.midpoints()
+    mids = grid.centers
     r_at = {(round(x, 12), round(y, 12)): v for (x, y), v in zip(mids, state.r)}
     worst = max(abs(v - r_at[(y, x)]) for (x, y), v in r_at.items())
     assert worst < 1e-10
@@ -346,7 +346,7 @@ def test_ledger_from_mass_records_matches_states(grid, spec, tensor_table, run_s
     solver = MacroSolver(grid, tensor_table, spec, source=source)
     state = solver.init(lambda x: 0.6 + 0.3 * np.atleast_2d(x)[:, 0], constant_field(0.2))
     states = run_steps(solver, state, 0.005, 5)
-    records = [s.mass_record() for s in states]
+    records = [MassRecord.of(s) for s in states]
     assert ledger_csv(records) == ledger_csv(states)
     from_records, from_states = mass_balance(records), mass_balance(states)
     assert np.array_equal(from_records.per_step_defect, from_states.per_step_defect)

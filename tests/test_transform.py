@@ -4,7 +4,7 @@ import pytest
 from evopore import transform
 from evopore.fem import centroids
 from evopore.micro import build_micro_mesh
-from evopore.transform import X_CENTER, RadialFrame, profile, profile_raw
+from evopore.transform import X_CENTER, RadialFrame, profile
 
 
 def sample_radii_pattern(params, n):
@@ -26,8 +26,28 @@ def psi_eps(params, eps, radii, x):
 
 
 # ---------------------------------------------------------------------------
-# raw profile
+# raw profile: the oracle of the convolution
 # ---------------------------------------------------------------------------
+
+def profile_raw(params, r_gamma, s):
+    """Piecewise-linear radial rescaling before smoothing.
+
+    Identity up to ``r_min - 2*delta_tilde``, linear ramp with slope c1 to the
+    plateau branch of slope one through (r0, r_gamma), ramp with slope c2 back
+    to the identity from ``r_max + 2*delta_tilde`` on.
+    """
+    s = np.asarray(s, dtype=float)
+    b1, b2, b3, b4 = params.breakpoints
+    # the displacement's slopes c1 - 1 and c2 - 1 on the two ramps
+    k1 = (r_gamma - params.r0) / (params.r0 - params.r_min + params.delta_tilde)
+    k3 = (params.r0 - r_gamma) / (params.r_max - params.r0 + params.delta_tilde)
+    disp = np.select(
+        [s <= b1, s <= b2, s <= b3, s <= b4],
+        [0.0, k1 * (s - b1), r_gamma - params.r0, k3 * (s - b4)],
+        default=0.0,
+    )
+    return s + disp
+
 
 def test_profile_raw_fixed_point_at_r0(params):
     for rg in np.linspace(params.r_min, params.r_max, 17):
@@ -50,9 +70,19 @@ def test_profile_raw_continuity_at_breakpoints(params):
             assert abs(profile_raw(params, rg, b) - left) < 2e-12
 
 
-def test_profile_raw_domain_error(params):
-    with pytest.raises(ValueError):
-        profile_raw(params, params.r_max + 0.01, 0.3)
+def test_radius_outside_the_box_is_rejected(params):
+    """``profile`` and ``RadialFrame.scalars`` reject a radius outside
+    [r_min, r_max] beyond 1e-14, alone or among radii inside, and accept
+    the box's ends."""
+    frame = RadialFrame(params, np.array([[0.5, 0.8], [0.2, 0.5]]))
+    for bad in (params.r_max + 0.01, params.r_min - 1e-13, [params.r0, params.r_max + 1e-13]):
+        with pytest.raises(ValueError, match="obstacle radius outside"):
+            profile(params, bad, 0.3)
+        with pytest.raises(ValueError, match="obstacle radius outside"):
+            frame.scalars(np.reshape(bad, (-1, 1)))
+    for ok in (params.r_min, params.r_max):
+        profile(params, ok, 0.3)
+        frame.scalars(np.array([[ok]]))
 
 
 # ---------------------------------------------------------------------------
