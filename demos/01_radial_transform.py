@@ -28,18 +28,21 @@ print("identity outside the annulus, max |R - r| =", np.abs(vals - r_outside).ma
 print()
 
 # --- the map and its Jacobian ------------------------------------------------
-# A frame holds the radius-free part of the map on fixed points; evaluating
-# it at radii (one, or one per point) gives the image, J and the coefficient.
+# A frame holds the radius-free part of the map on fixed points.  The map is
+# radial, so its scalars at radii (one, or one per point) carry it: J, the
+# mapped distance R, and the a, b, s of the pulled-back coefficient and drift.
+# The image follows from R, the full Jacobian on request.
 rng = np.random.default_rng(0)
 y = rng.uniform(0, 1, (20000, 2))
 rg = rng.uniform(params.r_min, params.r_max, 20000)
-det = RadialFrame(params, y).evaluate(rg).det
+det = RadialFrame(params, y).scalars(rg).det
 print(f"Jacobian determinant over {len(y)} samples: "
       f"min {det.min():.4f}, max {det.max():.4f}  (positive, away from zero)")
 
 # circles through the reference radius land exactly on the requested radius
 angles = np.linspace(0, 2 * np.pi, 9)
 circle = 0.5 + params.r0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-mapped = RadialFrame(params, circle).evaluate(0.32).mapped
+frame = RadialFrame(params, circle)
+mapped = frame.image(frame.scalars(0.32).radius)
 radii = np.hypot(mapped[:, 0] - 0.5, mapped[:, 1] - 0.5)
 print("obstacle boundary maps to radius 0.32:", radii.min(), "-", radii.max())

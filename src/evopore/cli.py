@@ -33,7 +33,8 @@ from .macro import MacroGrid, MacroSolver, MassRecord, ledger_csv, mass_balance,
 from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv, cells_per_side,
                     micro_snapshot_csv, unfold_compare)
 from .registry import build_field, build_source
-from .unitcell import EffectiveTensorTable, build_reference_mesh, table_checks, tabulate
+from .unitcell import (EffectiveTensorTable, build_reference_mesh, porosity, table_checks,
+                       tabulate)
 from .validate import full_validation
 
 log = logging.getLogger("evopore")
@@ -131,8 +132,10 @@ def _require_cover(grid: str, radii: np.ndarray, cfg: ExperimentConfig) -> None:
 
 def _table_of(cfg: ExperimentConfig) -> EffectiveTensorTable:
     """The loaded ``[table] path`` or a fresh tabulation.  A loaded table
-    must hold finite values; either grid must cover the radius box, and the
-    explicit grid is checked before its cost is paid."""
+    must hold finite values, a positive definite tensor at every radius and
+    the porosity of its radii, to 1e-12 relative, as ``theta``; either grid
+    must cover the radius box, and the explicit grid is checked before its
+    cost is paid."""
     if cfg.table_path:
         log.info(f"loading tensor table from {cfg.table_path}")
         source = f"[table] path = {cfg.table_path}"
@@ -142,6 +145,13 @@ def _table_of(cfg: ExperimentConfig) -> EffectiveTensorTable:
             raise ConfigError(f"{source}: cannot load: {exc}") from exc
         if not all(np.all(np.isfinite(a)) for a in (table.radii, table.tensors, table.theta)):
             raise ConfigError(f"{source}: non-finite values")
+        if not table_checks(table)["positive_definite"]:
+            raise ConfigError(f"{source}: a tensor is not positive definite")
+        theta = porosity(table.radii)
+        off = np.flatnonzero(np.abs(table.theta - theta) > 1e-12 * np.abs(theta))
+        if off.size:
+            raise ConfigError(f"{source}: theta {table.theta[off[0]]:.17g} at r = "
+                              f"{table.radii[off[0]]:g} is not the porosity 1 - pi r^2")
         _require_cover(f"{source}: radii", table.radii, cfg)
         return table
     _require_cover("[table] radii", cfg.table_radii, cfg)

@@ -1,7 +1,9 @@
 """Shared P1 finite-element pieces for triangle meshes.
 
 All solvers in the package use linear triangles with one-point (centroid)
-quadrature for variable coefficients and row-sum lumped mass matrices.  A
+quadrature for variable coefficients and row-sum lumped mass matrices.
+:func:`triangle_geometry` gives the element geometry of the macro grid and
+the reference cell; the micro mesh reads the reference cell's.  A
 mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
 it is built once per mesh from blocks of dofs and their local sparsity, and
 every assembly sums the block data into the CSR data by one ``np.bincount``;
@@ -61,15 +63,6 @@ def triangle_geometry(vertices: np.ndarray, triangles: np.ndarray):
     grads[:, 2, 1] = e1[:, 0] / det
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
     return areas, grads
-
-
-def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Areas (nt,) of positively oriented triangles, as :func:`triangle_geometry`
-    gives them."""
-    p0 = vertices[triangles[:, 0]]
-    e1 = vertices[triangles[:, 1]] - p0
-    e2 = vertices[triangles[:, 2]] - p0
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:

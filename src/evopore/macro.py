@@ -226,8 +226,9 @@ class MacroSolver:
             fp = np.asarray(self.source(t_new, g.centers), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            b += lumped_mass(g.elements, g.areas, theta_new * fp, g.n_nodes)
-            source_step = float(dt * np.sum(theta_new * fp * g.areas))
+            source_loads = lumped_mass(g.elements, g.areas, theta_new * fp, g.n_nodes)
+            b += source_loads
+            source_step = float(dt * source_loads.sum())
 
         dv = self.spec.c_s * (ball_volume(r_new) - ball_volume(state.r)) / dt
         b -= lumped_mass(g.elements, g.areas, dv, g.n_nodes)

@@ -8,12 +8,13 @@ macro solver (lumped Jacobian-weighted mass, backward Euler diffusion); the
 transformation's advective term and the surface reaction are explicit, which
 both carry a factor epsilon and keep the system symmetric.
 
-Every cell repeats the reference cell's nodes and triangles, and the radial
-map enters the weak form through four scalars per element
-(:class:`MapScalars`).  So a step holds those scalars as (reference element x
+Every cell repeats the reference cell's nodes and triangles, so the micro
+mesh stores only its nodes and the cell node map, and the radial map enters
+the weak form through four scalars per element (:class:`MapScalars`).  So a step holds those scalars as (reference element x
 cell) arrays and applies a few sparse reference-cell operators
 (:class:`CellBases`) to them, one product per quantity: the system entries,
 the lumped mass, the element means and the drift loads of every cell at once.
+The source is lumped like the mass, and its integral is the sum of its loads.
 Each result reaches the global arrays by one scatter through the cell node
 map, and the system's CSR pattern is the reference cell's pattern repeated
 through that map.  No per-element tensor algebra and no per-element scatter.
@@ -28,8 +29,8 @@ A step whose radii did not move keeps its cell map and system for the next
 step at the same radii and dt.  So radii frozen at r0, which are inputs (a
 zero rate law, every radius at r0), not a stepper mode, assemble once per dt.
 
-The unfolding comparator turns a micro state into per-cell pore averages and
-measures their distance to a macro solution at the cell centers.
+The unfolding comparator turns a micro state into per-cell pore averages
+and measures their distance to a macro solution at the cell centers.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (StiffnessPattern, backward_euler_step, centroids, csv_table, element_means,
-                  triangle_areas, xy_text)
+                  xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .transform import MapScalars, RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
@@ -56,19 +57,17 @@ class MicroMesh:
     """Conforming tiling of scaled reference cells over the unit square.
 
     ``vertices`` is read-only: the nodes of the fixed reference perforation,
-    which every step and snapshot of a run shares.
+    which every step and snapshot of a run shares.  Cell c's triangles are
+    the ``reference`` triangles through ``node_map[c]``.
     """
 
     epsilon: float
     n_cells_side: int
     vertices: np.ndarray
-    triangles: np.ndarray
-    cell_of_element: np.ndarray
     cell_index: np.ndarray          # (n_cells, 2) lattice coordinates
     gamma_edges: np.ndarray         # (n_cells, n_boundary, 2) global node ids
     node_map: np.ndarray            # (n_cells, n_ref) global node of every reference node
-    areas: np.ndarray = field(repr=False)
-    reference: PeriodicMesh = field(repr=False, default=None)
+    reference: PeriodicMesh = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -122,14 +121,8 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     key is pure safety.
     """
     n = cells_per_side(epsilon)
-    ref_v = reference.vertices
-    ref_t = reference.triangles
-    n_ref = len(ref_v)
-
     cells = np.array([(i, j) for i in range(n) for j in range(n)], dtype=int)
-    coords = np.empty((len(cells) * n_ref, 2))
-    for c, (i, j) in enumerate(cells):
-        coords[c * n_ref:(c + 1) * n_ref] = epsilon * ref_v + epsilon * np.array([i, j])
+    coords = (epsilon * reference.vertices + epsilon * cells[:, None, :]).reshape(-1, 2)
 
     keys = np.round(coords, 12) + 0.0  # normalizes -0.0
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
@@ -141,13 +134,9 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     if spread > 1e-12:
         raise NumericalError(f"micro mesh merge mismatch: coordinate spread {spread:.2e}")
 
-    node_map = inverse.reshape(len(cells), n_ref)
-    triangles = node_map[:, ref_t.ravel()].reshape(len(cells), -1, 3).reshape(-1, 3)
-    cell_of_element = np.repeat(np.arange(len(cells)), len(ref_t))
+    node_map = inverse.reshape(len(cells), -1)
     gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
-
-    return MicroMesh(epsilon, n, vertices, triangles, cell_of_element, cells,
-                     gamma, node_map, triangle_areas(vertices, triangles), reference)
+    return MicroMesh(epsilon, n, vertices, cells, gamma, node_map, reference)
 
 
 @dataclass
@@ -233,7 +222,6 @@ class UnfoldingError:
     epsilon: float
     u_l2_error: float
     r_l2_error: float
-    per_cell_means: np.ndarray
 
 
 class MicroSimulator:
@@ -369,12 +357,15 @@ class MicroSimulator:
 
         source_step = 0.0
         if self.source is not None:
-            pts = self._cell_offsets[m.cell_of_element] + eps * self._frame.image(sc.radius)
+            # every cell's element midpoints, mapped, scaled and shifted by eps k
+            pts = (np.repeat(self._cell_offsets, len(m.reference.triangles), axis=0)
+                   + eps * self._frame.image(sc.radius))
             fp = np.asarray(self.source(t_new, pts), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            b += self._lumped(sc.det * fp)
-            source_step = float(dt * np.sum(sc.det * fp * m.areas))
+            source_loads = self._lumped(sc.det * fp)
+            b += source_loads
+            source_step = float(dt * source_loads.sum())
 
         # the explicit transformation drift (B u, grad phi), which vanishes
         # with the radius rate, and the explicit surface reaction at (old u,
@@ -404,11 +395,11 @@ class MicroSimulator:
 def cell_pore_means(mesh: MicroMesh, u: np.ndarray) -> np.ndarray:
     """Mean of a nodal field over every cell's *reference* perforation: the
     element means weighted by their reference areas, not by J.  A physical
-    pore mean would weight by J; the two agree as epsilon -> 0."""
-    el_mean = element_means(mesh.triangles, u)
-    sums = np.bincount(mesh.cell_of_element, mesh.areas * el_mean, minlength=mesh.n_cells)
-    areas = np.bincount(mesh.cell_of_element, mesh.areas, minlength=mesh.n_cells)
-    return sums / areas
+    pore mean would weight by J; the two agree as epsilon -> 0.  Every cell
+    has the reference areas times epsilon^2, and the epsilon^2 cancels."""
+    ref = mesh.reference
+    areas = ref.geometry[0]
+    return areas @ element_means(ref.triangles, u[mesh.cell_nodes]) / areas.sum()
 
 
 def unfold_compare(mesh: MicroMesh, state: MicroState, macro_grid, macro_state) -> UnfoldingError:
@@ -424,7 +415,7 @@ def unfold_compare(mesh: MicroMesh, state: MicroState, macro_grid, macro_state) 
     u_err = float(np.sqrt(np.sum(eps**2 * (means - u_macro) ** 2)))
     r_macro = macro_state.r[macro_grid.element_of_point(centers)]
     r_err = float(np.sqrt(np.sum(eps**2 * (state.radii.reshape(-1) - r_macro) ** 2)))
-    return UnfoldingError(eps, u_err, r_err, means)
+    return UnfoldingError(eps, u_err, r_err)
 
 
 # ---------------------------------------------------------------------------

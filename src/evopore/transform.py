@@ -27,7 +27,12 @@ rounding only.  The tests bound |R(r_gamma, r0) - r_gamma| by 1e-12
 :class:`RadialFrame` is the one evaluator of the map.  A caller builds it
 once on its fixed points (the radius-free part: distances, directions, G
 and F) and evaluates it at its radii by a few array operations, with no
-kernel evaluation.  The epsilon-scaled map of the paper,
+kernel evaluation.  The map is radial, so five scalars per point
+(:class:`MapScalars`) and the frame's unit directions u carry everything
+the solvers read: J, the pulled-back unit tensor b I + (a - b) u u^T, the
+drift J s u and, through :meth:`RadialFrame.image`, the image.  The full
+Jacobian is formed only on request (:meth:`RadialFrame.jacobian`).  The
+epsilon-scaled map of the paper,
 psi_eps(t, x) = eps k + eps psi(r_k(t), x/eps - k), is a frame on in-cell
 points evaluated at one radius per cell ``(c, 1)``, its image scaled by eps
 and shifted by eps k; its time derivative is eps (dpsi/dr_gamma) dr_k/dt.
@@ -227,23 +232,6 @@ def profile(params: TransformParams, r_gamma, r):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MapEval:
-    """The map and the pulled-back diffusion data at n points.
-
-    ``mapped`` (n, 2) image, ``det`` (n,) Jacobian determinant J, ``coeff``
-    (n, 2, 2) the weak-form coefficient A = J Psi^{-1} Psi^{-T} of unit
-    diffusion, ``psi_inv`` (n, 2, 2) the inverse Jacobian and ``dpsi_drg``
-    (n, 2) the radius sensitivity of the image.
-    """
-
-    mapped: np.ndarray
-    det: np.ndarray
-    coeff: np.ndarray
-    psi_inv: np.ndarray
-    dpsi_drg: np.ndarray
-
-
-@dataclass
 class MapScalars:
     """The radial map at n points through five scalars per point.
 
@@ -268,17 +256,16 @@ class RadialFrame:
     """The radius-independent part of the map at fixed points ``y`` (m, 2).
 
     For the points outside the identity core ``|y - x_M| <= r_min - delta``
-    the frame holds the distance rho to the center, the unit direction u,
-    the radial projector P = u u^T and its complement I - P, and the
-    profile's two radius-free functions ``G`` and ``F`` of
+    the frame holds the distance rho to the center, the unit direction u
+    and the profile's two radius-free functions ``G`` and ``F`` of
     :func:`_radial_kernels`, the only kernel evaluations of the frame.
-    :meth:`evaluate`, :meth:`scalars` and :meth:`jacobian` combine them with
-    the radii through the affine profile R = rho + (r_gamma - r0) G,
+    :meth:`scalars` and :meth:`jacobian` combine them with the radii
+    through the affine profile R = rho + (r_gamma - r0) G,
     R' = 1 + (r_gamma - r0) F, the same expressions as :func:`profile`, so
     the two agree bit for bit.  ``r_gamma`` is a scalar, one radius per
     point (m,), or one radius per cell (c, 1); the last gives c*m points,
-    cell by cell.  Core points take an explicit
-    identity branch, so the center needs no division.
+    cell by cell.  Core points take an explicit identity branch, so the
+    center needs no division.
     """
 
     def __init__(self, params: TransformParams, y: np.ndarray):
@@ -293,8 +280,6 @@ class RadialFrame:
         self._active = slice(None) if active.all() else active
         self.rho = rho[active]
         self.unit = d[active] / self.rho[:, None]
-        self.proj = self.unit[:, :, None] * self.unit[:, None, :]
-        self.perp = np.eye(2)[None, :, :] - self.proj
         self.G, self.F = _radial_kernels(params, self.rho)
 
     def _profile(self, r_gamma):
@@ -313,25 +298,6 @@ class RadialFrame:
         out = np.broadcast_to(core, shape + values.shape[len(shape):]).copy()
         out[(Ellipsis, self._active) + (slice(None),) * (values.ndim - len(shape))] = values
         return out
-
-    def evaluate(self, r_gamma) -> MapEval:
-        """The map at obstacle radius ``r_gamma``."""
-        shape, (R, dR, dRg) = self._profile(r_gamma)
-        eye = np.eye(2)
-        J = dR * (R / self.rho)
-        Pinv = (1.0 / dR)[..., None, None] * self.proj + (self.rho / R)[..., None, None] * self.perp
-        # Pinv Pinv^T by columns: the sum order of a 2x2 matmul, at any batch shape
-        c0 = Pinv[..., :, 0]
-        c1 = Pinv[..., :, 1]
-        A = J[..., None, None] * (c0[..., :, None] * c0[..., None, :]
-                                  + c1[..., :, None] * c1[..., None, :])
-        n = int(np.prod(shape))
-        return MapEval(
-            self._embed(shape, X_CENTER + R[..., None] * self.unit, self.points).reshape(n, 2),
-            self._embed(shape, J, 1.0).reshape(n),
-            self._embed(shape, A, eye).reshape(n, 2, 2),
-            self._embed(shape, Pinv, eye).reshape(n, 2, 2),
-            self._embed(shape, dRg[..., None] * self.unit, 0.0).reshape(n, 2))
 
     def scalars(self, r_gamma) -> MapScalars:
         """The map at obstacle radius ``r_gamma`` as :class:`MapScalars`."""
@@ -359,6 +325,7 @@ class RadialFrame:
     def jacobian(self, r_gamma) -> np.ndarray:
         """Jacobian (n, 2, 2) of the map at obstacle radius ``r_gamma``."""
         shape, (R, dR, _) = self._profile(r_gamma)
-        jac = dR[..., None, None] * self.proj + (R / self.rho)[..., None, None] * self.perp
+        proj = self.unit[:, :, None] * self.unit[:, None, :]
+        jac = dR[..., None, None] * proj + (R / self.rho)[..., None, None] * (np.eye(2) - proj)
         return self._embed(shape, jac, np.eye(2)).reshape(-1, 2, 2)
 

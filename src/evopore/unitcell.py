@@ -43,51 +43,44 @@ def porosity(r):
 # Mesh construction
 # ---------------------------------------------------------------------------
 
-def _octant_dirs(n: int) -> np.ndarray:
-    """Unit directions at angles 2*pi*j/n, mirrored bitwise from one octant."""
+def _octant_mirror(n: int, first, flip) -> np.ndarray:
+    """n points mirrored bitwise from the first octant: ``first(j)`` gives
+    the point of index j for j = 0..n/8, and ``flip`` reflects one
+    coordinate through the center (``-v`` about the origin, ``1.0 - v``
+    about the unit square's center)."""
     m = n // 8
-    dirs = np.empty((n, 2))
+    pts = np.empty((n, 2))
     for j in range(m + 1):
-        if j == 0:
-            x, y = 1.0, 0.0
-        elif j == m:
-            x = y = np.sqrt(0.5)
-        else:
-            x, y = np.cos(2 * np.pi * j / n), np.sin(2 * np.pi * j / n)
-        for idx, (px, py) in (
+        x, y = first(j)
+        fx, fy = flip(x), flip(y)
+        for idx, p in (
             (j, (x, y)),
             ((n // 4 - j) % n, (y, x)),
-            ((n // 4 + j) % n, (-y, x)),
-            ((n // 2 - j) % n, (-x, y)),
-            ((n // 2 + j) % n, (-x, -y)),
-            ((3 * n // 4 - j) % n, (-y, -x)),
-            ((3 * n // 4 + j) % n, (y, -x)),
-            ((n - j) % n, (x, -y)),
+            ((n // 4 + j) % n, (fy, x)),
+            ((n // 2 - j) % n, (fx, y)),
+            ((n // 2 + j) % n, (fx, fy)),
+            ((3 * n // 4 - j) % n, (fy, fx)),
+            ((3 * n // 4 + j) % n, (y, fx)),
+            ((n - j) % n, (x, fy)),
         ):
-            dirs[idx] = (px, py)
-    return dirs
+            pts[idx] = p
+    return pts
+
+
+def _octant_dirs(n: int) -> np.ndarray:
+    """Unit directions at angles 2*pi*j/n, mirrored bitwise from one octant."""
+    def first(j):
+        if j == n // 8:
+            return np.sqrt(0.5), np.sqrt(0.5)
+        return np.cos(2 * np.pi * j / n), np.sin(2 * np.pi * j / n)
+
+    return _octant_mirror(n, first, lambda v: -v)
 
 
 def _square_boundary(n: int) -> np.ndarray:
     """n corner-aligned points on the unit-square boundary, uniform arclength,
     index-matched to the direction angles (index 0 at the right edge middle)."""
-    m = n // 8
-    pts = np.empty((n, 2))
-    for j in range(m + 1):
-        d = 4.0 * j / n
-        x, y = 1.0, 0.5 + d
-        for idx, (px, py) in (
-            (j, (x, y)),
-            ((n // 4 - j) % n, (y, x)),
-            ((n // 4 + j) % n, (1.0 - y, x)),
-            ((n // 2 - j) % n, (1.0 - x, y)),
-            ((n // 2 + j) % n, (1.0 - x, 1.0 - y)),
-            ((3 * n // 4 - j) % n, (1.0 - y, 1.0 - x)),
-            ((3 * n // 4 + j) % n, (y, 1.0 - x)),
-            ((n - j) % n, (x, 1.0 - y)),
-        ):
-            pts[idx] = (px, py)
-    return pts
+    return _octant_mirror(n, lambda j: (1.0, 0.5 + 4.0 * j / n), lambda v: 1.0 - v)
 
 
 def _min_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -320,12 +313,6 @@ class EffectiveTensorTable:
             out[..., c] = np.interp(r, self.radii, self.tensors[:, i, j])
         return out
 
-    def lookup(self, r) -> np.ndarray:
-        """Tensors (``r.shape + (2, 2)``) at the radii ``r``: the
-        :meth:`components` with A12 mirrored into A21."""
-        a = self.components(r)
-        return a[..., [0, 1, 1, 2]].reshape(a.shape[:-1] + (2, 2))
-
     def to_csv(self) -> str:
         return csv_table("r,A11,A12,A22,theta", "%.17g,%.17g,%.17g,%.17g,%.17g", self.radii,
                          self.tensors[:, 0, 0], self.tensors[:, 0, 1], self.tensors[:, 1, 1],
@@ -346,7 +333,8 @@ class EffectiveTensorTable:
 def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
              target_h: float = 0.05, tol: float = 1e-10) -> EffectiveTensorTable:
     """Unit-diffusion tensor table over ``r_grid`` on one reference mesh,
-    with the coefficient pulled back by one :class:`RadialFrame`.
+    with the coefficient ``b I + (a - b) u u^T`` of one :class:`RadialFrame`
+    on its midpoints, from the frame's scalars and unit directions u.
 
     A single discretization shared across radii makes the tabulated tensors a
     smooth, monotone function of the radius: the geometric error of the
@@ -359,10 +347,14 @@ def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
         raise ValueError("table radii must lie in [r_min, r_max]")
     mesh = build_reference_mesh(params.r0, n_boundary, target_h)
     frame = RadialFrame(params, centroids(mesh.vertices, mesh.triangles))
+    u = frame.directions()
+    radial = u[:, :, None] * u[:, None, :]
     tensors = np.empty((r_grid.size, 2, 2))
     for k, r in enumerate(r_grid):
+        sc = frame.scalars(float(r))
+        coeff = sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * radial
         try:
-            tensors[k] = effective_tensor(mesh, frame.evaluate(float(r)).coeff, tol)
+            tensors[k] = effective_tensor(mesh, coeff, tol)
         except Exception as exc:
             raise type(exc)(f"tensor tabulation failed at r={r}: {exc}") from exc
     return EffectiveTensorTable(r_grid, tensors, porosity(r_grid))

@@ -31,12 +31,18 @@ def patterned_radii(params: TransformParams, n: int) -> np.ndarray:
     return radius_palette(params)[(k1 + k2) % 4]
 
 
+def _image(params: TransformParams, y: np.ndarray, r_gamma) -> np.ndarray:
+    """Image of the points ``y`` (n, 2) at one radius or one per point."""
+    frame = RadialFrame(params, y)
+    return frame.image(frame.scalars(r_gamma).radius)
+
+
 def transform_identity_checks(params: TransformParams, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     out = []
 
     y = rng.uniform(0.0, 1.0, (400, 2))
-    mapped = RadialFrame(params, y).evaluate(params.r0).mapped
+    mapped = _image(params, y, params.r0)
     dev = np.hypot(*(mapped - y).T)
     k = int(np.argmax(dev))
     out.append(_check("map_is_identity_at_r0", dev.max() <= 1e-12, dev.max(),
@@ -67,14 +73,13 @@ def jacobian_checks(params: TransformParams, seed: int = 0, n_samples: int = 500
     y = rng.uniform(2 * h, 1.0 - 2 * h, (n_samples, 2))
     frame = RadialFrame(params, y)
     jac = frame.jacobian(rg)
-    det = frame.evaluate(rg).det
+    det = frame.scalars(rg).det
 
     fd = np.empty_like(jac)
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd[:, :, j] = (RadialFrame(params, y + e).evaluate(rg).mapped
-                       - RadialFrame(params, y - e).evaluate(rg).mapped) / (2 * h)
+        fd[:, :, j] = (_image(params, y + e, rg) - _image(params, y - e, rg)) / (2 * h)
     gap = np.abs(fd - jac).max(axis=(1, 2))
     k = int(np.argmax(gap))
     out = [_check("jacobian_matches_finite_differences", gap.max() <= 1e-7, gap.max(),
@@ -105,15 +110,15 @@ def epsilon_uniformity_checks(params: TransformParams, inverses=(2, 4, 8),
         eps = 1.0 / inv
         cells = np.array([(i, j) for i in range(inv) for j in range(inv)])
         radii = patterned_radii(params, inv)[cells[:, 0], cells[:, 1], None]
-        ev = frame.evaluate(radii)
+        sc = frame.scalars(radii)
         jac = frame.jacobian(radii)
         k = np.repeat(cells, len(micro), axis=0)
         pts = (k + np.tile(micro, (len(cells), 1))) * eps
-        mapped = (k + ev.mapped) * eps
+        mapped = (k + frame.image(sc.radius)) * eps
         disp.append(np.hypot(*(mapped - pts).T).max() / eps)
         psin.append(np.abs(jac).max())
-        jmax.append(ev.det.max())
-        jmin.append(ev.det.min())
+        jmax.append(sc.det.max())
+        jmin.append(sc.det.min())
         radii2 = radii.copy()
         radii2[0, 0] += delta_r if radii2[0, 0] < params.r_max else -delta_r
         jac2 = frame.jacobian(radii2)

@@ -10,12 +10,12 @@ from _manufactured import manufactured_error, temporal_gap
 
 from evopore.cli import run_convergence_study
 from evopore.config import DEFAULT_CONFIG, parse_config
-from evopore.fem import centroids
 from evopore.kinetics import eval_f, lipschitz_envelope, step_radius, validate_structure
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.transform import RadialFrame, profile
-from evopore.unitcell import build_reference_mesh, effective_tensor, porosity, table_checks
+from evopore.unitcell import (build_reference_mesh, effective_tensor, porosity, table_checks,
+                              tabulate)
 from evopore.validate import epsilon_uniformity_checks
 
 def _emit(num, ok, detail, elapsed, budget):
@@ -35,7 +35,8 @@ def test_criterion_01_transform_identity_suite(params):
     rng = np.random.default_rng(101)
 
     y = rng.uniform(0.0, 1.0, (500, 2))
-    mapped = RadialFrame(params, y).evaluate(params.r0).mapped
+    frame = RadialFrame(params, y)
+    mapped = frame.image(frame.scalars(params.r0).radius)
     id_dev = float(np.abs(mapped - y).max())
 
     rgs = np.linspace(params.r_min, params.r_max, 20)
@@ -60,13 +61,14 @@ def test_criterion_02_jacobian_consistency(params):
     y = rng.uniform(2 * h, 1.0 - 2 * h, (500, 2))
     frame = RadialFrame(params, y)
     jac = frame.jacobian(rg)
-    det = frame.evaluate(rg).det
+    det = frame.scalars(rg).det
     fd = np.empty_like(jac)
     for j in range(2):
         e = np.zeros(2)
         e[j] = h
-        fd[:, :, j] = (RadialFrame(params, y + e).evaluate(rg).mapped
-                       - RadialFrame(params, y - e).evaluate(rg).mapped) / (2 * h)
+        plus, minus = RadialFrame(params, y + e), RadialFrame(params, y - e)
+        fd[:, :, j] = (plus.image(plus.scalars(rg).radius)
+                       - minus.image(minus.scalars(rg).radius)) / (2 * h)
     gap = float(np.abs(fd - jac).max())
     c_j = float(det.min())
     c_sup = float(det.max())
@@ -93,12 +95,12 @@ def test_criterion_04_effective_tensor(params, tensor_table):
     sym = float(np.abs(tensor_table.tensors[:, 0, 1] - tensor_table.tensors[:, 1, 0]).max())
     offd = float(np.abs(tensor_table.tensors[:, 0, 1]).max())
     voigt_ok = bool(np.all(tensor_table.tensors[:, 0, 0] <= porosity(tensor_table.radii)))
-    ref = build_reference_mesh(params.r0, 64, 0.03)
-    frame = RadialFrame(params, centroids(ref.vertices, ref.triangles))
+    # the pulled-back route of the table, on one mesh at r0, against cells
+    # meshed at the radius
+    pulled = tabulate(params, np.array([0.15, 0.2, 0.25, 0.3, 0.35]), 64, 0.03)
     rels = []
-    for r in (0.15, 0.25, 0.35):
+    for r, transformed in zip((0.15, 0.25, 0.35), pulled.tensors[::2]):
         direct = effective_tensor(build_reference_mesh(r, 64, 0.03))
-        transformed = effective_tensor(ref, frame.evaluate(r).coeff)
         rels.append(float(np.linalg.norm(direct - transformed) / np.linalg.norm(direct)))
     elapsed = time.perf_counter() - t0
     ok = (sym <= 1e-12 and checks["positive_definite"] and offd <= 1e-6 and voigt_ok

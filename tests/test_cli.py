@@ -19,7 +19,7 @@ from evopore.config import _KNOWN_KEYS, DEFAULT_CONFIG, parse_config
 from evopore.errors import ConfigError, NumericalError
 from evopore.macro import MacroGrid, ledger_csv
 from evopore.micro import MicroSimulator
-from evopore.unitcell import EffectiveTensorTable, porosity
+from evopore.unitcell import EffectiveTensorTable, porosity, table_checks
 
 FAST_COMMON = """\
 [discretization]
@@ -154,17 +154,30 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
     (["macro-run"], "[table]\nradii = 0.2,0.22,0.24,0.26,0.28,0.3\n[initial]\n"
      "r_param.value = 0.16\n", ["[table] radii", "[0.2, 0.3]"]),
     (["validate", "--out", "{tmp}/narrow.csv"], "", ["narrow.csv", "not a directory"]),
+    (["macro-run"], "[table]\npath = {tmp}/indefinite.csv\n",
+     ["indefinite.csv", "not positive definite"]),
+    (["macro-run"], "[table]\npath = {tmp}/theta.csv\n", ["theta.csv", "theta 0.2", "porosity"]),
 ], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
         "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan",
-        "table-radii-narrow", "out-is-a-file"])
+        "table-radii-narrow", "out-is-a-file", "table-indefinite", "table-theta"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
-    # [0.15, 0.35], and the full box with one NaN entry
-    for name, lo, hi, a11 in (("narrow.csv", 0.2, 0.3, [0.5] * 5),
-                              ("nan.csv", 0.15, 0.35, [0.6, 0.5, np.nan, 0.4, 0.3])):
-        radii = np.linspace(lo, hi, 5)
-        table = EffectiveTensorTable(radii, np.multiply.outer(a11, np.eye(2)), porosity(radii))
+    # [0.15, 0.35]; the full box with one NaN entry; with A12 = 0.6 beside
+    # A11 = A22 <= 0.5, which is no tensor at all; and with a theta column
+    # of 0.2, not the porosity of the radii
+    full = np.linspace(0.15, 0.35, 5)
+    a11 = np.linspace(0.5, 0.3, 5)
+    tables = {
+        "narrow.csv": (np.linspace(0.2, 0.3, 5), np.multiply.outer([0.5] * 5, np.eye(2)), None),
+        "nan.csv": (full, np.multiply.outer([0.6, 0.5, np.nan, 0.4, 0.3], np.eye(2)), None),
+        "indefinite.csv": (full, np.multiply.outer(a11, np.eye(2)) + 0.6 * (1 - np.eye(2)), None),
+        "theta.csv": (full, np.multiply.outer(a11, np.eye(2)), np.full(5, 0.2)),
+    }
+    for name, (radii, tensors, theta) in tables.items():
+        table = EffectiveTensorTable(radii, tensors, porosity(radii) if theta is None else theta)
         (tmp_path / name).write_text(table.to_csv())
+    assert not table_checks(EffectiveTensorTable.from_csv(
+        (tmp_path / "indefinite.csv").read_text()))["positive_definite"]
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_COMMON.replace("[table]\nradius_count = 5\n", "")
                    + extra.format(tmp=tmp_path))

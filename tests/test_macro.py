@@ -68,20 +68,16 @@ def test_grid_interpolation_reproduces_linear_fields():
     assert g.interpolate(nodal, pts) == pytest.approx(expect, abs=1e-13)
 
 
-def components(A):
-    """(A11, A12, A22) (nt, 3) of symmetric tensors (nt, 2, 2)."""
-    return A[:, [0, 0, 1], [0, 1, 1]]
-
-
 @pytest.mark.parametrize("n", [2, 8, 32, 128])
 def test_shape_operators_give_the_tabulated_element_matrices_bit_for_bit(n, tensor_table):
     """On a dyadic n every element of a shape has the same geometry bits, the
     operator entries are exact, and the table's A12 (about 1e-18) does not
     move A11 or A22 in the sums, so both products round alike."""
     g = MacroGrid.create(n)
-    A = tensor_table.lookup(np.random.default_rng(n).uniform(0.15, 0.35, g.n_elements))
+    c = tensor_table.components(np.random.default_rng(n).uniform(0.15, 0.35, g.n_elements))
+    A = c[..., [0, 1, 1, 2]].reshape(-1, 2, 2)
     expect = element_stiffness(g.areas, g.grads, A).reshape(-1, 9)
-    assert np.array_equal(g.element_matrices(components(A)), expect)
+    assert np.array_equal(g.element_matrices(c), expect)
 
 
 @pytest.mark.parametrize("n", [3, 100])
@@ -140,7 +136,8 @@ def test_macro_step_forms_no_tensor_product_and_no_centroid(spec, tensor_table, 
     snapshot_csv(grid, state)
     assert calls == []
     # the names were replaced: a call through the module is seen
-    fem.element_stiffness(grid.areas, grid.grads, tensor_table.lookup(state.r))
+    fem.element_stiffness(grid.areas, grid.grads,
+                          tensor_table.components(state.r)[..., [0, 1, 1, 2]].reshape(-1, 2, 2))
     fem.centroids(grid.nodes, grid.elements)
     assert calls == ["element_stiffness", "centroids"]
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from _oracles import cell_of_element, pulled_back, radial_image, tiled_triangles
 
 from evopore import fem
 from evopore.fem import centroids, element_means, element_stiffness, triangle_geometry, xy_text
@@ -20,7 +21,6 @@ from evopore.micro import (
 )
 from evopore.registry import build_source
 from evopore.sparse import solve_cg
-from evopore.transform import RadialFrame
 from evopore.unitcell import build_reference_mesh, porosity
 from evopore.validate import patterned_radii
 
@@ -65,7 +65,8 @@ def test_mesh_counts(reference_mesh, micro_mesh_half):
     # interior cross: two seam lines of 2*trace-1 nodes each appear twice,
     # their common center four times
     assert m.n_nodes == 4 * n_ref - (4 * trace - 1)
-    assert len(m.triangles) == 4 * len(reference_mesh.triangles)
+    assert m.node_map.shape == (4, n_ref)
+    assert len(tiled_triangles(m)) == 4 * len(reference_mesh.triangles)
 
 
 def test_mesh_is_conforming(micro_mesh_half):
@@ -73,7 +74,7 @@ def test_mesh_is_conforming(micro_mesh_half):
     # boundary and the hole rings
     m = micro_mesh_half
     edges = {}
-    for tri in m.triangles:
+    for tri in tiled_triangles(m):
         for a, b in ((0, 1), (1, 2), (2, 0)):
             key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
             edges[key] = edges.get(key, 0) + 1
@@ -91,7 +92,10 @@ def test_mesh_is_conforming(micro_mesh_half):
 
 def test_mesh_pore_area_preserved(reference_mesh, micro_mesh_half):
     ref_area = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)[0].sum()
-    assert micro_mesh_half.areas.sum() == pytest.approx(ref_area, abs=1e-12)
+    m = micro_mesh_half
+    areas = triangle_geometry(m.vertices, tiled_triangles(m))[0]
+    assert np.all(areas > 0.0)
+    assert areas.sum() == pytest.approx(ref_area, abs=1e-12)
 
 
 def test_mesh_rejects_bad_epsilon(reference_mesh):
@@ -162,7 +166,7 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
     f = build_source("decaying_cosine", {"amplitude": 2.0, "rate": 0.5})
     rng = np.random.default_rng(3)
     u0 = rng.uniform(0.2, 0.8, m.n_nodes)
-    physical = m.vertices[m.triangles].mean(axis=1)
+    physical = m.vertices[tiled_triangles(m)].mean(axis=1)
     dt = 0.01
 
     def run(source):
@@ -179,12 +183,38 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
     assert np.abs(at_reference.u_hat - out.u_hat).max() > 1e-3
 
 
+@pytest.mark.parametrize("inv", (2, 4))
+def test_source_step_is_the_source_integral(reference_mesh, params, spec, inv):
+    """With growing radii and a source, a step books dt times the integral
+    of J f over the micro elements (areas from their own scaled vertices, J
+    from the inverse-Jacobian oracle, f at the mapped physical midpoints),
+    and its ledger defect stays at rounding."""
+    m = build_micro_mesh(reference_mesh, 1.0 / inv)
+
+    def f(t, x):
+        return (1.0 + t) * (1.0 + np.asarray(x)[:, 0] ** 2 + 0.5 * np.asarray(x)[:, 1])
+
+    sim = MicroSimulator(m, params, spec, f, cg_tol=1e-12)
+    dt = 0.01
+    out = sim.step(sim.init(constant_field(0.9), constant_field(0.2)), dt)
+    assert np.all(out.radii > 0.2)
+
+    tri, el = tiled_triangles(m), cell_of_element(m)
+    in_cell = np.tile(centroids(m.reference.vertices, m.reference.triangles), (m.n_cells, 1))
+    r_el = out.radii.reshape(-1)[el]
+    det = pulled_back(params, in_cell, r_el)[0]
+    points = m.epsilon * (m.cell_index[el] + radial_image(params, in_cell, r_el)[0])
+    want = dt * np.sum(triangle_geometry(m.vertices, tri)[0] * det * f(out.t, points))
+    assert out.source_step == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert out.source_step > 0.005 and out.defect < 1e-12
+
+
 def test_reference_bases_match_pulled_back_assembly(reference_mesh, params, spec):
     """The system, lumped mass, element means and drift loads of the
     cell-batched reference operators equal a per-element assembly on the
-    micro mesh's own geometry at 1/eps = 2 and 4: the pulled-back tensor of
-    ``evaluate`` by ``element_stiffness``, summed by ``np.add.at`` in element
-    order."""
+    micro mesh's own geometry at 1/eps = 2 and 4: the pulled-back tensor
+    J Psi^{-1} Psi^{-T} from the inverse of the frame's Jacobian by
+    ``element_stiffness``, summed by ``np.add.at`` in element order."""
     for inv in (2, 4):
         check_cell_batched_step(build_micro_mesh(reference_mesh, 1.0 / inv), params, spec,
                                 np.random.default_rng(14 + inv))
@@ -198,27 +228,29 @@ def check_cell_batched_step(m, params, spec, rng):
     sim = MicroSimulator(m, params, spec, diffusion=1.7)
     sc = sim._cell_map(radii)
 
-    el = m.cell_of_element
+    el = cell_of_element(m)
+    tri = tiled_triangles(m)
     in_cell = np.tile(centroids(m.reference.vertices, m.reference.triangles), (m.n_cells, 1))
-    pointwise = RadialFrame(params, in_cell).evaluate(radii[el])
-    areas, grads = triangle_geometry(m.vertices, m.triangles)
-    k_el = element_stiffness(areas, grads, 1.7 * pointwise.coeff)
-    u_mid = u[m.triangles].mean(axis=1)
-    assert np.array_equal(element_means(m.triangles, u), u_mid)   # the same bits
-    dt_psi = m.epsilon * pointwise.dpsi_drg * rate[el][:, None]
-    b_vec = pointwise.det[:, None] * np.einsum("tab,tb->ta", pointwise.psi_inv, dt_psi)
+    det, psi_inv, tensor = pulled_back(params, in_cell, radii[el])
+    dpsi_drg = radial_image(params, in_cell, radii[el])[1]
+    areas, grads = triangle_geometry(m.vertices, tri)
+    k_el = element_stiffness(areas, grads, 1.7 * tensor)
+    u_mid = u[tri].mean(axis=1)
+    assert np.array_equal(element_means(tri, u), u_mid)   # the same bits
+    dt_psi = m.epsilon * dpsi_drg * rate[el][:, None]
+    b_vec = det[:, None] * np.einsum("tab,tb->ta", psi_inv, dt_psi)
     drift_el = np.einsum("ta,tia->ti", b_vec, grads) * (areas * u_mid)[:, None]
 
     n = m.n_nodes
-    keys = (np.repeat(m.triangles, 3, axis=1) * n + np.tile(m.triangles, (1, 3))).ravel()
+    keys = (np.repeat(tri, 3, axis=1) * n + np.tile(tri, (1, 3))).ravel()
     keys = np.concatenate([keys, np.arange(n) * (n + 1)])
     entries, slot = np.unique(keys, return_inverse=True)
     want_k = np.zeros(len(entries))
     np.add.at(want_k, slot, np.concatenate([k_el.ravel(), diagonal]))
     want_mass = np.zeros(n)
-    np.add.at(want_mass, m.triangles, (pointwise.det * areas / 3.0)[:, None] * np.ones((1, 3)))
+    np.add.at(want_mass, tri, (det * areas / 3.0)[:, None] * np.ones((1, 3)))
     want_drift = np.zeros(n)
-    np.add.at(want_drift, m.triangles, drift_el)
+    np.add.at(want_drift, tri, drift_el)
 
     system = sim._system(sc, diagonal)
     got_keys = np.repeat(np.arange(n), np.diff(system.indptr)) * n + system.indices
@@ -420,16 +452,17 @@ def test_epsilon_uniform_norm_bounds(reference_mesh, params, spec):
         mesh = build_micro_mesh(reference_mesh, 1.0 / inv)
         sim = MicroSimulator(mesh, params, spec, cg_tol=1e-11)
         state = sim.init(u0, constant_field(0.2))
-        grads = triangle_geometry(mesh.vertices, mesh.triangles)[1]
+        tri = tiled_triangles(mesh)
+        areas, grads = triangle_geometry(mesh.vertices, tri)
         lum = np.zeros(mesh.n_nodes)
-        np.add.at(lum, mesh.triangles, (mesh.areas / 3.0)[:, None] * np.ones((1, 3)))
+        np.add.at(lum, tri, (areas / 3.0)[:, None] * np.ones((1, 3)))
         max_l2 = 0.0
         grad_sq = 0.0
         for _ in range(15):
             state = sim.step(state, dt)
             max_l2 = max(max_l2, float(np.sqrt(lum @ state.u_hat**2)))
-            g = np.einsum("ti,tia->ta", state.u_hat[mesh.triangles], grads)
-            grad_sq += dt * float(np.sum(mesh.areas * np.sum(g * g, axis=1)))
+            g = np.einsum("ti,tia->ta", state.u_hat[tri], grads)
+            grad_sq += dt * float(np.sum(areas * np.sum(g * g, axis=1)))
         l2s.append(max_l2)
         grads_norm.append(np.sqrt(grad_sq))
     assert max(l2s) / min(l2s) < 1.2
@@ -507,13 +540,14 @@ def test_constant_macro_error_bounded_by_poincare(reference_mesh, params, spec):
     for _ in range(10):
         state = sim.step(state, 0.01)
     means = cell_pore_means(mesh, state.u_hat)
+    tri = tiled_triangles(mesh)
+    areas, grads = triangle_geometry(mesh.vertices, tri)
     pore_area = np.zeros(mesh.n_cells)
-    np.add.at(pore_area, mesh.cell_of_element, mesh.areas)
+    np.add.at(pore_area, cell_of_element(mesh), areas)
     global_mean = float(np.sum(means * pore_area) / pore_area.sum())
     err = np.sqrt(np.sum(mesh.epsilon**2 * (means - global_mean) ** 2))
-    grads = triangle_geometry(mesh.vertices, mesh.triangles)[1]
-    g = np.einsum("ti,tia->ta", state.u_hat[mesh.triangles], grads)
-    grad_norm = np.sqrt(np.sum(mesh.areas * np.sum(g * g, axis=1)))
+    g = np.einsum("ti,tia->ta", state.u_hat[tri], grads)
+    grad_norm = np.sqrt(np.sum(areas * np.sum(g * g, axis=1)))
     theta_min = porosity(spec.r_max)
     bound = grad_norm / (np.pi * np.sqrt(theta_min))
     assert err <= bound
@@ -525,6 +559,23 @@ def test_pore_means_of_linear_field(micro_mesh_half):
     # by symmetry of the pore space the mean sits at the cell center abscissa
     centers = micro_mesh_half.cell_centers()
     assert means == pytest.approx(1.0 + centers[:, 0], abs=1e-12)
+
+
+@pytest.mark.parametrize("inv", (2, 4))
+def test_pore_means_match_a_per_element_oracle(reference_mesh, inv):
+    """On a random nodal field, the pore means equal the area-weighted
+    element means summed by ``np.add.at`` cell by cell, with every micro
+    element's area from its own scaled vertex coordinates."""
+    mesh = build_micro_mesh(reference_mesh, 1.0 / inv)
+    u = np.random.default_rng(20 + inv).uniform(-1.0, 2.0, mesh.n_nodes)
+    tri = tiled_triangles(mesh)
+    areas = triangle_geometry(mesh.vertices, tri)[0]
+    sums, pore = np.zeros(mesh.n_cells), np.zeros(mesh.n_cells)
+    np.add.at(sums, cell_of_element(mesh), areas * u[tri].mean(axis=1))
+    np.add.at(pore, cell_of_element(mesh), areas)
+    want = sums / pore
+    assert np.ptp(want) > 0.01   # the cells differ, so a swapped cell would show
+    assert np.allclose(cell_pore_means(mesh, u), want, rtol=1e-13, atol=0.0)
 
 
 def test_snapshot_formats_every_value_by_percent_17g(reference_mesh, params, spec,

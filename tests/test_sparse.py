@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from _oracles import cell_of_element, pulled_back, tiled_triangles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from evopore.fem import (REFACTOR_ITERATIONS, FrozenFactor, StiffnessPattern, ba
                          centroids, element_stiffness, lumped_mass, triangle_geometry)
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
-from evopore.transform import RadialFrame
 from evopore.sparse import SolveReport, solve_cg
 from evopore.unitcell import CellProblem, porosity
 
@@ -72,19 +72,21 @@ def test_duplicates_summed_in_input_order(reference_mesh, params):
     for entry-major data.  The slots are intp in the data's layout."""
     m = build_micro_mesh(reference_mesh, 0.5)
     rng = np.random.default_rng(8)
-    r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[m.cell_of_element]
+    r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[cell_of_element(m)]
     in_cell = np.tile(centroids(reference_mesh.vertices, reference_mesh.triangles), (m.n_cells, 1))
-    coeff = RadialFrame(params, in_cell).evaluate(r_el).coeff
-    diagonal = lumped_mass(m.triangles, m.areas, np.ones(len(m.triangles)), m.n_nodes) / 0.01
-    k_el = element_stiffness(*triangle_geometry(m.vertices, m.triangles), coeff)
+    coeff = pulled_back(params, in_cell, r_el)[2]
+    tiled = tiled_triangles(m)
+    areas, grads = triangle_geometry(m.vertices, tiled)
+    diagonal = lumped_mass(tiled, areas, np.ones(len(tiled)), m.n_nodes) / 0.01
+    k_el = element_stiffness(areas, grads, coeff)
     by_entry = np.ascontiguousarray(k_el.reshape(-1, 9).T)
-    triangles = m.triangles.tolist()
+    triangles = tiled.tolist()
     block_major = [(tri, i, j) for tri in range(len(triangles))
                    for i in range(3) for j in range(3)]
     entry_major = [(tri, i, j) for i in range(3) for j in range(3)
                    for tri in range(len(triangles))]
     for entry, data, order in ((False, k_el, block_major), (True, by_entry, entry_major)):
-        pattern = StiffnessPattern(m.triangles, m.n_nodes, entry_major=entry)
+        pattern = StiffnessPattern(tiled, m.n_nodes, entry_major=entry)
         block_slots, diagonal_slots = pattern.slots()[2:]
         assert block_slots.dtype == np.intp and diagonal_slots.dtype == np.intp
         assert block_slots.flags.c_contiguous

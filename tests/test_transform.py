@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from _oracles import pulled_back, radial_image
+
 from evopore import transform
 from evopore.fem import centroids
 from evopore.micro import build_micro_mesh
@@ -22,7 +24,12 @@ def psi_eps(params, eps, radii, x):
     k = np.minimum(np.floor(x / eps).astype(int), len(radii) - 1)
     frame = RadialFrame(params, x / eps - k)
     r = radii[k[:, 0], k[:, 1]]
-    return eps * k + eps * frame.evaluate(r).mapped, frame, r
+    return eps * k + eps * image(frame, r), frame, r
+
+
+def image(frame, r_gamma):
+    """The frame's image at ``r_gamma``, one radius or one per point."""
+    return frame.image(frame.scalars(r_gamma).radius)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ def test_affine_profile_matches_the_four_hinge_sum(params):
 
 def test_frame_evaluates_no_kernel(params, monkeypatch):
     """A frame evaluates the kernels once, when it is built; its scalars,
-    map and Jacobian at any radii need none."""
+    image and Jacobian at any radii need none."""
     rng = np.random.default_rng(7)
     frame = RadialFrame(params, rng.uniform(0.0, 1.0, (300, 2)))
 
@@ -189,10 +196,9 @@ def test_frame_evaluates_no_kernel(params, monkeypatch):
     monkeypatch.setattr(transform, "_kernel_g", forbidden)
     monkeypatch.setattr(transform, "_kernel_cdf", forbidden)
     radii = rng.uniform(params.r_min, params.r_max, (3, 1))
-    frame.scalars(radii)
-    frame.evaluate(radii)
+    image(frame, radii)
     frame.jacobian(radii)
-    frame.evaluate(radii[0, 0])
+    image(frame, radii[0, 0])
     frame.jacobian(rng.uniform(params.r_min, params.r_max, 300))
 
 
@@ -236,10 +242,9 @@ def test_psi_identity_at_r0(params):
     rng = np.random.default_rng(3)
     y = rng.uniform(0.0, 1.0, (500, 2))
     frame = RadialFrame(params, y)
-    ev = frame.evaluate(params.r0)
-    assert np.max(np.abs(ev.mapped - y)) < 1e-15
+    assert np.max(np.abs(image(frame, params.r0) - y)) < 1e-15
     assert np.max(np.abs(frame.jacobian(params.r0) - np.eye(2))) < 1e-14
-    assert np.max(np.abs(ev.det - 1.0)) < 1e-14
+    assert np.max(np.abs(frame.scalars(params.r0).det - 1.0)) < 1e-14
 
 
 def test_psi_maps_reference_circle_to_radius(params):
@@ -247,7 +252,7 @@ def test_psi_maps_reference_circle_to_radius(params):
     y = 0.5 + params.r0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     frame = RadialFrame(params, y)
     for rg in (params.r_min, 0.2, params.r_max):
-        mapped = frame.evaluate(rg).mapped
+        mapped = image(frame, rg)
         dist = np.hypot(mapped[:, 0] - 0.5, mapped[:, 1] - 0.5)
         assert np.max(np.abs(dist - rg)) < 1e-12
 
@@ -256,15 +261,15 @@ def test_psi_det_positive_bound_recorded(params):
     rng = np.random.default_rng(4)
     rg = rng.uniform(params.r_min, params.r_max, 200)
     y = rng.uniform(0.0, 1.0, (200, 2))
-    det = RadialFrame(params, y).evaluate(rg).det
+    det = RadialFrame(params, y).scalars(rg).det
     assert det.min() > 0.1  # measured c_J for the default geometry is ~0.16
     assert det.max() < 3.0
 
 
 def test_psi_center_identity_branch(params):
-    out = RadialFrame(params, np.array([0.5, 0.5])).evaluate(params.r_min)
-    assert np.all(out.mapped[0] == np.array([0.5, 0.5]))
-    assert out.det[0] == 1.0
+    frame = RadialFrame(params, np.array([0.5, 0.5]))
+    assert np.all(image(frame, params.r_min)[0] == np.array([0.5, 0.5]))
+    assert frame.scalars(params.r_min).det[0] == 1.0
 
 
 def test_psi_jacobian_fd(params):
@@ -278,21 +283,27 @@ def test_psi_jacobian_fd(params):
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            fd[:, j] = (RadialFrame(params, y + e).evaluate(rg).mapped[0]
-                        - RadialFrame(params, y - e).evaluate(rg).mapped[0]) / (2 * h)
+            fd[:, j] = (image(RadialFrame(params, y + e), rg)[0]
+                        - image(RadialFrame(params, y - e), rg)[0]) / (2 * h)
         worst = max(worst, np.max(np.abs(fd - RadialFrame(params, y).jacobian(rg)[0])))
     assert worst < 1e-7
 
 
 def test_psi_radius_derivative_fd(params):
+    """The radius sensitivity dpsi/dr_gamma matches central differences of
+    the image, both as (dR/dr_gamma) u from the profile and as Psi s u from
+    the frame's Jacobian and its scalar s."""
     rng = np.random.default_rng(6)
     h = 1e-6
     worst = 0.0
     for _ in range(200):
         rg = rng.uniform(params.r_min + 2 * h, params.r_max - 2 * h)
-        frame = RadialFrame(params, rng.uniform(0.0, 1.0, 2))
-        fd = (frame.evaluate(rg + h).mapped[0] - frame.evaluate(rg - h).mapped[0]) / (2 * h)
-        worst = max(worst, np.max(np.abs(fd - frame.evaluate(rg).dpsi_drg[0])))
+        y = rng.uniform(0.0, 1.0, (1, 2))
+        frame = RadialFrame(params, y)
+        fd = (image(frame, rg + h)[0] - image(frame, rg - h)[0]) / (2 * h)
+        from_frame = frame.jacobian(rg)[0] @ (frame.scalars(rg).s[0] * frame.directions()[0])
+        worst = max(worst, np.max(np.abs(fd - radial_image(params, y, rg)[1][0])),
+                    np.max(np.abs(fd - from_frame)))
     assert worst < 1e-7
 
 
@@ -308,10 +319,9 @@ def test_psi_eps_identity_at_r0(params):
     rng = np.random.default_rng(9)
     x = rng.uniform(0.0, 1.0, (300, 2))
     mapped, frame, r = psi_eps(params, eps, radii, x)
-    ev = frame.evaluate(r)
-    dt_psi = eps * ev.dpsi_drg * rates[0, 0]
+    dt_psi = eps * radial_image(params, frame.points, r)[1] * rates[0, 0]
     assert np.max(np.abs(mapped - x)) < 1e-15
-    assert np.max(np.abs(ev.det - 1.0)) < 1e-14
+    assert np.max(np.abs(frame.scalars(r).det - 1.0)) < 1e-14
     assert np.max(np.abs(dt_psi)) == 0.0
 
 
@@ -368,7 +378,7 @@ def test_psi_eps_time_derivative_chain_rule(params):
     rates = np.full((2, 2), 0.125)
     x = np.array([[0.3, 0.2]])
     mapped, frame, r = psi_eps(params, eps, radii, x)
-    dt_psi = eps * frame.evaluate(r).dpsi_drg[0] * rates[0, 0]
+    dt_psi = eps * radial_image(params, frame.points, r)[1][0] * rates[0, 0]
     # finite difference in time through the radius field
     dt = 1e-6
     mapped2 = psi_eps(params, eps, radii + dt * rates, x)[0]
@@ -382,64 +392,74 @@ def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
     m = build_micro_mesh(reference_mesh, 0.5)
     rng = np.random.default_rng(12)
     radii = rng.uniform(params.r_min, params.r_max, m.n_cells)
-    r_el = radii[m.cell_of_element]
+    r_el = np.repeat(radii, len(reference_mesh.triangles))
     y = np.tile(centroids(reference_mesh.vertices, reference_mesh.triangles), (m.n_cells, 1))
     frame = RadialFrame(params, y[:len(reference_mesh.triangles)])
-    ev = frame.evaluate(radii[:, None])
+    sc = frame.scalars(radii[:, None])
 
     # the same map from a frame on every micro midpoint, one radius per point
     pointwise = RadialFrame(params, y)
-    want = pointwise.evaluate(r_el)
-    for got, wanted in ((ev.mapped, want.mapped), (ev.det, want.det),
-                        (1.7 * ev.coeff, 1.7 * want.coeff),
-                        (ev.psi_inv, want.psi_inv), (ev.dpsi_drg, want.dpsi_drg),
-                        (frame.jacobian(radii[:, None]), pointwise.jacobian(r_el))):
-        assert np.array_equal(got, wanted)
+    want = pointwise.scalars(r_el)
+    for name in ("det", "a", "b", "s", "radius"):
+        assert np.array_equal(getattr(sc, name), getattr(want, name)), name
+    assert np.array_equal(frame.image(sc.radius), pointwise.image(want.radius))
+    assert np.array_equal(frame.jacobian(radii[:, None]), pointwise.jacobian(r_el))
 
     # the image and J straight from the radial profile
+    mapped = frame.image(sc.radius)
     d = y - X_CENTER
     rho = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
     act = rho > params.r_min - params.delta
     R, dR, _ = profile(params, r_el[act], rho[act])
-    assert np.array_equal(ev.mapped[act], X_CENTER + R[:, None] * (d[act] / rho[act, None]))
-    assert np.array_equal(ev.det[act], dR * (R / rho[act]))
-    assert np.array_equal(ev.mapped[~act], y[~act])
-    assert np.all(ev.det[~act] == 1.0)
+    assert np.array_equal(mapped[act], X_CENTER + R[:, None] * (d[act] / rho[act, None]))
+    assert np.array_equal(sc.det[act], dR * (R / rho[act]))
+    assert np.array_equal(mapped[~act], y[~act])
+    assert np.all(sc.det[~act] == 1.0)
 
 
-def test_frame_scalars_reproduce_evaluate(reference_mesh, params):
-    """J, a, b, s and R give evaluate's det, coefficient D (b I + (a - b) P)
-    and drift J Psi^{-1} dPsi/dr_gamma = J s u on every micro element, and
-    the identity in the core."""
+def test_frame_scalars_match_independent_oracles(reference_mesh, params):
+    """J, a, b, s and R give the pulled-back tensor D J Psi^{-1} Psi^{-T} as
+    D (b I + (a - b) P), the drift J Psi^{-1} dPsi/dr_gamma as J s u, and
+    the image, on every micro element: against the inverse of the frame's
+    Jacobian and the radial profile, and the identity in the core."""
     m = build_micro_mesh(reference_mesh, 0.5)
     rng = np.random.default_rng(13)
     radii = rng.uniform(params.r_min, params.r_max, (m.n_cells, 1))
-    frame = RadialFrame(params, centroids(reference_mesh.vertices, reference_mesh.triangles))
-    ev = frame.evaluate(radii)
+    mids = centroids(reference_mesh.vertices, reference_mesh.triangles)
+    frame = RadialFrame(params, mids)
     sc = frame.scalars(radii)
+    y = np.tile(mids, (m.n_cells, 1))
+    r_el = np.repeat(radii[:, 0], len(mids))
+    det, psi_inv, tensor = pulled_back(params, y, r_el)
+    mapped, dpsi, rho = radial_image(params, y, r_el)
+
     u = np.tile(frame.directions(), (m.n_cells, 1))
     proj = u[:, :, None] * u[:, None, :]
     coeff = 1.7 * (sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * proj)
-    drift = np.einsum("tab,tb->ta", ev.psi_inv, ev.dpsi_drg) * ev.det[:, None]
-    assert np.array_equal(sc.det, ev.det)
-    assert np.array_equal(frame.image(sc.radius), ev.mapped)
-    scaled = 1.7 * ev.coeff
+    scaled = 1.7 * tensor
     assert np.allclose(coeff, scaled, rtol=1e-13, atol=1e-13 * np.abs(scaled).max())
+    drift = det[:, None] * np.einsum("tab,tb->ta", psi_inv, dpsi)
     assert np.allclose((sc.det * sc.s)[:, None] * u, drift, rtol=1e-13,
                        atol=1e-13 * np.abs(drift).max())
     assert np.abs(drift).max() > 0.1
+    assert np.allclose(sc.det, det, rtol=1e-13, atol=0.0)
+    # the image and J are the profile's own expressions, bit for bit
+    act = rho > params.r_min - params.delta
+    assert np.array_equal(frame.image(sc.radius)[act], mapped[act])
+    R, dR, _ = profile(params, r_el[act], rho[act])
+    assert np.array_equal(sc.det[act], dR * (R / rho[act]))
 
     # the identity core, the center included
     y = np.array([X_CENTER, X_CENTER + 0.01, X_CENTER + [0.0, 0.3], [0.9, 0.2]])
     core = RadialFrame(params, y)
     sc = core.scalars(radii[:3])
-    ev = core.evaluate(radii[:3])
     inner = np.tile([True, True, False, False], 3)
     assert np.all(sc.a[inner] == 1.0) and np.all(sc.b[inner] == 1.0)
     assert np.all(sc.det[inner] == 1.0) and np.all(sc.s[inner] == 0.0)
     assert np.all(core.directions()[:2] == 0.0)
-    assert np.array_equal(sc.det, ev.det)
-    assert np.array_equal(core.image(sc.radius), ev.mapped)
+    assert np.array_equal(core.image(sc.radius)[inner], np.tile(y, (3, 1))[inner])
+    assert np.allclose(sc.det, pulled_back(params, np.tile(y, (3, 1)),
+                                           np.repeat(radii[:3, 0], 4))[0], rtol=1e-13, atol=0.0)
 
 
 def test_package_exports_resolve():
@@ -448,6 +468,6 @@ def test_package_exports_resolve():
 
     for name in evopore.__all__:
         getattr(evopore, name)
-    for name in ("RadialFrame", "MapEval", "MapScalars"):
+    for name in ("RadialFrame", "MapScalars"):
         assert name in evopore.__all__
         assert getattr(evopore, name) is getattr(evopore.transform, name)

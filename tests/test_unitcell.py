@@ -1,9 +1,9 @@
+import _oracles
 import numpy as np
 import pytest
 
 from evopore.errors import MeshQualityError, NumericalError
 from evopore.fem import StiffnessPattern, centroids, element_stiffness, triangle_geometry
-from evopore.transform import RadialFrame
 from evopore.unitcell import (
     CellProblem,
     EffectiveTensorTable,
@@ -20,8 +20,9 @@ A11_FINE_ORACLE = 0.6717112762
 
 
 def pulled_back(mesh, params, r):
-    """The pulled-back coefficient of radius ``r`` on the reference ``mesh``."""
-    return RadialFrame(params, centroids(mesh.vertices, mesh.triangles)).evaluate(r).coeff
+    """The pulled-back coefficient J Psi^{-1} Psi^{-T} of radius ``r`` on the
+    reference ``mesh``, from the inverse of the map's Jacobian."""
+    return _oracles.pulled_back(params, centroids(mesh.vertices, mesh.triangles), r)[2]
 
 
 def test_mesh_quality_and_orientation(reference_mesh):
@@ -116,8 +117,7 @@ def test_cell_problem_residual_orthogonality(reference_mesh, params):
     r = 0.32
     w = CellProblem(reference_mesh, pulled_back(reference_mesh, params, r)).corrector(0, 1e-11)[0]
     areas, grads = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)
-    mids = centroids(reference_mesh.vertices, reference_mesh.triangles)
-    coeff = RadialFrame(params, mids).evaluate(r).coeff
+    coeff = pulled_back(reference_mesh, params, r)
     dof, n_dof = reference_mesh.dof_map
     K = StiffnessPattern(dof[reference_mesh.triangles], n_dof).assemble(
         element_stiffness(areas, grads, coeff))
@@ -187,6 +187,16 @@ def test_tabulate_checks_pass(tensor_table):
     assert all(checks.values()), checks
 
 
+def test_tabulate_matches_the_inverse_jacobian_tensor(reference_mesh, params, tensor_table):
+    """The table's pulled-back coefficient b I + (a - b) u u^T gives the
+    tensors of J Psi^{-1} Psi^{-T} formed from the inverse Jacobian, on the
+    same mesh, up to the cell problems' CG tolerance."""
+    for k in (0, 4, 10):
+        want = effective_tensor(reference_mesh,
+                                pulled_back(reference_mesh, params, tensor_table.radii[k]))
+        assert np.allclose(tensor_table.tensors[k], want, rtol=1e-9, atol=1e-9)
+
+
 def test_tabulate_requires_enough_points(params):
     with pytest.raises(ValueError):
         tabulate(params, np.array([0.25]))
@@ -198,41 +208,37 @@ def test_closed_form_geometry_quantities():
 
 
 def test_lookup_at_nodes_and_midpoints(tensor_table):
+    """``components`` reads (A11, A12, A22) at a grid radius exactly, halfway
+    between two at their mean, and one triple per radius of an array, in the
+    array's shape: the bits of ``np.interp`` of each entry."""
+    upper = ([0, 0, 1], [0, 1, 1])
     k = 3
     r = tensor_table.radii[k]
-    A = tensor_table.lookup(r)
-    assert np.array_equal(A, tensor_table.tensors[k])
+    A = tensor_table.components(r)
+    assert np.array_equal(A, tensor_table.tensors[k][upper])
     assert tensor_table.theta[k] == pytest.approx(porosity(r), abs=1e-15)
     mid = 0.5 * (tensor_table.radii[k] + tensor_table.radii[k + 1])
-    Amid = tensor_table.lookup(mid)
-    expect = 0.5 * (tensor_table.tensors[k] + tensor_table.tensors[k + 1])
+    Amid = tensor_table.components(mid)
+    expect = 0.5 * (tensor_table.tensors[k] + tensor_table.tensors[k + 1])[upper]
     assert Amid == pytest.approx(expect, abs=1e-12)
-    # an array of radii reads one tensor per radius, in the array's shape
     rs = np.array([[r, mid], [mid, r]])
-    many = tensor_table.lookup(rs)
-    assert many.shape == (2, 2, 2, 2)
+    many = tensor_table.components(rs)
+    assert many.shape == (2, 2, 3)
     assert np.array_equal(many[0, 0], A) and np.array_equal(many[1, 0], Amid)
+    r = np.random.default_rng(3).uniform(tensor_table.radii[0], tensor_table.radii[-1], (50, 4))
+    for c, (i, j) in enumerate(zip(*upper)):
+        want = np.interp(r, tensor_table.radii, tensor_table.tensors[:, i, j])
+        assert np.array_equal(tensor_table.components(r)[..., c], want)
 
 
 def test_lookup_clamps_out_of_range(tensor_table):
     # np.interp holds the end tensors: the same bits as clamping the radius
+    upper = ([0, 0, 1], [0, 1, 1])
     lo, hi = tensor_table.radii[0], tensor_table.radii[-1]
-    A = tensor_table.lookup(np.array([lo - 0.05, hi + 0.05]))
-    assert np.array_equal(A[0], tensor_table.tensors[0])
-    assert np.array_equal(A[1], tensor_table.tensors[-1])
-    assert np.array_equal(A, tensor_table.lookup(np.clip([lo - 0.05, hi + 0.05], lo, hi)))
-
-
-def test_lookup_mirrors_the_interpolated_a12(tensor_table):
-    """Three interpolations, A12 mirrored into A21: the bits of interpolating
-    all four entries, since the table is exactly symmetric."""
-    r = np.random.default_rng(3).uniform(tensor_table.radii[0], tensor_table.radii[-1], (50, 4))
-    four = np.empty(r.shape + (2, 2))
-    for i in range(2):
-        for j in range(2):
-            four[..., i, j] = np.interp(r, tensor_table.radii, tensor_table.tensors[:, i, j])
-    assert np.array_equal(tensor_table.lookup(r), four)
-    assert np.array_equal(tensor_table.components(r), four[..., [0, 0, 1], [0, 1, 1]])
+    A = tensor_table.components(np.array([lo - 0.05, hi + 0.05]))
+    assert np.array_equal(A[0], tensor_table.tensors[0][upper])
+    assert np.array_equal(A[1], tensor_table.tensors[-1][upper])
+    assert np.array_equal(A, tensor_table.components(np.clip([lo - 0.05, hi + 0.05], lo, hi)))
 
 
 def test_table_rejects_non_symmetric_tensors(tensor_table):
