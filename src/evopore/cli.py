@@ -141,7 +141,7 @@ def _table_of(cfg: ExperimentConfig) -> EffectiveTensorTable:
         source = f"[table] path = {cfg.table_path}"
         try:
             table = EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
-        except (OSError, ValueError, IndexError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{source}: cannot load: {exc}") from exc
         if not all(np.all(np.isfinite(a)) for a in (table.radii, table.tensors, table.theta)):
             raise ConfigError(f"{source}: non-finite values")
@@ -156,7 +156,7 @@ def _table_of(cfg: ExperimentConfig) -> EffectiveTensorTable:
         return table
     _require_cover("[table] radii", cfg.table_radii, cfg)
     log.info(f"tabulating effective tensors on {cfg.table_radii.size} radii")
-    return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h, cfg.cg_tol)
+    return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h)
 
 
 def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid) -> MacroSolver:
@@ -187,7 +187,7 @@ def _run_steps(solver, state, cfg: ExperimentConfig, label: str, record=None, sn
 
 def cmd_cell_table(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
                    outputs: list) -> list[dict]:
-    table = tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h, cfg.cg_tol)
+    table = tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h)
     _write(outdir, "table.csv", table.to_csv(), outputs)
     log.info(f"wrote {outdir / 'table.csv'} ({cfg.table_radii.size} radii)")
     return [{"check": name, "passed": ok, "value": None}

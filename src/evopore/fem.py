@@ -13,19 +13,21 @@ bincount neither casts the slots nor copies the data: block-major for
 triangles, entry-major for the micro cells.  The macro stepper and the
 periodic cell problems pass their triangles as the blocks.  The cell
 problems form the element matrices from a tensor per element by batched
-``matmul`` (:func:`element_stiffness`).  The macro grid has two element
-shapes, so the macro stepper forms them as the per-element tensor
-components (A11, A12, A22) times the operators of the two shapes
-(:meth:`evopore.macro.MacroGrid.element_matrices`).  The micro stepper
-passes its cells, each with the reference cell's sparsity, and forms every
-cell's entries from reference-cell operators (:mod:`evopore.micro`).  The
-steppers share one implicit step, :func:`backward_euler_step`; they differ
-only in the mass weight (porosity or Jacobian) and the stiffness
-(homogenized or pulled back).  The macro stepper's CG is preconditioned by
-a sparse LU factor of an earlier step's system (:class:`FrozenFactor`); the
-micro stepper keeps the Jacobi diagonal, because at its sizes a factor's
-fill costs tens of MB and its CG is no faster.  Each state holds a reference
-to its field one step earlier, so the step starts CG from the linear
+``matmul`` (:func:`element_stiffness`) and are solved by a sparse LU factor
+(:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG.
+The macro grid has two element shapes, so the macro stepper forms them as
+the per-element tensor components (A11, A12, A22) times the operators of
+the two shapes (:meth:`evopore.macro.MacroGrid.element_matrices`).  The
+micro stepper passes its cells, each with the reference cell's sparsity, and
+forms every cell's entries from reference-cell operators
+(:mod:`evopore.micro`).  The steppers share one implicit step,
+:func:`backward_euler_step`; they differ only in the mass weight (porosity
+or Jacobian) and the stiffness (homogenized or pulled back).  The macro
+stepper's CG is preconditioned by a sparse LU factor of an earlier step's
+system (:class:`FrozenFactor`); the micro stepper keeps the Jacobi
+diagonal, because at its sizes a factor's fill costs tens of MB and its CG
+is no faster.  Each state holds a reference to its field one step
+earlier, so the step starts CG from the linear
 extrapolation ``2 u_n - u_(n-1)``, and from ``u_n`` on a first step.
 :func:`csv_table` formats every CSV output of the package.  Both problems live on a fixed domain, so
 a snapshot's coordinates are the same at every step: the micro mesh and the
@@ -249,12 +251,6 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
     if factor is not None:
         factor.record(report.iterations)
     return u_new, report.iterations
-
-
-def scatter_element_loads(triangles: np.ndarray, loads: np.ndarray,
-                          dof_of_node: np.ndarray, n_dof: int) -> np.ndarray:
-    """Accumulate per-element nodal loads (nt, 3) into a dof vector."""
-    return np.bincount(dof_of_node[triangles].ravel(), loads.ravel(), minlength=n_dof)
 
 
 def element_means(triangles: np.ndarray, nodal: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ those four structural conditions make the radius box invariant.  The builtin
 ``gated_affine`` family satisfies them by construction: a clamped affine
 response in the concentration, with smooth gates that switch growth off near
 r_max and dissolution off near r_min.  It is the one family: :func:`eval_f`
-and :func:`lipschitz_envelope` call its rate law and its analytic Lipschitz
-envelope directly, and a :class:`KineticsSpec` naming any other family is
-rejected.  There is no expression parsing.
+is its rate law and :func:`lipschitz_envelope` its analytic Lipschitz
+envelope, and a :class:`KineticsSpec` naming any other family is rejected.
+There is no expression parsing.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _gated_affine(spec: KineticsSpec, u, r):
+def eval_f(spec: KineticsSpec, u, r):
+    """Reaction rate; total in both arguments, vectorized."""
     u = np.asarray(u, dtype=float)
     r = np.asarray(r, dtype=float)
     s = np.clip(spec.rate_slope * (u - spec.u_eq), -spec.f_cap, spec.f_cap)
@@ -52,18 +53,9 @@ def _gated_affine(spec: KineticsSpec, u, r):
     return gate_up * np.maximum(s, 0.0) - gate_down * np.maximum(-s, 0.0)
 
 
-def _gated_affine_envelope(spec: KineticsSpec) -> float:
+def lipschitz_envelope(spec: KineticsSpec) -> float:
     # conservative bound; the smoothstep gate slope is 1.5/gate_width
     return spec.rate_slope * (1.0 + 2.0 / spec.gate_width) * spec.f_cap
-
-
-def eval_f(spec: KineticsSpec, u, r):
-    """Reaction rate; total in both arguments, vectorized."""
-    return _gated_affine(spec, u, r)
-
-
-def lipschitz_envelope(spec: KineticsSpec) -> float:
-    return _gated_affine_envelope(spec)
 
 
 def step_radius(spec: KineticsSpec, r, f_value, dt: float):

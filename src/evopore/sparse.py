@@ -1,15 +1,18 @@
-"""Preconditioned conjugate gradients on scipy.sparse matrices, with an
-optional zero-mean constraint for singular pure-Neumann systems.
+"""Preconditioned conjugate gradients on scipy.sparse matrices: the solver
+of the two steppers' symmetric positive definite implicit systems.
 
 The preconditioner is the Jacobi diagonal unless the caller passes its own;
 the macro stepper passes the solve of a frozen sparse LU factor
-(:class:`evopore.fem.FrozenFactor`).  The solver loop is implemented here
-rather than taken from scipy because the zero-mean projection has to happen
-inside the iteration.  An iteration allocates only the product A p (and
-whatever a caller's preconditioner returns): x and r move by one BLAS axpy
-each, Jacobi multiplies by a reciprocal diagonal formed once per solve, and
-the new search direction is one more axpy into the buffer of the
-preconditioned residual, so the old direction's buffer takes the next one.
+(:class:`evopore.fem.FrozenFactor`).  Both steppers start the solve from
+the extrapolation ``2 u_n - u_(n-1)`` of their last two fields, and read
+its iteration count from the :class:`SolveReport`.  The loop is written here
+rather than taken from scipy for the way it updates its vectors: an
+iteration allocates only the product A p (and whatever a caller's
+preconditioner returns).  x and r move by one BLAS axpy each, run in chunks
+that stay on the calling thread, Jacobi multiplies by a reciprocal diagonal
+formed once per solve, and the new search direction is one more axpy into
+the buffer of the preconditioned residual, so the old direction's buffer
+takes the next one.
 """
 
 from __future__ import annotations
@@ -51,12 +54,11 @@ def solve_cg(
     A: sp.spmatrix,
     b: np.ndarray,
     tol: float = 1e-10,
-    max_iter: int | None = None,
-    zero_mean_constraint: bool = False,
     x0: np.ndarray | None = None,
     precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Preconditioned CG for symmetric positive (semi)definite systems.
+    """Preconditioned CG for symmetric positive definite systems, started
+    from ``x0`` (zero by default).
 
     ``precondition`` maps a residual r to z ~ A^{-1} r and must act as a
     symmetric positive definite operator; ``None`` multiplies by the
@@ -65,11 +67,7 @@ def solve_cg(
     itself: the loop copies z into its own buffer before using it, and never
     writes to, or keeps, what ``precondition`` returned.  Whatever the
     preconditioner, the iteration stops when the float64 relative residual
-    ``|b - A x| / |b|`` reaches ``tol``.
-
-    With ``zero_mean_constraint`` the right-hand side and every iterate are
-    projected onto the mean-free subspace, which resolves the constant
-    nullspace of pure-Neumann stiffness matrices without Lagrange multipliers.
+    ``|b - A x| / |b|`` reaches ``tol``, or after 10 n + 100 iterations.
     Returns the solution and a :class:`SolveReport`; ``converged`` means the
     relative residual reached ``tol``.
     """
@@ -77,11 +75,8 @@ def solve_cg(
     if n != n_cols:
         raise ValueError("solve_cg needs a square matrix")
     b = np.asarray(b, dtype=float)
-    if max_iter is None:
-        max_iter = 10 * n + 100
+    max_iter = 10 * n + 100
 
-    if zero_mean_constraint:
-        b = b - b.mean()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
@@ -101,12 +96,8 @@ def solve_cg(
     # r by one axpy each, and z becomes the next p by one more, so the old p
     # is the buffer of the next z
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if zero_mean_constraint:
-        x -= x.mean()
     r = b - (A @ x)
     p = precondition_into(r, np.empty(n))
-    if zero_mean_constraint:
-        p -= p.mean()
     z = np.empty(n)
     rz = float(r @ p)
     res = float(np.sqrt(r @ r))
@@ -120,11 +111,7 @@ def solve_cg(
         alpha = rz / pAp
         _axpy(p, x, alpha)
         _axpy(Ap, r, -alpha)
-        if zero_mean_constraint:
-            x -= x.mean()
         precondition_into(r, z)
-        if zero_mean_constraint:
-            z -= z.mean()
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             raise NumericalError(f"CG breakdown at iteration {it}: non-finite inner product")

@@ -9,8 +9,11 @@ identical node traces; periodic pairing and conforming tiling are then exact.
 A cell problem takes its element coefficient: the unit tensor on a cell
 meshed at the requested radius, or the pulled-back tensor on the reference
 mesh.  The two routes discretize the same tensor and serve as mutual oracles.
-A scalar diffusion D multiplies the whole problem, so the tensors here are of
-unit diffusion and the steppers apply D.
+Both directions of a cell problem share one periodic stiffness matrix, which
+is factored once by a sparse LU with one dof pinned; the nodal mean is then
+subtracted (:func:`solve_cell_problem`).  A scalar diffusion D multiplies the
+whole problem, so the tensors here are of unit diffusion and the steppers
+apply D.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .errors import MeshQualityError, NumericalError
-from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness,
-                  scatter_element_loads, triangle_geometry)
-from .sparse import SolveReport, solve_cg
+from .fem import StiffnessPattern, centroids, csv_table, element_stiffness, triangle_geometry
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
+_CSV_HEADER = "r,A11,A12,A22,theta"
 
 
 def ball_volume(r):
@@ -218,55 +221,54 @@ def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
 # Cell problems and the effective tensor
 # ---------------------------------------------------------------------------
 
-class CellProblem:
-    """The periodic cell problems of the element coefficient ``coeff``
-    (nt, 2, 2), by default the unit tensor, on ``mesh``: one stiffness matrix
-    serves both directions."""
+def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray) -> np.ndarray:
+    """Nodal correctors (n_nodes, 2) of the periodic cell problems of the
+    element coefficient ``coeff`` (nt, 2, 2) on ``mesh``: column i solves
+    -div C (grad w_i + e_i) = 0, periodic pairs equal, zero nodal mean.
 
-    def __init__(self, mesh: PeriodicMesh, coeff: np.ndarray | None = None):
-        areas, grads = mesh.geometry
-        self.mesh = mesh
-        self.coeff = np.tile(np.eye(2), (len(areas), 1, 1)) if coeff is None else coeff
-        k_el = element_stiffness(areas, grads, self.coeff)
-        self.stiffness = mesh.stiffness_pattern.assemble(k_el)
-
-    def corrector(self, direction: int, tol: float) -> tuple[np.ndarray, SolveReport]:
-        """Nodal corrector of ``direction`` (periodic pairs equal, zero mean)
-        and the report of its CG solve on the mean-free subspace; a solve
-        that does not reach ``tol`` raises :class:`NumericalError`."""
-        areas, grads = self.mesh.geometry
-        dof, n_dof = self.mesh.dof_map
-        loads = -np.einsum("tia,ta->ti", grads, self.coeff[:, :, direction]) * areas[:, None]
-        b = scatter_element_loads(self.mesh.triangles, loads, dof, n_dof)
-        w_dof, report = solve_cg(self.stiffness, b, tol=tol, zero_mean_constraint=True)
-        if not report.converged:
-            raise NumericalError(f"cell problem in direction {direction}: CG stalled after "
-                                 f"{report.iterations} iterations, residual "
-                                 f"{report.final_residual:.2e}")
-        w = w_dof[dof]
-        w -= w.mean()
-        return w, report
-
-
-def effective_tensor(mesh: PeriodicMesh, coeff: np.ndarray | None = None,
-                     tol: float = 1e-10) -> np.ndarray:
-    """Effective tensor of the :class:`CellProblem` of ``coeff`` on ``mesh``:
-    the energy form, the integral of (grad w_i + e_i) . C (grad w_j + e_j)
-    over the cell, which coincides with the divergence form by the corrector
-    equation and is symmetric by construction."""
-    problem = CellProblem(mesh, coeff)
+    The periodic stiffness K is singular by the constants only, and both
+    loads sum to zero, so pinning dof 0 drops an equation that holds anyway:
+    one sparse LU factor of ``K[1:, 1:]``, symmetric positive definite,
+    solves both directions, and subtracting the nodal mean picks the
+    zero-mean corrector.  A singular factor raises :class:`NumericalError`.
+    """
     areas, grads = mesh.geometry
-    fields = []
-    for direction in range(2):
-        w = problem.corrector(direction, tol)[0]
-        g = np.einsum("ti,tia->ta", w[mesh.triangles], grads)
-        g[:, direction] += 1.0
-        fields.append(g)
-    a_hom = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            a_hom[i, j] = np.sum(areas * np.einsum("ta,tab,tb->t", fields[i], problem.coeff,
-                                                   fields[j]))
+    dof, n_dof = mesh.dof_map
+    stiffness = mesh.stiffness_pattern.assemble(element_stiffness(areas, grads, coeff))
+    # element loads -|T| grad phi_i . C e_d, (nt, 3, 2), summed into (n_dof, 2)
+    loads = -(grads @ coeff) * areas[:, None, None]
+    element_dofs = dof[mesh.triangles].ravel()
+    b = np.stack([np.bincount(element_dofs, loads[:, :, d].ravel(), minlength=n_dof)
+                  for d in range(2)], axis=1)
+    try:
+        lu = spla.splu(stiffness[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NumericalError(f"cell problem: {exc}") from None
+    w_dof = np.zeros((n_dof, 2))
+    w_dof[1:] = lu.solve(b[1:])
+    w = w_dof[dof]
+    w -= w.mean(axis=0)
+    return w
+
+
+def effective_tensor(mesh: PeriodicMesh, coeff: np.ndarray | None = None) -> np.ndarray:
+    """Effective tensor of the :func:`solve_cell_problem` of ``coeff``, by
+    default the unit tensor, on ``mesh``: the energy form, the integral of
+    (grad w_i + e_i) . C (grad w_j + e_j) over the cell, which coincides
+    with the divergence form by the corrector equation and is symmetric by
+    construction."""
+    areas, grads = mesh.geometry
+    if coeff is None:
+        coeff = np.tile(np.eye(2), (len(areas), 1, 1))
+    w = solve_cell_problem(mesh, coeff)
+    # fields[t, i] = grad w_i + e_i on element t
+    fields = np.einsum("tki,tka->tia", w[mesh.triangles], grads)
+    fields += np.eye(2)
+    # the element energies laid out (2, 2, nt), so that the sum over the
+    # elements is numpy's pairwise sum along a contiguous axis
+    energies = np.einsum("tia,tab,tjb->ijt", fields, coeff, fields, order="C")
+    a_hom = np.sum(areas * energies, axis=-1)
     return 0.5 * (a_hom + a_hom.T)
 
 
@@ -314,16 +316,25 @@ class EffectiveTensorTable:
         return out
 
     def to_csv(self) -> str:
-        return csv_table("r,A11,A12,A22,theta", "%.17g,%.17g,%.17g,%.17g,%.17g", self.radii,
+        return csv_table(_CSV_HEADER, "%.17g,%.17g,%.17g,%.17g,%.17g", self.radii,
                          self.tensors[:, 0, 0], self.tensors[:, 0, 1], self.tensors[:, 1, 1],
                          self.theta)
 
     @classmethod
     def from_csv(cls, text: str) -> "EffectiveTensorTable":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        if lines[0].strip() != "r,A11,A12,A22,theta":
+        """The table of :meth:`to_csv`'s text: the header, then at least one
+        row of five fields; a row of any other length names its line."""
+        lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or lines[0][1].strip() != _CSV_HEADER:
             raise ValueError("unexpected tensor table header")
-        rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
+        if len(lines) == 1:
+            raise ValueError("tensor table has no rows")
+        rows = []
+        for k, ln in lines[1:]:
+            fields = ln.split(",")
+            if len(fields) != 5:
+                raise ValueError(f"line {k} has {len(fields)} fields, not 5")
+            rows.append(tuple(float(v) for v in fields))
         radii = np.array([row[0] for row in rows])
         tensors = np.array([[[row[1], row[2]], [row[2], row[3]]] for row in rows])
         theta = np.array([row[4] for row in rows])
@@ -331,7 +342,7 @@ class EffectiveTensorTable:
 
 
 def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
-             target_h: float = 0.05, tol: float = 1e-10) -> EffectiveTensorTable:
+             target_h: float = 0.05) -> EffectiveTensorTable:
     """Unit-diffusion tensor table over ``r_grid`` on one reference mesh,
     with the coefficient ``b I + (a - b) u u^T`` of one :class:`RadialFrame`
     on its midpoints, from the frame's scalars and unit directions u.
@@ -354,9 +365,9 @@ def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
         sc = frame.scalars(float(r))
         coeff = sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * radial
         try:
-            tensors[k] = effective_tensor(mesh, coeff, tol)
-        except Exception as exc:
-            raise type(exc)(f"tensor tabulation failed at r={r}: {exc}") from exc
+            tensors[k] = effective_tensor(mesh, coeff)
+        except NumericalError as exc:
+            raise NumericalError(f"tensor tabulation failed at r={r}: {exc}") from exc
     return EffectiveTensorTable(r_grid, tensors, porosity(r_grid))
 
 

@@ -9,7 +9,10 @@ the full quantities by other routes, for the tests to compare against:
 - the image x_M + R u and the radius sensitivity dpsi/dr_gamma = (dR/dr_gamma) u
   from :func:`evopore.transform.profile` at each point's distance to the
   center;
-- every micro element as the reference triangle through the cell node map.
+- every micro element as the reference triangle through the cell node map;
+- the periodic cell problems as one dense system, solved to its
+  minimum-norm solution by ``np.linalg.lstsq`` instead of a pinned sparse
+  factor.
 """
 
 import numpy as np
@@ -46,3 +49,49 @@ def tiled_triangles(mesh):
 def cell_of_element(mesh):
     """The cell (c*m,) of every triangle of :func:`tiled_triangles`."""
     return np.repeat(np.arange(mesh.n_cells), len(mesh.reference.triangles))
+
+
+def _p1_geometry(mesh):
+    """Areas (nt,) and basis gradients (nt, 3, 2): the gradients of nodes 1
+    and 2 are the columns of the inverse of the edge matrix, that of node 0
+    completes the partition of unity."""
+    v = mesh.vertices[mesh.triangles]
+    edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=1)
+    inv = np.linalg.inv(edges)
+    grads = np.concatenate([-inv.sum(axis=2)[:, None, :], inv.transpose(0, 2, 1)], axis=1)
+    return 0.5 * np.linalg.det(edges), grads
+
+
+def periodic_system(mesh, coeff):
+    """Dense periodic stiffness K (n_dof, n_dof) and the two cell-problem
+    loads b (n_dof, 2) of the element coefficient ``coeff`` (nt, 2, 2) on the
+    periodic ``mesh``, added element by element into the merged dofs."""
+    dof, n_dof = mesh.dof_map
+    areas, grads = _p1_geometry(mesh)
+    K = np.zeros((n_dof, n_dof))
+    b = np.zeros((n_dof, 2))
+    for t, elem in enumerate(dof[mesh.triangles]):
+        flux = grads[t] @ coeff[t]
+        K[np.ix_(elem, elem)] += areas[t] * flux @ grads[t].T
+        np.add.at(b, elem, -areas[t] * flux)
+    return K, b
+
+
+def cell_correctors(mesh, coeff):
+    """Nodal correctors (n_nodes, 2) of the cell problems of ``coeff`` on
+    ``mesh``: the minimum-norm least-squares solution of the dense
+    :func:`periodic_system`, spread to the nodes and shifted to zero nodal
+    mean."""
+    K, b = periodic_system(mesh, coeff)
+    w = np.linalg.lstsq(K, b, rcond=None)[0][mesh.dof_map[0]]
+    return w - w.mean(axis=0)
+
+
+def cell_tensor(mesh, coeff, w):
+    """The energy form A_ij = sum_T |T| (grad w_i + e_i) . C (grad w_j + e_j)
+    of the nodal correctors ``w`` (n_nodes, 2), entry by entry."""
+    areas, grads = _p1_geometry(mesh)
+    fields = [np.einsum("tk,tka->ta", w[mesh.triangles, i], grads) + np.eye(2)[i]
+              for i in range(2)]
+    return np.array([[np.sum(areas * np.einsum("ta,tab,tb->t", fields[i], coeff, fields[j]))
+                      for j in range(2)] for i in range(2)])

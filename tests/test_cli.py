@@ -157,14 +157,18 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
     (["macro-run"], "[table]\npath = {tmp}/indefinite.csv\n",
      ["indefinite.csv", "not positive definite"]),
     (["macro-run"], "[table]\npath = {tmp}/theta.csv\n", ["theta.csv", "theta 0.2", "porosity"]),
+    (["macro-run"], "[table]\npath = {tmp}/extra.csv\n", ["extra.csv", "line 2 has 6 fields"]),
+    (["macro-run"], "[table]\npath = {tmp}/header.csv\n", ["header.csv", "no rows"]),
 ], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
         "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan",
-        "table-radii-narrow", "out-is-a-file", "table-indefinite", "table-theta"])
+        "table-radii-narrow", "out-is-a-file", "table-indefinite", "table-theta",
+        "table-extra-column", "table-no-rows"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
     # [0.15, 0.35]; the full box with one NaN entry; with A12 = 0.6 beside
-    # A11 = A22 <= 0.5, which is no tensor at all; and with a theta column
-    # of 0.2, not the porosity of the radii
+    # A11 = A22 <= 0.5, which is no tensor at all; with a theta column of
+    # 0.2, not the porosity of the radii; a valid table with one and two
+    # extra fields on its first two rows; and its header alone
     full = np.linspace(0.15, 0.35, 5)
     a11 = np.linspace(0.5, 0.3, 5)
     tables = {
@@ -176,6 +180,11 @@ def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     for name, (radii, tensors, theta) in tables.items():
         table = EffectiveTensorTable(radii, tensors, porosity(radii) if theta is None else theta)
         (tmp_path / name).write_text(table.to_csv())
+    lines = EffectiveTensorTable(full, np.multiply.outer(a11, np.eye(2)),
+                                 porosity(full)).to_csv().splitlines()
+    (tmp_path / "extra.csv").write_text(
+        "\n".join([lines[0], lines[1] + ",0.1", lines[2] + ",0.1,0.2", *lines[3:]]) + "\n")
+    (tmp_path / "header.csv").write_text(lines[0] + "\n")
     assert not table_checks(EffectiveTensorTable.from_csv(
         (tmp_path / "indefinite.csv").read_text()))["positive_definite"]
     cfg = tmp_path / "exp.cfg"

@@ -54,7 +54,7 @@ def _ungated_affine(spec, u, r):
 
 
 def test_validator_flags_broken_family(monkeypatch):
-    monkeypatch.setattr(kinetics, "_gated_affine", _ungated_affine)
+    monkeypatch.setattr(kinetics, "eval_f", _ungated_affine)
     report = validate_structure(KineticsSpec(), sample_count=5_000, seed=2)
     assert not report.passed
     conditions = {c for c, _ in report.failures}
