@@ -165,6 +165,12 @@ def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid) -> MacroSolver:
                        cg_tol=cfg.cg_tol)
 
 
+def _solver_work(iterations: list[int], solver) -> str:
+    """The solver work of a run for its summary line: the CG iterations of
+    its steps, ``iterations``, and the factorizations ``solver`` made."""
+    return f"{sum(iterations)} CG iterations, {solver.factorizations} factorizations"
+
+
 def _run_steps(solver, state, cfg: ExperimentConfig, label: str, record=None, snapshot=None):
     """``state`` stepped to t_end, calling ``record(state)`` after every step
     and ``snapshot(step, state)`` after the snapshot steps; a numerical
@@ -199,19 +205,23 @@ def cmd_macro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
     grid = MacroGrid.create(cfg.macro_n)
     solver = _macro_solver(cfg, grid)
     state = _initial_state(solver, cfg)
-    records = [MassRecord.of(state)]
+    records, iterations = [MassRecord.of(state)], []
+
+    def record(state):
+        records.append(MassRecord.of(state))
+        iterations.append(state.cg_iterations)
 
     def snapshot(step, state):
         _write(outdir, f"snapshot_{step:06d}.csv", snapshot_csv(grid, state), outputs)
 
     snapshot(0, state)
-    state = _run_steps(solver, state, cfg, "macro step {}",
-                       lambda state: records.append(MassRecord.of(state)), snapshot)
+    state = _run_steps(solver, state, cfg, "macro step {}", record, snapshot)
     _write(outdir, "ledger.csv", ledger_csv(records), outputs)
 
     balance = mass_balance(records)
     in_box = bool(np.all((state.r >= cfg.spec.r_min) & (state.r <= cfg.spec.r_max)))
-    log.info(f"macro run: {cfg.n_steps} steps, max ledger defect {balance.max_defect:.3e}")
+    log.info(f"macro run: {cfg.n_steps} steps, {_solver_work(iterations, solver)}, "
+             f"max ledger defect {balance.max_defect:.3e}")
     return [
         {"check": "mass_ledger_defect_1e-9", "passed": balance.max_defect <= 1e-9,
          "value": balance.max_defect},
@@ -241,11 +251,12 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
     sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
                          cg_tol=cfg.cg_tol)
     state = _initial_state(sim, cfg)
-    records, rates = [MassRecord.of(state)], []
+    records, rates, iterations = [MassRecord.of(state)], [], []
 
     def record(state):
         records.append(MassRecord.of(state))
         rates.append(float(np.abs(state.radii_rate).max()))
+        iterations.append(state.cg_iterations)
 
     def snapshot(step, state):
         _write(outdir, f"micro_snapshot_{step:06d}.csv", micro_snapshot_csv(mesh, state), outputs)
@@ -256,7 +267,8 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
     _write(outdir, "micro_ledger.csv", ledger_csv(records), outputs)
     max_defect = mass_balance(records).max_defect
     max_rate = max(rates)
-    log.info(f"micro run 1/eps={inv}: {cfg.n_steps} steps, max ledger defect {max_defect:.3e}")
+    log.info(f"micro run 1/eps={inv}: {cfg.n_steps} steps, {_solver_work(iterations, sim)}, "
+             f"max ledger defect {max_defect:.3e}")
     return [
         {"check": "transformed_mass_ledger_1e-9", "passed": max_defect <= 1e-9,
          "value": max_defect},

@@ -24,10 +24,14 @@ forms every cell's entries from reference-cell operators
 :func:`backward_euler_step`; they differ only in the mass weight (porosity
 or Jacobian) and the stiffness (homogenized or pulled back).  The macro
 stepper's CG is preconditioned by a sparse LU factor of an earlier step's
-system (:class:`FrozenFactor`); the micro stepper keeps the Jacobi
-diagonal, because at its sizes a factor's fill costs tens of MB and its CG
-is no faster.  Each state holds a reference to its field one step
-earlier, so the step starts CG from the linear
+system (:class:`FrozenFactor`).  The micro stepper factors a system that
+serves again: the one it keeps while its radii do not move, whose later
+steps then take 2 CG iterations, not about 80 to 100 with Jacobi.  A
+system of moving radii serves one step and is solved by Jacobi CG: a
+factorization costs 3 to 4 Jacobi steps and pays for itself only after 5
+to 7 steps that reuse it, and its fill takes about 5, 20 and 100 MB at
+1/eps = 4, 8 and 16.  Each state holds a reference to its
+field one step earlier, so the step starts CG from the linear
 extrapolation ``2 u_n - u_(n-1)``, and from ``u_n`` on a first step.
 :func:`csv_table` formats every CSV output of the package.  Both problems live on a fixed domain, so
 a snapshot's coordinates are the same at every step: the micro mesh and the
@@ -193,7 +197,8 @@ class FrozenFactor:
 
     Between steps the system ``K(r) + diag(mass / dt)`` moves only by O(dr),
     so the factor of one step preconditions the next ones to a few
-    iterations.  The first solve factors its own system; a solve that takes
+    iterations; a stepper that keeps its system factors it exactly, and
+    every solve with it takes about 2.  The first solve factors its own system; a solve that takes
     more than :data:`REFACTOR_ITERATIONS` iterations makes the next solve
     refactor.  The factor is single precision: it only preconditions, and CG
     still stops on the float64 residual.

@@ -186,6 +186,11 @@ class MacroSolver:
         self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
         self._factor = FrozenFactor()
 
+    @property
+    def factorizations(self) -> int:
+        """Sparse LU factorizations of the system so far."""
+        return self._factor.factorizations
+
     # -- state construction -------------------------------------------------
 
     def init(self, u0_field, r0_field) -> MacroState:

@@ -26,8 +26,13 @@ reference midpoints, built once; the profile is affine in the radius, so a
 step evaluates no kernel.
 
 A step whose radii did not move keeps its cell map and system for the next
-step at the same radii and dt.  So radii frozen at r0, which are inputs (a
-zero rate law, every radius at r0), not a stepper mode, assemble once per dt.
+step at the same radii and dt, and a sparse LU factor of that system
+(:class:`evopore.fem.FrozenFactor`), which preconditions the CG of every
+step that reuses it: 2 iterations a step instead of about 80 to 100 with
+Jacobi.  So radii frozen at r0, which are inputs (a zero rate law, every
+radius at r0), not a stepper mode, assemble and factor once per dt.  A step
+whose radii moved keeps nothing and solves by Jacobi CG, as a factor of a
+system that serves once costs more than it saves (:mod:`evopore.fem`).
 
 The unfolding comparator turns a micro state into per-cell pore averages
 and measures their distance to a macro solution at the cell centers.
@@ -42,8 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .fem import (StiffnessPattern, backward_euler_step, centroids, csv_table, element_means,
-                  xy_text)
+from .fem import (FrozenFactor, StiffnessPattern, backward_euler_step, centroids, csv_table,
+                  element_means, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .transform import MapScalars, RadialFrame, TransformParams
 from .unitcell import PeriodicMesh, ball_volume
@@ -251,7 +256,9 @@ class MicroSimulator:
         self._bases = CellBases.of(ref, self._frame.directions())
         self._pattern = StiffnessPattern(m.node_map, m.n_nodes, self._bases.local,
                                          entry_major=True)
-        self._kept = None   # (radii, dt, map, system) of a step whose radii did not move
+        # (radii, dt, map, system, factor) of a step whose radii did not move
+        self._kept = None
+        self.factorizations = 0   # sparse LU factorizations of the kept systems
 
     # -- construction --------------------------------------------------------
 
@@ -343,14 +350,20 @@ class MicroSimulator:
         # (2) the cell map at the new radii: J, the lumped mass and the
         # system of the pulled-back tensor.  Radii that did not
         # move keep J and so the mass, and a map and system kept at the same
-        # radii (and dt) serve again
+        # radii (and dt) serve again.  A kept system is factored, once, and
+        # its factor preconditions every solve with it; a system of moving
+        # radii serves once and is solved by Jacobi CG
         kept = self._kept
         if not (still and kept and np.array_equal(kept[0], radii_new)):
             kept = None
         sc = kept[2] if kept else self._cell_map(radii_new)
         mass_new = state.mass if still else self._lumped(sc.det)
-        system = kept[3] if kept and kept[1] == dt else self._system(sc, mass_new / dt)
-        self._kept = (radii_new, dt, sc, system) if still else None
+        if kept and kept[1] == dt:
+            system, factor = kept[3:]
+        else:
+            system = self._system(sc, mass_new / dt)
+            factor = FrozenFactor() if still else None
+        self._kept = (radii_new, dt, sc, system, factor) if still else None
 
         # (3) backward-Euler bulk solve
         b = state.mass * state.u_hat / dt
@@ -375,8 +388,11 @@ class MicroSimulator:
             _, loads, flux_total = self._surface_integrals(state.u_hat, radii_new)
         b -= loads
 
+        factored = factor.factorizations if factor else 0
         u_new, iterations = backward_euler_step(
-            system, b, state.u_hat, state.previous, self.cg_tol, "micro", t_new)
+            system, b, state.u_hat, state.previous, self.cg_tol, "micro", t_new, factor)
+        if factor:
+            self.factorizations += factor.factorizations - factored
 
         fluid = float(mass_new @ u_new)
         solid = self._solid_mass(radii_new)

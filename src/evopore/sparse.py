@@ -2,7 +2,8 @@
 of the two steppers' symmetric positive definite implicit systems.
 
 The preconditioner is the Jacobi diagonal unless the caller passes its own;
-the macro stepper passes the solve of a frozen sparse LU factor
+the macro stepper, and the micro stepper on a system it keeps while its
+radii do not move, pass the solve of a frozen sparse LU factor
 (:class:`evopore.fem.FrozenFactor`).  Both steppers start the solve from
 the extrapolation ``2 u_n - u_(n-1)`` of their last two fields, and read
 its iteration count from the :class:`SolveReport`.  The loop is written here

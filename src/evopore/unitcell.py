@@ -323,7 +323,8 @@ class EffectiveTensorTable:
     @classmethod
     def from_csv(cls, text: str) -> "EffectiveTensorTable":
         """The table of :meth:`to_csv`'s text: the header, then at least one
-        row of five fields; a row of any other length names its line."""
+        row of five numbers; a row of any other length, or with a field that
+        is not a number, names its line."""
         lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines or lines[0][1].strip() != _CSV_HEADER:
             raise ValueError("unexpected tensor table header")
@@ -334,7 +335,10 @@ class EffectiveTensorTable:
             fields = ln.split(",")
             if len(fields) != 5:
                 raise ValueError(f"line {k} has {len(fields)} fields, not 5")
-            rows.append(tuple(float(v) for v in fields))
+            try:
+                rows.append(tuple(float(v) for v in fields))
+            except ValueError as exc:
+                raise ValueError(f"line {k}: {exc}") from None
         radii = np.array([row[0] for row in rows])
         tensors = np.array([[[row[1], row[2]], [row[2], row[3]]] for row in rows])
         theta = np.array([row[4] for row in rows])

@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import evopore.transform
+from evopore import fem
 from evopore.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _initial_state,
                          _macro_solver, main, run_convergence_study)
 from evopore.config import _KNOWN_KEYS, DEFAULT_CONFIG, parse_config
 from evopore.errors import ConfigError, NumericalError
-from evopore.macro import MacroGrid, ledger_csv
+from evopore.macro import MacroGrid, MacroSolver, ledger_csv
 from evopore.micro import MicroSimulator
 from evopore.unitcell import EffectiveTensorTable, porosity, table_checks
 
@@ -159,16 +160,18 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
     (["macro-run"], "[table]\npath = {tmp}/theta.csv\n", ["theta.csv", "theta 0.2", "porosity"]),
     (["macro-run"], "[table]\npath = {tmp}/extra.csv\n", ["extra.csv", "line 2 has 6 fields"]),
     (["macro-run"], "[table]\npath = {tmp}/header.csv\n", ["header.csv", "no rows"]),
+    (["macro-run"], "[table]\npath = {tmp}/text.csv\n", ["text.csv", "line 3: ", "'x'"]),
 ], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
         "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan",
         "table-radii-narrow", "out-is-a-file", "table-indefinite", "table-theta",
-        "table-extra-column", "table-no-rows"])
+        "table-extra-column", "table-no-rows", "table-text-field"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
     # [0.15, 0.35]; the full box with one NaN entry; with A12 = 0.6 beside
     # A11 = A22 <= 0.5, which is no tensor at all; with a theta column of
     # 0.2, not the porosity of the radii; a valid table with one and two
-    # extra fields on its first two rows; and its header alone
+    # extra fields on its first two rows; its header alone; and a valid
+    # table with the row 0.1,x,0,1,0.5 on line 3
     full = np.linspace(0.15, 0.35, 5)
     a11 = np.linspace(0.5, 0.3, 5)
     tables = {
@@ -185,6 +188,7 @@ def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     (tmp_path / "extra.csv").write_text(
         "\n".join([lines[0], lines[1] + ",0.1", lines[2] + ",0.1,0.2", *lines[3:]]) + "\n")
     (tmp_path / "header.csv").write_text(lines[0] + "\n")
+    (tmp_path / "text.csv").write_text("\n".join([*lines[:2], "0.1,x,0,1,0.5", *lines[2:]]) + "\n")
     assert not table_checks(EffectiveTensorTable.from_csv(
         (tmp_path / "indefinite.csv").read_text()))["positive_definite"]
     cfg = tmp_path / "exp.cfg"
@@ -553,7 +557,8 @@ def test_progress_lines_go_through_the_evopore_logger(tmp_path, capsys):
     assert main(["macro-run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "tabulating effective tensors on 5 radii"
-    assert re.fullmatch(r"macro run: 10 steps, max ledger defect \S+", lines[1])
+    assert re.fullmatch(r"macro run: 10 steps, \d+ CG iterations, \d+ factorizations, "
+                        r"max ledger defect \S+", lines[1])
     assert len(lines) == 2
     assert logger.handlers == handlers
 
@@ -569,6 +574,41 @@ def test_progress_lines_go_through_the_evopore_logger(tmp_path, capsys):
 
     run_convergence_study(parse_config(FAST_COMMON))
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, stepper, extra, summary", [
+    (["macro-run"], MacroSolver, "", "macro run: 10 steps"),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, "[micro]\npinned_radii = true\n",
+     "micro run 1/eps=2: 10 steps"),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, "", "micro run 1/eps=2: 10 steps"),
+], ids=["macro", "micro-pinned", "micro-growing"])
+def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, command, stepper,
+                                            extra, summary):
+    """The summary line of a run gives the CG iterations of its steps,
+    summed, and its sparse LU factorizations: the macro solver's frozen
+    factor, the one factor of a pinned micro run's system, none in a micro
+    run whose radii move.  The outputs carry neither count."""
+    iterations, factorizations, splu_calls = [], [], []
+    step, splu = stepper.step, fem.spla.splu
+
+    def counted(self, state, dt):
+        before = len(splu_calls)   # the cell problems of the table factor too
+        new = step(self, state, dt)
+        iterations.append(new.cg_iterations)
+        factorizations.append(len(splu_calls) - before)
+        return new
+
+    monkeypatch.setattr(stepper, "step", counted)
+    monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: splu_calls.append(1) or splu(*a, **k))
+    out = tmp_path / "o"
+    assert main(command[:1] + ["--config", cfg_file(tmp_path, extra), "--out", str(out)]
+                + command[1:]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(f"{summary}, {sum(iterations)} CG iterations, "
+                           f"{sum(factorizations)} factorizations, max ledger defect ")
+    assert sum(factorizations) == (0 if command[0] == "micro-run" and not extra else 1)
+    for path in out.iterdir():
+        assert "factorizations" not in path.read_text()
 
 
 def _doc_block(heading: str, language: str) -> str:

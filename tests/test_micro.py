@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from _oracles import cell_of_element, pulled_back, radial_image, tiled_triangles
 
 from evopore import fem
+from evopore.config import DEFAULT_CONFIG, parse_config
 from evopore.fem import centroids, element_means, element_stiffness, triangle_geometry, xy_text
 from evopore.kinetics import eval_f, step_radius
 from evopore.macro import MacroGrid, MacroSolver, snapshot_csv
@@ -19,7 +20,7 @@ from evopore.micro import (
     micro_snapshot_csv,
     unfold_compare,
 )
-from evopore.registry import build_source
+from evopore.registry import build_field, build_source
 from evopore.sparse import solve_cg
 from evopore.unitcell import build_reference_mesh, porosity
 from evopore.validate import patterned_radii
@@ -126,7 +127,9 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     # assembly's order: within a cell element by element, row by row, then
     # over the cells entry by entry of the cell's sparsity (node by node for
     # the lumped mass), cells in order within one, the lumped mass on the
-    # diagonal last
+    # diagonal last.  Radii that do not move keep their system, which is
+    # factored once, so the step's CG is preconditioned by the factor of
+    # this same system
     dt = 0.01
     ref = m.reference
     n_ref, n = ref.n_nodes, m.n_nodes
@@ -153,7 +156,8 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     lum *= m.epsilon**2
     data[np.searchsorted(keys, np.arange(n) * (n + 1))] += lum / dt
     system = sp.csr_matrix((data, (keys // n, keys % n)), shape=(n, n))
-    u_ref, _ = solve_cg(system, lum * u0 / dt, tol=1e-12, x0=u0)
+    u_ref, _ = solve_cg(system, lum * u0 / dt, tol=1e-12, x0=u0,
+                        precondition=fem.FrozenFactor().preconditioner(system))
     assert np.array_equal(out.u_hat, u_ref)
     assert np.array_equal(out.radii, state.radii)
 
@@ -330,6 +334,58 @@ def test_system_reused_while_radii_and_dt_unchanged(micro_mesh_half, params, no_
         assert_same_state(stepped, other.step(state, dt))
         state = stepped
     assert assemblies() == 3
+
+
+def count_factorizations(monkeypatch):
+    """The number of ``splu`` calls made so far, as a callable."""
+    calls = []
+    splu = fem.spla.splu
+    monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    return lambda: len(calls)
+
+
+def test_pinned_run_factors_its_system_once(micro_mesh_half, params, no_reaction,
+                                            monkeypatch):
+    """Radii that never move keep one system, factored on the first step:
+    every later step is preconditioned by that factor and takes at most 3
+    CG iterations (Jacobi took 119-165 here)."""
+    rng = np.random.default_rng(7)
+    u0 = rng.uniform(0.2, 0.8, micro_mesh_half.n_nodes)
+    factorizations = count_factorizations(monkeypatch)
+    sim = MicroSimulator(micro_mesh_half, params, no_reaction)
+    state = sim.init(lambda x: u0, constant_field(params.r0))
+    for step in range(8):
+        state = sim.step(state, 0.01)
+        assert factorizations() == 1 and sim.factorizations == 1
+        assert step == 0 or state.cg_iterations <= 3
+
+
+def test_change_of_dt_refactors(micro_mesh_half, params, no_reaction, monkeypatch):
+    """A new dt assembles a new system, and a new system a new factor."""
+    factorizations = count_factorizations(monkeypatch)
+    sim = MicroSimulator(micro_mesh_half, params, no_reaction)
+    state = sim.init(lambda x: 0.5 + 0.2 * np.cos(np.pi * x[:, 0]), constant_field(params.r0))
+    for dt, total in ((0.01, 1), (0.01, 1), (0.005, 2), (0.005, 2), (0.01, 3)):
+        state = sim.step(state, dt)
+        assert factorizations() == total and sim.factorizations == total
+        assert state.cg_iterations <= 3
+
+
+def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
+    """``DEFAULT_CONFIG``'s radii grow on every step to t_end, so its system
+    changes every step: each is solved by Jacobi CG and none is factored,
+    and no factor's fill adds to the convergence study's memory."""
+    cfg = parse_config(DEFAULT_CONFIG)
+    factorizations = count_factorizations(monkeypatch)
+    sim = MicroSimulator(micro_mesh_half, cfg.params, cfg.spec, diffusion=cfg.diffusion,
+                         cg_tol=cfg.cg_tol)
+    state = sim.init(build_field(cfg.u_field, cfg.u_params),
+                     build_field(cfg.r_field, cfg.r_params))
+    for _ in range(cfg.n_steps):
+        new = sim.step(state, cfg.dt)
+        assert not np.array_equal(new.radii, state.radii) and sim._kept is None
+        state = new
+    assert factorizations() == 0 and sim.factorizations == 0
 
 
 def test_step_starts_from_the_extrapolated_field(micro_mesh_half, params, spec,
