@@ -24,9 +24,11 @@ forms every cell's entries from reference-cell operators
 :func:`backward_euler_step`; they differ only in the mass weight (porosity
 or Jacobian) and the stiffness (homogenized or pulled back).  The macro
 stepper's CG is preconditioned by a sparse LU factor of an earlier step's
-system (:class:`FrozenFactor`).  The micro stepper factors a system that
-serves again: the one it keeps while its radii do not move, whose later
-steps then take 2 CG iterations, not about 80 to 100 with Jacobi.  A
+system (:class:`FrozenFactor`), built when CG first applies it, so a solve
+whose start already meets the tolerance factors nothing.  The micro
+stepper factors a system that serves again: the one it keeps while its
+radii do not move, whose later steps then take 2 CG iterations, not about
+80 to 100 with Jacobi.  A
 system of moving radii serves one step and is solved by Jacobi CG: a
 factorization costs 3 to 4 Jacobi steps and pays for itself only after 5
 to 7 steps that reuse it, and its fill takes about 5, 20 and 100 MB at
@@ -198,34 +200,48 @@ class FrozenFactor:
     Between steps the system ``K(r) + diag(mass / dt)`` moves only by O(dr),
     so the factor of one step preconditions the next ones to a few
     iterations; a stepper that keeps its system factors it exactly, and
-    every solve with it takes about 2.  The first solve factors its own system; a solve that takes
-    more than :data:`REFACTOR_ITERATIONS` iterations makes the next solve
-    refactor.  The factor is single precision: it only preconditions, and CG
-    still stops on the float64 residual.
+    every solve with it takes about 2.  The first solve asks for the factor
+    of its own system; a solve that takes more than
+    :data:`REFACTOR_ITERATIONS` iterations makes the next solve ask for its
+    own.  The factor is built when CG first applies it, so solves that start
+    within the tolerance factor nothing.  It is single precision: it only
+    preconditions, and CG still stops on the float64 residual.
     """
 
     def __init__(self):
-        self._solve = None
+        self._lu = None
+        self._system = None   # the system to factor on the next application
         self.factorizations = 0
 
     def preconditioner(self, system: sp.csr_matrix):
-        """The solve ``r -> z`` of the held factor, refactored on ``system``
-        when there is none or the last solve went stale.  A singular system
-        raises ``RuntimeError`` from ``splu``."""
-        if self._solve is None:
+        """The solve ``r -> z`` of the held factor or, when there is none or
+        the last solve went stale, of a factor of ``system`` built on the
+        solve's first application.  That application raises
+        ``RuntimeError`` from ``splu`` on a singular system.  The solve
+        serves until :meth:`record` drops the factor."""
+        if self._lu is None and self._system is None:
+            self._system = system
+        # a bound method made per call, not held by self: no reference cycle
+        # keeps a dropped factor, and its fill, alive until the garbage
+        # collector runs
+        return self._solve
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            system = self._system
             # the CSR arrays of the symmetric system read as CSC: no conversion
             csc = sp.csc_matrix((system.data.astype(np.float32), system.indices, system.indptr),
                                 shape=system.shape)
-            lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True})
-            self._solve = lambda r: lu.solve(r.astype(np.float32)).astype(np.float64)
+            self._lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+            self._system = None
             self.factorizations += 1
-        return self._solve
+        return self._lu.solve(r.astype(np.float32)).astype(np.float64)
 
     def record(self, iterations: int) -> None:
         """Drop the factor after a solve that took too many iterations."""
         if iterations > REFACTOR_ITERATIONS:
-            self._solve = None
+            self._lu = None
 
 
 def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
@@ -242,12 +258,12 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
     factorization, a stalled solve or a non-finite result raises
     :class:`NumericalError` naming ``label``.
     """
-    try:
-        precondition = None if factor is None else factor.preconditioner(system)
-    except RuntimeError as exc:
-        raise NumericalError(f"{label} factorization failed at t={t_new}: {exc}") from None
+    precondition = None if factor is None else factor.preconditioner(system)
     x0 = u if previous is None else 2.0 * u - previous
-    u_new, report = solve_cg(system, b, tol=tol, x0=x0, precondition=precondition)
+    try:
+        u_new, report = solve_cg(system, b, tol=tol, x0=x0, precondition=precondition)
+    except RuntimeError as exc:   # from splu, on the factor's first application
+        raise NumericalError(f"{label} factorization failed at t={t_new}: {exc}") from None
     if not report.converged:
         raise NumericalError(
             f"{label} CG stalled at t={t_new}: residual {report.final_residual:.2e}")

@@ -30,7 +30,8 @@ step at the same radii and dt, and a sparse LU factor of that system
 (:class:`evopore.fem.FrozenFactor`), which preconditions the CG of every
 step that reuses it: 2 iterations a step instead of about 80 to 100 with
 Jacobi.  So radii frozen at r0, which are inputs (a zero rate law, every
-radius at r0), not a stepper mode, assemble and factor once per dt.  A step
+radius at r0), not a stepper mode, assemble once per dt and factor when CG
+first applies the factor: never, when every start solves the system.  A step
 whose radii moved keeps nothing and solves by Jacobi CG, as a factor of a
 system that serves once costs more than it saves (:mod:`evopore.fem`).
 

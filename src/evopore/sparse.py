@@ -13,7 +13,11 @@ preconditioner returns).  x and r move by one BLAS axpy each, run in chunks
 that stay on the calling thread, Jacobi multiplies by a reciprocal diagonal
 formed once per solve, and the new search direction is one more axpy into
 the buffer of the preconditioned residual, so the old direction's buffer
-takes the next one.
+takes the next one.  The preconditioner is applied once per iteration, at
+its start, to the residual the new direction is built from, and never to
+the final residual or to a start that already meets the tolerance: a
+frozen factor's solve costs 12 to 17 matrix-vector products on the micro
+system at 1/eps = 4, and a solve of 2 iterations makes 2 of them, not 3.
 """
 
 from __future__ import annotations
@@ -66,11 +70,15 @@ def solve_cg(
     reciprocal of the diagonal of ``A`` (Jacobi).  It may return a fresh
     array, a buffer of its own that it overwrites on every call, or r
     itself: the loop copies z into its own buffer before using it, and never
-    writes to, or keeps, what ``precondition`` returned.  Whatever the
-    preconditioner, the iteration stops when the float64 relative residual
-    ``|b - A x| / |b|`` reaches ``tol``, or after 10 n + 100 iterations.
-    Returns the solution and a :class:`SolveReport`; ``converged`` means the
-    relative residual reached ``tol``.
+    writes to, or keeps, what ``precondition`` returned.  It is applied
+    once per iteration, to the residual that iteration's search direction
+    is built from: never to a residual that meets the stop test, so a start
+    within ``tol`` calls it not at all.  Whatever the preconditioner, the
+    iteration stops when the float64 relative residual ``|b - A x| / |b|``
+    reaches ``tol``, or after 10 n + 100 iterations; a non-finite residual
+    stops it at once, unconverged.  Returns the solution and a
+    :class:`SolveReport`; ``converged`` means the relative residual reached
+    ``tol``.
     """
     n, n_cols = A.shape
     if n != n_cols:
@@ -95,16 +103,24 @@ def solve_cg(
 
     # x, r, p and one buffer z are the work vectors, updated in place: x and
     # r by one axpy each, and z becomes the next p by one more, so the old p
-    # is the buffer of the next z
+    # is the buffer of the next z.  An iteration starts by preconditioning
+    # the residual its direction is built from
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - (A @ x)
-    p = precondition_into(r, np.empty(n))
+    p = np.empty(n)
     z = np.empty(n)
-    rz = float(r @ p)
     res = float(np.sqrt(r @ r))
 
     it = 0
     while res > tol * bnorm and it < max_iter:
+        precondition_into(r, z)
+        rz_new = float(r @ z)
+        if not np.isfinite(rz_new):
+            raise NumericalError(f"CG breakdown at iteration {it}: non-finite inner product")
+        if it:
+            _axpy(p, z, rz_new / rz)
+        p, z = z, p
+        rz = rz_new
         Ap = A @ p
         pAp = float(p @ Ap)
         if not np.isfinite(pAp) or pAp <= 0.0:
@@ -112,13 +128,6 @@ def solve_cg(
         alpha = rz / pAp
         _axpy(p, x, alpha)
         _axpy(Ap, r, -alpha)
-        precondition_into(r, z)
-        rz_new = float(r @ z)
-        if not np.isfinite(rz_new):
-            raise NumericalError(f"CG breakdown at iteration {it}: non-finite inner product")
-        _axpy(p, z, rz_new / rz)
-        p, z = z, p
-        rz = rz_new
         res = float(np.sqrt(r @ r))
         it += 1
 

@@ -576,18 +576,26 @@ def test_progress_lines_go_through_the_evopore_logger(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("command, stepper, extra, summary", [
-    (["macro-run"], MacroSolver, "", "macro run: 10 steps"),
-    (["micro-run", "--epsilon", "1/2"], MicroSimulator, "[micro]\npinned_radii = true\n",
-     "micro run 1/eps=2: 10 steps"),
-    (["micro-run", "--epsilon", "1/2"], MicroSimulator, "", "micro run 1/eps=2: 10 steps"),
-], ids=["macro", "micro-pinned", "micro-growing"])
+PINNED = "[micro]\npinned_radii = true\n"
+COSINE_U0 = ("[initial]\nu_field = cosine_product\nu_param.offset = 0.7\n"
+             "u_param.amplitude = 0.1\n")
+
+
+@pytest.mark.parametrize("command, stepper, extra, summary, factored", [
+    (["macro-run"], MacroSolver, "", "macro run: 10 steps", 1),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, PINNED + COSINE_U0,
+     "micro run 1/eps=2: 10 steps", 1),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, PINNED, "micro run 1/eps=2: 10 steps", 0),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, "", "micro run 1/eps=2: 10 steps", 0),
+], ids=["macro", "micro-pinned", "micro-pinned-constant", "micro-growing"])
 def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, command, stepper,
-                                            extra, summary):
+                                            extra, summary, factored):
     """The summary line of a run gives the CG iterations of its steps,
     summed, and its sparse LU factorizations: the macro solver's frozen
     factor, the one factor of a pinned micro run's system, none in a micro
-    run whose radii move.  The outputs carry neither count."""
+    run whose radii move, and none in a pinned run from a constant u0,
+    which every step's CG start already solves.  The outputs carry neither
+    count."""
     iterations, factorizations, splu_calls = [], [], []
     step, splu = stepper.step, fem.spla.splu
 
@@ -606,7 +614,8 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
     line = capsys.readouterr().out.splitlines()[-1]
     assert line.startswith(f"{summary}, {sum(iterations)} CG iterations, "
                            f"{sum(factorizations)} factorizations, max ledger defect ")
-    assert sum(factorizations) == (0 if command[0] == "micro-run" and not extra else 1)
+    assert sum(factorizations) == factored
+    assert (sum(iterations) == 0) == (extra == PINNED)
     for path in out.iterdir():
         assert "factorizations" not in path.read_text()
 

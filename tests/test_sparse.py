@@ -4,7 +4,9 @@ per-element dense loop and an input-order sum, the Jacobi-CG ``solve_cg``
 on scipy CSR matrices, and the macro step's frozen-factor
 preconditioner (``fem.FrozenFactor``)."""
 
+import gc
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -346,6 +348,65 @@ def test_preconditioner_may_reuse_its_output_buffer(reference_mesh, params, spec
         assert np.array_equal(x_same, x_own)
 
 
+def counting(precondition, calls):
+    """``precondition`` (Jacobi on ``A`` when a matrix) that appends to
+    ``calls`` on every application."""
+    if sp.issparse(precondition):
+        diag = precondition.diagonal()
+
+        def precondition(r):
+            return r / diag
+
+    def counted(r):
+        calls.append(1)
+        return precondition(r)
+
+    return counted
+
+
+def test_one_preconditioner_application_per_iteration(reference_mesh, params, spec):
+    """An iteration preconditions the residual its direction is built from
+    and nothing else: on the two kinds of solve the preconditioner runs
+    ``report.iterations`` times, not once more for the final residual.  A
+    start that already solves the system is returned as it is, bit for
+    bit, without a single application, so a frozen factor is never built."""
+    for A, b, kwargs in cg_cases(reference_mesh, params, spec):
+        kwargs = dict(kwargs)
+        calls = []
+        precondition = counting(kwargs.pop("precondition", A), calls)
+        _, report = solve_cg(A, b, precondition=precondition, **kwargs)
+        assert report.converged and report.iterations > 2
+        assert len(calls) == report.iterations
+
+        x0 = np.random.default_rng(22).uniform(0.2, 0.8, A.shape[0])
+        factor = FrozenFactor()
+        for precondition in (A, factor.preconditioner(A)):
+            calls = []
+            x, report = solve_cg(A, A @ x0, tol=1e-12, x0=x0,
+                                 precondition=counting(precondition, calls))
+            assert report == SolveReport(0, 0.0, True)
+            assert calls == [] and factor.factorizations == 0
+            assert np.array_equal(x, x0)
+
+
+def test_nonfinite_rhs_stops_before_preconditioning(macro_grid):
+    """A right-hand side holding NaN gives a NaN residual, which fails the
+    loop's stop test at once: no iteration, no preconditioner application,
+    no factorization, and a report that is not converged.  The step reports
+    it as a stalled solve."""
+    A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005)
+    b = np.ones(macro_grid.n_nodes)
+    b[7] = np.nan
+    calls, factor = [], FrozenFactor()
+    _, report = solve_cg(A, b, precondition=counting(factor.preconditioner(A), calls))
+    assert report.iterations == 0 and np.isnan(report.final_residual) and not report.converged
+    assert calls == [] and factor.factorizations == 0
+    with pytest.raises(NumericalError, match="macro CG stalled at t=0.5"):
+        backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None, 1e-10, "macro", 0.5,
+                            factor)
+    assert factor.factorizations == 0
+
+
 def test_every_step_solves_through_the_module_solver(reference_mesh, params, spec, tensor_table,
                                                      monkeypatch):
     """The benchmark counts CG solves by replacing ``evopore.sparse.solve_cg``
@@ -437,6 +498,26 @@ def test_refactor_after_a_jump_in_radii_or_dt(macro_grid):
     assert solve(r_rough, 0.005) <= 2 and factor.factorizations == 2
     assert solve(r_rough, 0.005 / 8) > REFACTOR_ITERATIONS and factor.factorizations == 2
     assert solve(r_rough, 0.005 / 8) <= 2 and factor.factorizations == 3
+
+
+def test_a_dropped_factor_is_freed_at_once(macro_grid):
+    """A factor takes megabytes of fill.  Once its owner lets it go,
+    reference counting alone frees it, without waiting for the cyclic
+    garbage collector: the factor and its solve form no cycle."""
+    A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005)
+    b = np.ones(macro_grid.n_nodes)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        factor = FrozenFactor()
+        backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None, 1e-10, "macro", 0.5, factor)
+        assert factor.factorizations == 1
+        dropped = weakref.ref(factor)
+        del factor
+        assert dropped() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_singular_system_factorization_is_numerical_error():
