@@ -47,6 +47,7 @@ class ConvergenceRow:
     r_l2_error: float
     runtime: float
     cg_iterations: int   # micro CG iterations, summed over the steps
+    max_defect: float    # largest micro ledger defect of the steps
 
 
 @dataclass
@@ -166,8 +167,9 @@ def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid) -> MacroSolver:
 
 
 def _solver_work(iterations: list[int], solver) -> str:
-    """The solver work of a run for its summary line: the CG iterations of
-    its steps, ``iterations``, and the factorizations ``solver`` made."""
+    """The solver work of a run, or of a level of the convergence study, for
+    its progress line: the CG iterations of its steps, ``iterations``, and
+    the factorizations ``solver`` made."""
     return f"{sum(iterations)} CG iterations, {solver.factorizations} factorizations"
 
 
@@ -296,13 +298,21 @@ def run_convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
         mesh = build_micro_mesh(reference, 1.0 / inv)
         sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
                              cg_tol=cfg.cg_tol)
-        iterations = []
+        iterations, defects = [], []
+
+        def record(state):
+            iterations.append(state.cg_iterations)
+            defects.append(state.defect)
+
         st = _run_steps(sim, _initial_state(sim, cfg), cfg, f"micro step {{}} (1/eps={inv})",
-                        lambda state: iterations.append(state.cg_iterations))
+                        record)
         err = unfold_compare(mesh, st, grid, macro_state)
-        rows.append(ConvergenceRow(1.0 / inv, err.u_l2_error, err.r_l2_error,
-                                   time.perf_counter() - t0, sum(iterations)))
-        log.info(f"  1/eps={inv}: u_err={err.u_l2_error:.4e} r_err={err.r_l2_error:.4e}")
+        row = ConvergenceRow(1.0 / inv, err.u_l2_error, err.r_l2_error,
+                             time.perf_counter() - t0, sum(iterations), max(defects))
+        rows.append(row)
+        log.info(f"  1/eps={inv}: {cfg.n_steps} steps, {_solver_work(iterations, sim)}, "
+                 f"max ledger defect {row.max_defect:.3e}, "
+                 f"u_err={err.u_l2_error:.4e} r_err={err.r_l2_error:.4e}")
 
     rows.sort(key=lambda r: -r.epsilon)
     u_errs = np.array([r.u_l2_error for r in rows])
@@ -343,6 +353,9 @@ def cmd_convergence(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Pat
     if report.slopes_skipped:
         checks.append({"check": "slope_fit_skipped_all_errors_tiny", "passed": True,
                        "value": None})
+    checks += [{"check": f"transformed_mass_ledger_1e-9_eps{round(1.0 / row.epsilon)}",
+                "passed": row.max_defect <= 1e-9, "value": row.max_defect}
+               for row in report.rows]
     return checks
 
 

@@ -27,12 +27,13 @@ stepper's CG is preconditioned by a sparse LU factor of an earlier step's
 system (:class:`FrozenFactor`), built when CG first applies it, so a solve
 whose start already meets the tolerance factors nothing.  The micro
 stepper factors a system that serves again: the one it keeps while its
-radii do not move, whose later steps then take 2 CG iterations, not about
-80 to 100 with Jacobi.  A
-system of moving radii serves one step and is solved by Jacobi CG: a
-factorization costs 3 to 4 Jacobi steps and pays for itself only after 5
-to 7 steps that reuse it, and its fill takes about 5, 20 and 100 MB at
-1/eps = 4, 8 and 16.  Each state holds a reference to its
+radii do not move, bound to an exact double precision factor
+(:class:`BoundFactor`), so its later steps take 1 CG iteration, not about
+80 to 100 with Jacobi.  A system of moving radii serves one step and is
+solved by Jacobi CG: a factorization costs 3 to 4 Jacobi steps and pays for
+itself only after 5 to 7 steps that reuse it, and its fill takes about 5,
+26 and 126 MB at 1/eps = 4, 8 and 16 (3, 18 and 86 MB in single
+precision).  Each state holds a reference to its
 field one step earlier, so the step starts CG from the linear
 extrapolation ``2 u_n - u_(n-1)``, and from ``u_n`` on a first step.
 :func:`csv_table` formats every CSV output of the package.  Both problems live on a fixed domain, so
@@ -180,6 +181,58 @@ def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
     return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)
 
 
+def _factorize(system: sp.csr_matrix, dtype):
+    """SuperLU factor, in ``dtype``, of a symmetric implicit system; raises
+    ``RuntimeError`` on a singular one."""
+    # the CSR arrays of the symmetric system read as CSC: no conversion
+    csc = sp.csc_matrix((system.data.astype(dtype, copy=False), system.indices, system.indptr),
+                        shape=system.shape)
+    return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+class BoundFactor:
+    """Exact sparse LU factor of the one system it is bound to, the CG
+    preconditioner of every solve with that system.
+
+    The micro stepper binds one to the system it keeps while its radii do not
+    move, which is the same matrix at every reuse, so the factor never goes
+    stale.  It is double precision: its solve is the system's solution to
+    rounding, so every CG solve with it takes 1 iteration, where a single
+    precision factor gains only about 7 digits and takes 2 to reach a
+    tolerance of 1e-10.  A float64 solve costs a little more than a float32
+    one, on one thread 0.78 against 0.73 ms at 1/eps = 4 and 3.5 against
+    2.9 ms at 1/eps = 8, but it replaces two.  The factor is built when CG
+    first applies it, so solves that start within the tolerance factor
+    nothing, and it is built at most once.
+    """
+
+    def __init__(self, system: sp.csr_matrix):
+        self._system = system
+        self._lu = None
+
+    @property
+    def factorizations(self) -> int:
+        """1 once the factor is built, else 0."""
+        return int(self._lu is not None)
+
+    def preconditioner(self, system: sp.csr_matrix):
+        """The solve ``r -> z`` of the factor of ``system``, which must be
+        the bound system; its first application factors it, and raises
+        ``RuntimeError`` from ``splu`` on a singular system."""
+        if system is not self._system:
+            raise ValueError("a bound factor preconditions only its own system")
+        # a bound method made per call, not held by self: no reference cycle
+        # keeps a dropped factor, and its fill, alive until the garbage
+        # collector runs
+        return self._solve
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        if self._lu is None:
+            self._lu = _factorize(self._system, np.float64)
+        return self._lu.solve(r)
+
+
 # A solve preconditioned by a frozen factor that takes more CG iterations
 # than this refactors before the next solve.  Measured on the macro-fine
 # benchmark's system (seed 0, n = 128) with the step's extrapolated start: a
@@ -195,58 +248,52 @@ REFACTOR_ITERATIONS = 6
 
 class FrozenFactor:
     """Sparse LU factor of an earlier step's implicit system, kept as the CG
-    preconditioner of later steps.
+    preconditioner of later, different systems: the macro stepper's, whose
+    system is assembled anew every step.
 
     Between steps the system ``K(r) + diag(mass / dt)`` moves only by O(dr),
     so the factor of one step preconditions the next ones to a few
-    iterations; a stepper that keeps its system factors it exactly, and
-    every solve with it takes about 2.  The first solve asks for the factor
-    of its own system; a solve that takes more than
-    :data:`REFACTOR_ITERATIONS` iterations makes the next solve ask for its
-    own.  The factor is built when CG first applies it, so solves that start
-    within the tolerance factor nothing.  It is single precision: it only
-    preconditions, and CG still stops on the float64 residual.
+    iterations.  The first solve asks for the factor of its own system; a
+    solve that applies the factor more than :data:`REFACTOR_ITERATIONS`
+    times, one application per CG iteration, makes the next solve ask for
+    its own.  The factor is built when CG first applies it, so solves that
+    start within the tolerance factor nothing.  It is single precision: it
+    serves mostly systems other than its own, and CG still stops on the
+    float64 residual; in double precision it made the macro-fine
+    benchmark's step 5 to 7% slower and its peak memory 3 to 5 MB larger.
     """
 
     def __init__(self):
         self._lu = None
         self._system = None   # the system to factor on the next application
+        self._applications = 0   # of the held factor, in the latest solve
         self.factorizations = 0
 
     def preconditioner(self, system: sp.csr_matrix):
         """The solve ``r -> z`` of the held factor or, when there is none or
         the last solve went stale, of a factor of ``system`` built on the
         solve's first application.  That application raises
-        ``RuntimeError`` from ``splu`` on a singular system.  The solve
-        serves until :meth:`record` drops the factor."""
+        ``RuntimeError`` from ``splu`` on a singular system."""
+        if self._applications > REFACTOR_ITERATIONS:
+            self._lu = None
+        self._applications = 0
         if self._lu is None and self._system is None:
             self._system = system
-        # a bound method made per call, not held by self: no reference cycle
-        # keeps a dropped factor, and its fill, alive until the garbage
-        # collector runs
+        # made per call, not held by self, as for BoundFactor
         return self._solve
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         if self._lu is None:
-            system = self._system
-            # the CSR arrays of the symmetric system read as CSC: no conversion
-            csc = sp.csc_matrix((system.data.astype(np.float32), system.indices, system.indptr),
-                                shape=system.shape)
-            self._lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                 options={"SymmetricMode": True})
+            self._lu = _factorize(self._system, np.float32)
             self._system = None
             self.factorizations += 1
+        self._applications += 1
         return self._lu.solve(r.astype(np.float32)).astype(np.float64)
-
-    def record(self, iterations: int) -> None:
-        """Drop the factor after a solve that took too many iterations."""
-        if iterations > REFACTOR_ITERATIONS:
-            self._lu = None
 
 
 def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
                         previous: np.ndarray | None, tol: float, label: str, t_new: float,
-                        factor: FrozenFactor | None = None):
+                        factor: BoundFactor | FrozenFactor | None = None):
     """Solve the implicit system ``(K + diag(mass_new / dt)) u_new = b`` by CG,
     Jacobi-preconditioned or preconditioned by ``factor``.
 
@@ -269,8 +316,6 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
             f"{label} CG stalled at t={t_new}: residual {report.final_residual:.2e}")
     if not np.all(np.isfinite(u_new)):
         raise NumericalError(f"non-finite concentration at t={t_new}")
-    if factor is not None:
-        factor.record(report.iterations)
     return u_new, report.iterations
 
 

@@ -26,12 +26,13 @@ reference midpoints, built once; the profile is affine in the radius, so a
 step evaluates no kernel.
 
 A step whose radii did not move keeps its cell map and system for the next
-step at the same radii and dt, and a sparse LU factor of that system
-(:class:`evopore.fem.FrozenFactor`), which preconditions the CG of every
-step that reuses it: 2 iterations a step instead of about 80 to 100 with
-Jacobi.  So radii frozen at r0, which are inputs (a zero rate law, every
-radius at r0), not a stepper mode, assemble once per dt and factor when CG
-first applies the factor: never, when every start solves the system.  A step
+step at the same radii and dt, and the exact double precision sparse LU
+factor bound to that system (:class:`evopore.fem.BoundFactor`), which
+preconditions the CG of every step that reuses it: 1 iteration a step
+instead of about 80 to 100 with Jacobi.  So radii frozen at r0, which are
+inputs (a zero rate law, every radius at r0), not a stepper mode, assemble
+once per dt and factor when CG first applies the factor: never, when every
+start solves the system.  A step
 whose radii moved keeps nothing and solves by Jacobi CG, as a factor of a
 system that serves once costs more than it saves (:mod:`evopore.fem`).
 
@@ -48,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .fem import (FrozenFactor, StiffnessPattern, backward_euler_step, centroids, csv_table,
+from .fem import (BoundFactor, StiffnessPattern, backward_euler_step, centroids, csv_table,
                   element_means, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .transform import MapScalars, RadialFrame, TransformParams
@@ -363,7 +364,7 @@ class MicroSimulator:
             system, factor = kept[3:]
         else:
             system = self._system(sc, mass_new / dt)
-            factor = FrozenFactor() if still else None
+            factor = BoundFactor(system) if still else None
         self._kept = (radii_new, dt, sc, system, factor) if still else None
 
         # (3) backward-Euler bulk solve
@@ -389,11 +390,11 @@ class MicroSimulator:
             _, loads, flux_total = self._surface_integrals(state.u_hat, radii_new)
         b -= loads
 
-        factored = factor.factorizations if factor else 0
+        unfactored = factor is not None and not factor.factorizations
         u_new, iterations = backward_euler_step(
             system, b, state.u_hat, state.previous, self.cg_tol, "micro", t_new, factor)
-        if factor:
-            self.factorizations += factor.factorizations - factored
+        if unfactored:
+            self.factorizations += factor.factorizations
 
         fluid = float(mass_new @ u_new)
         solid = self._solid_mass(radii_new)

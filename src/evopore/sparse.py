@@ -1,10 +1,12 @@
 """Preconditioned conjugate gradients on scipy.sparse matrices: the solver
 of the two steppers' symmetric positive definite implicit systems.
 
-The preconditioner is the Jacobi diagonal unless the caller passes its own;
-the macro stepper, and the micro stepper on a system it keeps while its
-radii do not move, pass the solve of a frozen sparse LU factor
-(:class:`evopore.fem.FrozenFactor`).  Both steppers start the solve from
+The preconditioner is the Jacobi diagonal unless the caller passes its own:
+the macro stepper passes the solve of a single precision sparse LU factor of
+an earlier step's system (:class:`evopore.fem.FrozenFactor`), and the micro
+stepper, on a system it keeps while its radii do not move, that of the
+exact double precision factor bound to that system
+(:class:`evopore.fem.BoundFactor`).  Both steppers start the solve from
 the extrapolation ``2 u_n - u_(n-1)`` of their last two fields, and read
 its iteration count from the :class:`SolveReport`.  The loop is written here
 rather than taken from scipy for the way it updates its vectors: an
@@ -16,8 +18,9 @@ the buffer of the preconditioned residual, so the old direction's buffer
 takes the next one.  The preconditioner is applied once per iteration, at
 its start, to the residual the new direction is built from, and never to
 the final residual or to a start that already meets the tolerance: a
-frozen factor's solve costs 12 to 17 matrix-vector products on the micro
-system at 1/eps = 4, and a solve of 2 iterations makes 2 of them, not 3.
+factor's solve costs 12 to 17 matrix-vector products on the micro system at
+1/eps = 4, and a solve of 1 iteration with the bound factor makes 1 of
+them, not 2.
 """
 
 from __future__ import annotations

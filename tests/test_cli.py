@@ -475,8 +475,49 @@ def test_convergence_timings_count_the_micro_cg_iterations(tmp_path, monkeypatch
     assert "cg" not in (out / "report.jsonl").read_text()
 
 
+def test_convergence_checks_every_micro_ledger(tmp_path, capsys, monkeypatch):
+    """The study's report checks, per 1/epsilon, the largest ledger defect of
+    the micro steps against 1e-9, as micro-run checks its run's.  A defect
+    perturbed past the bound at one epsilon fails that check alone, with
+    exit 1, and leaves ``convergence.csv`` as it was."""
+    defects, perturb = {}, []
+    step = MicroSimulator.step
+
+    def recorded(self, state, dt):
+        new = step(self, state, dt)
+        if perturb and self.mesh.epsilon == 0.5 and new.t > 0.02:
+            new.defect += 1e-8
+        defects.setdefault(round(1.0 / self.mesh.epsilon), []).append(new.defect)
+        return new
+
+    monkeypatch.setattr(MicroSimulator, "step", recorded)
+    runs = []
+    for name in ("exact", "perturbed"):
+        out = tmp_path / name
+        runs.append((main(["convergence", "--config", cfg_file(tmp_path), "--out", str(out),
+                           "--quiet"]), out, capsys.readouterr().err))
+        report = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+        ledger = {c["check"]: c for c in report
+                  if c.get("check", "").startswith("transformed_mass_ledger")}
+        assert {check: c["value"] for check, c in ledger.items()} == \
+            {f"transformed_mass_ledger_1e-9_eps{inv}": max(d) for inv, d in defects.items()}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {check: manifest["checks"][check] for check in ledger} == \
+            {check: c["passed"] for check, c in ledger.items()}
+        defects.clear()
+        perturb.append(True)
+
+    (code, exact, err), (perturbed_code, perturbed, perturbed_err) = runs
+    assert code == 0 and err == ""
+    assert perturbed_code == 1
+    assert re.fullmatch(r"check failed: transformed_mass_ledger_1e-9_eps2 \(value 1\.0\d*e-08\)\n",
+                        perturbed_err)
+    assert (perturbed / "convergence.csv").read_bytes() == (exact / "convergence.csv").read_bytes()
+
+
 def test_convergence_report_failure_logic():
-    rows = [ConvergenceRow(0.5, 1e-3, 1e-3, 0.0, 0), ConvergenceRow(0.25, 2e-3, 5e-4, 0.0, 0)]
+    rows = [ConvergenceRow(0.5, 1e-3, 1e-3, 0.0, 0, 0.0),
+            ConvergenceRow(0.25, 2e-3, 5e-4, 0.0, 0, 0.0)]
     rep = ConvergenceReport(rows, 1.0, 1.0, False, True, False)
     assert not rep.passed
 
@@ -583,23 +624,28 @@ COSINE_U0 = ("[initial]\nu_field = cosine_product\nu_param.offset = 0.7\n"
 
 @pytest.mark.parametrize("command, stepper, extra, summary, factored", [
     (["macro-run"], MacroSolver, "", "macro run: 10 steps", 1),
+    (["convergence"], MicroSimulator, "", "  1/eps=4: 10 steps", 0),
     (["micro-run", "--epsilon", "1/2"], MicroSimulator, PINNED + COSINE_U0,
      "micro run 1/eps=2: 10 steps", 1),
     (["micro-run", "--epsilon", "1/2"], MicroSimulator, PINNED, "micro run 1/eps=2: 10 steps", 0),
     (["micro-run", "--epsilon", "1/2"], MicroSimulator, "", "micro run 1/eps=2: 10 steps", 0),
-], ids=["macro", "micro-pinned", "micro-pinned-constant", "micro-growing"])
+], ids=["macro", "convergence", "micro-pinned", "micro-pinned-constant", "micro-growing"])
 def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, command, stepper,
                                             extra, summary, factored):
-    """The summary line of a run gives the CG iterations of its steps,
-    summed, and its sparse LU factorizations: the macro solver's frozen
-    factor, the one factor of a pinned micro run's system, none in a micro
-    run whose radii move, and none in a pinned run from a constant u0,
-    which every step's CG start already solves.  The outputs carry neither
-    count."""
-    iterations, factorizations, splu_calls = [], [], []
+    """The summary line of a run, and the progress line of each level of the
+    convergence study, gives the CG iterations of its steps, summed, and its
+    sparse LU factorizations: the macro solver's frozen factor, the one
+    factor of a pinned micro run's system, none in a micro run whose radii
+    move, and none in a pinned run from a constant u0, which every step's CG
+    start already solves.  The outputs carry neither count."""
+    iterations, factorizations, splu_calls, steppers = [], [], [], []
     step, splu = stepper.step, fem.spla.splu
 
     def counted(self, state, dt):
+        if not steppers or steppers[-1] is not self:   # the study's next level
+            steppers.append(self)
+            iterations.clear()
+            factorizations.clear()
         before = len(splu_calls)   # the cell problems of the table factor too
         new = step(self, state, dt)
         iterations.append(new.cg_iterations)
@@ -611,7 +657,8 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
     out = tmp_path / "o"
     assert main(command[:1] + ["--config", cfg_file(tmp_path, extra), "--out", str(out)]
                 + command[1:]) == 0
-    line = capsys.readouterr().out.splitlines()[-1]
+    line, = (line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(f"{summary}, "))
     assert line.startswith(f"{summary}, {sum(iterations)} CG iterations, "
                            f"{sum(factorizations)} factorizations, max ledger defect ")
     assert sum(factorizations) == factored

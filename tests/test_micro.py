@@ -128,8 +128,8 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     # over the cells entry by entry of the cell's sparsity (node by node for
     # the lumped mass), cells in order within one, the lumped mass on the
     # diagonal last.  Radii that do not move keep their system, which is
-    # factored once, so the step's CG is preconditioned by the factor of
-    # this same system
+    # bound to its own exact float64 factor, so the step's CG is
+    # preconditioned by the factor of this same system
     dt = 0.01
     ref = m.reference
     n_ref, n = ref.n_nodes, m.n_nodes
@@ -157,7 +157,7 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     data[np.searchsorted(keys, np.arange(n) * (n + 1))] += lum / dt
     system = sp.csr_matrix((data, (keys // n, keys % n)), shape=(n, n))
     u_ref, _ = solve_cg(system, lum * u0 / dt, tol=1e-12, x0=u0,
-                        precondition=fem.FrozenFactor().preconditioner(system))
+                        precondition=fem.BoundFactor(system).preconditioner(system))
     assert np.array_equal(out.u_hat, u_ref)
     assert np.array_equal(out.radii, state.radii)
 
@@ -346,9 +346,9 @@ def count_factorizations(monkeypatch):
 
 def test_pinned_run_factors_its_system_once(micro_mesh_half, params, no_reaction,
                                             monkeypatch):
-    """Radii that never move keep one system, factored on the first step:
-    every later step is preconditioned by that factor and takes at most 3
-    CG iterations (Jacobi took 119-165 here)."""
+    """Radii that never move keep one system, factored exactly on the first
+    step: every later step is preconditioned by that factor and takes 1 CG
+    iteration (Jacobi took 119-165 here, a single precision factor 2)."""
     rng = np.random.default_rng(7)
     u0 = rng.uniform(0.2, 0.8, micro_mesh_half.n_nodes)
     factorizations = count_factorizations(monkeypatch)
@@ -357,7 +357,7 @@ def test_pinned_run_factors_its_system_once(micro_mesh_half, params, no_reaction
     for step in range(8):
         state = sim.step(state, 0.01)
         assert factorizations() == 1 and sim.factorizations == 1
-        assert step == 0 or state.cg_iterations <= 3
+        assert step == 0 or state.cg_iterations == 1
 
 
 def test_change_of_dt_refactors(micro_mesh_half, params, no_reaction, monkeypatch):

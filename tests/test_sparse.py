@@ -1,8 +1,9 @@
 """The sparse systems the solvers build and solve: P1 stiffness assembly
 (``fem.StiffnessPattern`` of ``fem.element_stiffness``) against a
 per-element dense loop and an input-order sum, the Jacobi-CG ``solve_cg``
-on scipy CSR matrices, and the macro step's frozen-factor
-preconditioner (``fem.FrozenFactor``)."""
+on scipy CSR matrices, the macro step's frozen-factor preconditioner
+(``fem.FrozenFactor``) and the exact factor a micro step binds to the
+system it keeps (``fem.BoundFactor``)."""
 
 import gc
 import sys
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
-from evopore.fem import (REFACTOR_ITERATIONS, FrozenFactor, StiffnessPattern, backward_euler_step,
-                         centroids, element_stiffness, lumped_mass, triangle_geometry)
+from evopore.fem import (REFACTOR_ITERATIONS, BoundFactor, FrozenFactor, StiffnessPattern,
+                         backward_euler_step, centroids, element_stiffness, lumped_mass,
+                         triangle_geometry)
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.sparse import SolveReport, solve_cg
@@ -459,6 +461,29 @@ def test_exact_factor_converges_in_two_iterations(macro_grid):
     x, rep = solve_cg(A, b, tol=1e-10, precondition=FrozenFactor().preconditioner(A))
     assert rep.converged and rep.iterations <= 2
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_bound_factor_solves_its_system_in_one_iteration(reference_mesh, params, spec):
+    """A factor bound to a micro system is exact in float64: every CG solve
+    with it converges in 1 iteration, from 1 factorization on the first
+    application, which leaves the system's values as they were.  It
+    preconditions no other system."""
+    rng = np.random.default_rng(14)
+    sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec)
+    sc = sim._cell_map(np.full(sim.mesh.n_cells, params.r0))
+    A = sim._system(sc, sim._lumped(sc.det) / 0.01)
+    data = A.data.copy()
+    factor = BoundFactor(A)
+    assert factor.factorizations == 0
+    for _ in range(3):
+        b = rng.standard_normal(A.shape[0])
+        x, rep = solve_cg(A, b, tol=1e-10, x0=rng.uniform(0.2, 0.8, A.shape[0]),
+                          precondition=factor.preconditioner(A))
+        assert rep.converged and rep.iterations == 1 and factor.factorizations == 1
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.array_equal(A.data, data)
+    with pytest.raises(ValueError, match="only its own system"):
+        factor.preconditioner(A.copy())
 
 
 @pytest.mark.parametrize("dt_factor", [1.0, 0.25, 4.0])
