@@ -126,20 +126,40 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     identical and the cells are translated by exact binary offsets, so
     coincident nodes carry identical coordinates; the 1e-12 rounding in the
     key is pure safety.
+
+    A node's key is the pair of ranks of its rounded x and y among all
+    distinct rounded x and y values, merged as the one integer
+    ``x_rank * n_y + y_rank``.  A rank keeps the order of the values it
+    ranks, so the merged nodes come out sorted by (x, y), as a lexicographic
+    sort of the coordinate rows would order them, by three one-dimensional
+    sorts.
+
+    The merge must leave one node per periodic dof of every cell, plus the
+    nodes on the right and top faces of the unit square, whose periodic
+    partners lie in no cell: ``n_dof n^2 + (n_left + n_bottom - 2) n + 1``
+    nodes, with ``n_left`` and ``n_bottom`` the reference nodes on x = 0 and
+    y = 0, corners included.  Any other count, say from face nodes that miss
+    their partner, is a :class:`NumericalError`.
     """
     n = cells_per_side(epsilon)
     cells = np.array([(i, j) for i in range(n) for j in range(n)], dtype=int)
     coords = (epsilon * reference.vertices + epsilon * cells[:, None, :]).reshape(-1, 2)
 
     keys = np.round(coords, 12) + 0.0  # normalizes -0.0
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    rep = np.zeros(len(uniq), dtype=int)
+    _, x_rank = np.unique(keys[:, 0], return_inverse=True)
+    y_values, y_rank = np.unique(keys[:, 1], return_inverse=True)
+    merged, inverse = np.unique(x_rank * len(y_values) + y_rank, return_inverse=True)
+    rep = np.zeros(len(merged), dtype=int)
     rep[inverse] = np.arange(len(coords))
     vertices = coords[rep]
     vertices.setflags(write=False)
-    spread = np.max(np.abs(coords - vertices[inverse]))
-    if spread > 1e-12:
-        raise NumericalError(f"micro mesh merge mismatch: coordinate spread {spread:.2e}")
+
+    n_dof = reference.dof_map[1]
+    n_left, n_bottom = np.count_nonzero(reference.vertices == 0.0, axis=0)
+    expected = n_dof * n * n + (n_left + n_bottom - 2) * n + 1
+    if len(vertices) != expected:
+        raise NumericalError(f"micro mesh merge mismatch: {len(vertices)} nodes, "
+                             f"expected {expected}")
 
     node_map = inverse.reshape(len(cells), -1)
     gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
@@ -323,7 +343,7 @@ class MicroSimulator:
         weights = []
         for q in _EDGE_GAUSS:
             uq = (1.0 - q) * u0 + q * u1
-            fq = eval_f(self.spec, uq, np.broadcast_to(r_cell, uq.shape))
+            fq = eval_f(self.spec, uq, r_cell)
             contrib = 0.5 * self._edge_len * fq
             integral += contrib.sum(axis=1)
             scaled = contrib * scale[:, None]

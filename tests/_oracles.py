@@ -10,6 +10,8 @@ the full quantities by other routes, for the tests to compare against:
   from :func:`evopore.transform.profile` at each point's distance to the
   center;
 - every micro element as the reference triangle through the cell node map;
+- the micro mesh's node merge as one ``np.unique`` of the rounded
+  coordinate rows, sorted lexicographically, instead of merged rank keys;
 - the periodic cell problems as one dense system, solved to its
   minimum-norm solution by ``np.linalg.lstsq`` instead of a pinned sparse
   factor.
@@ -17,6 +19,7 @@ the full quantities by other routes, for the tests to compare against:
 
 import numpy as np
 
+from evopore.micro import MicroMesh, cells_per_side
 from evopore.transform import X_CENTER, RadialFrame, profile
 
 
@@ -38,6 +41,21 @@ def radial_image(params, y, r_gamma):
     u = np.divide(d, rho[:, None], out=np.zeros_like(d), where=rho[:, None] > 0.0)
     R, _, dRg = profile(params, r_gamma, rho)
     return X_CENTER + R[:, None] * u, dRg[:, None] * u, rho
+
+
+def row_unique_micro_mesh(reference, epsilon):
+    """The micro mesh of ``reference`` at ``epsilon``, its coincident nodes
+    merged by a row-wise unique of the coordinates rounded to 1e-12."""
+    n = cells_per_side(epsilon)
+    cells = np.array([(i, j) for i in range(n) for j in range(n)], dtype=int)
+    coords = (epsilon * reference.vertices + epsilon * cells[:, None, :]).reshape(-1, 2)
+    keys = np.round(coords, 12) + 0.0  # normalizes -0.0
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    rep = np.zeros(len(uniq), dtype=int)
+    rep[inverse] = np.arange(len(coords))
+    node_map = inverse.reshape(len(cells), -1)
+    gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
+    return MicroMesh(epsilon, n, coords[rep], cells, gamma, node_map, reference)
 
 
 def tiled_triangles(mesh):

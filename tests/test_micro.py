@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from _oracles import cell_of_element, pulled_back, radial_image, tiled_triangles
+from _oracles import (cell_of_element, pulled_back, radial_image, row_unique_micro_mesh,
+                      tiled_triangles)
 
 from evopore import fem
 from evopore.config import DEFAULT_CONFIG, parse_config
+from evopore.errors import NumericalError
 from evopore.fem import centroids, element_means, element_stiffness, triangle_geometry, xy_text
 from evopore.kinetics import eval_f, step_radius
 from evopore.macro import MacroGrid, MacroSolver, snapshot_csv
@@ -97,6 +99,29 @@ def test_mesh_pore_area_preserved(reference_mesh, micro_mesh_half):
     areas = triangle_geometry(m.vertices, tiled_triangles(m))[0]
     assert np.all(areas > 0.0)
     assert areas.sum() == pytest.approx(ref_area, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_boundary, target_h, inv, n_nodes", [
+    (64, 0.05, 1, 704), (64, 0.05, 2, 2749), (64, 0.05, 4, 10865), (64, 0.05, 8, 43201),
+    (128, 0.025, 2, 10109)])
+def test_mesh_merge_matches_the_row_unique_oracle(n_boundary, target_h, inv, n_nodes):
+    reference = build_reference_mesh(0.25, n_boundary, target_h)
+    got = build_micro_mesh(reference, 1.0 / inv)
+    want = row_unique_micro_mesh(reference, 1.0 / inv)
+    for name in ("vertices", "node_map", "gamma_edges", "cell_nodes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.n_nodes == n_nodes
+
+
+def test_mesh_merge_counts_unpartnered_face_nodes(reference_mesh):
+    v = reference_mesh.vertices.copy()
+    right = np.flatnonzero((v[:, 0] == 1.0) & (v[:, 1] > 0.0) & (v[:, 1] < 1.0))
+    v[right[0], 1] += 1e-9
+    moved = replace(reference_mesh, vertices=v)
+    # in each of the 12 cells with a neighbour to the right, the moved node
+    # misses its partner on that neighbour's left face: 12 nodes too many
+    with pytest.raises(NumericalError, match="10877 nodes, expected 10865"):
+        build_micro_mesh(moved, 0.25)
 
 
 def test_mesh_rejects_bad_epsilon(reference_mesh):
