@@ -335,13 +335,11 @@ def cmd_convergence(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Pat
     report = run_convergence_study(cfg)
     eps = [row.epsilon for row in report.rows]
     _write(outdir, "convergence.csv",
-           csv_table("epsilon,u_l2_error,r_l2_error", "%.17g,%.17g,%.17g", eps,
-                     [row.u_l2_error for row in report.rows],
+           csv_table("epsilon,u_l2_error,r_l2_error", eps, [row.u_l2_error for row in report.rows],
                      [row.r_l2_error for row in report.rows]), outputs)
-    _write(outdir, "timings.csv",
-           csv_table("epsilon,runtime_seconds,cg_iterations", "%.17g,%.3f,%d", eps,
-                     [row.runtime for row in report.rows],
-                     [row.cg_iterations for row in report.rows]), [])
+    timings = "".join("%.17g,%.3f,%d\n" % (row.epsilon, row.runtime, row.cg_iterations)
+                      for row in report.rows)
+    _write(outdir, "timings.csv", "epsilon,runtime_seconds,cg_iterations\n" + timings, [])
     log.info(f"convergence: u_slope={report.u_slope} r_slope={report.r_slope}")
 
     checks = [

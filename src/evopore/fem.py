@@ -36,10 +36,20 @@ itself only after 5 to 7 steps that reuse it, and its fill takes about 5,
 precision).  Each state holds a reference to its
 field one step earlier, so the step starts CG from the linear
 extrapolation ``2 u_n - u_(n-1)``, and from ``u_n`` on a first step.
-:func:`csv_table` formats every CSV output of the package.  Both problems live on a fixed domain, so
-a snapshot's coordinates are the same at every step: the micro mesh and the
-macro grid each format them once (:func:`xy_text`), on their first
-snapshot, and a snapshot formats only its fields.
+:func:`csv_table` formats every deterministic CSV output of the package,
+each value exactly as Python's ``'%.17g' % v``, by a vectorised kernel.  A
+value 1e-4 <= |v| < 1e16 gets its 17 correctly rounded digits as an int64
+from Dekker's error-free product of |v| with the exact double 10^(16 - X),
+X the decimal exponent, and a lookup table of 4-digit texts turns them into
+text; zeros are "0" or "-0", and non-finite values and every other value go
+through ``%`` one at a time.  Each value's text sits NUL-padded in a
+24-byte slot of a uint8 block, one slice per decimal exponent places its
+point and drops its trailing zeros, and one compress of the block's
+non-NUL bytes joins values, commas and newlines into the table.  Both
+problems live on a fixed domain, so a snapshot's coordinates are the same
+at every step: the micro mesh and the macro grid each format them once, on
+their first snapshot, as one text block (:func:`xy_text`), and a snapshot
+formats only its fields.
 """
 
 from __future__ import annotations
@@ -325,19 +335,145 @@ def element_means(triangles: np.ndarray, nodal: np.ndarray) -> np.ndarray:
     return (nodal[triangles[:, 0]] + nodal[triangles[:, 1]] + nodal[triangles[:, 2]]) / 3.0
 
 
-def csv_table(header: str, row_format: str, *columns) -> str:
-    """CSV text: ``header``, then one ``row_format % row`` line per row of the
-    equally long ``columns``.
+# The %.17g kernel (see the module docstring).  A value 1e-4 <= |x| < 1e16
+# prints in fixed form: its 17 digits D with the point after digit X + 1, or
+# "0.", -X - 1 zeros and D when X < 0, the fractional trailing zeros dropped.
+_SLOT = 24   # bytes of the longest %.17g text, "-1.2345678901234567e-308"
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_SPLIT = 134217729.0   # 2^27 + 1, Veltkamp's splitter
 
-    A column is an array or a Python list; a list passes through as it is,
-    so a column of text formatted once (:func:`xy_text`) is reused
-    by every table that starts with it.
+
+def _digit_table() -> np.ndarray:
+    """The 4-byte text of 0000 to 9999 as uint32, then the same with its
+    trailing zeros NUL."""
+    text = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+            + ord("0")).astype(np.uint8)
+    trailing = np.logical_and.accumulate(text[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([text, np.where(trailing, 0, text)]).view(np.uint32).ravel()
+
+
+_DIGITS4 = _digit_table()
+_LEAD = np.frombuffer(b"".join(b"\0\0\0%d" % k for k in range(10)), dtype=np.uint32)   # 0-9
+
+
+def _split(v):
+    """``v`` as hi + lo, each of at most 26 significant bits."""
+    c = _SPLIT * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _rounded_digits(a: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``a 10^(16 - exponent)`` rounded to the nearest integer, ties to even,
+    as int64.
+
+    Dekker's two-product gives the double product ``hi`` and its exact
+    error ``lo``.  From 2^53 on every double is an even integer, so where the
+    product is at least 2^53, ``hi + rint(lo)`` rounds the exact product half
+    to even, as ``%`` does; a smaller product is below 10^16 and only shows
+    that the exponent is one too large.
     """
-    rows = zip(*(c if isinstance(c, list) else np.asarray(c).tolist() for c in columns))
-    return "\n".join([header, *map(row_format.__mod__, rows)]) + "\n"
+    p = _POW10[16 - exponent]
+    hi = a * p
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _split(p)
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def xy_text(points: np.ndarray) -> list[str]:
-    """``"x1,x2,"`` of every point (n, 2), each coordinate by ``%.17g``: the
-    first two columns of a snapshot row."""
-    return list(map("%.17g,%.17g,".__mod__, zip(*points.T.tolist())))
+def _digit_text(digits: np.ndarray) -> np.ndarray:
+    """(n, 17) uint8 text of the 17-digit integers ``digits`` (n,), their
+    trailing zeros NUL."""
+    words = np.empty((len(digits), 5), dtype=np.uint32)
+    words[:, 0] = _LEAD[digits // 10 ** 16]
+    rest = digits % 10 ** 16
+    tail = True   # every group after this one is zero
+    for k in (4, 3, 2, 1):
+        group = rest // 10 ** (16 - 4 * k) % 10 ** 4
+        words[:, k] = _DIGITS4[group + 10 ** 4 * tail]
+        tail = tail & (group == 0)
+    return words.view(np.uint8)[:, 3:]
+
+
+def _format_into(out: np.ndarray, x: np.ndarray) -> None:
+    """Write the ``%.17g`` text of every value of ``x`` (n,) into the rows of
+    ``out`` (n, 24), which are zero, NUL-padded.
+
+    Values 1e-4 <= |x| < 1e16 go through the kernel and zeros are "0" or
+    "-0"; non-finite values and all others go through Python's ``%``, one
+    at a time.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    zero = a == 0.0
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    out[zero, 1] = ord("0")
+    slow = np.flatnonzero(~(fast | zero))
+    by_percent = np.array(list(map(b"%.17g".__mod__, x[slow].tolist())), dtype=f"S{_SLOT}")
+    out[slow] = by_percent.view(np.uint8).reshape(-1, _SLOT)
+    rows = np.flatnonzero(fast)
+    a = a[rows]
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    digits = _rounded_digits(a, exponent)
+    # log10 may miss a power of ten by one either way
+    off = (digits >= 10 ** 17).astype(np.int64) - (digits < 10 ** 16)
+    moved = np.flatnonzero(off)
+    exponent[moved] += off[moved]
+    digits[moved] = _rounded_digits(a[moved], exponent[moved])
+    text = _digit_text(digits)
+
+    counts = np.bincount(exponent + 4)
+    for e in (np.flatnonzero(counts) - 4).tolist():
+        if counts[e + 4] == len(x):   # one exponent, nothing else: no gathers
+            at, g = slice(None), text
+        else:
+            group = exponent == e
+            at, g = rows[group], text[group]
+        if e >= 0:
+            # the integer digits, their zeros restored, and the point unless
+            # no fractional digit is left
+            out[at, 1:e + 2] = g[:, :e + 1] | ord("0")
+            out[at, e + 2] = np.where(g[:, e + 1] != 0, ord("."), 0)
+            out[at, e + 3:19] = g[:, e + 1:]
+        else:
+            out[at, 1:2 - e] = np.frombuffer(b"0." + b"0" * (-e - 1), dtype=np.uint8)
+            out[at, 2 - e:19 - e] = g
+
+
+def _text_block(*columns) -> np.ndarray:
+    """(n, 25 k) uint8 text of the k equally long columns, row by row: each
+    value's ``%.17g`` text NUL-padded to 24 bytes, then a comma.  A column
+    that is already a text block (:func:`xy_text`) is copied as it is."""
+    blocks = [np.ndim(c) == 2 for c in columns]
+    widths = [c.shape[1] if b else _SLOT + 1 for c, b in zip(columns, blocks)]
+    block = np.zeros((len(columns[0]), sum(widths)), dtype=np.uint8)
+    start = 0
+    for column, is_block, width in zip(columns, blocks, widths):
+        if is_block:
+            block[:, start:start + width] = column
+        else:
+            _format_into(block[:, start:start + _SLOT], np.asarray(column, dtype=float))
+            block[:, start + _SLOT] = ord(",")
+        start += width
+    return block
+
+
+def csv_table(header: str, *columns) -> str:
+    """CSV text: ``header``, then one line per row of the equally long
+    ``columns``, every value by ``%.17g``.
+
+    A column is an array, a list of numbers or a text block of
+    :func:`xy_text`, which passes through as it is, so a pair of columns
+    formatted once is reused by every table that starts with it.  The rows
+    are one NUL-padded text block, joined by dropping its NULs.
+    """
+    block = _text_block(*columns)
+    block[:, -1] = ord("\n")
+    return header + "\n" + block[block != 0].tobytes().decode("ascii")
+
+
+def xy_text(points: np.ndarray) -> np.ndarray:
+    """The text block of ``x1,x2,`` of every point (n, 2), each coordinate by
+    ``%.17g``: the first two columns of a snapshot row, for
+    :func:`csv_table`."""
+    return _text_block(points[:, 0], points[:, 1])

@@ -97,10 +97,10 @@ class MacroGrid:
         return len(self.elements)
 
     @cached_property
-    def coordinate_text(self) -> list[str]:
-        """The ``x1,x2,`` text of every element centroid, formatted on first
-        use: the first snapshot of a run builds it, and every later one
-        reuses it."""
+    def coordinate_text(self) -> np.ndarray:
+        """The ``x1,x2,`` text block of the element centroids
+        (:func:`evopore.fem.xy_text`), formatted on first use: the first
+        snapshot of a run builds it, and every later one reuses it."""
         return xy_text(self.centers)
 
     def element_matrices(self, components: np.ndarray) -> np.ndarray:
@@ -282,8 +282,7 @@ def snapshot_csv(grid: MacroGrid, state: MacroState) -> str:
     """One row per element: its centroid x1, x2 (the same in every snapshot
     of a run), then u, r and theta there."""
     u_el = element_means(grid.elements, state.u)
-    return csv_table("x1,x2,u,r,theta", "%s%.17g,%.17g,%.17g", grid.coordinate_text,
-                     u_el, state.r, state.theta)
+    return csv_table("x1,x2,u,r,theta", grid.coordinate_text, u_el, state.r, state.theta)
 
 
 def ledger_csv(states: list[MassRecord]) -> str:
@@ -292,7 +291,6 @@ def ledger_csv(states: list[MassRecord]) -> str:
     each row and the step's defect."""
     source_integral = list(accumulate((s.source_step for s in states), initial=0.0))[1:]
     return csv_table("t,total_mass,solid_mass,fluid_mass,source_integral,defect",
-                     "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
                      [s.t for s in states], [s.fluid_mass + s.solid_mass for s in states],
                      [s.solid_mass for s in states], [s.fluid_mass for s in states],
                      source_integral, [s.defect for s in states])

@@ -99,9 +99,10 @@ class MicroMesh:
         return np.ascontiguousarray(self.node_map.T, dtype=np.intp)
 
     @cached_property
-    def coordinate_text(self) -> list[str]:
-        """The ``x1,x2,`` text of every node, formatted on first use: the
-        first snapshot of a run builds it, and every later one reuses it."""
+    def coordinate_text(self) -> np.ndarray:
+        """The ``x1,x2,`` text block of the nodes (:func:`evopore.fem.xy_text`),
+        formatted on first use: the first snapshot of a run builds it, and
+        every later one reuses it."""
         return xy_text(self.vertices)
 
     def scatter(self, per_cell: np.ndarray) -> np.ndarray:
@@ -463,10 +464,9 @@ def unfold_compare(mesh: MicroMesh, state: MicroState, macro_grid, macro_state) 
 def micro_snapshot_csv(mesh: MicroMesh, state: MicroState) -> str:
     """One row per node of the fixed reference perforation: x1, x2 (the same
     in every snapshot of a run), u_hat."""
-    return csv_table("x1,x2,u_hat", "%s%.17g", mesh.coordinate_text, state.u_hat)
+    return csv_table("x1,x2,u_hat", mesh.coordinate_text, state.u_hat)
 
 
 def cell_series_csv(mesh: MicroMesh, state: MicroState) -> str:
     i, j = mesh.cell_index.T
-    return csv_table("k1,k2,r,r_rate", "%d,%d,%.17g,%.17g",
-                     i, j, state.radii[i, j], state.radii_rate[i, j])
+    return csv_table("k1,k2,r,r_rate", i, j, state.radii[i, j], state.radii_rate[i, j])

@@ -316,9 +316,8 @@ class EffectiveTensorTable:
         return out
 
     def to_csv(self) -> str:
-        return csv_table(_CSV_HEADER, "%.17g,%.17g,%.17g,%.17g,%.17g", self.radii,
-                         self.tensors[:, 0, 0], self.tensors[:, 0, 1], self.tensors[:, 1, 1],
-                         self.theta)
+        return csv_table(_CSV_HEADER, self.radii, self.tensors[:, 0, 0], self.tensors[:, 0, 1],
+                         self.tensors[:, 1, 1], self.theta)
 
     @classmethod
     def from_csv(cls, text: str) -> "EffectiveTensorTable":

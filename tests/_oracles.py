@@ -14,7 +14,9 @@ the full quantities by other routes, for the tests to compare against:
   coordinate rows, sorted lexicographically, instead of merged rank keys;
 - the periodic cell problems as one dense system, solved to its
   minimum-norm solution by ``np.linalg.lstsq`` instead of a pinned sparse
-  factor.
+  factor;
+- the CSV text row by row, one Python ``row_format % row`` per line,
+  instead of the package's vectorised ``%.17g`` kernel.
 """
 
 import numpy as np
@@ -113,3 +115,16 @@ def cell_tensor(mesh, coeff, w):
               for i in range(2)]
     return np.array([[np.sum(areas * np.einsum("ta,tab,tb->t", fields[i], coeff, fields[j]))
                       for j in range(2)] for i in range(2)])
+
+
+def row_csv(header, row_format, *columns):
+    """CSV text: ``header``, then one ``row_format % row`` line per row of the
+    equally long ``columns``; a column that is a list of text passes through
+    as it is (:func:`xy_rows`)."""
+    rows = zip(*(c if isinstance(c, list) else np.asarray(c).tolist() for c in columns))
+    return "\n".join([header, *map(row_format.__mod__, rows)]) + "\n"
+
+
+def xy_rows(points):
+    """``"x1,x2,"`` of every point (n, 2), each coordinate by ``%.17g``."""
+    return list(map("%.17g,%.17g,".__mod__, zip(*points.T.tolist())))

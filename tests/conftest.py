@@ -2,11 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from evopore import fem
 from evopore.kinetics import KineticsSpec
 from evopore.transform import TransformParams
 from evopore.unitcell import build_reference_mesh, tabulate
+
+# The ci profile runs every property test that sets no example budget of its
+# own, the %.17g kernel's, on 20,000 examples instead of 100; the rest is
+# hypothesis's own ci profile.  Hypothesis loads it by itself wherever CI or
+# GITHUB_ACTIONS is set (registering the active profile reloads it), and
+# `pytest --hypothesis-profile=ci` selects it in any other shell.
+settings.register_profile("ci", settings.get_profile("ci"), max_examples=20_000)
 
 
 @pytest.fixture(scope="session")
