@@ -22,14 +22,15 @@ micro stepper passes its cells, each with the reference cell's sparsity, and
 forms every cell's entries from reference-cell operators
 (:mod:`evopore.micro`).  The steppers share one implicit step,
 :func:`backward_euler_step`; they differ only in the mass weight (porosity
-or Jacobian) and the stiffness (homogenized or pulled back).  The macro
-stepper's CG is preconditioned by a sparse LU factor of an earlier step's
-system (:class:`FrozenFactor`), built when CG first applies it, so a solve
-whose start already meets the tolerance factors nothing.  The micro
-stepper factors a system that serves again: the one it keeps while its
-radii do not move, bound to an exact double precision factor
-(:class:`BoundFactor`), so its later steps take 1 CG iteration, not about
-80 to 100 with Jacobi.  A system of moving radii serves one step and is
+or Jacobian) and the stiffness (homogenized or pulled back).  Both
+precondition CG by one kind of sparse LU factor, :class:`Factor`, built
+when CG first applies it, so a solve whose start already meets the
+tolerance factors nothing, and the step reports the factorization its
+solve made.  The macro stepper keeps one single precision factor of an
+earlier step's system.  The micro stepper factors a system that serves
+again: the one it keeps while its radii do not move, by an exact double
+precision factor, so its later steps take 1 CG iteration, not about 80 to
+100 with Jacobi.  A system of moving radii serves one step and is
 solved by Jacobi CG: a factorization costs 3 to 4 Jacobi steps and pays for
 itself only after 5 to 7 steps that reuse it, and its fill takes about 5,
 26 and 126 MB at 1/eps = 4, 8 and 16 (3, 18 and 86 MB in single
@@ -191,93 +192,55 @@ def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
     return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)
 
 
-def _factorize(system: sp.csr_matrix, dtype):
-    """SuperLU factor, in ``dtype``, of a symmetric implicit system; raises
-    ``RuntimeError`` on a singular one."""
-    # the CSR arrays of the symmetric system read as CSC: no conversion
-    csc = sp.csc_matrix((system.data.astype(dtype, copy=False), system.indices, system.indptr),
-                        shape=system.shape)
+def symmetric_lu(csc: sp.csc_matrix):
+    """SuperLU factor of the symmetric matrix ``csc``, ordered on its own
+    pattern with diagonal pivots; raises ``RuntimeError`` on a singular one."""
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 
-class BoundFactor:
-    """Exact sparse LU factor of the one system it is bound to, the CG
-    preconditioner of every solve with that system.
-
-    The micro stepper binds one to the system it keeps while its radii do not
-    move, which is the same matrix at every reuse, so the factor never goes
-    stale.  It is double precision: its solve is the system's solution to
-    rounding, so every CG solve with it takes 1 iteration, where a single
-    precision factor gains only about 7 digits and takes 2 to reach a
-    tolerance of 1e-10.  A float64 solve costs a little more than a float32
-    one, on one thread 0.78 against 0.73 ms at 1/eps = 4 and 3.5 against
-    2.9 ms at 1/eps = 8, but it replaces two.  The factor is built when CG
-    first applies it, so solves that start within the tolerance factor
-    nothing, and it is built at most once.
-    """
-
-    def __init__(self, system: sp.csr_matrix):
-        self._system = system
-        self._lu = None
-
-    @property
-    def factorizations(self) -> int:
-        """1 once the factor is built, else 0."""
-        return int(self._lu is not None)
-
-    def preconditioner(self, system: sp.csr_matrix):
-        """The solve ``r -> z`` of the factor of ``system``, which must be
-        the bound system; its first application factors it, and raises
-        ``RuntimeError`` from ``splu`` on a singular system."""
-        if system is not self._system:
-            raise ValueError("a bound factor preconditions only its own system")
-        # a bound method made per call, not held by self: no reference cycle
-        # keeps a dropped factor, and its fill, alive until the garbage
-        # collector runs
-        return self._solve
-
-    def _solve(self, r: np.ndarray) -> np.ndarray:
-        if self._lu is None:
-            self._lu = _factorize(self._system, np.float64)
-        return self._lu.solve(r)
-
-
-# A solve preconditioned by a frozen factor that takes more CG iterations
-# than this refactors before the next solve.  Measured on the macro-fine
-# benchmark's system (seed 0, n = 128) with the step's extrapolated start: a
-# fresh factor solves in 2 iterations, the factor of step 1 still in 3 at
-# step 30 and in 4 at step 100, and in 7-11 after dt is halved, doubled or
-# scaled by 4 or 1/4 at step 30 (started from u_n instead: 4 at step 30, 5
-# at step 100, 7-11 after the change of dt).  A factorization costs about 30
-# preconditioned iterations, so a factor is kept until a solve takes 4 or
-# more iterations beyond a fresh one; the extrapolated start leaves that
-# bound where it was.
+# A solve preconditioned by a factor that takes more CG iterations than this
+# refactors before the next solve.  Measured on the macro-fine benchmark's
+# system (seed 0, n = 128) with the step's extrapolated start and a single
+# precision factor: a fresh factor solves in 2 iterations, the factor of step
+# 1 still in 3 at step 30 and in 4 at step 100, and in 7-11 after dt is
+# halved, doubled or scaled by 4 or 1/4 at step 30 (started from u_n instead:
+# 4 at step 30, 5 at step 100, 7-11 after the change of dt).  A
+# factorization costs about 30 preconditioned iterations, so a factor is
+# kept until a solve takes 4 or more iterations beyond a fresh one; the
+# extrapolated start leaves that bound where it was.  An exact float64
+# factor of the system it solves takes 1, so the rule never fires for it.
 REFACTOR_ITERATIONS = 6
 
 
-class FrozenFactor:
-    """Sparse LU factor of an earlier step's implicit system, kept as the CG
-    preconditioner of later, different systems: the macro stepper's, whose
-    system is assembled anew every step.
+class Factor:
+    """Sparse LU factor, in ``dtype``, of an implicit system: the CG
+    preconditioner of later solves with that system or with later systems
+    near it.
 
-    Between steps the system ``K(r) + diag(mass / dt)`` moves only by O(dr),
-    so the factor of one step preconditions the next ones to a few
-    iterations.  The first solve asks for the factor of its own system; a
-    solve that applies the factor more than :data:`REFACTOR_ITERATIONS`
-    times, one application per CG iteration, makes the next solve ask for
-    its own.  The factor is built when CG first applies it, so solves that
-    start within the tolerance factor nothing.  It is single precision: it
-    serves mostly systems other than its own, and CG still stops on the
-    float64 residual; in double precision it made the macro-fine
-    benchmark's step 5 to 7% slower and its peak memory 3 to 5 MB larger.
+    The first solve asks for the factor of its own system; a solve that
+    applies the factor more than :data:`REFACTOR_ITERATIONS` times, one
+    application per CG iteration, makes the next solve ask for its own.  The
+    factor is built when CG first applies it, so solves that start within
+    the tolerance factor nothing, and :attr:`factored` tells whether the
+    latest solve built it.
+
+    The macro stepper keeps one float32 factor for its whole run: its
+    system moves only by O(dr) a step, and CG still stops on the float64
+    residual; in float64 the macro-fine benchmark's step was 5 to 7% slower
+    and its peak memory 3 to 5 MB larger.  The micro stepper makes one float64 factor per
+    system it keeps: its solve is that system's solution to rounding, so
+    every CG solve takes 1 iteration, not 2 as with about 7 digits of
+    float32, for a little more per solve (one thread: 0.78 against 0.73 ms at
+    1/eps = 4, 3.5 against 2.9 ms at 1/eps = 8).
     """
 
-    def __init__(self):
+    def __init__(self, dtype):
+        self._dtype = dtype
         self._lu = None
         self._system = None   # the system to factor on the next application
         self._applications = 0   # of the held factor, in the latest solve
-        self.factorizations = 0
+        self.factored = False   # whether the latest solve built the factor
 
     def preconditioner(self, system: sp.csr_matrix):
         """The solve ``r -> z`` of the held factor or, when there is none or
@@ -287,23 +250,30 @@ class FrozenFactor:
         if self._applications > REFACTOR_ITERATIONS:
             self._lu = None
         self._applications = 0
+        self.factored = False
         if self._lu is None and self._system is None:
             self._system = system
-        # made per call, not held by self, as for BoundFactor
+        # a bound method made per call, not held by self: no reference cycle
+        # keeps a dropped factor, and its fill, alive until the garbage
+        # collector runs
         return self._solve
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         if self._lu is None:
-            self._lu = _factorize(self._system, np.float32)
+            system = self._system
+            # the CSR arrays of the symmetric system read as CSC: no conversion
+            self._lu = symmetric_lu(sp.csc_matrix(
+                (system.data.astype(self._dtype, copy=False), system.indices, system.indptr),
+                shape=system.shape))
             self._system = None
-            self.factorizations += 1
+            self.factored = True
         self._applications += 1
-        return self._lu.solve(r.astype(np.float32)).astype(np.float64)
+        return self._lu.solve(r.astype(self._dtype, copy=False)).astype(np.float64, copy=False)
 
 
 def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
                         previous: np.ndarray | None, tol: float, label: str, t_new: float,
-                        factor: BoundFactor | FrozenFactor | None = None):
+                        factor: Factor | None = None):
     """Solve the implicit system ``(K + diag(mass_new / dt)) u_new = b`` by CG,
     Jacobi-preconditioned or preconditioned by ``factor``.
 
@@ -311,9 +281,10 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
     ``u`` the field of the step's state.  The solve starts from the linear
     extrapolation ``2 u - previous`` of the field one step earlier,
     ``previous``, or from ``u`` on a first step (``previous`` None).
-    Returns the new nodal field and the CG iteration count; a failed
-    factorization, a stalled solve or a non-finite result raises
-    :class:`NumericalError` naming ``label``.
+    Returns the new nodal field, the CG iteration count and the number of
+    factorizations the solve made, 0 or 1; a failed factorization, a stalled
+    solve or a non-finite result raises :class:`NumericalError` naming
+    ``label``.
     """
     precondition = None if factor is None else factor.preconditioner(system)
     x0 = u if previous is None else 2.0 * u - previous
@@ -326,7 +297,7 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
             f"{label} CG stalled at t={t_new}: residual {report.final_residual:.2e}")
     if not np.all(np.isfinite(u_new)):
         raise NumericalError(f"non-finite concentration at t={t_new}")
-    return u_new, report.iterations
+    return u_new, report.iterations, int(factor is not None and factor.factored)
 
 
 def element_means(triangles: np.ndarray, nodal: np.ndarray) -> np.ndarray:

@@ -17,6 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# A narrower gate is a step in the rate law in all but name, and a subnormal
+# one overflows the gate argument (r_max - r) / gate_width in float64; at
+# this floor the argument stays below 1e12 and the Lipschitz envelope finite.
+GATE_WIDTH_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class KineticsSpec:
@@ -30,8 +35,9 @@ class KineticsSpec:
     family: str = "gated_affine"
 
     def __post_init__(self):
-        if not 0.0 < self.gate_width < (self.r_max - self.r_min) / 2:
-            raise ValueError("gate_width must lie in (0, (r_max - r_min)/2)")
+        if not GATE_WIDTH_FLOOR <= self.gate_width < (self.r_max - self.r_min) / 2:
+            raise ValueError(f"gate_width = {self.gate_width} must lie in "
+                             f"[{GATE_WIDTH_FLOOR:g}, (r_max - r_min)/2)")
         if self.f_cap <= 0 or self.c_s <= 0:
             raise ValueError("f_cap and c_s must be positive")
         if self.family != "gated_affine":

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .fem import (FrozenFactor, StiffnessPattern, backward_euler_step, centroids, csv_table,
+from .fem import (Factor, StiffnessPattern, backward_euler_step, centroids, csv_table,
                   element_means, element_stiffness, lumped_mass, triangle_geometry, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume, porosity
@@ -184,12 +184,8 @@ class MacroSolver:
         self.diffusion = diffusion
         self.cg_tol = cg_tol
         self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
-        self._factor = FrozenFactor()
-
-    @property
-    def factorizations(self) -> int:
-        """Sparse LU factorizations of the system so far."""
-        return self._factor.factorizations
+        self._factor = Factor(np.float32)
+        self.factorizations = 0   # sparse LU factorizations of the systems
 
     # -- state construction -------------------------------------------------
 
@@ -242,8 +238,9 @@ class MacroSolver:
         components *= self.diffusion
         k_el = g.element_matrices(components)
         system = self._pattern.assemble(k_el, diagonal=m_new / dt)
-        u_new, iterations = backward_euler_step(system, b, state.u, state.previous, self.cg_tol,
-                                                "macro", t_new, self._factor)
+        u_new, iterations, factorizations = backward_euler_step(
+            system, b, state.u, state.previous, self.cg_tol, "macro", t_new, self._factor)
+        self.factorizations += factorizations
 
         fluid = float(m_new @ u_new)
         solid = self._solid_mass(r_new)

@@ -1,17 +1,16 @@
 """Preconditioned conjugate gradients on scipy.sparse matrices: the solver
 of the two steppers' symmetric positive definite implicit systems.
 
-The preconditioner is the Jacobi diagonal unless the caller passes its own:
-the macro stepper passes the solve of a single precision sparse LU factor of
-an earlier step's system (:class:`evopore.fem.FrozenFactor`), and the micro
-stepper, on a system it keeps while its radii do not move, that of the
-exact double precision factor bound to that system
-(:class:`evopore.fem.BoundFactor`).  Both steppers start the solve from
-the extrapolation ``2 u_n - u_(n-1)`` of their last two fields, and read
-its iteration count from the :class:`SolveReport`.  The loop is written here
-rather than taken from scipy for the way it updates its vectors: an
-iteration allocates only the product A p (and whatever a caller's
-preconditioner returns).  x and r move by one BLAS axpy each, run in chunks
+The preconditioner is the Jacobi diagonal unless the caller passes its own,
+the solve of a sparse LU factor (:class:`evopore.fem.Factor`): the macro
+stepper passes a single precision factor of an earlier step's system, and
+the micro stepper, on a system it keeps while its radii do not move, the
+exact double precision factor of that system.  Both steppers start the
+solve from the extrapolation ``2 u_n - u_(n-1)`` of their last two fields,
+and read its iteration count from the :class:`SolveReport`.  The loop is
+written here rather than taken from scipy for the way it updates its
+vectors: an iteration allocates only the product A p (and whatever a
+caller's preconditioner returns).  x and r move by one BLAS axpy each, run in chunks
 that stay on the calling thread, Jacobi multiplies by a reciprocal diagonal
 formed once per solve, and the new search direction is one more axpy into
 the buffer of the preconditioned residual, so the old direction's buffer
@@ -19,7 +18,7 @@ takes the next one.  The preconditioner is applied once per iteration, at
 its start, to the residual the new direction is built from, and never to
 the final residual or to a start that already meets the tolerance: a
 factor's solve costs 12 to 17 matrix-vector products on the micro system at
-1/eps = 4, and a solve of 1 iteration with the bound factor makes 1 of
+1/eps = 4, and a solve of 1 iteration with an exact factor makes 1 of
 them, not 2.
 """
 

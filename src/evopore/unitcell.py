@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import MeshQualityError, NumericalError
-from .fem import StiffnessPattern, centroids, csv_table, element_stiffness, triangle_geometry
+from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness, symmetric_lu,
+                  triangle_geometry)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
@@ -241,8 +241,8 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray) -> np.ndarray:
     b = np.stack([np.bincount(element_dofs, loads[:, :, d].ravel(), minlength=n_dof)
                   for d in range(2)], axis=1)
     try:
-        lu = spla.splu(stiffness[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        # converted, not read as CSC: K is not known to be bitwise symmetric
+        lu = symmetric_lu(stiffness[1:, 1:].tocsc())
     except RuntimeError as exc:
         raise NumericalError(f"cell problem: {exc}") from None
     w_dof = np.zeros((n_dof, 2))

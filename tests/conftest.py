@@ -10,11 +10,14 @@ from evopore.transform import TransformParams
 from evopore.unitcell import build_reference_mesh, tabulate
 
 # The ci profile runs every property test that sets no example budget of its
-# own, the %.17g kernel's, on 20,000 examples instead of 100; the rest is
-# hypothesis's own ci profile.  Hypothesis loads it by itself wherever CI or
-# GITHUB_ACTIONS is set (registering the active profile reloads it), and
+# own, the %.17g kernel's, on 20,000 examples instead of 100, and draws new
+# examples on every run instead of hypothesis's fixed ones, so CI explores;
+# a failure prints the blob that reproduces it.  The rest is hypothesis's own
+# ci profile.  Hypothesis loads it by itself wherever CI or GITHUB_ACTIONS is
+# set (registering the active profile reloads it), and
 # `pytest --hypothesis-profile=ci` selects it in any other shell.
-settings.register_profile("ci", settings.get_profile("ci"), max_examples=20_000)
+settings.register_profile("ci", settings.get_profile("ci"), max_examples=20_000,
+                          derandomize=False)
 
 
 @pytest.fixture(scope="session")

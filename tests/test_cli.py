@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import evopore.transform
@@ -118,6 +118,7 @@ def test_config_rejections(tmp_path):
     ("[discretization]\nt_end = 1e300\n", ["t_end", "1e+300"]),
     ("[discretization]\nepsilon_inverses = 1,1,2\n", ["epsilon_inverses", "1,1,2"]),
     ("[discretization]\ntarget_h = 1e-12\n", ["target_h", "1e-12"]),
+    ("[kinetics]\ngate_width = 5e-324\n", ["gate_width"]),
 ])
 def test_config_rejections_one_line(tmp_path, capsys, body, names):
     bad = tmp_path / "bad.cfg"
@@ -331,6 +332,8 @@ def _config_texts(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_config_texts())
+# a subnormal gate width overflowed the gate argument of the rate law
+@example("[kinetics]\ngate_width = 5e-324\n[discretization]\ndt = 0.03125\nt_end = 0.03125\n")
 def test_every_accepted_config_runs(text):
     """A config either is a config error before the first step, or builds
     the macro solver as ``macro-run`` does and runs two steps."""
@@ -634,8 +637,8 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
                                             extra, summary, factored):
     """The summary line of a run, and the progress line of each level of the
     convergence study, gives the CG iterations of its steps, summed, and its
-    sparse LU factorizations: the macro solver's frozen factor, the one
-    factor of a pinned micro run's system, none in a micro run whose radii
+    sparse LU factorizations: the macro solver's single precision factor, the
+    one factor of a pinned micro run's system, none in a micro run whose radii
     move, and none in a pinned run from a constant u0, which every step's CG
     start already solves.  The outputs carry neither count."""
     iterations, factorizations, splu_calls, steppers = [], [], [], []

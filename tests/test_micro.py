@@ -152,9 +152,9 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     # assembly's order: within a cell element by element, row by row, then
     # over the cells entry by entry of the cell's sparsity (node by node for
     # the lumped mass), cells in order within one, the lumped mass on the
-    # diagonal last.  Radii that do not move keep their system, which is
-    # bound to its own exact float64 factor, so the step's CG is
-    # preconditioned by the factor of this same system
+    # diagonal last.  Radii that do not move keep their system and make an
+    # exact float64 factor of it, so the step's CG is preconditioned by the
+    # factor of this same system
     dt = 0.01
     ref = m.reference
     n_ref, n = ref.n_nodes, m.n_nodes
@@ -182,7 +182,7 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     data[np.searchsorted(keys, np.arange(n) * (n + 1))] += lum / dt
     system = sp.csr_matrix((data, (keys // n, keys % n)), shape=(n, n))
     u_ref, _ = solve_cg(system, lum * u0 / dt, tol=1e-12, x0=u0,
-                        precondition=fem.BoundFactor(system).preconditioner(system))
+                        precondition=fem.Factor(np.float64).preconditioner(system))
     assert np.array_equal(out.u_hat, u_ref)
     assert np.array_equal(out.radii, state.radii)
 

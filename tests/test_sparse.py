@@ -1,9 +1,9 @@
 """The sparse systems the solvers build and solve: P1 stiffness assembly
 (``fem.StiffnessPattern`` of ``fem.element_stiffness``) against a
 per-element dense loop and an input-order sum, the Jacobi-CG ``solve_cg``
-on scipy CSR matrices, the macro step's frozen-factor preconditioner
-(``fem.FrozenFactor``) and the exact factor a micro step binds to the
-system it keeps (``fem.BoundFactor``)."""
+on scipy CSR matrices, and the sparse LU factor preconditioner
+(``fem.Factor``): single precision as the macro step keeps it, double
+precision as a micro step makes it for the system it keeps."""
 
 import gc
 import sys
@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
-from evopore.fem import (REFACTOR_ITERATIONS, BoundFactor, FrozenFactor, StiffnessPattern,
-                         backward_euler_step, centroids, element_stiffness, lumped_mass,
-                         triangle_geometry)
+from evopore.fem import (REFACTOR_ITERATIONS, Factor, StiffnessPattern, backward_euler_step,
+                         centroids, element_stiffness, lumped_mass, triangle_geometry)
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.sparse import SolveReport, solve_cg
@@ -284,8 +283,8 @@ def allocating_solve_cg(A, b, tol=1e-10, x0=None, precondition=None):
 
 def cg_cases(reference_mesh, params, spec):
     """(A, b, solve_cg keywords) of the two kinds of solve in the package:
-    Jacobi on a micro system from a start vector, and a stale frozen factor
-    on a macro system."""
+    Jacobi on a micro system from a start vector, and a stale single
+    precision factor on a macro system."""
     rng = np.random.default_rng(21)
     sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec)
     radii = rng.uniform(params.r_min, params.r_max, sim.mesh.n_cells)
@@ -298,7 +297,7 @@ def cg_cases(reference_mesh, params, spec):
         (micro, rng.standard_normal(micro.shape[0]),
          dict(tol=1e-12, x0=rng.uniform(0.2, 0.8, micro.shape[0]))),
         (macro, rng.standard_normal(grid.n_nodes),
-         dict(tol=1e-12, precondition=FrozenFactor().preconditioner(stale))),
+         dict(tol=1e-12, precondition=Factor(np.float32).preconditioner(stale))),
     ]
 
 
@@ -371,7 +370,8 @@ def test_one_preconditioner_application_per_iteration(reference_mesh, params, sp
     and nothing else: on the two kinds of solve the preconditioner runs
     ``report.iterations`` times, not once more for the final residual.  A
     start that already solves the system is returned as it is, bit for
-    bit, without a single application, so a frozen factor is never built."""
+    bit, without a single application, so a factor of either precision is
+    never built."""
     for A, b, kwargs in cg_cases(reference_mesh, params, spec):
         kwargs = dict(kwargs)
         calls = []
@@ -381,32 +381,33 @@ def test_one_preconditioner_application_per_iteration(reference_mesh, params, sp
         assert len(calls) == report.iterations
 
         x0 = np.random.default_rng(22).uniform(0.2, 0.8, A.shape[0])
-        factor = FrozenFactor()
-        for precondition in (A, factor.preconditioner(A)):
+        factors = [Factor(np.float32), Factor(np.float64)]
+        for precondition in [A] + [factor.preconditioner(A) for factor in factors]:
             calls = []
             x, report = solve_cg(A, A @ x0, tol=1e-12, x0=x0,
                                  precondition=counting(precondition, calls))
             assert report == SolveReport(0, 0.0, True)
-            assert calls == [] and factor.factorizations == 0
+            assert calls == [] and not any(factor.factored for factor in factors)
             assert np.array_equal(x, x0)
 
 
 def test_nonfinite_rhs_stops_before_preconditioning(macro_grid):
     """A right-hand side holding NaN gives a NaN residual, which fails the
     loop's stop test at once: no iteration, no preconditioner application,
-    no factorization, and a report that is not converged.  The step reports
-    it as a stalled solve."""
+    no factorization in either precision, and a report that is not
+    converged.  The step reports it as a stalled solve."""
     A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005)
     b = np.ones(macro_grid.n_nodes)
     b[7] = np.nan
-    calls, factor = [], FrozenFactor()
-    _, report = solve_cg(A, b, precondition=counting(factor.preconditioner(A), calls))
-    assert report.iterations == 0 and np.isnan(report.final_residual) and not report.converged
-    assert calls == [] and factor.factorizations == 0
-    with pytest.raises(NumericalError, match="macro CG stalled at t=0.5"):
-        backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None, 1e-10, "macro", 0.5,
-                            factor)
-    assert factor.factorizations == 0
+    for dtype in (np.float32, np.float64):
+        calls, factor = [], Factor(dtype)
+        _, report = solve_cg(A, b, precondition=counting(factor.preconditioner(A), calls))
+        assert report.iterations == 0 and np.isnan(report.final_residual)
+        assert not report.converged and calls == [] and not factor.factored
+        with pytest.raises(NumericalError, match="macro CG stalled at t=0.5"):
+            backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None, 1e-10, "macro", 0.5,
+                                factor)
+        assert not factor.factored
 
 
 def test_every_step_solves_through_the_module_solver(reference_mesh, params, spec, tensor_table,
@@ -438,7 +439,7 @@ def test_every_step_solves_through_the_module_solver(reference_mesh, params, spe
     steps(MacroSolver(MacroGrid.create(8), tensor_table, spec), 2)
 
 
-# -- the frozen-factor preconditioner of the macro step ----------------------
+# -- the sparse LU factor preconditioner of both steps -----------------------
 
 def macro_system(grid, r, dt):
     """The macro step's implicit system at element radii ``r``, with the
@@ -458,32 +459,29 @@ def test_exact_factor_converges_in_two_iterations(macro_grid):
     rng = np.random.default_rng(11)
     A = macro_system(macro_grid, rng.uniform(0.15, 0.35, macro_grid.n_elements), 0.005)
     b = rng.standard_normal(macro_grid.n_nodes)
-    x, rep = solve_cg(A, b, tol=1e-10, precondition=FrozenFactor().preconditioner(A))
+    x, rep = solve_cg(A, b, tol=1e-10, precondition=Factor(np.float32).preconditioner(A))
     assert rep.converged and rep.iterations <= 2
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_bound_factor_solves_its_system_in_one_iteration(reference_mesh, params, spec):
-    """A factor bound to a micro system is exact in float64: every CG solve
-    with it converges in 1 iteration, from 1 factorization on the first
-    application, which leaves the system's values as they were.  It
-    preconditions no other system."""
+def test_double_factor_solves_its_system_in_one_iteration(reference_mesh, params, spec):
+    """The double precision factor of a micro system, as a micro step makes
+    it for the system it keeps, is exact: every CG solve with it converges
+    in 1 iteration, from 1 factorization on the first application, which
+    leaves the system's values as they were."""
     rng = np.random.default_rng(14)
     sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec)
     sc = sim._cell_map(np.full(sim.mesh.n_cells, params.r0))
     A = sim._system(sc, sim._lumped(sc.det) / 0.01)
     data = A.data.copy()
-    factor = BoundFactor(A)
-    assert factor.factorizations == 0
-    for _ in range(3):
+    factor = Factor(np.float64)
+    for k in range(3):
         b = rng.standard_normal(A.shape[0])
         x, rep = solve_cg(A, b, tol=1e-10, x0=rng.uniform(0.2, 0.8, A.shape[0]),
                           precondition=factor.preconditioner(A))
-        assert rep.converged and rep.iterations == 1 and factor.factorizations == 1
+        assert rep.converged and rep.iterations == 1 and factor.factored == (k == 0)
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert np.array_equal(A.data, data)
-    with pytest.raises(ValueError, match="only its own system"):
-        factor.preconditioner(A.copy())
 
 
 @pytest.mark.parametrize("dt_factor", [1.0, 0.25, 4.0])
@@ -494,7 +492,7 @@ def test_stale_factor_matches_jacobi_solution(macro_grid, dt_factor):
                      0.005 * dt_factor)
     b = rng.standard_normal(macro_grid.n_nodes)
     x_jacobi, rep_jacobi = solve_cg(A, b, tol=1e-12)
-    x, rep = solve_cg(A, b, tol=1e-12, precondition=FrozenFactor().preconditioner(stale))
+    x, rep = solve_cg(A, b, tol=1e-12, precondition=Factor(np.float32).preconditioner(stale))
     assert rep.converged and rep_jacobi.converged
     assert rep.final_residual <= 1e-12
     assert rep.iterations < rep_jacobi.iterations
@@ -508,38 +506,42 @@ def test_refactor_after_a_jump_in_radii_or_dt(macro_grid):
     r_rough = rng.uniform(0.15, 0.35, n_el)
     b = rng.standard_normal(macro_grid.n_nodes)
     x0 = np.zeros(macro_grid.n_nodes)
-    factor = FrozenFactor()
+    factor = Factor(np.float32)
 
     def solve(r, dt):
-        _, iterations = backward_euler_step(macro_system(macro_grid, r, dt), b, x0, None, 1e-10,
-                                            "test", 0.0, factor)
-        return iterations
+        _, iterations, factorizations = backward_euler_step(
+            macro_system(macro_grid, r, dt), b, x0, None, 1e-10, "test", 0.0, factor)
+        return iterations, factorizations
 
-    assert solve(r_smooth, 0.005) <= 2 and factor.factorizations == 1
-    assert solve(r_smooth, 0.005) <= 2 and factor.factorizations == 1
+    assert solve(r_smooth, 0.005) == (2, 1)
+    assert solve(r_smooth, 0.005)[1] == 0
     # the jump is solved with the stale factor and marks it stale ...
-    assert solve(r_rough, 0.005) > REFACTOR_ITERATIONS and factor.factorizations == 1
+    iterations, factorizations = solve(r_rough, 0.005)
+    assert iterations > REFACTOR_ITERATIONS and factorizations == 0
     # ... so the next solve refactors
-    assert solve(r_rough, 0.005) <= 2 and factor.factorizations == 2
-    assert solve(r_rough, 0.005 / 8) > REFACTOR_ITERATIONS and factor.factorizations == 2
-    assert solve(r_rough, 0.005 / 8) <= 2 and factor.factorizations == 3
+    assert solve(r_rough, 0.005) == (2, 1)
+    iterations, factorizations = solve(r_rough, 0.005 / 8)
+    assert iterations > REFACTOR_ITERATIONS and factorizations == 0
+    assert solve(r_rough, 0.005 / 8) == (2, 1)
 
 
 def test_a_dropped_factor_is_freed_at_once(macro_grid):
-    """A factor takes megabytes of fill.  Once its owner lets it go,
-    reference counting alone frees it, without waiting for the cyclic
-    garbage collector: the factor and its solve form no cycle."""
+    """A factor of either precision takes megabytes of fill.  Once its owner
+    lets it go, reference counting alone frees it, without waiting for the
+    cyclic garbage collector: the factor and its solve form no cycle."""
     A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005)
     b = np.ones(macro_grid.n_nodes)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        factor = FrozenFactor()
-        backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None, 1e-10, "macro", 0.5, factor)
-        assert factor.factorizations == 1
-        dropped = weakref.ref(factor)
-        del factor
-        assert dropped() is None
+        for dtype in (np.float32, np.float64):
+            factor = Factor(dtype)
+            _, _, factorizations = backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None,
+                                                       1e-10, "macro", 0.5, factor)
+            assert factorizations == 1
+            dropped = weakref.ref(factor)
+            del factor
+            assert dropped() is None
     finally:
         if enabled:
             gc.enable()
@@ -553,6 +555,22 @@ def test_singular_system_factorization_is_numerical_error():
     mass[3] = 0.0
     system = StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass)
     system.data[system.indptr[3]:system.indptr[4]] = 0.0
-    with pytest.raises(NumericalError, match="factorization failed"):
-        backward_euler_step(system, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), None, 1e-10,
-                            "macro", 0.5, FrozenFactor())
+    for dtype in (np.float32, np.float64):
+        with pytest.raises(NumericalError, match="factorization failed"):
+            backward_euler_step(system, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), None,
+                                1e-10, "macro", 0.5, Factor(dtype))
+
+
+def test_step_reports_the_factorization_its_solve_made(macro_grid):
+    """``backward_euler_step`` reports 0 factorizations for a start that
+    already solves the system, 1 for the factor's first application and 0
+    for a solve that reuses it; a step without a factor reports 0."""
+    A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005)
+    u = np.random.default_rng(15).uniform(0.2, 0.8, macro_grid.n_nodes)
+    b = A @ u
+    zeros = np.zeros(macro_grid.n_nodes)
+    factor = Factor(np.float32)
+    assert backward_euler_step(A, b, u, None, 1e-10, "macro", 0.5, factor)[1:] == (0, 0)
+    assert backward_euler_step(A, b, zeros, None, 1e-10, "macro", 0.5, factor)[1:] == (2, 1)
+    assert backward_euler_step(A, 2.0 * b, zeros, None, 1e-10, "macro", 0.5, factor)[2] == 0
+    assert backward_euler_step(A, b, zeros, None, 1e-10, "macro", 0.5)[2] == 0
