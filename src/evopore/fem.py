@@ -209,7 +209,8 @@ def symmetric_lu(csc: sp.csc_matrix):
 # factorization costs about 30 preconditioned iterations, so a factor is
 # kept until a solve takes 4 or more iterations beyond a fresh one; the
 # extrapolated start leaves that bound where it was.  An exact float64
-# factor of the system it solves takes 1, so the rule never fires for it.
+# factor of the system it solves takes 1 (2 on early steps at the tightest
+# accepted cg_tol, 1e-14), so the rule does not fire for it.
 REFACTOR_ITERATIONS = 6
 
 

@@ -8,7 +8,7 @@ from _oracles import (cell_of_element, pulled_back, radial_image, row_unique_mic
                       tiled_triangles)
 
 from evopore import fem
-from evopore.config import DEFAULT_CONFIG, parse_config
+from evopore.config import CG_TOL_FLOOR, DEFAULT_CONFIG, parse_config
 from evopore.errors import NumericalError
 from evopore.fem import centroids, element_means, element_stiffness, triangle_geometry, xy_text
 from evopore.kinetics import eval_f, step_radius
@@ -383,6 +383,24 @@ def test_pinned_run_factors_its_system_once(micro_mesh_half, params, no_reaction
         state = sim.step(state, 0.01)
         assert factorizations() == 1 and sim.factorizations == 1
         assert step == 0 or state.cg_iterations == 1
+
+
+def test_pinned_run_at_the_floor_tolerance_factors_once(micro_mesh_half, params, no_reaction,
+                                                        monkeypatch):
+    """At the tightest tolerance a config accepts the exact factor's first
+    reuse takes 2 CG iterations and the later ones 1, far below the refactor
+    rule's bound, so the kept system is still factored once."""
+    rng = np.random.default_rng(7)
+    u0 = rng.uniform(0.2, 0.8, micro_mesh_half.n_nodes)
+    factorizations = count_factorizations(monkeypatch)
+    sim = MicroSimulator(micro_mesh_half, params, no_reaction, cg_tol=CG_TOL_FLOOR)
+    state = sim.init(lambda x: u0, constant_field(params.r0))
+    iterations = []
+    for _ in range(8):
+        state = sim.step(state, 0.01)
+        assert factorizations() == 1 and sim.factorizations == 1
+        iterations.append(state.cg_iterations)
+    assert iterations[1:] == [2] + [1] * 6
 
 
 def test_change_of_dt_refactors(micro_mesh_half, params, no_reaction, monkeypatch):

@@ -514,7 +514,7 @@ def test_refactor_after_a_jump_in_radii_or_dt(macro_grid):
         return iterations, factorizations
 
     assert solve(r_smooth, 0.005) == (2, 1)
-    assert solve(r_smooth, 0.005)[1] == 0
+    assert solve(r_smooth, 0.005) == (2, 0)
     # the jump is solved with the stale factor and marks it stale ...
     iterations, factorizations = solve(r_rough, 0.005)
     assert iterations > REFACTOR_ITERATIONS and factorizations == 0
@@ -572,5 +572,5 @@ def test_step_reports_the_factorization_its_solve_made(macro_grid):
     factor = Factor(np.float32)
     assert backward_euler_step(A, b, u, None, 1e-10, "macro", 0.5, factor)[1:] == (0, 0)
     assert backward_euler_step(A, b, zeros, None, 1e-10, "macro", 0.5, factor)[1:] == (2, 1)
-    assert backward_euler_step(A, 2.0 * b, zeros, None, 1e-10, "macro", 0.5, factor)[2] == 0
+    assert backward_euler_step(A, 2.0 * b, zeros, None, 1e-10, "macro", 0.5, factor)[1:] == (2, 0)
     assert backward_euler_step(A, b, zeros, None, 1e-10, "macro", 0.5)[2] == 0
