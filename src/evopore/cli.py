@@ -4,8 +4,11 @@ kinetics properties.
 
 Each command of :data:`COMMANDS` writes its outputs and returns its checks;
 :func:`main` adds the report and a manifest (config hash, versions, check
-results).  Outputs are byte-deterministic for a fixed config and seed except
-the separate timing file.  Progress lines are INFO records of the
+results).  The stepping commands iterate over one generator of ``(step,
+state)`` pairs from the configured initial state to t_end, keep only what
+they read, and take the solver work of their progress lines from the
+stepper's own counts.  Outputs are byte-deterministic for a fixed config and
+seed except the separate timing file.  Progress lines are INFO records of the
 ``evopore`` logger, printed to stdout unless ``--quiet``.  Exit codes: 0 all
 checks pass, 1 a named check in the report failed (nothing else exits with
 1), 2 configuration error, 3 numerical failure.
@@ -46,7 +49,7 @@ class ConvergenceRow:
     u_l2_error: float
     r_l2_error: float
     runtime: float
-    cg_iterations: int   # micro CG iterations, summed over the steps
+    cg_iterations: int   # micro CG iterations of the steps
     max_defect: float    # largest micro ledger defect of the steps
 
 
@@ -58,10 +61,6 @@ class ConvergenceReport:
     u_decreasing: bool
     r_decreasing: bool
     slopes_skipped: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.u_decreasing and self.r_decreasing
 
 
 def _check_outdir(outdir: Path) -> None:
@@ -166,27 +165,36 @@ def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid) -> MacroSolver:
                        cg_tol=cfg.cg_tol)
 
 
-def _solver_work(iterations: list[int], solver) -> str:
+def _micro_simulator(cfg: ExperimentConfig, reference, inv: int) -> MicroSimulator:
+    """The micro simulator of ``cfg`` on 1/epsilon = ``inv`` cells per side
+    of the ``reference`` mesh."""
+    return MicroSimulator(build_micro_mesh(reference, 1.0 / inv), cfg.params, cfg.spec,
+                          _source_of(cfg), cfg.diffusion, cg_tol=cfg.cg_tol)
+
+
+def _solver_work(solver) -> str:
     """The solver work of a run, or of a level of the convergence study, for
-    its progress line: the CG iterations of its steps, ``iterations``, and
-    the factorizations ``solver`` made."""
-    return f"{sum(iterations)} CG iterations, {solver.factorizations} factorizations"
+    its progress line: the CG iterations and factorizations ``solver`` made."""
+    return f"{solver.cg_iterations} CG iterations, {solver.factorizations} factorizations"
 
 
-def _run_steps(solver, state, cfg: ExperimentConfig, label: str, record=None, snapshot=None):
-    """``state`` stepped to t_end, calling ``record(state)`` after every step
-    and ``snapshot(step, state)`` after the snapshot steps; a numerical
-    failure names the step by ``label.format(step)``."""
+def _states(solver, cfg: ExperimentConfig, label: str):
+    """``(step, state)`` from the configured initial state, step 0, to t_end;
+    a numerical failure names the step by ``label.format(step)``."""
+    state = _initial_state(solver, cfg)
+    yield 0, state
     for step in range(1, cfg.n_steps + 1):
         try:
             state = solver.step(state, cfg.dt)
         except NumericalError as exc:
             raise NumericalError(f"{label.format(step)}: {exc}") from exc
-        if record:
-            record(state)
-        if snapshot and (step % cfg.snapshot_every == 0 or step == cfg.n_steps):
-            snapshot(step, state)
-    return state
+        yield step, state
+
+
+def _snapshot_step(cfg: ExperimentConfig, step: int) -> bool:
+    """Snapshots are written at step 0, every ``snapshot_every`` steps and at
+    the last step."""
+    return step % cfg.snapshot_every == 0 or step == cfg.n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +214,16 @@ def cmd_macro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
                   outputs: list) -> list[dict]:
     grid = MacroGrid.create(cfg.macro_n)
     solver = _macro_solver(cfg, grid)
-    state = _initial_state(solver, cfg)
-    records, iterations = [MassRecord.of(state)], []
-
-    def record(state):
+    records = []
+    for step, state in _states(solver, cfg, "macro step {}"):
         records.append(MassRecord.of(state))
-        iterations.append(state.cg_iterations)
-
-    def snapshot(step, state):
-        _write(outdir, f"snapshot_{step:06d}.csv", snapshot_csv(grid, state), outputs)
-
-    snapshot(0, state)
-    state = _run_steps(solver, state, cfg, "macro step {}", record, snapshot)
+        if _snapshot_step(cfg, step):
+            _write(outdir, f"snapshot_{step:06d}.csv", snapshot_csv(grid, state), outputs)
     _write(outdir, "ledger.csv", ledger_csv(records), outputs)
 
     balance = mass_balance(records)
     in_box = bool(np.all((state.r >= cfg.spec.r_min) & (state.r <= cfg.spec.r_max)))
-    log.info(f"macro run: {cfg.n_steps} steps, {_solver_work(iterations, solver)}, "
+    log.info(f"macro run: {cfg.n_steps} steps, {_solver_work(solver)}, "
              f"max ledger defect {balance.max_defect:.3e}")
     return [
         {"check": "mass_ledger_defect_1e-9", "passed": balance.max_defect <= 1e-9,
@@ -249,27 +250,20 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
         cfg = dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, rate_slope=0.0),
                                   r_field="constant", r_params={"value": cfg.params.r0})
     reference = build_reference_mesh(cfg.params.r0, cfg.n_boundary, cfg.target_h)
-    mesh = build_micro_mesh(reference, 1.0 / inv)
-    sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
-                         cg_tol=cfg.cg_tol)
-    state = _initial_state(sim, cfg)
-    records, rates, iterations = [MassRecord.of(state)], [], []
-
-    def record(state):
+    sim = _micro_simulator(cfg, reference, inv)
+    mesh = sim.mesh
+    records, rates = [], []
+    for step, state in _states(sim, cfg, f"micro step {{}} (1/eps={inv})"):
         records.append(MassRecord.of(state))
         rates.append(float(np.abs(state.radii_rate).max()))
-        iterations.append(state.cg_iterations)
-
-    def snapshot(step, state):
-        _write(outdir, f"micro_snapshot_{step:06d}.csv", micro_snapshot_csv(mesh, state), outputs)
-        _write(outdir, f"cells_{step:06d}.csv", cell_series_csv(mesh, state), outputs)
-
-    snapshot(0, state)
-    _run_steps(sim, state, cfg, f"micro step {{}} (1/eps={inv})", record, snapshot)
+        if _snapshot_step(cfg, step):
+            _write(outdir, f"micro_snapshot_{step:06d}.csv", micro_snapshot_csv(mesh, state),
+                   outputs)
+            _write(outdir, f"cells_{step:06d}.csv", cell_series_csv(mesh, state), outputs)
     _write(outdir, "micro_ledger.csv", ledger_csv(records), outputs)
     max_defect = mass_balance(records).max_defect
     max_rate = max(rates)
-    log.info(f"micro run 1/eps={inv}: {cfg.n_steps} steps, {_solver_work(iterations, sim)}, "
+    log.info(f"micro run 1/eps={inv}: {cfg.n_steps} steps, {_solver_work(sim)}, "
              f"max ledger defect {max_defect:.3e}")
     return [
         {"check": "transformed_mass_ledger_1e-9", "passed": max_defect <= 1e-9,
@@ -282,8 +276,9 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
 def _final_macro_state(cfg: ExperimentConfig, grid: MacroGrid):
     """The macro state at t_end.  The solver, with its factor, is released
     on return, before the micro runs build theirs."""
-    solver = _macro_solver(cfg, grid)
-    return _run_steps(solver, _initial_state(solver, cfg), cfg, "macro step {}")
+    for _, state in _states(_macro_solver(cfg, grid), cfg, "macro step {}"):
+        pass
+    return state
 
 
 def run_convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -295,26 +290,18 @@ def run_convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     rows = []
     for inv in sorted(cfg.epsilon_inverses):
         t0 = time.perf_counter()
-        mesh = build_micro_mesh(reference, 1.0 / inv)
-        sim = MicroSimulator(mesh, cfg.params, cfg.spec, _source_of(cfg), cfg.diffusion,
-                             cg_tol=cfg.cg_tol)
-        iterations, defects = [], []
-
-        def record(state):
-            iterations.append(state.cg_iterations)
+        sim = _micro_simulator(cfg, reference, inv)
+        defects = []
+        for _, state in _states(sim, cfg, f"micro step {{}} (1/eps={inv})"):
             defects.append(state.defect)
-
-        st = _run_steps(sim, _initial_state(sim, cfg), cfg, f"micro step {{}} (1/eps={inv})",
-                        record)
-        err = unfold_compare(mesh, st, grid, macro_state)
+        err = unfold_compare(sim.mesh, state, grid, macro_state)
         row = ConvergenceRow(1.0 / inv, err.u_l2_error, err.r_l2_error,
-                             time.perf_counter() - t0, sum(iterations), max(defects))
+                             time.perf_counter() - t0, sim.cg_iterations, max(defects))
         rows.append(row)
-        log.info(f"  1/eps={inv}: {cfg.n_steps} steps, {_solver_work(iterations, sim)}, "
+        log.info(f"  1/eps={inv}: {cfg.n_steps} steps, {_solver_work(sim)}, "
                  f"max ledger defect {row.max_defect:.3e}, "
                  f"u_err={err.u_l2_error:.4e} r_err={err.r_l2_error:.4e}")
 
-    rows.sort(key=lambda r: -r.epsilon)
     u_errs = np.array([r.u_l2_error for r in rows])
     r_errs = np.array([r.r_l2_error for r in rows])
     eps = np.array([r.epsilon for r in rows])

@@ -185,6 +185,7 @@ class MacroSolver:
         self.cg_tol = cg_tol
         self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
         self._factor = Factor(np.float32)
+        self.cg_iterations = 0    # CG iterations of the solves
         self.factorizations = 0   # sparse LU factorizations of the systems
 
     # -- state construction -------------------------------------------------
@@ -207,8 +208,6 @@ class MacroSolver:
     # -- time stepping -------------------------------------------------------
 
     def step(self, state: MacroState, dt: float) -> MacroState:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
         g = self.grid
         t_new = state.t + dt
 
@@ -240,6 +239,7 @@ class MacroSolver:
         system = self._pattern.assemble(k_el, diagonal=m_new / dt)
         u_new, iterations, factorizations = backward_euler_step(
             system, b, state.u, state.previous, self.cg_tol, "macro", t_new, self._factor)
+        self.cg_iterations += iterations
         self.factorizations += factorizations
 
         fluid = float(m_new @ u_new)

@@ -281,6 +281,7 @@ class MicroSimulator:
                                          entry_major=True)
         # (radii, dt, map, system, factor) of a step whose radii did not move
         self._kept = None
+        self.cg_iterations = 0    # CG iterations of the solves
         self.factorizations = 0   # sparse LU factorizations of the kept systems
 
     # -- construction --------------------------------------------------------
@@ -356,8 +357,6 @@ class MicroSimulator:
     # -- time stepping ---------------------------------------------------------
 
     def step(self, state: MicroState, dt: float) -> MicroState:
-        if dt <= 0:
-            raise ValueError("dt must be positive")
         m = self.mesh
         eps = m.epsilon
         t_new = state.t + dt
@@ -413,6 +412,7 @@ class MicroSimulator:
 
         u_new, iterations, factorizations = backward_euler_step(
             system, b, state.u_hat, state.previous, self.cg_tol, "micro", t_new, factor)
+        self.cg_iterations += iterations
         self.factorizations += factorizations
 
         fluid = float(mass_new @ u_new)

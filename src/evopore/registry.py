@@ -66,19 +66,18 @@ def register_field(name: str, factory) -> None:
     FIELDS[name] = factory
 
 
-def build_field(name: str, params: dict | None = None):
-    if name not in FIELDS:
-        raise ConfigError(f"unknown field {name!r}; registered: {sorted(FIELDS)}")
+def _build(kind: str, table: dict, name: str, params: dict | None):
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; registered: {sorted(table)}")
     try:
-        return FIELDS[name](**(params or {}))
+        return table[name](**(params or {}))
     except TypeError as exc:
-        raise ConfigError(f"bad parameters for field {name!r}: {exc}") from exc
+        raise ConfigError(f"bad parameters for {kind} {name!r}: {exc}") from exc
+
+
+def build_field(name: str, params: dict | None = None):
+    return _build("field", FIELDS, name, params)
 
 
 def build_source(name: str, params: dict | None = None):
-    if name not in SOURCES:
-        raise ConfigError(f"unknown source {name!r}; registered: {sorted(SOURCES)}")
-    try:
-        return SOURCES[name](**(params or {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for source {name!r}: {exc}") from exc
+    return _build("source", SOURCES, name, params)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import evopore.transform
-from evopore import fem
+from evopore import cli, fem
 from evopore.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _initial_state,
                          _macro_solver, main, run_convergence_study)
 from evopore.config import _KNOWN_KEYS, DEFAULT_CONFIG, parse_config
@@ -162,10 +162,17 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
     (["macro-run"], "[table]\npath = {tmp}/extra.csv\n", ["extra.csv", "line 2 has 6 fields"]),
     (["macro-run"], "[table]\npath = {tmp}/header.csv\n", ["header.csv", "no rows"]),
     (["macro-run"], "[table]\npath = {tmp}/text.csv\n", ["text.csv", "line 3: ", "'x'"]),
+    (["micro-run", "--epsilon", "1/2"], "[initial]\nu_field = nope\n", ["field 'nope'"]),
+    (["micro-run", "--epsilon", "1/2"], "[source]\nname = nope\n", ["source 'nope'"]),
+    (["micro-run", "--epsilon", "1/2"], "[initial]\nu_param.bogus = 1\n",
+     ["field 'constant'", "bogus"]),
+    (["micro-run", "--epsilon", "1/2"], "[source]\nname = constant\nparam.bogus = 1\n",
+     ["source 'constant'", "bogus"]),
 ], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
         "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan",
         "table-radii-narrow", "out-is-a-file", "table-indefinite", "table-theta",
-        "table-extra-column", "table-no-rows", "table-text-field"])
+        "table-extra-column", "table-no-rows", "table-text-field", "field-unknown",
+        "source-unknown", "field-param-unknown", "source-param-unknown"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
     # [0.15, 0.35]; the full box with one NaN entry; with A12 = 0.6 beside
@@ -419,6 +426,26 @@ def test_micro_run_ledger_is_the_macro_ledger_and_deterministic(tmp_path):
     assert ledger_check["value"] == defect.max()
 
 
+@pytest.mark.parametrize("command, prefixes, ledger", [
+    (["macro-run"], ["snapshot"], "ledger.csv"),
+    (["micro-run", "--epsilon", "1/2"], ["micro_snapshot", "cells"], "micro_ledger.csv"),
+], ids=["macro", "micro"])
+def test_snapshot_schedule(tmp_path, command, prefixes, ledger):
+    """A run of 10 steps with snapshot_every = 4 writes the snapshots of
+    steps 0, 4, 8 and 10 (the last), and its manifest lists exactly those,
+    the ledger and the report."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_COMMON.replace("snapshot_every = 5", "snapshot_every = 4"))
+    assert parse_config(cfg.read_text()).n_steps == 10
+    out = tmp_path / "o"
+    assert main(command[:1] + ["--config", str(cfg), "--out", str(out), "--quiet"]
+                + command[1:]) == 0
+    snapshots = [f"{prefix}_{step:06d}.csv" for prefix in prefixes for step in (0, 4, 8, 10)]
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == sorted(snapshots + [ledger, "report.jsonl"])
+    assert sorted(path.name for path in out.iterdir()) == sorted(outputs + ["manifest.json"])
+
+
 def test_micro_run_pinned_mode_flag(tmp_path):
     cfg = cfg_file(tmp_path, "[micro]\npinned_radii = true\n")
     out = tmp_path / "pinned"
@@ -518,11 +545,21 @@ def test_convergence_checks_every_micro_ledger(tmp_path, capsys, monkeypatch):
     assert (perturbed / "convergence.csv").read_bytes() == (exact / "convergence.csv").read_bytes()
 
 
-def test_convergence_report_failure_logic():
+def test_convergence_fails_the_u_check_when_the_u_error_grows(tmp_path, capsys, monkeypatch):
+    """A study whose u errors grow as epsilon falls fails the u check alone:
+    exit 1, one line naming the check and its slope, and the manifest
+    records the check as false."""
     rows = [ConvergenceRow(0.5, 1e-3, 1e-3, 0.0, 0, 0.0),
-            ConvergenceRow(0.25, 2e-3, 5e-4, 0.0, 0, 0.0)]
-    rep = ConvergenceReport(rows, 1.0, 1.0, False, True, False)
-    assert not rep.passed
+            ConvergenceRow(0.25, 2e-3, 5e-4, 0.0, 0, 0.0),
+            ConvergenceRow(0.125, 4e-3, 2.5e-4, 0.0, 0, 0.0)]
+    monkeypatch.setattr(cli, "run_convergence_study",
+                        lambda cfg: ConvergenceReport(rows, -1.0, 1.0, False, True, False))
+    out = tmp_path / "o"
+    assert main(["convergence", "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "check failed: u_error_strictly_decreasing (value -1.0)\n"
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    assert checks == {"u_error_strictly_decreasing": False, "r_error_strictly_decreasing": True,
+                      **{f"transformed_mass_ledger_1e-9_eps{inv}": True for inv in (2, 4, 8)}}
 
 
 def test_convergence_failure_names_its_step(tmp_path, capsys, monkeypatch):

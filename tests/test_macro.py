@@ -203,6 +203,8 @@ def test_growth_scenario_mass_exchange(grid, spec, tensor_table, run_steps):
     assert states[-1].solid_mass > states[0].solid_mass
     assert np.mean(states[-1].r) > np.mean(states[0].r)
     assert report.final_total == pytest.approx(report.initial_total, abs=1e-8)
+    # the solver counts the CG iterations of its steps
+    assert solver.cg_iterations == sum(s.cg_iterations for s in states) > 0
 
 
 def test_step_starts_from_the_extrapolated_field(grid, spec, tensor_table,

@@ -401,6 +401,7 @@ def test_pinned_run_at_the_floor_tolerance_factors_once(micro_mesh_half, params,
         assert factorizations() == 1 and sim.factorizations == 1
         iterations.append(state.cg_iterations)
     assert iterations[1:] == [2] + [1] * 6
+    assert sim.cg_iterations == sum(iterations)
 
 
 def test_change_of_dt_refactors(micro_mesh_half, params, no_reaction, monkeypatch):
@@ -524,6 +525,19 @@ def test_steady_state_exact(micro_mesh_half, params, spec):
         state = sim.step(state, 0.01)
     assert np.max(np.abs(state.u_hat - spec.u_eq)) < 1e-10
     assert np.max(np.abs(state.radii - params.r0)) < 1e-12
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_steppers_reject_a_step_that_is_not_forward(micro_mesh_half, params, spec,
+                                                    tensor_table, dt):
+    """Neither stepper takes a step of dt <= 0: the radius update raises
+    ``ValueError`` before the step solves anything."""
+    for solver in (MacroSolver(MacroGrid.create(4), tensor_table, spec),
+                   MicroSimulator(micro_mesh_half, params, spec)):
+        state = solver.init(constant_field(0.9), constant_field(0.2))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            solver.step(state, dt)
+        assert solver.cg_iterations == 0 and solver.factorizations == 0
 
 
 def test_growth_run_ledger_and_rate_bound(micro_mesh_half, params, spec, run_steps):
