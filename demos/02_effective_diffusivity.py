@@ -11,19 +11,20 @@ cross-checks the two routes.
 
 import numpy as np
 
-from evopore import (RadialFrame, TransformParams, build_reference_mesh, effective_tensor,
+from evopore import (ReferenceCell, TransformParams, build_reference_mesh, effective_tensor,
                      porosity, tabulate)
-from evopore.fem import centroids
 
 params = TransformParams()
 
 # --- a quick look at one radius, both routes --------------------------------
-mesh = build_reference_mesh(params.r0, n_boundary=64, target_h=0.05)
+# the reference cell: its mesh, with the hole at params.r0, and the radial
+# map's frame on the mesh's element midpoints
+cell = ReferenceCell(params, n_boundary=64, target_h=0.05)
+mesh, frame = cell.mesh, cell.frame
 print(f"reference mesh: {mesh.n_nodes} nodes, {len(mesh.triangles)} triangles, "
       f"min angle {mesh.min_angle:.1f} deg")
 # the map is radial, so its pulled-back unit tensor J Psi^-1 Psi^-T is
 # b I + (a - b) u u^T, from the frame's scalars and unit directions u
-frame = RadialFrame(params, centroids(mesh.vertices, mesh.triangles))
 u = frame.directions()
 radial = u[:, :, None] * u[:, None, :]
 
@@ -39,7 +40,7 @@ print()
 
 # --- the radius-parametrized table ------------------------------------------
 grid = np.linspace(params.r_min, params.r_max, 11)
-table = tabulate(params, grid)
+table = tabulate(cell, grid)
 print("r      A11        theta      A11/theta")
 for k, r in enumerate(table.radii):
     a = table.tensors[k, 0, 0]

@@ -8,11 +8,12 @@ the acceptance suite pins down.)
 
 import numpy as np
 
-from evopore import KineticsSpec, MacroGrid, MacroSolver, TransformParams, mass_balance, tabulate
+from evopore import (KineticsSpec, MacroGrid, MacroSolver, ReferenceCell, TransformParams,
+                     mass_balance, tabulate)
 
 params = TransformParams()
 spec = KineticsSpec()
-table = tabulate(params, np.linspace(params.r_min, params.r_max, 11))
+table = tabulate(ReferenceCell(params), np.linspace(params.r_min, params.r_max, 11))
 
 grid = MacroGrid.create(32)
 solver = MacroSolver(grid, table, spec)

@@ -12,9 +12,8 @@ full study is ``evopore convergence`` (or the acceptance suite).
 
 import numpy as np
 
-from evopore import (KineticsSpec, MacroGrid, MacroSolver, MicroSimulator,
-                     TransformParams, build_micro_mesh, build_reference_mesh,
-                     tabulate, unfold_compare)
+from evopore import (KineticsSpec, MacroGrid, MacroSolver, MicroSimulator, ReferenceCell,
+                     TransformParams, build_micro_mesh, tabulate, unfold_compare)
 
 params = TransformParams()
 spec = KineticsSpec()
@@ -24,11 +23,13 @@ def constant(v):
     return lambda x: np.full(len(np.atleast_2d(x)), v)
 
 
-reference = build_reference_mesh(params.r0, n_boundary=64, target_h=0.05)
+# one reference cell, with the map of params, serves the table and every
+# micro mesh
+cell = ReferenceCell(params, n_boundary=64, target_h=0.05)
 dt, n_steps = 1 / 100, 30
 
 # homogenized run
-table = tabulate(params, np.linspace(params.r_min, params.r_max, 11))
+table = tabulate(cell, np.linspace(params.r_min, params.r_max, 11))
 grid = MacroGrid.create(32)
 macro = MacroSolver(grid, table, spec)
 macro_state = macro.init(constant(0.9), constant(0.2))
@@ -41,8 +42,8 @@ print()
 # resolved runs at shrinking cell size
 print("1/eps   nodes   mean r       unfolded u error   unfolded r error")
 for inv in (2, 4, 8):
-    mesh = build_micro_mesh(reference, 1.0 / inv)
-    sim = MicroSimulator(mesh, params, spec)
+    mesh = build_micro_mesh(cell, 1.0 / inv)
+    sim = MicroSimulator(mesh, spec)
     state = sim.init(constant(0.9), constant(0.2))
     for _ in range(n_steps):
         state = sim.step(state, dt)

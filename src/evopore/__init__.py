@@ -18,7 +18,8 @@ from .micro import (MicroMesh, MicroSimulator, MicroState, UnfoldingError,
 from .registry import build_field, build_source, register_field
 from .sparse import SolveReport, solve_cg
 from .transform import MapScalars, RadialFrame, TransformParams, profile
-from .unitcell import (EffectiveTensorTable, PeriodicMesh, ball_volume, build_reference_mesh,
-                       effective_tensor, porosity, solve_cell_problem, tabulate)
+from .unitcell import (EffectiveTensorTable, PeriodicMesh, ReferenceCell, ball_volume,
+                       build_reference_mesh, effective_tensor, porosity, solve_cell_problem,
+                       tabulate)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

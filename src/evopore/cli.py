@@ -36,8 +36,7 @@ from .macro import MacroGrid, MacroSolver, MassRecord, ledger_csv, mass_balance,
 from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv, cells_per_side,
                     micro_snapshot_csv, unfold_compare)
 from .registry import build_field, build_source
-from .unitcell import (EffectiveTensorTable, build_reference_mesh, porosity, table_checks,
-                       tabulate)
+from .unitcell import EffectiveTensorTable, ReferenceCell, porosity, table_checks, tabulate
 from .validate import full_validation
 
 log = logging.getLogger("evopore")
@@ -130,12 +129,16 @@ def _require_cover(grid: str, radii: np.ndarray, cfg: ExperimentConfig) -> None:
                           f"[r_min, r_max] = [{cfg.spec.r_min:g}, {cfg.spec.r_max:g}]")
 
 
-def _table_of(cfg: ExperimentConfig) -> EffectiveTensorTable:
-    """The loaded ``[table] path`` or a fresh tabulation.  A loaded table
-    must hold finite values, a positive definite tensor at every radius and
-    the porosity of its radii, to 1e-12 relative, as ``theta``; either grid
-    must cover the radius box, and the explicit grid is checked before its
-    cost is paid."""
+def _cell_of(cfg: ExperimentConfig) -> ReferenceCell:
+    return ReferenceCell(cfg.params, cfg.n_boundary, cfg.target_h)
+
+
+def _table_of(cfg: ExperimentConfig, cell: ReferenceCell | None = None) -> EffectiveTensorTable:
+    """The loaded ``[table] path`` or a tabulation on ``cell``, by default a
+    new :func:`_cell_of`.  A loaded table must hold finite values, a positive
+    definite tensor at every radius and the porosity of its radii, to 1e-12
+    relative, as ``theta``; either grid must cover the radius box, and the
+    explicit grid is checked before its cost is paid."""
     if cfg.table_path:
         log.info(f"loading tensor table from {cfg.table_path}")
         source = f"[table] path = {cfg.table_path}"
@@ -156,20 +159,19 @@ def _table_of(cfg: ExperimentConfig) -> EffectiveTensorTable:
         return table
     _require_cover("[table] radii", cfg.table_radii, cfg)
     log.info(f"tabulating effective tensors on {cfg.table_radii.size} radii")
-    return tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h)
+    return tabulate(cell or _cell_of(cfg), cfg.table_radii)
 
 
-def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid) -> MacroSolver:
+def _macro_solver(cfg: ExperimentConfig, grid: MacroGrid, cell=None) -> MacroSolver:
     """The macro solver of ``cfg`` on ``grid``, with the :func:`_table_of` table."""
-    return MacroSolver(grid, _table_of(cfg), cfg.spec, _source_of(cfg), cfg.diffusion,
+    return MacroSolver(grid, _table_of(cfg, cell), cfg.spec, _source_of(cfg), cfg.diffusion,
                        cg_tol=cfg.cg_tol)
 
 
-def _micro_simulator(cfg: ExperimentConfig, reference, inv: int) -> MicroSimulator:
-    """The micro simulator of ``cfg`` on 1/epsilon = ``inv`` cells per side
-    of the ``reference`` mesh."""
-    return MicroSimulator(build_micro_mesh(reference, 1.0 / inv), cfg.params, cfg.spec,
-                          _source_of(cfg), cfg.diffusion, cg_tol=cfg.cg_tol)
+def _micro_simulator(cfg: ExperimentConfig, cell: ReferenceCell, inv: int) -> MicroSimulator:
+    """The micro simulator of ``cfg`` on ``inv`` = 1/epsilon copies of ``cell`` a side."""
+    return MicroSimulator(build_micro_mesh(cell, 1.0 / inv), cfg.spec, source=_source_of(cfg),
+                          diffusion=cfg.diffusion, cg_tol=cfg.cg_tol)
 
 
 def _solver_work(solver) -> str:
@@ -203,7 +205,7 @@ def _snapshot_step(cfg: ExperimentConfig, step: int) -> bool:
 
 def cmd_cell_table(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
                    outputs: list) -> list[dict]:
-    table = tabulate(cfg.params, cfg.table_radii, cfg.n_boundary, cfg.target_h)
+    table = tabulate(_cell_of(cfg), cfg.table_radii)
     _write(outdir, "table.csv", table.to_csv(), outputs)
     log.info(f"wrote {outdir / 'table.csv'} ({cfg.table_radii.size} radii)")
     return [{"check": name, "passed": ok, "value": None}
@@ -249,8 +251,7 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
         # every radius at r0
         cfg = dataclasses.replace(cfg, spec=dataclasses.replace(cfg.spec, rate_slope=0.0),
                                   r_field="constant", r_params={"value": cfg.params.r0})
-    reference = build_reference_mesh(cfg.params.r0, cfg.n_boundary, cfg.target_h)
-    sim = _micro_simulator(cfg, reference, inv)
+    sim = _micro_simulator(cfg, _cell_of(cfg), inv)
     mesh = sim.mesh
     records, rates = [], []
     for step, state in _states(sim, cfg, f"micro step {{}} (1/eps={inv})"):
@@ -273,24 +274,17 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
     ]
 
 
-def _final_macro_state(cfg: ExperimentConfig, grid: MacroGrid):
-    """The macro state at t_end.  The solver, with its factor, is released
-    on return, before the micro runs build theirs."""
-    for _, state in _states(_macro_solver(cfg, grid), cfg, "macro step {}"):
-        pass
-    return state
-
-
 def run_convergence_study(cfg: ExperimentConfig) -> ConvergenceReport:
     """Macro once, micro per epsilon, unfolded errors at the final time."""
     grid = MacroGrid.create(cfg.macro_n)
-    macro_state = _final_macro_state(cfg, grid)
-
-    reference = build_reference_mesh(cfg.params.r0, cfg.n_boundary, cfg.target_h)
+    cell = _cell_of(cfg)
+    # the macro state at t_end; the solver and its factor are freed with the generator
+    for _, macro_state in _states(_macro_solver(cfg, grid, cell), cfg, "macro step {}"):
+        pass
     rows = []
     for inv in sorted(cfg.epsilon_inverses):
         t0 = time.perf_counter()
-        sim = _micro_simulator(cfg, reference, inv)
+        sim = _micro_simulator(cfg, cell, inv)
         defects = []
         for _, state in _states(sim, cfg, f"micro step {{}} (1/eps={inv})"):
             defects.append(state.defect)

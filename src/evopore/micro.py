@@ -8,31 +8,31 @@ macro solver (lumped Jacobian-weighted mass, backward Euler diffusion); the
 transformation's advective term and the surface reaction are explicit, which
 both carry a factor epsilon and keep the system symmetric.
 
-Every cell repeats the reference cell's nodes and triangles, so the micro
-mesh stores only its nodes and the cell node map, and the radial map enters
-the weak form through four scalars per element (:class:`MapScalars`).  So a step holds those scalars as (reference element x
-cell) arrays and applies a few sparse reference-cell operators
-(:class:`CellBases`) to them, one product per quantity: the system entries,
-the lumped mass, the element means and the drift loads of every cell at once.
-The source is lumped like the mass, and its integral is the sum of its loads.
-Each result reaches the global arrays by one scatter through the cell node
-map, and the system's CSR pattern is the reference cell's pattern repeated
-through that map.  No per-element tensor algebra and no per-element scatter.
-A product's result is C-contiguous with one column per cell, so the scatter
-index (:attr:`MicroMesh.cell_nodes`) and the system's data slots are stored
-once, as ``np.intp``, in that entry-major order: each scatter and assembly
-reads its data and index in place.  The cell map itself is one frame on the
-reference midpoints, built once; the profile is affine in the radius, so a
-step evaluates no kernel.
+Every cell repeats the nodes and triangles of one
+:class:`~evopore.unitcell.ReferenceCell`, so the micro mesh stores only its
+nodes, the cell node map and that cell.  The radial map enters the weak form
+through four scalars per element (:class:`MapScalars`) of the cell's one
+frame, built on the reference midpoints with the mesh from the same r0; the
+profile is affine in the radius, so a step evaluates no kernel.  A step holds
+those scalars as (reference element x cell) arrays and applies the cell's
+sparse operators (:class:`~evopore.unitcell.CellBases`) to them, one product
+per quantity: the system entries, the lumped mass, the element means and the
+drift loads of every cell at once.  The source is lumped like the mass, and
+its integral is the sum of its loads.  Each result reaches the global arrays
+by one scatter through the cell node map, and the system's CSR pattern is the
+reference cell's pattern repeated through that map.  No per-element tensor
+algebra and no per-element scatter.  A product's result is C-contiguous with
+one column per cell, so the scatter index (:attr:`MicroMesh.cell_nodes`) and
+the system's data slots are stored once, as ``np.intp``, in that entry-major
+order: each scatter and assembly reads its data and index in place.
 
 A step whose radii did not move keeps its cell map and system for the next
-step at the same radii and dt, and an exact double precision sparse LU
-factor of that system (:class:`evopore.fem.Factor`), which preconditions
-the CG of every step that reuses it: 1 iteration a step instead of about
-80 to 100 with Jacobi.  So radii frozen at r0, which are
-inputs (a zero rate law, every radius at r0), not a stepper mode, assemble
-once per dt and factor when CG first applies the factor: never, when every
-start solves the system.  A step
+step at the same radii and dt, and an exact double precision sparse LU factor
+of that system (:class:`evopore.fem.Factor`), which preconditions the CG of
+every step that reuses it: 1 iteration a step instead of about 80 to 100 with
+Jacobi.  So radii frozen at r0, which are inputs (a zero rate law, every
+radius at r0), not a stepper mode, assemble once per dt and factor when CG
+first applies the factor: never, when every start solves the system.  A step
 whose radii moved keeps nothing and solves by Jacobi CG, as a factor of a
 system that serves once costs more than it saves (:mod:`evopore.fem`).
 
@@ -46,14 +46,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
-from .fem import (Factor, StiffnessPattern, backward_euler_step, centroids, csv_table,
-                  element_means, xy_text)
+from .fem import Factor, StiffnessPattern, backward_euler_step, csv_table, element_means, xy_text
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
-from .transform import MapScalars, RadialFrame, TransformParams
-from .unitcell import PeriodicMesh, ball_volume
+from .transform import MapScalars
+from .unitcell import ReferenceCell, ball_volume
 
 ALLOWED_INV_EPS = (1, 2, 4, 8, 16)
 _EDGE_GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -65,7 +63,7 @@ class MicroMesh:
 
     ``vertices`` is read-only: the nodes of the fixed reference perforation,
     which every step and snapshot of a run shares.  Cell c's triangles are
-    the ``reference`` triangles through ``node_map[c]``.
+    the triangles of the ``cell``'s mesh through ``node_map[c]``.
     """
 
     epsilon: float
@@ -74,7 +72,7 @@ class MicroMesh:
     cell_index: np.ndarray          # (n_cells, 2) lattice coordinates
     gamma_edges: np.ndarray         # (n_cells, n_boundary, 2) global node ids
     node_map: np.ndarray            # (n_cells, n_ref) global node of every reference node
-    reference: PeriodicMesh = field(repr=False)
+    cell: ReferenceCell = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -120,8 +118,8 @@ def cells_per_side(epsilon: float) -> int:
     return inv
 
 
-def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
-    """Tile the reference cell; shared-face nodes merge by coordinate keys.
+def build_micro_mesh(cell: ReferenceCell, epsilon: float) -> MicroMesh:
+    """Tile the reference ``cell``; shared-face nodes merge by coordinate keys.
 
     Works because opposite boundary traces of the reference mesh are bitwise
     identical and the cells are translated by exact binary offsets, so
@@ -143,6 +141,7 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
     their partner, is a :class:`NumericalError`.
     """
     n = cells_per_side(epsilon)
+    reference = cell.mesh
     cells = np.array([(i, j) for i in range(n) for j in range(n)], dtype=int)
     coords = (epsilon * reference.vertices + epsilon * cells[:, None, :]).reshape(-1, 2)
 
@@ -164,68 +163,7 @@ def build_micro_mesh(reference: PeriodicMesh, epsilon: float) -> MicroMesh:
 
     node_map = inverse.reshape(len(cells), -1)
     gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
-    return MicroMesh(epsilon, n, vertices, cells, gamma, node_map, reference)
-
-
-@dataclass
-class CellBases:
-    """Sparse operators of the reference cell, which every micro cell repeats.
-
-    A micro cell is the reference cell scaled by epsilon and translated, with
-    the same node and triangle order, and in 2-D ``|T| G G^T`` does not change
-    under scaling.  With ``w = G u`` the basis gradients along the unit
-    direction u of the cell map (zero in its identity core), the pulled-back
-    tensor ``D (b I + (a - b) u u^T)`` has the element matrices
-    ``D (b L + (a - b) Q)`` for ``L = |T| G G^T`` and ``Q = |T| w w^T``, and
-    the drift ``J eps rate s u`` the element loads
-    ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.
-
-    Each operator acts on per-element scalars of the m reference elements or
-    on nodal values of the n_ref reference nodes, held as (m, c) or
-    (n_ref, c) arrays with one column per cell, so one product serves every
-    cell:
-
-    - ``system`` (s, 2m) is ``[L Q]`` on the s entries of the reference
-      cell's CSR sparsity ``local`` (rows, cols); applied to
-      ``[D b; D (a - b)]`` it gives every cell's system entries;
-    - ``mass`` (n_ref, m) lumps an element weight onto the nodes, ``|T| / 3``
-      at each vertex;
-    - ``drift`` (n_ref, m) holds ``|T| w``, the loads of a unit drift weight;
-    - ``means`` (m, n_ref) takes nodal values to element means.
-
-    A product sums each entry over the reference elements in their order.
-    """
-
-    local: tuple[np.ndarray, np.ndarray]
-    system: sp.csr_matrix
-    mass: sp.csr_matrix
-    drift: sp.csr_matrix
-    means: sp.csr_matrix
-
-    @classmethod
-    def of(cls, reference: PeriodicMesh, directions: np.ndarray) -> "CellBases":
-        """Operators on the reference mesh for the unit directions (m, 2) at
-        its element midpoints."""
-        areas, grads = reference.geometry
-        tri = reference.triangles
-        m, n_ref = len(tri), reference.n_nodes
-        stiffness = grads @ grads.transpose(0, 2, 1)
-        stiffness *= areas[:, None, None]
-        w = (grads @ directions[:, :, None])[:, :, 0]
-        drift = areas[:, None] * w
-        radial = drift[:, :, None] * w[:, None, :]
-
-        indptr, indices, slots, _ = StiffnessPattern(tri, n_ref).slots()
-        local = (np.repeat(np.arange(n_ref), np.diff(indptr)), np.asarray(indices))
-        element = np.repeat(np.arange(m), 9)
-        system = sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
-                                (np.tile(slots.ravel(), 2), np.concatenate([element, element + m]))),
-                               shape=(len(indices), 2 * m))
-        vertex = (tri.ravel(), np.repeat(np.arange(m), 3))   # (node, element) of each vertex
-        return cls(local, system,
-                   sp.csr_matrix((np.repeat(areas / 3.0, 3), vertex), shape=(n_ref, m)),
-                   sp.csr_matrix((drift.ravel(), vertex), shape=(n_ref, m)),
-                   sp.csr_matrix((np.full(3 * m, 1.0 / 3.0), vertex[::-1]), shape=(m, n_ref)))
+    return MicroMesh(epsilon, n, vertices, cells, gamma, node_map, cell)
 
 
 @dataclass
@@ -253,18 +191,16 @@ class UnfoldingError:
 
 
 class MicroSimulator:
-    """Stepper for the transformed substitute problem."""
+    """Stepper for the transformed substitute problem, with the map of the mesh's cell."""
 
-    def __init__(self, mesh: MicroMesh, params: TransformParams, spec: KineticsSpec,
-                 source=None, diffusion: float = 1.0, cg_tol: float = 1e-10):
+    def __init__(self, mesh: MicroMesh, spec: KineticsSpec, *, source=None,
+                 diffusion: float = 1.0, cg_tol: float = 1e-10):
         self.mesh = mesh
-        self.params = params
         self.spec = spec
         self.source = source
         self.diffusion = diffusion
         self.cg_tol = cg_tol
         m = mesh
-        ref = m.reference
         self._edge_len = m.gamma_edge_lengths()
         self._gamma_len = self._edge_len.sum(axis=1)
         # the scatter index of the surface loads, in the order of their
@@ -273,10 +209,8 @@ class MicroSimulator:
         self._gamma_nodes = np.concatenate([edges[..., 0].ravel(), edges[..., 1].ravel()]
                                            * len(_EDGE_GAUSS))
         self._cell_offsets = m.epsilon * m.cell_index.astype(float)
-        # every cell carries the reference triangles, so one frame on the
-        # reference midpoints serves all cells
-        self._frame = RadialFrame(params, centroids(ref.vertices, ref.triangles))
-        self._bases = CellBases.of(ref, self._frame.directions())
+        self._frame = m.cell.frame
+        self._bases = m.cell.bases
         self._pattern = StiffnessPattern(m.node_map, m.n_nodes, self._bases.local,
                                          entry_major=True)
         # (radii, dt, map, system, factor) of a step whose radii did not move
@@ -340,7 +274,7 @@ class MicroSimulator:
         u0 = u[edges[..., 0]]
         u1 = u[edges[..., 1]]
         r_cell = radii.reshape(-1, 1)    # (nc, 1)
-        scale = m.epsilon * radii.reshape(-1) / self.params.r0
+        scale = m.epsilon * radii.reshape(-1) / m.cell.params.r0
         integral = np.zeros(m.n_cells)
         weights = []
         for q in _EDGE_GAUSS:
@@ -369,12 +303,11 @@ class MicroSimulator:
         rate = (radii_new - state.radii) / dt
         still = np.array_equal(radii_new, state.radii)
 
-        # (2) the cell map at the new radii: J, the lumped mass and the
-        # system of the pulled-back tensor.  Radii that did not
-        # move keep J and so the mass, and a map and system kept at the same
-        # radii (and dt) serve again.  A kept system is factored, once, and
-        # its factor preconditions every solve with it; a system of moving
-        # radii serves once and is solved by Jacobi CG
+        # (2) the cell map at the new radii: J, the lumped mass and the system
+        # of the pulled-back tensor.  Radii that did not move keep J and so the
+        # mass, and a map and system kept at the same radii (and dt) serve
+        # again.  A kept system is factored, once, and its factor preconditions
+        # every solve with it; a system of moving radii serves once, by Jacobi CG
         kept = self._kept
         if not (still and kept and np.array_equal(kept[0], radii_new)):
             kept = None
@@ -393,7 +326,7 @@ class MicroSimulator:
         source_step = 0.0
         if self.source is not None:
             # every cell's element midpoints, mapped, scaled and shifted by eps k
-            pts = (np.repeat(self._cell_offsets, len(m.reference.triangles), axis=0)
+            pts = (np.repeat(self._cell_offsets, len(m.cell.mesh.triangles), axis=0)
                    + eps * self._frame.image(sc.radius))
             fp = np.asarray(self.source(t_new, pts), dtype=float)
             if not np.all(np.isfinite(fp)):
@@ -434,7 +367,7 @@ def cell_pore_means(mesh: MicroMesh, u: np.ndarray) -> np.ndarray:
     element means weighted by their reference areas, not by J.  A physical
     pore mean would weight by J; the two agree as epsilon -> 0.  Every cell
     has the reference areas times epsilon^2, and the epsilon^2 cancels."""
-    ref = mesh.reference
+    ref = mesh.cell.mesh
     areas = ref.geometry[0]
     return areas @ element_means(ref.triangles, u[mesh.cell_nodes]) / areas.sum()
 

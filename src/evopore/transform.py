@@ -172,7 +172,7 @@ class TransformParams:
 
     def check_radius(self, r_gamma) -> None:
         r_gamma = np.asarray(r_gamma, dtype=float)
-        if np.any(r_gamma < self.r_min - 1e-14) or np.any(r_gamma > self.r_max + 1e-14):
+        if not np.all((r_gamma >= self.r_min - 1e-14) & (r_gamma <= self.r_max + 1e-14)):
             raise ValueError(f"obstacle radius outside [{self.r_min}, {self.r_max}]")
 
 

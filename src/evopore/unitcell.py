@@ -5,6 +5,10 @@ rings between the hole polygon and the square boundary.  Directions and ring
 nodes are generated octant-symmetrically, so the mesh is bitwise invariant
 under the dihedral symmetries of the square and opposite boundary faces carry
 identical node traces; periodic pairing and conforming tiling are then exact.
+A command builds one :class:`ReferenceCell`: the mesh with its hole at the
+map's r0, the map's :class:`RadialFrame` on the element midpoints and the
+micro stepper's :class:`CellBases`.  :func:`tabulate` and every micro mesh
+take it, so the cell problems and the micro problem share one mesh and map.
 
 A cell problem takes its element coefficient: the unit tensor on a cell
 meshed at the requested radius, or the pulled-back tensor on the reference
@@ -22,6 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
 from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness, symmetric_lu,
@@ -43,7 +48,7 @@ def porosity(r):
 
 
 # ---------------------------------------------------------------------------
-# Mesh construction
+# Mesh construction and the reference cell
 # ---------------------------------------------------------------------------
 
 def _octant_mirror(n: int, first, flip) -> np.ndarray:
@@ -217,6 +222,76 @@ def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
     return PeriodicMesh(verts, tris, facets, partner, hole_radius, n, min_angle)
 
 
+@dataclass
+class CellBases:
+    """Sparse operators of the reference cell, which every micro cell repeats.
+
+    A micro cell is the reference cell scaled by epsilon and translated, with
+    the same node and triangle order, and in 2-D ``|T| G G^T`` does not change
+    under scaling.  With ``w = G u`` the basis gradients along the unit
+    direction u of the cell map (zero in its identity core), the pulled-back
+    tensor ``D (b I + (a - b) u u^T)`` has the element matrices
+    ``D (b L + (a - b) Q)`` for ``L = |T| G G^T`` and ``Q = |T| w w^T``, and
+    the drift ``J eps rate s u`` the element loads
+    ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.
+
+    Each operator acts on per-element scalars of the m reference elements or
+    on nodal values of the n_ref reference nodes, held as (m, c) or (n_ref, c)
+    arrays with one column per cell, so one product serves every cell:
+
+    - ``system`` (s, 2m) is ``[L Q]`` on the s entries of the reference
+      cell's CSR sparsity ``local`` (rows, cols); applied to
+      ``[D b; D (a - b)]`` it gives every cell's system entries;
+    - ``mass`` (n_ref, m) lumps an element weight onto the nodes, ``|T| / 3``
+      at each vertex;
+    - ``drift`` (n_ref, m) holds ``|T| w``, the loads of a unit drift weight;
+    - ``means`` (m, n_ref) takes nodal values to element means.
+
+    A product sums each entry over the reference elements in their order.
+    """
+
+    local: tuple[np.ndarray, np.ndarray]
+    system: sp.csr_matrix
+    mass: sp.csr_matrix
+    drift: sp.csr_matrix
+    means: sp.csr_matrix
+
+
+class ReferenceCell:
+    """One command's reference cell: the mesh of ``n_boundary`` and
+    ``target_h`` with its hole at ``params.r0``, the map's frame on its
+    element midpoints and, built on first use, that frame's operators."""
+
+    def __init__(self, params: TransformParams, n_boundary: int = 64, target_h: float = 0.05):
+        self.params = params
+        self.mesh = build_reference_mesh(params.r0, n_boundary, target_h)
+        self.frame = RadialFrame(params, centroids(self.mesh.vertices, self.mesh.triangles))
+
+    @cached_property
+    def bases(self) -> CellBases:
+        """The operators of the mesh for the frame's unit directions."""
+        areas, grads = self.mesh.geometry
+        tri = self.mesh.triangles
+        m, n_ref = len(tri), self.mesh.n_nodes
+        stiffness = grads @ grads.transpose(0, 2, 1)
+        stiffness *= areas[:, None, None]
+        w = (grads @ self.frame.directions()[:, :, None])[:, :, 0]
+        drift = areas[:, None] * w
+        radial = drift[:, :, None] * w[:, None, :]
+
+        indptr, indices, slots, _ = StiffnessPattern(tri, n_ref).slots()
+        local = (np.repeat(np.arange(n_ref), np.diff(indptr)), np.asarray(indices))
+        element = np.repeat(np.arange(m), 9)
+        system = sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
+                                (np.tile(slots.ravel(), 2), np.concatenate([element, element + m]))),
+                               shape=(len(indices), 2 * m))
+        vertex = (tri.ravel(), np.repeat(np.arange(m), 3))   # (node, element) of each vertex
+        return CellBases(local, system,
+                         sp.csr_matrix((np.repeat(areas / 3.0, 3), vertex), shape=(n_ref, m)),
+                         sp.csr_matrix((drift.ravel(), vertex), shape=(n_ref, m)),
+                         sp.csr_matrix((np.full(3 * m, 1.0 / 3.0), vertex[::-1]), shape=(m, n_ref)))
+
+
 # ---------------------------------------------------------------------------
 # Cell problems and the effective tensor
 # ---------------------------------------------------------------------------
@@ -344,11 +419,10 @@ class EffectiveTensorTable:
         return cls(radii, tensors, theta)
 
 
-def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
-             target_h: float = 0.05) -> EffectiveTensorTable:
-    """Unit-diffusion tensor table over ``r_grid`` on one reference mesh,
-    with the coefficient ``b I + (a - b) u u^T`` of one :class:`RadialFrame`
-    on its midpoints, from the frame's scalars and unit directions u.
+def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
+    """Unit-diffusion tensor table over ``r_grid`` on the reference ``cell``,
+    with the coefficient ``b I + (a - b) u u^T`` of the cell's frame, from
+    its scalars and unit directions u.
 
     A single discretization shared across radii makes the tabulated tensors a
     smooth, monotone function of the radius: the geometric error of the
@@ -357,18 +431,16 @@ def tabulate(params: TransformParams, r_grid: np.ndarray, n_boundary: int = 64,
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 5:
         raise ValueError("tensor table needs at least 5 radii")
-    if np.any(r_grid < params.r_min) or np.any(r_grid > params.r_max):
+    if not np.all((r_grid >= cell.params.r_min) & (r_grid <= cell.params.r_max)):
         raise ValueError("table radii must lie in [r_min, r_max]")
-    mesh = build_reference_mesh(params.r0, n_boundary, target_h)
-    frame = RadialFrame(params, centroids(mesh.vertices, mesh.triangles))
-    u = frame.directions()
+    u = cell.frame.directions()
     radial = u[:, :, None] * u[:, None, :]
     tensors = np.empty((r_grid.size, 2, 2))
     for k, r in enumerate(r_grid):
-        sc = frame.scalars(float(r))
+        sc = cell.frame.scalars(float(r))
         coeff = sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * radial
         try:
-            tensors[k] = effective_tensor(mesh, coeff)
+            tensors[k] = effective_tensor(cell.mesh, coeff)
         except NumericalError as exc:
             raise NumericalError(f"tensor tabulation failed at r={r}: {exc}") from exc
     return EffectiveTensorTable(r_grid, tensors, porosity(r_grid))

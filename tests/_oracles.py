@@ -45,10 +45,11 @@ def radial_image(params, y, r_gamma):
     return X_CENTER + R[:, None] * u, dRg[:, None] * u, rho
 
 
-def row_unique_micro_mesh(reference, epsilon):
-    """The micro mesh of ``reference`` at ``epsilon``, its coincident nodes
+def row_unique_micro_mesh(cell, epsilon):
+    """The micro mesh of the reference ``cell`` at ``epsilon``, its coincident nodes
     merged by a row-wise unique of the coordinates rounded to 1e-12."""
     n = cells_per_side(epsilon)
+    reference = cell.mesh
     cells = np.array([(i, j) for i in range(n) for j in range(n)], dtype=int)
     coords = (epsilon * reference.vertices + epsilon * cells[:, None, :]).reshape(-1, 2)
     keys = np.round(coords, 12) + 0.0  # normalizes -0.0
@@ -57,18 +58,18 @@ def row_unique_micro_mesh(reference, epsilon):
     rep[inverse] = np.arange(len(coords))
     node_map = inverse.reshape(len(cells), -1)
     gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
-    return MicroMesh(epsilon, n, coords[rep], cells, gamma, node_map, reference)
+    return MicroMesh(epsilon, n, coords[rep], cells, gamma, node_map, cell)
 
 
 def tiled_triangles(mesh):
     """The micro mesh's triangles (c*m, 3), cell by cell, each cell's in the
     reference order."""
-    return mesh.node_map[:, mesh.reference.triangles].reshape(-1, 3)
+    return mesh.node_map[:, mesh.cell.mesh.triangles].reshape(-1, 3)
 
 
 def cell_of_element(mesh):
     """The cell (c*m,) of every triangle of :func:`tiled_triangles`."""
-    return np.repeat(np.arange(mesh.n_cells), len(mesh.reference.triangles))
+    return np.repeat(np.arange(mesh.n_cells), len(mesh.cell.mesh.triangles))
 
 
 def _p1_geometry(mesh):

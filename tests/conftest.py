@@ -7,7 +7,7 @@ from hypothesis import settings
 from evopore import fem
 from evopore.kinetics import KineticsSpec
 from evopore.transform import TransformParams
-from evopore.unitcell import build_reference_mesh, tabulate
+from evopore.unitcell import ReferenceCell, tabulate
 
 # The ci profile runs every property test that sets no example budget of its
 # own, the %.17g kernel's, on 20,000 examples instead of 100, and draws new
@@ -31,14 +31,14 @@ def spec():
 
 
 @pytest.fixture(scope="session")
-def reference_mesh():
-    return build_reference_mesh(0.25, n_boundary=64, target_h=0.05)
+def reference_cell(params):
+    return ReferenceCell(params, n_boundary=64, target_h=0.05)
 
 
 @pytest.fixture(scope="session")
-def tensor_table(params):
+def tensor_table(params, reference_cell):
     grid = np.linspace(params.r_min, params.r_max, 11)
-    return tabulate(params, grid, n_boundary=64, target_h=0.05)
+    return tabulate(reference_cell, grid)
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,8 @@ from evopore.kinetics import eval_f, lipschitz_envelope, step_radius, validate_s
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.transform import RadialFrame, profile
-from evopore.unitcell import (build_reference_mesh, effective_tensor, porosity, table_checks,
-                              tabulate)
+from evopore.unitcell import (ReferenceCell, build_reference_mesh, effective_tensor, porosity,
+                              table_checks, tabulate)
 from evopore.validate import epsilon_uniformity_checks
 
 def _emit(num, ok, detail, elapsed, budget):
@@ -97,7 +97,7 @@ def test_criterion_04_effective_tensor(params, tensor_table):
     voigt_ok = bool(np.all(tensor_table.tensors[:, 0, 0] <= porosity(tensor_table.radii)))
     # the pulled-back route of the table, on one mesh at r0, against cells
     # meshed at the radius
-    pulled = tabulate(params, np.array([0.15, 0.2, 0.25, 0.3, 0.35]), 64, 0.03)
+    pulled = tabulate(ReferenceCell(params, 64, 0.03), np.array([0.15, 0.2, 0.25, 0.3, 0.35]))
     rels = []
     for r, transformed in zip((0.15, 0.25, 0.35), pulled.tensors[::2]):
         direct = effective_tensor(build_reference_mesh(r, 64, 0.03))
@@ -158,7 +158,7 @@ def test_criterion_07_manufactured_orders(spec):
           elapsed, 120.0)
 
 
-def test_criterion_08_steady_state_fixed_point(params, spec, tensor_table, reference_mesh):
+def test_criterion_08_steady_state_fixed_point(params, spec, tensor_table, reference_cell):
     t0 = time.perf_counter()
     grid = MacroGrid.create(32)
     macro = MacroSolver(grid, tensor_table, spec, cg_tol=1e-12)
@@ -168,7 +168,7 @@ def test_criterion_08_steady_state_fixed_point(params, spec, tensor_table, refer
     macro_dev = max(float(np.abs(ms.u - spec.u_eq).max()),
                     float(np.abs(ms.r - params.r0).max()))
 
-    sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec, cg_tol=1e-12)
+    sim = MicroSimulator(build_micro_mesh(reference_cell, 0.5), spec, cg_tol=1e-12)
     st = sim.init(_constant(spec.u_eq), _constant(params.r0))
     for _ in range(50):
         st = sim.step(st, 1.0 / 200.0)
@@ -194,10 +194,10 @@ def test_criterion_09_two_scale_convergence():
                  f"r {report.r_slope:.2f} (reported, not asserted)", elapsed, 600.0)
 
 
-def test_criterion_10_single_cell_ode_consistency(params, spec, reference_mesh):
+def test_criterion_10_single_cell_ode_consistency(params, spec, reference_cell):
     t0 = time.perf_counter()
-    mesh = build_micro_mesh(reference_mesh, 1.0)
-    sim = MicroSimulator(mesh, params, spec, cg_tol=1e-11)
+    mesh = build_micro_mesh(reference_cell, 1.0)
+    sim = MicroSimulator(mesh, spec, cg_tol=1e-11)
     dt, steps = 0.01, 25
     state = sim.init(_constant(0.9), _constant(0.2))
     variation = 0.0

@@ -20,7 +20,8 @@ from evopore.config import _KNOWN_KEYS, DEFAULT_CONFIG, parse_config
 from evopore.errors import ConfigError, NumericalError
 from evopore.macro import MacroGrid, MacroSolver, ledger_csv
 from evopore.micro import MicroSimulator
-from evopore.unitcell import EffectiveTensorTable, porosity, table_checks
+from evopore.transform import RadialFrame
+from evopore.unitcell import CellBases, EffectiveTensorTable, PeriodicMesh, porosity, table_checks
 
 FAST_COMMON = """\
 [discretization]
@@ -274,6 +275,43 @@ def test_macro_run_can_load_table(tmp_path):
         "[table]\nradius_count = 5", f"[table]\npath = {tdir / 'table.csv'}"))
     out = tmp_path / "m"
     assert main(["macro-run", "--config", str(cfg2), "--out", str(out), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command, load_table, built", [
+    (["convergence"], False, (1, 1, 1)),
+    (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1)),
+    (["macro-run"], False, (1, 1, 0)),
+    (["macro-run"], True, (0, 0, 0)),
+], ids=["convergence", "micro-run", "macro-run", "macro-run-table-path"])
+def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_table, built):
+    """A command builds the reference mesh, the map's frame on its midpoints
+    and the micro operators at most once: the table and every 1/epsilon of
+    the study share them.  A macro run that tabulates builds no operators,
+    and one that loads its table builds no cell."""
+    config = FAST_COMMON
+    if load_table:
+        tdir = tmp_path / "table"
+        assert main(["cell-table", "--config", cfg_file(tmp_path), "--out", str(tdir),
+                     "--quiet"]) == 0
+        config = config.replace("[table]\nradius_count = 5",
+                                f"[table]\npath = {tdir / 'table.csv'}")
+    counts = {cls: 0 for cls in (PeriodicMesh, RadialFrame, CellBases)}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            counts[cls] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    for cls in counts:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert main(command[:1] + ["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+                + command[1:]) == 0
+    assert tuple(counts.values()) == built
 
 
 def _floats(lo, hi):

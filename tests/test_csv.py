@@ -76,11 +76,11 @@ def constant_field(value):
     return lambda x: np.full(len(np.atleast_2d(x)), float(value))
 
 
-def test_micro_writers_match_the_row_writer(reference_mesh, params, spec, run_steps):
+def test_micro_writers_match_the_row_writer(reference_cell, params, spec, run_steps):
     """Snapshots, cell files and the micro ledger of a run with moving
     radii, after init and each of 3 steps."""
-    mesh = build_micro_mesh(reference_mesh, 0.5)
-    sim = MicroSimulator(mesh, params, spec)
+    mesh = build_micro_mesh(reference_cell, 0.5)
+    sim = MicroSimulator(mesh, spec)
     state = sim.init(lambda x: 0.6 + 0.3 * np.cos(np.pi * np.atleast_2d(x)[:, 0]),
                      constant_field(0.2))
     states = run_steps(sim, state, 0.01, 3)

@@ -1,3 +1,4 @@
+import copy
 import sys
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from evopore.fem import centroids, element_means, element_stiffness, triangle_ge
 from evopore.kinetics import eval_f, step_radius
 from evopore.macro import MacroGrid, MacroSolver, snapshot_csv
 from evopore.micro import (
-    CellBases,
     MicroSimulator,
     build_micro_mesh,
     cell_pore_means,
@@ -24,7 +24,7 @@ from evopore.micro import (
 )
 from evopore.registry import build_field, build_source
 from evopore.sparse import solve_cg
-from evopore.unitcell import build_reference_mesh, porosity
+from evopore.unitcell import ReferenceCell, build_reference_mesh, porosity
 from evopore.validate import patterned_radii
 
 
@@ -33,8 +33,8 @@ def constant_field(value):
 
 
 @pytest.fixture(scope="module")
-def micro_mesh_half(reference_mesh):
-    return build_micro_mesh(reference_mesh, 0.5)
+def micro_mesh_half(reference_cell):
+    return build_micro_mesh(reference_cell, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -59,17 +59,17 @@ def count_assemblies(sim):
     return lambda: len(calls)
 
 
-def test_mesh_counts(reference_mesh, micro_mesh_half):
+def test_mesh_counts(reference_cell, micro_mesh_half):
     m = micro_mesh_half
     assert m.n_cells == 4
     assert m.gamma_edges.shape[0] == 4
-    n_ref = reference_mesh.n_nodes
-    trace = np.sum(np.abs(reference_mesh.vertices[:, 0]) < 1e-12)
+    n_ref = reference_cell.mesh.n_nodes
+    trace = np.sum(np.abs(reference_cell.mesh.vertices[:, 0]) < 1e-12)
     # interior cross: two seam lines of 2*trace-1 nodes each appear twice,
     # their common center four times
     assert m.n_nodes == 4 * n_ref - (4 * trace - 1)
     assert m.node_map.shape == (4, n_ref)
-    assert len(tiled_triangles(m)) == 4 * len(reference_mesh.triangles)
+    assert len(tiled_triangles(m)) == 4 * len(reference_cell.mesh.triangles)
 
 
 def test_mesh_is_conforming(micro_mesh_half):
@@ -93,8 +93,9 @@ def test_mesh_is_conforming(micro_mesh_half):
             assert on_outer or (a, b) in gamma
 
 
-def test_mesh_pore_area_preserved(reference_mesh, micro_mesh_half):
-    ref_area = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)[0].sum()
+def test_mesh_pore_area_preserved(reference_cell, micro_mesh_half):
+    ref = reference_cell.mesh
+    ref_area = triangle_geometry(ref.vertices, ref.triangles)[0].sum()
     m = micro_mesh_half
     areas = triangle_geometry(m.vertices, tiled_triangles(m))[0]
     assert np.all(areas > 0.0)
@@ -104,8 +105,8 @@ def test_mesh_pore_area_preserved(reference_mesh, micro_mesh_half):
 @pytest.mark.parametrize("n_boundary, target_h, inv, n_nodes", [
     (64, 0.05, 1, 704), (64, 0.05, 2, 2749), (64, 0.05, 4, 10865), (64, 0.05, 8, 43201),
     (128, 0.025, 2, 10109)])
-def test_mesh_merge_matches_the_row_unique_oracle(n_boundary, target_h, inv, n_nodes):
-    reference = build_reference_mesh(0.25, n_boundary, target_h)
+def test_mesh_merge_matches_the_row_unique_oracle(params, n_boundary, target_h, inv, n_nodes):
+    reference = ReferenceCell(params, n_boundary, target_h)
     got = build_micro_mesh(reference, 1.0 / inv)
     want = row_unique_micro_mesh(reference, 1.0 / inv)
     for name in ("vertices", "node_map", "gamma_edges", "cell_nodes"):
@@ -113,25 +114,48 @@ def test_mesh_merge_matches_the_row_unique_oracle(n_boundary, target_h, inv, n_n
     assert got.n_nodes == n_nodes
 
 
-def test_mesh_merge_counts_unpartnered_face_nodes(reference_mesh):
-    v = reference_mesh.vertices.copy()
+def test_mesh_merge_counts_unpartnered_face_nodes(reference_cell):
+    v = reference_cell.mesh.vertices.copy()
     right = np.flatnonzero((v[:, 0] == 1.0) & (v[:, 1] > 0.0) & (v[:, 1] < 1.0))
     v[right[0], 1] += 1e-9
-    moved = replace(reference_mesh, vertices=v)
+    moved = copy.copy(reference_cell)
+    moved.mesh = replace(reference_cell.mesh, vertices=v)
     # in each of the 12 cells with a neighbour to the right, the moved node
     # misses its partner on that neighbour's left face: 12 nodes too many
     with pytest.raises(NumericalError, match="10877 nodes, expected 10865"):
         build_micro_mesh(moved, 0.25)
 
 
-def test_mesh_rejects_bad_epsilon(reference_mesh):
+def test_a_mesh_and_a_map_of_different_r0_cannot_be_paired(params, spec):
+    """The stepper takes its map from its mesh's reference cell, whose hole
+    is meshed at that map's own r0: the 0.2 hole comes only with a map of
+    r0 = 0.2, and a map given beside a micro mesh is a TypeError.  A 0.2
+    mesh stepped with the map of r0 = 0.25 used to run without a word: 5
+    steps from u = 0.9 at r = 0.25 ended with a radius-flux gap of 6.2e-4,
+    against 4.6e-6 on either matched cell."""
+    assert params.r0 == 0.25
+    mesh = build_reference_mesh(0.2, 64, 0.05)
+    cell = ReferenceCell(replace(params, r0=0.2))
+    assert cell.mesh.hole_radius == cell.frame.params.r0 == 0.2
+    assert np.array_equal(cell.mesh.vertices, mesh.vertices)
+    micro = build_micro_mesh(cell, 0.5)
+    with pytest.raises(TypeError):
+        MicroSimulator(micro, params, spec)
+    sim = MicroSimulator(micro, spec)
+    state = sim.init(constant_field(0.9), constant_field(0.25))
+    for _ in range(5):
+        state = sim.step(state, 0.005)
+    assert state.radius_flux_gap < 1e-5
+
+
+def test_mesh_rejects_bad_epsilon(reference_cell):
     with pytest.raises(ValueError):
-        build_micro_mesh(reference_mesh, 1.0 / 3.0)
+        build_micro_mesh(reference_cell, 1.0 / 3.0)
 
 
-def test_gamma_perimeter_scales(reference_mesh, micro_mesh_half):
-    ids = reference_mesh.hole_boundary_facets
-    e = reference_mesh.vertices[ids[:, 1]] - reference_mesh.vertices[ids[:, 0]]
+def test_gamma_perimeter_scales(reference_cell, micro_mesh_half):
+    ids = reference_cell.mesh.hole_boundary_facets
+    e = reference_cell.mesh.vertices[ids[:, 1]] - reference_cell.mesh.vertices[ids[:, 0]]
     ref_per = np.sum(np.hypot(e[:, 0], e[:, 1]))
     for c in range(4):
         assert micro_mesh_half.gamma_edge_lengths()[c].sum() == pytest.approx(0.5 * ref_per, rel=1e-12)
@@ -139,7 +163,7 @@ def test_gamma_perimeter_scales(reference_mesh, micro_mesh_half):
 
 def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_reaction):
     m = micro_mesh_half
-    sim = MicroSimulator(m, params, no_reaction, cg_tol=1e-12)
+    sim = MicroSimulator(m, no_reaction, cg_tol=1e-12)
     rng = np.random.default_rng(0)
     u0 = rng.uniform(0.2, 0.8, m.n_nodes)
     state = sim.init(lambda x: u0, constant_field(params.r0))
@@ -156,7 +180,7 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
     # exact float64 factor of it, so the step's CG is preconditioned by the
     # factor of this same system
     dt = 0.01
-    ref = m.reference
+    ref = m.cell.mesh
     n_ref, n = ref.n_nodes, m.n_nodes
     ref_areas, ref_grads = triangle_geometry(ref.vertices, ref.triangles)
     eye = np.broadcast_to(np.eye(2), (len(ref.triangles), 2, 2)).copy()
@@ -199,7 +223,7 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
     dt = 0.01
 
     def run(source):
-        sim = MicroSimulator(m, params, no_reaction, source, cg_tol=1e-12)
+        sim = MicroSimulator(m, no_reaction, source=source, cg_tol=1e-12)
         return sim.step(sim.init(lambda x: u0, constant_field(params.r0)), dt)
 
     out = run(f)
@@ -207,29 +231,29 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
     assert np.allclose(out.u_hat, want.u_hat, rtol=1e-12, atol=1e-14)
     assert abs(out.source_step - want.source_step) <= 1e-15
     # the reference-point source differs visibly, so the check above has teeth
-    in_cell = np.tile(centroids(m.reference.vertices, m.reference.triangles), (m.n_cells, 1))
+    in_cell = np.tile(centroids(m.cell.mesh.vertices, m.cell.mesh.triangles), (m.n_cells, 1))
     at_reference = run(lambda t, x: f(t, in_cell))
     assert np.abs(at_reference.u_hat - out.u_hat).max() > 1e-3
 
 
 @pytest.mark.parametrize("inv", (2, 4))
-def test_source_step_is_the_source_integral(reference_mesh, params, spec, inv):
+def test_source_step_is_the_source_integral(reference_cell, params, spec, inv):
     """With growing radii and a source, a step books dt times the integral
     of J f over the micro elements (areas from their own scaled vertices, J
     from the inverse-Jacobian oracle, f at the mapped physical midpoints),
     and its ledger defect stays at rounding."""
-    m = build_micro_mesh(reference_mesh, 1.0 / inv)
+    m = build_micro_mesh(reference_cell, 1.0 / inv)
 
     def f(t, x):
         return (1.0 + t) * (1.0 + np.asarray(x)[:, 0] ** 2 + 0.5 * np.asarray(x)[:, 1])
 
-    sim = MicroSimulator(m, params, spec, f, cg_tol=1e-12)
+    sim = MicroSimulator(m, spec, source=f, cg_tol=1e-12)
     dt = 0.01
     out = sim.step(sim.init(constant_field(0.9), constant_field(0.2)), dt)
     assert np.all(out.radii > 0.2)
 
     tri, el = tiled_triangles(m), cell_of_element(m)
-    in_cell = np.tile(centroids(m.reference.vertices, m.reference.triangles), (m.n_cells, 1))
+    in_cell = np.tile(centroids(m.cell.mesh.vertices, m.cell.mesh.triangles), (m.n_cells, 1))
     r_el = out.radii.reshape(-1)[el]
     det = pulled_back(params, in_cell, r_el)[0]
     points = m.epsilon * (m.cell_index[el] + radial_image(params, in_cell, r_el)[0])
@@ -238,14 +262,14 @@ def test_source_step_is_the_source_integral(reference_mesh, params, spec, inv):
     assert out.source_step > 0.005 and out.defect < 1e-12
 
 
-def test_reference_bases_match_pulled_back_assembly(reference_mesh, params, spec):
+def test_reference_bases_match_pulled_back_assembly(reference_cell, params, spec):
     """The system, lumped mass, element means and drift loads of the
     cell-batched reference operators equal a per-element assembly on the
     micro mesh's own geometry at 1/eps = 2 and 4: the pulled-back tensor
     J Psi^{-1} Psi^{-T} from the inverse of the frame's Jacobian by
     ``element_stiffness``, summed by ``np.add.at`` in element order."""
     for inv in (2, 4):
-        check_cell_batched_step(build_micro_mesh(reference_mesh, 1.0 / inv), params, spec,
+        check_cell_batched_step(build_micro_mesh(reference_cell, 1.0 / inv), params, spec,
                                 np.random.default_rng(14 + inv))
 
 
@@ -254,12 +278,12 @@ def check_cell_batched_step(m, params, spec, rng):
     rate = rng.uniform(-0.5, 0.5, m.n_cells)
     u = rng.uniform(0.2, 0.9, m.n_nodes)
     diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
-    sim = MicroSimulator(m, params, spec, diffusion=1.7)
+    sim = MicroSimulator(m, spec, diffusion=1.7)
     sc = sim._cell_map(radii)
 
     el = cell_of_element(m)
     tri = tiled_triangles(m)
-    in_cell = np.tile(centroids(m.reference.vertices, m.reference.triangles), (m.n_cells, 1))
+    in_cell = np.tile(centroids(m.cell.mesh.vertices, m.cell.mesh.triangles), (m.n_cells, 1))
     det, psi_inv, tensor = pulled_back(params, in_cell, radii[el])
     dpsi_drg = radial_image(params, in_cell, radii[el])[1]
     areas, grads = triangle_geometry(m.vertices, tri)
@@ -296,14 +320,14 @@ def check_cell_batched_step(m, params, spec, rng):
 
 
 @pytest.mark.parametrize("inv", (2, 4))
-def test_micro_assembly_and_scatter_match_independent_oracles(reference_mesh, params, spec, inv):
+def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, params, spec, inv):
     """With patterned radii, the assembled system equals ``sp.coo_matrix`` of
     every cell's entries at their global (row, col) plus the diagonal, and
     ``MicroMesh.scatter`` equals ``np.add.at``.  The slots and the scatter
     index are intp laid out like the data they index, so ``np.bincount``
     reads both in place."""
-    m = build_micro_mesh(reference_mesh, 1.0 / inv)
-    sim = MicroSimulator(m, params, spec, diffusion=1.7)
+    m = build_micro_mesh(reference_cell, 1.0 / inv)
+    sim = MicroSimulator(m, spec, diffusion=1.7)
     sc = sim._cell_map(patterned_radii(params, inv))
     rng = np.random.default_rng(30 + inv)
     diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
@@ -319,7 +343,7 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_mesh, pa
     assert got.nnz == want.nnz
     assert abs(got - want).max() <= 1e-15 * abs(want).max()
 
-    values = rng.uniform(-1.0, 1.0, (m.reference.n_nodes, m.n_cells))
+    values = rng.uniform(-1.0, 1.0, (m.cell.mesh.n_nodes, m.n_cells))
     want_nodal = np.zeros(n)
     np.add.at(want_nodal, m.node_map.T, values)
     assert np.abs(m.scatter(values) - want_nodal).max() <= 1e-15 * np.abs(want_nodal).max()
@@ -333,7 +357,7 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_mesh, pa
 
 
 def test_pinned_constant_initial_stays_constant(micro_mesh_half, params, no_reaction):
-    sim = MicroSimulator(micro_mesh_half, params, no_reaction)
+    sim = MicroSimulator(micro_mesh_half, no_reaction)
     state = sim.init(constant_field(0.7), constant_field(params.r0))
     for _ in range(5):
         state = sim.step(state, 0.02)
@@ -348,7 +372,7 @@ def test_system_reused_while_radii_and_dt_unchanged(micro_mesh_half, params, no_
     u0 = rng.uniform(0.2, 0.8, micro_mesh_half.n_nodes)
 
     def fresh():
-        sim = MicroSimulator(micro_mesh_half, params, no_reaction)
+        sim = MicroSimulator(micro_mesh_half, no_reaction)
         return sim, sim.init(lambda x: u0, constant_field(params.r0))
 
     sim, state = fresh()
@@ -377,7 +401,7 @@ def test_pinned_run_factors_its_system_once(micro_mesh_half, params, no_reaction
     rng = np.random.default_rng(7)
     u0 = rng.uniform(0.2, 0.8, micro_mesh_half.n_nodes)
     factorizations = count_factorizations(monkeypatch)
-    sim = MicroSimulator(micro_mesh_half, params, no_reaction)
+    sim = MicroSimulator(micro_mesh_half, no_reaction)
     state = sim.init(lambda x: u0, constant_field(params.r0))
     for step in range(8):
         state = sim.step(state, 0.01)
@@ -393,7 +417,7 @@ def test_pinned_run_at_the_floor_tolerance_factors_once(micro_mesh_half, params,
     rng = np.random.default_rng(7)
     u0 = rng.uniform(0.2, 0.8, micro_mesh_half.n_nodes)
     factorizations = count_factorizations(monkeypatch)
-    sim = MicroSimulator(micro_mesh_half, params, no_reaction, cg_tol=CG_TOL_FLOOR)
+    sim = MicroSimulator(micro_mesh_half, no_reaction, cg_tol=CG_TOL_FLOOR)
     state = sim.init(lambda x: u0, constant_field(params.r0))
     iterations = []
     for _ in range(8):
@@ -407,7 +431,7 @@ def test_pinned_run_at_the_floor_tolerance_factors_once(micro_mesh_half, params,
 def test_change_of_dt_refactors(micro_mesh_half, params, no_reaction, monkeypatch):
     """A new dt assembles a new system, and a new system a new factor."""
     factorizations = count_factorizations(monkeypatch)
-    sim = MicroSimulator(micro_mesh_half, params, no_reaction)
+    sim = MicroSimulator(micro_mesh_half, no_reaction)
     state = sim.init(lambda x: 0.5 + 0.2 * np.cos(np.pi * x[:, 0]), constant_field(params.r0))
     for dt, total in ((0.01, 1), (0.01, 1), (0.005, 2), (0.005, 2), (0.01, 3)):
         state = sim.step(state, dt)
@@ -421,7 +445,7 @@ def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
     and no factor's fill adds to the convergence study's memory."""
     cfg = parse_config(DEFAULT_CONFIG)
     factorizations = count_factorizations(monkeypatch)
-    sim = MicroSimulator(micro_mesh_half, cfg.params, cfg.spec, diffusion=cfg.diffusion,
+    sim = MicroSimulator(micro_mesh_half, cfg.spec, diffusion=cfg.diffusion,
                          cg_tol=cfg.cg_tol)
     state = sim.init(build_field(cfg.u_field, cfg.u_params),
                      build_field(cfg.r_field, cfg.r_params))
@@ -437,7 +461,7 @@ def test_step_starts_from_the_extrapolated_field(micro_mesh_half, params, spec,
     rng = np.random.default_rng(6)
     u0 = rng.uniform(0.6, 0.9, micro_mesh_half.n_nodes)
     extrapolated, plain = check_extrapolated_start(
-        lambda: MicroSimulator(micro_mesh_half, params, spec), lambda x: u0,
+        lambda: MicroSimulator(micro_mesh_half, spec), lambda x: u0,
         constant_field(0.2), 0.01, "u_hat")
     assert np.array_equal(extrapolated.radii, plain.radii)
     assert not np.all(extrapolated.radii_rate == 0.0)
@@ -453,7 +477,7 @@ def test_reacting_run_at_rest_reuses_its_system(micro_mesh_half, params, spec):
     f = build_source("decaying_cosine", {"amplitude": 0.5, "rate": 1.0})
 
     def fresh(radius):
-        sim = MicroSimulator(micro_mesh_half, params, spec, f)
+        sim = MicroSimulator(micro_mesh_half, spec, source=f)
         return sim, sim.init(lambda x: u0, constant_field(radius))
 
     sim, state = fresh(spec.r_max)
@@ -488,7 +512,7 @@ def euler_expansion_residual(reference, params, spec, inv, monkeypatch, dt=1e-3,
     rates = rng.uniform(-0.5, 0.5, m.n_cells)
     solves = []
     solve = fem.solve_cg
-    sim = MicroSimulator(m, params, spec)
+    sim = MicroSimulator(m, spec)
     state = sim.init(lambda x: np.ones(len(x)), lambda x: radii)
     with monkeypatch.context() as patch:
         patch.setattr(fem, "solve_cg",
@@ -504,22 +528,21 @@ def euler_expansion_residual(reference, params, spec, inv, monkeypatch, dt=1e-3,
     return np.abs(residual[off]).sum() / np.abs(change[off]).sum()
 
 
-def test_drift_balances_the_jacobian_change(reference_mesh, params, spec, monkeypatch):
+def test_drift_balances_the_jacobian_change(reference_cell, params, spec, monkeypatch):
     """The step's drift term cancels the change of the lumped J-mass up to
     discretization error: measured 0.029 and 0.032 at 1/eps = 1 and 2 on
     the default mesh, where the step without the drift gives 1.00 and with
     its sign flipped 2.01.  That error falls by at least 2x per halving of
     target_h (measured 3.0x and 3.3x at 1/eps = 2)."""
-    assert euler_expansion_residual(reference_mesh, params, spec, 1, monkeypatch) <= 0.1
-    meshes = (reference_mesh, build_reference_mesh(params.r0, 128, 0.025),
-              build_reference_mesh(params.r0, 256, 0.0125))
+    assert euler_expansion_residual(reference_cell, params, spec, 1, monkeypatch) <= 0.1
+    meshes = (reference_cell, ReferenceCell(params, 128, 0.025), ReferenceCell(params, 256, 0.0125))
     ratios = [euler_expansion_residual(mesh, params, spec, 2, monkeypatch) for mesh in meshes]
     assert ratios[0] <= 0.1
     assert ratios[1] <= ratios[0] / 2 and ratios[2] <= ratios[1] / 2, ratios
 
 
 def test_steady_state_exact(micro_mesh_half, params, spec):
-    sim = MicroSimulator(micro_mesh_half, params, spec, cg_tol=1e-12)
+    sim = MicroSimulator(micro_mesh_half, spec, cg_tol=1e-12)
     state = sim.init(constant_field(spec.u_eq), constant_field(params.r0))
     for _ in range(20):
         state = sim.step(state, 0.01)
@@ -533,7 +556,7 @@ def test_steppers_reject_a_step_that_is_not_forward(micro_mesh_half, params, spe
     """Neither stepper takes a step of dt <= 0: the radius update raises
     ``ValueError`` before the step solves anything."""
     for solver in (MacroSolver(MacroGrid.create(4), tensor_table, spec),
-                   MicroSimulator(micro_mesh_half, params, spec)):
+                   MicroSimulator(micro_mesh_half, spec)):
         state = solver.init(constant_field(0.9), constant_field(0.2))
         with pytest.raises(ValueError, match="dt must be positive"):
             solver.step(state, dt)
@@ -541,7 +564,7 @@ def test_steppers_reject_a_step_that_is_not_forward(micro_mesh_half, params, spe
 
 
 def test_growth_run_ledger_and_rate_bound(micro_mesh_half, params, spec, run_steps):
-    sim = MicroSimulator(micro_mesh_half, params, spec, cg_tol=1e-12)
+    sim = MicroSimulator(micro_mesh_half, spec, cg_tol=1e-12)
     state = sim.init(constant_field(0.9), constant_field(0.2))
     dt = 0.005
     states = run_steps(sim, state, dt, 40)
@@ -554,7 +577,7 @@ def test_growth_run_ledger_and_rate_bound(micro_mesh_half, params, spec, run_ste
     assert states[-1].fluid_mass < states[0].fluid_mass
 
 
-def test_epsilon_uniform_norm_bounds(reference_mesh, params, spec):
+def test_epsilon_uniform_norm_bounds(reference_cell, params, spec):
     # discrete analogue of the uniform a priori bound: max-in-time L2 norm and
     # the space-time gradient norm stay comparable across epsilon; the fixed
     # scenario carries a macroscopic gradient so neither norm degenerates
@@ -562,8 +585,8 @@ def test_epsilon_uniform_norm_bounds(reference_mesh, params, spec):
     dt = 0.01
     u0 = lambda x: 0.5 + 0.3 * np.cos(np.pi * np.atleast_2d(x)[:, 0])
     for inv in (2, 4, 8):
-        mesh = build_micro_mesh(reference_mesh, 1.0 / inv)
-        sim = MicroSimulator(mesh, params, spec, cg_tol=1e-11)
+        mesh = build_micro_mesh(reference_cell, 1.0 / inv)
+        sim = MicroSimulator(mesh, spec, cg_tol=1e-11)
         state = sim.init(u0, constant_field(0.2))
         tri = tiled_triangles(mesh)
         areas, grads = triangle_geometry(mesh.vertices, tri)
@@ -582,11 +605,11 @@ def test_epsilon_uniform_norm_bounds(reference_mesh, params, spec):
     assert max(grads_norm) / min(grads_norm) < 1.2
 
 
-def test_single_cell_matches_scalar_ode(reference_mesh, params, spec):
+def test_single_cell_matches_scalar_ode(reference_cell, params, spec):
     # epsilon = 1: the radius trajectory follows the well-mixed two-variable
     # oracle up to time discretization and in-cell spatial variation
-    mesh = build_micro_mesh(reference_mesh, 1.0)
-    sim = MicroSimulator(mesh, params, spec, cg_tol=1e-11)
+    mesh = build_micro_mesh(reference_cell, 1.0)
+    sim = MicroSimulator(mesh, spec, cg_tol=1e-11)
     dt, steps = 0.01, 25
     state = sim.init(constant_field(0.9), constant_field(0.2))
     variation = 0.0
@@ -614,7 +637,7 @@ def test_unfold_compare_steady_state(micro_mesh_half, params, spec, tensor_table
     grid = MacroGrid.create(8)
     macro = MacroSolver(grid, tensor_table, spec)
     macro_state = macro.init(constant_field(spec.u_eq), constant_field(params.r0))
-    sim = MicroSimulator(micro_mesh_half, params, spec)
+    sim = MicroSimulator(micro_mesh_half, spec)
     micro_state = sim.init(constant_field(spec.u_eq), constant_field(params.r0))
     for _ in range(3):
         macro_state = macro.step(macro_state, 0.01)
@@ -624,7 +647,7 @@ def test_unfold_compare_steady_state(micro_mesh_half, params, spec, tensor_table
     assert err.r_l2_error < 1e-12
 
 
-def test_unfolding_errors_decrease(reference_mesh, params, spec, tensor_table):
+def test_unfolding_errors_decrease(reference_cell, params, spec, tensor_table):
     grid = MacroGrid.create(16)
     macro = MacroSolver(grid, tensor_table, spec, cg_tol=1e-12)
     macro_state = macro.init(constant_field(0.9), constant_field(0.2))
@@ -633,8 +656,8 @@ def test_unfolding_errors_decrease(reference_mesh, params, spec, tensor_table):
         macro_state = macro.step(macro_state, dt)
     errs = []
     for inv in (2, 4):
-        mesh = build_micro_mesh(reference_mesh, 1.0 / inv)
-        sim = MicroSimulator(mesh, params, spec, cg_tol=1e-11)
+        mesh = build_micro_mesh(reference_cell, 1.0 / inv)
+        sim = MicroSimulator(mesh, spec, cg_tol=1e-11)
         st = sim.init(constant_field(0.9), constant_field(0.2))
         for _ in range(steps):
             st = sim.step(st, dt)
@@ -643,12 +666,12 @@ def test_unfolding_errors_decrease(reference_mesh, params, spec, tensor_table):
     assert errs[1].r_l2_error < errs[0].r_l2_error
 
 
-def test_constant_macro_error_bounded_by_poincare(reference_mesh, params, spec):
+def test_constant_macro_error_bounded_by_poincare(reference_cell, params, spec):
     # against a spatially constant macro field equal to the global pore mean,
     # the unfolded error is the cell-mean deviation, controlled by the
     # gradient norm through the Poincare inequality on the unit square
-    mesh = build_micro_mesh(reference_mesh, 0.25)
-    sim = MicroSimulator(mesh, params, spec, cg_tol=1e-11)
+    mesh = build_micro_mesh(reference_cell, 0.25)
+    sim = MicroSimulator(mesh, spec, cg_tol=1e-11)
     state = sim.init(constant_field(0.9), constant_field(0.2))
     for _ in range(10):
         state = sim.step(state, 0.01)
@@ -675,11 +698,11 @@ def test_pore_means_of_linear_field(micro_mesh_half):
 
 
 @pytest.mark.parametrize("inv", (2, 4))
-def test_pore_means_match_a_per_element_oracle(reference_mesh, inv):
+def test_pore_means_match_a_per_element_oracle(reference_cell, inv):
     """On a random nodal field, the pore means equal the area-weighted
     element means summed by ``np.add.at`` cell by cell, with every micro
     element's area from its own scaled vertex coordinates."""
-    mesh = build_micro_mesh(reference_mesh, 1.0 / inv)
+    mesh = build_micro_mesh(reference_cell, 1.0 / inv)
     u = np.random.default_rng(20 + inv).uniform(-1.0, 2.0, mesh.n_nodes)
     tri = tiled_triangles(mesh)
     areas = triangle_geometry(mesh.vertices, tri)[0]
@@ -691,12 +714,12 @@ def test_pore_means_match_a_per_element_oracle(reference_mesh, inv):
     assert np.allclose(cell_pore_means(mesh, u), want, rtol=1e-13, atol=0.0)
 
 
-def test_snapshot_formats_every_value_by_percent_17g(reference_mesh, params, spec,
+def test_snapshot_formats_every_value_by_percent_17g(reference_cell, params, spec,
                                                     check_snapshot):
     """After init and after 3 steps with moving radii, a snapshot is every
     column formatted by ``%.17g``; the node text is built once per mesh."""
-    mesh = build_micro_mesh(reference_mesh, 0.5)
-    sim = MicroSimulator(mesh, params, spec)
+    mesh = build_micro_mesh(reference_cell, 0.5)
+    sim = MicroSimulator(mesh, spec)
     state = sim.init(lambda x: 0.6 + 0.3 * np.cos(np.pi * np.atleast_2d(x)[:, 0]),
                      constant_field(0.2))
     for k in range(4):
@@ -709,14 +732,14 @@ def test_snapshot_formats_every_value_by_percent_17g(reference_mesh, params, spe
     assert np.all(state.radii != 0.2)  # every radius moved
     assert mesh.coordinate_text is text
     # a second mesh formats its own nodes
-    other = build_micro_mesh(reference_mesh, 0.25)
-    state = MicroSimulator(other, params, spec).init(constant_field(0.9), constant_field(0.2))
+    other = build_micro_mesh(reference_cell, 0.25)
+    state = MicroSimulator(other, spec).init(constant_field(0.9), constant_field(0.2))
     check_snapshot(micro_snapshot_csv(other, state), "x1,x2,u_hat",
                    [other.vertices[:, 0], other.vertices[:, 1], state.u_hat])
     assert other.coordinate_text is not text
 
 
-def test_only_the_first_snapshot_formats_the_coordinates(reference_mesh, params, spec,
+def test_only_the_first_snapshot_formats_the_coordinates(reference_cell, params, spec,
                                                          tensor_table, monkeypatch):
     """Building the micro mesh or the macro grid, and initializing and
     stepping their solvers, formats no coordinate text: the first snapshot
@@ -732,9 +755,9 @@ def test_only_the_first_snapshot_formats_the_coordinates(reference_mesh, params,
         for key, value in list(vars(module).items()):
             if value is xy_text:
                 monkeypatch.setattr(module, key, recorded)
-    mesh = build_micro_mesh(reference_mesh, 0.5)
+    mesh = build_micro_mesh(reference_cell, 0.5)
     grid = MacroGrid.create(8)
-    sim = MicroSimulator(mesh, params, spec)
+    sim = MicroSimulator(mesh, spec)
     solver = MacroSolver(grid, tensor_table, spec)
     micro_state = sim.init(constant_field(0.9), constant_field(0.2))
     macro_state = solver.init(constant_field(0.9), constant_field(0.2))
@@ -758,7 +781,7 @@ def test_mesh_vertices_are_read_only(micro_mesh_half):
 
 
 def test_csv_outputs(micro_mesh_half, params, spec):
-    sim = MicroSimulator(micro_mesh_half, params, spec)
+    sim = MicroSimulator(micro_mesh_half, spec)
     state = sim.init(constant_field(0.9), constant_field(0.2))
     state = sim.step(state, 0.01)
     snap = micro_snapshot_csv(micro_mesh_half, state)

@@ -68,15 +68,15 @@ def test_duplicate_accumulation():
     assert with_diag.toarray() == pytest.approx(single + np.diag([1.0, 2.0, 3.0]), abs=1e-14)
 
 
-def test_duplicates_summed_in_input_order(reference_mesh, params):
+def test_duplicates_summed_in_input_order(reference_cell, params):
     """Every CSR entry is the sum of its element entries in the data's
     memory order, then the diagonal, bit for bit: element by element and
     row by row for block-major data, entry by entry and element by element
     for entry-major data.  The slots are intp in the data's layout."""
-    m = build_micro_mesh(reference_mesh, 0.5)
+    m = build_micro_mesh(reference_cell, 0.5)
     rng = np.random.default_rng(8)
     r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[cell_of_element(m)]
-    in_cell = np.tile(centroids(reference_mesh.vertices, reference_mesh.triangles), (m.n_cells, 1))
+    in_cell = np.tile(centroids(m.cell.mesh.vertices, m.cell.mesh.triangles), (m.n_cells, 1))
     coeff = pulled_back(params, in_cell, r_el)[2]
     tiled = tiled_triangles(m)
     areas, grads = triangle_geometry(m.vertices, tiled)
@@ -281,12 +281,12 @@ def allocating_solve_cg(A, b, tol=1e-10, x0=None, precondition=None):
     return x, SolveReport(it, res / bnorm, res <= tol * bnorm)
 
 
-def cg_cases(reference_mesh, params, spec):
+def cg_cases(reference_cell, params, spec):
     """(A, b, solve_cg keywords) of the two kinds of solve in the package:
     Jacobi on a micro system from a start vector, and a stale single
     precision factor on a macro system."""
     rng = np.random.default_rng(21)
-    sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec)
+    sim = MicroSimulator(build_micro_mesh(reference_cell, 0.5), spec)
     radii = rng.uniform(params.r_min, params.r_max, sim.mesh.n_cells)
     sc = sim._cell_map(radii)
     micro = sim._system(sc, sim._lumped(sc.det) / 0.01)
@@ -301,14 +301,14 @@ def cg_cases(reference_mesh, params, spec):
     ]
 
 
-def test_in_place_cg_matches_the_allocating_loop(reference_mesh, params, spec):
+def test_in_place_cg_matches_the_allocating_loop(reference_cell, params, spec):
     """The in-place loop (BLAS axpy updates, Jacobi by a reciprocal
     diagonal) rounds differently from the plain allocating loop but is the
     same iteration: on the two kinds of solve it takes as many iterations,
     and both iterates solve the system to ``tol``.  Each loop stops once
     its residual is within tol |b|, so the two iterates differ by a vector
     whose image under A is within 2 tol |b|: the bound asserted."""
-    for A, b, kwargs in cg_cases(reference_mesh, params, spec):
+    for A, b, kwargs in cg_cases(reference_cell, params, spec):
         tol = kwargs["tol"]
         x, report = solve_cg(A, b, **kwargs)
         x_ref, report_ref = allocating_solve_cg(A, b, **kwargs)
@@ -317,12 +317,12 @@ def test_in_place_cg_matches_the_allocating_loop(reference_mesh, params, spec):
         assert np.linalg.norm(A @ (x - x_ref)) <= 2.0 * tol * np.linalg.norm(b)
 
 
-def test_preconditioner_may_reuse_its_output_buffer(reference_mesh, params, spec):
+def test_preconditioner_may_reuse_its_output_buffer(reference_cell, params, spec):
     """``solve_cg`` copies what ``precondition`` returns before the loop
     writes into its own buffer: a preconditioner that returns one buffer it
     overwrites on every call, or the residual itself, gives the iterate and
     iteration count of one that returns fresh arrays, bit for bit."""
-    for A, b, kwargs in cg_cases(reference_mesh, params, spec):
+    for A, b, kwargs in cg_cases(reference_cell, params, spec):
         kwargs = dict(kwargs)
         fresh = kwargs.pop("precondition", None)
         if fresh is None:
@@ -365,14 +365,14 @@ def counting(precondition, calls):
     return counted
 
 
-def test_one_preconditioner_application_per_iteration(reference_mesh, params, spec):
+def test_one_preconditioner_application_per_iteration(reference_cell, params, spec):
     """An iteration preconditions the residual its direction is built from
     and nothing else: on the two kinds of solve the preconditioner runs
     ``report.iterations`` times, not once more for the final residual.  A
     start that already solves the system is returned as it is, bit for
     bit, without a single application, so a factor of either precision is
     never built."""
-    for A, b, kwargs in cg_cases(reference_mesh, params, spec):
+    for A, b, kwargs in cg_cases(reference_cell, params, spec):
         kwargs = dict(kwargs)
         calls = []
         precondition = counting(kwargs.pop("precondition", A), calls)
@@ -410,7 +410,7 @@ def test_nonfinite_rhs_stops_before_preconditioning(macro_grid):
         assert not factor.factored
 
 
-def test_every_step_solves_through_the_module_solver(reference_mesh, params, spec, tensor_table,
+def test_every_step_solves_through_the_module_solver(reference_cell, params, spec, tensor_table,
                                                      monkeypatch):
     """The benchmark counts CG solves by replacing ``evopore.sparse.solve_cg``
     in every loaded evopore module; each micro and macro step must reach the
@@ -435,7 +435,7 @@ def test_every_step_solves_through_the_module_solver(reference_mesh, params, spe
             state = solver.step(state, 0.01)
             assert len(calls) >= 1, (type(solver).__name__, k)
 
-    steps(MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec), 2)
+    steps(MicroSimulator(build_micro_mesh(reference_cell, 0.5), spec), 2)
     steps(MacroSolver(MacroGrid.create(8), tensor_table, spec), 2)
 
 
@@ -464,13 +464,13 @@ def test_exact_factor_converges_in_two_iterations(macro_grid):
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_double_factor_solves_its_system_in_one_iteration(reference_mesh, params, spec):
+def test_double_factor_solves_its_system_in_one_iteration(reference_cell, params, spec):
     """The double precision factor of a micro system, as a micro step makes
     it for the system it keeps, is exact: every CG solve with it converges
     in 1 iteration, from 1 factorization on the first application, which
     leaves the system's values as they were."""
     rng = np.random.default_rng(14)
-    sim = MicroSimulator(build_micro_mesh(reference_mesh, 0.5), params, spec)
+    sim = MicroSimulator(build_micro_mesh(reference_cell, 0.5), spec)
     sc = sim._cell_map(np.full(sim.mesh.n_cells, params.r0))
     A = sim._system(sc, sim._lumped(sc.det) / 0.01)
     data = A.data.copy()

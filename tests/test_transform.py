@@ -79,10 +79,11 @@ def test_profile_raw_continuity_at_breakpoints(params):
 
 def test_radius_outside_the_box_is_rejected(params):
     """``profile`` and ``RadialFrame.scalars`` reject a radius outside
-    [r_min, r_max] beyond 1e-14, alone or among radii inside, and accept
-    the box's ends."""
+    [r_min, r_max] beyond 1e-14, or not a number, alone or among radii
+    inside, and accept the box's ends."""
     frame = RadialFrame(params, np.array([[0.5, 0.8], [0.2, 0.5]]))
-    for bad in (params.r_max + 0.01, params.r_min - 1e-13, [params.r0, params.r_max + 1e-13]):
+    for bad in (params.r_max + 0.01, params.r_min - 1e-13, [params.r0, params.r_max + 1e-13],
+                np.nan, np.inf, -np.inf, [params.r0, np.nan]):
         with pytest.raises(ValueError, match="obstacle radius outside"):
             profile(params, bad, 0.3)
         with pytest.raises(ValueError, match="obstacle radius outside"):
@@ -386,15 +387,16 @@ def test_psi_eps_time_derivative_chain_rule(params):
     assert fd == pytest.approx(dt_psi, abs=1e-8)
 
 
-def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
+def test_frame_evaluation_matches_pointwise_maps(reference_cell, params):
     """One frame on the reference midpoints, evaluated at one radius per cell,
     gives the pointwise maps on every element of the micro mesh bit for bit."""
-    m = build_micro_mesh(reference_mesh, 0.5)
+    m = build_micro_mesh(reference_cell, 0.5)
     rng = np.random.default_rng(12)
     radii = rng.uniform(params.r_min, params.r_max, m.n_cells)
-    r_el = np.repeat(radii, len(reference_mesh.triangles))
-    y = np.tile(centroids(reference_mesh.vertices, reference_mesh.triangles), (m.n_cells, 1))
-    frame = RadialFrame(params, y[:len(reference_mesh.triangles)])
+    ref = reference_cell.mesh
+    r_el = np.repeat(radii, len(ref.triangles))
+    y = np.tile(centroids(ref.vertices, ref.triangles), (m.n_cells, 1))
+    frame = RadialFrame(params, y[:len(ref.triangles)])
     sc = frame.scalars(radii[:, None])
 
     # the same map from a frame on every micro midpoint, one radius per point
@@ -417,15 +419,15 @@ def test_frame_evaluation_matches_pointwise_maps(reference_mesh, params):
     assert np.all(sc.det[~act] == 1.0)
 
 
-def test_frame_scalars_match_independent_oracles(reference_mesh, params):
+def test_frame_scalars_match_independent_oracles(reference_cell, params):
     """J, a, b, s and R give the pulled-back tensor D J Psi^{-1} Psi^{-T} as
     D (b I + (a - b) P), the drift J Psi^{-1} dPsi/dr_gamma as J s u, and
     the image, on every micro element: against the inverse of the frame's
     Jacobian and the radial profile, and the identity in the core."""
-    m = build_micro_mesh(reference_mesh, 0.5)
+    m = build_micro_mesh(reference_cell, 0.5)
     rng = np.random.default_rng(13)
     radii = rng.uniform(params.r_min, params.r_max, (m.n_cells, 1))
-    mids = centroids(reference_mesh.vertices, reference_mesh.triangles)
+    mids = centroids(reference_cell.mesh.vertices, reference_cell.mesh.triangles)
     frame = RadialFrame(params, mids)
     sc = frame.scalars(radii)
     y = np.tile(mids, (m.n_cells, 1))

@@ -7,6 +7,7 @@ from evopore.errors import MeshQualityError, NumericalError
 from evopore.fem import centroids, triangle_geometry
 from evopore.unitcell import (
     EffectiveTensorTable,
+    ReferenceCell,
     ball_volume,
     build_reference_mesh,
     effective_tensor,
@@ -36,16 +37,16 @@ def pulled_back(mesh, params, r):
     return _oracles.pulled_back(params, centroids(mesh.vertices, mesh.triangles), r)[2]
 
 
-def test_mesh_quality_and_orientation(reference_mesh):
-    areas, _ = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)
+def test_mesh_quality_and_orientation(reference_cell):
+    areas, _ = triangle_geometry(reference_cell.mesh.vertices, reference_cell.mesh.triangles)
     assert np.all(areas > 0)
-    assert reference_mesh.min_angle >= 20.0
+    assert reference_cell.mesh.min_angle >= 20.0
 
 
-def test_mesh_area_matches_polygon_complement(reference_mesh):
-    areas, _ = triangle_geometry(reference_mesh.vertices, reference_mesh.triangles)
-    r = reference_mesh.hole_radius
-    n = reference_mesh.n_boundary
+def test_mesh_area_matches_polygon_complement(reference_cell):
+    areas, _ = triangle_geometry(reference_cell.mesh.vertices, reference_cell.mesh.triangles)
+    r = reference_cell.mesh.hole_radius
+    n = reference_cell.mesh.n_boundary
     exact = 1.0 - (n / 2.0) * r * r * np.sin(2 * np.pi / n)
     assert areas.sum() == pytest.approx(exact, abs=1e-13)
 
@@ -62,9 +63,9 @@ def test_mesh_polygon_area_converges_quadratically():
     assert order > 1.8
 
 
-def test_periodic_pairing_is_exact(reference_mesh):
-    v = reference_mesh.vertices
-    partner = reference_mesh.periodic_partner
+def test_periodic_pairing_is_exact(reference_cell):
+    v = reference_cell.mesh.vertices
+    partner = reference_cell.mesh.periodic_partner
     on_top = np.abs(v[:, 1] - 1.0) < 1e-12
     right = np.where((np.abs(v[:, 0] - 1.0) < 1e-12) & ~on_top)[0]
     assert len(right) > 0
@@ -102,53 +103,53 @@ def dof_values(mesh, w):
     return w[np.unique(mesh.dof_map[0], return_index=True)[1]]
 
 
-def test_cell_solution_mean_zero_and_periodic(reference_mesh, params):
-    coeff = pulled_back(reference_mesh, params, 0.3)
-    w = solve_cell_problem(reference_mesh, coeff)
-    assert w.shape == (reference_mesh.n_nodes, 2)
+def test_cell_solution_mean_zero_and_periodic(reference_cell, params):
+    coeff = pulled_back(reference_cell.mesh, params, 0.3)
+    w = solve_cell_problem(reference_cell.mesh, coeff)
+    assert w.shape == (reference_cell.mesh.n_nodes, 2)
     assert np.max(np.abs(w.mean(axis=0))) < 1e-12
-    partner = reference_mesh.periodic_partner
+    partner = reference_cell.mesh.periodic_partner
     slaves = np.where(partner != np.arange(len(partner)))[0]
     assert np.max(np.abs(w[slaves] - w[partner[slaves]])) == 0.0
-    K, b = _oracles.periodic_system(reference_mesh, coeff)
-    assert np.linalg.norm(K @ dof_values(reference_mesh, w) - b) <= 1e-12 * np.linalg.norm(b)
+    K, b = _oracles.periodic_system(reference_cell.mesh, coeff)
+    assert np.linalg.norm(K @ dof_values(reference_cell.mesh, w) - b) <= 1e-12 * np.linalg.norm(b)
 
 
-def test_correctors_and_tensor_match_the_min_norm_oracle(reference_mesh, params):
+def test_correctors_and_tensor_match_the_min_norm_oracle(reference_cell, params):
     """On the default reference mesh, the pinned sparse factor gives the
     correctors of the dense minimum-norm solve to 1e-11 of their size, and
     the effective tensor of those correctors to 1e-13 relative, for the unit
     and a pulled-back coefficient."""
-    unit = np.tile(np.eye(2), (len(reference_mesh.triangles), 1, 1))
-    for coeff in (unit, pulled_back(reference_mesh, params, 0.3)):
-        want = _oracles.cell_correctors(reference_mesh, coeff)
-        w = solve_cell_problem(reference_mesh, coeff)
+    unit = np.tile(np.eye(2), (len(reference_cell.mesh.triangles), 1, 1))
+    for coeff in (unit, pulled_back(reference_cell.mesh, params, 0.3)):
+        want = _oracles.cell_correctors(reference_cell.mesh, coeff)
+        w = solve_cell_problem(reference_cell.mesh, coeff)
         assert np.max(np.abs(w - want)) <= 1e-11 * np.max(np.abs(want))
-        a_want = _oracles.cell_tensor(reference_mesh, coeff, want)
-        a_hom = effective_tensor(reference_mesh, coeff)
+        a_want = _oracles.cell_tensor(reference_cell.mesh, coeff, want)
+        a_hom = effective_tensor(reference_cell.mesh, coeff)
         assert np.max(np.abs(a_hom - a_want)) <= 1e-13 * np.max(np.abs(a_want))
 
 
-def test_cell_problem_transformed_at_r0_equals_direct(reference_mesh, params):
-    unit = np.tile(np.eye(2), (len(reference_mesh.triangles), 1, 1))
-    a, b = (solve_cell_problem(reference_mesh, coeff)
-            for coeff in (pulled_back(reference_mesh, params, params.r0), unit))
+def test_cell_problem_transformed_at_r0_equals_direct(reference_cell, params):
+    unit = np.tile(np.eye(2), (len(reference_cell.mesh.triangles), 1, 1))
+    a, b = (solve_cell_problem(reference_cell.mesh, coeff)
+            for coeff in (pulled_back(reference_cell.mesh, params, params.r0), unit))
     assert np.max(np.abs(a - b)) < 1e-9
 
 
-def test_cell_problem_dihedral_swap_symmetry(reference_mesh, params):
-    w = solve_cell_problem(reference_mesh, pulled_back(reference_mesh, params, 0.3))
-    v = reference_mesh.vertices
+def test_cell_problem_dihedral_swap_symmetry(reference_cell, params):
+    w = solve_cell_problem(reference_cell.mesh, pulled_back(reference_cell.mesh, params, 0.3))
+    v = reference_cell.mesh.vertices
     lookup = {(x, y): i for i, (x, y) in enumerate(map(tuple, v))}
     swap = np.array([lookup[(y, x)] for (x, y) in map(tuple, v)])
     assert np.max(np.abs(w[:, 1] - w[swap, 0])) < 1e-8
 
 
-def test_cell_problem_residual_orthogonality(reference_mesh, params):
-    coeff = pulled_back(reference_mesh, params, 0.32)
-    w = solve_cell_problem(reference_mesh, coeff)
-    K, b = _oracles.periodic_system(reference_mesh, coeff)
-    residual = K @ dof_values(reference_mesh, w) - b
+def test_cell_problem_residual_orthogonality(reference_cell, params):
+    coeff = pulled_back(reference_cell.mesh, params, 0.32)
+    w = solve_cell_problem(reference_cell.mesh, coeff)
+    K, b = _oracles.periodic_system(reference_cell.mesh, coeff)
+    residual = K @ dof_values(reference_cell.mesh, w) - b
     rng = np.random.default_rng(11)
     for _ in range(20):
         phi = rng.standard_normal(len(b))
@@ -158,17 +159,18 @@ def test_cell_problem_residual_orthogonality(reference_mesh, params):
 
 def test_singular_cell_problem_is_numerical_error(params, monkeypatch):
     # a zero coefficient has a zero stiffness matrix: its factor is singular
-    mesh = build_reference_mesh(params.r0, 16, 0.1)
+    cell = ReferenceCell(params, 16, 0.1)
+    mesh = cell.mesh
     with pytest.raises(NumericalError, match="cell problem"):
         solve_cell_problem(mesh, np.zeros((len(mesh.triangles), 2, 2)))
     monkeypatch.setattr(unitcell, "element_stiffness", lambda areas, grads, coeff: np.zeros(
         (len(areas), 3, 3)))
     with pytest.raises(NumericalError, match=r"r=0\.15: cell problem"):
-        tabulate(params, np.linspace(params.r_min, params.r_max, 5), 16, 0.1)
+        tabulate(cell, np.linspace(params.r_min, params.r_max, 5))
 
 
-def test_effective_tensor_symmetry_and_isotropy(reference_mesh, params):
-    A = effective_tensor(reference_mesh, pulled_back(reference_mesh, params, 0.3))
+def test_effective_tensor_symmetry_and_isotropy(reference_cell, params):
+    A = effective_tensor(reference_cell.mesh, pulled_back(reference_cell.mesh, params, 0.3))
     assert abs(A[0, 1] - A[1, 0]) < 1e-12
     assert abs(A[0, 1]) < 1e-6
     assert abs(A[0, 0] - A[1, 1]) < 1e-8
@@ -212,13 +214,13 @@ def test_tabulate_checks_pass(tensor_table):
     assert all(checks.values()), checks
 
 
-def test_tabulate_matches_the_inverse_jacobian_tensor(reference_mesh, params, tensor_table):
+def test_tabulate_matches_the_inverse_jacobian_tensor(reference_cell, params, tensor_table):
     """The table's pulled-back coefficient b I + (a - b) u u^T gives the
     tensors of J Psi^{-1} Psi^{-T} formed from the inverse Jacobian, on the
     same mesh, up to rounding."""
     for k in (0, 4, 10):
-        want = effective_tensor(reference_mesh,
-                                pulled_back(reference_mesh, params, tensor_table.radii[k]))
+        want = effective_tensor(reference_cell.mesh,
+                                pulled_back(reference_cell.mesh, params, tensor_table.radii[k]))
         assert np.allclose(tensor_table.tensors[k], want, rtol=1e-9, atol=1e-9)
 
 
@@ -227,17 +229,26 @@ def test_tabulate_converges_to_the_square_array_formula(params, tensor_table):
     the mesh size: the max relative gap over the table radii was 6.8e-3,
     1.7e-3 and 4.1e-4 on the three meshes."""
     gaps = []
-    for table in (tensor_table, tabulate(params, tensor_table.radii, 128, 0.025),
-                  tabulate(params, tensor_table.radii, 256, 0.0125)):
+    for table in (tensor_table, tabulate(ReferenceCell(params, 128, 0.025), tensor_table.radii),
+                  tabulate(ReferenceCell(params, 256, 0.0125), tensor_table.radii)):
         diagonal = table.tensors[:, [0, 1], [0, 1]]
         gaps.append(np.max(np.abs(diagonal / square_array_ratio(table.radii)[:, None] - 1.0)))
     assert gaps[0] <= 0.01
     assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2], gaps
 
 
-def test_tabulate_requires_enough_points(params):
+def test_tabulate_requires_enough_points(reference_cell):
     with pytest.raises(ValueError):
-        tabulate(params, np.array([0.25]))
+        tabulate(reference_cell, np.array([0.25]))
+
+
+def test_tabulate_rejects_radii_outside_the_box(reference_cell, params):
+    """A radius outside [r_min, r_max], or not a number, fails the range
+    check before any cell problem is assembled."""
+    grid = np.linspace(params.r_min, params.r_max, 5)
+    for bad in (params.r_max + 0.01, np.nan):
+        with pytest.raises(ValueError, match=r"table radii must lie in \[r_min, r_max\]"):
+            tabulate(reference_cell, np.append(grid[:-1], bad))
 
 
 def test_closed_form_geometry_quantities():
