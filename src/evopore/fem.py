@@ -1,7 +1,10 @@
 """Shared P1 finite-element pieces for triangle meshes.
 
 All solvers in the package use linear triangles with one-point (centroid)
-quadrature for variable coefficients and row-sum lumped mass matrices.
+quadrature for variable coefficients and row-sum lumped mass matrices, each
+lumped by a fixed sparse operator of its mesh: the macro grid's node-element
+incidence (:meth:`evopore.macro.MacroGrid.lump`) and the reference cell's
+``CellBases.mass``.
 :func:`triangle_geometry` gives the element geometry of the macro grid and
 the reference cell; the micro mesh reads the reference cell's.  A
 mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
@@ -50,7 +53,8 @@ non-NUL bytes joins values, commas and newlines into the table.  Both
 problems live on a fixed domain, so a snapshot's coordinates are the same
 at every step: the micro mesh and the macro grid each format them once, on
 their first snapshot, as one text block (:func:`xy_text`), and a snapshot
-formats only its fields.
+formats only its fields.  The micro mesh formats its cell lattice once the
+same way, for every cells file.
 """
 
 from __future__ import annotations
@@ -184,12 +188,6 @@ def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -
     k_el = grads @ (coeff @ grads.transpose(0, 2, 1))
     k_el *= areas[:, None, None]
     return k_el
-
-
-def lumped_mass(triangles: np.ndarray, areas: np.ndarray, weight: np.ndarray,
-                n: int) -> np.ndarray:
-    """Row-sum lumped mass of the element weight ``weight`` (nt,) on n nodes."""
-    return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)
 
 
 def symmetric_lu(csc: sp.csc_matrix):

@@ -19,6 +19,10 @@ shapes.  The tabulated tensor is symmetric, so an element matrix is A11,
 A12 and A22 times three fixed matrices of its shape; :class:`MacroGrid`
 builds those once, with the element midpoints, and a step's element
 matrices are one batched product of the looked-up components with them.
+The grid also holds its lumping operator, the node-element incidence as a
+sparse matrix, as the reference cell holds ``CellBases.mass``: every lumped
+quantity of the stepper (the porosity mass, the source loads and the solid
+exchange loads) is one product with it (:meth:`MacroGrid.lump`).
 """
 
 from __future__ import annotations
@@ -29,12 +33,13 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (Factor, StiffnessPattern, backward_euler_step, centroids, csv_table,
-                  element_means, element_stiffness, lumped_mass, triangle_geometry, xy_text)
+                  element_means, element_stiffness, triangle_geometry, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
-from .unitcell import EffectiveTensorTable, ball_volume, porosity
+from .unitcell import EffectiveTensorTable, ball_volume
 
 
 # The symmetric tensors whose coefficients are A11, A12 and A22.
@@ -102,6 +107,22 @@ class MacroGrid:
         (:func:`evopore.fem.xy_text`), formatted on first use: the first
         snapshot of a run builds it, and every later one reuses it."""
         return xy_text(self.centers)
+
+    @cached_property
+    def lumping(self) -> sp.csr_matrix:
+        """The node-element incidence (n_nodes, n_elements), every entry 1.0:
+        the transpose of the element-vertex matrix, built on first use.  Each
+        row lists its elements in increasing order."""
+        m = self.n_elements
+        incidence = sp.csr_matrix((np.ones(3 * m), self.elements.ravel(),
+                                   np.arange(0, 3 * m + 1, 3)), shape=(m, self.n_nodes))
+        return incidence.T.tocsr()
+
+    def lump(self, weight: np.ndarray) -> np.ndarray:
+        """Row-sum lumped mass (n_nodes,) of the element weight ``weight``
+        (nt,): each node sums |T| weight / 3 over its elements, in element
+        order, so the same bits as one ``np.bincount`` over the vertices."""
+        return self.lumping @ (weight * self.areas / 3.0)
 
     def element_matrices(self, components: np.ndarray) -> np.ndarray:
         """Element stiffness matrices (nt, 9), flattened row by row, of the
@@ -198,12 +219,14 @@ class MacroSolver:
         if u.shape != (g.n_nodes,) or r.shape != (g.n_elements,):
             raise ValueError("initial fields have wrong shape")
         check_initial_state(self.spec, u, r)
-        theta = porosity(r)
-        mass = lumped_mass(g.elements, g.areas, theta, g.n_nodes)
-        return MacroState(0.0, u, r, theta, mass, float(mass @ u), self._solid_mass(r))
+        volume = ball_volume(r)
+        theta = 1.0 - volume
+        mass = g.lump(theta)
+        return MacroState(0.0, u, r, theta, mass, float(mass @ u), self._solid_mass(volume))
 
-    def _solid_mass(self, r: np.ndarray) -> float:
-        return float(self.spec.c_s * np.sum(self.grid.areas * ball_volume(r)))
+    def _solid_mass(self, volume: np.ndarray) -> float:
+        """c_s times the solid volume of the element ball volumes ``volume``."""
+        return float(self.spec.c_s * np.sum(self.grid.areas * volume))
 
     # -- time stepping -------------------------------------------------------
 
@@ -215,10 +238,11 @@ class MacroSolver:
         u_bar = element_means(g.elements, state.u)
         rates = eval_f(self.spec, u_bar, state.r)
         r_new = step_radius(self.spec, state.r, rates, dt)
-        theta_new = porosity(r_new)
+        volume = ball_volume(r_new)
+        theta_new = 1.0 - volume
 
         # (2) implicit porosity-weighted diffusion with tensor lookup
-        m_new = lumped_mass(g.elements, g.areas, theta_new, g.n_nodes)
+        m_new = g.lump(theta_new)
         b = state.mass * state.u / dt
 
         source_step = 0.0
@@ -226,12 +250,12 @@ class MacroSolver:
             fp = np.asarray(self.source(t_new, g.centers), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            source_loads = lumped_mass(g.elements, g.areas, theta_new * fp, g.n_nodes)
+            source_loads = g.lump(theta_new * fp)
             b += source_loads
             source_step = float(dt * source_loads.sum())
 
-        dv = self.spec.c_s * (ball_volume(r_new) - ball_volume(state.r)) / dt
-        b -= lumped_mass(g.elements, g.areas, dv, g.n_nodes)
+        dv = self.spec.c_s * (volume - ball_volume(state.r)) / dt
+        b -= g.lump(dv)
 
         components = self.table.components(r_new)
         components *= self.diffusion
@@ -243,7 +267,7 @@ class MacroSolver:
         self.factorizations += factorizations
 
         fluid = float(m_new @ u_new)
-        solid = self._solid_mass(r_new)
+        solid = self._solid_mass(volume)
         defect = abs((fluid + solid) - (state.fluid_mass + state.solid_mass) - source_step)
         return MacroState(t_new, u_new, r_new, theta_new, m_new, fluid, solid,
                           source_step, defect, iterations, state.u)

@@ -103,6 +103,13 @@ class MicroMesh:
         every later one reuses it."""
         return xy_text(self.vertices)
 
+    @cached_property
+    def lattice_text(self) -> np.ndarray:
+        """The ``k1,k2,`` text block of the cell lattice coordinates
+        (:func:`evopore.fem.xy_text`), formatted on first use: the first
+        cells file of a run builds it, and every later one reuses it."""
+        return xy_text(self.cell_index)
+
     def scatter(self, per_cell: np.ndarray) -> np.ndarray:
         """Sum of per-cell nodal values (n_ref, n_cells) at the global nodes,
         in their memory order: reference node by reference node, and within
@@ -399,5 +406,8 @@ def micro_snapshot_csv(mesh: MicroMesh, state: MicroState) -> str:
 
 
 def cell_series_csv(mesh: MicroMesh, state: MicroState) -> str:
+    """One row per cell: its lattice coordinates k1, k2 (the same in every
+    cells file of a run), then its radius and radius rate."""
     i, j = mesh.cell_index.T
-    return csv_table("k1,k2,r,r_rate", i, j, state.radii[i, j], state.radii_rate[i, j])
+    return csv_table("k1,k2,r,r_rate", mesh.lattice_text, state.radii[i, j],
+                     state.radii_rate[i, j])

@@ -13,8 +13,11 @@ linear combination of one universal smooth function: the twice-integrated
 bump.  That function and its derivative (the bump's CDF) are tabulated once
 on a fine grid and evaluated through a single cubic Hermite spline, which
 makes value and derivative polynomially consistent and costs O(1) per
-point.  Both hinge slopes are proportional to r_gamma - r0, so the hinge sum
-is one affine function of it: R = rho + (r_gamma - r0) G(rho) and
+point.  The spline is a numpy piecewise cubic (:class:`PiecewiseCubic`)
+whose coefficients and evaluation are scipy's ``CubicHermiteSpline``'s
+operation for operation, so the package imports no ``scipy.interpolate``.
+Both hinge slopes are proportional to r_gamma - r0, so the hinge sum is one
+affine function of it: R = rho + (r_gamma - r0) G(rho) and
 R' = 1 + (r_gamma - r0) F(rho), with G = dR/dr_gamma and F two radius-free
 combinations of the kernel values at the four hinges.  At r_gamma = r0 the
 profile is the identity bit for bit: R = rho and R' = 1.  The plateau value
@@ -45,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +67,54 @@ def _bump_raw(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _build_kernel() -> tuple[CubicHermiteSpline, CubicHermiteSpline, float]:
+@dataclass(frozen=True)
+class PiecewiseCubic:
+    """Piecewise polynomial on ``knots`` (m + 1,) with the coefficients ``c``
+    (k, m) of each interval, highest power first, in the offset s from the
+    interval's left knot.
+
+    The form, the coefficients and the evaluation are those of scipy's
+    ``CubicHermiteSpline`` and ``PPoly``, operation for operation, so the
+    values are the same bits: a point's interval is the last whose left
+    knot is at most the point, clipped to the first and the last interval,
+    and the polynomial is summed from the constant term up, the powers of s
+    built by repeated products.
+    """
+
+    knots: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def hermite(cls, knots: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> "PiecewiseCubic":
+        """The cubic Hermite interpolant of the values ``y`` and slopes
+        ``dydx`` at ``knots``."""
+        dx = np.diff(knots)
+        slope = np.diff(y) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        return cls(knots, np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])))
+
+    def derivative(self) -> "PiecewiseCubic":
+        """The piecewise polynomial of one degree less: each coefficient
+        times its power."""
+        powers = np.arange(len(self.c) - 1, 0, -1, dtype=float)
+        return PiecewiseCubic(self.knots, self.c[:-1] * powers[:, None])
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=float)
+        interval = np.clip(np.searchsorted(self.knots, z, "right") - 1, 0, len(self.knots) - 2)
+        s = z - self.knots[interval]
+        c = self.c[:, interval]
+        value, power = c[-1], s
+        for row in c[-2::-1]:
+            value = value + row * power
+            power = power * s
+        return value
+
+
+def _kernel_knots():
+    """Knots on [-1, 1] and the values of g (the twice-integrated bump) and
+    of its derivative Phi there, by Gauss-Legendre quadrature interval by
+    interval."""
     knots = np.linspace(-1.0, 1.0, _KERNEL_INTERVALS + 1)
     gx, gw = np.polynomial.legendre.leggauss(8)
     a, b = knots[:-1], knots[1:]
@@ -88,11 +137,12 @@ def _build_kernel() -> tuple[CubicHermiteSpline, CubicHermiteSpline, float]:
     g_knots = G2 / mass
     phi_knots = G1 / mass
     phi_knots[-1] = 1.0
-    g_spline = CubicHermiteSpline(knots, g_knots, phi_knots)
-    return g_spline, g_spline.derivative(), float(g_spline(1.0))
+    return knots, g_knots, phi_knots
 
 
-_G_SPLINE, _PHI_SPLINE, _G_AT_ONE = _build_kernel()
+_G_SPLINE = PiecewiseCubic.hermite(*_kernel_knots())
+_PHI_SPLINE = _G_SPLINE.derivative()
+_G_AT_ONE = float(_G_SPLINE(1.0))
 # total kernel mass after normalization; the linear tail of g and the CDF
 # plateau both carry it, so the identity properties hold exactly iff it is one
 _KERNEL_MASS = 1.0

@@ -368,6 +368,11 @@ class EffectiveTensorTable:
         self.radii = np.asarray(self.radii, dtype=float)
         self.tensors = np.asarray(self.tensors, dtype=float)
         self.theta = np.asarray(self.theta, dtype=float)
+        m = self.radii.size
+        if (self.radii.shape, self.tensors.shape, self.theta.shape) != ((m,), (m, 2, 2), (m,)):
+            raise ValueError(
+                f"table shapes radii {self.radii.shape}, tensors {self.tensors.shape} and "
+                f"theta {self.theta.shape} are not (m,), (m, 2, 2) and (m,) for m radii")
         if not np.all(np.isfinite(self.radii)):
             raise ValueError("table radii must be finite")
         if np.any(np.diff(self.radii) <= 0):

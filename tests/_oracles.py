@@ -16,10 +16,16 @@ the full quantities by other routes, for the tests to compare against:
   minimum-norm solution by ``np.linalg.lstsq`` instead of a pinned sparse
   factor;
 - the CSV text row by row, one Python ``row_format % row`` per line,
-  instead of the package's vectorised ``%.17g`` kernel.
+  instead of the package's vectorised ``%.17g`` kernel;
+- the kernel spline of the cell map as scipy's ``CubicHermiteSpline``
+  instead of the package's numpy piecewise cubic;
+- the row-sum lumped mass as one ``np.bincount`` of every element's
+  repeated weight over its vertices, instead of the macro grid's sparse
+  node-element operator.
 """
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 
 from evopore.micro import MicroMesh, cells_per_side
 from evopore.transform import X_CENTER, RadialFrame, profile
@@ -129,3 +135,16 @@ def row_csv(header, row_format, *columns):
 def xy_rows(points):
     """``"x1,x2,"`` of every point (n, 2), each coordinate by ``%.17g``."""
     return list(map("%.17g,%.17g,".__mod__, zip(*points.T.tolist())))
+
+
+def hermite_spline(knots, y, dydx):
+    """scipy's cubic Hermite interpolant of the values ``y`` and slopes
+    ``dydx`` at ``knots``."""
+    return CubicHermiteSpline(knots, y, dydx)
+
+
+def lumped_mass(triangles, areas, weight, n):
+    """Row-sum lumped mass (n,) of the element weight ``weight`` (nt,): each
+    triangle's |T| weight / 3 added to its three vertices, element by
+    element."""
+    return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)

@@ -3,9 +3,10 @@ import sys
 
 import numpy as np
 import pytest
+from _oracles import lumped_mass
 
 from evopore import fem
-from evopore.fem import centroids, element_means, element_stiffness, lumped_mass
+from evopore.fem import centroids, element_means, element_stiffness
 from evopore.macro import MacroGrid, MacroSolver, MassRecord, ledger_csv, mass_balance, snapshot_csv
 from evopore.unitcell import EffectiveTensorTable, porosity
 
@@ -95,6 +96,17 @@ def test_shape_operators_with_random_symmetric_tensors(n):
 def test_midpoints_are_the_centroids(n):
     g = MacroGrid.create(n)
     assert np.array_equal(g.centers, centroids(g.nodes, g.elements))
+
+
+@pytest.mark.parametrize("n", [2, 7, 32, 128])
+def test_lump_matches_the_bincount_oracle(n):
+    """The grid's lumping operator gives the bits of one ``np.bincount`` of
+    the repeated element weights over the vertices, on random weights."""
+    g = MacroGrid.create(n)
+    weight = np.random.default_rng(n).uniform(-1.0, 2.0, g.n_elements)
+    assert np.array_equal(g.lump(weight), lumped_mass(g.elements, g.areas, weight, g.n_nodes))
+    assert g.lumping is g.lumping   # built once per grid
+    assert g.lumping.has_sorted_indices
 
 
 def test_state_carries_the_lumped_mass_of_its_porosity(grid, spec, tensor_table):

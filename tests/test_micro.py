@@ -739,6 +739,33 @@ def test_snapshot_formats_every_value_by_percent_17g(reference_cell, params, spe
     assert other.coordinate_text is not text
 
 
+def test_cells_file_formats_the_lattice_once_per_mesh(reference_cell, spec, check_snapshot):
+    """After init and after 3 steps with moving radii, a cells file is every
+    column formatted by ``%.17g``; the lattice text is built once per mesh
+    and a second mesh formats its own."""
+    mesh = build_micro_mesh(reference_cell, 0.5)
+    sim = MicroSimulator(mesh, spec)
+    state = sim.init(lambda x: 0.6 + 0.3 * np.cos(np.pi * np.atleast_2d(x)[:, 0]),
+                     constant_field(0.2))
+    i, j = mesh.cell_index.T
+    assert "lattice_text" not in vars(mesh)
+    for k in range(4):
+        if k:
+            state = sim.step(state, 0.01)
+        check_snapshot(cell_series_csv(mesh, state), "k1,k2,r,r_rate",
+                       [i, j, state.radii[i, j], state.radii_rate[i, j]])
+        if k == 0:
+            text = mesh.lattice_text
+    assert np.all(state.radii != 0.2)  # every radius moved
+    assert mesh.lattice_text is text
+    other = build_micro_mesh(reference_cell, 0.25)
+    state = MicroSimulator(other, spec).init(constant_field(0.9), constant_field(0.2))
+    k1, k2 = other.cell_index.T
+    check_snapshot(cell_series_csv(other, state), "k1,k2,r,r_rate",
+                   [k1, k2, state.radii[k1, k2], state.radii_rate[k1, k2]])
+    assert other.lattice_text is not text
+
+
 def test_only_the_first_snapshot_formats_the_coordinates(reference_cell, params, spec,
                                                          tensor_table, monkeypatch):
     """Building the micro mesh or the macro grid, and initializing and

@@ -12,13 +12,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from _oracles import cell_of_element, pulled_back, tiled_triangles
+from _oracles import cell_of_element, lumped_mass, pulled_back, tiled_triangles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore.errors import NumericalError
 from evopore.fem import (REFACTOR_ITERATIONS, Factor, StiffnessPattern, backward_euler_step,
-                         centroids, element_stiffness, lumped_mass, triangle_geometry)
+                         centroids, element_stiffness, triangle_geometry)
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.sparse import SolveReport, solve_cg

@@ -311,3 +311,15 @@ def test_table_rejects_non_finite_radii(bad):
     radii = np.array([0.15, bad, 0.25, 0.3, 0.35])
     with pytest.raises(ValueError, match="finite"):
         EffectiveTensorTable(radii, np.multiply.outer(np.ones(5), np.eye(2)), np.ones(5))
+
+
+@pytest.mark.parametrize("tensors, theta, shapes", [
+    (np.tile(np.eye(2), (4, 1, 1)), np.ones(3), r"\(5,\), tensors \(4, 2, 2\) and theta \(3,\)"),
+    (np.tile(np.eye(3), (5, 1, 1)), np.ones(5), r"\(5,\), tensors \(5, 3, 3\) and theta \(5,\)"),
+], ids=["lengths", "3x3"])
+def test_table_rejects_mismatched_shapes(tensors, theta, shapes):
+    """A table whose tensors are not one 2 x 2 tensor per radius, or whose
+    porosities are not one per radius, fails on construction and names the
+    shapes, not later inside a lookup."""
+    with pytest.raises(ValueError, match=shapes):
+        EffectiveTensorTable([0.15, 0.2, 0.25, 0.3, 0.35], tensors, theta)
