@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -359,7 +360,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of the process."""
     parser = argparse.ArgumentParser(
         prog="evopore",
         description="Reaction-diffusion with concentration-driven pore evolution")
@@ -371,7 +374,11 @@ def main(argv=None) -> int:
         p.add_argument("--quiet", action="store_true")
         if name == "micro-run":
             p.add_argument("--epsilon", help="cell size, e.g. 0.125 or 1/8")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     # this call's progress lines go to the current stdout: the logger passes
     # INFO records while the call lasts, and the handler's level decides

@@ -14,10 +14,17 @@ there is no one-off assembly beside it.  Its data slots are ``np.intp``,
 stored once in the memory order of the data their owner produces, so the
 bincount neither casts the slots nor copies the data: block-major for
 triangles, entry-major for the micro cells.  The macro stepper and the
-periodic cell problems pass their triangles as the blocks.  The cell
-problems form the element matrices from a tensor per element by batched
-``matmul`` (:func:`element_stiffness`) and are solved by a sparse LU factor
-(:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG.
+periodic cell mesh pass their triangles as the blocks; the cell mesh's
+pattern is its node sparsity, its periodic pairs not merged, which the
+reference cell's operators and every micro cell share.  A cell problem is
+solved from its stiffness K on that pattern by a sparse LU factor
+(:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG:
+its loads are K applied to the coordinate functions, and its pinned periodic
+system is summed from K straight into CSC.  The tensor table forms every
+radius' K by one product of the reference cell's operators, with one
+column per radius where the micro stepper (below) has one per cell; the
+oracle route forms it from a tensor per element by batched ``matmul``
+(:func:`element_stiffness`).
 The macro grid has two element shapes, so the macro stepper forms them as
 the per-element tensor components (A11, A12, A22) times the operators of
 the two shapes (:meth:`evopore.macro.MacroGrid.element_matrices`).  The

@@ -10,9 +10,10 @@ lumped, which makes the discrete mass identity
     (theta u, 1) + c_s (V(r), 1)  changes by  dt (theta f_p, 1)
 
 exact up to the linear-solver residual at every step.  A state carries the
-lumped mass of its porosity, which the next step reads as its old mass, and
-the u array of the state before it, from which the next step extrapolates
-its CG start.
+ball volume of its radii, from which its porosity is derived, and the lumped
+mass of that porosity, which the next step reads as its old volume and mass,
+and the u array of the state before it, from which the next step
+extrapolates its CG start.
 
 The grid's squares are split along one diagonal, so its elements have two
 shapes.  The tabulated tensor is symmetric, so an element matrix is A11,
@@ -164,7 +165,7 @@ class MacroState:
     t: float
     u: np.ndarray
     r: np.ndarray
-    theta: np.ndarray
+    volume: np.ndarray         # ball volume of r, which the next step reads as its old one
     mass: np.ndarray           # nodal lumped porosity-weighted mass at theta
     fluid_mass: float
     solid_mass: float
@@ -172,6 +173,11 @@ class MacroState:
     defect: float = 0.0
     cg_iterations: int = 0
     previous: np.ndarray | None = None   # the u array of the state one step earlier
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The porosity 1 - V(r), the bits of :func:`evopore.unitcell.porosity`."""
+        return 1.0 - self.volume
 
 
 class MassRecord(NamedTuple):
@@ -220,9 +226,8 @@ class MacroSolver:
             raise ValueError("initial fields have wrong shape")
         check_initial_state(self.spec, u, r)
         volume = ball_volume(r)
-        theta = 1.0 - volume
-        mass = g.lump(theta)
-        return MacroState(0.0, u, r, theta, mass, float(mass @ u), self._solid_mass(volume))
+        mass = g.lump(1.0 - volume)
+        return MacroState(0.0, u, r, volume, mass, float(mass @ u), self._solid_mass(volume))
 
     def _solid_mass(self, volume: np.ndarray) -> float:
         """c_s times the solid volume of the element ball volumes ``volume``."""
@@ -254,7 +259,7 @@ class MacroSolver:
             b += source_loads
             source_step = float(dt * source_loads.sum())
 
-        dv = self.spec.c_s * (volume - ball_volume(state.r)) / dt
+        dv = self.spec.c_s * (volume - state.volume) / dt
         b -= g.lump(dv)
 
         components = self.table.components(r_new)
@@ -269,7 +274,7 @@ class MacroSolver:
         fluid = float(m_new @ u_new)
         solid = self._solid_mass(volume)
         defect = abs((fluid + solid) - (state.fluid_mass + state.solid_mass) - source_step)
-        return MacroState(t_new, u_new, r_new, theta_new, m_new, fluid, solid,
+        return MacroState(t_new, u_new, r_new, volume, m_new, fluid, solid,
                           source_step, defect, iterations, state.u)
 
 

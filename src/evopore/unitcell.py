@@ -7,23 +7,34 @@ under the dihedral symmetries of the square and opposite boundary faces carry
 identical node traces; periodic pairing and conforming tiling are then exact.
 A command builds one :class:`ReferenceCell`: the mesh with its hole at the
 map's r0, the map's :class:`RadialFrame` on the element midpoints and the
-micro stepper's :class:`CellBases`.  :func:`tabulate` and every micro mesh
-take it, so the cell problems and the micro problem share one mesh and map.
+cell's :class:`CellBases`.  :func:`tabulate` and every micro mesh take it,
+so the cell problems and the micro problem share one mesh, map and set of
+operators.
 
 A cell problem takes its element coefficient: the unit tensor on a cell
 meshed at the requested radius, or the pulled-back tensor on the reference
 mesh.  The two routes discretize the same tensor and serve as mutual oracles.
-Both directions of a cell problem share one periodic stiffness matrix, which
-is factored once by a sparse LU with one dof pinned; the nodal mean is then
-subtracted (:func:`solve_cell_problem`).  A scalar diffusion D multiplies the
-whole problem, so the tensors here are of unit diffusion and the steppers
-apply D.
+A cell problem is solved from its stiffness K on the mesh's node sparsity,
+its periodic pairs not merged (:attr:`PeriodicMesh.node_pattern`, the
+sparsity ``CellBases.local`` describes).  Its loads are K applied to the
+coordinate functions, exact for P1, and K with its periodic pairs merged and
+dof 0 pinned is summed straight into CSC through a slot map of the mesh
+(:class:`PinnedSystem`); one sparse LU factor of that system solves both
+directions, and the nodal mean is then subtracted
+(:func:`solve_cell_problem`).  :func:`effective_tensor` forms K from the
+element matrices of any coefficient, on any mesh; :func:`tabulate` evaluates
+the frame at all its radii at once and forms every radius' K by one product
+of ``CellBases.system`` with the scalars b and a - b, the product the micro
+stepper makes with one column per cell, here one column per radius.  A
+scalar diffusion D multiplies the whole problem, so the tensors here are of
+unit diffusion and the steppers apply D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,6 +116,26 @@ def _min_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return np.minimum(np.minimum(corner(p0, p1, p2), corner(p1, p2, p0)), corner(p2, p0, p1))
 
 
+class PinnedSystem(NamedTuple):
+    """A cell problem's pinned periodic system from its stiffness K, K given
+    as its data (s,) on a periodic mesh's node sparsity
+    (:attr:`PeriodicMesh.node_pattern`).
+
+    The system is ``K_p[1:, 1:]``, K with its periodic pairs merged and dof 0
+    pinned, as CSC ``indptr`` and ``indices``: K's entry e adds to data slot
+    ``slots[e]``, or to the slot ``len(indices)`` past the end when it lies in
+    the pinned row or column.  ``loads`` (2 (n_dof - 1), s) takes K's data to
+    the loads of both directions at dofs 1 and on, direction by direction:
+    the load of direction d is ``-P^T K y_d``, K applied to the coordinate
+    function y_d, which is exact for P1 since y_d interpolates itself.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    loads: sp.csr_matrix
+
+
 @dataclass
 class PeriodicMesh:
     """Triangulation of the perforated cell with exact periodic node pairing."""
@@ -141,11 +172,45 @@ class PeriodicMesh:
         return triangle_geometry(self.vertices, self.triangles)
 
     @cached_property
-    def stiffness_pattern(self) -> StiffnessPattern:
-        """Sparsity of the periodic stiffness matrices, shared by every cell
-        problem on this mesh."""
+    def gradient(self) -> sp.csr_matrix:
+        """The P1 gradient (2 nt, n_nodes): row 2 t + a takes nodal values to
+        their derivative along direction a on element t."""
+        m = len(self.triangles)
+        return sp.csr_matrix((self.geometry[1].transpose(0, 2, 1).ravel(),
+                              (np.repeat(np.arange(2 * m), 3),
+                               np.repeat(self.triangles, 2, axis=0).ravel())),
+                             shape=(2 * m, self.n_nodes))
+
+    @cached_property
+    def node_pattern(self) -> StiffnessPattern:
+        """CSR sparsity of the stiffness of this mesh's nodes, its periodic
+        pairs not merged: the sparsity of every cell problem's K, of the
+        reference cell's ``CellBases.local`` and of each micro cell."""
+        return StiffnessPattern(self.triangles, self.n_nodes)
+
+    @cached_property
+    def pinned(self) -> PinnedSystem:
+        """The maps from a K on :attr:`node_pattern` to the pinned periodic
+        system of its cell problems, shared by every cell problem on this
+        mesh."""
         dof, n_dof = self.dof_map
-        return StiffnessPattern(dof[self.triangles], n_dof)
+        indptr, indices, _, _ = self.node_pattern.slots()
+        rows = dof[np.repeat(np.arange(self.n_nodes), np.diff(indptr))] - 1
+        cols = dof[indices] - 1
+        kept = (rows >= 0) & (cols >= 0)
+        n = n_dof - 1
+        csc = sp.coo_matrix((np.ones(np.count_nonzero(kept)), (rows[kept], cols[kept])),
+                            shape=(n, n)).tocsc()
+        # the matrix whose every stored entry is its own slot number, sampled;
+        # an entry in the pinned row or column goes to the slot past the end
+        csc.data = np.arange(csc.nnz, dtype=np.intp)
+        slots = np.full(len(indices), csc.nnz, dtype=np.intp)
+        slots[kept] = np.asarray(csc[rows[kept], cols[kept]]).reshape(-1)
+        at = np.flatnonzero(rows >= 0)
+        loads = sp.csr_matrix((-self.vertices[indices[at]].T.ravel(),
+                               (np.concatenate([rows[at], rows[at] + n]), np.tile(at, 2))),
+                              shape=(2 * n, len(indices)))
+        return PinnedSystem(csc.indptr, csc.indices, slots, loads)
 
 
 def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
@@ -248,6 +313,8 @@ class CellBases:
     - ``means`` (m, n_ref) takes nodal values to element means.
 
     A product sums each entry over the reference elements in their order.
+    :func:`tabulate` applies ``system`` to ``[b; a - b]`` with one column per
+    table radius: the stiffness of every radius' cell problems.
     """
 
     local: tuple[np.ndarray, np.ndarray]
@@ -279,7 +346,7 @@ class ReferenceCell:
         drift = areas[:, None] * w
         radial = drift[:, :, None] * w[:, None, :]
 
-        indptr, indices, slots, _ = StiffnessPattern(tri, n_ref).slots()
+        indptr, indices, slots, _ = self.mesh.node_pattern.slots()
         local = (np.repeat(np.arange(n_ref), np.diff(indptr)), np.asarray(indices))
         element = np.repeat(np.arange(m), 9)
         system = sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
@@ -296,53 +363,64 @@ class ReferenceCell:
 # Cell problems and the effective tensor
 # ---------------------------------------------------------------------------
 
-def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray) -> np.ndarray:
+def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
+                       stiffness: np.ndarray | None = None) -> np.ndarray:
     """Nodal correctors (n_nodes, 2) of the periodic cell problems of the
     element coefficient ``coeff`` (nt, 2, 2) on ``mesh``: column i solves
     -div C (grad w_i + e_i) = 0, periodic pairs equal, zero nodal mean.
 
-    The periodic stiffness K is singular by the constants only, and both
-    loads sum to zero, so pinning dof 0 drops an equation that holds anyway:
-    one sparse LU factor of ``K[1:, 1:]``, symmetric positive definite,
-    solves both directions, and subtracting the nodal mean picks the
-    zero-mean corrector.  A singular factor raises :class:`NumericalError`.
+    The problems are solved from their stiffness K, as its data (s,) on the
+    mesh's node sparsity: ``stiffness`` when it is given, else the element
+    matrices of ``coeff`` summed there.  The periodic K is singular by the
+    constants only, and both loads sum to zero, so pinning dof 0 drops an
+    equation that holds anyway: the mesh's :class:`PinnedSystem` takes K to
+    ``K_p[1:, 1:]``, symmetric positive definite, and to the loads there,
+    one sparse LU factor solves both directions, and subtracting the nodal
+    mean picks the zero-mean corrector.  A singular factor raises
+    :class:`NumericalError`.
     """
-    areas, grads = mesh.geometry
-    dof, n_dof = mesh.dof_map
-    stiffness = mesh.stiffness_pattern.assemble(element_stiffness(areas, grads, coeff))
-    # element loads -|T| grad phi_i . C e_d, (nt, 3, 2), summed into (n_dof, 2)
-    loads = -(grads @ coeff) * areas[:, None, None]
-    element_dofs = dof[mesh.triangles].ravel()
-    b = np.stack([np.bincount(element_dofs, loads[:, :, d].ravel(), minlength=n_dof)
-                  for d in range(2)], axis=1)
+    if stiffness is None:
+        areas, grads = mesh.geometry
+        stiffness = mesh.node_pattern.assemble(element_stiffness(areas, grads, coeff)).data
+    pinned = mesh.pinned
+    n = len(pinned.indptr) - 1
+    data = np.bincount(pinned.slots, stiffness, minlength=len(pinned.indices) + 1)[:-1]
+    if not np.all(np.isfinite(data)):
+        raise ValueError("sparse matrix contains non-finite values")
     try:
-        # converted, not read as CSC: K is not known to be bitwise symmetric
-        lu = symmetric_lu(stiffness[1:, 1:].tocsc())
+        # K is not known to be bitwise symmetric, so its entries are summed
+        # into CSC, not read as CSC from CSR
+        lu = symmetric_lu(sp.csc_matrix((data, pinned.indices, pinned.indptr), shape=(n, n)))
     except RuntimeError as exc:
         raise NumericalError(f"cell problem: {exc}") from None
-    w_dof = np.zeros((n_dof, 2))
-    w_dof[1:] = lu.solve(b[1:])
-    w = w_dof[dof]
+    w_dof = np.zeros((n + 1, 2))
+    w_dof[1:] = lu.solve((pinned.loads @ stiffness).reshape(2, n).T)
+    w = w_dof[mesh.dof_map[0]]
     w -= w.mean(axis=0)
     return w
 
 
-def effective_tensor(mesh: PeriodicMesh, coeff: np.ndarray | None = None) -> np.ndarray:
+def effective_tensor(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
+                     stiffness: np.ndarray | None = None) -> np.ndarray:
     """Effective tensor of the :func:`solve_cell_problem` of ``coeff``, by
-    default the unit tensor, on ``mesh``: the energy form, the integral of
+    default the unit tensor, on ``mesh``, with the stiffness ``stiffness``
+    of ``coeff`` when it is given: the energy form, the integral of
     (grad w_i + e_i) . C (grad w_j + e_j) over the cell, which coincides
     with the divergence form by the corrector equation and is symmetric by
     construction."""
-    areas, grads = mesh.geometry
+    areas = mesh.geometry[0]
     if coeff is None:
         coeff = np.tile(np.eye(2), (len(areas), 1, 1))
-    w = solve_cell_problem(mesh, coeff)
-    # fields[t, i] = grad w_i + e_i on element t
-    fields = np.einsum("tki,tka->tia", w[mesh.triangles], grads)
+    w = solve_cell_problem(mesh, coeff, stiffness=stiffness)
+    # fields[t, :, i] = grad w_i + e_i and fluxes[t, :, i] = C fields[t, :, i]
+    # on element t
+    fields = (mesh.gradient @ w).reshape(-1, 2, 2)
     fields += np.eye(2)
-    # the element energies laid out (2, 2, nt), so that the sum over the
-    # elements is numpy's pairwise sum along a contiguous axis
-    energies = np.einsum("tia,tab,tjb->ijt", fields, coeff, fields, order="C")
+    fluxes = coeff @ fields
+    # the element energies fields_i . fluxes_j laid out (2, 2, nt), so that
+    # the sum over the elements is numpy's pairwise sum along a contiguous axis
+    f, q = (np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (fields, fluxes))
+    energies = f[0, :, None] * q[0, None] + f[1, :, None] * q[1, None]
     a_hom = np.sum(areas * energies, axis=-1)
     return 0.5 * (a_hom + a_hom.T)
 
@@ -427,7 +505,10 @@ class EffectiveTensorTable:
 def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
     """Unit-diffusion tensor table over ``r_grid`` on the reference ``cell``,
     with the coefficient ``b I + (a - b) u u^T`` of the cell's frame, from
-    its scalars and unit directions u.
+    its scalars and unit directions u.  The frame is evaluated at every
+    radius at once, and every radius' stiffness is one column of one product
+    with ``cell.bases.system``; each radius' cell problems are then solved
+    and their energy formed as :func:`effective_tensor` does.
 
     A single discretization shared across radii makes the tabulated tensors a
     smooth, monotone function of the radius: the geometric error of the
@@ -438,14 +519,17 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
         raise ValueError("tensor table needs at least 5 radii")
     if not np.all((r_grid >= cell.params.r_min) & (r_grid <= cell.params.r_max)):
         raise ValueError("table radii must lie in [r_min, r_max]")
+    sc = cell.frame.scalars(r_grid.reshape(-1, 1))
+    b = sc.b.reshape(r_grid.size, -1)
+    anisotropy = (sc.a - sc.b).reshape(r_grid.size, -1)
+    stiffness = np.ascontiguousarray((cell.bases.system @ np.hstack([b, anisotropy]).T).T)
     u = cell.frame.directions()
     radial = u[:, :, None] * u[:, None, :]
     tensors = np.empty((r_grid.size, 2, 2))
     for k, r in enumerate(r_grid):
-        sc = cell.frame.scalars(float(r))
-        coeff = sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * radial
+        coeff = b[k][:, None, None] * np.eye(2) + anisotropy[k][:, None, None] * radial
         try:
-            tensors[k] = effective_tensor(cell.mesh, coeff)
+            tensors[k] = effective_tensor(cell.mesh, coeff, stiffness=stiffness[k])
         except NumericalError as exc:
             raise NumericalError(f"tensor tabulation failed at r={r}: {exc}") from exc
     return EffectiveTensorTable(r_grid, tensors, porosity(r_grid))

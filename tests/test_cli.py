@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import json
 import logging
@@ -280,14 +281,15 @@ def test_macro_run_can_load_table(tmp_path):
 @pytest.mark.parametrize("command, load_table, built", [
     (["convergence"], False, (1, 1, 1)),
     (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1)),
-    (["macro-run"], False, (1, 1, 0)),
+    (["macro-run"], False, (1, 1, 1)),
     (["macro-run"], True, (0, 0, 0)),
 ], ids=["convergence", "micro-run", "macro-run", "macro-run-table-path"])
 def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_table, built):
     """A command builds the reference mesh, the map's frame on its midpoints
-    and the micro operators at most once: the table and every 1/epsilon of
-    the study share them.  A macro run that tabulates builds no operators,
-    and one that loads its table builds no cell."""
+    and the cell's operators at most once: the table and every 1/epsilon of
+    the study share them.  A macro run that tabulates builds the operators
+    for its cell problems' stiffness, and one that loads its table builds no
+    cell."""
     config = FAST_COMMON
     if load_table:
         tdir = tmp_path / "table"
@@ -312,6 +314,29 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
     assert main(command[:1] + ["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
                 + command[1:]) == 0
     assert tuple(counts.values()) == built
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    """``main`` builds its parser and the commands' subparsers on its first
+    call only; a later call parses with the same parser and prints the same
+    help."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        helps.append(capsys.readouterr().out)
+        assert len(built) == 1 + len(COMMANDS)
+    assert helps[0] == helps[1] and "micro-run" in helps[0]
 
 
 def _floats(lo, hi):

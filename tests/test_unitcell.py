@@ -1,8 +1,10 @@
+import dataclasses
+
 import _oracles
 import numpy as np
 import pytest
 
-from evopore import unitcell
+from evopore.config import DEFAULT_CONFIG, parse_config
 from evopore.errors import MeshQualityError, NumericalError
 from evopore.fem import centroids, triangle_geometry
 from evopore.unitcell import (
@@ -157,14 +159,14 @@ def test_cell_problem_residual_orthogonality(reference_cell, params):
         assert np.max(np.abs(phi @ residual)) < 1e-9
 
 
-def test_singular_cell_problem_is_numerical_error(params, monkeypatch):
+def test_singular_cell_problem_is_numerical_error(params):
     # a zero coefficient has a zero stiffness matrix: its factor is singular
     cell = ReferenceCell(params, 16, 0.1)
     mesh = cell.mesh
     with pytest.raises(NumericalError, match="cell problem"):
         solve_cell_problem(mesh, np.zeros((len(mesh.triangles), 2, 2)))
-    monkeypatch.setattr(unitcell, "element_stiffness", lambda areas, grads, coeff: np.zeros(
-        (len(areas), 3, 3)))
+    # so are the tabulated ones when the cell's operators are zero
+    cell.bases = dataclasses.replace(cell.bases, system=0.0 * cell.bases.system)
     with pytest.raises(NumericalError, match=r"r=0\.15: cell problem"):
         tabulate(cell, np.linspace(params.r_min, params.r_max, 5))
 
@@ -222,6 +224,28 @@ def test_tabulate_matches_the_inverse_jacobian_tensor(reference_cell, params, te
         want = effective_tensor(reference_cell.mesh,
                                 pulled_back(reference_cell.mesh, params, tensor_table.radii[k]))
         assert np.allclose(tensor_table.tensors[k], want, rtol=1e-9, atol=1e-9)
+
+
+def test_tabulate_matches_the_element_route_and_the_dense_oracle(reference_cell, params,
+                                                                  tensor_table):
+    """The table's stiffness, one product of the cell's operators for all
+    radii, gives the tensors of the element route, ``effective_tensor`` of
+    the coefficient b I + (a - b) u u^T, to 1e-13 relative at every radius
+    of the default table, and those of the dense minimum-norm oracle at
+    r_min, r0 and r_max."""
+    mesh = reference_cell.mesh
+    assert np.array_equal(tensor_table.radii, parse_config(DEFAULT_CONFIG).table_radii)
+    assert tensor_table.radii[[0, 5, 10]] == pytest.approx([params.r_min, params.r0, params.r_max])
+    u = reference_cell.frame.directions()
+    for k, r in enumerate(tensor_table.radii):
+        sc = reference_cell.frame.scalars(r)
+        coeff = (sc.b[:, None, None] * np.eye(2)
+                 + (sc.a - sc.b)[:, None, None] * u[:, :, None] * u[:, None, :])
+        wants = [effective_tensor(mesh, coeff)]
+        if k in (0, 5, 10):
+            wants.append(_oracles.cell_tensor(mesh, coeff, _oracles.cell_correctors(mesh, coeff)))
+        for want in wants:
+            assert np.max(np.abs(tensor_table.tensors[k] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_tabulate_converges_to_the_square_array_formula(params, tensor_table):
