@@ -4,27 +4,27 @@ All solvers in the package use linear triangles with one-point (centroid)
 quadrature for variable coefficients and row-sum lumped mass matrices, each
 lumped by a fixed sparse operator of its mesh: the macro grid's node-element
 incidence (:meth:`evopore.macro.MacroGrid.lump`) and the reference cell's
-``CellBases.mass``.
-:func:`triangle_geometry` gives the element geometry of the macro grid and
-the reference cell; the micro mesh reads the reference cell's.  A
-mesh's stiffness matrices share one CSR sparsity, :class:`StiffnessPattern`:
-it is built once per mesh from blocks of dofs and their local sparsity, and
-every assembly sums the block data into the CSR data by one ``np.bincount``;
-there is no one-off assembly beside it.  Its data slots are ``np.intp``,
-stored once in the memory order of the data their owner produces, so the
-bincount neither casts the slots nor copies the data: block-major for
-triangles, entry-major for the micro cells.  The macro stepper and the
+``mass`` (:class:`evopore.unitcell.ReferenceCell`).  :func:`triangle_geometry`
+gives the element geometry of the macro grid and the reference cell; the
+micro mesh reads the reference cell's.  A mesh's stiffness matrices share
+one CSR sparsity, :class:`StiffnessPattern`: it is built once per mesh from
+blocks of dofs and their local sparsity, and every assembly sums the block
+data into the CSR data by one ``np.bincount`` through a slot map
+(:func:`csr_slots`); there is no one-off assembly beside it.  Its data slots
+are ``np.intp``, stored once in the memory order of the data their owner
+produces, so the bincount neither casts the slots nor copies the data:
+block-major for triangles, entry-major for the micro cells.  The macro stepper and the
 periodic cell mesh pass their triangles as the blocks; the cell mesh's
 pattern is its node sparsity, its periodic pairs not merged, which the
 reference cell's operators and every micro cell share.  A cell problem is
 solved from its stiffness K on that pattern by a sparse LU factor
 (:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG:
 its loads are K applied to the coordinate functions, and its pinned periodic
-system is summed from K straight into CSC.  The tensor table forms every
-radius' K by one product of the reference cell's operators, with one
-column per radius where the micro stepper (below) has one per cell; the
-oracle route forms it from a tensor per element by batched ``matmul``
-(:func:`element_stiffness`).
+system is summed from K straight into CSC, the CSR of the transpose, by a
+slot map of the same kind.  The tensor table forms every radius' K by one
+product of the reference cell's operators, with one column per radius where
+the micro stepper (below) has one per cell; the oracle route forms it from
+a tensor per element by batched ``matmul`` (:func:`element_stiffness`).
 The macro grid has two element shapes, so the macro stepper forms them as
 the per-element tensor components (A11, A12, A22) times the operators of
 the two shapes (:meth:`evopore.macro.MacroGrid.element_matrices`).  The
@@ -102,6 +102,15 @@ def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return (vertices[triangles[:, 0]] + vertices[triangles[:, 1]] + vertices[triangles[:, 2]]) / 3.0
 
 
+def csr_slots(rows: np.ndarray, cols: np.ndarray, n: int):
+    """CSR ``indptr`` and ``indices`` of the (n, n) matrix of the entries at
+    (``rows``, ``cols``), and every entry's ``np.intp`` slot in its data."""
+    csr = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    # the matrix whose every stored entry is its own slot number, sampled
+    csr.data = np.arange(csr.nnz, dtype=np.intp)
+    return csr.indptr, csr.indices, np.asarray(csr[rows, cols]).reshape(-1)
+
+
 class StiffnessPattern:
     """CSR sparsity of stiffness matrices assembled from blocks of dofs.
 
@@ -154,18 +163,12 @@ class StiffnessPattern:
                 block = dofs.T[local] if self.entry_major else dofs[:, local]
                 return np.concatenate([block.ravel(), diag])
 
-            entry_rows, entry_cols = entries(rows), entries(cols)
-            csr = sp.coo_matrix((np.ones(len(entry_rows)), (entry_rows, entry_cols)),
-                                shape=(n, n)).tocsr()
-            # the matrix whose every stored entry is its own slot number, sampled
-            csr.data = np.arange(csr.nnz, dtype=np.intp)
-            slots = np.asarray(csr[entry_rows, entry_cols]).reshape(-1)
-            for a in (csr.indptr, csr.indices):
+            indptr, indices, slots = csr_slots(entries(rows), entries(cols), n)
+            for a in (indptr, indices):
                 a.setflags(write=False)  # shared by every assembled matrix
             n_block = slots.size - n
             shape = (len(rows), len(dofs)) if self.entry_major else (len(dofs), len(rows))
-            self._slots = (csr.indptr, csr.indices, slots[:n_block].reshape(shape),
-                           slots[n_block:])
+            self._slots = (indptr, indices, slots[:n_block].reshape(shape), slots[n_block:])
         return self._slots
 
     def assemble(self, block_data: np.ndarray,

@@ -21,7 +21,7 @@ A12 and A22 times three fixed matrices of its shape; :class:`MacroGrid`
 builds those once, with the element midpoints, and a step's element
 matrices are one batched product of the looked-up components with them.
 The grid also holds its lumping operator, the node-element incidence as a
-sparse matrix, as the reference cell holds ``CellBases.mass``: every lumped
+sparse matrix, as the reference cell holds its ``mass``: every lumped
 quantity of the stepper (the porosity mass, the source loads and the solid
 exchange loads) is one product with it (:meth:`MacroGrid.lump`).
 """

@@ -15,16 +15,18 @@ through four scalars per element (:class:`MapScalars`) of the cell's one
 frame, built on the reference midpoints with the mesh from the same r0; the
 profile is affine in the radius, so a step evaluates no kernel.  A step holds
 those scalars as (reference element x cell) arrays and applies the cell's
-sparse operators (:class:`~evopore.unitcell.CellBases`) to them, one product
-per quantity: the system entries, the lumped mass, the element means and the
-drift loads of every cell at once.  The source is lumped like the mass, and
-its integral is the sum of its loads.  Each result reaches the global arrays
-by one scatter through the cell node map, and the system's CSR pattern is the
-reference cell's pattern repeated through that map.  No per-element tensor
-algebra and no per-element scatter.  A product's result is C-contiguous with
-one column per cell, so the scatter index (:attr:`MicroMesh.cell_nodes`) and
-the system's data slots are stored once, as ``np.intp``, in that entry-major
-order: each scatter and assembly reads its data and index in place.
+sparse operators to them, one product per quantity: the system entries, the
+lumped mass, the element means and the drift loads of every cell at once.
+The source is lumped like the mass, and its integral is the sum of its
+loads.  The surface reaction is integrated on the reference hole ring in
+every cell, its edges epsilon times the reference lengths.  Each result
+reaches the global arrays by one scatter through the cell node map, and the
+system's CSR pattern is the reference cell's pattern repeated through that
+map.  No per-element tensor algebra and no per-element scatter.  A
+product's result is C-contiguous with one column per cell, so the scatter
+index (:attr:`MicroMesh.cell_nodes`) and the system's data slots are stored
+once, as ``np.intp``, in that entry-major order: each scatter and assembly
+reads its data and index in place.
 
 A step whose radii did not move keeps its cell map and system for the next
 step at the same radii and dt, and an exact double precision sparse LU factor
@@ -54,7 +56,10 @@ from .transform import MapScalars
 from .unitcell import ReferenceCell, ball_volume
 
 ALLOWED_INV_EPS = (1, 2, 4, 8, 16)
-_EDGE_GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+# two-point Gauss on an edge: the weight of its first and second end (rows)
+# at each of the two points (columns)
+_EDGE_GAUSS = np.array([[0.5 + 0.5 / np.sqrt(3.0), 0.5 - 0.5 / np.sqrt(3.0)],
+                        [0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]])
 
 
 @dataclass
@@ -70,7 +75,6 @@ class MicroMesh:
     n_cells_side: int
     vertices: np.ndarray
     cell_index: np.ndarray          # (n_cells, 2) lattice coordinates
-    gamma_edges: np.ndarray         # (n_cells, n_boundary, 2) global node ids
     node_map: np.ndarray            # (n_cells, n_ref) global node of every reference node
     cell: ReferenceCell = field(repr=False)
 
@@ -84,10 +88,6 @@ class MicroMesh:
 
     def cell_centers(self) -> np.ndarray:
         return self.epsilon * (self.cell_index + 0.5)
-
-    def gamma_edge_lengths(self) -> np.ndarray:
-        e = self.vertices[self.gamma_edges[..., 1]] - self.vertices[self.gamma_edges[..., 0]]
-        return np.hypot(e[..., 0], e[..., 1])
 
     @cached_property
     def cell_nodes(self) -> np.ndarray:
@@ -119,7 +119,7 @@ class MicroMesh:
 
 def cells_per_side(epsilon: float) -> int:
     """1/epsilon, which must be one of :data:`ALLOWED_INV_EPS`."""
-    inv = round(1.0 / epsilon)
+    inv = round(1.0 / epsilon) if epsilon > 0 else 0
     if inv not in ALLOWED_INV_EPS or abs(inv * epsilon - 1.0) > 1e-12:
         raise ValueError(f"1/epsilon must be one of {ALLOWED_INV_EPS}")
     return inv
@@ -168,9 +168,7 @@ def build_micro_mesh(cell: ReferenceCell, epsilon: float) -> MicroMesh:
         raise NumericalError(f"micro mesh merge mismatch: {len(vertices)} nodes, "
                              f"expected {expected}")
 
-    node_map = inverse.reshape(len(cells), -1)
-    gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
-    return MicroMesh(epsilon, n, vertices, cells, gamma, node_map, cell)
+    return MicroMesh(epsilon, n, vertices, cells, inverse.reshape(len(cells), -1), cell)
 
 
 @dataclass
@@ -207,18 +205,11 @@ class MicroSimulator:
         self.source = source
         self.diffusion = diffusion
         self.cg_tol = cg_tol
-        m = mesh
-        self._edge_len = m.gamma_edge_lengths()
-        self._gamma_len = self._edge_len.sum(axis=1)
-        # the scatter index of the surface loads, in the order of their
-        # weights: q0e0, q0e1, q1e0, q1e1
-        edges = m.gamma_edges
-        self._gamma_nodes = np.concatenate([edges[..., 0].ravel(), edges[..., 1].ravel()]
-                                           * len(_EDGE_GAUSS))
-        self._cell_offsets = m.epsilon * m.cell_index.astype(float)
-        self._frame = m.cell.frame
-        self._bases = m.cell.bases
-        self._pattern = StiffnessPattern(m.node_map, m.n_nodes, self._bases.local,
+        box = mesh.cell.params
+        if not (box.r_min <= spec.r_min and spec.r_max <= box.r_max):
+            raise ValueError(f"kinetics radius box [{spec.r_min:g}, {spec.r_max:g}] is not inside "
+                             f"the cell map's [{box.r_min:g}, {box.r_max:g}]")
+        self._pattern = StiffnessPattern(mesh.node_map, mesh.n_nodes, mesh.cell.local,
                                          entry_major=True)
         # (radii, dt, map, system, factor) of a step whose radii did not move
         self._kept = None
@@ -242,7 +233,7 @@ class MicroSimulator:
 
     def _cell_map(self, radii: np.ndarray) -> MapScalars:
         """The cell map on every element, at one radius per cell."""
-        return self._frame.scalars(radii.reshape(-1, 1))
+        return self.mesh.cell.frame.scalars(radii.reshape(-1, 1))
 
     def _per_cell(self, values: np.ndarray) -> np.ndarray:
         """Element values (c*m,), cell by cell, as an (m, c) array."""
@@ -250,50 +241,44 @@ class MicroSimulator:
 
     def _lumped(self, weight: np.ndarray) -> np.ndarray:
         """Row-sum lumped mass (n,) of the element weight ``weight`` (c*m,)."""
-        return self.mesh.epsilon**2 * self.mesh.scatter(self._bases.mass @ self._per_cell(weight))
+        m = self.mesh
+        return m.epsilon**2 * m.scatter(m.cell.mass @ self._per_cell(weight))
 
     def _system(self, sc: MapScalars, diagonal: np.ndarray):
         """The implicit system: the pulled-back stiffness of ``sc`` plus
         ``diagonal``."""
         x = np.vstack([self._per_cell(self.diffusion * sc.b),
                        self._per_cell(self.diffusion * (sc.a - sc.b))])
-        return self._pattern.assemble(self._bases.system @ x, diagonal)
+        return self._pattern.assemble(self.mesh.cell.system @ x, diagonal)
 
     def _drift(self, sc: MapScalars, rate: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Nodal loads of the drift ``(J Psi^{-1} dPsi/dt u_hat, grad phi)``
         for radius rates ``rate`` (c,), with u_hat at its element means."""
-        u_mean = self._bases.means @ u[self.mesh.cell_nodes]
+        u_mean = self.mesh.cell.means @ u[self.mesh.cell_nodes]
         weight = self._per_cell(self.mesh.epsilon**2 * sc.det * sc.s) * u_mean
         weight *= rate
-        return self.mesh.scatter(self._bases.drift @ weight)
+        return self.mesh.scatter(self.mesh.cell.drift @ weight)
 
     def _solid_mass(self, radii: np.ndarray) -> float:
-        eps = self.mesh.epsilon
-        return float(self.spec.c_s * eps**2 * np.sum(ball_volume(radii)))
+        return float(self.spec.c_s * self.mesh.epsilon**2 * np.sum(ball_volume(radii)))
 
     def _surface_integrals(self, u: np.ndarray, radii: np.ndarray):
         """Per-cell boundary integral of f(u, r), the nodal loads of
         (scale * f, phi_i) and their total, by two-point Gauss on every
-        hole-boundary edge; ``scale`` is the surface Jacobian of the radial
-        map times the epsilon of the weak form."""
-        m = self.mesh
-        edges = m.gamma_edges            # (nc, nb, 2)
-        u0 = u[edges[..., 0]]
-        u1 = u[edges[..., 1]]
-        r_cell = radii.reshape(-1, 1)    # (nc, 1)
-        scale = m.epsilon * radii.reshape(-1) / m.cell.params.r0
-        integral = np.zeros(m.n_cells)
-        weights = []
-        for q in _EDGE_GAUSS:
-            uq = (1.0 - q) * u0 + q * u1
-            fq = eval_f(self.spec, uq, r_cell)
-            contrib = 0.5 * self._edge_len * fq
-            integral += contrib.sum(axis=1)
-            scaled = contrib * scale[:, None]
-            weights += [scaled * (1.0 - q), scaled * q]
-        loads = np.bincount(self._gamma_nodes, np.concatenate([w.ravel() for w in weights]),
-                            minlength=m.n_nodes)
-        return integral, loads, float((scale * integral).sum())
+        cell's copy of the reference hole ring; ``scale`` is the surface
+        Jacobian of the radial map times the epsilon of the weak form."""
+        m, ref = self.mesh, self.mesh.cell.mesh
+        ends = m.cell_nodes[ref.hole_boundary_facets.T]   # (2, nb, nc): every cell's edge ends
+        r_cell = radii.reshape(-1)
+        scale = m.epsilon * r_cell / m.cell.params.r0
+        # f at the two Gauss points of every edge (2, nb, nc), each of which
+        # weighs half the edge, epsilon times its reference length
+        f = eval_f(self.spec, np.tensordot(_EDGE_GAUSS.T, u[ends], 1), r_cell)
+        contrib = 0.5 * m.epsilon * ref.hole_edge_lengths[:, None] * f
+        loads = np.tensordot(_EDGE_GAUSS, contrib * scale, 1)   # the ends' shares
+        integral = contrib.sum(axis=(0, 1))
+        return (integral, np.bincount(ends.ravel(), loads.ravel(), minlength=m.n_nodes),
+                float((scale * integral).sum()))
 
     # -- time stepping ---------------------------------------------------------
 
@@ -305,7 +290,7 @@ class MicroSimulator:
         # (1) explicit radius update from the surface-averaged rate at the
         # old concentration and old radii
         f_int, loads, flux_total = self._surface_integrals(state.u_hat, state.radii)
-        f_avg = f_int / self._gamma_len
+        f_avg = f_int / (eps * m.cell.mesh.hole_edge_lengths.sum())
         radii_new = step_radius(self.spec, state.radii, f_avg.reshape(state.radii.shape), dt)
         rate = (radii_new - state.radii) / dt
         still = np.array_equal(radii_new, state.radii)
@@ -333,8 +318,8 @@ class MicroSimulator:
         source_step = 0.0
         if self.source is not None:
             # every cell's element midpoints, mapped, scaled and shifted by eps k
-            pts = (np.repeat(self._cell_offsets, len(m.cell.mesh.triangles), axis=0)
-                   + eps * self._frame.image(sc.radius))
+            pts = (np.repeat(eps * m.cell_index, len(m.cell.mesh.triangles), axis=0)
+                   + eps * m.cell.frame.image(sc.radius))
             fp = np.asarray(self.source(t_new, pts), dtype=float)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")

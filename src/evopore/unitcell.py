@@ -7,27 +7,27 @@ under the dihedral symmetries of the square and opposite boundary faces carry
 identical node traces; periodic pairing and conforming tiling are then exact.
 A command builds one :class:`ReferenceCell`: the mesh with its hole at the
 map's r0, the map's :class:`RadialFrame` on the element midpoints and the
-cell's :class:`CellBases`.  :func:`tabulate` and every micro mesh take it,
-so the cell problems and the micro problem share one mesh, map and set of
-operators.
+cell's sparse operators, each built on first use.  :func:`tabulate` and
+every micro mesh take it, so the cell problems and the micro problem share
+one mesh, map and set of operators.
 
 A cell problem takes its element coefficient: the unit tensor on a cell
 meshed at the requested radius, or the pulled-back tensor on the reference
 mesh.  The two routes discretize the same tensor and serve as mutual oracles.
 A cell problem is solved from its stiffness K on the mesh's node sparsity,
 its periodic pairs not merged (:attr:`PeriodicMesh.node_pattern`, the
-sparsity ``CellBases.local`` describes).  Its loads are K applied to the
-coordinate functions, exact for P1, and K with its periodic pairs merged and
-dof 0 pinned is summed straight into CSC through a slot map of the mesh
+sparsity :attr:`ReferenceCell.local` describes).  Its loads are K applied to
+the coordinate functions, exact for P1, and K with its periodic pairs merged
+and dof 0 pinned is summed straight into CSC through a slot map of the mesh
 (:class:`PinnedSystem`); one sparse LU factor of that system solves both
-directions, and the nodal mean is then subtracted
-(:func:`solve_cell_problem`).  :func:`effective_tensor` forms K from the
-element matrices of any coefficient, on any mesh; :func:`tabulate` evaluates
-the frame at all its radii at once and forms every radius' K by one product
-of ``CellBases.system`` with the scalars b and a - b, the product the micro
-stepper makes with one column per cell, here one column per radius.  A
-scalar diffusion D multiplies the whole problem, so the tensors here are of
-unit diffusion and the steppers apply D.
+directions, and the nodal mean is then subtracted (:func:`solve_cell_problem`).
+:func:`effective_tensor` forms K from the element matrices of any
+coefficient, on any mesh; :func:`tabulate` evaluates the frame at all its
+radii at once and forms every radius' K by one product of
+:attr:`ReferenceCell.system` with the scalars b and a - b, the product the
+micro stepper makes with one column per cell, here one column per radius.
+A scalar diffusion D multiplies the whole problem, so the tensors here are
+of unit diffusion and the steppers apply D.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
-from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness, symmetric_lu,
-                  triangle_geometry)
+from .fem import (StiffnessPattern, centroids, csr_slots, csv_table, element_stiffness,
+                  symmetric_lu, triangle_geometry)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
@@ -166,6 +166,12 @@ class PeriodicMesh:
         return dof, len(unique)
 
     @cached_property
+    def hole_edge_lengths(self) -> np.ndarray:
+        """Length (n_boundary,) of every edge of the hole ring."""
+        e = np.diff(self.vertices[self.hole_boundary_facets], axis=1)[:, 0]
+        return np.hypot(e[:, 0], e[:, 1])
+
+    @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray]:
         """Element areas and basis gradients (:func:`triangle_geometry`),
         shared by every cell problem on this mesh."""
@@ -185,7 +191,7 @@ class PeriodicMesh:
     def node_pattern(self) -> StiffnessPattern:
         """CSR sparsity of the stiffness of this mesh's nodes, its periodic
         pairs not merged: the sparsity of every cell problem's K, of the
-        reference cell's ``CellBases.local`` and of each micro cell."""
+        reference cell's :attr:`ReferenceCell.local` and of each micro cell."""
         return StiffnessPattern(self.triangles, self.n_nodes)
 
     @cached_property
@@ -199,18 +205,16 @@ class PeriodicMesh:
         cols = dof[indices] - 1
         kept = (rows >= 0) & (cols >= 0)
         n = n_dof - 1
-        csc = sp.coo_matrix((np.ones(np.count_nonzero(kept)), (rows[kept], cols[kept])),
-                            shape=(n, n)).tocsc()
-        # the matrix whose every stored entry is its own slot number, sampled;
-        # an entry in the pinned row or column goes to the slot past the end
-        csc.data = np.arange(csc.nnz, dtype=np.intp)
-        slots = np.full(len(indices), csc.nnz, dtype=np.intp)
-        slots[kept] = np.asarray(csc[rows[kept], cols[kept]]).reshape(-1)
+        # the CSR of the transpose is the CSC; an entry in the pinned row or
+        # column goes to the slot past the end
+        csc_indptr, csc_indices, kept_slots = csr_slots(cols[kept], rows[kept], n)
+        slots = np.full(len(indices), len(csc_indices), dtype=np.intp)
+        slots[kept] = kept_slots
         at = np.flatnonzero(rows >= 0)
         loads = sp.csr_matrix((-self.vertices[indices[at]].T.ravel(),
                                (np.concatenate([rows[at], rows[at] + n]), np.tile(at, 2))),
                               shape=(2 * n, len(indices)))
-        return PinnedSystem(csc.indptr, csc.indices, slots, loads)
+        return PinnedSystem(csc_indptr, csc_indices, slots, loads)
 
 
 def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
@@ -287,9 +291,11 @@ def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
     return PeriodicMesh(verts, tris, facets, partner, hole_radius, n, min_angle)
 
 
-@dataclass
-class CellBases:
-    """Sparse operators of the reference cell, which every micro cell repeats.
+class ReferenceCell:
+    """One command's reference cell: the mesh of ``n_boundary`` and
+    ``target_h`` with its hole at ``params.r0``, the map's frame on its
+    element midpoints and the sparse operators of that frame, which every
+    micro cell repeats, each built the first time it is read.
 
     A micro cell is the reference cell scaled by epsilon and translated, with
     the same node and triangle order, and in 2-D ``|T| G G^T`` does not change
@@ -302,61 +308,64 @@ class CellBases:
 
     Each operator acts on per-element scalars of the m reference elements or
     on nodal values of the n_ref reference nodes, held as (m, c) or (n_ref, c)
-    arrays with one column per cell, so one product serves every cell:
-
-    - ``system`` (s, 2m) is ``[L Q]`` on the s entries of the reference
-      cell's CSR sparsity ``local`` (rows, cols); applied to
-      ``[D b; D (a - b)]`` it gives every cell's system entries;
-    - ``mass`` (n_ref, m) lumps an element weight onto the nodes, ``|T| / 3``
-      at each vertex;
-    - ``drift`` (n_ref, m) holds ``|T| w``, the loads of a unit drift weight;
-    - ``means`` (m, n_ref) takes nodal values to element means.
-
-    A product sums each entry over the reference elements in their order.
-    :func:`tabulate` applies ``system`` to ``[b; a - b]`` with one column per
-    table radius: the stiffness of every radius' cell problems.
+    arrays with one column per cell, so one product, which sums each entry
+    over the reference elements in their order, serves every cell.
+    :func:`tabulate` applies :attr:`system` alone, one column per radius.
     """
-
-    local: tuple[np.ndarray, np.ndarray]
-    system: sp.csr_matrix
-    mass: sp.csr_matrix
-    drift: sp.csr_matrix
-    means: sp.csr_matrix
-
-
-class ReferenceCell:
-    """One command's reference cell: the mesh of ``n_boundary`` and
-    ``target_h`` with its hole at ``params.r0``, the map's frame on its
-    element midpoints and, built on first use, that frame's operators."""
 
     def __init__(self, params: TransformParams, n_boundary: int = 64, target_h: float = 0.05):
         self.params = params
         self.mesh = build_reference_mesh(params.r0, n_boundary, target_h)
         self.frame = RadialFrame(params, centroids(self.mesh.vertices, self.mesh.triangles))
 
-    @cached_property
-    def bases(self) -> CellBases:
-        """The operators of the mesh for the frame's unit directions."""
+    def _radial(self) -> tuple[np.ndarray, np.ndarray]:
+        """``|T| w`` and ``w`` (m, 3) of every element."""
         areas, grads = self.mesh.geometry
+        w = (grads @ self.frame.directions()[:, :, None])[:, :, 0]
+        return areas[:, None] * w, w
+
+    def _at_vertices(self, values: np.ndarray) -> sp.csr_matrix:
+        """The (n_ref, m) matrix of ``values`` (m, 3) at each element vertex."""
         tri = self.mesh.triangles
-        m, n_ref = len(tri), self.mesh.n_nodes
+        return sp.csr_matrix((np.ravel(values), (tri.ravel(), np.repeat(np.arange(len(tri)), 3))),
+                             shape=(self.mesh.n_nodes, len(tri)))
+
+    @cached_property
+    def local(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the s entries of the mesh's node sparsity, in CSR order."""
+        indptr, indices, _, _ = self.mesh.node_pattern.slots()
+        return np.repeat(np.arange(self.mesh.n_nodes), np.diff(indptr)), np.asarray(indices)
+
+    @cached_property
+    def system(self) -> sp.csr_matrix:
+        """``[L Q]`` (s, 2m) on the entries of :attr:`local`: applied to
+        ``[D b; D (a - b)]`` it gives every cell's system entries."""
+        areas, grads = self.mesh.geometry
+        m = len(areas)
         stiffness = grads @ grads.transpose(0, 2, 1)
         stiffness *= areas[:, None, None]
-        w = (grads @ self.frame.directions()[:, :, None])[:, :, 0]
-        drift = areas[:, None] * w
+        drift, w = self._radial()
         radial = drift[:, :, None] * w[:, None, :]
-
-        indptr, indices, slots, _ = self.mesh.node_pattern.slots()
-        local = (np.repeat(np.arange(n_ref), np.diff(indptr)), np.asarray(indices))
+        _, indices, slots, _ = self.mesh.node_pattern.slots()
         element = np.repeat(np.arange(m), 9)
-        system = sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
-                                (np.tile(slots.ravel(), 2), np.concatenate([element, element + m]))),
-                               shape=(len(indices), 2 * m))
-        vertex = (tri.ravel(), np.repeat(np.arange(m), 3))   # (node, element) of each vertex
-        return CellBases(local, system,
-                         sp.csr_matrix((np.repeat(areas / 3.0, 3), vertex), shape=(n_ref, m)),
-                         sp.csr_matrix((drift.ravel(), vertex), shape=(n_ref, m)),
-                         sp.csr_matrix((np.full(3 * m, 1.0 / 3.0), vertex[::-1]), shape=(m, n_ref)))
+        return sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
+                              (np.tile(slots.ravel(), 2), np.concatenate([element, element + m]))),
+                             shape=(len(indices), 2 * m))
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        """(n_ref, m): ``|T| / 3`` at each vertex, the row-sum lumping."""
+        return self._at_vertices(np.repeat(self.mesh.geometry[0] / 3.0, 3))
+
+    @cached_property
+    def drift(self) -> sp.csr_matrix:
+        """(n_ref, m): ``|T| w``, the loads of a unit drift weight."""
+        return self._at_vertices(self._radial()[0])
+
+    @cached_property
+    def means(self) -> sp.csr_matrix:
+        """(m, n_ref): takes nodal values to element means."""
+        return self._at_vertices(np.full(self.mesh.triangles.shape, 1.0 / 3.0)).T.tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +516,8 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
     with the coefficient ``b I + (a - b) u u^T`` of the cell's frame, from
     its scalars and unit directions u.  The frame is evaluated at every
     radius at once, and every radius' stiffness is one column of one product
-    with ``cell.bases.system``; each radius' cell problems are then solved
-    and their energy formed as :func:`effective_tensor` does.
+    with ``cell.system``; each radius' cell problems are then solved and
+    their energy formed as :func:`effective_tensor` does.
 
     A single discretization shared across radii makes the tabulated tensors a
     smooth, monotone function of the radius: the geometric error of the
@@ -519,10 +528,12 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
         raise ValueError("tensor table needs at least 5 radii")
     if not np.all((r_grid >= cell.params.r_min) & (r_grid <= cell.params.r_max)):
         raise ValueError("table radii must lie in [r_min, r_max]")
+    if np.any(np.diff(r_grid) <= 0):
+        raise ValueError("table radii must be strictly increasing")
     sc = cell.frame.scalars(r_grid.reshape(-1, 1))
     b = sc.b.reshape(r_grid.size, -1)
     anisotropy = (sc.a - sc.b).reshape(r_grid.size, -1)
-    stiffness = np.ascontiguousarray((cell.bases.system @ np.hstack([b, anisotropy]).T).T)
+    stiffness = np.ascontiguousarray((cell.system @ np.hstack([b, anisotropy]).T).T)
     u = cell.frame.directions()
     radial = u[:, :, None] * u[:, None, :]
     tensors = np.empty((r_grid.size, 2, 2))

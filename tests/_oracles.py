@@ -9,7 +9,11 @@ the full quantities by other routes, for the tests to compare against:
 - the image x_M + R u and the radius sensitivity dpsi/dr_gamma = (dR/dr_gamma) u
   from :func:`evopore.transform.profile` at each point's distance to the
   center;
-- every micro element as the reference triangle through the cell node map;
+- every micro element as the reference triangle through the cell node map,
+  and every cell's hole ring as the reference ring through it;
+- the micro step's surface pass on every cell's own hole ring, its edge
+  lengths from the merged micro nodes, scattered by ``np.add.at``, instead
+  of epsilon times the reference ring's lengths;
 - the micro mesh's node merge as one ``np.unique`` of the rounded
   coordinate rows, sorted lexicographically, instead of merged rank keys;
 - the periodic cell problems as one dense system, solved to its
@@ -27,6 +31,7 @@ the full quantities by other routes, for the tests to compare against:
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
+from evopore.kinetics import eval_f
 from evopore.micro import MicroMesh, cells_per_side
 from evopore.transform import X_CENTER, RadialFrame, profile
 
@@ -62,15 +67,47 @@ def row_unique_micro_mesh(cell, epsilon):
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     rep = np.zeros(len(uniq), dtype=int)
     rep[inverse] = np.arange(len(coords))
-    node_map = inverse.reshape(len(cells), -1)
-    gamma = node_map[:, reference.hole_boundary_facets.ravel()].reshape(len(cells), -1, 2)
-    return MicroMesh(epsilon, n, coords[rep], cells, gamma, node_map, cell)
+    return MicroMesh(epsilon, n, coords[rep], cells, inverse.reshape(len(cells), -1), cell)
 
 
 def tiled_triangles(mesh):
     """The micro mesh's triangles (c*m, 3), cell by cell, each cell's in the
     reference order."""
     return mesh.node_map[:, mesh.cell.mesh.triangles].reshape(-1, 3)
+
+
+def hole_rings(mesh):
+    """Every cell's hole-ring edges (n_cells, n_boundary, 2) as global node
+    ids: the reference ring through the cell node map."""
+    return mesh.node_map[:, mesh.cell.mesh.hole_boundary_facets]
+
+
+def ring_edge_lengths(mesh):
+    """Length (n_cells, n_boundary) of every cell's hole-ring edges, from the
+    micro mesh's own nodes."""
+    edges = hole_rings(mesh)
+    e = mesh.vertices[edges[..., 1]] - mesh.vertices[edges[..., 0]]
+    return np.hypot(e[..., 0], e[..., 1])
+
+
+def surface_integrals(mesh, spec, u, radii):
+    """Per-cell boundary integral (n_cells,) of f(u, r) for the nodal values
+    ``u`` and the radii ``radii`` (one per cell), the nodal loads of
+    (scale * f, phi_i) and their total, by two-point Gauss on every cell's
+    own hole-ring edges; ``scale`` is epsilon r / r0."""
+    edges = hole_rings(mesh)
+    lengths = ring_edge_lengths(mesh)
+    r_cell = radii.reshape(-1, 1)
+    scale = mesh.epsilon * r_cell / mesh.cell.params.r0
+    integral = np.zeros(mesh.n_cells)
+    loads = np.zeros(mesh.n_nodes)
+    for q in (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)):
+        contrib = 0.5 * lengths * eval_f(spec, (1.0 - q) * u[edges[..., 0]]
+                                         + q * u[edges[..., 1]], r_cell)
+        integral += contrib.sum(axis=1)
+        np.add.at(loads, edges[..., 0], (1.0 - q) * scale * contrib)
+        np.add.at(loads, edges[..., 1], q * scale * contrib)
+    return integral, loads, float((scale[:, 0] * integral).sum())
 
 
 def cell_of_element(mesh):

@@ -22,7 +22,8 @@ from evopore.errors import ConfigError, NumericalError
 from evopore.macro import MacroGrid, MacroSolver, ledger_csv
 from evopore.micro import MicroSimulator
 from evopore.transform import RadialFrame
-from evopore.unitcell import CellBases, EffectiveTensorTable, PeriodicMesh, porosity, table_checks
+from evopore.unitcell import (EffectiveTensorTable, PeriodicMesh, ReferenceCell, porosity,
+                              table_checks)
 
 FAST_COMMON = """\
 [discretization]
@@ -145,6 +146,8 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
 @pytest.mark.parametrize("args, extra, names", [
     (["micro-run", "--epsilon", "abc"], "", ["--epsilon", "abc"]),
     (["micro-run", "--epsilon", "1/3"], "", ["--epsilon", "1/3"]),
+    (["micro-run", "--epsilon", "1/0"], "", ["--epsilon 1/0: float division by zero"]),
+    (["micro-run", "--epsilon", "0"], "", ["--epsilon 0: 1/epsilon must be one of"]),
     (["macro-run"], "[table]\npath = {tmp}/missing.csv\n", ["path", "missing.csv"]),
     (["micro-run", "--epsilon", "1/2"], "[initial]\nr_param.value = 0.5\n",
      ["r_field", "0.5"]),
@@ -170,11 +173,12 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
      ["field 'constant'", "bogus"]),
     (["micro-run", "--epsilon", "1/2"], "[source]\nname = constant\nparam.bogus = 1\n",
      ["source 'constant'", "bogus"]),
-], ids=["epsilon-text", "epsilon-third", "table-path-missing", "micro-radius-outside-box",
-        "macro-radius-outside-box", "initial-u-nan", "table-narrow", "table-nan",
-        "table-radii-narrow", "out-is-a-file", "table-indefinite", "table-theta",
-        "table-extra-column", "table-no-rows", "table-text-field", "field-unknown",
-        "source-unknown", "field-param-unknown", "source-param-unknown"])
+], ids=["epsilon-text", "epsilon-third", "epsilon-division", "epsilon-zero",
+        "table-path-missing", "micro-radius-outside-box", "macro-radius-outside-box",
+        "initial-u-nan", "table-narrow", "table-nan", "table-radii-narrow", "out-is-a-file",
+        "table-indefinite", "table-theta", "table-extra-column", "table-no-rows",
+        "table-text-field", "field-unknown", "source-unknown", "field-param-unknown",
+        "source-param-unknown"])
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
     # [0.15, 0.35]; the full box with one NaN entry; with A12 = 0.6 beside
@@ -278,18 +282,23 @@ def test_macro_run_can_load_table(tmp_path):
     assert main(["macro-run", "--config", str(cfg2), "--out", str(out), "--quiet"]) == 0
 
 
+OPERATORS = ("local", "system", "mass", "drift", "means")
+
+
 @pytest.mark.parametrize("command, load_table, built", [
-    (["convergence"], False, (1, 1, 1)),
-    (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1)),
-    (["macro-run"], False, (1, 1, 1)),
-    (["macro-run"], True, (0, 0, 0)),
-], ids=["convergence", "micro-run", "macro-run", "macro-run-table-path"])
+    (["convergence"], False, (1, 1, 1, 1, 1, 1, 1)),
+    (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1, 1, 1, 1, 1)),
+    (["macro-run"], False, (1, 1, 0, 1, 0, 0, 0)),
+    (["cell-table"], False, (1, 1, 0, 1, 0, 0, 0)),
+    (["macro-run"], True, (0, 0, 0, 0, 0, 0, 0)),
+], ids=["convergence", "micro-run", "macro-run", "cell-table", "macro-run-table-path"])
 def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_table, built):
     """A command builds the reference mesh, the map's frame on its midpoints
-    and the cell's operators at most once: the table and every 1/epsilon of
-    the study share them.  A macro run that tabulates builds the operators
-    for its cell problems' stiffness, and one that loads its table builds no
-    cell."""
+    and each operator of the cell it reads at most once: the table and every
+    1/epsilon of the study share them.  A table's cell problems read the
+    cell's ``system`` alone, so a tabulating command builds no other
+    operator; a growing micro run reads all five, and a macro run that loads
+    its table builds no cell."""
     config = FAST_COMMON
     if load_table:
         tdir = tmp_path / "table"
@@ -297,18 +306,19 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
                      "--quiet"]) == 0
         config = config.replace("[table]\nradius_count = 5",
                                 f"[table]\npath = {tdir / 'table.csv'}")
-    counts = {cls: 0 for cls in (PeriodicMesh, RadialFrame, CellBases)}
+    counts = dict.fromkeys((PeriodicMesh, RadialFrame) + OPERATORS, 0)
 
-    def counting(cls):
-        init = cls.__init__
-
-        def counted(self, *args, **kwargs):
-            counts[cls] += 1
-            init(self, *args, **kwargs)
+    def counting(key, build):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return build(*args, **kwargs)
         return counted
 
-    for cls in counts:
-        monkeypatch.setattr(cls, "__init__", counting(cls))
+    for cls in (PeriodicMesh, RadialFrame):
+        monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
+    for name in OPERATORS:
+        operator = vars(ReferenceCell)[name]
+        monkeypatch.setattr(operator, "func", counting(name, operator.func))
     path = tmp_path / "run.cfg"
     path.write_text(config)
     assert main(command[:1] + ["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from _oracles import (cell_of_element, pulled_back, radial_image, row_unique_micro_mesh,
+from _oracles import (cell_of_element, hole_rings, pulled_back, radial_image,
+                      ring_edge_lengths, row_unique_micro_mesh, surface_integrals,
                       tiled_triangles)
 
 from evopore import fem
@@ -18,6 +19,7 @@ from evopore.micro import (
     MicroSimulator,
     build_micro_mesh,
     cell_pore_means,
+    cells_per_side,
     cell_series_csv,
     micro_snapshot_csv,
     unfold_compare,
@@ -62,7 +64,7 @@ def count_assemblies(sim):
 def test_mesh_counts(reference_cell, micro_mesh_half):
     m = micro_mesh_half
     assert m.n_cells == 4
-    assert m.gamma_edges.shape[0] == 4
+    assert hole_rings(m).shape[0] == 4
     n_ref = reference_cell.mesh.n_nodes
     trace = np.sum(np.abs(reference_cell.mesh.vertices[:, 0]) < 1e-12)
     # interior cross: two seam lines of 2*trace-1 nodes each appear twice,
@@ -83,7 +85,7 @@ def test_mesh_is_conforming(micro_mesh_half):
             edges[key] = edges.get(key, 0) + 1
     counts = np.array(list(edges.values()))
     assert set(counts.tolist()) == {1, 2}
-    gamma = {tuple(sorted(e)) for cell in m.gamma_edges for e in cell.tolist()}
+    gamma = {tuple(sorted(e)) for cell in hole_rings(m) for e in cell.tolist()}
     v = m.vertices
     for (a, b), c in edges.items():
         if c == 1:
@@ -109,8 +111,9 @@ def test_mesh_merge_matches_the_row_unique_oracle(params, n_boundary, target_h, 
     reference = ReferenceCell(params, n_boundary, target_h)
     got = build_micro_mesh(reference, 1.0 / inv)
     want = row_unique_micro_mesh(reference, 1.0 / inv)
-    for name in ("vertices", "node_map", "gamma_edges", "cell_nodes"):
+    for name in ("vertices", "node_map", "cell_nodes"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(hole_rings(got), hole_rings(want))
     assert got.n_nodes == n_nodes
 
 
@@ -153,12 +156,31 @@ def test_mesh_rejects_bad_epsilon(reference_cell):
         build_micro_mesh(reference_cell, 1.0 / 3.0)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.0, float("nan")])
+def test_cells_per_side_rejects_an_epsilon_without_an_inverse(epsilon):
+    """An epsilon of zero, or not a number, is a ValueError naming the
+    allowed inverses, not a ZeroDivisionError."""
+    with pytest.raises(ValueError, match="1/epsilon must be one of"):
+        cells_per_side(epsilon)
+
+
+def test_simulator_rejects_a_kinetics_box_the_map_cannot_follow(micro_mesh_half, spec):
+    """Radii may move only inside the cell map's box: a kinetics box that
+    reaches past it is rejected when the stepper is built, naming both
+    boxes, not at the step whose radius first leaves the map's box."""
+    with pytest.raises(ValueError, match=r"\[0\.15, 0\.45\].*\[0\.15, 0\.35\]"):
+        MicroSimulator(micro_mesh_half, replace(spec, r_max=0.45))
+    with pytest.raises(ValueError, match=r"\[0\.1, 0\.35\].*\[0\.15, 0\.35\]"):
+        MicroSimulator(micro_mesh_half, replace(spec, r_min=0.1))
+    MicroSimulator(micro_mesh_half, replace(spec, r_min=0.2))
+
+
 def test_gamma_perimeter_scales(reference_cell, micro_mesh_half):
     ids = reference_cell.mesh.hole_boundary_facets
     e = reference_cell.mesh.vertices[ids[:, 1]] - reference_cell.mesh.vertices[ids[:, 0]]
     ref_per = np.sum(np.hypot(e[:, 0], e[:, 1]))
     for c in range(4):
-        assert micro_mesh_half.gamma_edge_lengths()[c].sum() == pytest.approx(0.5 * ref_per, rel=1e-12)
+        assert ring_edge_lengths(micro_mesh_half)[c].sum() == pytest.approx(0.5 * ref_per, rel=1e-12)
 
 
 def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_reaction):
@@ -308,7 +330,7 @@ def check_cell_batched_step(m, params, spec, rng):
     system = sim._system(sc, diagonal)
     got_keys = np.repeat(np.arange(n), np.diff(system.indptr)) * n + system.indices
     assert np.array_equal(got_keys, entries)
-    got_means = sim._bases.means @ u[m.node_map.T]
+    got_means = m.cell.means @ u[m.node_map.T]
     for got, want in ((system.data, want_k), (sim._lumped(sc.det), want_mass),
                       (got_means.T.ravel(), u_mid), (sim._drift(sc, rate, u), want_drift)):
         assert got.shape == want.shape
@@ -332,8 +354,8 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, pa
     rng = np.random.default_rng(30 + inv)
     diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
     x = np.vstack([sim._per_cell(1.7 * sc.b), sim._per_cell(1.7 * (sc.a - sc.b))])
-    entries = sim._bases.system @ x          # (s, n_cells): every cell's entries
-    rows, cols = sim._bases.local
+    entries = m.cell.system @ x          # (s, n_cells): every cell's entries
+    rows, cols = m.cell.local
     n, diag = m.n_nodes, np.arange(m.n_nodes)
     want = sp.coo_matrix((np.concatenate([entries.T.ravel(), diagonal]),
                           (np.concatenate([m.node_map[:, rows].ravel(), diag]),
@@ -354,6 +376,24 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, pa
         assert index.flags.c_contiguous and data.flags.c_contiguous
     assert diagonal_slots.dtype == np.intp
     assert np.array_equal(m.cell_nodes, m.node_map.T)
+
+
+@pytest.mark.parametrize("inv", (2, 4))
+def test_surface_pass_matches_the_per_cell_edge_oracle(reference_cell, params, spec, inv):
+    """The surface pass on the reference hole ring, epsilon times its edge
+    lengths, gives every cell's integral, the nodal loads and their total of
+    the pass on every cell's own ring, its lengths from the merged micro
+    nodes, to 1e-12 relative, at patterned radii and a random u."""
+    m = build_micro_mesh(reference_cell, 1.0 / inv)
+    radii = patterned_radii(params, inv)
+    u = np.random.default_rng(40 + inv).uniform(0.0, 1.0, m.n_nodes)
+    got = MicroSimulator(m, spec)._surface_integrals(u, radii)
+    want = surface_integrals(m, spec, u, radii)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.abs(w).max() > 0.0
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
+    assert want[2] != 0.0
 
 
 def test_pinned_constant_initial_stays_constant(micro_mesh_half, params, no_reaction):
@@ -522,7 +562,7 @@ def euler_expansion_residual(reference, params, spec, inv, monkeypatch, dt=1e-3,
         new = sim.step(state, dt)
     (A, b), = solves
     off = np.ones(m.n_nodes, dtype=bool)
-    off[m.gamma_edges.ravel()] = False
+    off[hole_rings(m).ravel()] = False
     residual = A @ np.ones(m.n_nodes) - b
     change = (new.mass - state.mass) / dt
     return np.abs(residual[off]).sum() / np.abs(change[off]).sum()

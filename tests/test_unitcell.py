@@ -1,11 +1,10 @@
-import dataclasses
-
 import _oracles
 import numpy as np
 import pytest
 
 from evopore.config import DEFAULT_CONFIG, parse_config
 from evopore.errors import MeshQualityError, NumericalError
+from evopore import unitcell
 from evopore.fem import centroids, triangle_geometry
 from evopore.unitcell import (
     EffectiveTensorTable,
@@ -166,7 +165,7 @@ def test_singular_cell_problem_is_numerical_error(params):
     with pytest.raises(NumericalError, match="cell problem"):
         solve_cell_problem(mesh, np.zeros((len(mesh.triangles), 2, 2)))
     # so are the tabulated ones when the cell's operators are zero
-    cell.bases = dataclasses.replace(cell.bases, system=0.0 * cell.bases.system)
+    cell.system = 0.0 * cell.system
     with pytest.raises(NumericalError, match=r"r=0\.15: cell problem"):
         tabulate(cell, np.linspace(params.r_min, params.r_max, 5))
 
@@ -273,6 +272,20 @@ def test_tabulate_rejects_radii_outside_the_box(reference_cell, params):
     for bad in (params.r_max + 0.01, np.nan):
         with pytest.raises(ValueError, match=r"table radii must lie in \[r_min, r_max\]"):
             tabulate(reference_cell, np.append(grid[:-1], bad))
+
+
+@pytest.mark.parametrize("order", ["repeated", "decreasing"])
+def test_tabulate_rejects_radii_out_of_order_before_solving(params, monkeypatch, order):
+    """A grid that is not strictly increasing fails with the table's own
+    message before any cell problem is solved, and before the cell builds
+    its operators."""
+    grid = np.linspace(params.r_min, params.r_max, 5)
+    grid = np.append(grid, grid[-1]) if order == "repeated" else grid[::-1]
+    monkeypatch.setattr(unitcell, "effective_tensor", lambda *a, **k: pytest.fail("solved"))
+    cell = ReferenceCell(params, 16, 0.1)
+    with pytest.raises(ValueError, match="table radii must be strictly increasing"):
+        tabulate(cell, grid)
+    assert "system" not in vars(cell)
 
 
 def test_closed_form_geometry_quantities():
