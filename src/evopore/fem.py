@@ -39,12 +39,16 @@ tolerance factors nothing, and the step reports the factorization its
 solve made.  The macro stepper keeps one single precision factor of an
 earlier step's system.  The micro stepper factors a system that serves
 again: the one it keeps while its radii do not move, by an exact double
-precision factor, so its later steps take 1 CG iteration, not about 80 to
-100 with Jacobi.  A system of moving radii serves one step and is
-solved by Jacobi CG: a factorization costs 3 to 4 Jacobi steps and pays for
-itself only after 5 to 7 steps that reuse it, and its fill takes about 5,
-26 and 126 MB at 1/eps = 4, 8 and 16 (3, 18 and 86 MB in single
-precision).  Each state holds a reference to its
+precision factor, so its later steps take 1 CG iteration, not 77 to 96
+with CG's default preconditioner or with plain Jacobi alike (the micro-io
+benchmark's pinned run at 1/eps = 4).  A system of moving radii serves
+one step and is solved by CG with the default preconditioner, Jacobi plus
+an exact solve on the constant vector (:func:`evopore.sparse.solve_cg`).
+On the canonical config's steps a factorization costs as much as 7 to 12
+of those solves (medians 7, 9, 12 and 12 at 1/eps = 2, 4, 8 and 16) and
+would pay for itself only after 9 to 22 solves that reused it (9 to 15
+against plain Jacobi), and its fill takes about 5, 26 and 126 MB at 1/eps = 4, 8 and 16
+(3, 18 and 86 MB in single precision).  Each state holds a reference to its
 field one step earlier, so the step starts CG from the linear
 extrapolation ``2 u_n - u_(n-1)``, and from ``u_n`` on a first step.
 :func:`csv_table` formats every deterministic CSV output of the package,
@@ -284,7 +288,8 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
                         previous: np.ndarray | None, tol: float, label: str, t_new: float,
                         factor: Factor | None = None):
     """Solve the implicit system ``(K + diag(mass_new / dt)) u_new = b`` by CG,
-    Jacobi-preconditioned or preconditioned by ``factor``.
+    preconditioned by ``factor`` or, when it is None, by ``solve_cg``'s
+    default: Jacobi plus an exact solve on the constant vector.
 
     ``system`` is the stiffness assembled with the mass on its diagonal, and
     ``u`` the field of the step's state.  The solve starts from the linear

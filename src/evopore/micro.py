@@ -31,12 +31,14 @@ reads its data and index in place.
 A step whose radii did not move keeps its cell map and system for the next
 step at the same radii and dt, and an exact double precision sparse LU factor
 of that system (:class:`evopore.fem.Factor`), which preconditions the CG of
-every step that reuses it: 1 iteration a step instead of about 80 to 100 with
-Jacobi.  So radii frozen at r0, which are inputs (a zero rate law, every
-radius at r0), not a stepper mode, assemble once per dt and factor when CG
-first applies the factor: never, when every start solves the system.  A step
-whose radii moved keeps nothing and solves by Jacobi CG, as a factor of a
-system that serves once costs more than it saves (:mod:`evopore.fem`).
+every step that reuses it: 1 iteration a step instead of 77 to 96 with CG's
+default preconditioner.  So radii frozen at r0, which are inputs (a zero
+rate law, every radius at r0), not a stepper mode, assemble once per dt and
+factor when CG first applies the factor: never, when every start solves the
+system.  A step whose radii moved keeps nothing and solves by CG's default
+preconditioner, Jacobi plus an exact solve on the constant vector, which
+the zero-flux stiffness annihilates (:mod:`evopore.sparse`), as a factor of
+a system that serves once costs more than it saves (:mod:`evopore.fem`).
 
 The unfolding comparator turns a micro state into per-cell pore averages
 and measures their distance to a macro solution at the cell centers.
@@ -299,7 +301,8 @@ class MicroSimulator:
         # of the pulled-back tensor.  Radii that did not move keep J and so the
         # mass, and a map and system kept at the same radii (and dt) serve
         # again.  A kept system is factored, once, and its factor preconditions
-        # every solve with it; a system of moving radii serves once, by Jacobi CG
+        # every solve with it; a system of moving radii serves once, by CG's
+        # default preconditioner
         kept = self._kept
         if not (still and kept and np.array_equal(kept[0], radii_new)):
             kept = None

@@ -1,9 +1,10 @@
 """The sparse systems the solvers build and solve: P1 stiffness assembly
 (``fem.StiffnessPattern`` of ``fem.element_stiffness``) against a
-per-element dense loop and an input-order sum, the Jacobi-CG ``solve_cg``
-on scipy CSR matrices, and the sparse LU factor preconditioner
-(``fem.Factor``): single precision as the macro step keeps it, double
-precision as a micro step makes it for the system it keeps."""
+per-element dense loop and an input-order sum, the CG ``solve_cg`` on scipy
+CSR matrices (by default Jacobi with an exact solve on the constant
+vector), and the sparse LU factor preconditioner (``fem.Factor``): single
+precision as the macro step keeps it, double precision as a micro step
+makes it for the system it keeps."""
 
 import gc
 import sys
@@ -245,22 +246,28 @@ def test_report_contract():
 
 def allocating_solve_cg(A, b, tol=1e-10, x0=None, precondition=None):
     """Preconditioned CG written plainly: a new array for every vector
-    update and Jacobi as a division by the diagonal.  The reference of
-    ``solve_cg``'s iterates."""
+    update, and by default Jacobi as a division by the diagonal plus the
+    exact solve on the constant vector, 1 (1^T r) / (1^T A 1), with the
+    start corrected on that vector first.  The reference of ``solve_cg``'s
+    iterates."""
     n = A.shape[0]
     b = np.asarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    r = b - (A @ x)
     if precondition is None:
         diag = A.diagonal().copy()
         diag[diag == 0.0] = 1.0
+        coarse = (A @ np.ones(n)).sum()
+        if np.linalg.norm(r) > tol * bnorm:
+            x = x + r.sum() / coarse
+            r = b - (A @ x)
 
         def precondition(r):
-            return r / diag
+            return r / diag + r.sum() / coarse
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - (A @ x)
     z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
@@ -303,11 +310,12 @@ def cg_cases(reference_cell, params, spec):
 
 def test_in_place_cg_matches_the_allocating_loop(reference_cell, params, spec):
     """The in-place loop (BLAS axpy updates, Jacobi by a reciprocal
-    diagonal) rounds differently from the plain allocating loop but is the
-    same iteration: on the two kinds of solve it takes as many iterations,
-    and both iterates solve the system to ``tol``.  Each loop stops once
-    its residual is within tol |b|, so the two iterates differ by a vector
-    whose image under A is within 2 tol |b|: the bound asserted."""
+    diagonal, the constant vector's sums by a BLAS dot) rounds differently
+    from the plain allocating loop but is the same iteration: on the two
+    kinds of solve it takes as many iterations, and both iterates solve the
+    system to ``tol``.  Each loop stops once its residual is within
+    tol |b|, so the two iterates differ by a vector whose image under A is
+    within 2 tol |b|: the bound asserted."""
     for A, b, kwargs in cg_cases(reference_cell, params, spec):
         tol = kwargs["tol"]
         x, report = solve_cg(A, b, **kwargs)
