@@ -177,8 +177,14 @@ def _micro_simulator(cfg: ExperimentConfig, cell: ReferenceCell, inv: int) -> Mi
 
 def _solver_work(solver) -> str:
     """The solver work of a run, or of a level of the convergence study, for
-    its progress line: the CG iterations and factorizations ``solver`` made."""
-    return f"{solver.cg_iterations} CG iterations, {solver.factorizations} factorizations"
+    its progress line: the CG iterations and factorizations ``solver`` made
+    and, for a micro simulator, its steps that started CG from the
+    eps-periodic correction and the CG iterations of those coarse solves."""
+    work = f"{solver.cg_iterations} CG iterations, {solver.factorizations} factorizations"
+    if isinstance(solver, MicroSimulator):
+        work += (f", {solver.periodic_starts} periodic starts, "
+                 f"{solver.coarse_iterations} coarse CG iterations")
+    return work
 
 
 def _states(solver, cfg: ExperimentConfig, label: str):

@@ -44,13 +44,19 @@ with CG's default preconditioner or with plain Jacobi alike (the micro-io
 benchmark's pinned run at 1/eps = 4).  A system of moving radii serves
 one step and is solved by CG with the default preconditioner, Jacobi plus
 an exact solve on the constant vector (:func:`evopore.sparse.solve_cg`).
-On the canonical config's steps a factorization costs as much as 7 to 12
-of those solves (medians 7, 9, 12 and 12 at 1/eps = 2, 4, 8 and 16) and
-would pay for itself only after 9 to 22 solves that reused it (9 to 15
-against plain Jacobi), and its fill takes about 5, 26 and 126 MB at 1/eps = 4, 8 and 16
-(3, 18 and 86 MB in single precision).  Each state holds a reference to its
-field one step earlier, so the step starts CG from the linear
-extrapolation ``2 u_n - u_(n-1)``, and from ``u_n`` on a first step.
+On the canonical config's steps, as they iterated before their starts
+were corrected on the eps-periodic functions (below), a factorization
+cost as much as 7 to 12 of those solves (medians 7, 9, 12 and 12 at
+1/eps = 2, 4, 8 and 16) and would have paid for itself only after 9 to 22
+solves that reused it (9 to 15 against plain Jacobi), and its fill takes
+about 5, 26 and 126 MB at 1/eps = 4, 8 and 16 (3, 18 and 86 MB in single
+precision).  Each state holds a reference to its field one step earlier,
+so the step starts CG from the linear extrapolation ``2 u_n - u_(n-1)``,
+and from ``u_n`` on a first step (:func:`extrapolated_start`).  The micro
+step of moving radii first corrects that start by a Galerkin projection
+onto the eps-periodic functions, when that removes more error energy than
+Jacobi's estimate of the start's (:mod:`evopore.micro`); the canonical
+study's steps then take 0 iterations.
 :func:`csv_table` formats every deterministic CSV output of the package,
 each value exactly as Python's ``'%.17g' % v``, by a vectorised kernel.  A
 value 1e-4 <= |v| < 1e16 gets its 17 correctly rounded digits as an int64
@@ -284,24 +290,29 @@ class Factor:
         return self._lu.solve(r.astype(self._dtype, copy=False)).astype(np.float64, copy=False)
 
 
-def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, u: np.ndarray,
-                        previous: np.ndarray | None, tol: float, label: str, t_new: float,
-                        factor: Factor | None = None):
+def extrapolated_start(u: np.ndarray, previous: np.ndarray | None) -> np.ndarray:
+    """The CG start of a step from the field ``u``: the linear extrapolation
+    ``2 u - previous`` of the field one step earlier, ``previous``, or ``u``
+    itself when there is none."""
+    return u if previous is None else 2.0 * u - previous
+
+
+def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, tol: float,
+                        label: str, t_new: float, factor: Factor | None = None):
     """Solve the implicit system ``(K + diag(mass_new / dt)) u_new = b`` by CG,
     preconditioned by ``factor`` or, when it is None, by ``solve_cg``'s
     default: Jacobi plus an exact solve on the constant vector.
 
     ``system`` is the stiffness assembled with the mass on its diagonal, and
-    ``u`` the field of the step's state.  The solve starts from the linear
-    extrapolation ``2 u - previous`` of the field one step earlier,
-    ``previous``, or from ``u`` on a first step (``previous`` None).
+    the solve starts from ``x0``: the steppers pass the
+    :func:`extrapolated_start` of their state, which the micro step of
+    moving radii may correct first.
     Returns the new nodal field, the CG iteration count and the number of
     factorizations the solve made, 0 or 1; a failed factorization, a stalled
     solve or a non-finite result raises :class:`NumericalError` naming
     ``label``.
     """
     precondition = None if factor is None else factor.preconditioner(system)
-    x0 = u if previous is None else 2.0 * u - previous
     try:
         u_new, report = solve_cg(system, b, tol=tol, x0=x0, precondition=precondition)
     except RuntimeError as exc:   # from splu, on the factor's first application

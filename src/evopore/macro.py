@@ -38,7 +38,8 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 from .fem import (Factor, StiffnessPattern, backward_euler_step, centroids, csv_table,
-                  element_means, element_stiffness, triangle_geometry, xy_text)
+                  element_means, element_stiffness, extrapolated_start, triangle_geometry,
+                  xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume
 
@@ -267,7 +268,8 @@ class MacroSolver:
         k_el = g.element_matrices(components)
         system = self._pattern.assemble(k_el, diagonal=m_new / dt)
         u_new, iterations, factorizations = backward_euler_step(
-            system, b, state.u, state.previous, self.cg_tol, "macro", t_new, self._factor)
+            system, b, extrapolated_start(state.u, state.previous), self.cg_tol, "macro", t_new,
+            self._factor)
         self.cg_iterations += iterations
         self.factorizations += factorizations
 

@@ -353,6 +353,16 @@ class ReferenceCell:
                              shape=(len(indices), 2 * m))
 
     @cached_property
+    def periodic(self) -> StiffnessPattern:
+        """CSR sparsity of entries on :attr:`local` with the mesh's periodic
+        pairs merged, nothing pinned, and of every periodic dof's diagonal:
+        one block, every node's dof, so :attr:`system` applied to the sum of
+        the cells' scalars assembles the micro system restricted to the
+        eps-periodic functions."""
+        dof, n_dof = self.mesh.dof_map
+        return StiffnessPattern(dof[None, :], n_dof, self.local)
+
+    @cached_property
     def mass(self) -> sp.csr_matrix:
         """(n_ref, m): ``|T| / 3`` at each vertex, the row-sum lumping."""
         return self._at_vertices(np.repeat(self.mesh.geometry[0] / 3.0, 3))

@@ -25,10 +25,14 @@ the full quantities by other routes, for the tests to compare against:
   instead of the package's numpy piecewise cubic;
 - the row-sum lumped mass as one ``np.bincount`` of every element's
   repeated weight over its vertices, instead of the macro grid's sparse
-  node-element operator.
+  node-element operator;
+- the restriction R of the micro nodes onto the eps-periodic functions as a
+  sparse 0/1 matrix, each node's periodic dof found from its coordinates
+  reduced modulo epsilon, instead of through the cell node map.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.interpolate import CubicHermiteSpline
 
 from evopore.kinetics import eval_f
@@ -185,3 +189,22 @@ def lumped_mass(triangles, areas, weight, n):
     triangle's |T| weight / 3 added to its three vertices, element by
     element."""
     return np.bincount(triangles.ravel(), np.repeat(weight * areas / 3.0, 3), minlength=n)
+
+
+def periodic_restriction(mesh):
+    """R (n_dof, n_nodes) of the micro ``mesh``: 1 at (d, g) when node g
+    lies at a point of the reference cell's periodic dof d.  A node's point
+    is its coordinates times 1/epsilon modulo 1, and a reference node's its
+    own coordinates modulo 1, so the nodes of each periodic pair meet; both
+    are exact, as epsilon is a power of two."""
+    inv = cells_per_side(mesh.epsilon)
+
+    def keys(points):
+        reduced = np.round(np.mod(points, 1.0), 12) % 1.0
+        return [tuple(p) for p in reduced.tolist()]
+
+    dof, n_dof = mesh.cell.mesh.dof_map
+    dof_of = dict(zip(keys(mesh.cell.mesh.vertices), dof.tolist()))
+    rows = [dof_of[k] for k in keys(mesh.vertices * inv)]
+    return sp.csr_matrix((np.ones(mesh.n_nodes), (rows, np.arange(mesh.n_nodes))),
+                         shape=(n_dof, mesh.n_nodes))

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import evopore.transform
-from evopore import cli, fem
+from evopore import cli, fem, micro
 from evopore.cli import (COMMANDS, ConvergenceReport, ConvergenceRow, _initial_state,
                          _macro_solver, main, run_convergence_study)
 from evopore.config import _KNOWN_KEYS, DEFAULT_CONFIG, parse_config
@@ -557,8 +557,10 @@ def test_convergence_steady_state_skips_slopes(tmp_path):
 
 def test_convergence_timings_count_the_micro_cg_iterations(tmp_path, monkeypatch):
     """``timings.csv`` gives, per epsilon, the CG iterations of every micro
-    step summed; ``convergence.csv`` and ``report.jsonl`` carry no count."""
-    steps = {}
+    step summed; ``convergence.csv`` and ``report.jsonl`` carry no count.
+    From a rippled u0 every step iterates; from the constant u0 the
+    solution is eps-periodic, and every step's corrected start solves it in
+    0."""
     step = MicroSimulator.step
 
     def counted(self, state, dt):
@@ -567,15 +569,19 @@ def test_convergence_timings_count_the_micro_cg_iterations(tmp_path, monkeypatch
         return new
 
     monkeypatch.setattr(MicroSimulator, "step", counted)
-    out = tmp_path / "conv"
-    assert main(["convergence", "--config", cfg_file(tmp_path), "--out", str(out), "--quiet"]) == 0
-    timings = (out / "timings.csv").read_text().splitlines()
-    assert timings[0] == "epsilon,runtime_seconds,cg_iterations"
-    counts = {float(e): int(n) for e, _, n in (line.split(",") for line in timings[1:])}
-    assert counts == {eps: sum(its) for eps, its in steps.items()}
-    assert all(len(its) == 10 and min(its) > 0 for its in steps.values())
-    assert "cg" not in (out / "convergence.csv").read_text()
-    assert "cg" not in (out / "report.jsonl").read_text()
+    for extra, iterates in ((RIPPLED_U0, True), ("", False)):
+        steps = {}
+        out = tmp_path / f"conv{len(extra)}"
+        assert main(["convergence", "--config", cfg_file(tmp_path, extra), "--out", str(out),
+                     "--quiet"]) == 0
+        timings = (out / "timings.csv").read_text().splitlines()
+        assert timings[0] == "epsilon,runtime_seconds,cg_iterations"
+        counts = {float(e): int(n) for e, _, n in (line.split(",") for line in timings[1:])}
+        assert counts == {eps: sum(its) for eps, its in steps.items()}
+        assert all(len(its) == 10 and (min(its) > 0 if iterates else max(its) == 0)
+                   for its in steps.values())
+        assert "cg" not in (out / "convergence.csv").read_text()
+        assert "cg" not in (out / "report.jsonl").read_text()
 
 
 def test_convergence_checks_every_micro_ledger(tmp_path, capsys, monkeypatch):
@@ -733,51 +739,84 @@ def test_progress_lines_go_through_the_evopore_logger(tmp_path, capsys):
 PINNED = "[micro]\npinned_radii = true\n"
 COSINE_U0 = ("[initial]\nu_field = cosine_product\nu_param.offset = 0.7\n"
              "u_param.amplitude = 0.1\n")
+# the canonical u0 plus a 1% cosine: not eps-periodic, and small enough that
+# the study's errors still fall at every level of FAST_COMMON
+RIPPLED_U0 = ("[initial]\nu_field = cosine_product\nu_param.offset = 0.9\n"
+              "u_param.amplitude = 0.01\n")
 
 
-@pytest.mark.parametrize("command, stepper, extra, summary, factored", [
-    (["macro-run"], MacroSolver, "", "macro run: 10 steps", 1),
-    (["convergence"], MicroSimulator, "", "  1/eps=4: 10 steps", 0),
+@pytest.mark.parametrize("command, stepper, extra, summary, factored, iterates", [
+    (["macro-run"], MacroSolver, "", "macro run: 10 steps", 1, True),
+    (["convergence"], MicroSimulator, RIPPLED_U0, "  1/eps=4: 10 steps", 0, True),
+    (["convergence"], MicroSimulator, "", "  1/eps=4: 10 steps", 0, False),
     (["micro-run", "--epsilon", "1/2"], MicroSimulator, PINNED + COSINE_U0,
-     "micro run 1/eps=2: 10 steps", 1),
-    (["micro-run", "--epsilon", "1/2"], MicroSimulator, PINNED, "micro run 1/eps=2: 10 steps", 0),
-    (["micro-run", "--epsilon", "1/2"], MicroSimulator, "", "micro run 1/eps=2: 10 steps", 0),
-], ids=["macro", "convergence", "micro-pinned", "micro-pinned-constant", "micro-growing"])
+     "micro run 1/eps=2: 10 steps", 1, True),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, PINNED, "micro run 1/eps=2: 10 steps", 0,
+     False),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, COSINE_U0,
+     "micro run 1/eps=2: 10 steps", 0, True),
+    (["micro-run", "--epsilon", "1/2"], MicroSimulator, "", "micro run 1/eps=2: 10 steps", 0,
+     False),
+], ids=["macro", "convergence", "convergence-periodic", "micro-pinned", "micro-pinned-constant",
+        "micro-growing", "micro-growing-periodic"])
 def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, command, stepper,
-                                            extra, summary, factored):
+                                            extra, summary, factored, iterates):
     """The summary line of a run, and the progress line of each level of the
     convergence study, gives the CG iterations of its steps, summed, and its
     sparse LU factorizations: the macro solver's single precision factor, the
     one factor of a pinned micro run's system, none in a micro run whose radii
     move, and none in a pinned run from a constant u0, which every step's CG
-    start already solves.  The outputs carry neither count."""
+    start already solves.  A micro line then gives the steps that started
+    from the eps-periodic correction and the CG iterations of the coarse
+    solves, taken or not: from a constant u0 with moving radii the solution
+    is eps-periodic, every step takes the correction and no step iterates.
+    The outputs carry none of the counts."""
     iterations, factorizations, splu_calls, steppers = [], [], [], []
+    starts, coarse = [], []
     step, splu = stepper.step, fem.spla.splu
+    periodic_start, coarse_cg = MicroSimulator._periodic_start, micro.solve_cg
 
     def counted(self, state, dt):
         if not steppers or steppers[-1] is not self:   # the study's next level
             steppers.append(self)
-            iterations.clear()
-            factorizations.clear()
+            for counts in (iterations, factorizations, starts, coarse):
+                counts.clear()
         before = len(splu_calls)   # the cell problems of the table factor too
         new = step(self, state, dt)
         iterations.append(new.cg_iterations)
         factorizations.append(len(splu_calls) - before)
         return new
 
+    def started(self, system, b, x0, diagonal):
+        start = periodic_start(self, system, b, x0, diagonal)
+        starts.append(start is not x0)
+        return start
+
+    def coarse_solve(A, b, **kwargs):
+        x, report = coarse_cg(A, b, **kwargs)
+        coarse.append(report.iterations)
+        return x, report
+
     monkeypatch.setattr(stepper, "step", counted)
+    monkeypatch.setattr(MicroSimulator, "_periodic_start", started)
+    monkeypatch.setattr(micro, "solve_cg", coarse_solve)
     monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: splu_calls.append(1) or splu(*a, **k))
     out = tmp_path / "o"
     assert main(command[:1] + ["--config", cfg_file(tmp_path, extra), "--out", str(out)]
                 + command[1:]) == 0
     line, = (line for line in capsys.readouterr().out.splitlines()
              if line.startswith(f"{summary}, "))
-    assert line.startswith(f"{summary}, {sum(iterations)} CG iterations, "
-                           f"{sum(factorizations)} factorizations, max ledger defect ")
+    work = f"{summary}, {sum(iterations)} CG iterations, {sum(factorizations)} factorizations"
+    if stepper is MicroSimulator:
+        work += f", {sum(starts)} periodic starts, {sum(coarse)} coarse CG iterations"
+    assert line.startswith(f"{work}, max ledger defect ")
     assert sum(factorizations) == factored
-    assert (sum(iterations) == 0) == (extra == PINNED)
+    assert (sum(iterations) > 0) == iterates
+    if stepper is MicroSimulator and not iterates and extra != PINNED:
+        assert sum(starts) == 10 and sum(coarse) > 0
     for path in out.iterdir():
-        assert "factorizations" not in path.read_text()
+        text = path.read_text()
+        assert "factorizations" not in text and "periodic" not in text
 
 
 def _doc_block(heading: str, language: str) -> str:

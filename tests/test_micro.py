@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from _oracles import (cell_of_element, hole_rings, pulled_back, radial_image,
-                      ring_edge_lengths, row_unique_micro_mesh, surface_integrals,
+from _oracles import (cell_of_element, hole_rings, periodic_restriction, pulled_back,
+                      radial_image, ring_edge_lengths, row_unique_micro_mesh, surface_integrals,
                       tiled_triangles)
 
 from evopore import fem
@@ -32,6 +32,11 @@ from evopore.validate import patterned_radii
 
 def constant_field(value):
     return lambda x: np.full(len(np.atleast_2d(x)), float(value))
+
+
+# an initial field whose error after a step is mostly not eps-periodic: the
+# u0 of the gradient scenario (ROADMAP item 5)
+GRADIENT_U0 = build_field("cosine_product", {"offset": 0.6, "amplitude": 0.3})
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +426,108 @@ def test_a_start_off_by_a_constant_solves_without_iterating(reference_cell, para
         assert np.abs(x - u).max() <= 1e-14
 
 
+@pytest.mark.parametrize("inv", (2, 4))
+def test_periodic_system_is_the_restricted_system(reference_cell, params, spec, inv):
+    """The system of the eps-periodic functions, formed from the cells'
+    scalars summed, equals ``R A R^T`` of the assembled micro system to
+    rounding, R from the nodes' coordinates (:func:`periodic_restriction`),
+    at patterned radii and a random diagonal."""
+    m = build_micro_mesh(reference_cell, 1.0 / inv)
+    sim = MicroSimulator(m, spec, diffusion=1.3)
+    sc = sim._cell_map(patterned_radii(params, inv))
+    diagonal = np.random.default_rng(50 + inv).uniform(1.0, 2.0, m.n_nodes)
+    A = sim._system(sc, diagonal)
+    R = periodic_restriction(m)
+    want = (R @ A @ R.T).tocsr()
+    got = sim._periodic_system(diagonal)
+    assert got.shape == want.shape == (reference_cell.mesh.dof_map[1],) * 2
+    assert abs(got - want).max() <= 1e-14 * abs(want).max()
+    assert np.array_equal(R.T @ np.arange(R.shape[0]), m.periodic_dof)
+
+
+def test_periodic_correction_never_raises_the_error_energy(reference_cell, params, spec):
+    """The Galerkin correction on the eps-periodic functions removes the
+    start error's energy along them, so a random start's A-norm error never
+    grows, whether the step takes it or not; a start that takes it is the
+    start plus the correction, and a declined one stays as it is."""
+    m = build_micro_mesh(reference_cell, 0.25)
+    sim = MicroSimulator(m, spec)
+    sc = sim._cell_map(patterned_radii(params, 4))
+    diagonal = sim._lumped(sc.det) / 0.005
+    A = sim._system(sc, diagonal)
+    rng = np.random.default_rng(9)
+    u = rng.uniform(0.2, 0.8, m.n_nodes)
+    b = A @ u
+    x, y = m.vertices.T
+
+    def energy(v):
+        e = v - u
+        return float(e @ (A @ e))
+
+    periodic = np.sin(2.0 * np.pi * x / m.epsilon) * np.cos(2.0 * np.pi * y / m.epsilon)
+    smooth = np.sin(np.pi * x) * np.cos(np.pi * y)
+    coarse = sim._periodic_system(diagonal)
+    taken = 0
+    for k in range(12):
+        x0 = u + rng.normal(0.0, 0.02 * k, m.n_nodes) + rng.normal() * periodic + (
+            rng.normal() * smooth + 0.1 * rng.normal())
+        # the correction itself, taken or not
+        correction, _ = solve_cg(coarse, np.bincount(m.periodic_dof, b - A @ x0), tol=1e-10)
+        assert energy(x0 + correction[m.periodic_dof]) < energy(x0)
+        start = sim._periodic_start(A, b, x0, diagonal)
+        if start is x0:
+            continue
+        taken += 1
+        assert np.array_equal(start, x0 + correction[m.periodic_dof])
+        assert energy(start) < energy(x0)
+    assert 0 < taken < 12 and sim.periodic_starts == taken
+
+
+def test_periodic_input_steps_without_fine_iterations(reference_cell, spec, monkeypatch):
+    """A ``DEFAULT_CONFIG`` micro step at 1/eps = 4 has a constant u and
+    radii that move alike in every cell, so its solution is eps-periodic:
+    the corrected start solves it in 0 fine CG iterations, and the field
+    matches a solve of the same system to 1e-14 within the solver's
+    tolerance."""
+    cfg = parse_config(DEFAULT_CONFIG)
+    m = build_micro_mesh(reference_cell, 0.25)
+    sim = MicroSimulator(m, cfg.spec, diffusion=cfg.diffusion, cg_tol=cfg.cg_tol)
+    state = sim.init(build_field(cfg.u_field, cfg.u_params),
+                     build_field(cfg.r_field, cfg.r_params))
+    systems = []
+    solve = fem.solve_cg
+    monkeypatch.setattr(fem, "solve_cg",
+                        lambda A, b, **kw: systems.append((A, b)) or solve(A, b, **kw))
+    for _ in range(3):
+        state = sim.step(state, cfg.dt)
+        assert state.cg_iterations == 0 and not np.all(state.radii_rate == 0.0)
+        A, b = systems[-1]
+        tight, report = solve(A, b, tol=1e-14)
+        assert report.converged
+        assert np.linalg.norm(A @ (state.u_hat - tight)) <= 2.0 * cfg.cg_tol * np.linalg.norm(b)
+    assert sim.periodic_starts == 3 and sim.cg_iterations == 0
+
+
+def test_declined_correction_leaves_the_step_bit_identical(micro_mesh_half, spec, monkeypatch):
+    """On the gradient u0 every periodic correction is declined, so each
+    step equals, bit for bit, the step with the correction patched out."""
+    runs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(MicroSimulator, "_periodic_start",
+                                lambda self, system, b, x0, diagonal: x0)
+        sim = MicroSimulator(micro_mesh_half, spec)
+        states = [sim.init(GRADIENT_U0, constant_field(0.2))]
+        for _ in range(6):
+            states.append(sim.step(states[-1], 0.005))
+        runs.append((sim, states))
+    (sim, states), (_, patched_states) = runs
+    assert sim.periodic_starts == 0 and sim.coarse_iterations > 0
+    for got, want in zip(states[1:], patched_states[1:]):
+        assert_same_state(got, want)
+        assert got.cg_iterations > 0
+
+
 def test_coarse_solve_on_constants_beats_plain_jacobi(reference_cell, params, spec):
     """From a start of the solution plus a constant plus a small smooth
     error, the default preconditioner takes fewer CG iterations than the
@@ -539,14 +646,39 @@ def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
 
 
 def test_step_starts_from_the_extrapolated_field(micro_mesh_half, params, spec,
-                                                 check_extrapolated_start):
-    rng = np.random.default_rng(6)
-    u0 = rng.uniform(0.6, 0.9, micro_mesh_half.n_nodes)
-    extrapolated, plain = check_extrapolated_start(
-        lambda: MicroSimulator(micro_mesh_half, spec), lambda x: u0,
-        constant_field(0.2), 0.01, "u_hat")
+                                                 check_extrapolated_start, monkeypatch):
+    """On moving radii and a u0 whose start errors are not mostly periodic,
+    every step starts CG from the extrapolated field itself: the periodic
+    correction is solved and declined.  From a constant u0 the start errors
+    are eps-periodic, so every step starts from the extrapolated field plus
+    an eps-periodic function, and solves in 0 iterations."""
+    sims = []
+
+    def simulator():
+        sims.append(MicroSimulator(micro_mesh_half, spec))
+        return sims[-1]
+
+    extrapolated, plain = check_extrapolated_start(simulator, GRADIENT_U0, constant_field(0.2),
+                                                   0.01, "u_hat")
     assert np.array_equal(extrapolated.radii, plain.radii)
     assert not np.all(extrapolated.radii_rate == 0.0)
+    assert all(sim.periodic_starts == 0 and sim.coarse_iterations > 0 for sim in sims)
+
+    starts = []
+    solve = fem.solve_cg
+    monkeypatch.setattr(fem, "solve_cg",
+                        lambda A, b, **kw: starts.append(kw["x0"].copy()) or solve(A, b, **kw))
+    sim = MicroSimulator(micro_mesh_half, spec)
+    state = sim.init(constant_field(0.9), constant_field(0.2))
+    dof = micro_mesh_half.periodic_dof
+    for k in range(1, 4):
+        new = sim.step(state, 0.01)
+        shift = starts[-1] - (2.0 * state.u_hat - state.previous if k > 1 else state.u_hat)
+        periodic = np.bincount(dof, shift) / np.bincount(dof)
+        assert np.abs(shift - periodic[dof]).max() <= 1e-15 * np.abs(shift).max()
+        assert np.abs(shift).max() > 0.0 and new.cg_iterations == 0
+        state = new
+    assert sim.periodic_starts == 3 and sim.cg_iterations == 0
 
 
 def test_reacting_run_at_rest_reuses_its_system(micro_mesh_half, params, spec):

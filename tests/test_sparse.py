@@ -413,7 +413,7 @@ def test_nonfinite_rhs_stops_before_preconditioning(macro_grid):
         assert report.iterations == 0 and np.isnan(report.final_residual)
         assert not report.converged and calls == [] and not factor.factored
         with pytest.raises(NumericalError, match="macro CG stalled at t=0.5"):
-            backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None, 1e-10, "macro", 0.5,
+            backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), 1e-10, "macro", 0.5,
                                 factor)
         assert not factor.factored
 
@@ -518,7 +518,7 @@ def test_refactor_after_a_jump_in_radii_or_dt(macro_grid):
 
     def solve(r, dt):
         _, iterations, factorizations = backward_euler_step(
-            macro_system(macro_grid, r, dt), b, x0, None, 1e-10, "test", 0.0, factor)
+            macro_system(macro_grid, r, dt), b, x0, 1e-10, "test", 0.0, factor)
         return iterations, factorizations
 
     assert solve(r_smooth, 0.005) == (2, 1)
@@ -544,7 +544,7 @@ def test_a_dropped_factor_is_freed_at_once(macro_grid):
     try:
         for dtype in (np.float32, np.float64):
             factor = Factor(dtype)
-            _, _, factorizations = backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), None,
+            _, _, factorizations = backward_euler_step(A, b, np.zeros(macro_grid.n_nodes),
                                                        1e-10, "macro", 0.5, factor)
             assert factorizations == 1
             dropped = weakref.ref(factor)
@@ -565,7 +565,7 @@ def test_singular_system_factorization_is_numerical_error():
     system.data[system.indptr[3]:system.indptr[4]] = 0.0
     for dtype in (np.float32, np.float64):
         with pytest.raises(NumericalError, match="factorization failed"):
-            backward_euler_step(system, np.ones(grid.n_nodes), np.zeros(grid.n_nodes), None,
+            backward_euler_step(system, np.ones(grid.n_nodes), np.zeros(grid.n_nodes),
                                 1e-10, "macro", 0.5, Factor(dtype))
 
 
@@ -578,7 +578,7 @@ def test_step_reports_the_factorization_its_solve_made(macro_grid):
     b = A @ u
     zeros = np.zeros(macro_grid.n_nodes)
     factor = Factor(np.float32)
-    assert backward_euler_step(A, b, u, None, 1e-10, "macro", 0.5, factor)[1:] == (0, 0)
-    assert backward_euler_step(A, b, zeros, None, 1e-10, "macro", 0.5, factor)[1:] == (2, 1)
-    assert backward_euler_step(A, 2.0 * b, zeros, None, 1e-10, "macro", 0.5, factor)[1:] == (2, 0)
-    assert backward_euler_step(A, b, zeros, None, 1e-10, "macro", 0.5)[2] == 0
+    assert backward_euler_step(A, b, u, 1e-10, "macro", 0.5, factor)[1:] == (0, 0)
+    assert backward_euler_step(A, b, zeros, 1e-10, "macro", 0.5, factor)[1:] == (2, 1)
+    assert backward_euler_step(A, 2.0 * b, zeros, 1e-10, "macro", 0.5, factor)[1:] == (2, 0)
+    assert backward_euler_step(A, b, zeros, 1e-10, "macro", 0.5)[2] == 0
