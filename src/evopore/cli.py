@@ -179,11 +179,13 @@ def _solver_work(solver) -> str:
     """The solver work of a run, or of a level of the convergence study, for
     its progress line: the CG iterations and factorizations ``solver`` made
     and, for a micro simulator, its steps that started CG from the
-    eps-periodic correction and the CG iterations of those coarse solves."""
+    eps-periodic correction, and the CG iterations and factorizations of
+    those coarse solves."""
     work = f"{solver.cg_iterations} CG iterations, {solver.factorizations} factorizations"
     if isinstance(solver, MicroSimulator):
         work += (f", {solver.periodic_starts} periodic starts, "
-                 f"{solver.coarse_iterations} coarse CG iterations")
+                 f"{solver.coarse_iterations} coarse CG iterations, "
+                 f"{solver.coarse_factorizations} coarse factorizations")
     return work
 
 

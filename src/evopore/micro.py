@@ -13,10 +13,11 @@ Every cell repeats the nodes and triangles of one
 nodes, the cell node map and that cell.  The radial map enters the weak form
 through four scalars per element (:class:`MapScalars`) of the cell's one
 frame, built on the reference midpoints with the mesh from the same r0; the
-profile is affine in the radius, so a step evaluates no kernel.  A step holds
-those scalars as (reference element x cell) arrays and applies the cell's
-sparse operators to them, one product per quantity: the system entries, the
-lumped mass, the element means and the drift loads of every cell at once.
+profile is affine in the radius, so a step evaluates no kernel.  The frame
+gives those scalars at one radius per cell as C-contiguous (reference
+element x cell) arrays, and a step applies the cell's sparse operators to
+them as they lie, one product per quantity: the system entries, the lumped
+mass, the element means and the drift loads of every cell at once.
 The source is lumped like the mass, and its integral is the sum of its
 loads.  The surface reaction is integrated on the reference hole ring in
 every cell, its edges epsilon times the reference lengths.  Each result
@@ -46,11 +47,18 @@ the reference cell, in every cell (:attr:`MicroMesh.periodic_dof`): the
 Galerkin projection of the start's error onto them.  Their system ``R A
 R^T`` needs no product with the micro system: the cell's ``system``
 operator applied to the cells' scalars summed over the cells, merged on
-the periodic dofs, plus the lumped mass summed there, and CG solves it
-(48 to 69 iterations of 671 unknowns on the default cell).  The start takes
-the correction only when it removes more error energy than Jacobi's
-estimate of the whole start's; otherwise it stays, bit for bit.  With
-spatially constant fields, as in the canonical study, the solution is
+the periodic dofs, plus the lumped mass summed there.  That system moves
+by O(dt) a step, so CG solves it preconditioned by one exact double
+precision factor (:class:`evopore.fem.Factor`) that the simulator keeps
+across steps and rebuilds after a solve that applies it more than
+:data:`evopore.fem.REFACTOR_ITERATIONS` times: about 5 iterations a step
+on the default cell's 671 unknowns, with 11 or 12 factorizations in the
+canonical study's 100 steps, where Jacobi CG took 48 to 69 a step.  The
+simulator counts them as ``coarse_factorizations``, apart from the kept
+systems' ``factorizations``.  The start takes the correction only when it
+removes more error energy than Jacobi's estimate of the whole start's, D
+read from the system's diagonal slots; otherwise it stays, bit for bit.
+With spatially constant fields, as in the canonical study, the solution is
 eps-periodic and the corrected start solves the step in 0 iterations; a
 cosine u0 of amplitude 0.3 (ROADMAP.md's gradient scenario) declines every
 correction.
@@ -244,11 +252,15 @@ class MicroSimulator:
                                          entry_major=True)
         # (radii, dt, map, system, factor) of a step whose radii did not move
         self._kept = None
+        # the exact factor of the eps-periodic start's system, kept from step
+        # to step: that system moves by O(dt) a step
+        self._coarse = Factor(np.float64)
         # [D b; D (a - b)] (2m, c) of the latest assembly, written in place
         self._scalars = np.empty((2 * len(mesh.cell.mesh.triangles), mesh.n_cells))
         self.cg_iterations = 0    # CG iterations of the solves
         self.factorizations = 0   # sparse LU factorizations of the kept systems
         self.coarse_iterations = 0   # CG iterations of the eps-periodic start corrections
+        self.coarse_factorizations = 0   # sparse LU factorizations of their systems
         self.periodic_starts = 0     # steps whose CG started from a corrected start
 
     # -- construction --------------------------------------------------------
@@ -267,25 +279,22 @@ class MicroSimulator:
         return state
 
     def _cell_map(self, radii: np.ndarray) -> MapScalars:
-        """The cell map on every element, at one radius per cell."""
+        """The cell map at one radius per cell: (reference element, cell)
+        arrays, the layout the cell's operators read."""
         return self.mesh.cell.frame.scalars(radii.reshape(-1, 1))
 
-    def _per_cell(self, values: np.ndarray) -> np.ndarray:
-        """Element values (c*m,), cell by cell, as an (m, c) array."""
-        return values.reshape(self.mesh.n_cells, -1).T
-
     def _lumped(self, weight: np.ndarray) -> np.ndarray:
-        """Row-sum lumped mass (n,) of the element weight ``weight`` (c*m,)."""
+        """Row-sum lumped mass (n,) of the element weight ``weight`` (m, c)."""
         m = self.mesh
-        return m.epsilon**2 * m.scatter(m.cell.mass @ self._per_cell(weight))
+        return m.epsilon**2 * m.scatter(m.cell.mass @ weight)
 
     def _system(self, sc: MapScalars, diagonal: np.ndarray):
         """The implicit system: the pulled-back stiffness of ``sc`` plus
         ``diagonal``.  Its scalars ``[D b; D (a - b)]`` are written into the
         array the simulator keeps, so that no step maps fresh pages for them."""
         x, m = self._scalars, len(self._scalars) // 2
-        np.multiply(self._per_cell(sc.b), self.diffusion, out=x[:m])
-        np.subtract(self._per_cell(sc.a), self._per_cell(sc.b), out=x[m:])
+        np.multiply(sc.b, self.diffusion, out=x[:m])
+        np.subtract(sc.a, sc.b, out=x[m:])
         x[m:] *= self.diffusion
         return self._pattern.assemble(self.mesh.cell.system @ x, diagonal)
 
@@ -307,9 +316,10 @@ class MicroSimulator:
         eps-periodic functions, for the ``system`` that :meth:`_system` just
         assembled with ``diagonal``; or ``x0`` itself.
 
-        The solve y of ``R A R^T y = R r0`` (:meth:`_periodic_system`) removes
-        the error energy ``y^T R r0``.  The start takes it only when that
-        exceeds ``r0^T D^-1 r0``, Jacobi's estimate of the whole start's, so
+        The solve y of ``R A R^T y = R r0`` (:meth:`_periodic_system`), by
+        CG preconditioned by the kept coarse factor, removes the error
+        energy ``y^T R r0``.  The start takes it only when that exceeds
+        ``r0^T D^-1 r0``, Jacobi's estimate of the whole start's, so
         a start whose error is not mostly periodic stays as it is, bit for
         bit; so does a start within the tolerance, which needs nothing.
         """
@@ -318,9 +328,15 @@ class MicroSimulator:
             return x0
         dof = self.mesh.periodic_dof
         r_coarse = np.bincount(dof, r)
-        y, report = solve_cg(self._periodic_system(diagonal), r_coarse, tol=self.cg_tol)
+        coarse = self._periodic_system(diagonal)
+        y, report = solve_cg(coarse, r_coarse, tol=self.cg_tol,
+                             precondition=self._coarse.preconditioner(coarse))
         self.coarse_iterations += report.iterations
-        if not (report.converged and y @ r_coarse > r @ (r / system.diagonal())):
+        self.coarse_factorizations += self._coarse.factored
+        # D from the system's diagonal slots: the entries of system.diagonal(),
+        # in a third of its time
+        jacobi = r @ (r / system.data[self._pattern.slots()[3]])
+        if not (report.converged and y @ r_coarse > jacobi):
             return x0
         self.periodic_starts += 1
         return x0 + y[dof]
@@ -329,7 +345,7 @@ class MicroSimulator:
         """Nodal loads of the drift ``(J Psi^{-1} dPsi/dt u_hat, grad phi)``
         for radius rates ``rate`` (c,), with u_hat at its element means."""
         u_mean = self.mesh.cell.means @ u[self.mesh.cell_nodes]
-        weight = self._per_cell(self.mesh.epsilon**2 * sc.det * sc.s) * u_mean
+        weight = self.mesh.epsilon**2 * sc.det * sc.s * u_mean
         weight *= rate
         return self.mesh.scatter(self.mesh.cell.drift @ weight)
 
@@ -393,10 +409,11 @@ class MicroSimulator:
 
         source_step = 0.0
         if self.source is not None:
-            # every cell's element midpoints, mapped, scaled and shifted by eps k
-            pts = (np.repeat(eps * m.cell_index, len(m.cell.mesh.triangles), axis=0)
-                   + eps * m.cell.frame.image(sc.radius))
-            fp = np.asarray(self.source(t_new, pts), dtype=float)
+            # every cell's element midpoints (element, cell), mapped, scaled
+            # and shifted by eps k
+            pts = eps * m.cell_index + eps * m.cell.frame.image(sc.radius)
+            fp = np.asarray(self.source(t_new, pts.reshape(-1, 2)),
+                            dtype=float).reshape(sc.det.shape)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
             source_loads = self._lumped(sc.det * fp)
@@ -416,7 +433,11 @@ class MicroSimulator:
         # eps-periodic functions first when that pays
         x0 = extrapolated_start(state.u_hat, state.previous)
         if factor is None:
-            x0 = self._periodic_start(system, b, x0, diagonal)
+            try:
+                x0 = self._periodic_start(system, b, x0, diagonal)
+            except RuntimeError as exc:   # from splu, on the coarse factor's first application
+                raise NumericalError(
+                    f"micro coarse factorization failed at t={t_new}: {exc}") from None
         u_new, iterations, factorizations = backward_euler_step(
             system, b, x0, self.cg_tol, "micro", t_new, factor)
         self.cg_iterations += iterations

@@ -312,10 +312,11 @@ class RadialFrame:
     :meth:`scalars` and :meth:`jacobian` combine them with the radii
     through the affine profile R = rho + (r_gamma - r0) G,
     R' = 1 + (r_gamma - r0) F, the same expressions as :func:`profile`, so
-    the two agree bit for bit.  ``r_gamma`` is a scalar, one radius per
-    point (m,), or one radius per cell (c, 1); the last gives c*m points,
-    cell by cell.  Core points take an explicit identity branch, so the
-    center needs no division.
+    the two agree bit for bit.  ``r_gamma`` is a scalar or one radius per
+    point (m,), for one value per point, or one radius per cell (c, 1), for
+    one per point and cell: C-contiguous (m, c) arrays, a column per cell,
+    the layout the micro cell operators read.  Core points take an explicit
+    identity branch, so the center needs no division.
     """
 
     def __init__(self, params: TransformParams, y: np.ndarray):
@@ -333,39 +334,51 @@ class RadialFrame:
         self.G, self.F = _radial_kernels(params, self.rho)
 
     def _profile(self, r_gamma):
-        """Result shape, then R, dR/dr and dR/dr_gamma at the active points."""
+        """Result shape, the active distances in the result's layout, then R,
+        dR/dr and dR/dr_gamma at the active points."""
         self.params.check_radius(r_gamma)
         shift = np.asarray(r_gamma, dtype=float) - self.params.r0
-        shape = np.broadcast_shapes(shift.shape, (len(self.points),))
-        if shift.ndim and shift.shape[-1] > 1:   # one radius per point
-            shift = shift[..., self._active]
-        return shape, _affine_profile(shift, self.rho, self.G, self.F)
+        rho, G, F = self.rho, self.G, self.F
+        if shift.ndim == 2:   # one radius per cell: points down, cells across
+            shift = shift.reshape(-1)
+            rho, G, F = rho[:, None], G[:, None], F[:, None]
+            shape = (len(self.points), len(shift))
+        else:
+            shape = np.broadcast_shapes(shift.shape, (len(self.points),))
+            if shift.ndim:   # one radius per point
+                shift = shift[self._active]
+        return shape, rho, _affine_profile(shift, rho, G, F)
 
     def _embed(self, shape, values: np.ndarray, core) -> np.ndarray:
         """``values`` at the active points, ``core`` at the core points."""
         if isinstance(self._active, slice):
             return values
         out = np.broadcast_to(core, shape + values.shape[len(shape):]).copy()
-        out[(Ellipsis, self._active) + (slice(None),) * (values.ndim - len(shape))] = values
+        out[self._active] = values
         return out
+
+    def _per_point(self, values: np.ndarray, ndim: int) -> np.ndarray:
+        """Per-point ``values`` (k, ...) with ``ndim - 1`` unit axes after the
+        first, to broadcast against a result of ``ndim`` leading axes."""
+        return values.reshape(values.shape[:1] + (1,) * (ndim - 1) + values.shape[1:])
 
     def scalars(self, r_gamma) -> MapScalars:
         """The map at obstacle radius ``r_gamma`` as :class:`MapScalars`."""
-        shape, (R, dR, dRg) = self._profile(r_gamma)
-        q = R / self.rho
-        n = int(np.prod(shape))
-        return MapScalars(self._embed(shape, dR * q, 1.0).reshape(n),
-                          self._embed(shape, q / dR, 1.0).reshape(n),
-                          self._embed(shape, dR / q, 1.0).reshape(n),
-                          self._embed(shape, dRg / dR, 0.0).reshape(n),
-                          self._embed(shape, R, self.distance).reshape(n))
+        shape, rho, (R, dR, dRg) = self._profile(r_gamma)
+        q = R / rho
+        return MapScalars(self._embed(shape, dR * q, 1.0),
+                          self._embed(shape, q / dR, 1.0),
+                          self._embed(shape, dR / q, 1.0),
+                          self._embed(shape, dRg / dR, 0.0),
+                          self._embed(shape, R, self._per_point(self.distance, len(shape))))
 
     def image(self, radius: np.ndarray) -> np.ndarray:
-        """Image (n, 2) of the points whose distances map to ``radius`` (n,),
-        the :attr:`MapScalars.radius` of the same frame."""
-        R = radius.reshape(-1, len(self.points))
-        mapped = X_CENTER + R[:, self._active, None] * self.unit
-        return self._embed(R.shape, mapped, self.points).reshape(-1, 2)
+        """Image (m, 2) or (m, c, 2) of the points whose distances map to
+        ``radius`` (m,) or (m, c), the :attr:`MapScalars.radius` of the same
+        frame."""
+        unit = self._per_point(self.unit, radius.ndim)
+        mapped = X_CENTER + radius[self._active, ..., None] * unit
+        return self._embed(radius.shape, mapped, self._per_point(self.points, radius.ndim))
 
     def directions(self) -> np.ndarray:
         """Unit direction u (m, 2) of every point from the center; zero in the
@@ -373,9 +386,10 @@ class RadialFrame:
         return self._embed((len(self.points),), self.unit, 0.0)
 
     def jacobian(self, r_gamma) -> np.ndarray:
-        """Jacobian (n, 2, 2) of the map at obstacle radius ``r_gamma``."""
-        shape, (R, dR, _) = self._profile(r_gamma)
-        proj = self.unit[:, :, None] * self.unit[:, None, :]
-        jac = dR[..., None, None] * proj + (R / self.rho)[..., None, None] * (np.eye(2) - proj)
-        return self._embed(shape, jac, np.eye(2)).reshape(-1, 2, 2)
-
+        """Jacobian of the map at obstacle radius ``r_gamma``: (m, 2, 2), or
+        (m, c, 2, 2) at one radius per cell."""
+        shape, rho, (R, dR, _) = self._profile(r_gamma)
+        unit = self._per_point(self.unit, len(shape))
+        proj = unit[..., :, None] * unit[..., None, :]
+        jac = dR[..., None, None] * proj + (R / rho)[..., None, None] * (np.eye(2) - proj)
+        return self._embed(shape, jac, np.eye(2))

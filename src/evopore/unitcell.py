@@ -540,15 +540,14 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
         raise ValueError("table radii must lie in [r_min, r_max]")
     if np.any(np.diff(r_grid) <= 0):
         raise ValueError("table radii must be strictly increasing")
-    sc = cell.frame.scalars(r_grid.reshape(-1, 1))
-    b = sc.b.reshape(r_grid.size, -1)
-    anisotropy = (sc.a - sc.b).reshape(r_grid.size, -1)
-    stiffness = np.ascontiguousarray((cell.system @ np.hstack([b, anisotropy]).T).T)
+    sc = cell.frame.scalars(r_grid.reshape(-1, 1))   # (element, radius)
+    anisotropy = sc.a - sc.b
+    stiffness = np.ascontiguousarray((cell.system @ np.vstack([sc.b, anisotropy])).T)
     u = cell.frame.directions()
     radial = u[:, :, None] * u[:, None, :]
     tensors = np.empty((r_grid.size, 2, 2))
     for k, r in enumerate(r_grid):
-        coeff = b[k][:, None, None] * np.eye(2) + anisotropy[k][:, None, None] * radial
+        coeff = sc.b[:, k, None, None] * np.eye(2) + anisotropy[:, k, None, None] * radial
         try:
             tensors[k] = effective_tensor(cell.mesh, coeff, stiffness=stiffness[k])
         except NumericalError as exc:

@@ -112,9 +112,8 @@ def epsilon_uniformity_checks(params: TransformParams, inverses=(2, 4, 8),
         radii = patterned_radii(params, inv)[cells[:, 0], cells[:, 1], None]
         sc = frame.scalars(radii)
         jac = frame.jacobian(radii)
-        k = np.repeat(cells, len(micro), axis=0)
-        pts = (k + np.tile(micro, (len(cells), 1))) * eps
-        mapped = (k + frame.image(sc.radius)) * eps
+        pts = (cells + micro[:, None]) * eps   # (point, cell, 2), as the frame's scalars
+        mapped = (cells + frame.image(sc.radius)) * eps
         disp.append(np.hypot(*(mapped - pts).T).max() / eps)
         psin.append(np.abs(jac).max())
         jmax.append(sc.det.max())

@@ -652,6 +652,21 @@ def test_convergence_failure_names_its_step(tmp_path, capsys, monkeypatch):
     assert err == "numerical failure: micro step 1 (1/eps=1): CG stalled\n"
 
 
+def test_failed_coarse_factorization_is_one_line(tmp_path, capsys, monkeypatch):
+    """A coarse system that ``splu`` cannot factor stops a micro run whose
+    radii move at its first step: exit 3 and one line naming the step and
+    its time."""
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fem.spla, "splu", singular)
+    assert main(["micro-run", "--config", cfg_file(tmp_path), "--out", str(tmp_path / "o"),
+                 "--epsilon", "1/2", "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: micro step 1 (1/eps=2): micro coarse factorization failed at "
+        "t=0.005: Factor is exactly singular\n")
+
+
 def test_cell_table_is_unit_diffusion(tmp_path):
     """D multiplies the whole cell problem, so the table is the same at any
     D, and the steppers apply D."""
@@ -767,29 +782,34 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
     one factor of a pinned micro run's system, none in a micro run whose radii
     move, and none in a pinned run from a constant u0, which every step's CG
     start already solves.  A micro line then gives the steps that started
-    from the eps-periodic correction and the CG iterations of the coarse
-    solves, taken or not: from a constant u0 with moving radii the solution
-    is eps-periodic, every step takes the correction and no step iterates.
+    from the eps-periodic correction, and the CG iterations and the
+    factorizations of the coarse solves, taken or not, which only moving
+    radii make: from a constant u0 with moving radii the solution is
+    eps-periodic, every step takes the correction and no step iterates.
     The outputs carry none of the counts."""
     iterations, factorizations, splu_calls, steppers = [], [], [], []
-    starts, coarse = [], []
+    starts, coarse, coarse_factorizations = [], [], []
     step, splu = stepper.step, fem.spla.splu
     periodic_start, coarse_cg = MicroSimulator._periodic_start, micro.solve_cg
 
     def counted(self, state, dt):
         if not steppers or steppers[-1] is not self:   # the study's next level
             steppers.append(self)
-            for counts in (iterations, factorizations, starts, coarse):
+            for counts in (iterations, factorizations, starts, coarse, coarse_factorizations):
                 counts.clear()
         before = len(splu_calls)   # the cell problems of the table factor too
+        coarse_before = sum(coarse_factorizations)
         new = step(self, state, dt)
         iterations.append(new.cg_iterations)
-        factorizations.append(len(splu_calls) - before)
+        factorizations.append(len(splu_calls) - before
+                              - (sum(coarse_factorizations) - coarse_before))
         return new
 
     def started(self, system, b, x0, diagonal):
+        before = len(splu_calls)
         start = periodic_start(self, system, b, x0, diagonal)
         starts.append(start is not x0)
+        coarse_factorizations.append(len(splu_calls) - before)
         return start
 
     def coarse_solve(A, b, **kwargs):
@@ -808,7 +828,10 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
              if line.startswith(f"{summary}, "))
     work = f"{summary}, {sum(iterations)} CG iterations, {sum(factorizations)} factorizations"
     if stepper is MicroSimulator:
-        work += f", {sum(starts)} periodic starts, {sum(coarse)} coarse CG iterations"
+        work += (f", {sum(starts)} periodic starts, {sum(coarse)} coarse CG iterations, "
+                 f"{sum(coarse_factorizations)} coarse factorizations")
+        # the kept coarse factor is built on the first moving step
+        assert (sum(coarse_factorizations) > 0) == (PINNED not in extra)
     assert line.startswith(f"{work}, max ledger defect ")
     assert sum(factorizations) == factored
     assert (sum(iterations) > 0) == iterates

@@ -240,13 +240,14 @@ def test_pinned_mode_matches_plain_heat_solver(micro_mesh_half, params, no_react
 
 def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
     """A run at r0 without reaction evaluates the source at the physical
-    element centroids, cell by cell, not at the in-cell reference
-    coordinates every cell shares."""
+    element centroids, element by element and within one cell by cell, not
+    at the in-cell reference coordinates every cell shares."""
     m = micro_mesh_half
     f = build_source("decaying_cosine", {"amplitude": 2.0, "rate": 0.5})
     rng = np.random.default_rng(3)
     u0 = rng.uniform(0.2, 0.8, m.n_nodes)
-    physical = m.vertices[tiled_triangles(m)].mean(axis=1)
+    physical = m.vertices[tiled_triangles(m)].mean(axis=1)   # cell by cell
+    physical = physical.reshape(m.n_cells, -1, 2).transpose(1, 0, 2).reshape(-1, 2)
     dt = 0.01
 
     def run(source):
@@ -258,8 +259,8 @@ def test_pinned_source_at_physical_points(micro_mesh_half, params, no_reaction):
     assert np.allclose(out.u_hat, want.u_hat, rtol=1e-12, atol=1e-14)
     assert abs(out.source_step - want.source_step) <= 1e-15
     # the reference-point source differs visibly, so the check above has teeth
-    in_cell = np.tile(centroids(m.cell.mesh.vertices, m.cell.mesh.triangles), (m.n_cells, 1))
-    at_reference = run(lambda t, x: f(t, in_cell))
+    mids = centroids(m.cell.mesh.vertices, m.cell.mesh.triangles)
+    at_reference = run(lambda t, x: f(t, np.repeat(mids, m.n_cells, axis=0)))
     assert np.abs(at_reference.u_hat - out.u_hat).max() > 1e-3
 
 
@@ -358,7 +359,7 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, pa
     sc = sim._cell_map(patterned_radii(params, inv))
     rng = np.random.default_rng(30 + inv)
     diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
-    x = np.vstack([sim._per_cell(1.7 * sc.b), sim._per_cell(1.7 * (sc.a - sc.b))])
+    x = np.vstack([1.7 * sc.b, 1.7 * (sc.a - sc.b)])
     entries = m.cell.system @ x          # (s, n_cells): every cell's entries
     rows, cols = m.cell.local
     n, diag = m.n_nodes, np.arange(m.n_nodes)
@@ -449,7 +450,9 @@ def test_periodic_correction_never_raises_the_error_energy(reference_cell, param
     """The Galerkin correction on the eps-periodic functions removes the
     start error's energy along them, so a random start's A-norm error never
     grows, whether the step takes it or not; a start that takes it is the
-    start plus the correction, and a declined one stays as it is."""
+    start plus the correction, and a declined one stays as it is.  The
+    coarse matrix is the same on every pass, so the simulator's kept factor,
+    rebuilt or not, preconditions as a fresh one does, bit for bit."""
     m = build_micro_mesh(reference_cell, 0.25)
     sim = MicroSimulator(m, spec)
     sc = sim._cell_map(patterned_radii(params, 4))
@@ -472,7 +475,8 @@ def test_periodic_correction_never_raises_the_error_energy(reference_cell, param
         x0 = u + rng.normal(0.0, 0.02 * k, m.n_nodes) + rng.normal() * periodic + (
             rng.normal() * smooth + 0.1 * rng.normal())
         # the correction itself, taken or not
-        correction, _ = solve_cg(coarse, np.bincount(m.periodic_dof, b - A @ x0), tol=1e-10)
+        correction, _ = solve_cg(coarse, np.bincount(m.periodic_dof, b - A @ x0), tol=1e-10,
+                                 precondition=fem.Factor(np.float64).preconditioner(coarse))
         assert energy(x0 + correction[m.periodic_dof]) < energy(x0)
         start = sim._periodic_start(A, b, x0, diagonal)
         if start is x0:
@@ -630,8 +634,11 @@ def test_change_of_dt_refactors(micro_mesh_half, params, no_reaction, monkeypatc
 
 def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
     """``DEFAULT_CONFIG``'s radii grow on every step to t_end, so its system
-    changes every step: each is solved by Jacobi CG and none is factored,
-    and no factor's fill adds to the convergence study's memory."""
+    changes every step: each is solved by CG from its corrected start and
+    none is factored, and no fine factor's fill adds to the convergence
+    study's memory.  The only factors are those of the 671-dof eps-periodic
+    system, kept across steps: 11 over the 100 steps here, each of
+    25,224 L + U entries."""
     cfg = parse_config(DEFAULT_CONFIG)
     factorizations = count_factorizations(monkeypatch)
     sim = MicroSimulator(micro_mesh_half, cfg.spec, diffusion=cfg.diffusion,
@@ -642,7 +649,64 @@ def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
         new = sim.step(state, cfg.dt)
         assert not np.array_equal(new.radii, state.radii) and sim._kept is None
         state = new
-    assert factorizations() == 0 and sim.factorizations == 0
+    assert sim.factorizations == 0
+    assert factorizations() == sim.coarse_factorizations and 0 < factorizations() <= 20
+    lu = sim._coarse._lu
+    assert lu.shape == (micro_mesh_half.cell.mesh.dof_map[1],) * 2
+    assert lu.L.nnz + lu.U.nnz <= 30_000
+
+
+def test_stale_coarse_factor_is_rebuilt(micro_mesh_half):
+    """The eps-periodic start keeps its coarse factor from step to step by
+    :class:`evopore.fem.Factor`'s rule: a step factors its coarse system
+    exactly when it is the first or the step before applied the kept factor
+    more than ``REFACTOR_ITERATIONS`` times, one application per coarse CG
+    iteration."""
+    cfg = parse_config(DEFAULT_CONFIG)
+    sim = MicroSimulator(micro_mesh_half, cfg.spec, diffusion=cfg.diffusion,
+                         cg_tol=cfg.cg_tol)
+    state = sim.init(build_field(cfg.u_field, cfg.u_params),
+                     build_field(cfg.r_field, cfg.r_params))
+    iterations, factored = [], []
+    for _ in range(cfg.n_steps):
+        before = sim.coarse_iterations, sim.coarse_factorizations
+        state = sim.step(state, cfg.dt)
+        iterations.append(sim.coarse_iterations - before[0])
+        factored.append(sim.coarse_factorizations - before[1])
+    stale = [True] + [k > fem.REFACTOR_ITERATIONS for k in iterations[:-1]]
+    assert factored == [int(s) for s in stale]
+    assert 1 < sum(factored) < cfg.n_steps // 2
+
+
+def test_change_of_dt_keeps_the_coarse_solve_exact(micro_mesh_half):
+    """A step after a change of dt starts from a coarse correction
+    preconditioned by the factor of the old dt's system, and still matches
+    the step of a fresh simulator, whose factor is of its own system, to the
+    solver's tolerance."""
+    cfg = parse_config(DEFAULT_CONFIG)
+
+    def simulator():
+        return MicroSimulator(micro_mesh_half, cfg.spec, diffusion=cfg.diffusion,
+                              cg_tol=cfg.cg_tol)
+
+    sim = simulator()
+    state = sim.init(build_field(cfg.u_field, cfg.u_params),
+                     build_field(cfg.r_field, cfg.r_params))
+    for _ in range(5):
+        state = sim.step(state, cfg.dt)
+    factored = []
+    for dt in (cfg.dt / 4, cfg.dt / 4, 2 * cfg.dt):
+        before = sim.coarse_factorizations
+        kept = sim.step(state, dt)
+        factored.append(sim.coarse_factorizations - before)
+        fresh = simulator().step(state, dt)
+        assert np.array_equal(kept.radii, fresh.radii)
+        scale = np.abs(fresh.u_hat).max()
+        assert np.abs(kept.u_hat - fresh.u_hat).max() <= 10 * cfg.cg_tol * scale
+        state = kept
+    # the first step at a new dt solves with the old dt's factor
+    assert factored[0] == 0
+    assert sim.periodic_starts == 8 and sim.cg_iterations == 0
 
 
 def test_step_starts_from_the_extrapolated_field(micro_mesh_half, params, spec,

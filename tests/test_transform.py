@@ -394,34 +394,43 @@ def test_psi_eps_time_derivative_chain_rule(params):
 
 def test_frame_evaluation_matches_pointwise_maps(reference_cell, params):
     """One frame on the reference midpoints, evaluated at one radius per cell,
-    gives the pointwise maps on every element of the micro mesh bit for bit."""
+    gives the pointwise maps on every element of the micro mesh bit for bit,
+    as C-contiguous (element, cell) arrays."""
     m = build_micro_mesh(reference_cell, 0.5)
     rng = np.random.default_rng(12)
     radii = rng.uniform(params.r_min, params.r_max, m.n_cells)
     ref = reference_cell.mesh
-    r_el = np.repeat(radii, len(ref.triangles))
-    y = np.tile(centroids(ref.vertices, ref.triangles), (m.n_cells, 1))
-    frame = RadialFrame(params, y[:len(ref.triangles)])
+    mids = centroids(ref.vertices, ref.triangles)
+    # every micro midpoint, element by element and within one cell by cell
+    r_el = np.tile(radii, len(mids))
+    y = np.repeat(mids, m.n_cells, axis=0)
+    frame = RadialFrame(params, mids)
     sc = frame.scalars(radii[:, None])
 
     # the same map from a frame on every micro midpoint, one radius per point
     pointwise = RadialFrame(params, y)
     want = pointwise.scalars(r_el)
     for name in ("det", "a", "b", "s", "radius"):
-        assert np.array_equal(getattr(sc, name), getattr(want, name)), name
-    assert np.array_equal(frame.image(sc.radius), pointwise.image(want.radius))
-    assert np.array_equal(frame.jacobian(radii[:, None]), pointwise.jacobian(r_el))
+        got = getattr(sc, name)
+        assert got.shape == (len(mids), m.n_cells) and got.flags.c_contiguous, name
+        assert np.array_equal(got.ravel(), getattr(want, name)), name
+    mapped = frame.image(sc.radius)
+    assert mapped.shape == (len(mids), m.n_cells, 2)
+    mapped = mapped.reshape(-1, 2)
+    assert np.array_equal(mapped, pointwise.image(want.radius))
+    assert np.array_equal(frame.jacobian(radii[:, None]).reshape(-1, 2, 2),
+                          pointwise.jacobian(r_el))
 
     # the image and J straight from the radial profile
-    mapped = frame.image(sc.radius)
+    det = sc.det.ravel()
     d = y - X_CENTER
     rho = np.sqrt(d[:, 0] ** 2 + d[:, 1] ** 2)
     act = rho > params.r_min - params.delta
     R, dR, _ = profile(params, r_el[act], rho[act])
     assert np.array_equal(mapped[act], X_CENTER + R[:, None] * (d[act] / rho[act, None]))
-    assert np.array_equal(sc.det[act], dR * (R / rho[act]))
+    assert np.array_equal(det[act], dR * (R / rho[act]))
     assert np.array_equal(mapped[~act], y[~act])
-    assert np.all(sc.det[~act] == 1.0)
+    assert np.all(det[~act] == 1.0)
 
 
 def test_frame_scalars_match_independent_oracles(reference_cell, params):
@@ -434,39 +443,42 @@ def test_frame_scalars_match_independent_oracles(reference_cell, params):
     radii = rng.uniform(params.r_min, params.r_max, (m.n_cells, 1))
     mids = centroids(reference_cell.mesh.vertices, reference_cell.mesh.triangles)
     frame = RadialFrame(params, mids)
-    sc = frame.scalars(radii)
-    y = np.tile(mids, (m.n_cells, 1))
-    r_el = np.repeat(radii[:, 0], len(mids))
+    per_cell = frame.scalars(radii)
+    # the (element, cell) scalars, element by element and within one cell by cell
+    det_f, a, b, s = (v.ravel() for v in (per_cell.det, per_cell.a, per_cell.b, per_cell.s))
+    y = np.repeat(mids, m.n_cells, axis=0)
+    r_el = np.tile(radii[:, 0], len(mids))
     det, psi_inv, tensor = pulled_back(params, y, r_el)
     mapped, dpsi, rho = radial_image(params, y, r_el)
 
-    u = np.tile(frame.directions(), (m.n_cells, 1))
+    u = np.repeat(frame.directions(), m.n_cells, axis=0)
     proj = u[:, :, None] * u[:, None, :]
-    coeff = 1.7 * (sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * proj)
+    coeff = 1.7 * (b[:, None, None] * np.eye(2) + (a - b)[:, None, None] * proj)
     scaled = 1.7 * tensor
     assert np.allclose(coeff, scaled, rtol=1e-13, atol=1e-13 * np.abs(scaled).max())
     drift = det[:, None] * np.einsum("tab,tb->ta", psi_inv, dpsi)
-    assert np.allclose((sc.det * sc.s)[:, None] * u, drift, rtol=1e-13,
+    assert np.allclose((det_f * s)[:, None] * u, drift, rtol=1e-13,
                        atol=1e-13 * np.abs(drift).max())
     assert np.abs(drift).max() > 0.1
-    assert np.allclose(sc.det, det, rtol=1e-13, atol=0.0)
+    assert np.allclose(det_f, det, rtol=1e-13, atol=0.0)
     # the image and J are the profile's own expressions, bit for bit
     act = rho > params.r_min - params.delta
-    assert np.array_equal(frame.image(sc.radius)[act], mapped[act])
+    assert np.array_equal(frame.image(per_cell.radius).reshape(-1, 2)[act], mapped[act])
     R, dR, _ = profile(params, r_el[act], rho[act])
-    assert np.array_equal(sc.det[act], dR * (R / rho[act]))
+    assert np.array_equal(det_f[act], dR * (R / rho[act]))
 
-    # the identity core, the center included
+    # the identity core, the center included: the first two points
     y = np.array([X_CENTER, X_CENTER + 0.01, X_CENTER + [0.0, 0.3], [0.9, 0.2]])
     core = RadialFrame(params, y)
     sc = core.scalars(radii[:3])
-    inner = np.tile([True, True, False, False], 3)
-    assert np.all(sc.a[inner] == 1.0) and np.all(sc.b[inner] == 1.0)
-    assert np.all(sc.det[inner] == 1.0) and np.all(sc.s[inner] == 0.0)
+    assert sc.det.shape == (4, 3) and sc.det.flags.c_contiguous
+    assert np.all(sc.a[:2] == 1.0) and np.all(sc.b[:2] == 1.0)
+    assert np.all(sc.det[:2] == 1.0) and np.all(sc.s[:2] == 0.0)
     assert np.all(core.directions()[:2] == 0.0)
-    assert np.array_equal(core.image(sc.radius)[inner], np.tile(y, (3, 1))[inner])
-    assert np.allclose(sc.det, pulled_back(params, np.tile(y, (3, 1)),
-                                           np.repeat(radii[:3, 0], 4))[0], rtol=1e-13, atol=0.0)
+    assert np.array_equal(core.image(sc.radius)[:2], np.repeat(y[:2, None], 3, axis=1))
+    assert np.allclose(sc.det.ravel(), pulled_back(params, np.repeat(y, 3, axis=0),
+                                                   np.tile(radii[:3, 0], 4))[0],
+                       rtol=1e-13, atol=0.0)
 
 
 def test_package_exports_resolve():
