@@ -232,13 +232,13 @@ def cmd_macro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
             _write(outdir, f"snapshot_{step:06d}.csv", snapshot_csv(grid, state), outputs)
     _write(outdir, "ledger.csv", ledger_csv(records), outputs)
 
-    balance = mass_balance(records)
+    max_defect = mass_balance(records)
     in_box = bool(np.all((state.r >= cfg.spec.r_min) & (state.r <= cfg.spec.r_max)))
     log.info(f"macro run: {cfg.n_steps} steps, {_solver_work(solver)}, "
-             f"max ledger defect {balance.max_defect:.3e}")
+             f"max ledger defect {max_defect:.3e}")
     return [
-        {"check": "mass_ledger_defect_1e-9", "passed": balance.max_defect <= 1e-9,
-         "value": balance.max_defect},
+        {"check": "mass_ledger_defect_1e-9", "passed": max_defect <= 1e-9,
+         "value": max_defect},
         {"check": "radii_in_box", "passed": in_box, "value": None},
     ]
 
@@ -271,7 +271,7 @@ def cmd_micro_run(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
                    outputs)
             _write(outdir, f"cells_{step:06d}.csv", cell_series_csv(mesh, state), outputs)
     _write(outdir, "micro_ledger.csv", ledger_csv(records), outputs)
-    max_defect = mass_balance(records).max_defect
+    max_defect = mass_balance(records)
     max_rate = max(rates)
     log.info(f"micro run 1/eps={inv}: {cfg.n_steps} steps, {_solver_work(sim)}, "
              f"max ledger defect {max_defect:.3e}")

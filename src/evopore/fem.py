@@ -9,22 +9,27 @@ gives the element geometry of the macro grid and the reference cell; the
 micro mesh reads the reference cell's.  A mesh's stiffness matrices share
 one CSR sparsity, :class:`StiffnessPattern`: it is built once per mesh from
 blocks of dofs and their local sparsity, and every assembly sums the block
-data into the CSR data by one ``np.bincount`` through a slot map
-(:func:`csr_slots`); there is no one-off assembly beside it.  Its data slots
-are ``np.intp``, stored once in the memory order of the data their owner
-produces, so the bincount neither casts the slots nor copies the data:
-block-major for triangles, entry-major for the micro cells.  The macro stepper and the
+data into the CSR data by one ``np.bincount`` through a slot map; there
+is no one-off assembly beside it.  Its data slots are ``np.intp``, stored
+once in the memory order of the data their owner produces, so the bincount
+neither casts the slots nor copies the data: block-major for triangles,
+entry-major for the micro cells.  The macro stepper and the
 periodic cell mesh pass their triangles as the blocks; the cell mesh's
 pattern is its node sparsity, its periodic pairs not merged, which the
-reference cell's operators and every micro cell share.  A cell problem is
-solved from its stiffness K on that pattern by a sparse LU factor
+reference cell's operators and every micro cell share.  Its second
+pattern merges the periodic pairs: one block, every node's periodic dof,
+with the node sparsity's entries.  A cell problem is solved from its
+stiffness K on the node pattern by a sparse LU factor
 (:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG:
-its loads are K applied to the coordinate functions, and its pinned periodic
-system is summed from K straight into CSC, the CSR of the transpose, by a
-slot map of the same kind.  The tensor table forms every radius' K by one
-product of the reference cell's operators, with one column per radius where
-the micro stepper (below) has one per cell; the oracle route forms it from
-a tensor per element by batched ``matmul`` (:func:`element_stiffness`).
+its loads are K applied to the coordinate functions, and its system is K
+assembled on the periodic pattern with a 1 on one diagonal entry, which
+fixes the constant; the micro stepper assembles its eps-periodic start's
+system on the same pattern.  :func:`symmetric_lu` factors a symmetric CSR
+matrix by reading its arrays as CSC.  The tensor table forms every
+radius' K by one product of the reference cell's operators, with one
+column per radius where the micro stepper (below) has one per cell; the
+oracle route forms it from a tensor per element by batched ``matmul``
+(:func:`element_stiffness`).
 The macro grid has two element shapes, so the macro stepper forms them as
 the per-element tensor components (A11, A12, A22) times the operators of
 the two shapes (:meth:`evopore.macro.MacroGrid.element_matrices`).  The
@@ -115,15 +120,6 @@ def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return (vertices[triangles[:, 0]] + vertices[triangles[:, 1]] + vertices[triangles[:, 2]]) / 3.0
 
 
-def csr_slots(rows: np.ndarray, cols: np.ndarray, n: int):
-    """CSR ``indptr`` and ``indices`` of the (n, n) matrix of the entries at
-    (``rows``, ``cols``), and every entry's ``np.intp`` slot in its data."""
-    csr = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    # the matrix whose every stored entry is its own slot number, sampled
-    csr.data = np.arange(csr.nnz, dtype=np.intp)
-    return csr.indptr, csr.indices, np.asarray(csr[rows, cols]).reshape(-1)
-
-
 class StiffnessPattern:
     """CSR sparsity of stiffness matrices assembled from blocks of dofs.
 
@@ -166,7 +162,6 @@ class StiffnessPattern:
         are C-contiguous ``np.intp``."""
         if self._slots is None:
             n = self.n_dof
-            rows, cols = self.local
             dofs = self.dofs.astype(np.int32)
             diag = np.arange(n, dtype=np.int32)
 
@@ -176,11 +171,17 @@ class StiffnessPattern:
                 block = dofs.T[local] if self.entry_major else dofs[:, local]
                 return np.concatenate([block.ravel(), diag])
 
-            indptr, indices, slots = csr_slots(entries(rows), entries(cols), n)
+            rows, cols = (entries(local) for local in self.local)
+            csr = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+            # the matrix whose every stored entry is its own slot number, sampled
+            csr.data = np.arange(csr.nnz, dtype=np.intp)
+            slots = np.asarray(csr[rows, cols]).reshape(-1)
+            indptr, indices = csr.indptr, csr.indices
             for a in (indptr, indices):
                 a.setflags(write=False)  # shared by every assembled matrix
             n_block = slots.size - n
-            shape = (len(rows), len(dofs)) if self.entry_major else (len(dofs), len(rows))
+            s = len(self.local[0])
+            shape = (s, len(dofs)) if self.entry_major else (len(dofs), s)
             self._slots = (indptr, indices, slots[:n_block].reshape(shape), slots[n_block:])
         return self._slots
 
@@ -213,9 +214,13 @@ def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -
     return k_el
 
 
-def symmetric_lu(csc: sp.csc_matrix):
-    """SuperLU factor of the symmetric matrix ``csc``, ordered on its own
-    pattern with diagonal pivots; raises ``RuntimeError`` on a singular one."""
+def symmetric_lu(system: sp.csr_matrix, dtype=np.float64):
+    """SuperLU factor, in ``dtype``, of the symmetric CSR matrix ``system``,
+    its arrays read as CSC, the CSR of the transpose, so nothing is
+    converted; ordered on its own pattern with diagonal pivots.  Raises
+    ``RuntimeError`` on a singular matrix."""
+    csc = sp.csc_matrix((system.data.astype(dtype, copy=False), system.indices, system.indptr),
+                        shape=system.shape)
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -288,11 +293,7 @@ class Factor:
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         if self._lu is None:
-            system = self._system
-            # the CSR arrays of the symmetric system read as CSC: no conversion
-            self._lu = symmetric_lu(sp.csc_matrix(
-                (system.data.astype(self._dtype, copy=False), system.indices, system.indptr),
-                shape=system.shape))
+            self._lu = symmetric_lu(self._system, self._dtype)
             self._system = None
             self.factored = True
         self._applications += 1

@@ -46,8 +46,10 @@ functions, those that repeat one set of values, one per periodic dof of
 the reference cell, in every cell (:attr:`MicroMesh.periodic_dof`): the
 Galerkin projection of the start's error onto them.  Their system ``R A
 R^T`` needs no product with the micro system: the cell's ``system``
-operator applied to the cells' scalars summed over the cells, merged on
-the periodic dofs, plus the lumped mass summed there.  That system moves
+operator applied to the cells' scalars summed over the cells, assembled
+on the reference mesh's periodic pattern
+(:attr:`evopore.unitcell.PeriodicMesh.periodic`, the one the cell problems
+are solved on), plus the lumped mass summed there.  That system moves
 by O(dt) a step, so CG solves it preconditioned by one exact double
 precision factor (:class:`evopore.fem.Factor`) that the simulator keeps
 across steps and rebuilds after a solve that applies it more than
@@ -248,7 +250,7 @@ class MicroSimulator:
         if not (box.r_min <= spec.r_min and spec.r_max <= box.r_max):
             raise ValueError(f"kinetics radius box [{spec.r_min:g}, {spec.r_max:g}] is not inside "
                              f"the cell map's [{box.r_min:g}, {box.r_max:g}]")
-        self._pattern = StiffnessPattern(mesh.node_map, mesh.n_nodes, mesh.cell.local,
+        self._pattern = StiffnessPattern(mesh.node_map, mesh.n_nodes, mesh.cell.mesh.node_entries,
                                          entry_major=True)
         # (radii, dt, map, system, factor) of a step whose radii did not move
         self._kept = None
@@ -304,11 +306,11 @@ class MicroSimulator:
         (:attr:`MicroMesh.periodic_dof`): the system of the eps-periodic
         functions.  Its stiffness is the cell's ``system`` applied to the
         scalars summed over the cells, merged on the periodic dofs
-        (:attr:`ReferenceCell.periodic`), and its diagonal the sum of
-        ``diagonal`` there."""
+        (:attr:`PeriodicMesh.periodic`, which also assembles the cell
+        problems), and its diagonal the sum of ``diagonal`` there."""
         m = self.mesh
-        return m.cell.periodic.assemble(m.cell.system @ self._scalars.sum(axis=1),
-                                        np.bincount(m.periodic_dof, diagonal))
+        return m.cell.mesh.periodic.assemble(m.cell.system @ self._scalars.sum(axis=1),
+                                             np.bincount(m.periodic_dof, diagonal))
 
     def _periodic_start(self, system, b: np.ndarray, x0: np.ndarray,
                         diagonal: np.ndarray) -> np.ndarray:

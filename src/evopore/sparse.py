@@ -8,15 +8,12 @@ zero-flux walls and annihilates constants, so only its lumped mass holds
 the constant mode, which Jacobi alone sees at an eigenvalue that shrinks
 like eps^2 and which carries most of a step's start error (Nicolaides,
 SIAM J. Numer. Anal. 24 (1987) 355-365).  Micro steps of moving radii
-are the production callers of the default.  From their extrapolated starts
-they took 2835, 3069, 3141 and 3155 iterations over the 100 steps of the
-canonical study at 1/eps = 2, 4, 8 and 16, where plain Jacobi took 3586,
-4105, 5031 and 8272, for 7 to 12% more time per iteration.  Such a step
-now first corrects its start on the eps-periodic functions, of which the
-constant is one, by a solve of their 671-dof system (:mod:`evopore.micro`);
-on the canonical study the corrected start meets the tolerance and the
-step takes 0 iterations, while starts whose error is not mostly periodic,
-as from a cosine u0 of amplitude 0.3, keep their iterations.  A caller may
+are the production callers of the default.  Such a step first corrects
+its start on the eps-periodic functions, of which the constant is one, by
+a solve of their 671-dof system (:mod:`evopore.micro`); on the canonical
+study the corrected start meets the tolerance and the step takes 0
+iterations, while starts whose error is not mostly periodic, as from a
+cosine u0 of amplitude 0.3, keep their iterations.  A caller may
 pass its own preconditioner instead, the solve of a sparse LU factor
 (:class:`evopore.fem.Factor`): the macro stepper passes a single precision
 factor of an earlier step's system; the micro stepper, on a system it

@@ -143,15 +143,12 @@ def _kernel_knots():
 _G_SPLINE = PiecewiseCubic.hermite(*_kernel_knots())
 _PHI_SPLINE = _G_SPLINE.derivative()
 _G_AT_ONE = float(_G_SPLINE(1.0))
-# total kernel mass after normalization; the linear tail of g and the CDF
-# plateau both carry it, so the identity properties hold exactly iff it is one
-_KERNEL_MASS = 1.0
 
 
 def _kernel_g(z: np.ndarray) -> np.ndarray:
     """Twice-integrated unit-mass bump; g(z) = 0 for z <= -1, g' = Phi."""
     z = np.asarray(z, dtype=float)
-    out = np.where(z >= 1.0, (z - 1.0) * _KERNEL_MASS + _G_AT_ONE, 0.0)
+    out = np.where(z >= 1.0, z - 1.0 + _G_AT_ONE, 0.0)
     m = (z > -1.0) & (z < 1.0)
     if np.any(m):
         out[m] = _G_SPLINE(z[m])
@@ -160,7 +157,7 @@ def _kernel_g(z: np.ndarray) -> np.ndarray:
 
 def _kernel_cdf(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    out = np.where(z >= 1.0, _KERNEL_MASS, 0.0)
+    out = np.where(z >= 1.0, 1.0, 0.0)
     m = (z > -1.0) & (z < 1.0)
     if np.any(m):
         out[m] = _PHI_SPLINE(z[m])

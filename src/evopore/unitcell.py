@@ -15,12 +15,15 @@ A cell problem takes its element coefficient: the unit tensor on a cell
 meshed at the requested radius, or the pulled-back tensor on the reference
 mesh.  The two routes discretize the same tensor and serve as mutual oracles.
 A cell problem is solved from its stiffness K on the mesh's node sparsity,
-its periodic pairs not merged (:attr:`PeriodicMesh.node_pattern`, the
-sparsity :attr:`ReferenceCell.local` describes).  Its loads are K applied to
-the coordinate functions, exact for P1, and K with its periodic pairs merged
-and dof 0 pinned is summed straight into CSC through a slot map of the mesh
-(:class:`PinnedSystem`); one sparse LU factor of that system solves both
-directions, and the nodal mean is then subtracted (:func:`solve_cell_problem`).
+its periodic pairs not merged (:attr:`PeriodicMesh.node_pattern`, whose
+entries :attr:`PeriodicMesh.node_entries` lists).  Its loads are K applied
+to the coordinate functions, exact for P1 (:attr:`PeriodicMesh.loads`), and
+its system is K with its periodic pairs merged plus a 1 on dof 0's diagonal,
+which fixes the constant, assembled on :attr:`PeriodicMesh.periodic`: the
+one periodic pattern, on which the micro stepper also assembles its
+eps-periodic start's system.  One sparse LU factor of that system solves
+both directions, and the nodal mean is then subtracted
+(:func:`solve_cell_problem`).
 :func:`effective_tensor` forms K from the element matrices of any
 coefficient, on any mesh; :func:`tabulate` evaluates the frame at all its
 radii at once and forms every radius' K by one product of
@@ -34,14 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
-from .fem import (StiffnessPattern, centroids, csr_slots, csv_table, element_stiffness,
-                  symmetric_lu, triangle_geometry)
+from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness, symmetric_lu,
+                  triangle_geometry)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
@@ -116,26 +118,6 @@ def _min_angles(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return np.minimum(np.minimum(corner(p0, p1, p2), corner(p1, p2, p0)), corner(p2, p0, p1))
 
 
-class PinnedSystem(NamedTuple):
-    """A cell problem's pinned periodic system from its stiffness K, K given
-    as its data (s,) on a periodic mesh's node sparsity
-    (:attr:`PeriodicMesh.node_pattern`).
-
-    The system is ``K_p[1:, 1:]``, K with its periodic pairs merged and dof 0
-    pinned, as CSC ``indptr`` and ``indices``: K's entry e adds to data slot
-    ``slots[e]``, or to the slot ``len(indices)`` past the end when it lies in
-    the pinned row or column.  ``loads`` (2 (n_dof - 1), s) takes K's data to
-    the loads of both directions at dofs 1 and on, direction by direction:
-    the load of direction d is ``-P^T K y_d``, K applied to the coordinate
-    function y_d, which is exact for P1 since y_d interpolates itself.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
-    loads: sp.csr_matrix
-
-
 @dataclass
 class PeriodicMesh:
     """Triangulation of the perforated cell with exact periodic node pairing."""
@@ -191,30 +173,40 @@ class PeriodicMesh:
     def node_pattern(self) -> StiffnessPattern:
         """CSR sparsity of the stiffness of this mesh's nodes, its periodic
         pairs not merged: the sparsity of every cell problem's K, of the
-        reference cell's :attr:`ReferenceCell.local` and of each micro cell."""
+        reference cell's :attr:`ReferenceCell.system` and of each micro
+        cell."""
         return StiffnessPattern(self.triangles, self.n_nodes)
 
     @cached_property
-    def pinned(self) -> PinnedSystem:
-        """The maps from a K on :attr:`node_pattern` to the pinned periodic
-        system of its cell problems, shared by every cell problem on this
-        mesh."""
-        dof, n_dof = self.dof_map
+    def node_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the s entries of :attr:`node_pattern`, in CSR
+        order: the order of every K's data on it."""
         indptr, indices, _, _ = self.node_pattern.slots()
-        rows = dof[np.repeat(np.arange(self.n_nodes), np.diff(indptr))] - 1
-        cols = dof[indices] - 1
-        kept = (rows >= 0) & (cols >= 0)
-        n = n_dof - 1
-        # the CSR of the transpose is the CSC; an entry in the pinned row or
-        # column goes to the slot past the end
-        csc_indptr, csc_indices, kept_slots = csr_slots(cols[kept], rows[kept], n)
-        slots = np.full(len(indices), len(csc_indices), dtype=np.intp)
-        slots[kept] = kept_slots
-        at = np.flatnonzero(rows >= 0)
-        loads = sp.csr_matrix((-self.vertices[indices[at]].T.ravel(),
-                               (np.concatenate([rows[at], rows[at] + n]), np.tile(at, 2))),
-                              shape=(2 * n, len(indices)))
-        return PinnedSystem(csc_indptr, csc_indices, slots, loads)
+        return np.repeat(np.arange(self.n_nodes), np.diff(indptr)), np.asarray(indices)
+
+    @cached_property
+    def periodic(self) -> StiffnessPattern:
+        """CSR sparsity of a K on :attr:`node_pattern` with the periodic
+        pairs merged, and of every periodic dof's diagonal: one block, every
+        node's dof, whose entries are :attr:`node_entries`.  It assembles
+        the periodic system of every cell problem on this mesh and the micro
+        system restricted to the eps-periodic functions."""
+        dof, n_dof = self.dof_map
+        return StiffnessPattern(dof[None, :], n_dof, self.node_entries)
+
+    @cached_property
+    def loads(self) -> sp.csr_matrix:
+        """(2 n_dof, s): takes a K's data on :attr:`node_pattern` to the
+        cell-problem loads of both directions on the periodic dofs,
+        direction by direction.  The load of direction d is ``-R K y_d``, K
+        applied to the coordinate function y_d, which is exact for P1 since
+        y_d interpolates itself."""
+        dof, n_dof = self.dof_map
+        nodes, cols = self.node_entries
+        rows, s = dof[nodes], len(nodes)
+        return sp.csr_matrix((-self.vertices[cols].T.ravel(),
+                              (np.concatenate([rows, rows + n_dof]), np.tile(np.arange(s), 2))),
+                             shape=(2 * n_dof, s))
 
 
 def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
@@ -331,14 +323,8 @@ class ReferenceCell:
                              shape=(self.mesh.n_nodes, len(tri)))
 
     @cached_property
-    def local(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the s entries of the mesh's node sparsity, in CSR order."""
-        indptr, indices, _, _ = self.mesh.node_pattern.slots()
-        return np.repeat(np.arange(self.mesh.n_nodes), np.diff(indptr)), np.asarray(indices)
-
-    @cached_property
     def system(self) -> sp.csr_matrix:
-        """``[L Q]`` (s, 2m) on the entries of :attr:`local`: applied to
+        """``[L Q]`` (s, 2m) on the mesh's :attr:`PeriodicMesh.node_entries`: applied to
         ``[D b; D (a - b)]`` it gives every cell's system entries."""
         areas, grads = self.mesh.geometry
         m = len(areas)
@@ -351,16 +337,6 @@ class ReferenceCell:
         return sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
                               (np.tile(slots.ravel(), 2), np.concatenate([element, element + m]))),
                              shape=(len(indices), 2 * m))
-
-    @cached_property
-    def periodic(self) -> StiffnessPattern:
-        """CSR sparsity of entries on :attr:`local` with the mesh's periodic
-        pairs merged, nothing pinned, and of every periodic dof's diagonal:
-        one block, every node's dof, so :attr:`system` applied to the sum of
-        the cells' scalars assembles the micro system restricted to the
-        eps-periodic functions."""
-        dof, n_dof = self.mesh.dof_map
-        return StiffnessPattern(dof[None, :], n_dof, self.local)
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
@@ -390,31 +366,30 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
 
     The problems are solved from their stiffness K, as its data (s,) on the
     mesh's node sparsity: ``stiffness`` when it is given, else the element
-    matrices of ``coeff`` summed there.  The periodic K is singular by the
-    constants only, and both loads sum to zero, so pinning dof 0 drops an
-    equation that holds anyway: the mesh's :class:`PinnedSystem` takes K to
-    ``K_p[1:, 1:]``, symmetric positive definite, and to the loads there,
-    one sparse LU factor solves both directions, and subtracting the nodal
-    mean picks the zero-mean corrector.  A singular factor raises
-    :class:`NumericalError`.
+    matrices of ``coeff`` summed there.  K with its periodic pairs merged,
+    K_p, is singular by the constants only, ``1^T K_p = 0``, and both loads
+    f sum to zero.  The mesh's :attr:`PeriodicMesh.periodic` assembles
+    ``K_p + e_0 e_0^T``, symmetric positive definite, whose solution has
+    ``w_0 = 1^T f = 0`` and so is the one with dof 0 pinned; the tensors
+    are of unit diffusion and 2-D P1 stiffness does not change with scale,
+    so the 1 is of the size of K_p's diagonal.  One sparse LU factor solves
+    both directions, and subtracting the nodal mean picks the zero-mean
+    corrector.  A singular factor raises :class:`NumericalError`.
     """
     if stiffness is None:
         areas, grads = mesh.geometry
         stiffness = mesh.node_pattern.assemble(element_stiffness(areas, grads, coeff)).data
-    pinned = mesh.pinned
-    n = len(pinned.indptr) - 1
-    data = np.bincount(pinned.slots, stiffness, minlength=len(pinned.indices) + 1)[:-1]
-    if not np.all(np.isfinite(data)):
-        raise ValueError("sparse matrix contains non-finite values")
+    dof, n = mesh.dof_map
+    pin = np.zeros(n)
+    pin[0] = 1.0
     try:
-        # K is not known to be bitwise symmetric, so its entries are summed
-        # into CSC, not read as CSC from CSR
-        lu = symmetric_lu(sp.csc_matrix((data, pinned.indices, pinned.indptr), shape=(n, n)))
+        # read as CSC, so the factor is of K_p^T, which differs from K_p only
+        # by the rounding of the pulled-back element matrices
+        lu = symmetric_lu(mesh.periodic.assemble(stiffness, pin))
     except RuntimeError as exc:
         raise NumericalError(f"cell problem: {exc}") from None
-    w_dof = np.zeros((n + 1, 2))
-    w_dof[1:] = lu.solve((pinned.loads @ stiffness).reshape(2, n).T)
-    w = w_dof[mesh.dof_map[0]]
+    w_dof = lu.solve((mesh.loads @ stiffness).reshape(2, n).T)
+    w = w_dof[dof]
     w -= w.mean(axis=0)
     return w
 

@@ -282,23 +282,26 @@ def test_macro_run_can_load_table(tmp_path):
     assert main(["macro-run", "--config", str(cfg2), "--out", str(out), "--quiet"]) == 0
 
 
-OPERATORS = ("local", "system", "mass", "drift", "means")
+OPERATORS = ("system", "mass", "drift", "means")
+PATTERNS = ("node_entries", "periodic")
 
 
 @pytest.mark.parametrize("command, load_table, built", [
-    (["convergence"], False, (1, 1, 1, 1, 1, 1, 1)),
-    (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1, 1, 1, 1, 1)),
-    (["macro-run"], False, (1, 1, 0, 1, 0, 0, 0)),
-    (["cell-table"], False, (1, 1, 0, 1, 0, 0, 0)),
-    (["macro-run"], True, (0, 0, 0, 0, 0, 0, 0)),
+    (["convergence"], False, (1, 1, 1, 1, 1, 1, 1, 1)),
+    (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1, 1, 1, 1, 1, 1)),
+    (["macro-run"], False, (1, 1, 1, 0, 0, 0, 1, 1)),
+    (["cell-table"], False, (1, 1, 1, 0, 0, 0, 1, 1)),
+    (["macro-run"], True, (0, 0, 0, 0, 0, 0, 0, 0)),
 ], ids=["convergence", "micro-run", "macro-run", "cell-table", "macro-run-table-path"])
 def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_table, built):
-    """A command builds the reference mesh, the map's frame on its midpoints
-    and each operator of the cell it reads at most once: the table and every
-    1/epsilon of the study share them.  A table's cell problems read the
-    cell's ``system`` alone, so a tabulating command builds no other
-    operator; a growing micro run reads all five, and a macro run that loads
-    its table builds no cell."""
+    """A command builds the reference mesh, the map's frame on its midpoints,
+    each operator of the cell and each pattern of the mesh it reads at most
+    once: the table and every 1/epsilon of the study share them.  A table's
+    cell problems read the cell's ``system`` alone, so a tabulating command
+    builds no other operator; a growing micro run reads all four.  The
+    cell problems and the micro run's eps-periodic starts assemble on one
+    periodic pattern of the mesh, built once in a command that does both,
+    and a macro run that loads its table builds no cell."""
     config = FAST_COMMON
     if load_table:
         tdir = tmp_path / "table"
@@ -306,7 +309,7 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
                      "--quiet"]) == 0
         config = config.replace("[table]\nradius_count = 5",
                                 f"[table]\npath = {tdir / 'table.csv'}")
-    counts = dict.fromkeys((PeriodicMesh, RadialFrame) + OPERATORS, 0)
+    counts = dict.fromkeys((PeriodicMesh, RadialFrame) + OPERATORS + PATTERNS, 0)
 
     def counting(key, build):
         def counted(*args, **kwargs):
@@ -316,9 +319,10 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
 
     for cls in (PeriodicMesh, RadialFrame):
         monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
-    for name in OPERATORS:
-        operator = vars(ReferenceCell)[name]
-        monkeypatch.setattr(operator, "func", counting(name, operator.func))
+    for cls, names in ((ReferenceCell, OPERATORS), (PeriodicMesh, PATTERNS)):
+        for name in names:
+            prop = vars(cls)[name]
+            monkeypatch.setattr(prop, "func", counting(name, prop.func))
     path = tmp_path / "run.cfg"
     path.write_text(config)
     assert main(command[:1] + ["--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
@@ -700,7 +704,10 @@ def test_validate_exit_codes_and_tamper(tmp_path, monkeypatch):
     # tampering with the kernel normalization must trip an identity check;
     # in the hinge construction the outside-annulus identity is structural,
     # so the damage surfaces at the plateau identity, with a witness radius
-    monkeypatch.setattr(evopore.transform, "_KERNEL_MASS", 1.0 + 1e-6)
+    for name in ("_kernel_g", "_kernel_cdf"):
+        kernel = getattr(evopore.transform, name)
+        monkeypatch.setattr(evopore.transform, name,
+                            lambda z, kernel=kernel: (1.0 + 1e-6) * kernel(z))
     out2 = tmp_path / "v2"
     assert main(["validate", "--out", str(out2), "--quiet"]) == 1
     report = [json.loads(line) for line in (out2 / "report.jsonl").read_text().splitlines()]

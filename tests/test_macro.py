@@ -189,9 +189,9 @@ def test_frozen_radii_mass_conservation(grid, spec, tensor_table, run_steps):
     u0 = lambda x: np.cos(np.pi * np.atleast_2d(x)[:, 0])
     state = solver.init(u0, constant_field(0.25))
     states = run_steps(solver, state, 1e-3, 25)
-    report = mass_balance(states)
-    assert report.max_defect < 1e-12
-    assert report.final_total == pytest.approx(report.initial_total, abs=1e-11)
+    assert mass_balance(states) < 1e-12
+    totals = [s.fluid_mass + s.solid_mass for s in states]
+    assert totals[-1] == pytest.approx(totals[0], abs=1e-11)
 
 
 def test_mass_ledger_with_source(grid, spec, tensor_table):
@@ -209,12 +209,12 @@ def test_growth_scenario_mass_exchange(grid, spec, tensor_table, run_steps):
     solver = MacroSolver(grid, tensor_table, spec, cg_tol=1e-12)
     state = solver.init(constant_field(0.9), constant_field(0.2))
     states = run_steps(solver, state, 0.005, 60)
-    report = mass_balance(states)
-    assert report.max_defect < 1e-9
+    assert mass_balance(states) < 1e-9
     assert states[-1].fluid_mass < states[0].fluid_mass
     assert states[-1].solid_mass > states[0].solid_mass
     assert np.mean(states[-1].r) > np.mean(states[0].r)
-    assert report.final_total == pytest.approx(report.initial_total, abs=1e-8)
+    totals = [s.fluid_mass + s.solid_mass for s in states]
+    assert totals[-1] == pytest.approx(totals[0], abs=1e-8)
     # the solver counts the CG iterations of its steps
     assert solver.cg_iterations == sum(s.cg_iterations for s in states) > 0
 
@@ -359,7 +359,18 @@ def test_ledger_from_mass_records_matches_states(grid, spec, tensor_table, run_s
     states = run_steps(solver, state, 0.005, 5)
     records = [MassRecord.of(s) for s in states]
     assert ledger_csv(records) == ledger_csv(states)
-    from_records, from_states = mass_balance(records), mass_balance(states)
-    assert np.array_equal(from_records.per_step_defect, from_states.per_step_defect)
-    assert (from_records.initial_total, from_records.final_total) == \
-        (from_states.initial_total, from_states.final_total)
+    assert mass_balance(records) == mass_balance(states)
+    assert [(r.defect, r.fluid_mass + r.solid_mass) for r in records] == \
+        [(s.defect, s.fluid_mass + s.solid_mass) for s in states]
+
+
+def test_mass_balance_is_the_largest_defect():
+    """The largest step defect, the initial record's not counted; a NaN
+    defect reads as the largest, so no ledger check passes on it."""
+    records = [MassRecord(0.1 * k, 1.0, 0.0, 0.0, d)
+               for k, d in enumerate((1.0, 2e-12, 5e-12, 3e-12))]
+    assert mass_balance(records) == 5e-12
+    records[2] = records[2]._replace(defect=float("nan"))
+    assert np.isnan(mass_balance(records))
+    with pytest.raises(ValueError, match="at least two"):
+        mass_balance(records[:1])

@@ -361,7 +361,7 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, pa
     diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
     x = np.vstack([1.7 * sc.b, 1.7 * (sc.a - sc.b)])
     entries = m.cell.system @ x          # (s, n_cells): every cell's entries
-    rows, cols = m.cell.local
+    rows, cols = m.cell.mesh.node_entries
     n, diag = m.n_nodes, np.arange(m.n_nodes)
     want = sp.coo_matrix((np.concatenate([entries.T.ravel(), diagonal]),
                           (np.concatenate([m.node_map[:, rows].ravel(), diag]),
