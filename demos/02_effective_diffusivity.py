@@ -42,9 +42,8 @@ print()
 grid = np.linspace(params.r_min, params.r_max, 11)
 table = tabulate(cell, grid)
 print("r      A11        theta      A11/theta")
-for k, r in enumerate(table.radii):
-    a = table.tensors[k, 0, 0]
-    print(f"{r:.3f}  {a:.6f}  {table.theta[k]:.6f}  {a / table.theta[k]:.4f}")
+for r, (a, _, _) in zip(table.radii, table.entries):
+    print(f"{r:.3f}  {a:.6f}  {porosity(r):.6f}  {a / porosity(r):.4f}")
 
 a11, a12, a22 = table.components(0.3)
 print(f"\ninterpolated at r=0.30: A11 = {a11:.6f}, theta = {porosity(0.3):.6f}, "

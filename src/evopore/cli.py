@@ -37,7 +37,7 @@ from .macro import MacroGrid, MacroSolver, MassRecord, ledger_csv, mass_balance,
 from .micro import (MicroSimulator, build_micro_mesh, cell_series_csv, cells_per_side,
                     micro_snapshot_csv, unfold_compare)
 from .registry import build_field, build_source
-from .unitcell import EffectiveTensorTable, ReferenceCell, porosity, table_checks, tabulate
+from .unitcell import EffectiveTensorTable, ReferenceCell, table_checks, tabulate
 from .validate import full_validation
 
 log = logging.getLogger("evopore")
@@ -136,10 +136,10 @@ def _cell_of(cfg: ExperimentConfig) -> ReferenceCell:
 
 def _table_of(cfg: ExperimentConfig, cell: ReferenceCell | None = None) -> EffectiveTensorTable:
     """The loaded ``[table] path`` or a tabulation on ``cell``, by default a
-    new :func:`_cell_of`.  A loaded table must hold finite values, a positive
-    definite tensor at every radius and the porosity of its radii, to 1e-12
-    relative, as ``theta``; either grid must cover the radius box, and the
-    explicit grid is checked before its cost is paid."""
+    new :func:`_cell_of`.  A loaded table must have the header
+    ``r,A11,A12,A22``, finite values (which the table itself requires) and
+    a positive definite tensor at every radius; either grid must cover the
+    radius box, and the explicit grid is checked before its cost is paid."""
     if cfg.table_path:
         log.info(f"loading tensor table from {cfg.table_path}")
         source = f"[table] path = {cfg.table_path}"
@@ -147,15 +147,8 @@ def _table_of(cfg: ExperimentConfig, cell: ReferenceCell | None = None) -> Effec
             table = EffectiveTensorTable.from_csv(Path(cfg.table_path).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{source}: cannot load: {exc}") from exc
-        if not all(np.all(np.isfinite(a)) for a in (table.radii, table.tensors, table.theta)):
-            raise ConfigError(f"{source}: non-finite values")
         if not table_checks(table)["positive_definite"]:
             raise ConfigError(f"{source}: a tensor is not positive definite")
-        theta = porosity(table.radii)
-        off = np.flatnonzero(np.abs(table.theta - theta) > 1e-12 * np.abs(theta))
-        if off.size:
-            raise ConfigError(f"{source}: theta {table.theta[off[0]]:.17g} at r = "
-                              f"{table.radii[off[0]]:g} is not the porosity 1 - pi r^2")
         _require_cover(f"{source}: radii", table.radii, cfg)
         return table
     _require_cover("[table] radii", cfg.table_radii, cfg)
@@ -214,6 +207,11 @@ def _snapshot_step(cfg: ExperimentConfig, step: int) -> bool:
 
 def cmd_cell_table(cfg: ExperimentConfig, args: argparse.Namespace, outdir: Path,
                    outputs: list) -> list[dict]:
+    if cfg.table_path:
+        # the command makes a table; it reads none, so [table] path neither
+        # feeds nor stops it, and a path of <out>/table.csv is overwritten
+        log.info(f"[table] path = {cfg.table_path} is not read: cell-table tabulates "
+                 f"[table] radius_count or radii")
     table = tabulate(_cell_of(cfg), cfg.table_radii)
     _write(outdir, "table.csv", table.to_csv(), outputs)
     log.info(f"wrote {outdir / 'table.csv'} ({cfg.table_radii.size} radii)")

@@ -49,15 +49,9 @@ with CG's default preconditioner or with plain Jacobi alike (the micro-io
 benchmark's pinned run at 1/eps = 4).  A system of moving radii serves
 one step and is solved by CG with the default preconditioner, Jacobi plus
 an exact solve on the constant vector (:func:`evopore.sparse.solve_cg`).
-On the canonical config's steps, as they iterated before their starts
-were corrected on the eps-periodic functions (below), a factorization
-cost as much as 7 to 12 of those solves (medians 7, 9, 12 and 12 at
-1/eps = 2, 4, 8 and 16) and would have paid for itself only after 9 to 22
-solves that reused it (9 to 15 against plain Jacobi), and its fill takes
-about 5, 26 and 126 MB at 1/eps = 4, 8 and 16 (3, 18 and 86 MB in single
-precision).  Each state holds a reference to its field one step earlier,
-so the step starts CG from the linear extrapolation ``2 u_n - u_(n-1)``,
-and from ``u_n`` on a first step (:func:`extrapolated_start`).  The micro
+Each state holds a reference to its field one step earlier, so the step
+starts CG from the linear extrapolation ``2 u_n - u_(n-1)``, and from
+``u_n`` on a first step (:func:`extrapolated_start`).  The micro
 step of moving radii first corrects that start by a Galerkin projection
 onto the eps-periodic functions, when that removes more error energy than
 Jacobi's estimate of the start's (:mod:`evopore.micro`); the canonical
@@ -261,11 +255,8 @@ class Factor:
     float32, for a little more per solve (one thread: 0.78 against 0.73 ms at
     1/eps = 4, 3.5 against 2.9 ms at 1/eps = 8).  It also keeps one float64
     factor of its eps-periodic start's 671-dof system for a whole run, as
-    the macro stepper keeps its own: on the canonical study the coarse
-    solves take about 5 iterations a step, where Jacobi CG took 48 to 69,
-    and 11 or 12 of its 100 steps refactor (1.6 ms and about 25,000 L+U
-    entries a factor, 41 us a solve).  A fresh factor every step would cost
-    as much as the Jacobi CG it replaces.
+    the macro stepper keeps its own; :mod:`evopore.micro` gives what that
+    factor costs and saves on the canonical study.
     """
 
     def __init__(self, dtype):

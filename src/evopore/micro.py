@@ -36,10 +36,10 @@ every step that reuses it: 1 iteration a step instead of 77 to 96 with CG's
 default preconditioner.  So radii frozen at r0, which are inputs (a zero
 rate law, every radius at r0), not a stepper mode, assemble once per dt and
 factor when CG first applies the factor: never, when every start solves the
-system.  A step whose radii moved keeps nothing and solves by CG's default
-preconditioner, Jacobi plus an exact solve on the constant vector, which
-the zero-flux stiffness annihilates (:mod:`evopore.sparse`), as a factor of
-a system that serves once costs more than it saves (:mod:`evopore.fem`).
+system.  A step whose radii moved keeps nothing, as its system serves one
+step, and solves by CG's default preconditioner, Jacobi plus an exact solve
+on the constant vector, which the zero-flux stiffness annihilates
+(:mod:`evopore.sparse`).
 
 Such a step first corrects its extrapolated start on the eps-periodic
 functions, those that repeat one set of values, one per periodic dof of
@@ -53,13 +53,16 @@ are solved on), plus the lumped mass summed there.  That system moves
 by O(dt) a step, so CG solves it preconditioned by one exact double
 precision factor (:class:`evopore.fem.Factor`) that the simulator keeps
 across steps and rebuilds after a solve that applies it more than
-:data:`evopore.fem.REFACTOR_ITERATIONS` times: about 5 iterations a step
-on the default cell's 671 unknowns, with 11 or 12 factorizations in the
-canonical study's 100 steps, where Jacobi CG took 48 to 69 a step.  The
-simulator counts them as ``coarse_factorizations``, apart from the kept
-systems' ``factorizations``.  The start takes the correction only when it
-removes more error energy than Jacobi's estimate of the whole start's, D
-read from the system's diagonal slots; otherwise it stays, bit for bit.
+:data:`evopore.fem.REFACTOR_ITERATIONS` times.  On the default cell's 671
+unknowns the canonical study's coarse solves take about 5 iterations a
+step, where Jacobi CG took 48 to 69, with 11 or 12 factorizations in its
+100 steps at each level, each about 1.6 ms and 25,000 L+U entries (0.3 MB),
+and 41 us a solve; a fresh factor every step would cost as much as the
+Jacobi CG it replaces.  The simulator counts them as
+``coarse_factorizations``, apart from the kept systems' ``factorizations``.
+The start takes the correction only when it removes more error energy than
+Jacobi's estimate of the whole start's, D read from the system's diagonal
+slots; otherwise it stays, bit for bit.
 With spatially constant fields, as in the canonical study, the solution is
 eps-periodic and the corrected start solves the step in 0 iterations; a
 cosine u0 of amplitude 0.3 (ROADMAP.md's gradient scenario) declines every

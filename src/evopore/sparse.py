@@ -19,8 +19,8 @@ pass its own preconditioner instead, the solve of a sparse LU factor
 factor of an earlier step's system; the micro stepper, on a system it
 keeps while its radii do not move, the exact double precision factor of
 that system, and on the 671-dof system of its periodic start an exact
-factor of an earlier step's, about 5 iterations a step where the default
-took 48 to 69.  Both steppers start the solve from the extrapolation
+factor of an earlier step's, whose iterations :mod:`evopore.micro` gives.
+Both steppers start the solve from the extrapolation
 ``2 u_n - u_(n-1)`` of their last two fields, and read its iteration count
 from the :class:`SolveReport`.  The loop is written here rather than taken
 from scipy for the way it updates its vectors: an iteration allocates only

@@ -30,7 +30,11 @@ radii at once and forms every radius' K by one product of
 :attr:`ReferenceCell.system` with the scalars b and a - b, the product the
 micro stepper makes with one column per cell, here one column per radius.
 A scalar diffusion D multiplies the whole problem, so the tensors here are
-of unit diffusion and the steppers apply D.
+of unit diffusion and the steppers apply D.  The :class:`EffectiveTensorTable`
+holds, at each radius, the three entries (A11, A12, A22) of the symmetric
+tensor, which is all its readers use, and ``table.csv`` is those four
+columns, ``r,A11,A12,A22``; the porosity 1 - pi r^2 is a function of the
+radius (:func:`porosity`), not table data.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness, sym
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
-_CSV_HEADER = "r,A11,A12,A22,theta"
+_CSV_HEADER = "r,A11,A12,A22"
 
 
 def ball_volume(r):
@@ -425,32 +429,30 @@ def effective_tensor(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
 
 @dataclass
 class EffectiveTensorTable:
-    """Sorted radius grid with per-radius effective tensors and porosity.
+    """Sorted radius grid with the effective tensor at every radius, as its
+    entries (A11, A12, A22): the tensors are symmetric, so these determine
+    them.
 
     Tensor lookup interpolates entrywise piecewise-linearly, which preserves
     the monotonicity and bound properties of the tabulated values.  The
-    tensors must be exactly symmetric, so A11, A12 and A22 determine them.
+    porosity is a function of the radius (:func:`porosity`), not table data.
     """
 
     radii: np.ndarray
-    tensors: np.ndarray      # (m, 2, 2)
-    theta: np.ndarray
+    entries: np.ndarray      # (m, 3): A11, A12, A22 at each radius
 
     def __post_init__(self):
         self.radii = np.asarray(self.radii, dtype=float)
-        self.tensors = np.asarray(self.tensors, dtype=float)
-        self.theta = np.asarray(self.theta, dtype=float)
+        self.entries = np.asarray(self.entries, dtype=float)
         m = self.radii.size
-        if (self.radii.shape, self.tensors.shape, self.theta.shape) != ((m,), (m, 2, 2), (m,)):
+        if (self.radii.shape, self.entries.shape) != ((m,), (m, 3)):
             raise ValueError(
-                f"table shapes radii {self.radii.shape}, tensors {self.tensors.shape} and "
-                f"theta {self.theta.shape} are not (m,), (m, 2, 2) and (m,) for m radii")
-        if not np.all(np.isfinite(self.radii)):
-            raise ValueError("table radii must be finite")
+                f"table shapes radii {self.radii.shape} and entries {self.entries.shape} "
+                f"are not (m,) and (m, 3) for m radii")
+        if not (np.all(np.isfinite(self.radii)) and np.all(np.isfinite(self.entries))):
+            raise ValueError("table holds non-finite radii or entries")
         if np.any(np.diff(self.radii) <= 0):
             raise ValueError("table radii must be strictly increasing")
-        if not np.array_equal(self.tensors[:, 0, 1], self.tensors[:, 1, 0], equal_nan=True):
-            raise ValueError("table tensors must be symmetric")
 
     def components(self, r) -> np.ndarray:
         """(A11, A12, A22) (``r.shape + (3,)``) at the radii ``r``, each
@@ -463,37 +465,34 @@ class EffectiveTensorTable:
         """
         r = np.asarray(r, dtype=float)
         out = np.empty(r.shape + (3,))
-        for c, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
-            out[..., c] = np.interp(r, self.radii, self.tensors[:, i, j])
+        for c in range(3):
+            out[..., c] = np.interp(r, self.radii, self.entries[:, c])
         return out
 
     def to_csv(self) -> str:
-        return csv_table(_CSV_HEADER, self.radii, self.tensors[:, 0, 0], self.tensors[:, 0, 1],
-                         self.tensors[:, 1, 1], self.theta)
+        return csv_table(_CSV_HEADER, self.radii, *self.entries.T)
 
     @classmethod
     def from_csv(cls, text: str) -> "EffectiveTensorTable":
         """The table of :meth:`to_csv`'s text: the header, then at least one
-        row of five numbers; a row of any other length, or with a field that
+        row of four numbers; a row of any other length, or with a field that
         is not a number, names its line."""
         lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines or lines[0][1].strip() != _CSV_HEADER:
-            raise ValueError("unexpected tensor table header")
+            raise ValueError(f"tensor table header is not {_CSV_HEADER}")
         if len(lines) == 1:
             raise ValueError("tensor table has no rows")
         rows = []
         for k, ln in lines[1:]:
             fields = ln.split(",")
-            if len(fields) != 5:
-                raise ValueError(f"line {k} has {len(fields)} fields, not 5")
+            if len(fields) != 4:
+                raise ValueError(f"line {k} has {len(fields)} fields, not 4")
             try:
-                rows.append(tuple(float(v) for v in fields))
+                rows.append([float(v) for v in fields])
             except ValueError as exc:
                 raise ValueError(f"line {k}: {exc}") from None
-        radii = np.array([row[0] for row in rows])
-        tensors = np.array([[[row[1], row[2]], [row[2], row[3]]] for row in rows])
-        theta = np.array([row[4] for row in rows])
-        return cls(radii, tensors, theta)
+        rows = np.array(rows)
+        return cls(rows[:, 0], rows[:, 1:])
 
 
 def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
@@ -520,29 +519,25 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
     stiffness = np.ascontiguousarray((cell.system @ np.vstack([sc.b, anisotropy])).T)
     u = cell.frame.directions()
     radial = u[:, :, None] * u[:, None, :]
-    tensors = np.empty((r_grid.size, 2, 2))
+    entries = np.empty((r_grid.size, 3))
     for k, r in enumerate(r_grid):
         coeff = sc.b[:, k, None, None] * np.eye(2) + anisotropy[:, k, None, None] * radial
         try:
-            tensors[k] = effective_tensor(cell.mesh, coeff, stiffness=stiffness[k])
+            t = effective_tensor(cell.mesh, coeff, stiffness=stiffness[k])
         except NumericalError as exc:
             raise NumericalError(f"tensor tabulation failed at r={r}: {exc}") from exc
-    return EffectiveTensorTable(r_grid, tensors, porosity(r_grid))
+        entries[k] = t[0, 0], t[0, 1], t[1, 1]
+    return EffectiveTensorTable(r_grid, entries)
 
 
 def table_checks(table: EffectiveTensorTable) -> dict[str, bool]:
-    """Named invariant checks used by the table command and its tests."""
-    sym = float(np.max(np.abs(table.tensors[:, 0, 1] - table.tensors[:, 1, 0])))
-    eigmin = float(min(np.linalg.eigvalsh(t).min() for t in table.tensors))
-    offdiag = float(np.max(np.abs(table.tensors[:, 0, 1])))
-    voigt = bool(np.all(table.tensors[:, 0, 0] <= porosity(table.radii) + 1e-12))
-    decreasing = bool(np.all(np.diff(table.tensors[:, 0, 0]) < 0))
-    theta_dec = bool(np.all(np.diff(table.theta) < 0))
+    """Named invariant checks used by the table command and its tests, from
+    the entries: a 2 x 2 symmetric tensor is positive definite exactly when
+    A11 > 0 and its determinant A11 A22 - A12^2 > 0."""
+    a11, a12, a22 = table.entries.T
     return {
-        "symmetric_1e-12": sym <= 1e-12,
-        "positive_definite": eigmin > 0.0,
-        "offdiag_1e-6": offdiag <= 1e-6,
-        "voigt_bound": voigt,
-        "A11_strictly_decreasing": decreasing,
-        "theta_strictly_decreasing": theta_dec,
+        "positive_definite": bool(np.all((a11 > 0.0) & (a11 * a22 - a12 * a12 > 0.0))),
+        "offdiag_1e-6": float(np.max(np.abs(a12))) <= 1e-6,
+        "voigt_bound": bool(np.all(a11 <= porosity(table.radii) + 1e-12)),
+        "A11_strictly_decreasing": bool(np.all(np.diff(a11) < 0)),
     }

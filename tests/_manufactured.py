@@ -18,8 +18,7 @@ FROZEN_RADIUS = 0.25
 
 def constant_table(a11, r_lo=0.15, r_hi=0.35):
     radii = np.linspace(r_lo, r_hi, 5)
-    tensors = np.tile(a11 * np.eye(2), (5, 1, 1))
-    return EffectiveTensorTable(radii, tensors, porosity(radii))
+    return EffectiveTensorTable(radii, np.tile([a11, 0.0, a11], (5, 1)))
 
 
 def exact_solution(t, x):

@@ -92,20 +92,20 @@ def test_criterion_03_epsilon_uniformity(params):
 def test_criterion_04_effective_tensor(params, tensor_table):
     t0 = time.perf_counter()
     checks = table_checks(tensor_table)
-    sym = float(np.abs(tensor_table.tensors[:, 0, 1] - tensor_table.tensors[:, 1, 0]).max())
-    offd = float(np.abs(tensor_table.tensors[:, 0, 1]).max())
-    voigt_ok = bool(np.all(tensor_table.tensors[:, 0, 0] <= porosity(tensor_table.radii)))
+    offd = float(np.abs(tensor_table.entries[:, 1]).max())
+    voigt_ok = bool(np.all(tensor_table.entries[:, 0] <= porosity(tensor_table.radii)))
     # the pulled-back route of the table, on one mesh at r0, against cells
-    # meshed at the radius
+    # meshed at the radius, compared as 2 x 2 tensors
     pulled = tabulate(ReferenceCell(params, 64, 0.03), np.array([0.15, 0.2, 0.25, 0.3, 0.35]))
     rels = []
-    for r, transformed in zip((0.15, 0.25, 0.35), pulled.tensors[::2]):
+    for r, (a11, a12, a22) in zip((0.15, 0.25, 0.35), pulled.entries[::2]):
+        transformed = np.array([[a11, a12], [a12, a22]])
         direct = effective_tensor(build_reference_mesh(r, 64, 0.03))
         rels.append(float(np.linalg.norm(direct - transformed) / np.linalg.norm(direct)))
     elapsed = time.perf_counter() - t0
-    ok = (sym <= 1e-12 and checks["positive_definite"] and offd <= 1e-6 and voigt_ok
+    ok = (checks["positive_definite"] and offd <= 1e-6 and voigt_ok
           and checks["A11_strictly_decreasing"] and max(rels) <= 0.005)
-    _emit(4, ok, f"sym {sym:.1e}, offdiag {offd:.1e}, SPD and Voigt hold, "
+    _emit(4, ok, f"offdiag {offd:.1e}, SPD and Voigt hold, "
                  f"A11 strictly decreasing, meshed/pulled-back gap {max(rels):.2%} (<= 0.5%)",
           elapsed, 120.0)
 

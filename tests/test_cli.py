@@ -163,8 +163,8 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
     (["validate", "--out", "{tmp}/narrow.csv"], "", ["narrow.csv", "not a directory"]),
     (["macro-run"], "[table]\npath = {tmp}/indefinite.csv\n",
      ["indefinite.csv", "not positive definite"]),
-    (["macro-run"], "[table]\npath = {tmp}/theta.csv\n", ["theta.csv", "theta 0.2", "porosity"]),
-    (["macro-run"], "[table]\npath = {tmp}/extra.csv\n", ["extra.csv", "line 2 has 6 fields"]),
+    (["macro-run"], "[table]\npath = {tmp}/theta.csv\n", ["theta.csv", "header", "r,A11,A12,A22"]),
+    (["macro-run"], "[table]\npath = {tmp}/extra.csv\n", ["extra.csv", "line 2 has 5 fields"]),
     (["macro-run"], "[table]\npath = {tmp}/header.csv\n", ["header.csv", "no rows"]),
     (["macro-run"], "[table]\npath = {tmp}/text.csv\n", ["text.csv", "line 3: ", "'x'"]),
     (["micro-run", "--epsilon", "1/2"], "[initial]\nu_field = nope\n", ["field 'nope'"]),
@@ -182,27 +182,30 @@ def test_diffusion_rejected_before_tabulation(tmp_path, capsys):
 def test_cli_inputs_one_line(tmp_path, capsys, args, extra, names):
     # the tables of the table cases: radii [0.2, 0.3] inside the radius box
     # [0.15, 0.35]; the full box with one NaN entry; with A12 = 0.6 beside
-    # A11 = A22 <= 0.5, which is no tensor at all; with a theta column of
-    # 0.2, not the porosity of the radii; a valid table with one and two
-    # extra fields on its first two rows; its header alone; and a valid
-    # table with the row 0.1,x,0,1,0.5 on line 3
+    # A11 = A22 <= 0.5, which is no tensor at all; a valid table with the
+    # theta column of the format before it was dropped; a valid table with
+    # one and two extra fields on its first two rows; its header alone; and
+    # a valid table with the row 0.1,x,0,1 on line 3
     full = np.linspace(0.15, 0.35, 5)
     a11 = np.linspace(0.5, 0.3, 5)
+    zero = np.zeros(5)
     tables = {
-        "narrow.csv": (np.linspace(0.2, 0.3, 5), np.multiply.outer([0.5] * 5, np.eye(2)), None),
-        "nan.csv": (full, np.multiply.outer([0.6, 0.5, np.nan, 0.4, 0.3], np.eye(2)), None),
-        "indefinite.csv": (full, np.multiply.outer(a11, np.eye(2)) + 0.6 * (1 - np.eye(2)), None),
-        "theta.csv": (full, np.multiply.outer(a11, np.eye(2)), np.full(5, 0.2)),
+        "narrow.csv": (np.linspace(0.2, 0.3, 5), np.full(5, 0.5), zero),
+        "indefinite.csv": (full, a11, np.full(5, 0.6)),
     }
-    for name, (radii, tensors, theta) in tables.items():
-        table = EffectiveTensorTable(radii, tensors, porosity(radii) if theta is None else theta)
+    for name, (radii, diagonal, offdiagonal) in tables.items():
+        table = EffectiveTensorTable(radii, np.stack([diagonal, offdiagonal, diagonal], axis=1))
         (tmp_path / name).write_text(table.to_csv())
-    lines = EffectiveTensorTable(full, np.multiply.outer(a11, np.eye(2)),
-                                 porosity(full)).to_csv().splitlines()
+    lines = EffectiveTensorTable(full, np.stack([a11, zero, a11], axis=1)).to_csv().splitlines()
+    (tmp_path / "nan.csv").write_text(
+        "\n".join([*lines[:3], "0.25,nan,0,nan", *lines[4:]]) + "\n")
+    (tmp_path / "theta.csv").write_text(
+        "\n".join([lines[0] + ",theta"] + ["%s,%.17g" % (ln, porosity(float(ln.split(",")[0])))
+                                           for ln in lines[1:]]) + "\n")
     (tmp_path / "extra.csv").write_text(
         "\n".join([lines[0], lines[1] + ",0.1", lines[2] + ",0.1,0.2", *lines[3:]]) + "\n")
     (tmp_path / "header.csv").write_text(lines[0] + "\n")
-    (tmp_path / "text.csv").write_text("\n".join([*lines[:2], "0.1,x,0,1,0.5", *lines[2:]]) + "\n")
+    (tmp_path / "text.csv").write_text("\n".join([*lines[:2], "0.1,x,0,1", *lines[2:]]) + "\n")
     assert not table_checks(EffectiveTensorTable.from_csv(
         (tmp_path / "indefinite.csv").read_text()))["positive_definite"]
     cfg = tmp_path / "exp.cfg"
@@ -280,6 +283,26 @@ def test_macro_run_can_load_table(tmp_path):
         "[table]\nradius_count = 5", f"[table]\npath = {tdir / 'table.csv'}"))
     out = tmp_path / "m"
     assert main(["macro-run", "--config", str(cfg2), "--out", str(out), "--quiet"]) == 0
+
+
+def test_cell_table_says_it_does_not_read_the_table_path(tmp_path, capsys):
+    """cell-table tabulates [table] radius_count or radii whatever [table]
+    path names, and says so in its first progress line: a path that does not
+    exist stops nothing, and a path of <out>/table.csv is overwritten by the
+    new table."""
+    out = tmp_path / "o"
+    assert main(["cell-table", "--config", cfg_file(tmp_path), "--out", str(out), "--quiet"]) == 0
+    tabulated = (out / "table.csv").read_text()
+    for path in (tmp_path / "missing.csv", out / "table.csv"):
+        (out / "table.csv").write_text("an older table\n")
+        cfg = tmp_path / "path.cfg"
+        cfg.write_text(FAST_COMMON.replace("radius_count = 5", f"radius_count = 5\npath = {path}"))
+        assert main(["cell-table", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"[table] path = {path} is not read: cell-table tabulates "
+                            f"[table] radius_count or radii")
+        assert not any(line.startswith("loading") for line in lines)
+        assert (out / "table.csv").read_text() == tabulated
 
 
 OPERATORS = ("system", "mass", "drift", "means")

@@ -118,10 +118,8 @@ def test_macro_writers_match_the_row_writer(spec, tensor_table, run_steps):
             s.r, s.theta)
     records = [MassRecord.of(s) for s in states]
     assert ledger_csv(records) == ledger_csv(states) == ledger_oracle(records)
-    t = tensor_table.tensors
     assert tensor_table.to_csv() == row_csv(
-        "r,A11,A12,A22,theta", ",".join(["%.17g"] * 5), tensor_table.radii, t[:, 0, 0],
-        t[:, 0, 1], t[:, 1, 1], tensor_table.theta)
+        "r,A11,A12,A22", ",".join(["%.17g"] * 4), tensor_table.radii, *tensor_table.entries.T)
 
 
 def test_convergence_files_match_the_row_writer(tmp_path, monkeypatch):

@@ -20,6 +20,8 @@ from evopore.unitcell import (
 
 # frozen oracle: unit coefficient on a mesh at the radius, n_boundary=256, target_h=0.01
 A11_FINE_ORACLE = 0.6717112762
+# the (row, column) indices of a 2 x 2 tensor's table entries A11, A12, A22
+UPPER = ([0, 0, 1], [0, 1, 1])
 
 
 def square_array_ratio(r):
@@ -178,7 +180,7 @@ def test_effective_tensor_symmetry_and_isotropy(reference_cell, params):
 
 
 def test_effective_tensor_voigt_bound(tensor_table):
-    assert np.all(tensor_table.tensors[:, 0, 0] <= porosity(tensor_table.radii))
+    assert np.all(tensor_table.entries[:, 0] <= porosity(tensor_table.radii))
 
 
 def test_effective_tensor_fine_oracle(params):
@@ -215,6 +217,51 @@ def test_tabulate_checks_pass(tensor_table):
     assert all(checks.values()), checks
 
 
+def test_every_table_check_can_fail():
+    """Each check ``table_checks`` reports has a table that fails it and
+    passes the other three, so none holds by construction."""
+    radii = np.linspace(0.15, 0.35, 5)
+    a11 = np.linspace(0.6, 0.4, 5)
+    good = np.stack([a11, np.zeros(5), a11], axis=1)
+    assert all(table_checks(EffectiveTensorTable(radii, good)).values())
+    indefinite, offdiag, above, flat = (good.copy() for _ in range(4))
+    indefinite[2, 2] = -0.1          # A22 < 0 beside A11 > 0
+    offdiag[2, 1] = 1e-3             # still definite: A11 A22 = 0.25 >> 1e-6
+    above[0] = [0.95, 0.0, 0.95]     # above the porosity 0.929 of r = 0.15
+    flat[3, 0] = flat[2, 0]          # A11 repeats a value
+    witnesses = {"positive_definite": indefinite, "offdiag_1e-6": offdiag,
+                 "voigt_bound": above, "A11_strictly_decreasing": flat}
+    for name, entries in witnesses.items():
+        checks = table_checks(EffectiveTensorTable(radii, entries))
+        assert set(checks) == set(witnesses)
+        assert {k for k, ok in checks.items() if not ok} == {name}
+
+
+def test_positive_definite_check_matches_the_eigenvalues(tensor_table):
+    """The check on the entries, A11 > 0 and A11 A22 - A12^2 > 0, agrees
+    with the smallest eigenvalue of the 2 x 2 tensor on the tabulated table
+    and, one radius at a time, on random triples: definite, indefinite and
+    with A11 <= 0."""
+    def tensor(e):
+        return np.array([[e[0], e[1]], [e[1], e[2]]])
+
+    def definite(entries):
+        table = EffectiveTensorTable(np.linspace(0.15, 0.35, len(entries)), entries)
+        return table_checks(table)["positive_definite"]
+
+    assert definite(tensor_table.entries)
+    assert all(np.linalg.eigvalsh(tensor(e)).min() > 0 for e in tensor_table.entries)
+    rng = np.random.default_rng(34)
+    triples = rng.uniform(-1.0, 1.0, (1200, 3))
+    triples[:400, 0] = np.abs(triples[:400, 0])
+    triples[:400, 2] = np.abs(triples[:400, 2])
+    triples[400:600, 0] = -np.abs(triples[400:600, 0])
+    triples[600, 0] = 0.0
+    eig = np.array([np.linalg.eigvalsh(tensor(e)).min() > 0 for e in triples])
+    assert 100 < eig.sum() < 1100 and not eig[400:601].any()
+    assert [definite(e[None]) for e in triples] == list(eig)
+
+
 def test_tabulate_matches_the_inverse_jacobian_tensor(reference_cell, params, tensor_table):
     """The table's pulled-back coefficient b I + (a - b) u u^T gives the
     tensors of J Psi^{-1} Psi^{-T} formed from the inverse Jacobian, on the
@@ -222,7 +269,7 @@ def test_tabulate_matches_the_inverse_jacobian_tensor(reference_cell, params, te
     for k in (0, 4, 10):
         want = effective_tensor(reference_cell.mesh,
                                 pulled_back(reference_cell.mesh, params, tensor_table.radii[k]))
-        assert np.allclose(tensor_table.tensors[k], want, rtol=1e-9, atol=1e-9)
+        assert np.allclose(tensor_table.entries[k], want[UPPER], rtol=1e-9, atol=1e-9)
 
 
 def test_tabulate_matches_the_element_route_and_the_dense_oracle(reference_cell, params,
@@ -244,7 +291,8 @@ def test_tabulate_matches_the_element_route_and_the_dense_oracle(reference_cell,
         if k in (0, 5, 10):
             wants.append(_oracles.cell_tensor(mesh, coeff, _oracles.cell_correctors(mesh, coeff)))
         for want in wants:
-            assert np.max(np.abs(tensor_table.tensors[k] - want)) <= 1e-13 * np.max(np.abs(want))
+            assert (np.max(np.abs(tensor_table.entries[k] - want[UPPER]))
+                    <= 1e-13 * np.max(np.abs(want)))
 
 
 def test_tabulate_converges_to_the_square_array_formula(params, tensor_table):
@@ -254,7 +302,7 @@ def test_tabulate_converges_to_the_square_array_formula(params, tensor_table):
     gaps = []
     for table in (tensor_table, tabulate(ReferenceCell(params, 128, 0.025), tensor_table.radii),
                   tabulate(ReferenceCell(params, 256, 0.0125), tensor_table.radii)):
-        diagonal = table.tensors[:, [0, 1], [0, 1]]
+        diagonal = table.entries[:, [0, 2]]
         gaps.append(np.max(np.abs(diagonal / square_array_ratio(table.radii)[:, None] - 1.0)))
     assert gaps[0] <= 0.01
     assert gaps[0] >= 3.0 * gaps[1] and gaps[1] >= 3.0 * gaps[2], gaps
@@ -297,49 +345,38 @@ def test_lookup_at_nodes_and_midpoints(tensor_table):
     """``components`` reads (A11, A12, A22) at a grid radius exactly, halfway
     between two at their mean, and one triple per radius of an array, in the
     array's shape: the bits of ``np.interp`` of each entry."""
-    upper = ([0, 0, 1], [0, 1, 1])
     k = 3
     r = tensor_table.radii[k]
     A = tensor_table.components(r)
-    assert np.array_equal(A, tensor_table.tensors[k][upper])
-    assert tensor_table.theta[k] == pytest.approx(porosity(r), abs=1e-15)
+    assert np.array_equal(A, tensor_table.entries[k])
     mid = 0.5 * (tensor_table.radii[k] + tensor_table.radii[k + 1])
     Amid = tensor_table.components(mid)
-    expect = 0.5 * (tensor_table.tensors[k] + tensor_table.tensors[k + 1])[upper]
+    expect = 0.5 * (tensor_table.entries[k] + tensor_table.entries[k + 1])
     assert Amid == pytest.approx(expect, abs=1e-12)
     rs = np.array([[r, mid], [mid, r]])
     many = tensor_table.components(rs)
     assert many.shape == (2, 2, 3)
     assert np.array_equal(many[0, 0], A) and np.array_equal(many[1, 0], Amid)
     r = np.random.default_rng(3).uniform(tensor_table.radii[0], tensor_table.radii[-1], (50, 4))
-    for c, (i, j) in enumerate(zip(*upper)):
-        want = np.interp(r, tensor_table.radii, tensor_table.tensors[:, i, j])
+    for c in range(3):
+        want = np.interp(r, tensor_table.radii, tensor_table.entries[:, c])
         assert np.array_equal(tensor_table.components(r)[..., c], want)
 
 
 def test_lookup_clamps_out_of_range(tensor_table):
     # np.interp holds the end tensors: the same bits as clamping the radius
-    upper = ([0, 0, 1], [0, 1, 1])
     lo, hi = tensor_table.radii[0], tensor_table.radii[-1]
     A = tensor_table.components(np.array([lo - 0.05, hi + 0.05]))
-    assert np.array_equal(A[0], tensor_table.tensors[0][upper])
-    assert np.array_equal(A[1], tensor_table.tensors[-1][upper])
+    assert np.array_equal(A[0], tensor_table.entries[0])
+    assert np.array_equal(A[1], tensor_table.entries[-1])
     assert np.array_equal(A, tensor_table.components(np.clip([lo - 0.05, hi + 0.05], lo, hi)))
-
-
-def test_table_rejects_non_symmetric_tensors(tensor_table):
-    tensors = tensor_table.tensors.copy()
-    tensors[2, 1, 0] = np.nextafter(tensors[2, 0, 1], 1.0)
-    with pytest.raises(ValueError, match="symmetric"):
-        EffectiveTensorTable(tensor_table.radii, tensors, tensor_table.theta)
 
 
 def test_table_csv_roundtrip(tensor_table):
     text = tensor_table.to_csv()
     back = EffectiveTensorTable.from_csv(text)
     assert np.array_equal(back.radii, tensor_table.radii)
-    assert np.array_equal(back.tensors, tensor_table.tensors)
-    assert np.array_equal(back.theta, tensor_table.theta)
+    assert np.array_equal(back.entries, tensor_table.entries)
     assert back.to_csv() == text
 
 
@@ -347,16 +384,27 @@ def test_table_csv_roundtrip(tensor_table):
 def test_table_rejects_non_finite_radii(bad):
     radii = np.array([0.15, bad, 0.25, 0.3, 0.35])
     with pytest.raises(ValueError, match="finite"):
-        EffectiveTensorTable(radii, np.multiply.outer(np.ones(5), np.eye(2)), np.ones(5))
+        EffectiveTensorTable(radii, np.tile([1.0, 0.0, 1.0], (5, 1)))
 
 
-@pytest.mark.parametrize("tensors, theta, shapes", [
-    (np.tile(np.eye(2), (4, 1, 1)), np.ones(3), r"\(5,\), tensors \(4, 2, 2\) and theta \(3,\)"),
-    (np.tile(np.eye(3), (5, 1, 1)), np.ones(5), r"\(5,\), tensors \(5, 3, 3\) and theta \(5,\)"),
+def test_table_rejects_non_finite_entries():
+    """A non-finite A11, A12 or A22 fails on construction, so a loaded table
+    needs no finiteness check of its own."""
+    for bad in (np.nan, np.inf, -np.inf):
+        for column in range(3):
+            entries = np.tile([1.0, 0.0, 1.0], (5, 1))
+            entries[2, column] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                EffectiveTensorTable([0.15, 0.2, 0.25, 0.3, 0.35], entries)
+
+
+@pytest.mark.parametrize("entries, shapes", [
+    (np.ones((4, 3)), r"\(5,\) and entries \(4, 3\)"),
+    (np.tile(np.eye(3), (5, 1, 1)), r"\(5,\) and entries \(5, 3, 3\)"),
 ], ids=["lengths", "3x3"])
-def test_table_rejects_mismatched_shapes(tensors, theta, shapes):
-    """A table whose tensors are not one 2 x 2 tensor per radius, or whose
-    porosities are not one per radius, fails on construction and names the
+def test_table_rejects_mismatched_shapes(entries, shapes):
+    """A table whose entries are not one (A11, A12, A22) per radius, as one
+    3 x 3 tensor per radius is not, fails on construction and names the
     shapes, not later inside a lookup."""
     with pytest.raises(ValueError, match=shapes):
-        EffectiveTensorTable([0.15, 0.2, 0.25, 0.3, 0.35], tensors, theta)
+        EffectiveTensorTable([0.15, 0.2, 0.25, 0.3, 0.35], entries)
