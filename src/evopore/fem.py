@@ -8,28 +8,34 @@ incidence (:meth:`evopore.macro.MacroGrid.lump`) and the reference cell's
 gives the element geometry of the macro grid and the reference cell; the
 micro mesh reads the reference cell's.  A mesh's stiffness matrices share
 one CSR sparsity, :class:`StiffnessPattern`: it is built once per mesh from
-blocks of dofs and their local sparsity, and every assembly sums the block
-data into the CSR data by one ``np.bincount`` through a slot map; there
-is no one-off assembly beside it.  Its data slots are ``np.intp``, stored
-once in the memory order of the data their owner produces, so the bincount
-neither casts the slots nor copies the data: block-major for triangles,
-entry-major for the micro cells.  The macro stepper and the
-periodic cell mesh pass their triangles as the blocks; the cell mesh's
-pattern is its node sparsity, its periodic pairs not merged, which the
-reference cell's operators and every micro cell share.  Its second
-pattern merges the periodic pairs: one block, every node's periodic dof,
-with the node sparsity's entries.  A cell problem is solved from its
-stiffness K on the node pattern by a sparse LU factor
+blocks of dofs and the upper half of their local sparsity, and every
+assembly fills the CSR data from the blocks' upper halves by a gather
+through a slot map; there is no one-off assembly beside it.  The slot map
+gives every CSR slot the block entry that fills it first, an entry off a
+block's diagonal filling both its slot and the mirrored one, and lists the
+later entries that add to a slot, in the memory order of the data their
+owner produces: block-major for triangles, entry-major for the micro
+cells.  An assembly is one ``np.take`` of the first entries and one
+``np.add.at`` of the later ones and the diagonal, about 2% of the slots
+on the micro mesh; there is no ``np.bincount`` over the whole data, and
+every assembled matrix is exactly symmetric.  The macro stepper and the
+periodic cell mesh pass their triangles as the blocks, 6 entries each; the
+cell mesh's pattern is its node sparsity, its periodic pairs not merged,
+whose upper half the reference cell's operators and every micro cell share.
+Its second pattern merges the periodic pairs: one block, every node's
+periodic dof, with the node sparsity's upper entries.  A cell problem is
+solved from its stiffness K on the node pattern by a sparse LU factor
 (:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG:
 its loads are K applied to the coordinate functions, and its system is K
 assembled on the periodic pattern with a 1 on one diagonal entry, which
 fixes the constant; the micro stepper assembles its eps-periodic start's
 system on the same pattern.  :func:`symmetric_lu` factors a symmetric CSR
-matrix by reading its arrays as CSC.  The tensor table forms every
-radius' K by one product of the reference cell's operators, with one
-column per radius where the micro stepper (below) has one per cell; the
-oracle route forms it from a tensor per element by batched ``matmul``
-(:func:`element_stiffness`).
+matrix by reading its arrays as CSC, which for these exactly symmetric
+matrices is the matrix itself.  The tensor table forms every radius' K by
+one product of the reference cell's operators, with one column per radius
+where the micro stepper (below) has one per cell; the oracle route forms it
+from a tensor per element by batched ``matmul`` (:func:`element_stiffness`)
+and passes the upper halves of its element matrices (:data:`UPPER3`).
 The macro grid has two element shapes, so the macro stepper forms them as
 the per-element tensor components (A11, A12, A22) times the operators of
 the two shapes (:meth:`evopore.macro.MacroGrid.element_matrices`).  The
@@ -78,6 +84,8 @@ same way, for every cells file.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -114,24 +122,50 @@ def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     return (vertices[triangles[:, 0]] + vertices[triangles[:, 1]] + vertices[triangles[:, 2]]) / 3.0
 
 
+class PatternSlots(NamedTuple):
+    """The slot map of a :class:`StiffnessPattern`, every index C-contiguous
+    ``np.intp`` into the flattened block data or the CSR data."""
+
+    indptr: np.ndarray    # CSR row pointers, shared by every assembled matrix
+    indices: np.ndarray   # CSR column indices, shared likewise
+    first: np.ndarray     # (nnz,): the block entry that fills each slot first, or 0
+    later: np.ndarray     # the block entries that add to a slot after its first
+    targets: np.ndarray   # the slot of every later entry, then of every diagonal entry
+    unfilled: np.ndarray  # the slots that no block entry fills, all on the diagonal
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """The slot (n_dof,) of every diagonal entry."""
+        return self.targets[len(self.later):]
+
+
+# the upper half (row <= col) of a P1 element's 3 x 3 matrix, row by row
+UPPER3 = np.triu_indices(3)
+
+
 class StiffnessPattern:
-    """CSR sparsity of stiffness matrices assembled from blocks of dofs.
+    """CSR sparsity of symmetric stiffness matrices assembled from the upper
+    halves of blocks of dofs.
 
     ``dofs`` (n_blocks, k) holds the degrees of freedom of every block, and
     ``local`` the block's own sparsity: the (rows, cols) index pairs into a
-    block's k dofs that its data fills.  By default a block is a P1 element
-    and fills all 3 x 3 entries, row by row; the micro mesh passes its cells
-    with the reference cell's sparsity.  The pattern also holds every
-    diagonal entry.  Every block entry and every diagonal entry has one data
-    slot, so an assembly is the block data summed into ``data`` by one
-    ``np.bincount``.
+    block's k dofs, each with row <= col, that its data fills.  By default a
+    block is a P1 element and fills the 6 entries of its upper half row by
+    row (:data:`UPPER3`); the micro mesh passes its cells with the upper
+    half of the reference cell's node sparsity.  A block entry off the
+    block's diagonal fills both its slot and the mirrored one, so every
+    assembled matrix is exactly symmetric.  The pattern also holds every
+    diagonal entry.
 
-    The slots are built on first use, as ``np.intp`` in the memory order of
-    the data their owner produces, so that ``np.bincount`` neither casts nor
-    copies them and reads the data as it lies: block-major (n_blocks, s) by
-    default, as the macro grid and the cell problems form their element
-    matrices, and entry-major (s, n_blocks) with ``entry_major``, as the
-    micro cells' product of reference-cell operators gives their entries.
+    The slots (:class:`PatternSlots`) are built on first use and give every
+    CSR slot the block entry that fills it first and the later entries that
+    add to it, in the memory order of the data their owner produces:
+    block-major (n_blocks, s) by default, as the macro grid and the cell
+    problems form their element matrices, and entry-major (s, n_blocks) with
+    ``entry_major``, as the micro cells' product of reference-cell operators
+    gives their entries.  An assembly is one gather of the first entries,
+    one ``np.add.at`` of the later ones and the diagonal: no sum over a
+    slot map as long as the data.
     """
 
     def __init__(self, dofs: np.ndarray, n_dof: int,
@@ -141,63 +175,104 @@ class StiffnessPattern:
         if dofs.size and (dofs.min() < 0 or dofs.max() >= n_dof):
             raise ValueError(f"element dof outside [0, {n_dof})")
         if local is None:
-            k = dofs.shape[1]
-            local = (np.repeat(np.arange(k), k), np.tile(np.arange(k), k))
+            local = UPPER3
+        if np.any(np.asarray(local[0]) > np.asarray(local[1])):
+            raise ValueError("block entries must lie on or above the block's diagonal")
         self.dofs = dofs
         self.n_dof = n_dof
         self.local = local
         self.entry_major = entry_major
         self._slots = None
 
-    def slots(self):
-        """CSR ``indptr`` and ``indices`` of the block and diagonal entries,
-        the data slot of every block entry, (n_blocks, s) or entry-major
-        (s, n_blocks), and that of every diagonal entry (n_dof,); the slots
-        are C-contiguous ``np.intp``."""
+    def slots(self) -> PatternSlots:
+        """The CSR arrays and slot map of the pattern (:class:`PatternSlots`)."""
         if self._slots is None:
-            n = self.n_dof
+            n, n_blocks = self.n_dof, len(self.dofs)
+            lr, lc = (np.asarray(a) for a in self.local)
+            s = len(lr)
+            # the block's coordinates: each entry, then its mirror when it
+            # lies off the diagonal
+            pick = np.stack([np.ones(s, dtype=bool), lr != lc], axis=1).ravel()
+            local_rows = np.stack([lr, lc], axis=1).ravel()[pick]
+            local_cols = np.stack([lc, lr], axis=1).ravel()[pick]
+            entry = np.repeat(np.arange(s), 2)[pick]
+            mirror = np.tile([0, 1], s)[pick]
+            # every coordinate's rank: twice the index of its entry in the
+            # data's memory order, plus 1 for a mirror, so that the entries
+            # of a slot sum in the data's order; int32 where it fits, which
+            # halves the traffic of the passes over every coordinate below
+            beyond = 2 * n_blocks * s   # above every rank: a slot that no entry fills
+            index = np.int32 if beyond + n < 2**31 else np.intp
+            block = 2 * np.arange(n_blocks, dtype=index)
+            if self.entry_major:
+                rank = (2 * n_blocks * entry + mirror).astype(index)[:, None] + block
+            else:
+                rank = (s * block)[:, None] + (2 * entry + mirror).astype(index)
+            rank = rank.ravel()
             dofs = self.dofs.astype(np.int32)
             diag = np.arange(n, dtype=np.int32)
-
-            def entries(local):
-                """Row or column of every block entry in the slots' layout,
-                then of every diagonal entry."""
-                block = dofs.T[local] if self.entry_major else dofs[:, local]
-                return np.concatenate([block.ravel(), diag])
-
-            rows, cols = (entries(local) for local in self.local)
-            csr = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+            rows, cols = (np.concatenate([(dofs.T[a] if self.entry_major else dofs[:, a]).ravel(),
+                                          diag]) for a in (local_rows, local_cols))
+            csr = sp.coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                                shape=(n, n)).tocsr()
+            csr.sort_indices()
             # the matrix whose every stored entry is its own slot number, sampled
-            csr.data = np.arange(csr.nnz, dtype=np.intp)
-            slots = np.asarray(csr[rows, cols]).reshape(-1)
+            csr.data = np.arange(csr.nnz, dtype=index)
+            slot = np.asarray(csr[rows, cols]).reshape(-1)
+            # freed before the slot map's arrays are made, which would
+            # otherwise set the build's peak memory
+            del rows, cols, dofs
+            first = np.full(csr.nnz, beyond, dtype=index)
+            np.minimum.at(first, slot[:len(rank)], rank)
+            later = np.flatnonzero(first[slot[:len(rank)]] != rank)
+            if self.entry_major:   # block-major coordinates are already in rank order
+                later = later[np.argsort(rank[later])]
+            unfilled = np.flatnonzero(first == beyond)
+            first[unfilled] = 0
+            first >>= 1
+            # np.intp, which the assembly's gathers and np.add.at read fastest
+            targets = np.empty(len(later) + n, dtype=np.intp)
+            targets[:len(later)] = slot[later]
+            targets[len(later):] = slot[len(rank):]
+            later = rank[later] >> 1
             indptr, indices = csr.indptr, csr.indices
             for a in (indptr, indices):
                 a.setflags(write=False)  # shared by every assembled matrix
-            n_block = slots.size - n
-            s = len(self.local[0])
-            shape = (s, len(dofs)) if self.entry_major else (len(dofs), s)
-            self._slots = (indptr, indices, slots[:n_block].reshape(shape), slots[n_block:])
+            self._slots = PatternSlots(indptr, indices, first.astype(np.intp),
+                                       later.astype(np.intp), targets, unfilled)
         return self._slots
 
     def assemble(self, block_data: np.ndarray,
                  diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-        """Stiffness matrix of the block data ``block_data``, laid out as the
-        slots are: (n_blocks, s), for P1 elements the element matrices
-        (nt, 3, 3), or entry-major (s, n_blocks); plus ``diagonal`` (n_dof,)
-        on the main diagonal.
+        """Symmetric stiffness matrix of the upper-half block data
+        ``block_data``, laid out as the slots are: (n_blocks, s), for P1
+        elements the 6 entries of :data:`UPPER3` (nt, 6), or entry-major
+        (s, n_blocks); plus ``diagonal`` (n_dof,) on the main diagonal.
 
-        Entries sharing a slot are summed in the data's memory order, the
-        diagonal last: block-major block by block and within a block in the
-        order of ``local``, entry-major entry by entry and within an entry
-        block by block.  C-contiguous data is read in place.
+        Entries sharing a slot, each off its block's diagonal in its own
+        slot and in the mirrored one, are summed in the data's memory order,
+        the diagonal last: block-major block by block and within a block in
+        the order of ``local``, entry-major entry by entry and within an
+        entry block by block.  C-contiguous data is read in place.
         """
-        indptr, indices, block_slots, diagonal_slots = self.slots()
-        data = np.bincount(block_slots.ravel(), np.ravel(block_data), minlength=len(indices))
+        s = self.slots()
+        flat = np.ravel(block_data)
+        if flat.size != len(self.dofs) * len(self.local[0]):
+            raise ValueError(f"block data of {flat.size} entries for {len(self.dofs)} blocks "
+                             f"of {len(self.local[0])}")
+        # every index is in range: "clip" skips the bounds checks
+        data = np.take(flat, s.first, mode="clip") if flat.size else np.zeros(len(s.indices))
+        data[s.unfilled] = 0.0
+        # the later entries, then the diagonal, added in one pass in that order
+        n_later = len(s.later)
+        values = np.empty(n_later if diagonal is None else len(s.targets))
+        np.take(flat, s.later, out=values[:n_later], mode="clip")
         if diagonal is not None:
-            data[diagonal_slots] += diagonal
+            values[n_later:] = diagonal
+        np.add.at(data, s.targets[:len(values)], values)
         if not np.all(np.isfinite(data)):
             raise ValueError("sparse matrix contains non-finite values")
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n_dof, self.n_dof))
+        return sp.csr_matrix((data, s.indices, s.indptr), shape=(self.n_dof, self.n_dof))
 
 
 def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -210,11 +285,18 @@ def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -
 
 def symmetric_lu(system: sp.csr_matrix, dtype=np.float64):
     """SuperLU factor, in ``dtype``, of the symmetric CSR matrix ``system``,
-    its arrays read as CSC, the CSR of the transpose, so nothing is
-    converted; ordered on its own pattern with diagonal pivots.  Raises
-    ``RuntimeError`` on a singular matrix."""
-    csc = sp.csc_matrix((system.data.astype(dtype, copy=False), system.indices, system.indptr),
-                        shape=system.shape)
+    its arrays read as CSC, the CSR of the transpose, which every assembly
+    on a :class:`StiffnessPattern` makes equal to the matrix itself, so
+    nothing is converted; ordered on its own pattern with diagonal pivots.
+    Raises ``RuntimeError`` on a singular matrix and on one whose entries
+    overflow ``dtype``."""
+    data = system.data
+    if data.dtype != dtype:   # an assembled system is finite, so only a cast can overflow
+        with np.errstate(over="ignore"):
+            data = data.astype(dtype)
+        if not np.all(np.isfinite(data)):
+            raise RuntimeError(f"matrix entries overflow {np.dtype(dtype).name}")
+    csc = sp.csc_matrix((data, system.indices, system.indptr), shape=system.shape)
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 

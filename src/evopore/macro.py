@@ -37,9 +37,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .fem import (Factor, StiffnessPattern, backward_euler_step, centroids, csv_table,
-                  element_means, element_stiffness, extrapolated_start, triangle_geometry,
-                  xy_text)
+from .fem import (UPPER3, Factor, StiffnessPattern, backward_euler_step, centroids,
+                  csv_table, element_means, element_stiffness, extrapolated_start,
+                  triangle_geometry, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume
 
@@ -55,9 +55,10 @@ class MacroGrid:
     main diagonal (the split direction is invariant under the x/y swap).
 
     Element 2 k is the lower and element 2 k + 1 the upper triangle of square
-    k, so the grid has two element shapes.  ``operator`` (2 shapes, 3, 9)
-    holds each shape's stiffness operator: row c is the flattened element
-    matrix ``|T| G E_c G^T`` of the symmetric tensor E_c whose coefficient is
+    k, so the grid has two element shapes.  ``operator`` (2 shapes, 3, 6)
+    holds each shape's stiffness operator: row c is the upper half
+    (:data:`evopore.fem.UPPER3`), row by row, of the element matrix
+    ``|T| G E_c G^T`` of the symmetric tensor E_c whose coefficient is
     component c of (A11, A12, A22), taken from the first triangle of the
     shape.  ``centers`` holds the element centroids, where the radius, the
     source and every snapshot's ``x1,x2`` live.
@@ -89,7 +90,7 @@ class MacroGrid:
         areas, grads = triangle_geometry(nodes, elems)
         shapes = [element_stiffness(areas[:2], grads[:2], np.broadcast_to(e, (2, 2, 2)))
                   for e in _UNIT_TENSORS]
-        operator = np.stack(shapes, axis=1).reshape(2, 3, 9)
+        operator = np.stack([k[:, UPPER3[0], UPPER3[1]] for k in shapes], axis=1)
         centers = centroids(nodes, elems)
         for array in (centers, operator):
             array.setflags(write=False)
@@ -127,15 +128,16 @@ class MacroGrid:
         return self.lumping @ (weight * self.areas / 3.0)
 
     def element_matrices(self, components: np.ndarray) -> np.ndarray:
-        """Element stiffness matrices (nt, 9), flattened row by row, of the
-        symmetric tensors with per-element components ``components`` (nt, 3)
-        = (A11, A12, A22): one batched product with :attr:`operator`."""
+        """Upper halves (nt, 6) of the element stiffness matrices, row by
+        row (:data:`evopore.fem.UPPER3`), of the symmetric tensors with
+        per-element components ``components`` (nt, 3) = (A11, A12, A22): one
+        batched product with :attr:`operator`."""
         n2 = self.n * self.n
-        k_el = np.empty((n2, 2, 9))
+        k_el = np.empty((n2, 2, 6))
         # (shape, square, component) @ (shape, component, entry), written in element order
         np.matmul(components.reshape(n2, 2, 3).transpose(1, 0, 2), self.operator,
                   out=k_el.transpose(1, 0, 2))
-        return k_el.reshape(2 * n2, 9)
+        return k_el.reshape(2 * n2, 6)
 
     def element_of_point(self, pts: np.ndarray) -> np.ndarray:
         """Element index containing each point (points on the diagonal and on

@@ -11,23 +11,29 @@ both carry a factor epsilon and keep the system symmetric.
 Every cell repeats the nodes and triangles of one
 :class:`~evopore.unitcell.ReferenceCell`, so the micro mesh stores only its
 nodes, the cell node map and that cell.  The radial map enters the weak form
-through four scalars per element (:class:`MapScalars`) of the cell's one
-frame, built on the reference midpoints with the mesh from the same r0; the
-profile is affine in the radius, so a step evaluates no kernel.  The frame
-gives those scalars at one radius per cell as C-contiguous (reference
-element x cell) arrays, and a step applies the cell's sparse operators to
-them as they lie, one product per quantity: the system entries, the lumped
-mass, the element means and the drift loads of every cell at once.
-The source is lumped like the mass, and its integral is the sum of its
-loads.  The surface reaction is integrated on the reference hole ring in
-every cell, its edges epsilon times the reference lengths.  Each result
-reaches the global arrays by one scatter through the cell node map, and the
-system's CSR pattern is the reference cell's pattern repeated through that
-map.  No per-element tensor algebra and no per-element scatter.  A
-product's result is C-contiguous with one column per cell, so the scatter
-index (:attr:`MicroMesh.cell_nodes`) and the system's data slots are stored
-once, as ``np.intp``, in that entry-major order: each scatter and assembly
-reads its data and index in place.
+through the scalars (:class:`MapScalars`) of the cell's one frame, built on
+the reference midpoints with the mesh from the same r0; the profile is
+affine in the radius, so a step evaluates no kernel.  A step of moving
+radii does per-element work only for its stiffness: it reads b and a - b of
+the frame at one radius per cell, C-contiguous (reference element x cell)
+arrays, and one product with the cell's ``system`` operator gives the upper
+half of every cell's system entries.  J is exactly quadratic and the drift
+weight J s exactly affine in the shift d = r - r0
+(:meth:`evopore.transform.RadialFrame.shift_polynomials`), so the lumped
+mass is the cell's mass coefficients applied to (1, d, d^2) of every cell,
+and the drift loads are the cell's nodal drift operator applied to every
+cell's nodal values U, ``eps^2 q (B0 U + d B1 U)`` for the radius rate q:
+per-cell work, with no J or s per element.  Only a source forms J per
+element, for its loads, which are lumped like the mass; its integral is
+the sum of its loads.  The surface reaction is integrated on the reference
+hole ring in every cell, its edges epsilon times the reference lengths.
+Each result reaches the global arrays by one scatter through the cell node
+map, and the system's CSR pattern is the reference cell's pattern repeated
+through that map.  No per-element tensor algebra and no per-element
+scatter.  A product's result is C-contiguous with one column per cell, so
+the scatter index (:attr:`MicroMesh.cell_nodes`) is stored once, as
+``np.intp``, in that entry-major order, and the system's slot map is built
+for it: each scatter and assembly reads its data in place.
 
 A step whose radii did not move keeps its cell map and system for the next
 step at the same radii and dt, and an exact double precision sparse LU factor
@@ -277,7 +283,7 @@ class MicroSimulator:
         radii = np.asarray(r0_field(m.cell_centers()), dtype=float).reshape(
             m.n_cells_side, m.n_cells_side)
         check_initial_state(self.spec, u, radii)
-        mass = self._lumped(self._cell_map(radii).det)
+        mass = self._mass(radii)
         state = MicroState(0.0, u, radii, np.zeros_like(radii), mass, 0.0, 0.0)
         state.fluid_mass = float(mass @ u)
         state.solid_mass = self._solid_mass(radii)
@@ -292,6 +298,17 @@ class MicroSimulator:
         """Row-sum lumped mass (n,) of the element weight ``weight`` (m, c)."""
         m = self.mesh
         return m.epsilon**2 * m.scatter(m.cell.mass @ weight)
+
+    def _shifts(self, radii: np.ndarray) -> np.ndarray:
+        """``(1, d, d^2)`` (3, c) of every cell's shift d = r - r0."""
+        d = radii.reshape(-1) - self.mesh.cell.params.r0
+        return np.stack([np.ones_like(d), d, d * d])
+
+    def _mass(self, radii: np.ndarray) -> np.ndarray:
+        """Row-sum lumped mass (n,) of J at one radius per cell, from the
+        cell's mass coefficients: no J per element."""
+        m = self.mesh
+        return m.epsilon**2 * m.scatter(m.cell.mass_coefficients @ self._shifts(radii))
 
     def _system(self, sc: MapScalars, diagonal: np.ndarray):
         """The implicit system: the pulled-back stiffness of ``sc`` plus
@@ -340,19 +357,24 @@ class MicroSimulator:
         self.coarse_factorizations += self._coarse.factored
         # D from the system's diagonal slots: the entries of system.diagonal(),
         # in a third of its time
-        jacobi = r @ (r / system.data[self._pattern.slots()[3]])
+        jacobi = r @ (r / system.data[self._pattern.slots().diagonal])
         if not (report.converged and y @ r_coarse > jacobi):
             return x0
         self.periodic_starts += 1
         return x0 + y[dof]
 
-    def _drift(self, sc: MapScalars, rate: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def _drift(self, radii: np.ndarray, rate: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Nodal loads of the drift ``(J Psi^{-1} dPsi/dt u_hat, grad phi)``
-        for radius rates ``rate`` (c,), with u_hat at its element means."""
-        u_mean = self.mesh.cell.means @ u[self.mesh.cell_nodes]
-        weight = self.mesh.epsilon**2 * sc.det * sc.s * u_mean
-        weight *= rate
-        return self.mesh.scatter(self.mesh.cell.drift @ weight)
+        at one radius per cell, for radius rates ``rate`` (c,), with u_hat
+        at its element means: the cell's drift operator applied to every
+        cell's nodal values, ``eps^2 q (B0 U + d B1 U)``."""
+        m = self.mesh
+        n_ref = m.cell.mesh.n_nodes
+        stacked = m.cell.drift @ u[m.cell_nodes]   # [B0 U; B1 U]
+        loads = stacked[:n_ref]
+        loads += self._shifts(radii)[1] * stacked[n_ref:]
+        loads *= m.epsilon**2 * rate
+        return m.scatter(loads)
 
     def _solid_mass(self, radii: np.ndarray) -> float:
         return float(self.spec.c_s * self.mesh.epsilon**2 * np.sum(ball_volume(radii)))
@@ -390,8 +412,8 @@ class MicroSimulator:
         rate = (radii_new - state.radii) / dt
         still = np.array_equal(radii_new, state.radii)
 
-        # (2) the cell map at the new radii: J, the lumped mass and the system
-        # of the pulled-back tensor.  Radii that did not move keep J and so the
+        # (2) the cell map at the new radii, the lumped mass of its J and the
+        # system of the pulled-back tensor.  Radii that did not move keep the
         # mass, and a map and system kept at the same radii (and dt) serve
         # again.  A kept system is factored, once, and its factor preconditions
         # every solve with it; a system of moving radii serves once, by CG's
@@ -400,7 +422,7 @@ class MicroSimulator:
         if not (still and kept and np.array_equal(kept[0], radii_new)):
             kept = None
         sc = kept[2] if kept else self._cell_map(radii_new)
-        mass_new = state.mass if still else self._lumped(sc.det)
+        mass_new = state.mass if still else self._mass(radii_new)
         if kept and kept[1] == dt:
             system, factor = kept[3:]
         else:
@@ -429,7 +451,7 @@ class MicroSimulator:
         # with the radius rate, and the explicit surface reaction at (old u,
         # new radii) move to the rhs; radii that did not move keep step (1)'s
         if not still:
-            b -= self._drift(sc, rate.reshape(-1), state.u_hat)
+            b -= self._drift(radii_new, rate.reshape(-1), state.u_hat)
             _, loads, flux_total = self._surface_integrals(state.u_hat, radii_new)
         b -= loads
 

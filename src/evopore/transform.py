@@ -33,7 +33,10 @@ and F) and evaluates it at its radii by a few array operations, with no
 kernel evaluation.  The map is radial, so five scalars per point
 (:class:`MapScalars`) and the frame's unit directions u carry everything
 the solvers read: J, the pulled-back unit tensor b I + (a - b) u u^T, the
-drift J s u and, through :meth:`RadialFrame.image`, the image.  The full
+drift J s u and, through :meth:`RadialFrame.image`, the image.  J and J s
+are polynomials in r_gamma - r0, of degree 2 and 1, whose coefficients the
+frame also gives (:meth:`RadialFrame.shift_polynomials`): the micro step
+forms its lumped mass and drift from them.  The full
 Jacobian is formed only on request (:meth:`RadialFrame.jacobian`).  The
 epsilon-scaled map of the paper,
 psi_eps(t, x) = eps k + eps psi(r_k(t), x/eps - k), is a frame on in-cell
@@ -368,6 +371,22 @@ class RadialFrame:
                           self._embed(shape, dR / q, 1.0),
                           self._embed(shape, dRg / dR, 0.0),
                           self._embed(shape, R, self._per_point(self.distance, len(shape))))
+
+    def shift_polynomials(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients in the shift d = r_gamma - r0 of J, (m, 3) for
+        1, d and d^2, and of the drift weight J s, (m, 2) for 1 and d.
+
+        R = rho + d G and R' = 1 + d F, so J = R' R / rho is
+        1 + d (F + G / rho) + d^2 F G / rho and J s = R G / rho is
+        G + d G^2 / rho, exactly; the core points take J = 1 and J s = 0,
+        as :meth:`scalars` gives them there.
+        """
+        rho, G, F = self.rho, self.G, self.F
+        n = len(self.points)
+        det = self._embed((n,), np.stack([np.ones_like(rho), F + G / rho, F * G / rho], axis=1),
+                          np.array([1.0, 0.0, 0.0]))
+        drift = self._embed((n,), np.stack([G, G * G / rho], axis=1), 0.0)
+        return det, drift
 
     def image(self, radius: np.ndarray) -> np.ndarray:
         """Image (m, 2) or (m, c, 2) of the points whose distances map to

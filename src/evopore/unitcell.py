@@ -15,9 +15,10 @@ A cell problem takes its element coefficient: the unit tensor on a cell
 meshed at the requested radius, or the pulled-back tensor on the reference
 mesh.  The two routes discretize the same tensor and serve as mutual oracles.
 A cell problem is solved from its stiffness K on the mesh's node sparsity,
-its periodic pairs not merged (:attr:`PeriodicMesh.node_pattern`, whose
-entries :attr:`PeriodicMesh.node_entries` lists).  Its loads are K applied
-to the coordinate functions, exact for P1 (:attr:`PeriodicMesh.loads`), and
+its periodic pairs not merged (:attr:`PeriodicMesh.node_pattern`), held as
+the half data of the symmetric K: its entries on and above the diagonal,
+which :attr:`PeriodicMesh.node_entries` lists.  Its loads are K applied to
+the coordinate functions, exact for P1 (:attr:`PeriodicMesh.loads`), and
 its system is K with its periodic pairs merged plus a 1 on dof 0's diagonal,
 which fixes the constant, assembled on :attr:`PeriodicMesh.periodic`: the
 one periodic pattern, on which the micro stepper also assembles its
@@ -46,8 +47,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
-from .fem import (StiffnessPattern, centroids, csv_table, element_stiffness, symmetric_lu,
-                  triangle_geometry)
+from .fem import (UPPER3, StiffnessPattern, centroids, csv_table, element_stiffness,
+                  symmetric_lu, triangle_geometry)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
@@ -183,10 +184,17 @@ class PeriodicMesh:
 
     @cached_property
     def node_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the s entries of :attr:`node_pattern`, in CSR
-        order: the order of every K's data on it."""
-        indptr, indices, _, _ = self.node_pattern.slots()
-        return np.repeat(np.arange(self.n_nodes), np.diff(indptr)), np.asarray(indices)
+        """(rows, cols) of the s entries of :attr:`node_pattern` on or above
+        its diagonal, row <= col, in CSR order: the order of every K's half
+        data, which determines the symmetric K.  They are the node pairs of
+        the elements' upper halves, every node's diagonal among them."""
+        a, b = UPPER3
+        tri, n = self.triangles, self.n_nodes
+        # each pair lower node first, sorted, and once (np.unique of these
+        # integers costs ten times as much)
+        keys = np.sort(np.minimum(tri[:, a] * n + tri[:, b], tri[:, b] * n + tri[:, a]), axis=None)
+        keys = keys[np.insert(keys[1:] != keys[:-1], 0, True)]
+        return np.divmod(keys, n)
 
     @cached_property
     def periodic(self) -> StiffnessPattern:
@@ -200,17 +208,21 @@ class PeriodicMesh:
 
     @cached_property
     def loads(self) -> sp.csr_matrix:
-        """(2 n_dof, s): takes a K's data on :attr:`node_pattern` to the
-        cell-problem loads of both directions on the periodic dofs,
+        """(2 n_dof, s): takes a K's half data on :attr:`node_entries` to
+        the cell-problem loads of both directions on the periodic dofs,
         direction by direction.  The load of direction d is ``-R K y_d``, K
         applied to the coordinate function y_d, which is exact for P1 since
-        y_d interpolates itself."""
+        y_d interpolates itself; an entry off the diagonal acts in its row
+        and, mirrored, in its column."""
         dof, n_dof = self.dof_map
         nodes, cols = self.node_entries
-        rows, s = dof[nodes], len(nodes)
-        return sp.csr_matrix((-self.vertices[cols].T.ravel(),
-                              (np.concatenate([rows, rows + n_dof]), np.tile(np.arange(s), 2))),
-                             shape=(2 * n_dof, s))
+        off = np.flatnonzero(nodes != cols)
+        rows = dof[np.concatenate([nodes, cols[off]])]
+        at = np.concatenate([cols, nodes[off]])
+        entry = np.concatenate([np.arange(len(nodes)), off])
+        return sp.csr_matrix((-self.vertices[at].T.ravel(),
+                              (np.concatenate([rows, rows + n_dof]), np.tile(entry, 2))),
+                             shape=(2 * n_dof, len(nodes)))
 
 
 def build_reference_mesh(hole_radius: float, n_boundary: int = 64,
@@ -300,7 +312,11 @@ class ReferenceCell:
     tensor ``D (b I + (a - b) u u^T)`` has the element matrices
     ``D (b L + (a - b) Q)`` for ``L = |T| G G^T`` and ``Q = |T| w w^T``, and
     the drift ``J eps rate s u`` the element loads
-    ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.
+    ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.  J
+    and J s are polynomials in the shift d = r - r0, so the lumped mass and
+    the drift loads of a cell come from per-node coefficients
+    (:attr:`mass_coefficients`) and a nodal operator (:attr:`drift`), with no
+    per-element scalar.
 
     Each operator acts on per-element scalars of the m reference elements or
     on nodal values of the n_ref reference nodes, held as (m, c) or (n_ref, c)
@@ -328,19 +344,27 @@ class ReferenceCell:
 
     @cached_property
     def system(self) -> sp.csr_matrix:
-        """``[L Q]`` (s, 2m) on the mesh's :attr:`PeriodicMesh.node_entries`: applied to
-        ``[D b; D (a - b)]`` it gives every cell's system entries."""
+        """``[L Q]`` (s, 2m) on the upper half of the mesh's node sparsity,
+        :attr:`PeriodicMesh.node_entries`: applied to ``[D b; D (a - b)]``
+        it gives every cell's half system entries.  Each element adds the 6
+        entries of its upper half (:data:`evopore.fem.UPPER3`) to the node
+        entries they fall on."""
         areas, grads = self.mesh.geometry
-        m = len(areas)
+        m, n = len(areas), self.mesh.n_nodes
+        a, b = UPPER3
         stiffness = grads @ grads.transpose(0, 2, 1)
         stiffness *= areas[:, None, None]
         drift, w = self._radial()
-        radial = drift[:, :, None] * w[:, None, :]
-        _, indices, slots, _ = self.mesh.node_pattern.slots()
-        element = np.repeat(np.arange(m), 9)
-        return sp.csr_matrix((np.concatenate([stiffness.ravel(), radial.ravel()]),
-                              (np.tile(slots.ravel(), 2), np.concatenate([element, element + m]))),
-                             shape=(len(indices), 2 * m))
+        radial = drift[:, a] * w[:, b]
+        tri = self.mesh.triangles
+        rows, cols = self.mesh.node_entries
+        # the node entry of each element entry: its pair, lower node first
+        at = np.searchsorted(rows * n + cols, np.minimum(tri[:, a] * n + tri[:, b],
+                                                         tri[:, b] * n + tri[:, a]))
+        # one column of 6 entries per element scalar, laid out as CSC
+        return sp.csc_matrix((np.concatenate([stiffness[:, a, b].ravel(), radial.ravel()]),
+                              np.tile(at.ravel(), 2), np.arange(0, 2 * m * len(a) + 1, len(a))),
+                             shape=(len(rows), 2 * m)).tocsr()
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
@@ -348,9 +372,24 @@ class ReferenceCell:
         return self._at_vertices(np.repeat(self.mesh.geometry[0] / 3.0, 3))
 
     @cached_property
+    def mass_coefficients(self) -> np.ndarray:
+        """(n_ref, 3): :attr:`mass` applied to the coefficients of J in the
+        shift d = r - r0 (:meth:`evopore.transform.RadialFrame.shift_polynomials`).
+        A cell of radius r has the lumped mass ``eps^2`` times this applied
+        to ``(1, d, d^2)``, exactly, with no J per element."""
+        return self.mass @ self.frame.shift_polynomials()[0]
+
+    @cached_property
     def drift(self) -> sp.csr_matrix:
-        """(n_ref, m): ``|T| w``, the loads of a unit drift weight."""
-        return self._at_vertices(self._radial()[0])
+        """(2 n_ref, n_ref): ``[B0; B1]`` with ``B_k = V diag(c_k) means``,
+        V the (n_ref, m) loads ``|T| w`` of a unit drift weight at each
+        vertex and c_0 + d c_1 = J s the drift weight in the shift d
+        (:meth:`evopore.transform.RadialFrame.shift_polynomials`).  A cell of
+        radius rate q and nodal values U has the drift loads
+        ``eps^2 q (B0 U + d B1 U)``, exactly, with no J or s per element."""
+        loads = self._at_vertices(self._radial()[0])
+        coefficients = self.frame.shift_polynomials()[1]
+        return sp.vstack([loads @ sp.diags(c) @ self.means for c in coefficients.T]).tocsr()
 
     @cached_property
     def means(self) -> sp.csr_matrix:
@@ -382,13 +421,14 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
     """
     if stiffness is None:
         areas, grads = mesh.geometry
-        stiffness = mesh.node_pattern.assemble(element_stiffness(areas, grads, coeff)).data
+        a, b = UPPER3
+        k = mesh.node_pattern.assemble(element_stiffness(areas, grads, coeff)[:, a, b])
+        # its half data: the entries at the node entries
+        stiffness = k.data[np.repeat(np.arange(mesh.n_nodes), np.diff(k.indptr)) <= k.indices]
     dof, n = mesh.dof_map
     pin = np.zeros(n)
     pin[0] = 1.0
     try:
-        # read as CSC, so the factor is of K_p^T, which differs from K_p only
-        # by the rounding of the pulled-back element matrices
         lu = symmetric_lu(mesh.periodic.assemble(stiffness, pin))
     except RuntimeError as exc:
         raise NumericalError(f"cell problem: {exc}") from None
@@ -533,10 +573,14 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
 def table_checks(table: EffectiveTensorTable) -> dict[str, bool]:
     """Named invariant checks used by the table command and its tests, from
     the entries: a 2 x 2 symmetric tensor is positive definite exactly when
-    A11 > 0 and its determinant A11 A22 - A12^2 > 0."""
+    A11 > 0, A22 > 0 and |A12| < sqrt(A11) sqrt(A22)."""
     a11, a12, a22 = table.entries.T
+    diagonal = (a11 > 0.0) & (a22 > 0.0)
+    # the square roots of the diagonal, not their product, so no entry of a
+    # finite table overflows
+    bound = np.sqrt(np.where(diagonal, a11, 0.0)) * np.sqrt(np.where(diagonal, a22, 0.0))
     return {
-        "positive_definite": bool(np.all((a11 > 0.0) & (a11 * a22 - a12 * a12 > 0.0))),
+        "positive_definite": bool(np.all(diagonal & (np.abs(a12) < bound))),
         "offdiag_1e-6": float(np.max(np.abs(a12))) <= 1e-6,
         "voigt_bound": bool(np.all(a11 <= porosity(table.radii) + 1e-12)),
         "A11_strictly_decreasing": bool(np.all(np.diff(a11) < 0)),

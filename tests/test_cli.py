@@ -694,6 +694,23 @@ def test_failed_coarse_factorization_is_one_line(tmp_path, capsys, monkeypatch):
         "t=0.005: Factor is exactly singular\n")
 
 
+def test_table_beyond_single_precision_fails_its_factorization(tmp_path, capsys):
+    """A loaded table of entries near 1e200 is positive definite, which its
+    check finds without overflowing, and its macro system overflows the
+    single precision factor: exit 3 and one line naming the factorization,
+    with no RuntimeWarning, which the test settings make an error."""
+    radii = np.linspace(0.15, 0.35, 5)
+    table = tmp_path / "huge.csv"
+    table.write_text(EffectiveTensorTable(radii, np.tile([1e200, 5e199, 1e200], (5, 1))).to_csv())
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(FAST_COMMON.replace("radius_count = 5", f"path = {table}"))
+    assert main(["macro-run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: macro step 1: macro factorization failed at t=0.005: "
+        "matrix entries overflow float32\n")
+
+
 def test_cell_table_is_unit_diffusion(tmp_path):
     """D multiplies the whole cell problem, so the table is the same at any
     D, and the steppers apply D."""

@@ -337,8 +337,8 @@ def check_cell_batched_step(m, params, spec, rng):
     got_keys = np.repeat(np.arange(n), np.diff(system.indptr)) * n + system.indices
     assert np.array_equal(got_keys, entries)
     got_means = m.cell.means @ u[m.node_map.T]
-    for got, want in ((system.data, want_k), (sim._lumped(sc.det), want_mass),
-                      (got_means.T.ravel(), u_mid), (sim._drift(sc, rate, u), want_drift)):
+    for got, want in ((system.data, want_k), (sim._mass(radii), want_mass),
+                      (got_means.T.ravel(), u_mid), (sim._drift(radii, rate, u), want_drift)):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
@@ -350,22 +350,26 @@ def check_cell_batched_step(m, params, spec, rng):
 @pytest.mark.parametrize("inv", (2, 4))
 def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, params, spec, inv):
     """With patterned radii, the assembled system equals ``sp.coo_matrix`` of
-    every cell's entries at their global (row, col) plus the diagonal, and
-    ``MicroMesh.scatter`` equals ``np.add.at``.  The slots and the scatter
-    index are intp laid out like the data they index, so ``np.bincount``
-    reads both in place."""
+    every cell's half entries at their global (row, col), those off the
+    diagonal also at (col, row), plus the diagonal, and
+    ``MicroMesh.scatter`` equals ``np.add.at``.  The slot map is C-contiguous
+    intp and the scatter index is intp laid out like the data it indexes,
+    so ``np.bincount`` reads both in place."""
     m = build_micro_mesh(reference_cell, 1.0 / inv)
     sim = MicroSimulator(m, spec, diffusion=1.7)
     sc = sim._cell_map(patterned_radii(params, inv))
     rng = np.random.default_rng(30 + inv)
     diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
     x = np.vstack([1.7 * sc.b, 1.7 * (sc.a - sc.b)])
-    entries = m.cell.system @ x          # (s, n_cells): every cell's entries
+    entries = m.cell.system @ x          # (s, n_cells): every cell's half entries
     rows, cols = m.cell.mesh.node_entries
+    off = rows != cols
     n, diag = m.n_nodes, np.arange(m.n_nodes)
-    want = sp.coo_matrix((np.concatenate([entries.T.ravel(), diagonal]),
-                          (np.concatenate([m.node_map[:, rows].ravel(), diag]),
-                           np.concatenate([m.node_map[:, cols].ravel(), diag]))),
+    want = sp.coo_matrix((np.concatenate([entries.T.ravel(), entries[off].T.ravel(), diagonal]),
+                          (np.concatenate([m.node_map[:, rows].ravel(),
+                                           m.node_map[:, cols[off]].ravel(), diag]),
+                           np.concatenate([m.node_map[:, cols].ravel(),
+                                           m.node_map[:, rows[off]].ravel(), diag]))),
                          shape=(n, n)).tocsr()
     got = sim._system(sc, diagonal)
     assert got.nnz == want.nnz
@@ -376,11 +380,10 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, pa
     np.add.at(want_nodal, m.node_map.T, values)
     assert np.abs(m.scatter(values) - want_nodal).max() <= 1e-15 * np.abs(want_nodal).max()
 
-    block_slots, diagonal_slots = sim._pattern.slots()[2:]
-    for index, data in ((block_slots, entries), (m.cell_nodes, values)):
-        assert index.dtype == np.intp and index.shape == data.shape
-        assert index.flags.c_contiguous and data.flags.c_contiguous
-    assert diagonal_slots.dtype == np.intp
+    assert entries.flags.c_contiguous and values.flags.c_contiguous
+    for index in sim._pattern.slots()[2:] + (m.cell_nodes,):
+        assert index.dtype == np.intp and index.flags.c_contiguous
+    assert m.cell_nodes.shape == values.shape
     assert np.array_equal(m.cell_nodes, m.node_map.T)
 
 
@@ -408,8 +411,8 @@ def moving_radii_system(reference_cell, params, spec):
     of moving radii solves by ``solve_cg``'s default preconditioner."""
     m = build_micro_mesh(reference_cell, 0.25)
     sim = MicroSimulator(m, spec)
-    sc = sim._cell_map(patterned_radii(params, 4))
-    return sim._system(sc, sim._lumped(sc.det) / 0.005), m
+    radii = patterned_radii(params, 4)
+    return sim._system(sim._cell_map(radii), sim._mass(radii) / 0.005), m
 
 
 def test_a_start_off_by_a_constant_solves_without_iterating(reference_cell, params, spec):
@@ -455,9 +458,9 @@ def test_periodic_correction_never_raises_the_error_energy(reference_cell, param
     rebuilt or not, preconditions as a fresh one does, bit for bit."""
     m = build_micro_mesh(reference_cell, 0.25)
     sim = MicroSimulator(m, spec)
-    sc = sim._cell_map(patterned_radii(params, 4))
-    diagonal = sim._lumped(sc.det) / 0.005
-    A = sim._system(sc, diagonal)
+    radii = patterned_radii(params, 4)
+    diagonal = sim._mass(radii) / 0.005
+    A = sim._system(sim._cell_map(radii), diagonal)
     rng = np.random.default_rng(9)
     u = rng.uniform(0.2, 0.8, m.n_nodes)
     b = A @ u

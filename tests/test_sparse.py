@@ -9,6 +9,7 @@ makes it for the system it keeps."""
 import gc
 import sys
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ from _oracles import cell_of_element, lumped_mass, pulled_back, tiled_triangles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evopore import fem, unitcell
 from evopore.errors import NumericalError
-from evopore.fem import (REFACTOR_ITERATIONS, Factor, StiffnessPattern, backward_euler_step,
-                         centroids, element_stiffness, triangle_geometry)
+from evopore.fem import (REFACTOR_ITERATIONS, UPPER3, Factor, StiffnessPattern,
+                         backward_euler_step, centroids, element_stiffness, triangle_geometry)
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.sparse import SolveReport, solve_cg
-from evopore.unitcell import porosity
+from evopore.unitcell import porosity, solve_cell_problem
+from evopore.validate import patterned_radii
 
 
 def random_elements(rng, n_nodes, n_el):
@@ -37,9 +40,16 @@ def random_elements(rng, n_nodes, n_el):
     return triangles, areas, grads, coeff
 
 
+def upper(k_el):
+    """The block data of element matrices (nt, 3, 3) on a P1 pattern: their
+    upper halves (nt, 6), row by row."""
+    return k_el[:, UPPER3[0], UPPER3[1]]
+
+
 def assemble(dofs, n_dof, areas, grads, coeff, diagonal=None):
     """One-off assembly on a fresh pattern of the element dofs ``dofs``."""
-    return StiffnessPattern(dofs, n_dof).assemble(element_stiffness(areas, grads, coeff), diagonal)
+    return StiffnessPattern(dofs, n_dof).assemble(upper(element_stiffness(areas, grads, coeff)),
+                                                  diagonal)
 
 
 def dense_stiffness(triangles, areas, grads, coeff, n_dof, dof_of_node=None, diagonal=None):
@@ -73,7 +83,10 @@ def test_duplicates_summed_in_input_order(reference_cell, params):
     """Every CSR entry is the sum of its element entries in the data's
     memory order, then the diagonal, bit for bit: element by element and
     row by row for block-major data, entry by entry and element by element
-    for entry-major data.  The slots are intp in the data's layout."""
+    for entry-major data.  The data is every element's upper half, and an
+    entry off the element's diagonal adds to both its slot and the mirrored
+    one.  The slot map is C-contiguous intp: every slot's first entry, the
+    later entries, and their slots followed by the diagonal's."""
     m = build_micro_mesh(reference_cell, 0.5)
     rng = np.random.default_rng(8)
     r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[cell_of_element(m)]
@@ -83,24 +96,26 @@ def test_duplicates_summed_in_input_order(reference_cell, params):
     areas, grads = triangle_geometry(m.vertices, tiled)
     diagonal = lumped_mass(tiled, areas, np.ones(len(tiled)), m.n_nodes) / 0.01
     k_el = element_stiffness(areas, grads, coeff)
-    by_entry = np.ascontiguousarray(k_el.reshape(-1, 9).T)
+    by_entry = np.ascontiguousarray(upper(k_el).T)
     triangles = tiled.tolist()
-    block_major = [(tri, i, j) for tri in range(len(triangles))
-                   for i in range(3) for j in range(3)]
-    entry_major = [(tri, i, j) for i in range(3) for j in range(3)
-                   for tri in range(len(triangles))]
-    for entry, data, order in ((False, k_el, block_major), (True, by_entry, entry_major)):
+    half = list(zip(*(a.tolist() for a in UPPER3)))
+    block_major = [(tri, i, j) for tri in range(len(triangles)) for i, j in half]
+    entry_major = [(tri, i, j) for i, j in half for tri in range(len(triangles))]
+    for entry, data, order in ((False, upper(k_el), block_major), (True, by_entry, entry_major)):
         pattern = StiffnessPattern(tiled, m.n_nodes, entry_major=entry)
-        block_slots, diagonal_slots = pattern.slots()[2:]
-        assert block_slots.dtype == np.intp and diagonal_slots.dtype == np.intp
-        assert block_slots.flags.c_contiguous
-        assert block_slots.shape == ((9, len(k_el)) if entry else (len(k_el), 9))
+        slots = pattern.slots()
+        for index in slots[2:]:
+            assert index.dtype == np.intp and index.flags.c_contiguous
+        assert slots.first.shape == slots.indices.shape
+        assert slots.targets.shape == (len(slots.later) + m.n_nodes,)
+        assert len(slots.first) + len(slots.later) == 9 * len(k_el)
         A = pattern.assemble(data, diagonal)
 
         sums = {}
         for tri, i, j in order:
-            key = (triangles[tri][i], triangles[tri][j])
-            sums[key] = sums.get(key, 0.0) + float(k_el[tri, i, j])
+            pair = (triangles[tri][i], triangles[tri][j])
+            for key in (pair, pair[::-1]) if i != j else (pair,):
+                sums[key] = sums.get(key, 0.0) + float(k_el[tri, i, j])
         for d, v in enumerate(diagonal.tolist()):
             sums[(d, d)] = sums.get((d, d), 0.0) + v
         coo = A.tocoo()
@@ -112,8 +127,8 @@ def test_pattern_reuse_matches_fresh_assembly():
     tri, areas, grads, coeff = random_elements(rng, 12, 30)
     coeff2 = random_elements(rng, 12, 30)[3]
     diagonal = rng.uniform(0.0, 1.0, 12)
-    k_el = element_stiffness(areas, grads, coeff)
-    k_el2 = element_stiffness(areas, grads, coeff2)
+    k_el = upper(element_stiffness(areas, grads, coeff))
+    k_el2 = upper(element_stiffness(areas, grads, coeff2))
     pattern = StiffnessPattern(tri, 12)
     first = pattern.assemble(k_el)
     second = pattern.assemble(k_el2, diagonal)
@@ -295,8 +310,7 @@ def cg_cases(reference_cell, params, spec):
     rng = np.random.default_rng(21)
     sim = MicroSimulator(build_micro_mesh(reference_cell, 0.5), spec)
     radii = rng.uniform(params.r_min, params.r_max, sim.mesh.n_cells)
-    sc = sim._cell_map(radii)
-    micro = sim._system(sc, sim._lumped(sc.det) / 0.01)
+    micro = sim._system(sim._cell_map(radii), sim._mass(radii) / 0.01)
     grid = MacroGrid.create(24)
     macro = macro_system(grid, rng.uniform(0.15, 0.35, grid.n_elements), 0.005)
     stale = macro_system(grid, np.full(grid.n_elements, 0.2), 0.005)
@@ -453,7 +467,7 @@ def macro_system(grid, r, dt):
     """The macro step's implicit system at element radii ``r``, with the
     isotropic tensor (1 - 2 r) I standing in for the tabulated one."""
     coeff = (1.0 - 2.0 * r)[:, None, None] * np.eye(2)
-    k_el = element_stiffness(grid.areas, grid.grads, coeff)
+    k_el = upper(element_stiffness(grid.areas, grid.grads, coeff))
     mass = lumped_mass(grid.elements, grid.areas, porosity(r), grid.n_nodes)
     return StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass / dt)
 
@@ -479,8 +493,8 @@ def test_double_factor_solves_its_system_in_one_iteration(reference_cell, params
     leaves the system's values as they were."""
     rng = np.random.default_rng(14)
     sim = MicroSimulator(build_micro_mesh(reference_cell, 0.5), spec)
-    sc = sim._cell_map(np.full(sim.mesh.n_cells, params.r0))
-    A = sim._system(sc, sim._lumped(sc.det) / 0.01)
+    radii = np.full(sim.mesh.n_cells, params.r0)
+    A = sim._system(sim._cell_map(radii), sim._mass(radii) / 0.01)
     data = A.data.copy()
     factor = Factor(np.float64)
     for k in range(3):
@@ -555,10 +569,88 @@ def test_a_dropped_factor_is_freed_at_once(macro_grid):
             gc.enable()
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """Every matrix ``symmetric_lu`` is given from here on, as a list."""
+    systems = []
+    lu = fem.symmetric_lu
+
+    def recording(system, *args):
+        systems.append(system)
+        return lu(system, *args)
+
+    monkeypatch.setattr(fem, "symmetric_lu", recording)
+    monkeypatch.setattr(unitcell, "symmetric_lu", recording)
+    return systems
+
+
+def exactly_symmetric(system) -> bool:
+    return system.shape[0] == system.shape[1] and (system != system.T).nnz == 0
+
+
+@pytest.mark.parametrize("inv", (2, 4))
+def test_micro_systems_are_exactly_symmetric(reference_cell, params, spec, inv, factored):
+    """A micro step's system at patterned radii, of moving radii and kept,
+    and its eps-periodic start's system are assembled from upper halves, so
+    each equals its transpose exactly, and ``symmetric_lu``, which reads a
+    CSR matrix's arrays as the CSC of its transpose, factors the matrix
+    itself: the kept system's factor and the start's are checked as they
+    are factored."""
+    m = build_micro_mesh(reference_cell, 1.0 / inv)
+    radii = patterned_radii(params, inv)
+    sim = MicroSimulator(m, spec)
+    diagonal = sim._mass(radii) / 0.005
+    moving = sim._system(sim._cell_map(radii), diagonal)
+    start = sim._periodic_system(diagonal)
+    kept = MicroSimulator(m, replace(spec, rate_slope=0.0))
+    state = kept.init(lambda x: 0.5 + 0.2 * np.cos(np.pi * x[:, 0]), lambda x: radii.ravel())
+    kept.step(state, 0.005)
+    growing = MicroSimulator(m, spec)
+    growing.step(growing.init(lambda x: np.full(len(x), 0.9), lambda x: radii.ravel()), 0.005)
+    assert growing.coarse_factorizations == 1 and kept.factorizations == 1
+    assert [s.shape for s in factored] == [kept._kept[3].shape, start.shape]
+    assert factored[0] is kept._kept[3]
+    for system in [moving, start, kept._kept[3]] + factored:
+        assert exactly_symmetric(system)
+
+
+def test_cell_problem_and_macro_systems_are_exactly_symmetric(reference_cell, params, spec,
+                                                              tensor_table, factored):
+    """The periodic system of a cell problem, from the cell's ``system`` at
+    a radius off r0, and the macro system of a step are exactly symmetric as
+    ``symmetric_lu`` receives them."""
+    sc = reference_cell.frame.scalars(0.31)
+    solve_cell_problem(reference_cell.mesh,
+                       stiffness=reference_cell.system @ np.concatenate([sc.b, sc.a - sc.b]))
+    grid = MacroGrid.create(16)
+    solver = MacroSolver(grid, tensor_table, spec)
+    state = solver.init(lambda x: 0.6 + 0.2 * np.cos(np.pi * x[:, 0]),
+                        lambda x: 0.25 + 0.05 * np.sin(np.pi * x[:, 1]))
+    solver.step(state, 0.005)
+    assert [s.shape[0] for s in factored] == [reference_cell.mesh.dof_map[1], grid.n_nodes]
+    assert all(exactly_symmetric(s) for s in factored)
+
+
+def test_a_factor_whose_entries_overflow_its_precision_is_numerical_error(macro_grid):
+    """A system whose entries exceed float32 fails its single precision
+    factorization as a ``NumericalError`` naming the factorization, with no
+    RuntimeWarning from the cast; its double precision factor is fine."""
+    A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005) * 1e200
+    b = np.ones(macro_grid.n_nodes)
+    with pytest.raises(NumericalError, match="macro factorization failed at t=0.5: "
+                                             "matrix entries overflow float32"):
+        backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), 1e-10, "macro", 0.5,
+                            Factor(np.float32))
+    x, iterations, factorizations = backward_euler_step(
+        A, b, np.zeros(macro_grid.n_nodes), 1e-10, "macro", 0.5, Factor(np.float64))
+    assert factorizations == 1 and iterations <= 2
+
+
 def test_singular_system_factorization_is_numerical_error():
     # the fourth dof belongs to no element and has no mass: a zero row
     grid = MacroGrid.create(2)
-    k_el = element_stiffness(grid.areas, grid.grads, np.tile(np.eye(2), (grid.n_elements, 1, 1)))
+    k_el = upper(element_stiffness(grid.areas, grid.grads,
+                                   np.tile(np.eye(2), (grid.n_elements, 1, 1))))
     mass = np.ones(grid.n_nodes)
     mass[3] = 0.0
     system = StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass)

@@ -208,6 +208,27 @@ def test_frame_evaluates_no_kernel(params, monkeypatch):
     frame.jacobian(rng.uniform(params.r_min, params.r_max, 300))
 
 
+def test_shift_polynomials_give_the_scalars_of_the_frame(params):
+    """J and J s at one radius per cell equal the frame's coefficients in
+    d = r - r0 applied to (1, d, d^2) and (1, d), to 1e-14 relative, on a
+    frame whose points cover the unit square, the identity core included,
+    where the coefficients give J = 1 and J s = 0."""
+    rng = np.random.default_rng(35)
+    inner = X_CENTER + rng.uniform(-0.7, 0.7, (200, 2)) * (params.r_min - params.delta)
+    frame = RadialFrame(params, np.vstack([rng.uniform(0.0, 1.0, (2000, 2)), inner]))
+    core = frame.distance <= params.r_min - params.delta
+    assert 200 <= core.sum() < 400
+    radii = rng.uniform(params.r_min, params.r_max, 16)
+    shift = radii - params.r0
+    det, drift = frame.shift_polynomials()
+    sc = frame.scalars(radii.reshape(-1, 1))
+    for poly, want in ((det, sc.det), (drift, sc.det * sc.s)):
+        got = poly @ np.vander(shift, poly.shape[1], increasing=True).T
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(det[core], np.tile([1.0, 0.0, 0.0], (core.sum(), 1)))
+    assert np.all(drift[core] == 0.0)
+
+
 def test_profile_monotone_derivative_bound(params):
     # slope never falls below the raw-profile minimum slope
     rgs = np.linspace(params.r_min, params.r_max, 100)

@@ -262,6 +262,52 @@ def test_positive_definite_check_matches_the_eigenvalues(tensor_table):
     assert [definite(e[None]) for e in triples] == list(eig)
 
 
+def test_positive_definite_check_does_not_overflow():
+    """Entries near the largest double, whose product A11 A22 overflows,
+    are checked through their square roots: no RuntimeWarning, and the
+    tensor 1e200 [[1, 0.5], [0.5, 1]] is definite while 1e200 [[1, 2], [2, 1]]
+    is not."""
+    radii = np.linspace(0.15, 0.35, 5)
+    for off, definite in ((5e199, True), (2e200, False), (1e300, False)):
+        entries = np.tile([1e200, off, 1e200], (5, 1))
+        assert table_checks(EffectiveTensorTable(radii, entries))["positive_definite"] == definite
+    entries = np.tile([1.7e308, 1.6e308, 1.7e308], (5, 1))
+    assert table_checks(EffectiveTensorTable(radii, entries))["positive_definite"]
+
+
+def test_mass_and_drift_polynomials_match_the_per_element_formulas(reference_cell, params):
+    """At random radii, the cell's mass coefficients applied to (1, d, d^2),
+    d = r - r0, give the lumped mass of the frame's J, and its drift
+    operator applied to nodal values U as ``B0 U + d B1 U`` gives the
+    per-element drift loads ``|T| J s mean(U) w`` summed at the vertices,
+    both to 1e-14 relative.  Summed over the nodes, the mass coefficients
+    are the pore area ``areas @ J`` at 9 radii to 1e-13: a quadratic in d."""
+    cell, mesh = reference_cell, reference_cell.mesh
+    rng = np.random.default_rng(35)
+    radii = rng.uniform(params.r_min, params.r_max, 12)
+    powers = np.vander(radii - params.r0, 3, increasing=True).T
+    sc = cell.frame.scalars(radii.reshape(-1, 1))      # (element, radius)
+    want = cell.mass @ sc.det
+    got = cell.mass_coefficients @ powers
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    areas, grads = mesh.geometry
+    w = (grads @ cell.frame.directions()[:, :, None])[:, :, 0]
+    U = rng.uniform(0.2, 0.9, (mesh.n_nodes, len(radii)))
+    weight = sc.det * sc.s * U[mesh.triangles].mean(axis=1)
+    want = np.zeros_like(U)
+    for a in range(3):
+        np.add.at(want, mesh.triangles[:, a], (areas * w[:, a])[:, None] * weight)
+    loads = cell.drift @ U
+    got = loads[:mesh.n_nodes] + powers[1] * loads[mesh.n_nodes:]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    radii = np.linspace(params.r_min, params.r_max, 9)
+    want = areas @ cell.frame.scalars(radii.reshape(-1, 1)).det
+    got = cell.mass_coefficients.sum(axis=0) @ np.vander(radii - params.r0, 3, increasing=True).T
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_tabulate_matches_the_inverse_jacobian_tensor(reference_cell, params, tensor_table):
     """The table's pulled-back coefficient b I + (a - b) u u^T gives the
     tensors of J Psi^{-1} Psi^{-T} formed from the inverse Jacobian, on the
