@@ -30,8 +30,9 @@ print()
 # --- the map and its Jacobian ------------------------------------------------
 # A frame holds the radius-free part of the map on fixed points.  The map is
 # radial, so its scalars at radii (one, or one per point) carry it: J, the
-# mapped distance R, and the a, b, s of the pulled-back coefficient and drift.
-# The image follows from R, the full Jacobian on request.
+# mapped distance R, the b of the pulled-back coefficient b I + (1/b - b) u u^T
+# (its determinant is 1) and the s of the drift.  The image follows from R,
+# the full Jacobian on request.
 rng = np.random.default_rng(0)
 y = rng.uniform(0, 1, (20000, 2))
 rg = rng.uniform(params.r_min, params.r_max, 20000)

@@ -23,15 +23,16 @@ cell = ReferenceCell(params, n_boundary=64, target_h=0.05)
 mesh, frame = cell.mesh, cell.frame
 print(f"reference mesh: {mesh.n_nodes} nodes, {len(mesh.triangles)} triangles, "
       f"min angle {mesh.min_angle:.1f} deg")
-# the map is radial, so its pulled-back unit tensor J Psi^-1 Psi^-T is
-# b I + (a - b) u u^T, from the frame's scalars and unit directions u
+# the map is radial and its pulled-back unit tensor J Psi^-1 Psi^-T has
+# determinant 1, so it is b I + (1/b - b) u u^T, from the frame's one
+# scalar b and unit directions u
 u = frame.directions()
 radial = u[:, :, None] * u[:, None, :]
 
 for r in (0.15, 0.25, 0.35):
     direct = effective_tensor(build_reference_mesh(r, 64, 0.05))
     sc = frame.scalars(r)
-    coeff = sc.b[:, None, None] * np.eye(2) + (sc.a - sc.b)[:, None, None] * radial
+    coeff = sc.b[:, None, None] * np.eye(2) + (1 / sc.b - sc.b)[:, None, None] * radial
     trans = effective_tensor(mesh, coeff)
     gap = np.linalg.norm(direct - trans) / np.linalg.norm(direct)
     print(f"r={r:.2f}: A11 meshed {direct[0, 0]:.6f}, pulled back {trans[0, 0]:.6f}, "

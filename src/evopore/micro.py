@@ -11,21 +11,24 @@ both carry a factor epsilon and keep the system symmetric.
 Every cell repeats the nodes and triangles of one
 :class:`~evopore.unitcell.ReferenceCell`, so the micro mesh stores only its
 nodes, the cell node map and that cell.  The radial map enters the weak form
-through the scalars (:class:`MapScalars`) of the cell's one frame, built on
-the reference midpoints with the mesh from the same r0; the profile is
-affine in the radius, so a step evaluates no kernel.  A step of moving
-radii does per-element work only for its stiffness: it reads b and a - b of
-the frame at one radius per cell, C-contiguous (reference element x cell)
-arrays, and one product with the cell's ``system`` operator gives the upper
-half of every cell's system entries.  J is exactly quadratic and the drift
+through the cell's one frame, built on the reference midpoints with the
+mesh from the same r0; the profile is affine in the radius, so a step
+evaluates no kernel.  A step of moving radii does per-element work only for
+its stiffness: the pulled-back tensor has determinant 1, so one scalar b
+per element and cell carries it, and the frame writes [b; 1/b - b] at one
+radius per cell into a (2 reference element x cell) buffer the simulator
+keeps (:meth:`evopore.transform.RadialFrame.tensor_scalars`); one product
+with the cell's ``system`` operator gives the upper half of every cell's
+system entries.  J is exactly quadratic and the drift
 weight J s exactly affine in the shift d = r - r0
 (:meth:`evopore.transform.RadialFrame.shift_polynomials`), so the lumped
 mass is the cell's mass coefficients applied to (1, d, d^2) of every cell,
 and the drift loads are the cell's nodal drift operator applied to every
 cell's nodal values U, ``eps^2 q (B0 U + d B1 U)`` for the radius rate q:
 per-cell work, with no J or s per element.  Only a source forms J per
-element, for its loads, which are lumped like the mass; its integral is
-the sum of its loads.  The surface reaction is integrated on the reference
+element, for its loads, from the same polynomial, and maps its points to
+the radius rho + d G; its loads are lumped like the mass, and its integral
+is the sum of its loads.  The surface reaction is integrated on the reference
 hole ring in every cell, its edges epsilon times the reference lengths.
 Each result reaches the global arrays by one scatter through the cell node
 map, and the system's CSR pattern is the reference cell's pattern repeated
@@ -35,8 +38,8 @@ the scatter index (:attr:`MicroMesh.cell_nodes`) is stored once, as
 ``np.intp``, in that entry-major order, and the system's slot map is built
 for it: each scatter and assembly reads its data in place.
 
-A step whose radii did not move keeps its cell map and system for the next
-step at the same radii and dt, and an exact double precision sparse LU factor
+A step whose radii did not move keeps its system for the next step at the
+same radii and dt, and an exact double precision sparse LU factor
 of that system (:class:`evopore.fem.Factor`), which preconditions the CG of
 every step that reuses it: 1 iteration a step instead of 77 to 96 with CG's
 default preconditioner.  So radii frozen at r0, which are inputs (a zero
@@ -90,7 +93,6 @@ from .fem import (Factor, StiffnessPattern, backward_euler_step, csv_table, elem
                   extrapolated_start, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .sparse import solve_cg
-from .transform import MapScalars
 from .unitcell import ReferenceCell, ball_volume
 
 ALLOWED_INV_EPS = (1, 2, 4, 8, 16)
@@ -261,12 +263,12 @@ class MicroSimulator:
                              f"the cell map's [{box.r_min:g}, {box.r_max:g}]")
         self._pattern = StiffnessPattern(mesh.node_map, mesh.n_nodes, mesh.cell.mesh.node_entries,
                                          entry_major=True)
-        # (radii, dt, map, system, factor) of a step whose radii did not move
+        # (radii, dt, system, factor) of a step whose radii did not move
         self._kept = None
         # the exact factor of the eps-periodic start's system, kept from step
         # to step: that system moves by O(dt) a step
         self._coarse = Factor(np.float64)
-        # [D b; D (a - b)] (2m, c) of the latest assembly, written in place
+        # [D b; D (1/b - b)] (2m, c) of the latest assembly, written in place
         self._scalars = np.empty((2 * len(mesh.cell.mesh.triangles), mesh.n_cells))
         self.cg_iterations = 0    # CG iterations of the solves
         self.factorizations = 0   # sparse LU factorizations of the kept systems
@@ -289,11 +291,6 @@ class MicroSimulator:
         state.solid_mass = self._solid_mass(radii)
         return state
 
-    def _cell_map(self, radii: np.ndarray) -> MapScalars:
-        """The cell map at one radius per cell: (reference element, cell)
-        arrays, the layout the cell's operators read."""
-        return self.mesh.cell.frame.scalars(radii.reshape(-1, 1))
-
     def _lumped(self, weight: np.ndarray) -> np.ndarray:
         """Row-sum lumped mass (n,) of the element weight ``weight`` (m, c)."""
         m = self.mesh
@@ -310,14 +307,14 @@ class MicroSimulator:
         m = self.mesh
         return m.epsilon**2 * m.scatter(m.cell.mass_coefficients @ self._shifts(radii))
 
-    def _system(self, sc: MapScalars, diagonal: np.ndarray):
-        """The implicit system: the pulled-back stiffness of ``sc`` plus
-        ``diagonal``.  Its scalars ``[D b; D (a - b)]`` are written into the
-        array the simulator keeps, so that no step maps fresh pages for them."""
-        x, m = self._scalars, len(self._scalars) // 2
-        np.multiply(sc.b, self.diffusion, out=x[:m])
-        np.subtract(sc.a, sc.b, out=x[m:])
-        x[m:] *= self.diffusion
+    def _system(self, radii: np.ndarray, diagonal: np.ndarray):
+        """The implicit system: the pulled-back stiffness at one radius per
+        cell plus ``diagonal``.  The frame writes its scalars [b; 1/b - b]
+        (:meth:`evopore.transform.RadialFrame.tensor_scalars`) into the array
+        the simulator keeps, so that no step maps fresh pages for them, and
+        they are scaled by D there."""
+        x = self.mesh.cell.frame.tensor_scalars(radii.reshape(-1, 1), self._scalars)
+        x *= self.diffusion
         return self._pattern.assemble(self.mesh.cell.system @ x, diagonal)
 
     def _periodic_system(self, diagonal: np.ndarray):
@@ -412,38 +409,40 @@ class MicroSimulator:
         rate = (radii_new - state.radii) / dt
         still = np.array_equal(radii_new, state.radii)
 
-        # (2) the cell map at the new radii, the lumped mass of its J and the
-        # system of the pulled-back tensor.  Radii that did not move keep the
-        # mass, and a map and system kept at the same radii (and dt) serve
-        # again.  A kept system is factored, once, and its factor preconditions
-        # every solve with it; a system of moving radii serves once, by CG's
-        # default preconditioner
+        # (2) the lumped mass of J at the new radii and the system of the
+        # pulled-back tensor.  Radii that did not move keep the mass, and a
+        # system kept at the same radii and dt serves again.  A kept system is
+        # factored, once, and its factor preconditions every solve with it; a
+        # system of moving radii serves once, by CG's default preconditioner
         kept = self._kept
-        if not (still and kept and np.array_equal(kept[0], radii_new)):
-            kept = None
-        sc = kept[2] if kept else self._cell_map(radii_new)
         mass_new = state.mass if still else self._mass(radii_new)
-        if kept and kept[1] == dt:
-            system, factor = kept[3:]
+        if still and kept and kept[1] == dt and np.array_equal(kept[0], radii_new):
+            system, factor = kept[2:]
         else:
             diagonal = mass_new / dt
-            system = self._system(sc, diagonal)
+            system = self._system(radii_new, diagonal)
             factor = Factor(np.float64) if still else None
-        self._kept = (radii_new, dt, sc, system, factor) if still else None
+        self._kept = (radii_new, dt, system, factor) if still else None
 
         # (3) backward-Euler bulk solve
         b = state.mass * state.u_hat / dt
 
         source_step = 0.0
         if self.source is not None:
-            # every cell's element midpoints (element, cell), mapped, scaled
-            # and shifted by eps k
-            pts = eps * m.cell_index + eps * m.cell.frame.image(sc.radius)
+            # every cell's element midpoints (element, cell), mapped to the
+            # radius R = rho + d G, scaled and shifted by eps k, and J there,
+            # both from the frame's polynomials in d (G is the constant
+            # coefficient of J s)
+            frame = m.cell.frame
+            det, drift = frame.shift_polynomials()
+            shifts = self._shifts(radii_new)
+            radius = frame.distance[:, None] + drift[:, :1] * shifts[1]
+            pts = eps * m.cell_index + eps * frame.image(radius)
             fp = np.asarray(self.source(t_new, pts.reshape(-1, 2)),
-                            dtype=float).reshape(sc.det.shape)
+                            dtype=float).reshape(radius.shape)
             if not np.all(np.isfinite(fp)):
                 raise NumericalError(f"source produced non-finite values at t={t_new}")
-            source_loads = self._lumped(sc.det * fp)
+            source_loads = self._lumped((det @ shifts) * fp)
             b += source_loads
             source_step = float(dt * source_loads.sum())
 

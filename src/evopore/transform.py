@@ -28,15 +28,19 @@ rounding only.  The tests bound |R(r_gamma, r0) - r_gamma| by 1e-12
 [r_min, r_max]: 2.2e-16, 0 and 1.8e-15).
 
 :class:`RadialFrame` is the one evaluator of the map.  A caller builds it
-once on its fixed points (the radius-free part: distances, directions, G
-and F) and evaluates it at its radii by a few array operations, with no
-kernel evaluation.  The map is radial, so five scalars per point
-(:class:`MapScalars`) and the frame's unit directions u carry everything
-the solvers read: J, the pulled-back unit tensor b I + (a - b) u u^T, the
-drift J s u and, through :meth:`RadialFrame.image`, the image.  J and J s
-are polynomials in r_gamma - r0, of degree 2 and 1, whose coefficients the
-frame also gives (:meth:`RadialFrame.shift_polynomials`): the micro step
-forms its lumped mass and drift from them.  The full
+once on its fixed points (the radius-free part: distances, directions, G,
+F and G/rho) and evaluates it at its radii by a few array operations, with
+no kernel evaluation.  The map is radial and its pulled-back tensor has
+determinant 1, so one scalar per point, b = rho R'/R, and the frame's unit
+directions u carry that tensor, b I + (1/b - b) u u^T:
+:meth:`RadialFrame.tensor_scalars` writes [b; 1/b - b] at one radius per
+cell into a caller's buffer, the stiffness scalars of the micro step and
+the table.  J and the drift weight J s are polynomials in r_gamma - r0, of
+degree 2 and 1, whose coefficients the frame gives
+(:meth:`RadialFrame.shift_polynomials`): the micro step forms its lumped
+mass, drift and source loads from them.  :class:`MapScalars` holds J, b, s
+and the image radius R per point for the other readers, and
+:meth:`RadialFrame.image` maps R to the image.  The full
 Jacobian is formed only on request (:meth:`RadialFrame.jacobian`).  The
 epsilon-scaled map of the paper,
 psi_eps(t, x) = eps k + eps psi(r_k(t), x/eps - k), is a frame on in-cell
@@ -259,6 +263,18 @@ def _affine_profile(shift, r: np.ndarray, G: np.ndarray, F: np.ndarray):
     return R, 1.0 + shift * F, np.broadcast_to(G, R.shape)
 
 
+def _stretch(shift, F, g, out, scratch=None):
+    """b = rho R' / R = (1 + shift F) / (1 + shift g) written into ``out``,
+    for the kernels F and g = G / rho, with the denominator in ``scratch``
+    (a new array when None); returns ``out``."""
+    scratch = np.multiply(shift, g, out=scratch)
+    scratch += 1.0
+    np.multiply(shift, F, out=out)
+    out += 1.0
+    out /= scratch
+    return out
+
+
 def profile(params: TransformParams, r_gamma, r):
     """Smoothed radial profile R and its derivatives.
 
@@ -283,20 +299,19 @@ def profile(params: TransformParams, r_gamma, r):
 
 @dataclass
 class MapScalars:
-    """The radial map at n points through five scalars per point.
+    """The radial map at n points through four scalars per point.
 
     With R the smoothed profile at the distance rho to the center, R' its
     rho-derivative and u the unit direction, Psi^{-1} = P/R' + (rho/R)(I - P)
     for P = u u^T, so the pulled-back tensor of diffusion D is
-    A = J D Psi^{-1} Psi^{-T} = D (b I + (a - b) P) and, the radius
-    sensitivity being radial, J Psi^{-1} dPsi/dr_gamma = J s u.  ``det`` is
-    J = R' R / rho, ``a`` = R / (rho R'), ``b`` = rho R' / R,
-    ``s`` = (dR/dr_gamma) / R' and ``radius`` = R.  In the identity core
-    J = a = b = 1, s = 0 and R = rho.
+    A = J D Psi^{-1} Psi^{-T} = D (b I + (1/b - b) P), of determinant D^2,
+    and, the radius sensitivity being radial, J Psi^{-1} dPsi/dr_gamma =
+    J s u.  ``det`` is J = R' R / rho, ``b`` = rho R' / R, evaluated as
+    :meth:`RadialFrame.tensor_scalars` does, ``s`` = (dR/dr_gamma) / R' and
+    ``radius`` = R.  In the identity core J = b = 1, s = 0 and R = rho.
     """
 
     det: np.ndarray
-    a: np.ndarray
     b: np.ndarray
     s: np.ndarray
     radius: np.ndarray
@@ -308,15 +323,17 @@ class RadialFrame:
     For the points outside the identity core ``|y - x_M| <= r_min - delta``
     the frame holds the distance rho to the center, the unit direction u
     and the profile's two radius-free functions ``G`` and ``F`` of
-    :func:`_radial_kernels`, the only kernel evaluations of the frame.
-    :meth:`scalars` and :meth:`jacobian` combine them with the radii
-    through the affine profile R = rho + (r_gamma - r0) G,
+    :func:`_radial_kernels`, the only kernel evaluations of the frame, and
+    ``G_over_rho`` = G / rho.  :meth:`scalars` and :meth:`jacobian` combine
+    them with the radii through the affine profile R = rho + (r_gamma - r0) G,
     R' = 1 + (r_gamma - r0) F, the same expressions as :func:`profile`, so
-    the two agree bit for bit.  ``r_gamma`` is a scalar or one radius per
-    point (m,), for one value per point, or one radius per cell (c, 1), for
-    one per point and cell: C-contiguous (m, c) arrays, a column per cell,
-    the layout the micro cell operators read.  Core points take an explicit
-    identity branch, so the center needs no division.
+    the two agree bit for bit; :meth:`scalars` and :meth:`tensor_scalars`
+    form b by one expression, so they agree bit for bit too.  ``r_gamma`` is
+    a scalar or one radius per point (m,), for one value per point, or one
+    radius per cell (c, 1), for one per point and cell: C-contiguous (m, c)
+    arrays, a column per cell, the layout the micro cell operators read.
+    Core points take an explicit identity branch, so the center needs no
+    division.
     """
 
     def __init__(self, params: TransformParams, y: np.ndarray):
@@ -332,22 +349,20 @@ class RadialFrame:
         self.rho = rho[active]
         self.unit = d[active] / self.rho[:, None]
         self.G, self.F = _radial_kernels(params, self.rho)
+        self.G_over_rho = self.G / self.rho
 
-    def _profile(self, r_gamma):
-        """Result shape, the active distances in the result's layout, then R,
-        dR/dr and dR/dr_gamma at the active points."""
+    def _layout(self, r_gamma):
+        """Result shape, the shift r_gamma - r0 and the active points' rho,
+        G, F and G / rho, each laid out to broadcast to the result."""
         self.params.check_radius(r_gamma)
         shift = np.asarray(r_gamma, dtype=float) - self.params.r0
-        rho, G, F = self.rho, self.G, self.F
+        kernels = self.rho, self.G, self.F, self.G_over_rho
         if shift.ndim == 2:   # one radius per cell: points down, cells across
             shift = shift.reshape(-1)
-            rho, G, F = rho[:, None], G[:, None], F[:, None]
-            shape = (len(self.points), len(shift))
-        else:
-            shape = np.broadcast_shapes(shift.shape, (len(self.points),))
-            if shift.ndim:   # one radius per point
-                shift = shift[self._active]
-        return shape, rho, _affine_profile(shift, rho, G, F)
+            return (len(self.points), len(shift)), shift, [k[:, None] for k in kernels]
+        if shift.ndim:   # one radius per point
+            shift = shift[self._active]
+        return np.broadcast_shapes(np.shape(r_gamma), (len(self.points),)), shift, kernels
 
     def _embed(self, shape, values: np.ndarray, core) -> np.ndarray:
         """``values`` at the active points, ``core`` at the core points."""
@@ -364,13 +379,31 @@ class RadialFrame:
 
     def scalars(self, r_gamma) -> MapScalars:
         """The map at obstacle radius ``r_gamma`` as :class:`MapScalars`."""
-        shape, rho, (R, dR, dRg) = self._profile(r_gamma)
-        q = R / rho
-        return MapScalars(self._embed(shape, dR * q, 1.0),
-                          self._embed(shape, q / dR, 1.0),
-                          self._embed(shape, dR / q, 1.0),
+        shape, shift, (rho, G, F, g) = self._layout(r_gamma)
+        R, dR, dRg = _affine_profile(shift, rho, G, F)
+        return MapScalars(self._embed(shape, dR * (R / rho), 1.0),
+                          self._embed(shape, _stretch(shift, F, g, np.empty(R.shape)), 1.0),
                           self._embed(shape, dRg / dR, 0.0),
                           self._embed(shape, R, self._per_point(self.distance, len(shape))))
+
+    def tensor_scalars(self, r_gamma: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``[b; 1/b - b]`` at one radius per cell ``r_gamma`` (c, 1), written
+        into ``out`` (2m, c) and returned: the pulled-back unit tensor
+        b I + (1/b - b) u u^T of every point and cell, whose determinant is
+        1, with b = (1 + d F) / (1 + d G / rho) for the shift d = r_gamma - r0.
+        Core points take [1; 0], as does d = 0, exactly."""
+        shape, shift, (_, _, F, g) = self._layout(r_gamma)
+        n = len(self.points)
+        core = not isinstance(self._active, slice)
+        # with core points the active rows are not a view: fill two arrays
+        b, rest = np.empty((2, len(F), len(shift))) if core else (out[:n], out[n:])
+        _stretch(shift, F, g, b, rest)
+        np.divide(1.0, b, out=rest)
+        rest -= b
+        if core:
+            out[:n] = self._embed(shape, b, 1.0)
+            out[n:] = self._embed(shape, rest, 0.0)
+        return out
 
     def shift_polynomials(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients in the shift d = r_gamma - r0 of J, (m, 3) for
@@ -379,7 +412,8 @@ class RadialFrame:
         R = rho + d G and R' = 1 + d F, so J = R' R / rho is
         1 + d (F + G / rho) + d^2 F G / rho and J s = R G / rho is
         G + d G^2 / rho, exactly; the core points take J = 1 and J s = 0,
-        as :meth:`scalars` gives them there.
+        as :meth:`scalars` gives them there.  The constant coefficient of
+        J s is G = dR/dr_gamma, so R = rho + d G follows from it too.
         """
         rho, G, F = self.rho, self.G, self.F
         n = len(self.points)
@@ -404,7 +438,8 @@ class RadialFrame:
     def jacobian(self, r_gamma) -> np.ndarray:
         """Jacobian of the map at obstacle radius ``r_gamma``: (m, 2, 2), or
         (m, c, 2, 2) at one radius per cell."""
-        shape, rho, (R, dR, _) = self._profile(r_gamma)
+        shape, shift, (rho, G, F, _) = self._layout(r_gamma)
+        R, dR, _ = _affine_profile(shift, rho, G, F)
         unit = self._per_point(self.unit, len(shape))
         proj = unit[..., :, None] * unit[..., None, :]
         jac = dR[..., None, None] * proj + (R / rho)[..., None, None] * (np.eye(2) - proj)

@@ -27,9 +27,10 @@ both directions, and the nodal mean is then subtracted
 (:func:`solve_cell_problem`).
 :func:`effective_tensor` forms K from the element matrices of any
 coefficient, on any mesh; :func:`tabulate` evaluates the frame at all its
-radii at once and forms every radius' K by one product of
-:attr:`ReferenceCell.system` with the scalars b and a - b, the product the
-micro stepper makes with one column per cell, here one column per radius.
+radii at once, the scalars [b; 1/b - b] that it writes into one buffer,
+and forms every radius' K by one product of :attr:`ReferenceCell.system`
+with them, the product the micro stepper makes with one column per cell,
+here one column per radius.
 A scalar diffusion D multiplies the whole problem, so the tensors here are
 of unit diffusion and the steppers apply D.  The :class:`EffectiveTensorTable`
 holds, at each radius, the three entries (A11, A12, A22) of the symmetric
@@ -309,8 +310,9 @@ class ReferenceCell:
     the same node and triangle order, and in 2-D ``|T| G G^T`` does not change
     under scaling.  With ``w = G u`` the basis gradients along the unit
     direction u of the cell map (zero in its identity core), the pulled-back
-    tensor ``D (b I + (a - b) u u^T)`` has the element matrices
-    ``D (b L + (a - b) Q)`` for ``L = |T| G G^T`` and ``Q = |T| w w^T``, and
+    tensor ``D (b I + (1/b - b) u u^T)``, of determinant D^2, has the element
+    matrices ``D (b L + (1/b - b) Q)`` for ``L = |T| G G^T`` and
+    ``Q = |T| w w^T``, and
     the drift ``J eps rate s u`` the element loads
     ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.  J
     and J s are polynomials in the shift d = r - r0, so the lumped mass and
@@ -345,7 +347,7 @@ class ReferenceCell:
     @cached_property
     def system(self) -> sp.csr_matrix:
         """``[L Q]`` (s, 2m) on the upper half of the mesh's node sparsity,
-        :attr:`PeriodicMesh.node_entries`: applied to ``[D b; D (a - b)]``
+        :attr:`PeriodicMesh.node_entries`: applied to ``[D b; D (1/b - b)]``
         it gives every cell's half system entries.  Each element adds the 6
         entries of its upper half (:data:`evopore.fem.UPPER3`) to the node
         entries they fall on."""
@@ -537,9 +539,9 @@ class EffectiveTensorTable:
 
 def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
     """Unit-diffusion tensor table over ``r_grid`` on the reference ``cell``,
-    with the coefficient ``b I + (a - b) u u^T`` of the cell's frame, from
-    its scalars and unit directions u.  The frame is evaluated at every
-    radius at once, and every radius' stiffness is one column of one product
+    with the coefficient ``b I + (1/b - b) u u^T`` of the cell's frame, from
+    its scalar b and unit directions u.  The frame writes [b; 1/b - b] at
+    every radius at once (:meth:`RadialFrame.tensor_scalars`), and every radius' stiffness is one column of one product
     with ``cell.system``; each radius' cell problems are then solved and
     their energy formed as :func:`effective_tensor` does.
 
@@ -554,14 +556,15 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
         raise ValueError("table radii must lie in [r_min, r_max]")
     if np.any(np.diff(r_grid) <= 0):
         raise ValueError("table radii must be strictly increasing")
-    sc = cell.frame.scalars(r_grid.reshape(-1, 1))   # (element, radius)
-    anisotropy = sc.a - sc.b
-    stiffness = np.ascontiguousarray((cell.system @ np.vstack([sc.b, anisotropy])).T)
+    m = len(cell.mesh.triangles)
+    # [b; 1/b - b] (2 element, radius)
+    scalars = cell.frame.tensor_scalars(r_grid.reshape(-1, 1), np.empty((2 * m, r_grid.size)))
+    stiffness = np.ascontiguousarray((cell.system @ scalars).T)
     u = cell.frame.directions()
     radial = u[:, :, None] * u[:, None, :]
     entries = np.empty((r_grid.size, 3))
     for k, r in enumerate(r_grid):
-        coeff = sc.b[:, k, None, None] * np.eye(2) + anisotropy[:, k, None, None] * radial
+        coeff = scalars[:m, k, None, None] * np.eye(2) + scalars[m:, k, None, None] * radial
         try:
             t = effective_tensor(cell.mesh, coeff, stiffness=stiffness[k])
         except NumericalError as exc:

@@ -1,6 +1,6 @@
 """Independent oracles of the cell map and the micro mesh's elements.
 
-The package reads the radial map through five scalars per point and the
+The package reads the radial map through the scalars of its frame and the
 micro mesh's elements through the reference cell.  These helpers rebuild
 the full quantities by other routes, for the tests to compare against:
 
@@ -16,6 +16,10 @@ the full quantities by other routes, for the tests to compare against:
   of epsilon times the reference ring's lengths;
 - the micro mesh's node merge as one ``np.unique`` of the rounded
   coordinate rows, sorted lexicographically, instead of merged rank keys;
+- one implicit heat step of the pulled-back micro system on the reference
+  perforation as the same step assembled as plain P1 on the physical mesh,
+  the micro nodes mapped cell by cell by psi_eps at each cell's radius
+  through the radial profile, with no frame scalar;
 - the periodic cell problems as one dense system, solved to its
   minimum-norm solution by ``np.linalg.lstsq`` instead of a pinned sparse
   factor;
@@ -34,6 +38,7 @@ the full quantities by other routes, for the tests to compare against:
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import CubicHermiteSpline
+from scipy.sparse.linalg import spsolve
 
 from evopore.kinetics import eval_f
 from evopore.micro import MicroMesh, cells_per_side
@@ -119,15 +124,45 @@ def cell_of_element(mesh):
     return np.repeat(np.arange(mesh.n_cells), len(mesh.cell.mesh.triangles))
 
 
-def _p1_geometry(mesh):
+def _p1_geometry(vertices, triangles):
     """Areas (nt,) and basis gradients (nt, 3, 2): the gradients of nodes 1
     and 2 are the columns of the inverse of the edge matrix, that of node 0
     completes the partition of unity."""
-    v = mesh.vertices[mesh.triangles]
+    v = vertices[triangles]
     edges = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=1)
     inv = np.linalg.inv(edges)
     grads = np.concatenate([-inv.sum(axis=2)[:, None, :], inv.transpose(0, 2, 1)], axis=1)
     return 0.5 * np.linalg.det(edges), grads
+
+
+def physical_vertices(mesh, radii):
+    """The micro ``mesh``'s nodes (n_nodes, 2) mapped cell by cell by
+    psi_eps at the radii ``radii`` (n, n), one per cell:
+    eps (k + psi(r_k, x / eps - k)) by :func:`radial_image`.  A node that
+    neighbouring cells share lies outside every annulus, where psi is the
+    identity to rounding, and takes the image of its last cell."""
+    x = np.empty_like(mesh.vertices)
+    for nodes, k, r in zip(mesh.node_map, mesh.cell_index, radii.reshape(-1)):
+        y = mesh.vertices[nodes] / mesh.epsilon - k
+        x[nodes] = mesh.epsilon * (k + radial_image(mesh.cell.params, y, r)[0])
+    return x
+
+
+def physical_heat_step(mesh, radii, g, dt):
+    """The solution u (n_nodes,) of (K + M / dt) u = M g / dt on the
+    physical mesh, the mapped nodes x (n_nodes, 2) and M (n_nodes,): plain
+    P1 stiffness K and row-sum lumped mass M of the micro triangles on the
+    nodes of :func:`physical_vertices`, the field ``g`` evaluated at them,
+    solved by scipy's sparse LU."""
+    x = physical_vertices(mesh, radii)
+    tri = tiled_triangles(mesh)
+    areas, grads = _p1_geometry(x, tri)
+    local = areas[:, None, None] * (grads @ grads.transpose(0, 2, 1))
+    n = mesh.n_nodes
+    K = sp.coo_matrix((local.ravel(), (np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, 3).ravel())),
+                      shape=(n, n))
+    M = lumped_mass(tri, areas, np.ones(len(tri)), n)
+    return spsolve((K + sp.diags(M / dt)).tocsc(), M * g(x) / dt), x, M
 
 
 def periodic_system(mesh, coeff):
@@ -135,7 +170,7 @@ def periodic_system(mesh, coeff):
     loads b (n_dof, 2) of the element coefficient ``coeff`` (nt, 2, 2) on the
     periodic ``mesh``, added element by element into the merged dofs."""
     dof, n_dof = mesh.dof_map
-    areas, grads = _p1_geometry(mesh)
+    areas, grads = _p1_geometry(mesh.vertices, mesh.triangles)
     K = np.zeros((n_dof, n_dof))
     b = np.zeros((n_dof, 2))
     for t, elem in enumerate(dof[mesh.triangles]):
@@ -158,7 +193,7 @@ def cell_correctors(mesh, coeff):
 def cell_tensor(mesh, coeff, w):
     """The energy form A_ij = sum_T |T| (grad w_i + e_i) . C (grad w_j + e_j)
     of the nodal correctors ``w`` (n_nodes, 2), entry by entry."""
-    areas, grads = _p1_geometry(mesh)
+    areas, grads = _p1_geometry(mesh.vertices, mesh.triangles)
     fields = [np.einsum("tk,tka->ta", w[mesh.triangles, i], grads) + np.eye(2)[i]
               for i in range(2)]
     return np.array([[np.sum(areas * np.einsum("ta,tab,tb->t", fields[i], coeff, fields[j]))

@@ -12,6 +12,7 @@ from evopore import transform
 from evopore.fem import centroids
 from evopore.micro import build_micro_mesh
 from evopore.transform import X_CENTER, RadialFrame, profile
+from evopore.validate import patterned_radii
 
 
 def sample_radii_pattern(params, n):
@@ -187,7 +188,7 @@ def test_affine_profile_matches_the_four_hinge_sum(params):
     frame = RadialFrame(params, y)
     sc = frame.scalars(params.r0)
     assert np.array_equal(sc.radius, frame.distance)
-    assert np.all(sc.det == 1.0) and np.all(sc.a == 1.0) and np.all(sc.b == 1.0)
+    assert np.all(sc.det == 1.0) and np.all(1 / sc.b == 1.0) and np.all(sc.b == 1.0)
 
 
 def test_frame_evaluates_no_kernel(params, monkeypatch):
@@ -431,7 +432,7 @@ def test_frame_evaluation_matches_pointwise_maps(reference_cell, params):
     # the same map from a frame on every micro midpoint, one radius per point
     pointwise = RadialFrame(params, y)
     want = pointwise.scalars(r_el)
-    for name in ("det", "a", "b", "s", "radius"):
+    for name in ("det", "b", "s", "radius"):
         got = getattr(sc, name)
         assert got.shape == (len(mids), m.n_cells) and got.flags.c_contiguous, name
         assert np.array_equal(got.ravel(), getattr(want, name)), name
@@ -466,7 +467,8 @@ def test_frame_scalars_match_independent_oracles(reference_cell, params):
     frame = RadialFrame(params, mids)
     per_cell = frame.scalars(radii)
     # the (element, cell) scalars, element by element and within one cell by cell
-    det_f, a, b, s = (v.ravel() for v in (per_cell.det, per_cell.a, per_cell.b, per_cell.s))
+    det_f, b, s = (v.ravel() for v in (per_cell.det, per_cell.b, per_cell.s))
+    a = 1 / b
     y = np.repeat(mids, m.n_cells, axis=0)
     r_el = np.tile(radii[:, 0], len(mids))
     det, psi_inv, tensor = pulled_back(params, y, r_el)
@@ -493,13 +495,46 @@ def test_frame_scalars_match_independent_oracles(reference_cell, params):
     core = RadialFrame(params, y)
     sc = core.scalars(radii[:3])
     assert sc.det.shape == (4, 3) and sc.det.flags.c_contiguous
-    assert np.all(sc.a[:2] == 1.0) and np.all(sc.b[:2] == 1.0)
+    assert np.all(1 / sc.b[:2] == 1.0) and np.all(sc.b[:2] == 1.0)
     assert np.all(sc.det[:2] == 1.0) and np.all(sc.s[:2] == 0.0)
     assert np.all(core.directions()[:2] == 0.0)
     assert np.array_equal(core.image(sc.radius)[:2], np.repeat(y[:2, None], 3, axis=1))
     assert np.allclose(sc.det.ravel(), pulled_back(params, np.repeat(y, 3, axis=0),
                                                    np.tile(radii[:3, 0], 4))[0],
                        rtol=1e-13, atol=0.0)
+
+
+def test_tensor_scalars_match_the_pulled_back_oracle(reference_cell, params):
+    """The rows [b; 1/b - b] that ``tensor_scalars`` writes at patterned
+    radii, one per cell, give b I + (1/b - b) u u^T equal to the tensor
+    J Psi^{-1} Psi^{-T} formed from the inverse of the frame's Jacobian
+    (``pulled_back``) to 1e-13, on the reference midpoints and three points
+    of the identity core; that tensor's determinant is 1 to 1e-14.  The core
+    points and the cells at r0 (d = 0) get exactly [1; 0], and
+    ``scalars(r).b`` is the b rows bit for bit."""
+    core = X_CENTER + np.array([[0.0, 0.0], [0.01, -0.02], [0.0, 0.025]])
+    y = np.vstack([centroids(reference_cell.mesh.vertices, reference_cell.mesh.triangles), core])
+    frame = RadialFrame(params, y)
+    assert np.count_nonzero(frame.distance <= params.r_min - params.delta) == len(core)
+    radii = np.append(patterned_radii(params, 4), [0.17, 0.31, 0.34])[:, None]
+    n, c = len(y), len(radii)
+    out = np.full((2 * n, c), np.nan)
+    assert frame.tensor_scalars(radii, out) is out
+    b, rest = out[:n], out[n:]
+
+    det, _, tensor = pulled_back(params, np.repeat(y, c, axis=0), np.tile(radii[:, 0], n))
+    u = np.repeat(frame.directions(), c, axis=0)
+    got = (b.reshape(-1, 1, 1) * np.eye(2)
+           + rest.reshape(-1, 1, 1) * (u[:, :, None] * u[:, None, :]))
+    assert np.abs(got - tensor).max() <= 1e-13 * np.abs(tensor).max()
+    assert np.abs(np.linalg.det(tensor) - 1.0).max() <= 1e-14
+    assert b.min() < 0.8 and b.max() > 1.2   # the annulus is sampled
+
+    at_r0 = radii[:, 0] == params.r0
+    assert at_r0.sum() >= 4
+    assert np.all(b[-len(core):] == 1.0) and np.all(rest[-len(core):] == 0.0)
+    assert np.all(b[:, at_r0] == 1.0) and np.all(rest[:, at_r0] == 0.0)
+    assert np.array_equal(frame.scalars(radii).b, b)
 
 
 def test_package_exports_resolve():

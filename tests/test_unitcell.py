@@ -332,7 +332,7 @@ def test_tabulate_matches_the_element_route_and_the_dense_oracle(reference_cell,
     for k, r in enumerate(tensor_table.radii):
         sc = reference_cell.frame.scalars(r)
         coeff = (sc.b[:, None, None] * np.eye(2)
-                 + (sc.a - sc.b)[:, None, None] * u[:, :, None] * u[:, None, :])
+                 + (1 / sc.b - sc.b)[:, None, None] * u[:, :, None] * u[:, None, :])
         wants = [effective_tensor(mesh, coeff)]
         if k in (0, 5, 10):
             wants.append(_oracles.cell_tensor(mesh, coeff, _oracles.cell_correctors(mesh, coeff)))
