@@ -312,8 +312,7 @@ class ReferenceCell:
     direction u of the cell map (zero in its identity core), the pulled-back
     tensor ``D (b I + (1/b - b) u u^T)``, of determinant D^2, has the element
     matrices ``D (b L + (1/b - b) Q)`` for ``L = |T| G G^T`` and
-    ``Q = |T| w w^T``, and
-    the drift ``J eps rate s u`` the element loads
+    ``Q = |T| w w^T``, and the drift ``J eps rate s u`` the element loads
     ``eps^2 J s rate u_mean |T| w``, all with reference areas ``|T|``.  J
     and J s are polynomials in the shift d = r - r0, so the lumped mass and
     the drift loads of a cell come from per-node coefficients
@@ -541,9 +540,10 @@ def tabulate(cell: ReferenceCell, r_grid: np.ndarray) -> EffectiveTensorTable:
     """Unit-diffusion tensor table over ``r_grid`` on the reference ``cell``,
     with the coefficient ``b I + (1/b - b) u u^T`` of the cell's frame, from
     its scalar b and unit directions u.  The frame writes [b; 1/b - b] at
-    every radius at once (:meth:`RadialFrame.tensor_scalars`), and every radius' stiffness is one column of one product
-    with ``cell.system``; each radius' cell problems are then solved and
-    their energy formed as :func:`effective_tensor` does.
+    every radius at once (:meth:`RadialFrame.tensor_scalars`), and every
+    radius' stiffness is one column of one product with ``cell.system``;
+    each radius' cell problems are then solved and their energy formed as
+    :func:`effective_tensor` does.
 
     A single discretization shared across radii makes the tabulated tensors a
     smooth, monotone function of the radius: the geometric error of the
