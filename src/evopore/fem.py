@@ -24,13 +24,19 @@ cell mesh's pattern is its node sparsity, its periodic pairs not merged,
 whose upper half the reference cell's operators and every micro cell share.
 Its second pattern merges the periodic pairs: one block, every node's
 periodic dof, with the node sparsity's upper entries.  A cell problem is
-solved from its stiffness K on the node pattern by a sparse LU factor
+solved from its stiffness K on the node pattern by an exact factor
 (:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG:
 its loads are K applied to the coordinate functions, and its system is K
 assembled on the periodic pattern with a 1 on one diagonal entry, which
 fixes the constant; the micro stepper assembles its eps-periodic start's
-system on the same pattern.  :func:`symmetric_lu` factors a symmetric CSR
-matrix by reading its arrays as CSC, which for these exactly symmetric
+system on the same pattern.  Every system on that periodic pattern is
+factored by LAPACK's banded Cholesky on the pattern's reverse
+Cuthill-McKee band, which the mesh builds once
+(:meth:`evopore.unitcell.PeriodicMesh.factorize`, :class:`BandedCholesky`):
+a third of sparse LU's time on the default cell's 671 dofs.  A band wider
+than :data:`evopore.unitcell.BAND_LIMIT`, on a finer reference mesh, and
+every other system go to :func:`symmetric_lu`, which factors a symmetric
+CSR matrix by reading its arrays as CSC, which for these exactly symmetric
 matrices is the matrix itself.  The tensor table forms every radius' K by
 one product of the reference cell's operators, with one column per radius
 where the micro stepper (below) has one per cell; the oracle route forms it
@@ -44,7 +50,7 @@ forms every cell's entries from reference-cell operators
 (:mod:`evopore.micro`).  The steppers share one implicit step,
 :func:`backward_euler_step`; they differ only in the mass weight (porosity
 or Jacobian) and the stiffness (homogenized or pulled back).  Both
-precondition CG by one kind of sparse LU factor, :class:`Factor`, built
+precondition CG by one kind of exact factor, :class:`Factor`, built
 when CG first applies it, so a solve whose start already meets the
 tolerance factors nothing, and the step reports the factorization its
 solve made.  The macro stepper keeps one single precision factor of an
@@ -62,9 +68,9 @@ step of moving radii first corrects that start by a Galerkin projection
 onto the eps-periodic functions, when that removes more error energy than
 Jacobi's estimate of the start's (:mod:`evopore.micro`); the canonical
 study's steps then take 0 iterations.  The projection's 671-dof system,
-which moves by O(dt) a step, is the third owner of a factor: an exact one
-that the micro stepper keeps across steps, as the macro stepper keeps its
-own.
+which moves by O(dt) a step, lies on the reference cell's periodic
+pattern, so its factor is the banded Cholesky, which the micro stepper
+keeps across steps, as the macro stepper keeps its own.
 :func:`csv_table` formats every deterministic CSV output of the package,
 each value exactly as Python's ``'%.17g' % v``, by a vectorised kernel.  A
 value 1e-4 <= |v| < 1e16 gets its 17 correctly rounded digits as an int64
@@ -87,6 +93,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -301,6 +308,46 @@ def symmetric_lu(system: sp.csr_matrix, dtype=np.float64):
                      options={"SymmetricMode": True})
 
 
+class SymmetricBand(NamedTuple):
+    """A symmetric CSR sparsity laid out as LAPACK's upper band storage:
+    its dofs reordered along the band, the half bandwidth in that order, and
+    every CSR slot on or above the band's diagonal with its flat index in
+    the (kd + 1, n) band array.  Each entry off the diagonal has one such
+    slot, its own or its mirror's."""
+
+    order: np.ndarray   # the dof at each band position
+    kd: int             # the half bandwidth in that order
+    slots: np.ndarray   # the CSR slots on or above the band's diagonal
+    index: np.ndarray   # the flat index of each of them in the band array
+
+
+class BandedCholesky:
+    """LAPACK's banded Cholesky factor (``cholesky_banded``) of a symmetric
+    positive definite CSR ``system`` on the sparsity of ``band``, whose
+    :meth:`solve` solves through the band's order, as a SuperLU factor's
+    does through its own.  A system that is not positive definite raises
+    ``RuntimeError``, as :func:`symmetric_lu` does on a singular one."""
+
+    def __init__(self, system: sp.csr_matrix, band: SymmetricBand):
+        n = system.shape[0]
+        ab = np.zeros((band.kd + 1) * n)
+        ab[band.index] = system.data[band.slots]
+        try:
+            # U of A = U^T U in the band's order, in the band storage of A
+            self.upper = sla.cholesky_banded(ab.reshape(band.kd + 1, n), overwrite_ab=True,
+                                             check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(str(exc)) from None
+        self._order = band.order
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of the system for ``rhs`` (n,) or (n, k)."""
+        x = np.empty_like(rhs)
+        x[self._order] = sla.cho_solve_banded((self.upper, False), rhs[self._order],
+                                              check_finite=False)
+        return x
+
+
 # A solve preconditioned by a factor that takes more CG iterations than this
 # refactors before the next solve.  Measured on the macro-fine benchmark's
 # system (seed 0, n = 128) with the step's extrapolated start and a single
@@ -317,8 +364,10 @@ REFACTOR_ITERATIONS = 6
 
 
 class Factor:
-    """Sparse LU factor, in ``dtype``, of an implicit system: the CG
-    preconditioner of later solves with that system or with later systems
+    """Exact factor of an implicit system, by default a sparse LU in
+    ``dtype`` (:func:`symmetric_lu`), else by ``factorize``, a callable that
+    takes the system to an object whose ``solve`` solves it in ``dtype``: the
+    CG preconditioner of later solves with that system or with later systems
     near it.
 
     The first solve asks for the factor of its own system; a solve that
@@ -337,12 +386,15 @@ class Factor:
     float32, for a little more per solve (one thread: 0.78 against 0.73 ms at
     1/eps = 4, 3.5 against 2.9 ms at 1/eps = 8).  It also keeps one float64
     factor of its eps-periodic start's 671-dof system for a whole run, as
-    the macro stepper keeps its own; :mod:`evopore.micro` gives what that
-    factor costs and saves on the canonical study.
+    the macro stepper keeps its own, a banded Cholesky of the reference
+    cell's periodic pattern (:meth:`evopore.unitcell.PeriodicMesh.factorize`);
+    :mod:`evopore.micro` gives what that factor costs and saves on the
+    canonical study.
     """
 
-    def __init__(self, dtype):
+    def __init__(self, dtype, factorize=None):
         self._dtype = dtype
+        self._factorize = factorize
         self._lu = None
         self._system = None   # the system to factor on the next application
         self._applications = 0   # of the held factor, in the latest solve
@@ -352,7 +404,8 @@ class Factor:
         """The solve ``r -> z`` of the held factor or, when there is none or
         the last solve went stale, of a factor of ``system`` built on the
         solve's first application.  That application raises
-        ``RuntimeError`` from ``splu`` on a singular system."""
+        ``RuntimeError`` from the factorization on a singular system, or on
+        one that a Cholesky factorization finds not positive definite."""
         if self._applications > REFACTOR_ITERATIONS:
             self._lu = None
         self._applications = 0
@@ -366,7 +419,8 @@ class Factor:
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         if self._lu is None:
-            self._lu = symmetric_lu(self._system, self._dtype)
+            self._lu = (symmetric_lu(self._system, self._dtype) if self._factorize is None
+                        else self._factorize(self._system))
             self._system = None
             self.factored = True
         self._applications += 1
@@ -398,7 +452,7 @@ def backward_euler_step(system: sp.csr_matrix, b: np.ndarray, x0: np.ndarray, to
     precondition = None if factor is None else factor.preconditioner(system)
     try:
         u_new, report = solve_cg(system, b, tol=tol, x0=x0, precondition=precondition)
-    except RuntimeError as exc:   # from splu, on the factor's first application
+    except RuntimeError as exc:   # from the factor's first application
         raise NumericalError(f"{label} factorization failed at t={t_new}: {exc}") from None
     if not report.converged:
         raise NumericalError(

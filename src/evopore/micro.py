@@ -59,15 +59,20 @@ operator applied to the cells' scalars summed over the cells, assembled
 on the reference mesh's periodic pattern
 (:attr:`evopore.unitcell.PeriodicMesh.periodic`, the one the cell problems
 are solved on), plus the lumped mass summed there.  That system moves
-by O(dt) a step, so CG solves it preconditioned by one exact double
-precision factor (:class:`evopore.fem.Factor`) that the simulator keeps
-across steps and rebuilds after a solve that applies it more than
-:data:`evopore.fem.REFACTOR_ITERATIONS` times.  On the default cell's 671
-unknowns the canonical study's coarse solves take about 5 iterations a
-step, where Jacobi CG took 48 to 69, with 11 or 12 factorizations in its
-100 steps at each level, each about 1.6 ms and 25,000 L+U entries (0.3 MB),
-and 41 us a solve; a fresh factor every step would cost as much as the
-Jacobi CG it replaces.  The simulator counts them as
+by O(dt) a step, so CG solves it preconditioned by one exact factor
+(:class:`evopore.fem.Factor`), the banded Cholesky of the reference cell's
+periodic pattern (:meth:`evopore.unitcell.PeriodicMesh.factorize`), that
+the simulator keeps across steps and rebuilds after a solve that applies
+it more than :data:`evopore.fem.REFACTOR_ITERATIONS` times.  On the
+default cell's 671 unknowns the canonical study's coarse solves take about
+5 iterations a step, where Jacobi CG took 48 to 69, with 11 or 12
+factorizations in its 100 steps at each level, each about 1.0 ms inside a
+step (1.9 ms for the sparse LU it replaced) and a band of 68 x 671 values
+(0.37 MB, 29,094 of them nonzero), and about 55 us a solve, as the LU's
+(one thread, medians over the study's 34 factorizations and 1,546
+solves).  A fresh factor every step would take about 0.6 ms, half of the
+1.2 ms of the Jacobi CG it replaces (56 iterations at 1/eps = 4), and more
+than the kept factor's few iterations.  The simulator counts them as
 ``coarse_factorizations``, apart from the kept systems' ``factorizations``.
 The start takes the correction only when it removes more error energy than
 Jacobi's estimate of the whole start's, D read from the system's diagonal
@@ -267,13 +272,13 @@ class MicroSimulator:
         self._kept = None
         # the exact factor of the eps-periodic start's system, kept from step
         # to step: that system moves by O(dt) a step
-        self._coarse = Factor(np.float64)
+        self._coarse = Factor(np.float64, mesh.cell.mesh.factorize)
         # [D b; D (1/b - b)] (2m, c) of the latest assembly, written in place
         self._scalars = np.empty((2 * len(mesh.cell.mesh.triangles), mesh.n_cells))
         self.cg_iterations = 0    # CG iterations of the solves
         self.factorizations = 0   # sparse LU factorizations of the kept systems
         self.coarse_iterations = 0   # CG iterations of the eps-periodic start corrections
-        self.coarse_factorizations = 0   # sparse LU factorizations of their systems
+        self.coarse_factorizations = 0   # factorizations of their systems
         self.periodic_starts = 0     # steps whose CG started from a corrected start
 
     # -- construction --------------------------------------------------------
@@ -461,7 +466,7 @@ class MicroSimulator:
         if factor is None:
             try:
                 x0 = self._periodic_start(system, b, x0, diagonal)
-            except RuntimeError as exc:   # from splu, on the coarse factor's first application
+            except RuntimeError as exc:   # from the coarse factor's first application
                 raise NumericalError(
                     f"micro coarse factorization failed at t={t_new}: {exc}") from None
         u_new, iterations, factorizations = backward_euler_step(

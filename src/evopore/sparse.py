@@ -14,12 +14,13 @@ a solve of their 671-dof system (:mod:`evopore.micro`); on the canonical
 study the corrected start meets the tolerance and the step takes 0
 iterations, while starts whose error is not mostly periodic, as from a
 cosine u0 of amplitude 0.3, keep their iterations.  A caller may
-pass its own preconditioner instead, the solve of a sparse LU factor
+pass its own preconditioner instead, the solve of an exact factor
 (:class:`evopore.fem.Factor`): the macro stepper passes a single precision
-factor of an earlier step's system; the micro stepper, on a system it
-keeps while its radii do not move, the exact double precision factor of
-that system, and on the 671-dof system of its periodic start an exact
-factor of an earlier step's, whose iterations :mod:`evopore.micro` gives.
+sparse LU factor of an earlier step's system; the micro stepper, on a
+system it keeps while its radii do not move, the exact double precision
+sparse LU factor of that system, and on the 671-dof system of its
+periodic start the banded Cholesky factor of an earlier step's, whose
+iterations :mod:`evopore.micro` gives.
 Both steppers start the solve from the extrapolation
 ``2 u_n - u_(n-1)`` of their last two fields, and read its iteration count
 from the :class:`SolveReport`.  The loop is written here rather than taken

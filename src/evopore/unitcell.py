@@ -22,9 +22,14 @@ the coordinate functions, exact for P1 (:attr:`PeriodicMesh.loads`), and
 its system is K with its periodic pairs merged plus a 1 on dof 0's diagonal,
 which fixes the constant, assembled on :attr:`PeriodicMesh.periodic`: the
 one periodic pattern, on which the micro stepper also assembles its
-eps-periodic start's system.  One sparse LU factor of that system solves
-both directions, and the nodal mean is then subtracted
-(:func:`solve_cell_problem`).
+eps-periodic start's system.  One factor of that system solves both
+directions, and the nodal mean is then subtracted
+(:func:`solve_cell_problem`).  The systems on that pattern are factored by
+LAPACK's banded Cholesky on its reverse Cuthill-McKee band, which the mesh
+builds once (:attr:`PeriodicMesh.band`, :meth:`PeriodicMesh.factorize`):
+on the default mesh's 671 dofs, of half bandwidth 67, it takes a third of
+a sparse LU's time.  A finer mesh whose band is wider than
+:data:`BAND_LIMIT` is factored by sparse LU.
 :func:`effective_tensor` forms K from the element matrices of any
 coefficient, on any mesh; :func:`tabulate` evaluates the frame at all its
 radii at once, the scalars [b; 1/b - b] that it writes into one buffer,
@@ -48,12 +53,25 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
-from .fem import (UPPER3, StiffnessPattern, centroids, csv_table, element_stiffness,
-                  symmetric_lu, triangle_geometry)
+from .fem import (UPPER3, BandedCholesky, StiffnessPattern, SymmetricBand, centroids, csv_table,
+                  element_stiffness, symmetric_lu, triangle_geometry)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
 _CSV_HEADER = "r,A11,A12,A22"
+
+# The half bandwidth above which a system on a periodic pattern is factored
+# by sparse LU (:func:`evopore.fem.symmetric_lu`), not by a banded Cholesky
+# on its reverse Cuthill-McKee band (:meth:`PeriodicMesh.factorize`): the
+# band's work grows like n kd^2.  Measured on cell-problem systems, one
+# thread, the best of 7 factorizations, band against LU: 671 dofs (the
+# default mesh), kd 67: 0.56 against 1.71 ms; 2,495 dofs, kd 133: 5.1
+# against 5.8 ms; 3,007 dofs, kd 141: 6.6 against 7.5 ms; 3,759 dofs, kd
+# 165: 10.7 against 8.7 ms; 9,599 dofs, kd 265: 45 against 28 ms.  A solve
+# of the band is the faster one at 671 dofs (36 against 41 us) and the
+# slower one beyond (0.58 against 0.34 ms for two right-hand sides at kd
+# 141), so the bound lies between kd 141 and 165.
+BAND_LIMIT = 150
 
 
 def ball_volume(r):
@@ -206,6 +224,37 @@ class PeriodicMesh:
         system restricted to the eps-periodic functions."""
         dof, n_dof = self.dof_map
         return StiffnessPattern(dof[None, :], n_dof, self.node_entries)
+
+    @cached_property
+    def band(self) -> SymmetricBand:
+        """:attr:`periodic` in LAPACK's upper band storage, its dofs in
+        reverse Cuthill-McKee order (Cuthill and McKee, 1969), which keeps
+        the half bandwidth small: 67 on the default mesh's 671 dofs."""
+        # imported on first use: the import takes 3 ms, which a command that
+        # factors no periodic system, as a pinned micro run, does not pay
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        s = self.periodic.slots()
+        n = self.periodic.n_dof
+        order = reverse_cuthill_mckee(
+            sp.csr_matrix((np.ones(len(s.indices)), s.indices, s.indptr), shape=(n, n)),
+            symmetric_mode=True).astype(np.intp)
+        at = np.empty(n, dtype=np.intp)
+        at[order] = np.arange(n)
+        rows, cols = at[np.repeat(np.arange(n), np.diff(s.indptr))], at[s.indices]
+        kd = int((cols - rows).max())
+        slots = np.flatnonzero(rows <= cols)
+        return SymmetricBand(order, kd, slots, (kd + rows[slots] - cols[slots]) * n + cols[slots])
+
+    def factorize(self, system: sp.csr_matrix):
+        """An exact factor of the symmetric positive definite ``system`` on
+        :attr:`periodic`, whose ``solve`` solves it: the banded Cholesky on
+        :attr:`band` (:class:`evopore.fem.BandedCholesky`), or the sparse LU
+        (:func:`evopore.fem.symmetric_lu`) when the band is wider than
+        :data:`BAND_LIMIT`.  Both raise ``RuntimeError`` on a system they
+        cannot factor."""
+        band = self.band
+        return symmetric_lu(system) if band.kd > BAND_LIMIT else BandedCholesky(system, band)
 
     @cached_property
     def loads(self) -> sp.csr_matrix:
@@ -416,9 +465,11 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
     ``K_p + e_0 e_0^T``, symmetric positive definite, whose solution has
     ``w_0 = 1^T f = 0`` and so is the one with dof 0 pinned; the tensors
     are of unit diffusion and 2-D P1 stiffness does not change with scale,
-    so the 1 is of the size of K_p's diagonal.  One sparse LU factor solves
-    both directions, and subtracting the nodal mean picks the zero-mean
-    corrector.  A singular factor raises :class:`NumericalError`.
+    so the 1 is of the size of K_p's diagonal.  One factor
+    (:meth:`PeriodicMesh.factorize`, the banded Cholesky on the default
+    mesh) solves both directions, and subtracting the nodal mean picks the
+    zero-mean corrector.  A system that factor finds singular or not
+    positive definite raises :class:`NumericalError`.
     """
     if stiffness is None:
         areas, grads = mesh.geometry
@@ -430,10 +481,10 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
     pin = np.zeros(n)
     pin[0] = 1.0
     try:
-        lu = symmetric_lu(mesh.periodic.assemble(stiffness, pin))
+        factor = mesh.factorize(mesh.periodic.assemble(stiffness, pin))
     except RuntimeError as exc:
         raise NumericalError(f"cell problem: {exc}") from None
-    w_dof = lu.solve((mesh.loads @ stiffness).reshape(2, n).T)
+    w_dof = factor.solve((mesh.loads @ stiffness).reshape(2, n).T)
     w = w_dof[dof]
     w -= w.mean(axis=0)
     return w

@@ -306,15 +306,15 @@ def test_cell_table_says_it_does_not_read_the_table_path(tmp_path, capsys):
 
 
 OPERATORS = ("system", "mass", "drift", "means")
-PATTERNS = ("node_entries", "periodic")
+PATTERNS = ("node_entries", "periodic", "band")
 
 
 @pytest.mark.parametrize("command, load_table, built", [
-    (["convergence"], False, (1, 1, 1, 1, 1, 1, 1, 1)),
-    (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1, 1, 1, 1, 1, 1)),
-    (["macro-run"], False, (1, 1, 1, 0, 0, 0, 1, 1)),
-    (["cell-table"], False, (1, 1, 1, 0, 0, 0, 1, 1)),
-    (["macro-run"], True, (0, 0, 0, 0, 0, 0, 0, 0)),
+    (["convergence"], False, (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (["macro-run"], False, (1, 1, 1, 0, 0, 0, 1, 1, 1)),
+    (["cell-table"], False, (1, 1, 1, 0, 0, 0, 1, 1, 1)),
+    (["macro-run"], True, (0, 0, 0, 0, 0, 0, 0, 0, 0)),
 ], ids=["convergence", "micro-run", "macro-run", "cell-table", "macro-run-table-path"])
 def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_table, built):
     """A command builds the reference mesh, the map's frame on its midpoints,
@@ -323,8 +323,9 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
     cell problems read the cell's ``system`` alone, so a tabulating command
     builds no other operator; a growing micro run reads all four.  The
     cell problems and the micro run's eps-periodic starts assemble on one
-    periodic pattern of the mesh, built once in a command that does both,
-    and a macro run that loads its table builds no cell."""
+    periodic pattern of the mesh, and factor on one band of it, each built
+    once in a command that does both, and a macro run that loads its table
+    builds no cell."""
     config = FAST_COMMON
     if load_table:
         tdir = tmp_path / "table"
@@ -680,18 +681,32 @@ def test_convergence_failure_names_its_step(tmp_path, capsys, monkeypatch):
 
 
 def test_failed_coarse_factorization_is_one_line(tmp_path, capsys, monkeypatch):
-    """A coarse system that ``splu`` cannot factor stops a micro run whose
-    radii move at its first step: exit 3 and one line naming the step and
-    its time."""
+    """A coarse system that its banded Cholesky cannot factor stops a micro
+    run whose radii move at its first step: exit 3 and one line naming the
+    step and its time."""
     def singular(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+        raise np.linalg.LinAlgError("Factor is exactly singular")
 
-    monkeypatch.setattr(fem.spla, "splu", singular)
+    monkeypatch.setattr(fem.sla, "cholesky_banded", singular)
     assert main(["micro-run", "--config", cfg_file(tmp_path), "--out", str(tmp_path / "o"),
                  "--epsilon", "1/2", "--quiet"]) == 3
     assert capsys.readouterr().err == (
         "numerical failure: micro step 1 (1/eps=2): micro coarse factorization failed at "
         "t=0.005: Factor is exactly singular\n")
+
+
+def test_failed_cell_problem_factorization_is_one_line(tmp_path, capsys, monkeypatch):
+    """A cell-problem system that its banded Cholesky finds not positive
+    definite, here each system negated on its way to LAPACK, stops the
+    table: exit 3 and one line naming the radius, with no traceback and no
+    RuntimeWarning, which the test settings make an error."""
+    cholesky = fem.sla.cholesky_banded
+    monkeypatch.setattr(fem.sla, "cholesky_banded", lambda ab, **k: cholesky(-ab, **k))
+    assert main(["cell-table", "--config", cfg_file(tmp_path), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: tensor tabulation failed at r=0.15: cell problem: "
+        "1-th leading minor not positive definite\n")
 
 
 def test_table_beyond_single_precision_fails_its_factorization(tmp_path, capsys):
@@ -834,9 +849,9 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
     radii make: from a constant u0 with moving radii the solution is
     eps-periodic, every step takes the correction and no step iterates.
     The outputs carry none of the counts."""
-    iterations, factorizations, splu_calls, steppers = [], [], [], []
+    iterations, factorizations, factor_calls, steppers = [], [], [], []
     starts, coarse, coarse_factorizations = [], [], []
-    step, splu = stepper.step, fem.spla.splu
+    step = stepper.step
     periodic_start, coarse_cg = MicroSimulator._periodic_start, micro.solve_cg
 
     def counted(self, state, dt):
@@ -844,19 +859,19 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
             steppers.append(self)
             for counts in (iterations, factorizations, starts, coarse, coarse_factorizations):
                 counts.clear()
-        before = len(splu_calls)   # the cell problems of the table factor too
+        before = len(factor_calls)   # the cell problems of the table factor too
         coarse_before = sum(coarse_factorizations)
         new = step(self, state, dt)
         iterations.append(new.cg_iterations)
-        factorizations.append(len(splu_calls) - before
+        factorizations.append(len(factor_calls) - before
                               - (sum(coarse_factorizations) - coarse_before))
         return new
 
     def started(self, system, b, x0, diagonal):
-        before = len(splu_calls)
+        before = len(factor_calls)
         start = periodic_start(self, system, b, x0, diagonal)
         starts.append(start is not x0)
-        coarse_factorizations.append(len(splu_calls) - before)
+        coarse_factorizations.append(len(factor_calls) - before)
         return start
 
     def coarse_solve(A, b, **kwargs):
@@ -867,7 +882,10 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
     monkeypatch.setattr(stepper, "step", counted)
     monkeypatch.setattr(MicroSimulator, "_periodic_start", started)
     monkeypatch.setattr(micro, "solve_cg", coarse_solve)
-    monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: splu_calls.append(1) or splu(*a, **k))
+    # sparse LU and the banded Cholesky of the reference cell's periodic pattern
+    for module, name in ((fem.spla, "splu"), (fem.sla, "cholesky_banded")):
+        monkeypatch.setattr(module, name, lambda *a, factorize=getattr(module, name), **k:
+                            factor_calls.append(1) or factorize(*a, **k))
     out = tmp_path / "o"
     assert main(command[:1] + ["--config", cfg_file(tmp_path, extra), "--out", str(out)]
                 + command[1:]) == 0

@@ -523,7 +523,8 @@ def test_periodic_correction_never_raises_the_error_energy(reference_cell, param
             rng.normal() * smooth + 0.1 * rng.normal())
         # the correction itself, taken or not
         correction, _ = solve_cg(coarse, np.bincount(m.periodic_dof, b - A @ x0), tol=1e-10,
-                                 precondition=fem.Factor(np.float64).preconditioner(coarse))
+                                 precondition=fem.Factor(np.float64, m.cell.mesh.factorize)
+                                 .preconditioner(coarse))
         assert energy(x0 + correction[m.periodic_dof]) < energy(x0)
         start = sim._periodic_start(A, b, x0, diagonal)
         if start is x0:
@@ -626,10 +627,13 @@ def test_system_reused_while_radii_and_dt_unchanged(micro_mesh_half, params, no_
 
 
 def count_factorizations(monkeypatch):
-    """The number of ``splu`` calls made so far, as a callable."""
+    """The number of factorizations made so far, as a callable: the calls
+    of ``splu`` and of ``cholesky_banded``, which factors the systems of the
+    reference cell's periodic pattern."""
     calls = []
-    splu = fem.spla.splu
-    monkeypatch.setattr(fem.spla, "splu", lambda *a, **k: calls.append(1) or splu(*a, **k))
+    for module, name in ((fem.spla, "splu"), (fem.sla, "cholesky_banded")):
+        monkeypatch.setattr(module, name, lambda *a, factorize=getattr(module, name), **k:
+                            calls.append(1) or factorize(*a, **k))
     return lambda: len(calls)
 
 
@@ -684,8 +688,9 @@ def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
     changes every step: each is solved by CG from its corrected start and
     none is factored, and no fine factor's fill adds to the convergence
     study's memory.  The only factors are those of the 671-dof eps-periodic
-    system, kept across steps: 11 over the 100 steps here, each of
-    25,224 L + U entries."""
+    system, kept across steps: 11 over the 100 steps here, each a banded
+    Cholesky factor of 29,094 nonzero entries, stored in a band of 68 x 671
+    values."""
     cfg = parse_config(DEFAULT_CONFIG)
     factorizations = count_factorizations(monkeypatch)
     sim = MicroSimulator(micro_mesh_half, cfg.spec, diffusion=cfg.diffusion,
@@ -698,9 +703,10 @@ def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
         state = new
     assert sim.factorizations == 0
     assert factorizations() == sim.coarse_factorizations and 0 < factorizations() <= 20
-    lu = sim._coarse._lu
-    assert lu.shape == (micro_mesh_half.cell.mesh.dof_map[1],) * 2
-    assert lu.L.nnz + lu.U.nnz <= 30_000
+    reference = micro_mesh_half.cell.mesh
+    upper = sim._coarse._lu.upper
+    assert upper.shape == (reference.band.kd + 1, reference.dof_map[1])
+    assert np.count_nonzero(upper) <= 30_000
 
 
 def test_stale_coarse_factor_is_rebuilt(micro_mesh_half):

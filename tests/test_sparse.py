@@ -2,9 +2,10 @@
 (``fem.StiffnessPattern`` of ``fem.element_stiffness``) against a
 per-element dense loop and an input-order sum, the CG ``solve_cg`` on scipy
 CSR matrices (by default Jacobi with an exact solve on the constant
-vector), and the sparse LU factor preconditioner (``fem.Factor``): single
+vector), the sparse LU factor preconditioner (``fem.Factor``): single
 precision as the macro step keeps it, double precision as a micro step
-makes it for the system it keeps."""
+makes it for the system it keeps, and the banded Cholesky factor of the
+reference cell's periodic systems (``fem.BandedCholesky``)."""
 
 import gc
 import sys
@@ -14,18 +15,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from _oracles import cell_of_element, lumped_mass, pulled_back, tiled_triangles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopore import fem, unitcell
 from evopore.errors import NumericalError
-from evopore.fem import (REFACTOR_ITERATIONS, UPPER3, Factor, StiffnessPattern,
+from evopore.fem import (REFACTOR_ITERATIONS, UPPER3, BandedCholesky, Factor, StiffnessPattern,
                          backward_euler_step, centroids, element_stiffness, triangle_geometry)
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.sparse import SolveReport, solve_cg
-from evopore.unitcell import porosity, solve_cell_problem
+from evopore.unitcell import BAND_LIMIT, ReferenceCell, porosity, solve_cell_problem, tabulate
 from evopore.validate import patterned_radii
 
 
@@ -571,16 +573,19 @@ def test_a_dropped_factor_is_freed_at_once(macro_grid):
 
 @pytest.fixture
 def factored(monkeypatch):
-    """Every matrix ``symmetric_lu`` is given from here on, as a list."""
+    """Every matrix ``symmetric_lu`` or ``BandedCholesky`` is given from
+    here on, as a list."""
     systems = []
-    lu = fem.symmetric_lu
 
-    def recording(system, *args):
-        systems.append(system)
-        return lu(system, *args)
+    def recording(factorize):
+        def record(system, *args):
+            systems.append(system)
+            return factorize(system, *args)
+        return record
 
-    monkeypatch.setattr(fem, "symmetric_lu", recording)
-    monkeypatch.setattr(unitcell, "symmetric_lu", recording)
+    for module, name in ((fem, "symmetric_lu"), (unitcell, "symmetric_lu"),
+                         (unitcell, "BandedCholesky")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
     return systems
 
 
@@ -593,9 +598,10 @@ def test_micro_systems_are_exactly_symmetric(reference_cell, params, spec, inv, 
     """A micro step's system at patterned radii, of moving radii and kept,
     and its eps-periodic start's system are assembled from upper halves, so
     each equals its transpose exactly, and ``symmetric_lu``, which reads a
-    CSR matrix's arrays as the CSC of its transpose, factors the matrix
-    itself: the kept system's factor and the start's are checked as they
-    are factored."""
+    CSR matrix's arrays as the CSC of its transpose, and ``BandedCholesky``,
+    which reads one slot of each mirrored pair, factor the matrix itself:
+    the kept system's factor and the start's are checked as they are
+    factored."""
     m = build_micro_mesh(reference_cell, 1.0 / inv)
     radii = patterned_radii(params, inv)
     sim = MicroSimulator(m, spec)
@@ -618,7 +624,7 @@ def test_cell_problem_and_macro_systems_are_exactly_symmetric(reference_cell, pa
                                                               tensor_table, factored):
     """The periodic system of a cell problem, from the cell's ``system`` at
     a radius off r0, and the macro system of a step are exactly symmetric as
-    ``symmetric_lu`` receives them."""
+    ``BandedCholesky`` and ``symmetric_lu`` receive them."""
     sc = reference_cell.frame.scalars(0.31)
     solve_cell_problem(reference_cell.mesh,
                        stiffness=reference_cell.system @ np.concatenate([sc.b, 1 / sc.b - sc.b]))
@@ -629,6 +635,77 @@ def test_cell_problem_and_macro_systems_are_exactly_symmetric(reference_cell, pa
     solver.step(state, 0.005)
     assert [s.shape[0] for s in factored] == [reference_cell.mesh.dof_map[1], grid.n_nodes]
     assert all(exactly_symmetric(s) for s in factored)
+
+
+def cell_problem_system(cell, r):
+    """The periodic system of the cell problems of radius ``r`` on ``cell``,
+    as :func:`evopore.unitcell.tabulate` assembles it: the stiffness of
+    ``cell.system`` at the frame's scalars, dof 0 pinned."""
+    scalars = cell.frame.tensor_scalars(np.array([[r]]), np.empty((2 * len(cell.mesh.triangles), 1)))
+    pin = np.zeros(cell.mesh.dof_map[1])
+    pin[0] = 1.0
+    return cell.mesh.periodic.assemble(cell.system @ scalars[:, 0], pin)
+
+
+def test_banded_solves_match_the_dense_solve(reference_cell, params, spec):
+    """On the default cell the banded Cholesky of a cell problem's system
+    and of a micro step's eps-periodic start's system solves each as
+    ``np.linalg.solve`` does, to 1e-13 relative; the negated system, which
+    is not positive definite, fails as ``RuntimeError``, and the cell
+    problem reports it as ``NumericalError``."""
+    mesh = reference_cell.mesh
+    sim = MicroSimulator(build_micro_mesh(reference_cell, 0.5), spec)
+    radii = patterned_radii(params, 2)
+    diagonal = sim._mass(radii) / 0.005
+    sim._system(radii, diagonal)
+    rng = np.random.default_rng(3)
+    for system in (cell_problem_system(reference_cell, 0.31), sim._periodic_system(diagonal)):
+        factor = mesh.factorize(system)
+        assert isinstance(factor, BandedCholesky)
+        for rhs in (rng.standard_normal(system.shape[0]), rng.standard_normal((system.shape[0], 2))):
+            want = np.linalg.solve(system.toarray(), rhs)
+            assert np.linalg.norm(factor.solve(rhs) - want) <= 1e-13 * np.linalg.norm(want)
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            mesh.factorize(-system)
+    stiffness = reference_cell.system @ np.concatenate([np.ones(len(mesh.triangles)),
+                                                        np.zeros(len(mesh.triangles))])
+    with pytest.raises(NumericalError, match="^cell problem: .* not positive definite$"):
+        solve_cell_problem(mesh, stiffness=-stiffness)
+
+
+def test_periodic_systems_take_the_band_up_to_its_limit(reference_cell, params):
+    """The default cell's 671 periodic dofs lie on a band of half width 67,
+    within ``BAND_LIMIT``, and factor by the banded Cholesky; the 9,599 of
+    ``n_boundary = 256``, ``target_h = 0.0125`` lie on one of 265, beyond
+    it, and factor by sparse LU."""
+    assert (reference_cell.mesh.dof_map[1], reference_cell.mesh.band.kd) == (671, 67)
+    fine = ReferenceCell(params, 256, 0.0125)
+    assert fine.mesh.dof_map[1] == 9599 and fine.mesh.band.kd > BAND_LIMIT
+    for cell, kind in ((reference_cell, BandedCholesky), (fine, spla.SuperLU)):
+        system = cell_problem_system(cell, 0.31)
+        factor = cell.mesh.factorize(system)
+        assert isinstance(factor, kind)
+        rhs = np.cos(np.arange(system.shape[0]))
+        rhs -= rhs.mean()   # as the cell problems' loads sum to zero
+        assert np.linalg.norm(system @ factor.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_band_and_lu_tables_agree(params, monkeypatch):
+    """At ``n_boundary = 128`` the table whose cell problems the banded
+    Cholesky solves matches, to 1e-13 relative, the table whose same
+    assembled systems sparse LU solves, as it does above ``BAND_LIMIT``."""
+    cell = ReferenceCell(params, 128)
+    assert cell.mesh.band.kd <= BAND_LIMIT
+    radii = np.linspace(params.r_min, params.r_max, 5)
+    factors = []
+    factorize = cell.mesh.factorize
+    monkeypatch.setattr(cell.mesh, "factorize",
+                        lambda system: factors.append(factorize(system)) or factors[-1])
+    band = tabulate(cell, radii).entries
+    monkeypatch.setattr(unitcell, "BAND_LIMIT", -1)
+    lu = tabulate(cell, radii).entries
+    assert [type(f) for f in factors] == [BandedCholesky] * 5 + [spla.SuperLU] * 5
+    assert np.max(np.abs(band - lu)) <= 1e-13 * np.max(np.abs(lu))
 
 
 def test_a_factor_whose_entries_overflow_its_precision_is_numerical_error(macro_grid):
