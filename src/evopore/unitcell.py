@@ -54,7 +54,7 @@ import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
 from .fem import (UPPER3, BandedCholesky, StiffnessPattern, SymmetricBand, centroids, csv_table,
-                  element_stiffness, symmetric_lu, triangle_geometry)
+                  element_stiffness, symmetric_band, symmetric_lu, triangle_geometry)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
@@ -70,7 +70,10 @@ _CSV_HEADER = "r,A11,A12,A22"
 # 165: 10.7 against 8.7 ms; 9,599 dofs, kd 265: 45 against 28 ms.  A solve
 # of the band is the faster one at 671 dofs (36 against 41 us) and the
 # slower one beyond (0.58 against 0.34 ms for two right-hand sides at kd
-# 141), so the bound lies between kd 141 and 165.
+# 141), so the bound lies between kd 141 and 165.  Only these timings of
+# one factorization back it: every benchmark workload runs the default mesh,
+# on the band's side, so no end-to-end measurement covers the LU side, which
+# the tests and CI's cell table on the 9,599-dof mesh only run.
 BAND_LIMIT = 150
 
 
@@ -227,24 +230,9 @@ class PeriodicMesh:
 
     @cached_property
     def band(self) -> SymmetricBand:
-        """:attr:`periodic` in LAPACK's upper band storage, its dofs in
-        reverse Cuthill-McKee order (Cuthill and McKee, 1969), which keeps
-        the half bandwidth small: 67 on the default mesh's 671 dofs."""
-        # imported on first use: the import takes 3 ms, which a command that
-        # factors no periodic system, as a pinned micro run, does not pay
-        from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-        s = self.periodic.slots()
-        n = self.periodic.n_dof
-        order = reverse_cuthill_mckee(
-            sp.csr_matrix((np.ones(len(s.indices)), s.indices, s.indptr), shape=(n, n)),
-            symmetric_mode=True).astype(np.intp)
-        at = np.empty(n, dtype=np.intp)
-        at[order] = np.arange(n)
-        rows, cols = at[np.repeat(np.arange(n), np.diff(s.indptr))], at[s.indices]
-        kd = int((cols - rows).max())
-        slots = np.flatnonzero(rows <= cols)
-        return SymmetricBand(order, kd, slots, (kd + rows[slots] - cols[slots]) * n + cols[slots])
+        """:attr:`periodic` in LAPACK's upper band storage, built once
+        (:func:`evopore.fem.symmetric_band`)."""
+        return symmetric_band(self.periodic)
 
     def factorize(self, system: sp.csr_matrix):
         """An exact factor of the symmetric positive definite ``system`` on
