@@ -29,19 +29,23 @@ solved from its stiffness K on the node pattern by an exact factor
 its loads are K applied to the coordinate functions, and its system is K
 assembled on the periodic pattern with a 1 on one diagonal entry, which
 fixes the constant; the micro stepper assembles its eps-periodic start's
-system on the same pattern.  Every system on that periodic pattern is
-factored by LAPACK's banded Cholesky on the pattern's reverse
-Cuthill-McKee band, which the mesh builds once
-(:meth:`evopore.unitcell.PeriodicMesh.factorize`, :class:`BandedCholesky`):
-a third of sparse LU's time on the default cell's 671 dofs.  A band wider
-than :data:`evopore.unitcell.BAND_LIMIT`, on a finer reference mesh, and
-every other system go to :func:`symmetric_lu`, which factors a symmetric
-CSR matrix by reading its arrays as CSC, which for these exactly symmetric
-matrices is the matrix itself.  The tensor table forms every radius' K by
-one product of the reference cell's operators, with one column per radius
-where the micro stepper (below) has one per cell; the oracle route forms it
-from a tensor per element by batched ``matmul`` (:func:`element_stiffness`)
-and passes the upper halves of its element matrices (:data:`UPPER3`).
+system on the same pattern.  A pattern factors the symmetric positive
+definite systems assembled on it (:meth:`StiffnessPattern.factorize`):
+by LAPACK's banded Cholesky on its reverse Cuthill-McKee band, which it
+orders once (:attr:`StiffnessPattern.band`, :class:`BandedCholesky`), or
+by :func:`symmetric_lu` when that band is wider than :data:`BAND_LIMIT`.
+The cell's periodic systems take the band on the default cell's 671 dofs
+(a third of sparse LU's time there) and the macro grid's on its 16,641
+dofs at n = 128; the periodic systems of a finer reference mesh and the
+macro systems beyond n = 149 take sparse LU.  :func:`symmetric_lu`
+factors a symmetric CSR matrix by reading its arrays as CSC, which for
+these exactly symmetric matrices is the matrix itself, and factors the
+systems the micro stepper keeps, whose bands are wider.  The tensor table
+forms every radius' K by one product of the reference cell's operators,
+with one column per radius where the micro stepper (below) has one per
+cell; the oracle route forms it from a tensor per element by batched
+``matmul`` (:func:`element_stiffness`) and passes the upper halves of its
+element matrices (:data:`UPPER3`).
 The macro grid has two element shapes, so the macro stepper forms them as
 the per-element tensor components (A11, A12, A22) times the operators of
 the two shapes (:meth:`evopore.macro.MacroGrid.element_matrices`).  The
@@ -54,13 +58,14 @@ precondition CG by one kind of exact factor, :class:`Factor`, built
 when CG first applies it, so a solve whose start already meets the
 tolerance factors nothing, and the step reports the factorization its
 solve made.  The macro stepper keeps one single precision factor of an
-earlier step's system.  The micro stepper factors a system that serves
-again: the one it keeps while its radii do not move, by an exact double
-precision factor, so its later steps take 1 CG iteration, not 77 to 96
-with CG's default preconditioner or with plain Jacobi alike (the micro-io
-benchmark's pinned run at 1/eps = 4).  A system of moving radii serves
-one step and is solved by CG with the default preconditioner, Jacobi plus
-an exact solve on the constant vector (:func:`evopore.sparse.solve_cg`).
+earlier step's system, the banded Cholesky of its pattern.  The micro
+stepper factors a system that serves again: the one it keeps while its
+radii do not move, by an exact double precision sparse LU, so its later
+steps take 1 CG iteration, not 77 to 96 with CG's default preconditioner
+or with plain Jacobi alike (the micro-io benchmark's pinned run at 1/eps
+= 4).  A system of moving radii serves one step and is solved by CG with
+the default preconditioner, Jacobi plus an exact solve on the constant
+vector (:func:`evopore.sparse.solve_cg`).
 Each state holds a reference to its field one step earlier, so the step
 starts CG from the linear extrapolation ``2 u_n - u_(n-1)``, and from
 ``u_n`` on a first step (:func:`extrapolated_start`).  The micro
@@ -90,6 +95,7 @@ same way, for every cells file.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -281,6 +287,41 @@ class StiffnessPattern:
             raise ValueError("sparse matrix contains non-finite values")
         return sp.csr_matrix((data, s.indices, s.indptr), shape=(self.n_dof, self.n_dof))
 
+    @cached_property
+    def band(self) -> SymmetricBand:
+        """The band of the pattern, its dofs in reverse Cuthill-McKee order
+        (Cuthill and McKee, 1969), which keeps the half bandwidth small: 67
+        on the default reference cell's periodic pattern of 671 dofs, n + 1
+        on the macro grid of n x n squares."""
+        # imported on first use: the import takes 3 ms, which a command that
+        # factors on no pattern's band, as a pinned micro run, does not pay
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        s = self.slots()
+        n = self.n_dof
+        order = reverse_cuthill_mckee(
+            sp.csr_matrix((np.ones(len(s.indices)), s.indices, s.indptr), shape=(n, n)),
+            symmetric_mode=True).astype(np.intp)
+        at = np.empty(n, dtype=np.intp)
+        at[order] = np.arange(n)
+        rows, cols = at[np.repeat(np.arange(n), np.diff(s.indptr))], at[s.indices]
+        kd = int((cols - rows).max())
+        slots = np.flatnonzero(rows <= cols)
+        # entry (i, j), i <= j, at row kd + i - j of column j
+        return SymmetricBand(order, kd, slots, kd + rows[slots] + kd * cols[slots])
+
+    def factorize(self, system: sp.csr_matrix, dtype=np.float64):
+        """An exact factor, in ``dtype``, of the symmetric positive definite
+        ``system`` assembled on this pattern, whose ``solve`` solves it: the
+        banded Cholesky on :attr:`band` (:class:`BandedCholesky`), or the
+        sparse LU (:func:`symmetric_lu`) when the band is wider than
+        :data:`BAND_LIMIT`.  Both raise ``RuntimeError`` on a system they
+        cannot factor and on one whose entries overflow ``dtype``."""
+        band = self.band
+        if band.kd > BAND_LIMIT:
+            return symmetric_lu(system, dtype)
+        return BandedCholesky(system, band, dtype)
+
 
 def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Element matrices ``|T| G C G^T`` (nt, 3, 3) of the coefficient ``coeff``
@@ -290,6 +331,19 @@ def element_stiffness(areas: np.ndarray, grads: np.ndarray, coeff: np.ndarray) -
     return k_el
 
 
+def _cast(data: np.ndarray, dtype) -> np.ndarray:
+    """``data`` in ``dtype``, the entries of a factor in that precision.
+    Raises ``RuntimeError`` when an entry overflows ``dtype``: an assembled
+    system is finite, so only the cast can overflow."""
+    if data.dtype == dtype:
+        return data
+    with np.errstate(over="ignore"):
+        data = data.astype(dtype)
+    if not np.all(np.isfinite(data)):
+        raise RuntimeError(f"matrix entries overflow {np.dtype(dtype).name}")
+    return data
+
+
 def symmetric_lu(system: sp.csr_matrix, dtype=np.float64):
     """SuperLU factor, in ``dtype``, of the symmetric CSR matrix ``system``,
     its arrays read as CSC, the CSR of the transpose, which every assembly
@@ -297,13 +351,8 @@ def symmetric_lu(system: sp.csr_matrix, dtype=np.float64):
     nothing is converted; ordered on its own pattern with diagonal pivots.
     Raises ``RuntimeError`` on a singular matrix and on one whose entries
     overflow ``dtype``."""
-    data = system.data
-    if data.dtype != dtype:   # an assembled system is finite, so only a cast can overflow
-        with np.errstate(over="ignore"):
-            data = data.astype(dtype)
-        if not np.all(np.isfinite(data)):
-            raise RuntimeError(f"matrix entries overflow {np.dtype(dtype).name}")
-    csc = sp.csc_matrix((data, system.indices, system.indptr), shape=system.shape)
+    csc = sp.csc_matrix((_cast(system.data, dtype), system.indices, system.indptr),
+                        shape=system.shape)
     return spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -312,8 +361,8 @@ class SymmetricBand(NamedTuple):
     """A symmetric CSR sparsity laid out as LAPACK's upper band storage:
     its dofs reordered along the band, the half bandwidth in that order, and
     every CSR slot on or above the band's diagonal with its flat index in
-    the (kd + 1, n) band array.  Each entry off the diagonal has one such
-    slot, its own or its mirror's."""
+    the (kd + 1, n) band array, column by column as LAPACK stores it.  Each
+    entry off the diagonal has one such slot, its own or its mirror's."""
 
     order: np.ndarray   # the dof at each band position
     kd: int             # the half bandwidth in that order
@@ -321,48 +370,56 @@ class SymmetricBand(NamedTuple):
     index: np.ndarray   # the flat index of each of them in the band array
 
 
-def symmetric_band(pattern: StiffnessPattern) -> SymmetricBand:
-    """The band of ``pattern``'s sparsity, its dofs in reverse Cuthill-McKee
-    order (Cuthill and McKee, 1969), which keeps the half bandwidth small:
-    67 on the default reference cell's periodic pattern of 671 dofs."""
-    # imported on first use: the import takes 3 ms, which a command that
-    # factors no periodic system, as a pinned micro run, does not pay
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    s = pattern.slots()
-    n = pattern.n_dof
-    order = reverse_cuthill_mckee(
-        sp.csr_matrix((np.ones(len(s.indices)), s.indices, s.indptr), shape=(n, n)),
-        symmetric_mode=True).astype(np.intp)
-    at = np.empty(n, dtype=np.intp)
-    at[order] = np.arange(n)
-    rows, cols = at[np.repeat(np.arange(n), np.diff(s.indptr))], at[s.indices]
-    kd = int((cols - rows).max())
-    slots = np.flatnonzero(rows <= cols)
-    return SymmetricBand(order, kd, slots, (kd + rows[slots] - cols[slots]) * n + cols[slots])
+# The half bandwidth above which a system on a pattern is factored by sparse
+# LU (:func:`symmetric_lu`), not by a banded Cholesky on its reverse
+# Cuthill-McKee band (:meth:`StiffnessPattern.factorize`): the band's work
+# grows like n kd^2.  Measured on one thread, the best of 7 factorizations,
+# band against LU.  The reference cell's periodic systems in float64: 671
+# dofs (the default mesh), kd 67: 0.56 against 1.71 ms; 2,495 dofs, kd 133:
+# 5.1 against 5.8 ms; 3,007 dofs, kd 141: 6.6 against 7.5 ms; 3,759 dofs,
+# kd 165: 10.7 against 8.7 ms; 9,599 dofs, kd 265: 45 against 28 ms.  A
+# solve of the band is the faster one at 671 dofs (36 against 41 us) and
+# the slower one beyond (0.58 against 0.34 ms for two right-hand sides at
+# kd 141), so the bound lies between kd 141 and 165.  The macro grid's
+# systems in float32, the minimum of 7 factorizations (5 at n = 192) and
+# of 21 solves, band against LU: n = 64, 4,225 dofs, kd 65: 2.7 against
+# 7.2 ms, a solve 0.14 against 0.26 ms; n = 128, 16,641 dofs, kd 129:
+# 22.8 against 34.8 ms, 0.91 against 1.21 ms; n = 160, 25,921 dofs, kd
+# 161: 46.1 against 67.2 ms, 1.89 against 2.23 ms; n = 192, 37,249 dofs,
+# kd 193: 82.3 against 115.4 ms, 4.96 against 3.69 ms.
+# A macro run factors once and solves about 3 times a step, so its
+# crossover lies between kd 161 and 193, and the one bound serves both
+# (a little early for the macro grid).  The macro-fine benchmark runs the
+# band at kd 129 and its cell problems at kd 67; no workload runs the LU
+# side, which the tests and CI's cell table on the 9,599-dof mesh and its
+# macro run at n = 160 run.
+BAND_LIMIT = 150
 
 
 class BandedCholesky:
-    """LAPACK's banded Cholesky factor (``cholesky_banded``) of a symmetric
-    positive definite CSR ``system`` on the sparsity of ``band``, whose
-    :meth:`solve` solves through the band's order, as a SuperLU factor's
-    does through its own.  A system that is not positive definite raises
+    """LAPACK's banded Cholesky factor (``cholesky_banded``), in ``dtype``,
+    of a symmetric positive definite CSR ``system`` on the sparsity of
+    ``band``, whose :meth:`solve` solves in ``dtype`` through the band's
+    order, as a SuperLU factor's does through its own.  A system that is
+    not positive definite, or whose entries overflow ``dtype``, raises
     ``RuntimeError``, as :func:`symmetric_lu` does on a singular one."""
 
-    def __init__(self, system: sp.csr_matrix, band: SymmetricBand):
+    def __init__(self, system: sp.csr_matrix, band: SymmetricBand, dtype=np.float64):
         n = system.shape[0]
-        ab = np.zeros((band.kd + 1) * n)
-        ab[band.index] = system.data[band.slots]
+        ab = np.zeros((band.kd + 1) * n, dtype=dtype)
+        ab[band.index] = _cast(system.data[band.slots], dtype)
         try:
-            # U of A = U^T U in the band's order, in the band storage of A
-            self.upper = sla.cholesky_banded(ab.reshape(band.kd + 1, n), overwrite_ab=True,
-                                             check_finite=False)
+            # U of A = U^T U in the band's order, in the band storage of A;
+            # Fortran order, which LAPACK reads without a copy
+            self.upper = sla.cholesky_banded(ab.reshape((band.kd + 1, n), order="F"),
+                                             overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(str(exc)) from None
         self._order = band.order
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution of the system for ``rhs`` (n,) or (n, k)."""
+        """The solution of the system for ``rhs`` (n,) or (n, k), in the
+        factor's precision."""
         x = np.empty_like(rhs)
         x[self._order] = sla.cho_solve_banded((self.upper, False), rhs[self._order],
                                               check_finite=False)
@@ -376,9 +433,11 @@ class BandedCholesky:
 # 1 still in 3 at step 30 and in 4 at step 100, and in 7-11 after dt is
 # halved, doubled or scaled by 4 or 1/4 at step 30 (started from u_n instead:
 # 4 at step 30, 5 at step 100, 7-11 after the change of dt).  A
-# factorization costs about 30 preconditioned iterations, so a factor is
-# kept until a solve takes 4 or more iterations beyond a fresh one; the
-# extrapolated start leaves that bound where it was.  An exact float64
+# factorization costs about 20 preconditioned iterations (one thread, that
+# system at step 30: the float32 banded Cholesky 22 ms, an iteration with
+# its solve 1.1 ms; the sparse LU it replaced 43 and 1.5 ms, about 28), so
+# a factor is kept until a solve takes 4 or more iterations beyond a fresh
+# one; the extrapolated start leaves that bound where it was.  An exact float64
 # factor of the system it solves takes 1 (2 on early steps at the tightest
 # accepted cg_tol, 1e-14), so the rule does not fire for it.
 REFACTOR_ITERATIONS = 6
@@ -387,11 +446,10 @@ REFACTOR_ITERATIONS = 6
 class Factor:
     """Exact factor of an implicit system: the CG preconditioner of later
     solves with that system or with later systems near it.  ``dtype`` is the
-    precision of its solves, to which each residual is cast, as SuperLU
-    requires.  Without ``factorize`` the factor is the sparse LU in that
-    precision (:func:`symmetric_lu`); ``factorize`` is a callable that takes
-    the system to another factor whose ``solve`` solves in ``dtype``, and
-    then ``dtype`` chooses nothing else.
+    precision of the factor and of its solves, to which each residual is
+    cast; ``factorize(system, dtype)`` builds it: by default the sparse LU
+    (:func:`symmetric_lu`), and the pattern's factor
+    (:meth:`StiffnessPattern.factorize`) where a stepper passes it.
 
     The first solve asks for the factor of its own system; a solve that
     applies the factor more than :data:`REFACTOR_ITERATIONS` times, one
@@ -400,19 +458,23 @@ class Factor:
     the tolerance factor nothing, and :attr:`factored` tells whether the
     latest solve built it.
 
-    The macro stepper keeps one float32 factor for its whole run: its
-    system moves only by O(dr) a step, and CG still stops on the float64
-    residual; in float64 the macro-fine benchmark's step was 5 to 7% slower
-    and its peak memory 3 to 5 MB larger.  The micro stepper makes one float64 factor per
-    system it keeps: its solve is that system's solution to rounding, so
-    every CG solve takes 1 iteration, not 2 as with about 7 digits of
-    float32, for a little more per solve (one thread: 0.78 against 0.73 ms at
-    1/eps = 4, 3.5 against 2.9 ms at 1/eps = 8).  It also keeps one float64
-    factor of its eps-periodic start's 671-dof system for a whole run, as
-    the macro stepper keeps its own, a banded Cholesky of the reference
-    cell's periodic pattern (:meth:`evopore.unitcell.PeriodicMesh.factorize`);
+    The macro stepper keeps one float32 factor of its pattern for its whole
+    run, the banded Cholesky up to n = 149: its system moves only by O(dr)
+    a step, and CG still stops on the float64 residual; with the sparse LU
+    in float64 the macro-fine benchmark's step was 5 to 7% slower than in
+    float32 and its peak memory 3 to 5 MB larger.  The micro stepper makes
+    one float64 sparse LU per system it keeps: its solve is that system's
+    solution to rounding, so every CG solve takes 1 iteration, not 2 as
+    with about 7 digits of float32, for a little more per solve (one
+    thread: 0.78 against 0.73 ms at 1/eps = 4, 3.5 against 2.9 ms at 1/eps
+    = 8).  It also keeps one float64 factor of its eps-periodic start's
+    671-dof system for a whole run, as the macro stepper keeps its own, a
+    banded Cholesky of the reference cell's periodic pattern;
     :mod:`evopore.micro` gives what that factor costs and saves on the
-    canonical study.
+    canonical study.  A stepper passes its pattern's bound ``factorize``,
+    never one of its own methods, which would make the stepper, its factor
+    and the factor's fill a reference cycle, alive until the garbage
+    collector runs.
     """
 
     def __init__(self, dtype, factorize=None):
@@ -442,8 +504,7 @@ class Factor:
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         if self._lu is None:
-            self._lu = (symmetric_lu(self._system, self._dtype) if self._factorize is None
-                        else self._factorize(self._system))
+            self._lu = (self._factorize or symmetric_lu)(self._system, self._dtype)
             self._system = None
             self.factored = True
         self._applications += 1

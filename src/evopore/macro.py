@@ -214,9 +214,10 @@ class MacroSolver:
         self.diffusion = diffusion
         self.cg_tol = cg_tol
         self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
-        self._factor = Factor(np.float32)
+        # the pattern's bound method: no reference cycle through the solver
+        self._factor = Factor(np.float32, self._pattern.factorize)
         self.cg_iterations = 0    # CG iterations of the solves
-        self.factorizations = 0   # sparse LU factorizations of the systems
+        self.factorizations = 0   # banded Cholesky (sparse LU beyond BAND_LIMIT) factorizations
 
     # -- state construction -------------------------------------------------
 

@@ -61,7 +61,7 @@ on the reference mesh's periodic pattern
 are solved on), plus the lumped mass summed there.  That system moves
 by O(dt) a step, so CG solves it preconditioned by one exact factor
 (:class:`evopore.fem.Factor`), the banded Cholesky of the reference cell's
-periodic pattern (:meth:`evopore.unitcell.PeriodicMesh.factorize`), that
+periodic pattern (:meth:`evopore.fem.StiffnessPattern.factorize`), that
 the simulator keeps across steps and rebuilds after a solve that applies
 it more than :data:`evopore.fem.REFACTOR_ITERATIONS` times.  On the
 default cell's 671 unknowns the canonical study's coarse solves take about
@@ -272,7 +272,7 @@ class MicroSimulator:
         self._kept = None
         # the exact factor of the eps-periodic start's system, kept from step
         # to step: that system moves by O(dt) a step
-        self._coarse = Factor(np.float64, mesh.cell.mesh.factorize)
+        self._coarse = Factor(np.float64, mesh.cell.mesh.periodic.factorize)
         # [D b; D (1/b - b)] (2m, c) of the latest assembly, written in place
         self._scalars = np.empty((2 * len(mesh.cell.mesh.triangles), mesh.n_cells))
         self.cg_iterations = 0    # CG iterations of the solves

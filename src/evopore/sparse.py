@@ -16,7 +16,8 @@ iterations, while starts whose error is not mostly periodic, as from a
 cosine u0 of amplitude 0.3, keep their iterations.  A caller may
 pass its own preconditioner instead, the solve of an exact factor
 (:class:`evopore.fem.Factor`): the macro stepper passes a single precision
-sparse LU factor of an earlier step's system; the micro stepper, on a
+banded Cholesky factor of an earlier step's system (a sparse LU on a grid
+beyond :data:`evopore.fem.BAND_LIMIT`); the micro stepper, on a
 system it keeps while its radii do not move, the exact double precision
 sparse LU factor of that system, and on the 671-dof system of its
 periodic start the banded Cholesky factor of an earlier step's, whose

@@ -24,12 +24,12 @@ which fixes the constant, assembled on :attr:`PeriodicMesh.periodic`: the
 one periodic pattern, on which the micro stepper also assembles its
 eps-periodic start's system.  One factor of that system solves both
 directions, and the nodal mean is then subtracted
-(:func:`solve_cell_problem`).  The systems on that pattern are factored by
-LAPACK's banded Cholesky on its reverse Cuthill-McKee band, which the mesh
-builds once (:attr:`PeriodicMesh.band`, :meth:`PeriodicMesh.factorize`):
-on the default mesh's 671 dofs, of half bandwidth 67, it takes a third of
-a sparse LU's time.  A finer mesh whose band is wider than
-:data:`BAND_LIMIT` is factored by sparse LU.
+(:func:`solve_cell_problem`).  The pattern factors the systems on it
+(:meth:`evopore.fem.StiffnessPattern.factorize`) by LAPACK's banded
+Cholesky on its reverse Cuthill-McKee band, which it orders once: on the
+default mesh's 671 dofs, of half bandwidth 67, that takes a third of a
+sparse LU's time.  A finer mesh whose band is wider than
+:data:`evopore.fem.BAND_LIMIT` is factored by sparse LU.
 :func:`effective_tensor` forms K from the element matrices of any
 coefficient, on any mesh; :func:`tabulate` evaluates the frame at all its
 radii at once, the scalars [b; 1/b - b] that it writes into one buffer,
@@ -53,28 +53,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
-from .fem import (UPPER3, BandedCholesky, StiffnessPattern, SymmetricBand, centroids, csv_table,
-                  element_stiffness, symmetric_band, symmetric_lu, triangle_geometry)
+from .fem import (UPPER3, StiffnessPattern, centroids, csv_table, element_stiffness,
+                  triangle_geometry)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
 _CSV_HEADER = "r,A11,A12,A22"
-
-# The half bandwidth above which a system on a periodic pattern is factored
-# by sparse LU (:func:`evopore.fem.symmetric_lu`), not by a banded Cholesky
-# on its reverse Cuthill-McKee band (:meth:`PeriodicMesh.factorize`): the
-# band's work grows like n kd^2.  Measured on cell-problem systems, one
-# thread, the best of 7 factorizations, band against LU: 671 dofs (the
-# default mesh), kd 67: 0.56 against 1.71 ms; 2,495 dofs, kd 133: 5.1
-# against 5.8 ms; 3,007 dofs, kd 141: 6.6 against 7.5 ms; 3,759 dofs, kd
-# 165: 10.7 against 8.7 ms; 9,599 dofs, kd 265: 45 against 28 ms.  A solve
-# of the band is the faster one at 671 dofs (36 against 41 us) and the
-# slower one beyond (0.58 against 0.34 ms for two right-hand sides at kd
-# 141), so the bound lies between kd 141 and 165.  Only these timings of
-# one factorization back it: every benchmark workload runs the default mesh,
-# on the band's side, so no end-to-end measurement covers the LU side, which
-# the tests and CI's cell table on the 9,599-dof mesh only run.
-BAND_LIMIT = 150
 
 
 def ball_volume(r):
@@ -227,22 +211,6 @@ class PeriodicMesh:
         system restricted to the eps-periodic functions."""
         dof, n_dof = self.dof_map
         return StiffnessPattern(dof[None, :], n_dof, self.node_entries)
-
-    @cached_property
-    def band(self) -> SymmetricBand:
-        """:attr:`periodic` in LAPACK's upper band storage, built once
-        (:func:`evopore.fem.symmetric_band`)."""
-        return symmetric_band(self.periodic)
-
-    def factorize(self, system: sp.csr_matrix):
-        """An exact factor of the symmetric positive definite ``system`` on
-        :attr:`periodic`, whose ``solve`` solves it: the banded Cholesky on
-        :attr:`band` (:class:`evopore.fem.BandedCholesky`), or the sparse LU
-        (:func:`evopore.fem.symmetric_lu`) when the band is wider than
-        :data:`BAND_LIMIT`.  Both raise ``RuntimeError`` on a system they
-        cannot factor."""
-        band = self.band
-        return symmetric_lu(system) if band.kd > BAND_LIMIT else BandedCholesky(system, band)
 
     @cached_property
     def loads(self) -> sp.csr_matrix:
@@ -454,9 +422,9 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
     ``w_0 = 1^T f = 0`` and so is the one with dof 0 pinned; the tensors
     are of unit diffusion and 2-D P1 stiffness does not change with scale,
     so the 1 is of the size of K_p's diagonal.  One factor
-    (:meth:`PeriodicMesh.factorize`, the banded Cholesky on the default
-    mesh) solves both directions, and subtracting the nodal mean picks the
-    zero-mean corrector.  A system that factor finds singular or not
+    (:meth:`evopore.fem.StiffnessPattern.factorize`, the banded Cholesky on
+    the default mesh) solves both directions, and subtracting the nodal
+    mean picks the zero-mean corrector.  A system that factor finds singular or not
     positive definite raises :class:`NumericalError`.
     """
     if stiffness is None:
@@ -469,7 +437,8 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
     pin = np.zeros(n)
     pin[0] = 1.0
     try:
-        factor = mesh.factorize(mesh.periodic.assemble(stiffness, pin))
+        periodic = mesh.periodic
+        factor = periodic.factorize(periodic.assemble(stiffness, pin))
     except RuntimeError as exc:
         raise NumericalError(f"cell problem: {exc}") from None
     w_dof = factor.solve((mesh.loads @ stiffness).reshape(2, n).T)

@@ -306,15 +306,15 @@ def test_cell_table_says_it_does_not_read_the_table_path(tmp_path, capsys):
 
 
 OPERATORS = ("system", "mass", "drift", "means")
-PATTERNS = ("node_entries", "periodic", "band")
+PATTERNS = ("node_entries", "periodic")
 
 
 @pytest.mark.parametrize("command, load_table, built", [
-    (["convergence"], False, (1, 1, 1, 1, 1, 1, 1, 1, 1)),
+    (["convergence"], False, (1, 1, 1, 1, 1, 1, 1, 1, 2)),
     (["micro-run", "--epsilon", "1/2"], False, (1, 1, 1, 1, 1, 1, 1, 1, 1)),
-    (["macro-run"], False, (1, 1, 1, 0, 0, 0, 1, 1, 1)),
+    (["macro-run"], False, (1, 1, 1, 0, 0, 0, 1, 1, 2)),
     (["cell-table"], False, (1, 1, 1, 0, 0, 0, 1, 1, 1)),
-    (["macro-run"], True, (0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (["macro-run"], True, (0, 0, 0, 0, 0, 0, 0, 0, 1)),
 ], ids=["convergence", "micro-run", "macro-run", "cell-table", "macro-run-table-path"])
 def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_table, built):
     """A command builds the reference mesh, the map's frame on its midpoints,
@@ -324,8 +324,8 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
     builds no other operator; a growing micro run reads all four.  The
     cell problems and the micro run's eps-periodic starts assemble on one
     periodic pattern of the mesh, and factor on one band of it, each built
-    once in a command that does both, and a macro run that loads its table
-    builds no cell."""
+    once in a command that does both; the macro grid's pattern orders its
+    own band once, and a macro run that loads its table builds no cell."""
     config = FAST_COMMON
     if load_table:
         tdir = tmp_path / "table"
@@ -333,7 +333,7 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
                      "--quiet"]) == 0
         config = config.replace("[table]\nradius_count = 5",
                                 f"[table]\npath = {tdir / 'table.csv'}")
-    counts = dict.fromkeys((PeriodicMesh, RadialFrame) + OPERATORS + PATTERNS, 0)
+    counts = dict.fromkeys((PeriodicMesh, RadialFrame) + OPERATORS + PATTERNS + ("band",), 0)
 
     def counting(key, build):
         def counted(*args, **kwargs):
@@ -343,7 +343,8 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
 
     for cls in (PeriodicMesh, RadialFrame):
         monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
-    for cls, names in ((ReferenceCell, OPERATORS), (PeriodicMesh, PATTERNS)):
+    for cls, names in ((ReferenceCell, OPERATORS), (PeriodicMesh, PATTERNS),
+                       (fem.StiffnessPattern, ("band",))):
         for name in names:
             prop = vars(cls)[name]
             monkeypatch.setattr(prop, "func", counting(name, prop.func))
@@ -709,21 +710,25 @@ def test_failed_cell_problem_factorization_is_one_line(tmp_path, capsys, monkeyp
         "1-th leading minor not positive definite\n")
 
 
-def test_table_beyond_single_precision_fails_its_factorization(tmp_path, capsys):
+def test_table_beyond_single_precision_fails_its_factorization(tmp_path, capsys, monkeypatch):
     """A loaded table of entries near 1e200 is positive definite, which its
     check finds without overflowing, and its macro system overflows the
-    single precision factor: exit 3 and one line naming the factorization,
-    with no RuntimeWarning, which the test settings make an error."""
+    single precision factor, the banded Cholesky of the grid's pattern or,
+    with every band beyond ``BAND_LIMIT``, the sparse LU: exit 3 and one
+    line naming the factorization, with no RuntimeWarning, which the test
+    settings make an error."""
     radii = np.linspace(0.15, 0.35, 5)
     table = tmp_path / "huge.csv"
     table.write_text(EffectiveTensorTable(radii, np.tile([1e200, 5e199, 1e200], (5, 1))).to_csv())
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(FAST_COMMON.replace("radius_count = 5", f"path = {table}"))
-    assert main(["macro-run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 3
-    assert capsys.readouterr().err == (
-        "numerical failure: macro step 1: macro factorization failed at t=0.005: "
-        "matrix entries overflow float32\n")
+    for limit in (fem.BAND_LIMIT, -1):
+        monkeypatch.setattr(fem, "BAND_LIMIT", limit)
+        assert main(["macro-run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: macro step 1: macro factorization failed at t=0.005: "
+            "matrix entries overflow float32\n")
 
 
 def test_cell_table_is_unit_diffusion(tmp_path):
@@ -840,14 +845,15 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
                                             extra, summary, factored, iterates):
     """The summary line of a run, and the progress line of each level of the
     convergence study, gives the CG iterations of its steps, summed, and its
-    sparse LU factorizations: the macro solver's single precision factor, the
-    one factor of a pinned micro run's system, none in a micro run whose radii
-    move, and none in a pinned run from a constant u0, which every step's CG
-    start already solves.  A micro line then gives the steps that started
-    from the eps-periodic correction, and the CG iterations and the
-    factorizations of the coarse solves, taken or not, which only moving
-    radii make: from a constant u0 with moving radii the solution is
-    eps-periodic, every step takes the correction and no step iterates.
+    factorizations: the macro solver's single precision banded Cholesky of
+    its grid's pattern, the one sparse LU of a pinned micro run's system,
+    none in a micro run whose radii move, and none in a pinned run from a
+    constant u0, which every step's CG start already solves.  A micro line
+    then gives the steps that started from the eps-periodic correction, and
+    the CG iterations and the factorizations of the coarse solves, taken or
+    not, which only moving radii make: from a constant u0 with moving radii
+    the solution is eps-periodic, every step takes the correction and no
+    step iterates.
     The outputs carry none of the counts."""
     iterations, factorizations, factor_calls, steppers = [], [], [], []
     starts, coarse, coarse_factorizations = [], [], []
@@ -882,7 +888,7 @@ def test_summary_line_counts_the_solver_work(tmp_path, capsys, monkeypatch, comm
     monkeypatch.setattr(stepper, "step", counted)
     monkeypatch.setattr(MicroSimulator, "_periodic_start", started)
     monkeypatch.setattr(micro, "solve_cg", coarse_solve)
-    # sparse LU and the banded Cholesky of the reference cell's periodic pattern
+    # sparse LU and the banded Cholesky of a pattern
     for module, name in ((fem.spla, "splu"), (fem.sla, "cholesky_banded")):
         monkeypatch.setattr(module, name, lambda *a, factorize=getattr(module, name), **k:
                             factor_calls.append(1) or factorize(*a, **k))

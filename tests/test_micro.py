@@ -523,7 +523,7 @@ def test_periodic_correction_never_raises_the_error_energy(reference_cell, param
             rng.normal() * smooth + 0.1 * rng.normal())
         # the correction itself, taken or not
         correction, _ = solve_cg(coarse, np.bincount(m.periodic_dof, b - A @ x0), tol=1e-10,
-                                 precondition=fem.Factor(np.float64, m.cell.mesh.factorize)
+                                 precondition=fem.Factor(np.float64, m.cell.mesh.periodic.factorize)
                                  .preconditioner(coarse))
         assert energy(x0 + correction[m.periodic_dof]) < energy(x0)
         start = sim._periodic_start(A, b, x0, diagonal)
@@ -705,7 +705,7 @@ def test_growing_run_never_factors(micro_mesh_half, monkeypatch):
     assert factorizations() == sim.coarse_factorizations and 0 < factorizations() <= 20
     reference = micro_mesh_half.cell.mesh
     upper = sim._coarse._lu.upper
-    assert upper.shape == (reference.band.kd + 1, reference.dof_map[1])
+    assert upper.shape == (reference.periodic.band.kd + 1, reference.dof_map[1])
     assert upper.size <= 46_000
 
 

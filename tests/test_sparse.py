@@ -2,10 +2,11 @@
 (``fem.StiffnessPattern`` of ``fem.element_stiffness``) against a
 per-element dense loop and an input-order sum, the CG ``solve_cg`` on scipy
 CSR matrices (by default Jacobi with an exact solve on the constant
-vector), the sparse LU factor preconditioner (``fem.Factor``): single
-precision as the macro step keeps it, double precision as a micro step
-makes it for the system it keeps, and the banded Cholesky factor of the
-reference cell's periodic systems (``fem.BandedCholesky``)."""
+vector), the exact factor preconditioner (``fem.Factor``): sparse LU in
+single precision and in double precision, as a micro step makes it for
+the system it keeps, and the banded Cholesky factor of a pattern
+(``fem.BandedCholesky``), which factors the reference cell's periodic
+systems and the macro step's kept single precision factor."""
 
 import gc
 import sys
@@ -20,14 +21,15 @@ from _oracles import cell_of_element, lumped_mass, pulled_back, tiled_triangles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evopore import fem, unitcell
+from evopore import fem
 from evopore.errors import NumericalError
-from evopore.fem import (REFACTOR_ITERATIONS, UPPER3, BandedCholesky, Factor, StiffnessPattern,
-                         backward_euler_step, centroids, element_stiffness, triangle_geometry)
+from evopore.fem import (BAND_LIMIT, REFACTOR_ITERATIONS, UPPER3, BandedCholesky, Factor,
+                         StiffnessPattern, backward_euler_step, centroids, element_stiffness,
+                         triangle_geometry)
 from evopore.macro import MacroGrid, MacroSolver
 from evopore.micro import MicroSimulator, build_micro_mesh
 from evopore.sparse import SolveReport, solve_cg
-from evopore.unitcell import BAND_LIMIT, ReferenceCell, porosity, solve_cell_problem, tabulate
+from evopore.unitcell import ReferenceCell, porosity, solve_cell_problem, tabulate
 from evopore.validate import patterned_radii
 
 
@@ -549,10 +551,11 @@ def test_refactor_after_a_jump_in_radii_or_dt(macro_grid):
     assert solve(r_rough, 0.005 / 8) == (2, 1)
 
 
-def test_a_dropped_factor_is_freed_at_once(macro_grid):
+def test_a_dropped_factor_is_freed_at_once(macro_grid, tensor_table, spec):
     """A factor of either precision takes megabytes of fill.  Once its owner
     lets it go, reference counting alone frees it, without waiting for the
-    cyclic garbage collector: the factor and its solve form no cycle."""
+    cyclic garbage collector: the factor and its solve form no cycle, and
+    neither does a macro solver with the banded factor of its pattern."""
     A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005)
     b = np.ones(macro_grid.n_nodes)
     enabled = gc.isenabled()
@@ -566,6 +569,13 @@ def test_a_dropped_factor_is_freed_at_once(macro_grid):
             dropped = weakref.ref(factor)
             del factor
             assert dropped() is None
+        solver = MacroSolver(macro_grid, tensor_table, spec)
+        solver.step(solver.init(lambda x: 0.6 + 0.2 * np.cos(np.pi * x[:, 0]),
+                                lambda x: np.full(len(x), 0.25)), 0.005)
+        assert solver.factorizations == 1 and isinstance(solver._factor._lu, BandedCholesky)
+        dropped = weakref.ref(solver._factor._lu)
+        del solver
+        assert dropped() is None
     finally:
         if enabled:
             gc.enable()
@@ -583,9 +593,8 @@ def factored(monkeypatch):
             return factorize(system, *args)
         return record
 
-    for module, name in ((fem, "symmetric_lu"), (unitcell, "symmetric_lu"),
-                         (unitcell, "BandedCholesky")):
-        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    for name in ("symmetric_lu", "BandedCholesky"):
+        monkeypatch.setattr(fem, name, recording(getattr(fem, name)))
     return systems
 
 
@@ -660,13 +669,13 @@ def test_banded_solves_match_the_dense_solve(reference_cell, params, spec):
     sim._system(radii, diagonal)
     rng = np.random.default_rng(3)
     for system in (cell_problem_system(reference_cell, 0.31), sim._periodic_system(diagonal)):
-        factor = mesh.factorize(system)
+        factor = mesh.periodic.factorize(system)
         assert isinstance(factor, BandedCholesky)
         for rhs in (rng.standard_normal(system.shape[0]), rng.standard_normal((system.shape[0], 2))):
             want = np.linalg.solve(system.toarray(), rhs)
             assert np.linalg.norm(factor.solve(rhs) - want) <= 1e-13 * np.linalg.norm(want)
         with pytest.raises(RuntimeError, match="not positive definite"):
-            mesh.factorize(-system)
+            mesh.periodic.factorize(-system)
     stiffness = reference_cell.system @ np.concatenate([np.ones(len(mesh.triangles)),
                                                         np.zeros(len(mesh.triangles))])
     with pytest.raises(NumericalError, match="^cell problem: .* not positive definite$"):
@@ -678,12 +687,12 @@ def test_periodic_systems_take_the_band_up_to_its_limit(reference_cell, params):
     within ``BAND_LIMIT``, and factor by the banded Cholesky; the 9,599 of
     ``n_boundary = 256``, ``target_h = 0.0125`` lie on one of 265, beyond
     it, and factor by sparse LU."""
-    assert (reference_cell.mesh.dof_map[1], reference_cell.mesh.band.kd) == (671, 67)
+    assert (reference_cell.mesh.dof_map[1], reference_cell.mesh.periodic.band.kd) == (671, 67)
     fine = ReferenceCell(params, 256, 0.0125)
-    assert fine.mesh.dof_map[1] == 9599 and fine.mesh.band.kd > BAND_LIMIT
+    assert fine.mesh.dof_map[1] == 9599 and fine.mesh.periodic.band.kd > BAND_LIMIT
     for cell, kind in ((reference_cell, BandedCholesky), (fine, spla.SuperLU)):
         system = cell_problem_system(cell, 0.31)
-        factor = cell.mesh.factorize(system)
+        factor = cell.mesh.periodic.factorize(system)
         assert isinstance(factor, kind)
         rhs = np.cos(np.arange(system.shape[0]))
         rhs -= rhs.mean()   # as the cell problems' loads sum to zero
@@ -695,32 +704,96 @@ def test_band_and_lu_tables_agree(params, monkeypatch):
     Cholesky solves matches, to 1e-13 relative, the table whose same
     assembled systems sparse LU solves, as it does above ``BAND_LIMIT``."""
     cell = ReferenceCell(params, 128)
-    assert cell.mesh.band.kd <= BAND_LIMIT
+    periodic = cell.mesh.periodic
+    assert periodic.band.kd <= BAND_LIMIT
     radii = np.linspace(params.r_min, params.r_max, 5)
     factors = []
-    factorize = cell.mesh.factorize
-    monkeypatch.setattr(cell.mesh, "factorize",
+    factorize = periodic.factorize
+    monkeypatch.setattr(periodic, "factorize",
                         lambda system: factors.append(factorize(system)) or factors[-1])
     band = tabulate(cell, radii).entries
-    monkeypatch.setattr(unitcell, "BAND_LIMIT", -1)
+    monkeypatch.setattr(fem, "BAND_LIMIT", -1)
     lu = tabulate(cell, radii).entries
     assert [type(f) for f in factors] == [BandedCholesky] * 5 + [spla.SuperLU] * 5
     assert np.max(np.abs(band - lu)) <= 1e-13 * np.max(np.abs(lu))
 
 
+@pytest.mark.parametrize("n, kd, kind", [(128, 129, BandedCholesky), (160, 161, spla.SuperLU)])
+def test_macro_systems_take_the_band_up_to_its_limit(tensor_table, spec, n, kd, kind):
+    """The macro grid of n x n squares lies on a band of half width n + 1
+    in reverse Cuthill-McKee order: at n = 128 it is within ``BAND_LIMIT``
+    and the stepper keeps a float32 banded Cholesky, at n = 160 beyond it
+    and the stepper keeps a float32 sparse LU."""
+    solver = MacroSolver(MacroGrid.create(n), tensor_table, spec)
+    state = solver.init(lambda x: 0.6 + 0.2 * np.cos(np.pi * x[:, 0]),
+                        lambda x: 0.25 + 0.05 * np.sin(np.pi * x[:, 1]))
+    assert solver._pattern.band.kd == kd and (kd <= BAND_LIMIT) == (kind is BandedCholesky)
+    solver.step(state, 0.005)
+    factor = solver._factor._lu
+    assert isinstance(factor, kind) and solver.factorizations == 1
+    if kind is BandedCholesky:
+        assert factor.upper.dtype == np.float32 and factor.upper.shape == (kd + 1, (n + 1)**2)
+
+
+def test_single_precision_band_solves_match_the_dense_solve(macro_grid):
+    """The macro pattern's float32 banded Cholesky solves a macro system in
+    float32 as ``np.linalg.solve`` does in float64, to 100 float32 epsilons
+    relative, and its float64 one to 1e-13."""
+    pattern = StiffnessPattern(macro_grid.elements, macro_grid.n_nodes)
+    r = np.random.default_rng(5).uniform(0.15, 0.35, macro_grid.n_elements)
+    A = macro_system(macro_grid, r, 0.005)
+    rhs = np.random.default_rng(6).standard_normal(macro_grid.n_nodes)
+    want = np.linalg.solve(A.toarray(), rhs)
+    for dtype, bound in ((np.float32, 100 * np.finfo(np.float32).eps), (np.float64, 1e-13)):
+        factor = pattern.factorize(A, dtype)
+        assert isinstance(factor, BandedCholesky) and factor.upper.dtype == dtype
+        x = factor.solve(rhs.astype(dtype))
+        assert x.dtype == dtype
+        assert np.linalg.norm(x - want) <= bound * np.linalg.norm(want)
+
+
+def test_band_and_lu_macro_runs_agree(tensor_table, spec, monkeypatch):
+    """A macro run whose kept float32 factor is the pattern's banded
+    Cholesky does no more CG iterations and factorizations than the same
+    run with the sparse LU, which it takes when ``BAND_LIMIT`` is below
+    every band, and its fields agree with that run's to 1e-8 relative:
+    both CG solves stop at the same 1e-10 residual."""
+    grid = MacroGrid.create(32)
+    runs = []
+    for limit in (BAND_LIMIT, -1):
+        monkeypatch.setattr(fem, "BAND_LIMIT", limit)
+        solver = MacroSolver(grid, tensor_table, spec,
+                             source=lambda t, x: np.cos(np.pi * x[:, 0]) * np.exp(-t))
+        state = solver.init(lambda x: 0.7 + 0.1 * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]),
+                            lambda x: 0.25 + 0.04 * np.sin(np.pi * x[:, 1]))
+        for _ in range(30):
+            state = solver.step(state, 0.005)
+        runs.append((solver.cg_iterations, solver.factorizations, state.u,
+                     type(solver._factor._lu)))
+    (band_cg, band_factors, band_u, band_kind), (lu_cg, lu_factors, lu_u, lu_kind) = runs
+    assert (band_kind, lu_kind) == (BandedCholesky, spla.SuperLU)
+    assert band_cg <= lu_cg and band_factors <= lu_factors
+    assert np.max(np.abs(band_u - lu_u)) <= 1e-8 * np.max(np.abs(lu_u))
+
+
 def test_a_factor_whose_entries_overflow_its_precision_is_numerical_error(macro_grid):
     """A system whose entries exceed float32 fails its single precision
-    factorization as a ``NumericalError`` naming the factorization, with no
-    RuntimeWarning from the cast; its double precision factor is fine."""
+    factorization, sparse LU or the macro pattern's banded Cholesky, as a
+    ``NumericalError`` naming the factorization, with no RuntimeWarning
+    from the cast; its double precision factor is fine."""
     A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005) * 1e200
     b = np.ones(macro_grid.n_nodes)
-    with pytest.raises(NumericalError, match="macro factorization failed at t=0.5: "
-                                             "matrix entries overflow float32"):
-        backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), 1e-10, "macro", 0.5,
-                            Factor(np.float32))
-    x, iterations, factorizations = backward_euler_step(
-        A, b, np.zeros(macro_grid.n_nodes), 1e-10, "macro", 0.5, Factor(np.float64))
-    assert factorizations == 1 and iterations <= 2
+    pattern = StiffnessPattern(macro_grid.elements, macro_grid.n_nodes)
+    assert pattern.band.kd <= BAND_LIMIT
+    for factorize in (None, pattern.factorize):
+        with pytest.raises(NumericalError, match="^macro factorization failed at t=0.5: "
+                                                 "matrix entries overflow float32$"):
+            backward_euler_step(A, b, np.zeros(macro_grid.n_nodes), 1e-10, "macro", 0.5,
+                                Factor(np.float32, factorize))
+        x, iterations, factorizations = backward_euler_step(
+            A, b, np.zeros(macro_grid.n_nodes), 1e-10, "macro", 0.5,
+            Factor(np.float64, factorize))
+        assert factorizations == 1 and iterations <= 2
 
 
 def test_singular_system_factorization_is_numerical_error():
