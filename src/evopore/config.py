@@ -34,7 +34,9 @@ MAX_N_BOUNDARY = 1024
 # mesh passes; target_h = 1e-12 sized 4.6e11 rings before the check.
 TARGET_H_FLOOR = 5e-4
 # A macro grid has (macro_n + 1)**2 nodes, whose system the step factors by
-# sparse LU; 1024 is 1.05M nodes, 64 times the finest grid in use (128).
+# a float32 banded Cholesky up to macro_n 149 (half bandwidth macro_n + 1)
+# and by sparse LU beyond fem.BAND_LIMIT; 1024 is 1.05M nodes, 64 times the
+# finest grid in use (128).
 MAX_MACRO_N = 1024
 # Every step is at least one linear solve (about 1 ms on the default macro
 # grid), so a million is a quarter-hour run; t_end = 1e300 asked for 2e302.

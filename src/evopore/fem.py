@@ -6,25 +6,27 @@ lumped by a fixed sparse operator of its mesh: the macro grid's node-element
 incidence (:meth:`evopore.macro.MacroGrid.lump`) and the reference cell's
 ``mass`` (:class:`evopore.unitcell.ReferenceCell`).  :func:`triangle_geometry`
 gives the element geometry of the macro grid and the reference cell; the
-micro mesh reads the reference cell's.  A mesh's stiffness matrices share
-one CSR sparsity, :class:`StiffnessPattern`: it is built once per mesh from
-blocks of dofs and the upper half of their local sparsity, and every
-assembly fills the CSR data from the blocks' upper halves by a gather
-through a slot map; there is no one-off assembly beside it.  The slot map
-gives every CSR slot the block entry that fills it first, an entry off a
-block's diagonal filling both its slot and the mirrored one, and lists the
-later entries that add to a slot, in the memory order of the data their
-owner produces: block-major for triangles, entry-major for the micro
-cells.  An assembly is one ``np.take`` of the first entries and one
-``np.add.at`` of the later ones and the diagonal, about 2% of the slots
-on the micro mesh; there is no ``np.bincount`` over the whole data, and
-every assembled matrix is exactly symmetric.  The macro stepper and the
-periodic cell mesh pass their triangles as the blocks, 6 entries each; the
-cell mesh's pattern is its node sparsity, its periodic pairs not merged,
-whose upper half the reference cell's operators and every micro cell share.
-Its second pattern merges the periodic pairs: one block, every node's
-periodic dof, with the node sparsity's upper entries.  A cell problem is
-solved from its stiffness K on the node pattern by an exact factor
+micro mesh reads the reference cell's.  Every stiffness matrix is
+assembled one way: a cell operator applied to per-cell scalars gives the
+upper half of every cell's matrix, entry-major with one column per cell,
+and a :class:`StiffnessPattern` over the cells, the CSR sparsity of the
+tiling, scatters them; there is no one-off assembly beside it.
+:func:`upper_entries` gives a triangulation's cell sparsity, the node
+entries on or above its diagonal, and the entry that each element's upper
+half (:data:`UPPER3`) falls on, from which every cell operator is built.
+The pattern's slot map gives every CSR slot the cell entry that fills it
+first, an entry off a cell's diagonal filling both its slot and the
+mirrored one, and lists the later entries that add to a slot, in the
+data's entry-major order.  An assembly is one ``np.take`` of the first
+entries and one ``np.add.at`` of the later ones and the diagonal, about
+2% of the slots on the micro mesh; there is no ``np.bincount`` over the
+whole data, and every assembled matrix is exactly symmetric.  The micro
+cells are the reference cell's copies, with its node sparsity's upper
+half; the macro grid's cells are its squares, two triangles and 9 node
+entries each (:class:`evopore.macro.MacroGrid`).  The reference mesh's
+periodic pattern is one cell, every node's periodic dof, with the node
+sparsity's upper entries.  A cell problem is solved from the half data of
+its stiffness K on those node entries by an exact factor
 (:func:`evopore.unitcell.solve_cell_problem`), so only the steppers run CG:
 its loads are K applied to the coordinate functions, and its system is K
 assembled on the periodic pattern with a 1 on one diagonal entry, which
@@ -44,14 +46,13 @@ systems the micro stepper keeps, whose bands are wider.  The tensor table
 forms every radius' K by one product of the reference cell's operators,
 with one column per radius where the micro stepper (below) has one per
 cell; the oracle route forms it from a tensor per element by batched
-``matmul`` (:func:`element_stiffness`) and passes the upper halves of its
-element matrices (:data:`UPPER3`).
-The macro grid has two element shapes, so the macro stepper forms them as
-the per-element tensor components (A11, A12, A22) times the operators of
-the two shapes (:meth:`evopore.macro.MacroGrid.element_matrices`).  The
-micro stepper passes its cells, each with the reference cell's sparsity, and
-forms every cell's entries from reference-cell operators
-(:mod:`evopore.micro`).  The steppers share one implicit step,
+``matmul`` (:func:`element_stiffness`) and sums the upper halves of its
+element matrices onto the node entries.  The macro stepper forms every
+square's entries as one product of the square's operator with the
+components (A11, A12, A22) of its two triangles
+(:meth:`evopore.macro.MacroGrid.square_matrices`), and the micro stepper
+every cell's from reference-cell operators (:mod:`evopore.micro`).  The
+steppers share one implicit step,
 :func:`backward_euler_step`; they differ only in the mass weight (porosity
 or Jacobian) and the stiffness (homogenized or pulled back).  Both
 precondition CG by one kind of exact factor, :class:`Factor`, built
@@ -137,14 +138,14 @@ def centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 class PatternSlots(NamedTuple):
     """The slot map of a :class:`StiffnessPattern`, every index C-contiguous
-    ``np.intp`` into the flattened block data or the CSR data."""
+    ``np.intp`` into the flattened cell data or the CSR data."""
 
     indptr: np.ndarray    # CSR row pointers, shared by every assembled matrix
     indices: np.ndarray   # CSR column indices, shared likewise
-    first: np.ndarray     # (nnz,): the block entry that fills each slot first, or 0
-    later: np.ndarray     # the block entries that add to a slot after its first
+    first: np.ndarray     # (nnz,): the cell entry that fills each slot first, or 0
+    later: np.ndarray     # the cell entries that add to a slot after its first
     targets: np.ndarray   # the slot of every later entry, then of every diagonal entry
-    unfilled: np.ndarray  # the slots that no block entry fills, all on the diagonal
+    unfilled: np.ndarray  # the slots that no cell entry fills, all on the diagonal
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -156,54 +157,63 @@ class PatternSlots(NamedTuple):
 UPPER3 = np.triu_indices(3)
 
 
+def upper_entries(triangles: np.ndarray, n_nodes: int):
+    """The upper half of a triangulation's node sparsity and where its
+    elements' upper halves fall in it: ``(rows, cols, at)``, with (rows[k],
+    cols[k]) the s node pairs, row <= col, in CSR order, every node's
+    diagonal among them, and ``at`` (nt, 6) the index k of the pair of each
+    entry of each element's upper half (:data:`UPPER3`)."""
+    a, b = UPPER3
+    n = n_nodes
+    # each pair lower node first, sorted, and once (np.unique of these
+    # integers costs ten times as much)
+    pairs = np.minimum(triangles[:, a] * n + triangles[:, b], triangles[:, b] * n + triangles[:, a])
+    keys = np.sort(pairs, axis=None)
+    keys = keys[np.insert(keys[1:] != keys[:-1], 0, True)]
+    rows, cols = np.divmod(keys, n)
+    return rows, cols, np.searchsorted(keys, pairs)
+
+
 class StiffnessPattern:
     """CSR sparsity of symmetric stiffness matrices assembled from the upper
-    halves of blocks of dofs.
+    halves of cells of dofs.
 
-    ``dofs`` (n_blocks, k) holds the degrees of freedom of every block, and
-    ``local`` the block's own sparsity: the (rows, cols) index pairs into a
-    block's k dofs, each with row <= col, that its data fills.  By default a
-    block is a P1 element and fills the 6 entries of its upper half row by
-    row (:data:`UPPER3`); the micro mesh passes its cells with the upper
-    half of the reference cell's node sparsity.  A block entry off the
-    block's diagonal fills both its slot and the mirrored one, so every
-    assembled matrix is exactly symmetric.  The pattern also holds every
-    diagonal entry.
+    ``dofs`` (n_cells, k) holds the degrees of freedom of every cell, and
+    ``local`` the cell's own sparsity: the (rows, cols) index pairs into a
+    cell's k dofs, each with row <= col, that its data fills.  The micro
+    cells pass the upper half of the reference cell's node sparsity, the
+    macro grid's squares the 9 node entries of a square's two triangles and
+    the periodic pattern, one cell of every node's dof, the reference
+    mesh's node entries.  A cell entry off the cell's diagonal fills both
+    its slot and the mirrored one, so every assembled matrix is exactly
+    symmetric.  The pattern also holds every diagonal entry.
 
     The slots (:class:`PatternSlots`) are built on first use and give every
-    CSR slot the block entry that fills it first and the later entries that
-    add to it, in the memory order of the data their owner produces:
-    block-major (n_blocks, s) by default, as the macro grid and the cell
-    problems form their element matrices, and entry-major (s, n_blocks) with
-    ``entry_major``, as the micro cells' product of reference-cell operators
-    gives their entries.  An assembly is one gather of the first entries,
-    one ``np.add.at`` of the later ones and the diagonal: no sum over a
-    slot map as long as the data.
+    CSR slot the cell entry that fills it first and the later entries that
+    add to it, in the memory order of the entry-major (s, n_cells) data that
+    a cell operator's product gives, one column per cell.  An assembly is
+    one gather of the first entries, one ``np.add.at`` of the later ones and
+    the diagonal: no sum over a slot map as long as the data.
     """
 
-    def __init__(self, dofs: np.ndarray, n_dof: int,
-                 local: tuple[np.ndarray, np.ndarray] | None = None,
-                 entry_major: bool = False):
+    def __init__(self, dofs: np.ndarray, n_dof: int, local: tuple[np.ndarray, np.ndarray]):
         dofs = np.asarray(dofs)
         if dofs.size and (dofs.min() < 0 or dofs.max() >= n_dof):
-            raise ValueError(f"element dof outside [0, {n_dof})")
-        if local is None:
-            local = UPPER3
+            raise ValueError(f"cell dof outside [0, {n_dof})")
         if np.any(np.asarray(local[0]) > np.asarray(local[1])):
-            raise ValueError("block entries must lie on or above the block's diagonal")
+            raise ValueError("cell entries must lie on or above the cell's diagonal")
         self.dofs = dofs
         self.n_dof = n_dof
         self.local = local
-        self.entry_major = entry_major
         self._slots = None
 
     def slots(self) -> PatternSlots:
         """The CSR arrays and slot map of the pattern (:class:`PatternSlots`)."""
         if self._slots is None:
-            n, n_blocks = self.n_dof, len(self.dofs)
+            n, n_cells = self.n_dof, len(self.dofs)
             lr, lc = (np.asarray(a) for a in self.local)
             s = len(lr)
-            # the block's coordinates: each entry, then its mirror when it
+            # the cell's coordinates: each entry, then its mirror when it
             # lies off the diagonal
             pick = np.stack([np.ones(s, dtype=bool), lr != lc], axis=1).ravel()
             local_rows = np.stack([lr, lc], axis=1).ravel()[pick]
@@ -214,18 +224,13 @@ class StiffnessPattern:
             # data's memory order, plus 1 for a mirror, so that the entries
             # of a slot sum in the data's order; int32 where it fits, which
             # halves the traffic of the passes over every coordinate below
-            beyond = 2 * n_blocks * s   # above every rank: a slot that no entry fills
+            beyond = 2 * n_cells * s   # above every rank: a slot that no entry fills
             index = np.int32 if beyond + n < 2**31 else np.intp
-            block = 2 * np.arange(n_blocks, dtype=index)
-            if self.entry_major:
-                rank = (2 * n_blocks * entry + mirror).astype(index)[:, None] + block
-            else:
-                rank = (s * block)[:, None] + (2 * entry + mirror).astype(index)
-            rank = rank.ravel()
-            dofs = self.dofs.astype(np.int32)
+            rank = ((2 * n_cells * entry + mirror).astype(index)[:, None]
+                    + 2 * np.arange(n_cells, dtype=index)).ravel()
+            dofs = self.dofs.T.astype(np.int32)
             diag = np.arange(n, dtype=np.int32)
-            rows, cols = (np.concatenate([(dofs.T[a] if self.entry_major else dofs[:, a]).ravel(),
-                                          diag]) for a in (local_rows, local_cols))
+            rows, cols = (np.concatenate([dofs[a].ravel(), diag]) for a in (local_rows, local_cols))
             csr = sp.coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
                                 shape=(n, n)).tocsr()
             csr.sort_indices()
@@ -238,8 +243,8 @@ class StiffnessPattern:
             first = np.full(csr.nnz, beyond, dtype=index)
             np.minimum.at(first, slot[:len(rank)], rank)
             later = np.flatnonzero(first[slot[:len(rank)]] != rank)
-            if self.entry_major:   # block-major coordinates are already in rank order
-                later = later[np.argsort(rank[later])]
+            # the coordinates lie entry, mirror, cell; the ranks entry, cell, mirror
+            later = later[np.argsort(rank[later])]
             unfilled = np.flatnonzero(first == beyond)
             first[unfilled] = 0
             first >>= 1
@@ -255,23 +260,22 @@ class StiffnessPattern:
                                        later.astype(np.intp), targets, unfilled)
         return self._slots
 
-    def assemble(self, block_data: np.ndarray,
+    def assemble(self, cell_data: np.ndarray,
                  diagonal: np.ndarray | None = None) -> sp.csr_matrix:
-        """Symmetric stiffness matrix of the upper-half block data
-        ``block_data``, laid out as the slots are: (n_blocks, s), for P1
-        elements the 6 entries of :data:`UPPER3` (nt, 6), or entry-major
-        (s, n_blocks); plus ``diagonal`` (n_dof,) on the main diagonal.
+        """Symmetric stiffness matrix of the upper-half cell data
+        ``cell_data`` (s, n_cells), entry-major: row k holds entry k of
+        ``local`` of every cell; plus ``diagonal`` (n_dof,) on the main
+        diagonal.
 
-        Entries sharing a slot, each off its block's diagonal in its own
-        slot and in the mirrored one, are summed in the data's memory order,
-        the diagonal last: block-major block by block and within a block in
-        the order of ``local``, entry-major entry by entry and within an
-        entry block by block.  C-contiguous data is read in place.
+        Entries sharing a slot, each off its cell's diagonal in its own slot
+        and in the mirrored one, are summed in the data's memory order, the
+        diagonal last: entry by entry and within an entry cell by cell.
+        C-contiguous data is read in place.
         """
         s = self.slots()
-        flat = np.ravel(block_data)
+        flat = np.ravel(cell_data)
         if flat.size != len(self.dofs) * len(self.local[0]):
-            raise ValueError(f"block data of {flat.size} entries for {len(self.dofs)} blocks "
+            raise ValueError(f"cell data of {flat.size} entries for {len(self.dofs)} cells "
                              f"of {len(self.local[0])}")
         # every index is in range: "clip" skips the bounds checks
         data = np.take(flat, s.first, mode="clip") if flat.size else np.zeros(len(s.indices))

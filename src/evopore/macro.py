@@ -15,13 +15,16 @@ mass of that porosity, which the next step reads as its old volume and mass,
 and the u array of the state before it, from which the next step
 extrapolates its CG start.
 
-The grid's squares are split along one diagonal, so its elements have two
-shapes.  The tabulated tensor is symmetric, so an element matrix is A11,
-A12 and A22 times three fixed matrices of its shape; :class:`MacroGrid`
-builds those once, with the element midpoints, and a step's element
-matrices are one batched product of the looked-up components with them.
-The grid also holds its lumping operator, the node-element incidence as a
-sparse matrix, as the reference cell holds its ``mass``: every lumped
+The grid is n^2 copies of one square cell, its lower and upper triangle,
+and the tabulated tensor is symmetric, so the 9 upper node entries of a
+square's stiffness are one fixed (9, 6) operator applied to the (A11, A12,
+A22) of its two triangles.  :class:`MacroGrid` builds that operator once,
+with the element midpoints, and a step forms every square's entries by one
+product of it with the looked-up components, one column per square, which
+its :class:`evopore.fem.StiffnessPattern` over the squares assembles as the
+micro stepper's pattern assembles its cells.  The grid also holds its
+lumping operator, the node-element incidence as a sparse matrix, as the
+reference cell holds its ``mass``: every lumped
 quantity of the stepper (the porosity mass, the source loads and the solid
 exchange loads) is one product with it (:meth:`MacroGrid.lump`).
 """
@@ -39,7 +42,7 @@ import scipy.sparse as sp
 from .errors import NumericalError
 from .fem import (UPPER3, Factor, StiffnessPattern, backward_euler_step, centroids,
                   csv_table, element_means, element_stiffness, extrapolated_start,
-                  triangle_geometry, xy_text)
+                  triangle_geometry, upper_entries, xy_text)
 from .kinetics import KineticsSpec, check_initial_state, eval_f, step_radius
 from .unitcell import EffectiveTensorTable, ball_volume
 
@@ -47,6 +50,8 @@ from .unitcell import EffectiveTensorTable, ball_volume
 # The symmetric tensors whose coefficients are A11, A12 and A22.
 _UNIT_TENSORS = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
                           [[0.0, 0.0], [0.0, 1.0]]])
+# A square's lower and upper triangle on its corners a, b, c, d (0 to 3).
+_SQUARE = np.array([[0, 1, 2], [0, 2, 3]])
 
 
 @dataclass(frozen=True)
@@ -54,22 +59,27 @@ class MacroGrid:
     """Uniform triangulation of [0,1]^2: n x n squares, each split along the
     main diagonal (the split direction is invariant under the x/y swap).
 
-    Element 2 k is the lower and element 2 k + 1 the upper triangle of square
-    k, so the grid has two element shapes.  ``operator`` (2 shapes, 3, 6)
-    holds each shape's stiffness operator: row c is the upper half
-    (:data:`evopore.fem.UPPER3`), row by row, of the element matrix
-    ``|T| G E_c G^T`` of the symmetric tensor E_c whose coefficient is
-    component c of (A11, A12, A22), taken from the first triangle of the
-    shape.  ``centers`` holds the element centroids, where the radius, the
-    source and every snapshot's ``x1,x2`` live.
+    ``squares`` (n^2, 4) holds the corners a, b, c, d of every square, and
+    element 2 k is the lower (a, b, c) and element 2 k + 1 the upper (a, c,
+    d) triangle of square k.  ``entries`` holds the (rows, cols) corner
+    pairs of a square's 9 upper node entries
+    (:func:`evopore.fem.upper_entries`) and ``operator`` (9, 6) its
+    stiffness operator: column 3 t + c holds
+    the upper half of the element matrix ``|T| G E_c G^T`` of triangle t
+    at those entries, E_c the symmetric tensor whose coefficient is
+    component c of (A11, A12, A22), taken from the first square.
+    ``centers`` holds the element centroids, where the radius, the source
+    and every snapshot's ``x1,x2`` live.
     """
 
     n: int
     nodes: np.ndarray
+    squares: np.ndarray
     elements: np.ndarray
     areas: np.ndarray = field(repr=False)
     grads: np.ndarray = field(repr=False)
     centers: np.ndarray = field(repr=False)
+    entries: tuple[np.ndarray, np.ndarray] = field(repr=False)
     operator: np.ndarray = field(repr=False)
 
     @classmethod
@@ -85,16 +95,20 @@ class MacroGrid:
         ix, iy = np.divmod(np.arange(n * n), n)
         a = ix * (n + 1) + iy
         b = a + (n + 1)
-        # the lower triangle (below the diagonal), then the upper one
-        elems = np.stack([a, b, b + 1, a, b + 1, a + 1], axis=1).reshape(2 * n * n, 3)
+        squares = np.stack([a, b, b + 1, a + 1], axis=1)
+        elems = squares[:, _SQUARE].reshape(2 * n * n, 3)
         areas, grads = triangle_geometry(nodes, elems)
-        shapes = [element_stiffness(areas[:2], grads[:2], np.broadcast_to(e, (2, 2, 2)))
-                  for e in _UNIT_TENSORS]
-        operator = np.stack([k[:, UPPER3[0], UPPER3[1]] for k in shapes], axis=1)
+        rows, cols, at = upper_entries(_SQUARE, 4)
+        # (triangle, entry, component): the first square's upper halves
+        halves = np.stack([element_stiffness(areas[:2], grads[:2], np.broadcast_to(e, (2, 2, 2)))
+                           [:, UPPER3[0], UPPER3[1]] for e in _UNIT_TENSORS], axis=2)
+        operator = np.zeros((len(rows), 2, 3))
+        operator[at, np.arange(2)[:, None]] = halves
+        operator = operator.reshape(len(rows), 6)
         centers = centroids(nodes, elems)
         for array in (centers, operator):
             array.setflags(write=False)
-        return cls(n, nodes, elems, areas, grads, centers, operator)
+        return cls(n, nodes, squares, elems, areas, grads, centers, (rows, cols), operator)
 
     @property
     def n_nodes(self) -> int:
@@ -127,17 +141,11 @@ class MacroGrid:
         order, so the same bits as one ``np.bincount`` over the vertices."""
         return self.lumping @ (weight * self.areas / 3.0)
 
-    def element_matrices(self, components: np.ndarray) -> np.ndarray:
-        """Upper halves (nt, 6) of the element stiffness matrices, row by
-        row (:data:`evopore.fem.UPPER3`), of the symmetric tensors with
-        per-element components ``components`` (nt, 3) = (A11, A12, A22): one
-        batched product with :attr:`operator`."""
-        n2 = self.n * self.n
-        k_el = np.empty((n2, 2, 6))
-        # (shape, square, component) @ (shape, component, entry), written in element order
-        np.matmul(components.reshape(n2, 2, 3).transpose(1, 0, 2), self.operator,
-                  out=k_el.transpose(1, 0, 2))
-        return k_el.reshape(2 * n2, 6)
+    def square_matrices(self, components: np.ndarray) -> np.ndarray:
+        """Every square's 9 upper node entries (9, n^2), entry-major, of the
+        symmetric tensors with per-element components ``components`` (nt, 3)
+        = (A11, A12, A22): one product with :attr:`operator`."""
+        return self.operator @ components.reshape(len(self.squares), 6).T
 
     def element_of_point(self, pts: np.ndarray) -> np.ndarray:
         """Element index containing each point (points on the diagonal and on
@@ -213,7 +221,7 @@ class MacroSolver:
         self.source = source
         self.diffusion = diffusion
         self.cg_tol = cg_tol
-        self._pattern = StiffnessPattern(grid.elements, grid.n_nodes)
+        self._pattern = StiffnessPattern(grid.squares, grid.n_nodes, grid.entries)
         # the pattern's bound method: no reference cycle through the solver
         self._factor = Factor(np.float32, self._pattern.factorize)
         self.cg_iterations = 0    # CG iterations of the solves
@@ -268,8 +276,7 @@ class MacroSolver:
 
         components = self.table.components(r_new)
         components *= self.diffusion
-        k_el = g.element_matrices(components)
-        system = self._pattern.assemble(k_el, diagonal=m_new / dt)
+        system = self._pattern.assemble(g.square_matrices(components), diagonal=m_new / dt)
         u_new, iterations, factorizations = backward_euler_step(
             system, b, extrapolated_start(state.u, state.previous), self.cg_tol, "macro", t_new,
             self._factor)

@@ -266,8 +266,8 @@ class MicroSimulator:
         if not (box.r_min <= spec.r_min and spec.r_max <= box.r_max):
             raise ValueError(f"kinetics radius box [{spec.r_min:g}, {spec.r_max:g}] is not inside "
                              f"the cell map's [{box.r_min:g}, {box.r_max:g}]")
-        self._pattern = StiffnessPattern(mesh.node_map, mesh.n_nodes, mesh.cell.mesh.node_entries,
-                                         entry_major=True)
+        self._pattern = StiffnessPattern(mesh.node_map, mesh.n_nodes,
+                                         mesh.cell.mesh.node_entries[:2])
         # (radii, dt, system, factor) of a step whose radii did not move
         self._kept = None
         # the exact factor of the eps-periodic start's system, kept from step

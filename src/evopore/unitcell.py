@@ -15,9 +15,12 @@ A cell problem takes its element coefficient: the unit tensor on a cell
 meshed at the requested radius, or the pulled-back tensor on the reference
 mesh.  The two routes discretize the same tensor and serve as mutual oracles.
 A cell problem is solved from its stiffness K on the mesh's node sparsity,
-its periodic pairs not merged (:attr:`PeriodicMesh.node_pattern`), held as
-the half data of the symmetric K: its entries on and above the diagonal,
-which :attr:`PeriodicMesh.node_entries` lists.  Its loads are K applied to
+its periodic pairs not merged, held as the half data of the symmetric K:
+its entries on and above the diagonal, which
+:attr:`PeriodicMesh.node_entries` lists with the entry that each element's
+upper half falls on (:func:`evopore.fem.upper_entries`), the one map from
+elements to node entries that :attr:`ReferenceCell.system` and the element
+route of :func:`solve_cell_problem` both read.  Its loads are K applied to
 the coordinate functions, exact for P1 (:attr:`PeriodicMesh.loads`), and
 its system is K with its periodic pairs merged plus a 1 on dof 0's diagonal,
 which fixes the constant, assembled on :attr:`PeriodicMesh.periodic`: the
@@ -54,7 +57,7 @@ import scipy.sparse as sp
 
 from .errors import MeshQualityError, NumericalError
 from .fem import (UPPER3, StiffnessPattern, centroids, csv_table, element_stiffness,
-                  triangle_geometry)
+                  triangle_geometry, upper_entries)
 from .transform import RadialFrame, TransformParams
 
 _PAIR_DECIMALS = 12
@@ -181,36 +184,24 @@ class PeriodicMesh:
                              shape=(2 * m, self.n_nodes))
 
     @cached_property
-    def node_pattern(self) -> StiffnessPattern:
-        """CSR sparsity of the stiffness of this mesh's nodes, its periodic
-        pairs not merged: the sparsity of every cell problem's K, of the
-        reference cell's :attr:`ReferenceCell.system` and of each micro
-        cell."""
-        return StiffnessPattern(self.triangles, self.n_nodes)
-
-    @cached_property
-    def node_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, cols) of the s entries of :attr:`node_pattern` on or above
-        its diagonal, row <= col, in CSR order: the order of every K's half
-        data, which determines the symmetric K.  They are the node pairs of
-        the elements' upper halves, every node's diagonal among them."""
-        a, b = UPPER3
-        tri, n = self.triangles, self.n_nodes
-        # each pair lower node first, sorted, and once (np.unique of these
-        # integers costs ten times as much)
-        keys = np.sort(np.minimum(tri[:, a] * n + tri[:, b], tri[:, b] * n + tri[:, a]), axis=None)
-        keys = keys[np.insert(keys[1:] != keys[:-1], 0, True)]
-        return np.divmod(keys, n)
+    def node_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, at): the s node entries on or above the diagonal of
+        this mesh's node sparsity, its periodic pairs not merged, row <= col
+        in CSR order, and the node entry ``at`` (nt, 6) of each element's
+        upper half (:func:`evopore.fem.upper_entries`).  The entries are the
+        order of every K's half data, which determines the symmetric K, and
+        the upper half of every micro cell's sparsity."""
+        return upper_entries(self.triangles, self.n_nodes)
 
     @cached_property
     def periodic(self) -> StiffnessPattern:
-        """CSR sparsity of a K on :attr:`node_pattern` with the periodic
-        pairs merged, and of every periodic dof's diagonal: one block, every
-        node's dof, whose entries are :attr:`node_entries`.  It assembles
-        the periodic system of every cell problem on this mesh and the micro
+        """CSR sparsity of a K on :attr:`node_entries` with the periodic
+        pairs merged, and of every periodic dof's diagonal: one cell, every
+        node's dof, whose entries are the node entries.  It assembles the
+        periodic system of every cell problem on this mesh and the micro
         system restricted to the eps-periodic functions."""
         dof, n_dof = self.dof_map
-        return StiffnessPattern(dof[None, :], n_dof, self.node_entries)
+        return StiffnessPattern(dof[None, :], n_dof, self.node_entries[:2])
 
     @cached_property
     def loads(self) -> sp.csr_matrix:
@@ -221,7 +212,7 @@ class PeriodicMesh:
         y_d interpolates itself; an entry off the diagonal acts in its row
         and, mirrored, in its column."""
         dof, n_dof = self.dof_map
-        nodes, cols = self.node_entries
+        nodes, cols, _ = self.node_entries
         off = np.flatnonzero(nodes != cols)
         rows = dof[np.concatenate([nodes, cols[off]])]
         at = np.concatenate([cols, nodes[off]])
@@ -356,17 +347,13 @@ class ReferenceCell:
         entries of its upper half (:data:`evopore.fem.UPPER3`) to the node
         entries they fall on."""
         areas, grads = self.mesh.geometry
-        m, n = len(areas), self.mesh.n_nodes
+        m = len(areas)
         a, b = UPPER3
         stiffness = grads @ grads.transpose(0, 2, 1)
         stiffness *= areas[:, None, None]
         drift, w = self._radial()
         radial = drift[:, a] * w[:, b]
-        tri = self.mesh.triangles
-        rows, cols = self.mesh.node_entries
-        # the node entry of each element entry: its pair, lower node first
-        at = np.searchsorted(rows * n + cols, np.minimum(tri[:, a] * n + tri[:, b],
-                                                         tri[:, b] * n + tri[:, a]))
+        rows, _, at = self.mesh.node_entries
         # one column of 6 entries per element scalar, laid out as CSC
         return sp.csc_matrix((np.concatenate([stiffness[:, a, b].ravel(), radial.ravel()]),
                               np.tile(at.ravel(), 2), np.arange(0, 2 * m * len(a) + 1, len(a))),
@@ -413,9 +400,10 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
     element coefficient ``coeff`` (nt, 2, 2) on ``mesh``: column i solves
     -div C (grad w_i + e_i) = 0, periodic pairs equal, zero nodal mean.
 
-    The problems are solved from their stiffness K, as its data (s,) on the
-    mesh's node sparsity: ``stiffness`` when it is given, else the element
-    matrices of ``coeff`` summed there.  K with its periodic pairs merged,
+    The problems are solved from their stiffness K, as its half data (s,) on
+    the mesh's :attr:`PeriodicMesh.node_entries`: ``stiffness`` when it is
+    given, else the upper halves of the element matrices of ``coeff``
+    summed there, element by element.  K with its periodic pairs merged,
     K_p, is singular by the constants only, ``1^T K_p = 0``, and both loads
     f sum to zero.  The mesh's :attr:`PeriodicMesh.periodic` assembles
     ``K_p + e_0 e_0^T``, symmetric positive definite, whose solution has
@@ -430,9 +418,9 @@ def solve_cell_problem(mesh: PeriodicMesh, coeff: np.ndarray | None = None, *,
     if stiffness is None:
         areas, grads = mesh.geometry
         a, b = UPPER3
-        k = mesh.node_pattern.assemble(element_stiffness(areas, grads, coeff)[:, a, b])
-        # its half data: the entries at the node entries
-        stiffness = k.data[np.repeat(np.arange(mesh.n_nodes), np.diff(k.indptr)) <= k.indices]
+        rows, _, at = mesh.node_entries
+        stiffness = np.bincount(at.ravel(), element_stiffness(areas, grads, coeff)[:, a, b].ravel(),
+                                minlength=len(rows))
     dof, n = mesh.dof_map
     pin = np.zeros(n)
     pin[0] = 1.0

@@ -322,6 +322,9 @@ def test_one_reference_cell_per_command(tmp_path, monkeypatch, command, load_tab
     once: the table and every 1/epsilon of the study share them.  A table's
     cell problems read the cell's ``system`` alone, so a tabulating command
     builds no other operator; a growing micro run reads all four.  The
+    mesh's ``node_entries`` holds the node entry of every element's upper
+    half with the entries, so each command that maps elements to node
+    entries does so once.  The
     cell problems and the micro run's eps-periodic starts assemble on one
     periodic pattern of the mesh, and factor on one band of it, each built
     once in a command that does both; the macro grid's pattern orders its

@@ -6,7 +6,7 @@ import pytest
 from _oracles import lumped_mass
 
 from evopore import fem
-from evopore.fem import UPPER3, centroids, element_means, element_stiffness
+from evopore.fem import UPPER3, StiffnessPattern, centroids, element_means, element_stiffness
 from evopore.macro import MacroGrid, MacroSolver, MassRecord, ledger_csv, mass_balance, snapshot_csv
 from evopore.unitcell import EffectiveTensorTable, porosity
 
@@ -68,27 +68,26 @@ def test_grid_interpolation_reproduces_linear_fields():
     assert g.interpolate(nodal, pts) == pytest.approx(expect, abs=1e-13)
 
 
-@pytest.mark.parametrize("n", [2, 8, 32, 128])
-def test_shape_operators_give_the_tabulated_element_matrices_bit_for_bit(n, tensor_table):
-    """On a dyadic n every element of a shape has the same geometry bits, the
-    operator entries are exact, and the table's A12 (about 1e-18) does not
-    move A11 or A22 in the sums, so both products round alike."""
+@pytest.mark.parametrize("n", [2, 3, 32, 100])
+def test_square_cell_assembly_matches_the_element_assembly(n, tensor_table):
+    """The squares' entries, one product of the square operator with both
+    triangles' (A11, A12, A22), assembled on the pattern over the squares,
+    give the matrix that the element matrices of ``element_stiffness``
+    assemble to on a pattern over the triangles, to rounding, with random
+    symmetric tensors and with the tabulated ones; the two patterns have
+    the same CSR sparsity."""
     g = MacroGrid.create(n)
-    c = tensor_table.components(np.random.default_rng(n).uniform(0.15, 0.35, g.n_elements))
-    A = c[..., [0, 1, 1, 2]].reshape(-1, 2, 2)
-    expect = element_stiffness(g.areas, g.grads, A)[:, UPPER3[0], UPPER3[1]]
-    assert np.array_equal(g.element_matrices(c), expect)
-
-
-@pytest.mark.parametrize("n", [3, 100])
-def test_shape_operators_with_random_symmetric_tensors(n):
-    """Where the geometry is not dyadic and A12 is of order one, the two
-    products agree to rounding."""
-    g = MacroGrid.create(n)
-    c = np.random.default_rng(n).uniform(-1.0, 1.0, (g.n_elements, 3))
-    expect = element_stiffness(g.areas, g.grads, c[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
-    got = g.element_matrices(c)
-    assert np.max(np.abs(got - expect[:, UPPER3[0], UPPER3[1]])) <= 1e-14 * np.max(np.abs(expect))
+    rng = np.random.default_rng(n)
+    squares = StiffnessPattern(g.squares, g.n_nodes, g.entries)
+    elements = StiffnessPattern(g.elements, g.n_nodes, UPPER3)
+    for s, e in zip(squares.slots()[:2], elements.slots()[:2]):
+        assert np.array_equal(s, e)
+    for c in (rng.uniform(-1.0, 1.0, (g.n_elements, 3)),
+              tensor_table.components(rng.uniform(0.15, 0.35, g.n_elements))):
+        k_el = element_stiffness(g.areas, g.grads, c[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
+        want = elements.assemble(np.ascontiguousarray(k_el[:, UPPER3[0], UPPER3[1]].T)).data
+        got = squares.assemble(g.square_matrices(c)).data
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [2, 3, 16, 100])
@@ -121,7 +120,7 @@ def test_state_carries_the_lumped_mass_of_its_porosity(grid, spec, tensor_table)
 
 
 def test_macro_step_forms_no_tensor_product_and_no_centroid(spec, tensor_table, monkeypatch):
-    """The step's element matrices come from the grid's shape operators and
+    """The step's stiffness entries come from the grid's square operator and
     its midpoints from the grid: neither ``element_stiffness`` nor
     ``centroids`` runs in a step, through any name an evopore module holds."""
     grid = MacroGrid.create(8)

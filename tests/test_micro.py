@@ -406,7 +406,7 @@ def test_micro_assembly_and_scatter_match_independent_oracles(reference_cell, pa
     diagonal = rng.uniform(1.0, 2.0, m.n_nodes)
     x = np.vstack([1.7 * sc.b, 1.7 * (1 / sc.b - sc.b)])
     entries = m.cell.system @ x          # (s, n_cells): every cell's half entries
-    rows, cols = m.cell.mesh.node_entries
+    rows, cols, _ = m.cell.mesh.node_entries
     off = rows != cols
     n, diag = m.n_nodes, np.arange(m.n_nodes)
     want = sp.coo_matrix((np.concatenate([entries.T.ravel(), entries[off].T.ravel(), diagonal]),

@@ -45,15 +45,15 @@ def random_elements(rng, n_nodes, n_el):
 
 
 def upper(k_el):
-    """The block data of element matrices (nt, 3, 3) on a P1 pattern: their
-    upper halves (nt, 6), row by row."""
-    return k_el[:, UPPER3[0], UPPER3[1]]
+    """The cell data of element matrices (nt, 3, 3) on a P1 pattern: their
+    upper halves, row by row, entry-major (6, nt)."""
+    return np.ascontiguousarray(k_el[:, UPPER3[0], UPPER3[1]].T)
 
 
 def assemble(dofs, n_dof, areas, grads, coeff, diagonal=None):
     """One-off assembly on a fresh pattern of the element dofs ``dofs``."""
-    return StiffnessPattern(dofs, n_dof).assemble(upper(element_stiffness(areas, grads, coeff)),
-                                                  diagonal)
+    return StiffnessPattern(dofs, n_dof, UPPER3).assemble(
+        upper(element_stiffness(areas, grads, coeff)), diagonal)
 
 
 def dense_stiffness(triangles, areas, grads, coeff, n_dof, dof_of_node=None, diagonal=None):
@@ -83,14 +83,33 @@ def test_duplicate_accumulation():
     assert with_diag.toarray() == pytest.approx(single + np.diag([1.0, 2.0, 3.0]), abs=1e-14)
 
 
+def input_order_sums(dofs, local, data, diagonal):
+    """The entries of the matrix that the entry-major cell data ``data`` (s,
+    n_cells) of the cells ``dofs`` with the sparsity ``local`` assemble to,
+    each summed in the data's memory order, then the diagonal: entry by
+    entry, within an entry cell by cell, an entry off its cell's diagonal
+    adding to its own and the mirrored slot."""
+    dofs = dofs.tolist()
+    sums = {}
+    for k, (i, j) in enumerate(zip(*(np.asarray(a).tolist() for a in local))):
+        for cell, value in enumerate(data[k].tolist()):
+            pair = (dofs[cell][i], dofs[cell][j])
+            for key in (pair, pair[::-1]) if i != j else (pair,):
+                sums[key] = sums.get(key, 0.0) + value
+    for d, v in enumerate(diagonal.tolist()):
+        sums[(d, d)] = sums.get((d, d), 0.0) + v
+    return sums
+
+
 def test_duplicates_summed_in_input_order(reference_cell, params):
-    """Every CSR entry is the sum of its element entries in the data's
-    memory order, then the diagonal, bit for bit: element by element and
-    row by row for block-major data, entry by entry and element by element
-    for entry-major data.  The data is every element's upper half, and an
-    entry off the element's diagonal adds to both its slot and the mirrored
-    one.  The slot map is C-contiguous intp: every slot's first entry, the
-    later entries, and their slots followed by the diagonal's."""
+    """Every CSR entry is the sum of its cell entries in the data's memory
+    order, then the diagonal, bit for bit: entry by entry and within an
+    entry cell by cell.  The cells are the micro mesh's elements, with
+    their upper halves, and the macro grid's squares, with a step's 9
+    entries of each; an entry off the cell's diagonal adds to both its slot
+    and the mirrored one.  The slot map is C-contiguous intp: every slot's
+    first entry, the later entries, and their slots followed by the
+    diagonal's."""
     m = build_micro_mesh(reference_cell, 0.5)
     rng = np.random.default_rng(8)
     r_el = rng.uniform(params.r_min, params.r_max, m.n_cells)[cell_of_element(m)]
@@ -99,31 +118,23 @@ def test_duplicates_summed_in_input_order(reference_cell, params):
     tiled = tiled_triangles(m)
     areas, grads = triangle_geometry(m.vertices, tiled)
     diagonal = lumped_mass(tiled, areas, np.ones(len(tiled)), m.n_nodes) / 0.01
-    k_el = element_stiffness(areas, grads, coeff)
-    by_entry = np.ascontiguousarray(upper(k_el).T)
-    triangles = tiled.tolist()
-    half = list(zip(*(a.tolist() for a in UPPER3)))
-    block_major = [(tri, i, j) for tri in range(len(triangles)) for i, j in half]
-    entry_major = [(tri, i, j) for i, j in half for tri in range(len(triangles))]
-    for entry, data, order in ((False, upper(k_el), block_major), (True, by_entry, entry_major)):
-        pattern = StiffnessPattern(tiled, m.n_nodes, entry_major=entry)
+    grid = MacroGrid.create(7)
+    components = rng.uniform(-1.0, 1.0, (grid.n_elements, 3))
+    for dofs, n_dof, local, data, diag in (
+            (tiled, m.n_nodes, UPPER3, upper(element_stiffness(areas, grads, coeff)), diagonal),
+            (grid.squares, grid.n_nodes, grid.entries, grid.square_matrices(components),
+             rng.uniform(1.0, 2.0, grid.n_nodes))):
+        pattern = StiffnessPattern(dofs, n_dof, local)
         slots = pattern.slots()
         for index in slots[2:]:
             assert index.dtype == np.intp and index.flags.c_contiguous
         assert slots.first.shape == slots.indices.shape
-        assert slots.targets.shape == (len(slots.later) + m.n_nodes,)
-        assert len(slots.first) + len(slots.later) == 9 * len(k_el)
-        A = pattern.assemble(data, diagonal)
-
-        sums = {}
-        for tri, i, j in order:
-            pair = (triangles[tri][i], triangles[tri][j])
-            for key in (pair, pair[::-1]) if i != j else (pair,):
-                sums[key] = sums.get(key, 0.0) + float(k_el[tri, i, j])
-        for d, v in enumerate(diagonal.tolist()):
-            sums[(d, d)] = sums.get((d, d), 0.0) + v
-        coo = A.tocoo()
-        assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == sums
+        assert slots.targets.shape == (len(slots.later) + n_dof,)
+        off = np.count_nonzero(np.asarray(local[0]) != np.asarray(local[1]))
+        assert len(slots.first) + len(slots.later) == (len(local[0]) + off) * len(dofs)
+        coo = pattern.assemble(data, diag).tocoo()
+        assert (dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist()))
+                == input_order_sums(dofs, local, data, diag))
 
 
 def test_pattern_reuse_matches_fresh_assembly():
@@ -133,11 +144,11 @@ def test_pattern_reuse_matches_fresh_assembly():
     diagonal = rng.uniform(0.0, 1.0, 12)
     k_el = upper(element_stiffness(areas, grads, coeff))
     k_el2 = upper(element_stiffness(areas, grads, coeff2))
-    pattern = StiffnessPattern(tri, 12)
+    pattern = StiffnessPattern(tri, 12, UPPER3)
     first = pattern.assemble(k_el)
     second = pattern.assemble(k_el2, diagonal)
-    for A, fresh in ((first, StiffnessPattern(tri, 12).assemble(k_el)),
-                     (second, StiffnessPattern(tri, 12).assemble(k_el2, diagonal))):
+    for A, fresh in ((first, StiffnessPattern(tri, 12, UPPER3).assemble(k_el)),
+                     (second, StiffnessPattern(tri, 12, UPPER3).assemble(k_el2, diagonal))):
         assert np.array_equal(A.indptr, fresh.indptr)
         assert np.array_equal(A.indices, fresh.indices)
         assert np.array_equal(A.data, fresh.data)
@@ -146,7 +157,7 @@ def test_pattern_reuse_matches_fresh_assembly():
 def test_pattern_rejects_out_of_range_dof():
     for dofs in ([[0, 1, 3]], [[0, -1, 2]]):
         with pytest.raises(ValueError):
-            StiffnessPattern(np.array(dofs), 3)
+            StiffnessPattern(np.array(dofs), 3, UPPER3)
 
 
 def test_empty_mesh_is_zero_operator():
@@ -473,7 +484,7 @@ def macro_system(grid, r, dt):
     coeff = (1.0 - 2.0 * r)[:, None, None] * np.eye(2)
     k_el = upper(element_stiffness(grid.areas, grid.grads, coeff))
     mass = lumped_mass(grid.elements, grid.areas, porosity(r), grid.n_nodes)
-    return StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass / dt)
+    return StiffnessPattern(grid.elements, grid.n_nodes, UPPER3).assemble(k_el, diagonal=mass / dt)
 
 
 @pytest.fixture(scope="module")
@@ -739,7 +750,7 @@ def test_single_precision_band_solves_match_the_dense_solve(macro_grid):
     """The macro pattern's float32 banded Cholesky solves a macro system in
     float32 as ``np.linalg.solve`` does in float64, to 100 float32 epsilons
     relative, and its float64 one to 1e-13."""
-    pattern = StiffnessPattern(macro_grid.elements, macro_grid.n_nodes)
+    pattern = StiffnessPattern(macro_grid.elements, macro_grid.n_nodes, UPPER3)
     r = np.random.default_rng(5).uniform(0.15, 0.35, macro_grid.n_elements)
     A = macro_system(macro_grid, r, 0.005)
     rhs = np.random.default_rng(6).standard_normal(macro_grid.n_nodes)
@@ -783,7 +794,7 @@ def test_a_factor_whose_entries_overflow_its_precision_is_numerical_error(macro_
     from the cast; its double precision factor is fine."""
     A = macro_system(macro_grid, np.full(macro_grid.n_elements, 0.2), 0.005) * 1e200
     b = np.ones(macro_grid.n_nodes)
-    pattern = StiffnessPattern(macro_grid.elements, macro_grid.n_nodes)
+    pattern = StiffnessPattern(macro_grid.elements, macro_grid.n_nodes, UPPER3)
     assert pattern.band.kd <= BAND_LIMIT
     for factorize in (None, pattern.factorize):
         with pytest.raises(NumericalError, match="^macro factorization failed at t=0.5: "
@@ -803,7 +814,7 @@ def test_singular_system_factorization_is_numerical_error():
                                    np.tile(np.eye(2), (grid.n_elements, 1, 1))))
     mass = np.ones(grid.n_nodes)
     mass[3] = 0.0
-    system = StiffnessPattern(grid.elements, grid.n_nodes).assemble(k_el, diagonal=mass)
+    system = StiffnessPattern(grid.elements, grid.n_nodes, UPPER3).assemble(k_el, diagonal=mass)
     system.data[system.indptr[3]:system.indptr[4]] = 0.0
     for dtype in (np.float32, np.float64):
         with pytest.raises(NumericalError, match="factorization failed"):
